@@ -486,6 +486,13 @@ let xl_child_main name =
         if ns < !best then best := ns
       done;
       !best
+    | "xl:index-copy" ->
+      let idx = Index_serial.load_container ipath in
+      let t0 = now_ns () in
+      let c = Index_graph.copy idx in
+      let ns = now_ns () -. t0 in
+      ignore (Index_graph.n_nodes c);
+      ns
     | other -> failwith ("unknown xl bench " ^ other)
   in
   let heap = Gc.((quick_stat ()).top_heap_words) * (Sys.word_size / 8) in
@@ -668,6 +675,12 @@ let () =
     ~runs:n_updates
     (fun h -> List.iter (fun (u, v) -> Data_graph.add_edge h u v) edges);
   bench "extB:demote-rebuild" (fun () -> ignore (Dk_index.rebuild dk ~reqs));
+  (* Copying an index (the server's left-right spare): the in-memory
+     deep copy against the text round trip it replaced, which builds
+     the same index. *)
+  bench "clone:index-copy" (fun () -> ignore (Index_graph.copy dk));
+  bench "clone:text-roundtrip" (fun () ->
+      ignore (Index_serial.of_string (Index_serial.to_string dk)));
   (* Socket serving: an in-process dkserve instance on an ephemeral
      port (2 query workers + 1 mutator, the default deployment shape),
      driven by C concurrent client connections issuing synchronous
@@ -1316,6 +1329,7 @@ let () =
     ignore (record "xl:open-mmap");
     ignore (record "xl:load-index-mmap");
     ignore (record "xl:query-mmap");
+    ignore (record "xl:index-copy");
     (* Shape facts, read from the finished container (O(1) open). *)
     let g = Container.open_graph (Filename.concat dir "xl.dkc") in
     xl_facts :=

@@ -346,11 +346,11 @@ let query g kind k workload_size seed load expr_str show check plan_sel explain 
   let result = eval_one idx kind expr_str in
   print_result g show result;
   if check then begin
-    (* Cross-check against a fully in-RAM copy: the text round-trip
-       rebuilds every array on the OCaml heap, so when the index came
+    (* Cross-check against a fully in-RAM copy: Index_graph.copy puts
+       every vector in freshly allocated memory, so when the index came
        from a mapped container this compares mmap-backed evaluation
-       against heap-backed evaluation bit for bit. *)
-    let ram = Index_serial.of_string (Index_serial.to_string idx) in
+       against unmapped evaluation bit for bit. *)
+    let ram = Index_graph.copy idx in
     let result' = eval_one ram kind expr_str in
     if result.Query_eval.nodes <> result'.Query_eval.nodes then begin
       Printf.eprintf "error: --check mismatch (%d mapped vs %d in-RAM nodes)\n"

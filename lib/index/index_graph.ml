@@ -896,6 +896,53 @@ let compact t =
     ~k_of_class:(fun c -> k_of.(c))
     ~req_of_class:(fun c -> req_of.(c))
 
+(* Dense first-touch numbering of the live index: scanning data nodes
+   in id order, each live index node takes the next dense id the first
+   time a member of its extent is seen.  Every live node has a
+   non-empty extent, so exactly [n_alive] ids are handed out. *)
+let dense_classes t =
+  let n = Data_graph.n_nodes t.data in
+  let of_id = Array.make t.next_id (-1) in
+  let order = Array.make t.n_alive 0 in
+  let cls = Array.make n 0 in
+  let count = ref 0 in
+  for u = 0 to n - 1 do
+    let id = t.cls.(u) in
+    if of_id.(id) < 0 then begin
+      of_id.(id) <- !count;
+      order.(!count) <- id;
+      incr count
+    end;
+    cls.(u) <- of_id.(id)
+  done;
+  (cls, order, of_id)
+
+(* Read-only on [t] (no CSR flattening), so it is safe on an index
+   that other domains are reading. *)
+let copy t =
+  let cls, order, of_id = dense_classes t in
+  let nc = Array.length order in
+  let coff = Array.make (nc + 1) 0 in
+  for c = 0 to nc - 1 do
+    coff.(c + 1) <- coff.(c) + out_degree t order.(c)
+  done;
+  (* Child runs in dense space, re-sorted: the remap does not preserve
+     id order. *)
+  let carr = Array.make coff.(nc) 0 in
+  for c = 0 to nc - 1 do
+    let i = ref coff.(c) in
+    iter_children t order.(c) (fun id ->
+        carr.(!i) <- of_id.(id);
+        incr i);
+    Int_arr.sort_range carr ~lo:coff.(c) ~hi:coff.(c + 1)
+  done;
+  (* What the text format's -1 encoding reads back as. *)
+  let norm k = if k < 0 || k >= k_infinite then k_infinite else k in
+  of_partition_with_edges (Data_graph.copy t.data) ~cls ~n_classes:nc
+    ~k_of_class:(fun c -> norm (node t order.(c)).k)
+    ~req_of_class:(fun c -> norm (node t order.(c)).req)
+    ~children:(coff, carr)
+
 let partition_signature t =
   let n = Data_graph.n_nodes t.data in
   let repr = Hashtbl.create t.n_alive in

@@ -228,6 +228,35 @@ val compact : t -> t
     graph (many splits leave retired slots behind).  Forwarding history
     is dropped. *)
 
+val dense_classes : t -> int array * int array * int array
+(** [(cls, order, of_id)]: the canonical dense renumbering of the live
+    index nodes, in first-touch order over data nodes (scanning data
+    node ids ascending, an index node takes the next dense id when the
+    first member of its extent is seen).  [cls.(u)] is data node [u]'s
+    dense class, [order.(c)] the live id of dense class [c], and
+    [of_id.(id)] the dense class of live id [id] ([-1] for dead ids;
+    length {!max_id}).  The numbering {!Index_serial} writes and
+    {!copy} produces. *)
+
+val copy : t -> t
+(** A deep copy: exactly what a text round trip ([Index_serial.to_string],
+    then [Index_serial.of_string]) produces, built from the live
+    structures in O(data nodes + data edges + index edges) with no
+    text in between.
+    - The same dense first-touch numbering as {!dense_classes}, the
+      same [k]/[req] per class, the same index edges (and therefore
+      the same [Index_serial.to_string] text and
+      {!partition_signature}).
+    - Its own data graph ({!Data_graph.copy}: fresh CSR vectors, label
+      pool and values copied), so a copy of a container-mapped index
+      lives entirely in freshly allocated memory, and mutating either
+      side never affects the other.
+    - A fresh {!generation} (0), no tracer ({!set_tracer}) and no
+      {!split} forwarding history.
+
+    Reads [t] only (no CSR flattening): safe while other domains
+    query [t]. *)
+
 val partition_signature : t -> (int * int) array
 (** For testing: array indexed by data node of
     [(canonical class representative, k of its class)], where the

@@ -29,7 +29,9 @@ val of_string : string -> Index_graph.t
 (** @raise Failure on malformed input. *)
 
 val save : string -> Index_graph.t -> unit
-(** Atomic: writes [path ^ ".tmp"], then renames over [path]. *)
+(** Atomic: writes [path ^ ".tmp"], then renames over [path].  Nothing
+    is fsynced, so the file may not survive a power loss; a caller that
+    acknowledges the save needs a durable write instead. *)
 
 val load : string -> Index_graph.t
 

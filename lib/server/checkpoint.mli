@@ -107,6 +107,15 @@ val note_wal_failure : t -> string -> unit
 val stats : t -> (string * string) list
 (** WAL/checkpoint/recovery counters, domain-safe. *)
 
+val write_atomic : ?faults:Faults.t -> string -> string -> string -> unit
+(** [write_atomic dir name s] makes [s] the durable content of
+    [dir/name]: it writes [dir/name.tmp], fsyncs it, renames it over
+    [dir/name] and fsyncs [dir], so after a crash the file holds either
+    its previous content or [s].  [faults] filters the write and the
+    file fsync ({!Faults.write}, {!Faults.fsync}).
+    @raise Unix.Unix_error if a write, fsync or the rename fails (a
+    failed write or file fsync removes the temp file). *)
+
 (** {1 Replication hooks} *)
 
 val dir : t -> string

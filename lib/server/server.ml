@@ -301,16 +301,16 @@ let wait_readers state gen =
       done)
     state.slots
 
-let clone_of_serving state =
-  Index_serial.of_string (Index_serial.to_string (Atomic.get state.serving).idx)
-
 (* Bring the spare copy up to date with the serving content.  Called
    by the mutator before touching the spare; the grace wait happens
-   here, off the acknowledgement path of the previous write. *)
+   here, off the acknowledgement path of the previous write.  A spare
+   that cannot be caught up by replaying the lag is rebuilt with
+   [Index_graph.copy] of the serving index, which only reads it, so
+   readers still on it are undisturbed. *)
 let catch_up state =
   if state.spare_dirty then begin
     wait_readers state (Atomic.get state.serving).gen;
-    state.spare <- clone_of_serving state;
+    state.spare <- Index_graph.copy (Atomic.get state.serving).idx;
     Integrity.attach state.integrity state.spare;
     state.spare_dirty <- false;
     state.lag <- []
@@ -324,7 +324,7 @@ let catch_up state =
      with _ ->
        (* The serving side applied these; a spare that cannot replay
           them would diverge — rebuild it from the serving content. *)
-       state.spare <- clone_of_serving state;
+       state.spare <- Index_graph.copy (Atomic.get state.serving).idx;
        Integrity.attach state.integrity state.spare);
     state.lag <- []
   end
@@ -683,6 +683,12 @@ let mutation_of_req : Wire.request -> Wal.mutation option = function
 
 let serving_idx state = (Atomic.get state.serving).idx
 
+(* The [--snapshot] file, durable before it is acknowledged: temp
+   file, fsync, rename, fsync of the directory. *)
+let save_snapshot path idx =
+  Checkpoint.write_atomic (Filename.dirname path) (Filename.basename path)
+    (Index_serial.to_string idx)
+
 let not_primary_reply state : Wire.response =
   match state.replica with
   | Some r ->
@@ -784,7 +790,7 @@ let apply_write state (p : pending) : Wire.response =
           | Ok () -> ok ()
           | Error msg -> app ("checkpoint failed: " ^ msg))
         | None, Some path ->
-          Index_serial.save path (serving_idx state);
+          save_snapshot path (serving_idx state);
           ok ()
         | None, None -> app "no snapshot path configured")
       | Wire.Digest_request ->
@@ -845,9 +851,13 @@ let apply_repl state scratch (ev : Replication.event) =
   | Replication.Ev_snapshot { index; epoch; seq } -> (
     match state.replica with
     | Some r when not (Replication.is_promoted r) -> (
-      (* Two independent decodes: the snapshot becomes both physical
-         copies of the left-right pair. *)
-      match (Index_serial.of_string index, Index_serial.of_string index) with
+      (* Decode once; the spare is an in-memory copy of the decoded
+         index, so the snapshot becomes both physical copies of the
+         left-right pair. *)
+      match
+        let idx' = Index_serial.of_string index in
+        (idx', Index_graph.copy idx')
+      with
       | idx', spare' ->
         Integrity.invalidate state.integrity;
         Integrity.attach state.integrity idx';
@@ -1237,9 +1247,10 @@ let dispatch state ~slot ~reader conn ~id (req : Wire.request) =
 let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?replica_of
     ?hub_faults ?hub_heartbeat_s ?(repl_drop_nth = 0) cfg index =
   Index_graph.prepare_serving index;
-  (* The second physical copy of the left-right pair, via the
-     serialization round-trip (bit-for-bit equivalent content). *)
-  let spare = Index_serial.of_string (Index_serial.to_string index) in
+  (* The second physical copy of the left-right pair: an in-memory
+     deep copy whose content is bit-for-bit the serialization
+     round-trip's. *)
+  let spare = Index_graph.copy index in
   let epoch0 =
     match durability with
     | Some d -> Replication.load_epoch ~dir:(Checkpoint.dir d)
@@ -1612,7 +1623,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
     | None -> Ok ()
     | Some path -> (
       try
-        Index_serial.save path (serving_idx state);
+        save_snapshot path (serving_idx state);
         Ok ()
       with e -> Error (Printf.sprintf "final snapshot %s: %s" path (Printexc.to_string e)))
   in

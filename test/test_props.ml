@@ -482,6 +482,98 @@ let prop_index_serial_roundtrip =
       let idx' = Index_serial.of_string (Index_serial.to_string idx) in
       Index_graph.partition_signature idx = Index_graph.partition_signature idx')
 
+(* Index_graph.copy is the text round trip without the text: the same
+   canonical text and partition, and storage of its own. *)
+let copy_matches idx =
+  let c = Index_graph.copy idx in
+  Index_graph.check_invariants c;
+  String.equal (Index_serial.to_string c) (Index_serial.to_string idx)
+  && Index_graph.partition_signature c = Index_graph.partition_signature idx
+
+let dk_of_params params =
+  let g = graph_of params in
+  let queries = Dkindex_workload.Query_gen.generate ~seed:(Hashtbl.hash params) ~count:8 g in
+  Dk_index.build g ~reqs:(Dkindex_workload.Miner.mine g queries)
+
+(* Random Dk_update traffic on [idx]: absent edges added (splits leave
+   dead ids, new index edges land in the overflow adjacency), some of
+   them and some original edges removed again (tombstoning CSR index
+   edges), with promotions in between. *)
+let churn ~seed ~steps idx =
+  let g = Index_graph.data idx in
+  let n = Data_graph.n_nodes g in
+  let rng = Prng.create ~seed in
+  let added = ref [] in
+  for i = 1 to steps do
+    match (Prng.int rng 5, !added) with
+    | (0 | 1), _ | 2, [] ->
+      let u = Prng.int rng n and v = Prng.int rng n in
+      if v > 0 && not (Data_graph.has_edge g u v) then begin
+        Dk_update.add_edge idx u v;
+        added := (u, v) :: !added
+      end
+    | 2, (u, v) :: rest ->
+      if Data_graph.has_edge g u v then Dk_update.remove_edge idx u v;
+      added := rest
+    | 3, _ -> (
+      let u = Prng.int rng n in
+      match Data_graph.children g u with
+      | v :: _ when v > 0 -> Dk_update.remove_edge idx u v
+      | _ -> ())
+    | _ -> Dk_tune.promote_labels idx [ (Printf.sprintf "l%d" (i mod 4), 1 + (i mod 3)) ]
+  done
+
+let prop_copy_fresh =
+  QCheck.Test.make ~count:40 ~name:"copy: same text and partition as the round trip"
+    graph_params
+    (fun params -> copy_matches (dk_of_params params))
+
+let prop_copy_after_churn =
+  QCheck.Test.make ~count:40 ~name:"copy: same text and partition after Dk_update churn"
+    graph_params
+    (fun params ->
+      let idx = dk_of_params params in
+      churn ~seed:(Hashtbl.hash params) ~steps:30 idx;
+      copy_matches idx)
+
+let prop_copy_independent =
+  QCheck.Test.make ~count:40 ~name:"copy: updates to either side leave the other unchanged"
+    graph_params
+    (fun params ->
+      let seed = Hashtbl.hash params in
+      let idx = dk_of_params params in
+      churn ~seed ~steps:10 idx;
+      let before = Index_serial.to_string idx in
+      let c = Index_graph.copy idx in
+      churn ~seed:(seed + 1) ~steps:20 c;
+      let original_kept = String.equal (Index_serial.to_string idx) before in
+      let c_text = Index_serial.to_string c in
+      churn ~seed:(seed + 2) ~steps:20 idx;
+      original_kept && String.equal (Index_serial.to_string c) c_text)
+
+(* The container loader maps the data CSR: the copy must carry the same
+   index in memory of its own, and stay independent of the mapping. *)
+let test_copy_of_container () =
+  let g = Dkindex_datagen.Xmark.graph ~scale:4 () in
+  let idx = Dk_index.build g ~reqs:[ ("item", 2); ("person", 3) ] in
+  let path = Filename.temp_file "dkcopy" ".dkc" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Index_serial.save_container path idx;
+      let loaded = Index_serial.load_container path in
+      let c = Index_graph.copy loaded in
+      Index_graph.check_invariants c;
+      check_string "copy text" (Index_serial.to_string loaded) (Index_serial.to_string c);
+      check_bool "partition" true
+        (Index_graph.partition_signature loaded = Index_graph.partition_signature c);
+      let q = [ "item"; "name" ] in
+      check_int_list "query" (Query_eval.eval_path_strings loaded q).Query_eval.nodes
+        (Query_eval.eval_path_strings c q).Query_eval.nodes;
+      let text = Index_serial.to_string loaded in
+      churn ~seed:5 ~steps:20 c;
+      check_string "mapped original unchanged" text (Index_serial.to_string loaded))
+
 let prop_sax_equals_dom =
   QCheck.Test.make ~count:40 ~name:"streaming load = DOM load on random documents"
     (QCheck.make QCheck.Gen.(int_bound 100_000))
@@ -684,4 +776,7 @@ let () =
             prop_fb_covers_patterns;
             prop_index_serial_roundtrip;
           ] );
+      ( "copy",
+        List.map to_alcotest [ prop_copy_fresh; prop_copy_after_churn; prop_copy_independent ]
+        @ [ test "copy of a container-loaded index" test_copy_of_container ] );
     ]

@@ -920,6 +920,150 @@ let test_pipelined_ordering () =
     Client.close c;
     Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
 
+(* Fork a server on an ephemeral port; returns its pid and port.  The
+   child exits 0 iff [Server.run] returns [Ok]. *)
+let fork_server ?snapshot_path idx =
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    let status =
+      try
+        match
+          Server.run
+            ~on_ready:(fun port ->
+              let line = string_of_int port ^ "\n" in
+              ignore (Unix.write_substring w line 0 (String.length line));
+              Unix.close w)
+            { Server.default_config with port = 0; workers = 1; snapshot_path }
+            idx
+        with
+        | Ok () -> 0
+        | Error _ -> 1
+      with _ -> 1
+    in
+    Unix._exit status
+  | pid ->
+    Unix.close w;
+    let port = read_port_line r in
+    Unix.close r;
+    (pid, port)
+
+(* Run [f pid port] against a forked server.  [f] ends by shutting the
+   server down; if it raises first, the server is killed so a failed
+   check never leaves it running. *)
+let with_server ?snapshot_path idx f =
+  let pid, port = fork_server ?snapshot_path idx in
+  match f pid port with
+  | () -> ()
+  | exception e ->
+    (try
+       Unix.kill pid Sys.sigkill;
+       ignore (Unix.waitpid [] pid)
+     with Unix.Unix_error _ -> ());
+    raise e
+
+let shutdown_server pid c =
+  (match Client.call c Wire.Shutdown with
+  | Wire.Ok_reply _ -> ()
+  | _ -> Alcotest.fail "expected Ok_reply for Shutdown");
+  let _, status = Unix.waitpid [] pid in
+  Client.close c;
+  Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
+
+(* A write that fails inside the mutator leaves the spare suspect; the
+   next write rebuilds it as a copy of the serving index, and the
+   writes after that catch it up by replay.  Every answer must equal a
+   local Dk_update oracle that saw only the valid writes. *)
+let test_spare_rebuild () =
+  let g, idx = build_smoke_dataset () in
+  with_server idx @@ fun pid port ->
+  let c = Client.connect ~port () in
+  let n = Data_graph.n_nodes g in
+  let rng = Prng.create ~seed:31 in
+  let added = ref [] in
+  let write req =
+    match Client.call c req with
+    | Wire.Ok_reply _ -> ()
+    | _ -> Alcotest.fail "expected Ok_reply"
+  in
+  let add_some k =
+    let applied = ref 0 in
+    while !applied < k do
+      let u = Prng.int rng n and v = Prng.int rng n in
+      if u <> v && not (Data_graph.has_edge g u v) then begin
+        write (Wire.Add_edge { u; v });
+        Dk_update.add_edge idx u v;
+        added := (u, v) :: !added;
+        incr applied
+      end
+    done
+  in
+  let labels = List.init 5 (Printf.sprintf "l%d") in
+  let paths = List.concat_map (fun a -> [ a ] :: List.map (fun b -> [ a; b ]) labels) labels in
+  let check_all what =
+    Index_graph.prepare_serving idx;
+    List.iter
+      (fun path ->
+        let want = Query_eval.eval_path_strings idx path in
+        let got =
+          expect_result
+            (Client.call c (Wire.Query_path { flags = { no_cache = true }; labels = path }))
+        in
+        Alcotest.(check (list int))
+          (what ^ " " ^ String.concat "." path)
+          want.Query_eval.nodes (Array.to_list got.Wire.nodes);
+        Alcotest.(check int) (what ^ " index_visits") want.cost.Dkindex_pathexpr.Cost.index_visits
+          got.index_visits)
+      paths
+  in
+  add_some 4;
+  (match Client.call c (Wire.Add_edge { u = n + 7; v = 0 }) with
+  | Wire.Error_reply { code = `App; _ } -> ()
+  | _ -> Alcotest.fail "expected `App error for an out-of-range node");
+  check_all "after the failed write";
+  (* The first valid write rebuilds the spare by copy; the rest catch
+     up by lag replay on alternating copies. *)
+  add_some 6;
+  (match !added with
+  | (u, v) :: rest ->
+    write (Wire.Remove_edge { u; v });
+    Dk_update.remove_edge idx u v;
+    added := rest
+  | [] -> ());
+  add_some 2;
+  check_all "after the rebuild";
+  shutdown_server pid c
+
+(* [Snapshot] is acknowledged only once the file is in place: it loads,
+   answers like the served index, and no temp file is left behind —
+   for the explicit request and for the final snapshot of the drain. *)
+let test_snapshot_durable () =
+  let _g, idx = build_smoke_dataset () in
+  let dir = Filename.temp_file "dkserve_snap" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "served.index" in
+  with_server ~snapshot_path:path idx @@ fun pid port ->
+  let c = Client.connect ~port () in
+  let check_file what =
+    Alcotest.(check (list string)) (what ^ ": only the snapshot in its directory")
+      [ "served.index" ]
+      (List.sort compare (Array.to_list (Sys.readdir dir)));
+    let loaded = Index_serial.load path in
+    Index_graph.check_invariants loaded;
+    check_same_answers ~what idx loaded
+  in
+  (match Client.call c Wire.Snapshot with
+  | Wire.Ok_reply _ -> ()
+  | _ -> Alcotest.fail "expected Ok_reply for Snapshot");
+  check_file "acknowledged snapshot";
+  Sys.remove path;
+  shutdown_server pid c;
+  check_file "drain snapshot";
+  Sys.remove path;
+  Unix.rmdir dir
+
 (* Snapshot churn: reader domains hammer queries while the main
    thread streams edge updates through the write path.  Every answer
    — nodes and validation costs — must equal the oracle state after
@@ -1109,6 +1253,10 @@ let () =
             test_deadline_expiry;
           Alcotest.test_case "pipelined requests: FIFO inline, id-matched overtaking" `Quick
             test_pipelined_ordering;
+          Alcotest.test_case "failed write: spare rebuilt by copy, answers exact" `Quick
+            test_spare_rebuild;
+          Alcotest.test_case "snapshot durable and loadable when acknowledged" `Quick
+            test_snapshot_durable;
           (* Last forking test: it spawns reader domains in the
              parent, after which Unix.fork is no longer available. *)
           Alcotest.test_case "no torn reads under snapshot churn" `Quick test_snapshot_churn;
