@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-quick bench-smoke bench-trajectory bench-xl dkbench serve loadgen examples clean fmt
+.PHONY: all build test bench bench-quick bench-smoke bench-trajectory bench-xl dkbench serve loadgen examples loc clean fmt
 
 all: build test bench-smoke
 
@@ -56,6 +56,17 @@ examples:
 	dune exec examples/adaptive_updates.exe
 	dune exec examples/branching_queries.exe
 	dune exec examples/self_tuning.exe
+
+# Source line totals (.ml, .mli, both) per tree, _build excluded: the
+# one number subtraction changes quote before and after.
+LOC_TREES = lib bin bench test
+loc:
+	@printf '%-8s %7s %7s %7s\n' tree .ml .mli total
+	@for d in $(LOC_TREES); do \
+	  ml=$$(find $$d -name _build -prune -o -name '*.ml' -exec cat {} + | wc -l); \
+	  mli=$$(find $$d -name _build -prune -o -name '*.mli' -exec cat {} + | wc -l); \
+	  printf '%-8s %7d %7d %7d\n' $$d $$ml $$mli $$((ml + mli)); \
+	done
 
 clean:
 	dune clean

@@ -1,0 +1,34 @@
+(** Bounded multi-producer/multi-consumer FIFO queue over
+    [Mutex]/[Condition] (domain-safe in OCaml 5).
+
+    dkserve's one work-queue implementation: the server's read and
+    write queues, the replies of jobs run on the mutator, and the
+    {!Checkpoint} background writer all use it.  Closing is how a
+    consumer is stopped: {!pop} hands out every element admitted
+    before {!close} and only then returns [None], so "close, then join
+    the consumer" finishes all queued work. *)
+
+type 'a t
+
+val create : int -> 'a t
+(** An empty queue holding at most [cap] elements. *)
+
+val try_push : 'a t -> 'a -> bool
+(** Enqueue unless full or closed; [false] means the element was shed
+    (the server's admission-control point). *)
+
+val push : 'a t -> 'a -> unit
+(** Enqueue, blocking while the queue is full — for producers that
+    must never shed.  Drops the element once the queue is closed: by
+    then its consumer is gone. *)
+
+val pop : 'a t -> 'a option
+(** Dequeue the oldest element, blocking while the queue is empty and
+    open.  [None] only after {!close} and once every admitted element
+    has been handed out. *)
+
+val close : 'a t -> unit
+(** Refuse further pushes and wake every blocked producer and
+    consumer.  Idempotent. *)
+
+val length : 'a t -> int

@@ -105,10 +105,11 @@ let write_atomic ?faults dir name s =
   fsync_dir dir
 
 (* Keep the two newest checkpoint generations and every WAL from the
-   older kept generation on; delete the rest (and stray .tmp files).
-   Pruning runs only after a newer snapshot is durably in place, so a
-   reader can always fall back one generation with a complete WAL
-   chain. *)
+   older kept generation on; delete the rest.  Pruning runs only after
+   a newer snapshot is durably in place, so a reader can always fall
+   back one generation with a complete WAL chain.  It leaves .tmp files
+   alone: the background writer, a synchronous checkpoint and the
+   epoch file may each have one in flight (see [sweep_tmp]). *)
 let prune dir =
   let removed = ref false in
   let rm name =
@@ -126,13 +127,23 @@ let prune dir =
       rest;
     List.iter (fun s -> if s < prev then rm (wal_name s)) (wal_seqs dir)
   | _ -> ());
-  (match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | names -> Array.iter (fun n -> if Filename.check_suffix n ".tmp" then rm n) names);
   (* Make the unlinks themselves durable: without this a crash here
      can resurrect a pruned generation, and recovery could then load a
      checkpoint whose WAL chain was already (durably) deleted. *)
   if !removed then fsync_dir dir
+
+(* Delete the .tmp files a crash left behind mid-[write_atomic].  Only
+   safe while nothing else writes into [dir]: {!start} runs it before
+   its writer domain exists. *)
+let sweep_tmp dir =
+  match Sys.readdir dir with
+  | exception Sys_error _ -> ()
+  | names ->
+    Array.iter
+      (fun n ->
+        if Filename.check_suffix n ".tmp" then
+          try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
+      names
 
 (* ------------------------------------------------------------------ *)
 (* Replay *)
@@ -249,8 +260,6 @@ let recover ?read_faults ~dir () =
 (* ------------------------------------------------------------------ *)
 (* Live manager *)
 
-type job = Write of int * string | Stop
-
 type t = {
   cfg : config;
   wal_faults : Faults.t option;
@@ -264,10 +273,9 @@ type t = {
      beyond the complete records of the generation it names. *)
   seq_a : int Atomic.t;
   mutable last_rotate : float;
-  (* background writer *)
-  jobs : job Queue.t;
-  mu : Mutex.t;
-  nonempty : Condition.t;
+  (* background writer: (generation, snapshot bytes) to write; unbounded,
+     so the mutator never waits on checkpoint I/O *)
+  jobs : (int * string) Bqueue.t;
   writer : unit Domain.t option ref;
   (* counters, read by stats from any domain *)
   read_only_flag : bool Atomic.t;
@@ -279,21 +287,6 @@ type t = {
   checkpoint_failures : int Atomic.t;
   checkpoint_last_bytes : int Atomic.t;
 }
-
-let push_job t j =
-  Mutex.lock t.mu;
-  Queue.push j t.jobs;
-  Condition.signal t.nonempty;
-  Mutex.unlock t.mu
-
-let pop_job t =
-  Mutex.lock t.mu;
-  while Queue.is_empty t.jobs do
-    Condition.wait t.nonempty t.mu
-  done;
-  let j = Queue.pop t.jobs in
-  Mutex.unlock t.mu;
-  j
 
 let read_only t = Atomic.get t.read_only_flag
 
@@ -312,9 +305,9 @@ let write_checkpoint t seq s =
 
 let writer_loop t () =
   let rec go () =
-    match pop_job t with
-    | Stop -> ()
-    | Write (seq, s) ->
+    match Bqueue.pop t.jobs with
+    | None -> ()
+    | Some (seq, s) ->
       (try write_checkpoint t seq s
        with _ -> Atomic.incr t.checkpoint_failures);
       go ()
@@ -323,6 +316,7 @@ let writer_loop t () =
 
 let start ?wal_faults ?checkpoint_faults ?recovery cfg index =
   (try Unix.mkdir cfg.dir 0o755 with Unix.Unix_error ((EEXIST | EISDIR), _, _) -> ());
+  sweep_tmp cfg.dir;
   let existing =
     match (checkpoint_seqs cfg.dir, wal_seqs cfg.dir) with
     | [], [] -> -1
@@ -339,9 +333,7 @@ let start ?wal_faults ?checkpoint_faults ?recovery cfg index =
       seq;
       seq_a = Atomic.make seq;
       last_rotate = Unix.gettimeofday ();
-      jobs = Queue.create ();
-      mu = Mutex.create ();
-      nonempty = Condition.create ();
+      jobs = Bqueue.create max_int;
       writer = ref None;
       read_only_flag = Atomic.make false;
       wal_error = ref "";
@@ -397,7 +389,7 @@ let triggered t =
 let maybe_checkpoint t index =
   if (not (read_only t)) && triggered t then
     match rotate t index with
-    | Some (seq, s) -> push_job t (Write (seq, s))
+    | Some job -> Bqueue.push t.jobs job
     | None -> ()
 
 let checkpoint_now t index =
@@ -478,7 +470,8 @@ let close t index =
       Ok ()
     else checkpoint_now t index
   in
-  push_job t Stop;
+  (* Closing drains: the writer finishes every queued snapshot first. *)
+  Bqueue.close t.jobs;
   (match !(t.writer) with
   | Some d ->
     Domain.join d;

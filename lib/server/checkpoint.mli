@@ -18,8 +18,10 @@
     memory, {!log_mutation}s it, and only then acknowledges.  When the
     log grows past the configured record/byte thresholds (or the timer
     fires), {!maybe_checkpoint} serializes the index, rotates to
-    generation [seq+1], and hands the snapshot bytes to a background
-    writer domain — the mutator never blocks on checkpoint I/O.  The
+    generation [seq+1], and queues the snapshot bytes on a {!Bqueue}
+    for a background writer domain — the mutator never blocks on
+    checkpoint I/O.  {!close} closes that queue and joins the writer,
+    which first writes every snapshot still queued.  The
     two newest checkpoint generations are kept; older files are
     pruned only after a newer snapshot is durably renamed, so
     {!recover} can always fall back one generation: newest valid
@@ -153,6 +155,7 @@ val newest_checkpoint : dir:string -> (int * string) option
     [None] if no checkpoint parses. *)
 
 val close : t -> Index_graph.t -> (unit, string) result
-(** Final synchronous checkpoint (if the WAL holds records), stop and
-    join the background writer, close the WAL.  [Error] carries the
+(** Final synchronous checkpoint (if the WAL holds records), then
+    close the writer's queue and join the writer once it has written
+    every queued snapshot, then close the WAL.  [Error] carries the
     reason the final snapshot could not be written. *)

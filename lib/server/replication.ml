@@ -25,10 +25,8 @@ let now () = Unix.gettimeofday ()
    written atomically.  A promoted replica must remember its epoch
    across restarts or a deposed primary could win fencing again. *)
 
-let epoch_file dir = Filename.concat dir "epoch"
-
 let load_epoch ~dir =
-  match open_in_bin (epoch_file dir) with
+  match open_in_bin (Filename.concat dir "epoch") with
   | exception Sys_error _ -> 0
   | ic ->
     Fun.protect
@@ -39,15 +37,7 @@ let load_epoch ~dir =
         | _ -> 0
         | exception End_of_file -> 0)
 
-let store_epoch ~dir e =
-  let tmp = epoch_file dir ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (string_of_int e);
-  output_char oc '\n';
-  flush oc;
-  (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-  close_out oc;
-  Unix.rename tmp (epoch_file dir)
+let store_epoch ~dir e = Checkpoint.write_atomic dir "epoch" (string_of_int e ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 (* Shared plumbing *)

@@ -25,7 +25,10 @@ val load_epoch : dir:string -> int
 (** Epoch stored in [dir]'s [epoch] file; 0 when absent/unreadable. *)
 
 val store_epoch : dir:string -> int -> unit
-(** Atomic (tmp + fsync + rename) write of the epoch file. *)
+(** Durable atomic write of the epoch file ({!Checkpoint.write_atomic}:
+    temp file, fsync, rename, directory fsync).
+    @raise Unix.Unix_error if it cannot be made durable — the caller
+    must then not act on the new epoch. *)
 
 (** {1 Hub: the primary side} *)
 

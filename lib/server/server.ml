@@ -45,85 +45,6 @@ let default_config =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Bounded multi-producer/multi-consumer queue.  [try_push] sheds when
-   full (the admission-control point); [pop] blocks and returns [None]
-   once the queue is closed and drained. *)
-
-module Bqueue = struct
-  type 'a t = {
-    mu : Mutex.t;
-    nonempty : Condition.t;
-    notfull : Condition.t;
-    q : 'a Queue.t;
-    cap : int;
-    mutable closed : bool;
-  }
-
-  let create cap =
-    {
-      mu = Mutex.create ();
-      nonempty = Condition.create ();
-      notfull = Condition.create ();
-      q = Queue.create ();
-      cap;
-      closed = false;
-    }
-
-  let try_push t x =
-    Mutex.lock t.mu;
-    let ok = (not t.closed) && Queue.length t.q < t.cap in
-    if ok then begin
-      Queue.push x t.q;
-      Condition.signal t.nonempty
-    end;
-    Mutex.unlock t.mu;
-    ok
-
-  (* Blocking push for producers that must never shed (the replication
-     tailer feeding the mutator).  Silently drops once closed — by
-     then the consumer is gone and the producer is shutting down. *)
-  let push t x =
-    Mutex.lock t.mu;
-    while (not t.closed) && Queue.length t.q >= t.cap do
-      Condition.wait t.notfull t.mu
-    done;
-    if not t.closed then begin
-      Queue.push x t.q;
-      Condition.signal t.nonempty
-    end;
-    Mutex.unlock t.mu
-
-  let pop t =
-    Mutex.lock t.mu;
-    while Queue.is_empty t.q && not t.closed do
-      Condition.wait t.nonempty t.mu
-    done;
-    let r = if Queue.is_empty t.q then None else Some (Queue.pop t.q) in
-    Condition.signal t.notfull;
-    Mutex.unlock t.mu;
-    r
-
-  let close t =
-    Mutex.lock t.mu;
-    t.closed <- true;
-    Condition.broadcast t.nonempty;
-    Condition.broadcast t.notfull;
-    Mutex.unlock t.mu
-
-  let is_empty t =
-    Mutex.lock t.mu;
-    let r = Queue.is_empty t.q in
-    Mutex.unlock t.mu;
-    r
-
-  let length t =
-    Mutex.lock t.mu;
-    let r = Queue.length t.q in
-    Mutex.unlock t.mu;
-    r
-end
-
-(* ------------------------------------------------------------------ *)
 (* Connections.  The main domain owns the read side (buffer, frame
    extraction) and is the only closer of the file descriptor; any
    domain may write a response under [wmu].  [closed] is flipped under
@@ -152,26 +73,15 @@ type conn = {
 
 type pending = { conn : conn; id : int; req : Wire.request; arrival : float }
 
-(* The write queue carries client requests, replication-stream events,
-   and integrity-domain jobs; all are applied by the single mutator
-   domain in FIFO order, so replica reads observe mutations in primary
-   order.  Running the integrity work on the mutator is what makes the
-   digest tracker trivially race-free: a refresh always sees exactly
-   the published state together with its committed marks, and repairs
-   ride the same apply/swap path as every other mutation. *)
-type wjob =
-  | Wreq of pending
-  | Wrepl of Replication.event
-  | Wdigest of (Integrity.digests * (int * int)) option Atomic.t
-      (* digest of the published state, stamped with the write-stream
-         position it reflects *)
-  | Wcheckpoint of int Atomic.t  (* 0 pending / 1 ok / 2 failed *)
-  | Wrepair of {
-      sections : (int * (int * int) array) list;
-          (* primary's data edges per divergent range *)
-      status : int Atomic.t;  (* 0 pending / 1 done *)
-      repaired : int Atomic.t;  (* ranges whose rows actually changed *)
-    }
+(* The write queue is the only coordination point of the mutator.  It
+   carries client requests, replication-stream events, and integrity-
+   domain jobs ([Wrun], see [on_mutator]); the single mutator domain
+   applies them in FIFO order, so replica reads observe mutations in
+   primary order.  Running the integrity work on the mutator is what
+   makes the digest tracker trivially race-free: a refresh always sees
+   exactly the published state together with its committed marks, and
+   repairs ride the same apply/swap path as every other mutation. *)
+type wjob = Wreq of pending | Wrepl of Replication.event | Wrun of (unit -> unit)
 
 (* The serving snapshot: a frozen index plus its swap generation.
    Readers load it through one [Atomic.t]; the mutator maintains two
@@ -185,9 +95,6 @@ type snap = { idx : Index_graph.t; gen : int }
 
 type state = {
   cfg : config;
-  lock : Rw_lock.t;
-      (* mutator/shutdown coordination only — never touched by the
-         per-request read path *)
   serving : snap Atomic.t;
   slots : int Atomic.t array;
       (* one per reader domain (slot 0 = the event-loop domain's
@@ -308,24 +215,26 @@ let wait_readers state gen =
    [Index_graph.copy] of the serving index, which only reads it, so
    readers still on it are undisturbed. *)
 let catch_up state =
-  if state.spare_dirty then begin
-    wait_readers state (Atomic.get state.serving).gen;
-    state.spare <- Index_graph.copy (Atomic.get state.serving).idx;
-    Integrity.attach state.integrity state.spare;
+  if state.spare_dirty || state.lag <> [] then begin
+    let serving = Atomic.get state.serving in
+    wait_readers state serving.gen;
+    (* The serving side applied the lag; a spare that cannot replay it
+       would diverge, so it is rebuilt instead. *)
+    let replayed =
+      (not state.spare_dirty)
+      &&
+      try
+        List.iter
+          (fun m -> state.spare <- Checkpoint.apply_mutation state.spare m)
+          (List.rev state.lag);
+        true
+      with _ -> false
+    in
+    if not replayed then begin
+      state.spare <- Index_graph.copy serving.idx;
+      Integrity.attach state.integrity state.spare
+    end;
     state.spare_dirty <- false;
-    state.lag <- []
-  end
-  else if state.lag <> [] then begin
-    wait_readers state (Atomic.get state.serving).gen;
-    (try
-       List.iter
-         (fun m -> state.spare <- Checkpoint.apply_mutation state.spare m)
-         (List.rev state.lag)
-     with _ ->
-       (* The serving side applied these; a spare that cannot replay
-          them would diverge — rebuild it from the serving content. *)
-       state.spare <- Index_graph.copy (Atomic.get state.serving).idx;
-       Integrity.attach state.integrity state.spare);
     state.lag <- []
   end
 
@@ -339,6 +248,14 @@ let swap_in state idx' muts =
   Atomic.incr state.swaps;
   state.spare <- old.idx;
   state.lag <- muts
+
+(* Publish a mutated spare with the digest tracker kept in step.
+   Wholesale mutations can return a brand-new index object with no
+   tracer installed; attaching is idempotent. *)
+let publish state idx' muts =
+  Integrity.attach state.integrity idx';
+  swap_in state idx' muts;
+  Integrity.commit state.integrity
 
 (* Install a wholesale replacement (replica snapshot bootstrap): both
    copies are fresh, nothing retired is ever mutated, so no grace wait
@@ -699,33 +616,36 @@ let not_primary_reply state : Wire.response =
 (* Promotion (operator request or failover watchdog), run by the
    mutator.  Epoch = 1 + the highest epoch observed anywhere,
    persisted before the role flips so a restart cannot resurrect the
-   old epoch; then the replica tailer is retired and (with a data
-   directory) a hub is opened for new subscribers. *)
+   old epoch — if it cannot be persisted, the promotion is refused and
+   the replica keeps its role and epoch; then the replica tailer is
+   retired and (with a data directory) a hub is opened for new
+   subscribers. *)
 let do_promote state : Wire.response =
+  let e = max (Atomic.get state.epoch) (Atomic.get state.max_seen) + 1 in
+  let persist d = Replication.store_epoch ~dir:(Checkpoint.dir d) e in
   if Atomic.get state.is_primary then
     Wire.Error_reply { code = `App; message = "already primary" }
-  else begin
-    let e = max (Atomic.get state.epoch) (Atomic.get state.max_seen) + 1 in
-    (match state.durability with
-    | Some d -> (
-      (try Replication.store_epoch ~dir:(Checkpoint.dir d) e
-       with _ -> ());
+  else
+    match Option.iter persist state.durability with
+    | exception ex ->
+      Wire.Error_reply
+        { code = `App; message = "promotion refused: epoch not persisted: " ^ Printexc.to_string ex }
+    | () ->
       (* Start the new reign on a clean generation: subscribers to the
          new primary bootstrap from a checkpoint that includes
          everything replicated so far. *)
-      match Checkpoint.checkpoint_now d (serving_idx state) with
-      | Ok () | Error _ -> ())
-    | None -> ());
-    Atomic.set state.epoch e;
-    Atomic.set state.max_seen e;
-    Option.iter Replication.mark_promoted state.replica;
-    (match (state.durability, Atomic.get state.hub) with
-    | Some d, None -> Atomic.set state.hub (Some (state.mk_hub d))
-    | _ -> ());
-    Atomic.set state.fenced false;
-    Atomic.set state.is_primary true;
-    Wire.Ok_reply { generation = Index_graph.generation (serving_idx state); epoch = e }
-  end
+      Option.iter
+        (fun d -> match Checkpoint.checkpoint_now d (serving_idx state) with Ok () | Error _ -> ())
+        state.durability;
+      Atomic.set state.epoch e;
+      Atomic.set state.max_seen e;
+      Option.iter Replication.mark_promoted state.replica;
+      (match (state.durability, Atomic.get state.hub) with
+      | Some d, None -> Atomic.set state.hub (Some (state.mk_hub d))
+      | _ -> ());
+      Atomic.set state.fenced false;
+      Atomic.set state.is_primary true;
+      Wire.Ok_reply { generation = Index_graph.generation (serving_idx state); epoch = e }
 
 let apply_write state (p : pending) : Wire.response =
   let ok () =
@@ -752,9 +672,6 @@ let apply_write state (p : pending) : Wire.response =
               raise e
           in
           Integrity.note_mutation state.integrity m;
-          (* Wholesale mutations can return a brand-new index object
-             with no tracer installed; attaching is idempotent. *)
-          Integrity.attach state.integrity idx';
           (* Log after applying, before acknowledging: the WAL holds
              only mutations that succeeded, and nothing is acknowledged
              until it is logged.  A WAL failure degrades the server to
@@ -763,20 +680,17 @@ let apply_write state (p : pending) : Wire.response =
              state) and no further writes are accepted. *)
           match durability with
           | None ->
-            swap_in state idx' [ m ];
-            Integrity.commit state.integrity;
+            publish state idx' [ m ];
             ok ()
           | Some d -> (
             match Checkpoint.log_mutation d m with
             | () ->
-              swap_in state idx' [ m ];
-              Integrity.commit state.integrity;
+              publish state idx' [ m ];
               Atomic.set state.digest_pos (Checkpoint.wal_position d);
               ok ()
             | exception e ->
               Checkpoint.note_wal_failure d (Printexc.to_string e);
-              swap_in state idx' [ m ];
-              Integrity.commit state.integrity;
+              publish state idx' [ m ];
               (* Applied but not logged: the published state is ahead
                  of any WAL position. *)
               Atomic.set state.digest_pos (-1, 0);
@@ -842,6 +756,19 @@ let apply_write state (p : pending) : Wire.response =
    the applied position is skipped.  A whole [Ev_mutations] batch is
    published with one snapshot swap. *)
 
+(* Apply one peer-supplied mutation (replication record or repair) to
+   the spare.  The primary applied it successfully, so failing here
+   means divergence: count it and keep going.  [true] if applied. *)
+let apply_to_spare state m =
+  match Checkpoint.apply_mutation state.spare m with
+  | idx' ->
+    state.spare <- idx';
+    Integrity.note_mutation state.integrity m;
+    true
+  | exception _ ->
+    Atomic.incr state.repl_apply_errors;
+    false
+
 let apply_repl state scratch (ev : Replication.event) =
   match ev with
   | Replication.Ev_promote -> (
@@ -883,7 +810,6 @@ let apply_repl state scratch (ev : Replication.event) =
       else begin
         catch_up state;
         let applied = ref [] in
-        let n_applied = ref 0 in
         let pos = ref base in
         List.iter
           (fun m ->
@@ -897,37 +823,24 @@ let apply_repl state scratch (ev : Replication.event) =
                     but the applied position still advances past it, so
                     replication itself never notices. *)
                  ()
-               else
-                 match Checkpoint.apply_mutation state.spare m with
-                 | idx' ->
-                   state.spare <- idx';
-                   Integrity.note_mutation state.integrity m;
-                   applied := m :: !applied;
-                   incr n_applied;
-                   (match state.durability with
-                   | Some d when not (Checkpoint.read_only d) -> (
-                     try Checkpoint.log_mutation d m
-                     with e -> Checkpoint.note_wal_failure d (Printexc.to_string e))
-                   | _ -> ())
-                 | exception _ ->
-                   (* The primary applied this successfully; failing
-                      here means divergence.  Count it and keep the
-                      stream moving. *)
-                   Atomic.incr state.repl_apply_errors
+               else if apply_to_spare state m then begin
+                 applied := m :: !applied;
+                 match state.durability with
+                 | Some d when not (Checkpoint.read_only d) -> (
+                   try Checkpoint.log_mutation d m
+                   with e -> Checkpoint.note_wal_failure d (Printexc.to_string e))
+                 | _ -> ()
+               end
              end);
             pos := rec_end)
           muts;
         (* [lag] is newest-first, which is exactly what [applied]
            accumulated to. *)
-        if !n_applied > 0 then begin
-          Integrity.attach state.integrity state.spare;
-          swap_in state state.spare !applied;
-          Integrity.commit state.integrity
-        end;
+        if !applied <> [] then publish state state.spare !applied;
         (* The position is stamped in the primary's WAL coordinates —
            the same clock the primary stamps its own digests with. *)
         Atomic.set state.digest_pos (seq, offset);
-        Replication.note_applied r ~seq ~offset ~n:!n_applied;
+        Replication.note_applied r ~seq ~offset ~n:(List.length !applied);
         Option.iter
           (fun d -> Checkpoint.maybe_checkpoint d (serving_idx state))
           state.durability
@@ -942,30 +855,20 @@ let apply_repl state scratch (ev : Replication.event) =
    immediate checkpoint: repairs bypass the WAL (they are corrections,
    not stream records), so only a fresh checkpoint prevents a restart
    from resurrecting the divergence. *)
-let apply_repair state sections repaired =
+let apply_repair state sections =
   catch_up state;
-  let applied = ref [] in
+  let applied = ref [] and repaired = ref 0 in
   List.iter
     (fun (range, theirs) ->
       let muts = Integrity.section_diff (Index_graph.data state.spare) ~range ~theirs in
       if muts <> [] then begin
-        Atomic.incr repaired;
-        List.iter
-          (fun m ->
-            match Checkpoint.apply_mutation state.spare m with
-            | idx' ->
-              state.spare <- idx';
-              Integrity.note_mutation state.integrity m;
-              applied := m :: !applied
-            | exception _ -> Atomic.incr state.repl_apply_errors)
-          muts
+        incr repaired;
+        List.iter (fun m -> if apply_to_spare state m then applied := m :: !applied) muts
       end)
     sections;
   if !applied <> [] then begin
-    ignore (Atomic.fetch_and_add state.ranges_repaired (Atomic.get repaired));
-    Integrity.attach state.integrity state.spare;
-    swap_in state state.spare !applied;
-    Integrity.commit state.integrity;
+    ignore (Atomic.fetch_and_add state.ranges_repaired !repaired);
+    publish state state.spare !applied;
     match state.durability with
     | Some d -> (
       match Checkpoint.checkpoint_now d (serving_idx state) with Ok () | Error _ -> ())
@@ -978,34 +881,14 @@ let mutator_loop state () =
     match Bqueue.pop state.writeq with
     | None -> ()
     | Some (Wrepl ev) ->
-      Rw_lock.write state.lock (fun () -> apply_repl state scratch ev);
+      apply_repl state scratch ev;
       go ()
-    | Some (Wdigest box) ->
-      Rw_lock.write state.lock (fun () ->
-          let d = Integrity.refresh state.integrity (serving_idx state) in
-          Atomic.set box (Some (d, Atomic.get state.digest_pos)));
-      go ()
-    | Some (Wcheckpoint flag) ->
-      Rw_lock.write state.lock (fun () ->
-          match state.durability with
-          | Some d -> (
-            match Checkpoint.checkpoint_now d (serving_idx state) with
-            | Ok () -> Atomic.set flag 1
-            | Error _ -> Atomic.set flag 2)
-          | None -> Atomic.set flag 2);
-      go ()
-    | Some (Wrepair { sections; status; repaired }) ->
-      Rw_lock.write state.lock (fun () ->
-          try apply_repair state sections repaired
-          with _ -> Atomic.incr state.repl_apply_errors);
-      Atomic.set status 1;
+    | Some (Wrun f) ->
+      f ();
       go ()
     | Some (Wreq p) ->
       (if not p.conn.closed then
-         let resp =
-           if expired state p then deadline_reply state
-           else Rw_lock.write state.lock (fun () -> apply_write state p)
-         in
+         let resp = if expired state p then deadline_reply state else apply_write state p in
          send_response p.conn ~id:p.id resp;
          Atomic.incr state.served);
       Atomic.decr state.in_flight;
@@ -1017,21 +900,21 @@ let mutator_loop state () =
 (* ------------------------------------------------------------------ *)
 (* The integrity domain: background scrubbing of at-rest state and, on
    replicas, anti-entropy digest comparison against the primary.  All
-   index access goes through mutator jobs (Wdigest / Wcheckpoint /
-   Wrepair); this domain only does file I/O, networking, and
-   bookkeeping, so it needs no reader slot. *)
+   index access goes through [on_mutator] jobs; this domain only does
+   file I/O, networking, and bookkeeping, so it needs no reader slot. *)
 
-let wait_flag state flag =
-  let rec go () =
-    let v = Atomic.get flag in
-    if v <> 0 then v
-    else if Atomic.get state.stop then 0
-    else begin
-      Unix.sleepf 0.005;
-      go ()
-    end
-  in
-  go ()
+(* Run [f] on the mutator, between two writes, and wait for its result
+   on a one-slot reply queue.  [None] once shutdown has begun or if [f]
+   raised.  An admitted job always runs: [run] closes the write queue
+   only after joining this domain, and the mutator drains every queued
+   job before it exits. *)
+let on_mutator state f =
+  if Atomic.get state.stop then None
+  else begin
+    let reply = Bqueue.create 1 in
+    Bqueue.push state.writeq (Wrun (fun () -> Bqueue.push reply (try Some (f ()) with _ -> None)));
+    Option.join (Bqueue.pop reply)
+  end
 
 let scrub_pass state d =
   let dir = Checkpoint.dir d in
@@ -1044,26 +927,10 @@ let scrub_pass state d =
        live (known-good) index first, and only quarantine once a fresh
        generation is durable.  On checkpoint failure the evidence
        stays in place and the next pass retries. *)
-    let flag = Atomic.make 0 in
-    Bqueue.push state.writeq (Wcheckpoint flag);
-    if wait_flag state flag = 1 then
+    if on_mutator state (fun () -> Checkpoint.checkpoint_now d (serving_idx state)) = Some (Ok ())
+    then
       ignore (Scrub.quarantine ~dir (List.map (fun c -> c.Scrub.file) report.Scrub.corrupt))
   end
-
-let mutator_digest state =
-  let box = Atomic.make None in
-  Bqueue.push state.writeq (Wdigest box);
-  let rec wait () =
-    match Atomic.get box with
-    | Some v -> Some v
-    | None ->
-      if Atomic.get state.stop then None
-      else begin
-        Unix.sleepf 0.005;
-        wait ()
-      end
-  in
-  wait ()
 
 let anti_entropy_round state r suspicion =
   let rc = Replication.rconfig_of r in
@@ -1079,7 +946,12 @@ let anti_entropy_round state r suspicion =
     | Wire.Digest_reply
         { generation = _; seq = pseq; offset = poff; n_nodes; root; label_edges; data_ranges; index_ranges }
       -> (
-      match mutator_digest state with
+      (* The digest of the published state, stamped with the write-
+         stream position it reflects. *)
+      match
+        on_mutator state (fun () ->
+            (Integrity.refresh state.integrity (serving_idx state), Atomic.get state.digest_pos))
+      with
       | None -> ()
       | Some (mine, (seq, off)) ->
         if pseq < 0 || seq < 0 || pseq <> seq || poff <> off then
@@ -1116,9 +988,10 @@ let anti_entropy_round state r suspicion =
               let dranges = List.filteri (fun i _ -> i < 16) dranges in
               (match Client.call c (Wire.Repair_fetch { ranges = dranges }) with
               | Wire.Repair_reply { sections; _ } ->
-                let status = Atomic.make 0 and repaired = Atomic.make 0 in
-                Bqueue.push state.writeq (Wrepair { sections; status; repaired });
-                ignore (wait_flag state status)
+                ignore
+                  (on_mutator state (fun () ->
+                       try apply_repair state sections
+                       with _ -> Atomic.incr state.repl_apply_errors))
               | _ -> ())
           end
         end)
@@ -1264,7 +1137,6 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
   let state =
     {
       cfg;
-      lock = Rw_lock.create ();
       serving = Atomic.make { idx = index; gen = 0 };
       slots = Array.init (n_workers + 1) (fun _ -> Atomic.make (-1));
       spare;
@@ -1558,46 +1430,29 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
     in
     go ()
   in
-  let accepting = ref true in
-  let rec loop () =
-    if Atomic.get state.stop then begin
-      if !accepting then begin
-        accepting := false;
-        Evloop.remove ev listen_fd;
-        (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-        (* Stop the tailer before draining so no new replication
-           events land in the write queue mid-shutdown. *)
-        Option.iter Replication.stop_replica state.replica
-      end;
-      (* Drain: everything already admitted gets its answer. *)
-      if
-        not
-          (Bqueue.is_empty state.readq && Bqueue.is_empty state.writeq
-          && Atomic.get state.in_flight = 0)
-      then begin
-        Unix.sleepf 0.005;
-        loop ()
-      end
-    end
-    else begin
-      ignore
-        (Evloop.wait ev ~timeout_ms:(next_timeout_ms ()) (fun fd _mask ->
-             if fd = pipe_r then drain_pipe ()
-             else if fd = listen_fd then (if !accepting then accept_new ())
-             else
-               match Hashtbl.find_opt conns fd with
-               | Some conn -> service_read conn
-               | None -> ()));
-      sweep_idle ();
-      loop ()
-    end
-  in
-  loop ();
+  while not (Atomic.get state.stop) do
+    ignore
+      (Evloop.wait ev ~timeout_ms:(next_timeout_ms ()) (fun fd _mask ->
+           if fd = pipe_r then drain_pipe ()
+           else if fd = listen_fd then accept_new ()
+           else
+             match Hashtbl.find_opt conns fd with
+             | Some conn -> service_read conn
+             | None -> ()));
+    sweep_idle ()
+  done;
+  Evloop.remove ev listen_fd;
+  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+  (* Drain by closing: the producers go first — the tailer, then the
+     integrity domain, whose [on_mutator] jobs must still be admitted —
+     then both queues close, and each consumer answers everything
+     already admitted before its [pop] returns [None]. *)
+  Option.iter Replication.stop_replica state.replica;
+  Option.iter Domain.join integrity_domain;
   Bqueue.close state.readq;
   Bqueue.close state.writeq;
   Array.iter Domain.join workers;
   Domain.join mutator;
-  Option.iter Domain.join integrity_domain;
   Option.iter Replication.stop_hub (Atomic.get state.hub);
   (* Sockets go first: a failing final snapshot (disk full, say) must
      not leave descriptors open or the drain half-finished — it turns
@@ -1609,10 +1464,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
       Mutex.unlock c.wmu;
       try Unix.close c.fd with Unix.Unix_error _ -> ())
     conns;
-  (* The mutator has been joined; take the write side anyway so the
-     final checkpoint can never interleave with a straggling
-     mutation path. *)
-  Rw_lock.write state.lock @@ fun () ->
+  (* The mutator has been joined: nothing else touches the index. *)
   let final_durability =
     match state.durability with
     | None -> Ok ()

@@ -14,6 +14,10 @@
       publishes it ({!Dkindex_core.Index_graph.prepare_serving} first,
       one atomic store after) and replays the delta onto the retired
       copy once in-flight readers have drained (left-right scheme).
+      The write queue is the mutator's only coordination point: client
+      writes, replication events, and the integrity domain's digest,
+      checkpoint and repair jobs (closures) all reach the index through
+      it, so nothing else needs a lock.
 
     Readers therefore never block and never take a lock: acquiring
     the snapshot is an atomic load plus a generation-stamped slot
@@ -36,10 +40,13 @@
       the connection survives; an oversized frame closes it;
     - connections idle longer than [idle_timeout_s] are closed;
     - SIGTERM/SIGINT (or a {!Wire.Shutdown} request) starts a graceful
-      drain: stop accepting, answer in-flight requests, close every
-      connection, then write a final snapshot/checkpoint — a failure
-      there (disk full, say) is reported as [Error _], never raised
-      through the drain.
+      drain: stop accepting and reading, stop the replica tailer and
+      the integrity domain, then close the read and write queues and
+      join their consumers — a closed queue still hands out everything
+      admitted before it closed, so every in-flight request is
+      answered.  Then close every connection and write a final
+      snapshot/checkpoint — a failure there (disk full, say) is
+      reported as [Error _], never raised through the drain.
 
     Durability: pass [?durability] (a running {!Checkpoint.t}) and the
     mutator logs every applied mutation to the write-ahead log before
@@ -142,19 +149,3 @@ val run :
     if the final snapshot or checkpoint could not be written —
     connections are already cleaned up by then, so callers should log
     it and exit nonzero. *)
-
-(** Bounded MPMC queue used for the server's read/write queues,
-    exposed for property tests.  [try_push] sheds when full (returns
-    [false]); [push] blocks until there is room; [pop] blocks until an
-    element or [close] arrives ([None] only after [close] and drain). *)
-module Bqueue : sig
-  type 'a t
-
-  val create : int -> 'a t
-  val try_push : 'a t -> 'a -> bool
-  val push : 'a t -> 'a -> unit
-  val pop : 'a t -> 'a option
-  val close : 'a t -> unit
-  val is_empty : 'a t -> bool
-  val length : 'a t -> int
-end

@@ -13,7 +13,9 @@
      mid-checkpoint-write leaves only an ignorable .tmp; a corrupt
      newest checkpoint falls back one generation; a torn WAL tail is
      truncated, never fatal; an unwritable final snapshot at shutdown
-     exits nonzero after socket cleanup. *)
+     exits nonzero after socket cleanup.
+   - Background checkpoints: closing the manager writes every snapshot
+     still queued for the background writer before it returns. *)
 
 open Dkindex_core
 module Data_graph = Dkindex_graph.Data_graph
@@ -485,6 +487,41 @@ let test_corrupt_checkpoint_fallback () =
     (r3.Checkpoint.index = None);
   Alcotest.(check int) "both skipped" 2 r3.Checkpoint.fallback_checkpoints
 
+(* The background checkpoint writer drains on close: with a rotation
+   every two records and slowed checkpoint writes, snapshots are still
+   queued when [close] is called, and it returns only after every one
+   is written; the directory recovers to the logged state. *)
+let test_close_drains_queued_checkpoints () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let n = 11 in
+  let stream = make_stream ~seed:13 ~count:n in
+  let cfg = { (Checkpoint.default_config ~dir) with checkpoint_records = 2 } in
+  let checkpoint_faults = Faults.create (Faults.Slow_write 0.02) in
+  let d = Checkpoint.start ~checkpoint_faults cfg (build_base ()) in
+  let idx =
+    List.fold_left
+      (fun idx m ->
+        let idx' = Checkpoint.apply_mutation idx m in
+        Checkpoint.log_mutation d m;
+        Checkpoint.maybe_checkpoint d idx';
+        idx')
+      (build_base ()) stream
+  in
+  (match Checkpoint.close d idx with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("close failed: " ^ e));
+  let stat key = List.assoc key (Checkpoint.stats d) in
+  (* The start checkpoint, one rotation per two records, and a final
+     checkpoint when the last WAL still holds a record. *)
+  let expected = 1 + (n / 2) + (n mod 2) in
+  Alcotest.(check string) "checkpoints_written" (string_of_int expected) (stat "checkpoints_written");
+  Alcotest.(check string) "checkpoint_failures" "0" (stat "checkpoint_failures");
+  let oracle = List.fold_left Checkpoint.apply_mutation (build_base ()) stream in
+  let r = Checkpoint.recover ~dir () in
+  check_same_answers ~what:"recovery after close" (eval_all oracle)
+    (eval_all (Option.get r.Checkpoint.index))
+
 let () =
   Alcotest.run "recovery"
     [
@@ -505,5 +542,7 @@ let () =
             test_crash_during_checkpoint;
           Alcotest.test_case "corrupt checkpoints fall back; torn tails truncate" `Quick
             test_corrupt_checkpoint_fallback;
+          Alcotest.test_case "close drains every queued background checkpoint" `Quick
+            test_close_drains_queued_checkpoints;
         ] );
     ]

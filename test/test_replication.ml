@@ -14,6 +14,8 @@
    - failover: SIGKILL the primary after the replica caught up; an
      operator Promote_primary turns the replica into a primary (epoch
      1) that remembers every acknowledged write and accepts new ones.
+   - promotion durability: a promotion whose epoch cannot be persisted
+     is refused and leaves the replica's role and epoch untouched.
    - fencing: promoting a replica while the old primary still lives
      (split-brain) fences the deposed primary — its writes are refused
      with Fenced, and a cluster client routes around it.
@@ -377,6 +379,52 @@ let test_failover_promote () =
   pids := []
 
 (* ----------------------------------------------------------------- *)
+(* Promotion persists its epoch or refuses *)
+
+let test_promote_needs_durable_epoch () =
+  let dir_p = temp_dir () and dir_r = temp_dir () in
+  (* A directory where the epoch file's temp copy must be written: the
+     new epoch cannot be made durable while it exists. *)
+  let blocker = Filename.concat dir_r "epoch.tmp" in
+  let pids = ref [] in
+  Fun.protect ~finally:(fun () ->
+      List.iter kill_quiet !pids;
+      (try Unix.rmdir blocker with Unix.Unix_error _ -> ());
+      rm_rf dir_p;
+      rm_rf dir_r)
+  @@ fun () ->
+  let ppid, pport = fork_server ~dir:dir_p ~hub_heartbeat_s:0.05 () in
+  pids := [ ppid ];
+  let rpid, rport =
+    fork_server ~dir:dir_r ~empty:true ~replica_of:(rconfig ~port:pport ()) ()
+  in
+  pids := [ ppid; rpid ];
+  let stream = make_stream ~seed:51 ~count:10 in
+  let cp = Client.connect ~port:pport () in
+  send_stream cp stream;
+  let cr = Client.connect ~port:rport () in
+  let epoch0 = int_of_string (stat (wait_replica_applied ~what:"replica catch-up" cp cr) "epoch") in
+  Unix.mkdir blocker 0o755;
+  (match Client.call cr Wire.Promote_primary with
+  | Wire.Error_reply _ -> ()
+  | _ -> Alcotest.fail "promotion must be refused while the epoch cannot be persisted");
+  let kvs = stats cr in
+  Alcotest.(check string) "refused: still a replica" "replica" (stat kvs "role");
+  Alcotest.(check string) "refused: epoch unchanged" (string_of_int epoch0) (stat kvs "epoch");
+  Unix.rmdir blocker;
+  (match Client.call cr Wire.Promote_primary with
+  | Wire.Ok_reply { epoch; _ } -> Alcotest.(check int) "promotion bumps the epoch" (epoch0 + 1) epoch
+  | _ -> Alcotest.fail "promotion must succeed once the epoch can be persisted");
+  let kvs = stats cr in
+  Alcotest.(check string) "promoted role" "primary" (stat kvs "role");
+  Alcotest.(check int) "epoch persisted" (epoch0 + 1) (Replication.load_epoch ~dir:dir_r);
+  check_serves_oracle ~what:"promoted replica" cr (oracle_after stream);
+  shutdown cr rpid;
+  pids := [ ppid ];
+  shutdown cp ppid;
+  pids := []
+
+(* ----------------------------------------------------------------- *)
 (* Fencing: a deposed primary cannot acknowledge into a stale lineage *)
 
 let test_fencing_deposed_primary () =
@@ -565,6 +613,8 @@ let () =
             test_convergence;
           Alcotest.test_case "SIGKILL primary; promoted replica keeps every ack" `Quick
             test_failover_promote;
+          Alcotest.test_case "promotion refused while its epoch cannot be persisted" `Quick
+            test_promote_needs_durable_epoch;
           Alcotest.test_case "deposed primary is fenced; cluster routes around it" `Quick
             test_fencing_deposed_primary;
           Alcotest.test_case "late replica bootstraps over a pruned WAL" `Quick
