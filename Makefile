@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-quick bench-smoke bench-trajectory bench-xl dkbench serve loadgen examples loc clean fmt
+.PHONY: all build test bench bench-quick bench-smoke bench-trajectory bench-xl dkbench dkbench-ab serve loadgen examples loc clean fmt
 
 all: build test bench-smoke
 
@@ -40,6 +40,13 @@ dkbench:
 	for w in $(DKBENCH_WORKLOADS); do \
 	  bash bench/suite/run.sh --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
 	done
+
+# Interleaved A/B of one workload's setup_s: BASE (any git revision,
+# built in a worktree under _build/ab-base) against this checkout,
+# PAIRS runs each, alternating which side goes first (bench/ab.sh).
+PAIRS = 5
+dkbench-ab:
+	bash bench/ab.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # Serve the pinned XMark dataset over TCP (dkserve protocol, DESIGN.md 9).
 serve:

@@ -188,6 +188,40 @@ let collect_sorted g adj ~extra ~del u =
 let children g u = collect_sorted g g.children ~extra:g.extra_children ~del:(fun u v -> (u, v)) u
 let parents g u = collect_sorted g g.parents ~extra:g.extra_parents ~del:(fun u v -> (v, u)) u
 
+(* [f] over [u]'s CSR children in slots [i, hi), tombstones skipped. *)
+let iter_run g u f i hi =
+  let arr = g.children.arr in
+  if g.n_deleted = 0 then
+    for j = i to hi - 1 do
+      f (Int_vec.unsafe_get arr j)
+    done
+  else
+    for j = i to hi - 1 do
+      let v = Int_vec.unsafe_get arr j in
+      if not (Hashtbl.mem g.deleted (u, v)) then f v
+    done
+
+(* [iter_run] with the sorted overflow additions [xs] merged in. *)
+let rec merge_run g u f i hi xs =
+  match xs with
+  | [] -> iter_run g u f i hi
+  | x :: rest ->
+    if i < hi && Int_vec.unsafe_get g.children.arr i <= x then begin
+      iter_run g u f i (i + 1);
+      merge_run g u f (i + 1) hi xs
+    end
+    else begin
+      f x;
+      merge_run g u f i hi rest
+    end
+
+(* [children] as an iteration, without materializing the list. *)
+let iter_children_sorted g u f =
+  let lo = Int_vec.get g.children.off u and hi = Int_vec.get g.children.off (u + 1) in
+  match if g.n_extra = 0 then [] else g.extra_children.(u) with
+  | [] -> iter_run g u f lo hi
+  | extras -> merge_run g u f lo hi (List.sort Int.compare extras)
+
 let degree_of g adj ~extra ~del u =
   let lo = Int_vec.get adj.off u and hi = Int_vec.get adj.off (u + 1) in
   let d = ref 0 in
@@ -259,11 +293,11 @@ let rebuild_threshold m = max 32 (m / 8)
 (* ------------------------------------------------------------------ *)
 (* Construction and mutation *)
 
-let make ?(values = []) ~pool ~labels ~edges () =
-  let n = Array.length labels in
-  if n = 0 then invalid_arg "Data_graph.make: no nodes";
-  List.iter (fun (u, v) -> check_range n u v) edges;
-  let children, m = csr_of_edges n (fun f -> List.iter (fun (u, v) -> f u v) edges) in
+(* The shared tail of [make] and [of_edge_vecs]: reverse the
+   deduplicated children CSR and attach the payloads (a later list
+   entry for the same node wins). *)
+let assemble ~values ~pool ~label_codes (children, m) =
+  let n = Int_vec.length label_codes in
   let parents = reverse_csr n children in
   let value_table = Hashtbl.create (max 16 (List.length values)) in
   List.iter
@@ -273,7 +307,7 @@ let make ?(values = []) ~pool ~labels ~edges () =
     values;
   {
     pool;
-    labels = Int_vec.init n (fun u -> Label.to_int labels.(u));
+    labels = label_codes;
     children;
     parents;
     values = value_table;
@@ -286,6 +320,28 @@ let make ?(values = []) ~pool ~labels ~edges () =
     rebuild_at = rebuild_threshold m;
     by_label = None;
   }
+
+let make ?(values = []) ~pool ~labels ~edges () =
+  let n = Array.length labels in
+  if n = 0 then invalid_arg "Data_graph.make: no nodes";
+  List.iter (fun (u, v) -> check_range n u v) edges;
+  assemble ~values ~pool
+    ~label_codes:(Int_vec.init n (fun u -> Label.to_int labels.(u)))
+    (csr_of_edges n (fun f -> List.iter (fun (u, v) -> f u v) edges))
+
+let of_edge_vecs ?(values = []) ~pool ~label_codes ~src ~dst () =
+  let n = Int_vec.length label_codes in
+  if n = 0 then invalid_arg "Data_graph.make: no nodes";
+  let m = Int_vec.length src in
+  if Int_vec.length dst <> m then invalid_arg "Data_graph.of_edge_vecs: length mismatch";
+  for i = 0 to m - 1 do
+    check_range n (Int_vec.get src i) (Int_vec.get dst i)
+  done;
+  assemble ~values ~pool ~label_codes
+    (csr_of_edges n (fun f ->
+         for i = 0 to m - 1 do
+           f (Int_vec.unsafe_get src i) (Int_vec.unsafe_get dst i)
+         done))
 
 (* Assemble a graph directly from prebuilt CSR sections (a Container
    mapping or a streamed build).  The vectors are adopted, not copied:
@@ -360,6 +416,7 @@ let iter_values g f =
     (List.sort (fun (a, _) (b, _) -> Int.compare a b) pairs)
 
 let n_values g = Hashtbl.length g.values
+let overflow g = (g.n_extra, g.n_deleted)
 
 let add_edge g u v =
   check_range (n_nodes g) u v;

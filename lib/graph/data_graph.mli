@@ -57,6 +57,13 @@ val value : t -> int -> string option
 val iter_children : t -> int -> (int -> unit) -> unit
 val iter_parents : t -> int -> (int -> unit) -> unit
 
+val iter_children_sorted : t -> int -> (int -> unit) -> unit
+(** [iter_children_sorted g u f] applies [f] to {!children}[ g u] in
+    increasing order without materializing the list: the CSR run, with
+    tombstones skipped and [u]'s overflow additions merged in.
+    Read-only (no flattening) and allocation-free unless [u] has
+    overflow additions. *)
+
 val exists_children : t -> int -> (int -> bool) -> bool
 (** [exists_children g u pred] is [List.exists pred (children g u)]
     without materializing the list; stops at the first hit. *)
@@ -101,6 +108,10 @@ val nodes_with_label : t -> Label.t -> int list
 
 val has_edge : t -> int -> int -> bool
 
+val overflow : t -> int * int
+(** [(additions, tombstones)] pending in the overflow layer: [(0, 0)]
+    once the graph is flat. *)
+
 (** {1 Construction and mutation} *)
 
 val make :
@@ -116,6 +127,20 @@ val make :
     IDREFs).  [values] attaches atomic payloads to nodes.
     @raise Invalid_argument on out-of-range endpoints or if [labels]
     is empty. *)
+
+val of_edge_vecs :
+  ?values:(int * string) list ->
+  pool:Label.Pool.t ->
+  label_codes:Int_vec.t ->
+  src:Int_vec.t ->
+  dst:Int_vec.t ->
+  unit ->
+  t
+(** {!make} with the labels as codes of [pool] and edge [i] given as
+    [src.(i) -> dst.(i)]: the same checks, deduplication and payload
+    semantics, without an edge list.  [label_codes] is adopted.
+    @raise Invalid_argument on out-of-range endpoints, mismatched
+    [src]/[dst] lengths, or if [label_codes] is empty. *)
 
 val of_csr :
   ?values:(int * string) list ->

@@ -1,151 +1,209 @@
 let magic = "dkindex-graph 1"
 let magic_v2 = "dkindex-graph 2"
 
-(* Payloads are written percent-escaped so they stay one-per-line. *)
-let escape_value s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\n' -> Buffer.add_string buf "%0A"
-      | '\r' -> Buffer.add_string buf "%0D"
-      | '%' -> Buffer.add_string buf "%25"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* ------------------------------------------------------------------ *)
+(* Writing *)
 
-let unescape_value s =
-  let buf = Buffer.create (String.length s) in
-  let i = ref 0 in
-  let n = String.length s in
-  while !i < n do
-    if Char.equal s.[!i] '%' && !i + 2 < n then begin
-      (match String.sub s (!i + 1) 2 with
-      | "0A" -> Buffer.add_char buf '\n'
-      | "0D" -> Buffer.add_char buf '\r'
-      | "25" -> Buffer.add_char buf '%'
-      | other -> Buffer.add_string buf ("%" ^ other));
-      i := !i + 3
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n = min_int then Buffer.add_string buf (string_of_int n)
+  else if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+  else add_digits buf n
+
+(* Payloads are written percent-escaped so they stay one-per-line. *)
+let add_escaped buf s =
+  if not (String.exists (function '\n' | '\r' | '%' -> true | _ -> false) s) then
+    Buffer.add_string buf s
+  else
+    String.iter
+      (function
+        | '\n' -> Buffer.add_string buf "%0A"
+        | '\r' -> Buffer.add_string buf "%0D"
+        | '%' -> Buffer.add_string buf "%25"
+        | c -> Buffer.add_char buf c)
+      s
+
+let write buf g =
+  let n = Data_graph.n_nodes g in
+  Buffer.add_string buf magic_v2;
+  Buffer.add_string buf "\nnodes ";
+  add_int buf n;
+  Buffer.add_char buf '\n';
+  for u = 0 to n - 1 do
+    Buffer.add_string buf (Data_graph.label_name g u);
+    Buffer.add_char buf '\n'
   done;
-  Buffer.contents buf
+  Buffer.add_string buf "edges ";
+  add_int buf (Data_graph.n_edges g);
+  Buffer.add_char buf '\n';
+  (* Canonical (u, v) order straight from the CSR: a graph mutated
+     through the overflow layer and its reloaded copy serialize
+     byte-identically. *)
+  for u = 0 to n - 1 do
+    Data_graph.iter_children_sorted g u (fun v ->
+        add_int buf u;
+        Buffer.add_char buf ' ';
+        add_int buf v;
+        Buffer.add_char buf '\n')
+  done;
+  Buffer.add_string buf "values ";
+  add_int buf (Data_graph.n_values g);
+  Buffer.add_char buf '\n';
+  for u = 0 to n - 1 do
+    match Data_graph.value g u with
+    | Some payload ->
+      add_int buf u;
+      Buffer.add_char buf ' ';
+      add_escaped buf payload;
+      Buffer.add_char buf '\n'
+    | None -> ()
+  done
+
+let size_hint g = (Data_graph.n_nodes g * 24) + (Data_graph.n_edges g * 12) + 64
 
 let to_string g =
-  let buf = Buffer.create (Data_graph.n_nodes g * 16) in
-  Buffer.add_string buf magic_v2;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "nodes %d\n" (Data_graph.n_nodes g));
-  Data_graph.iter_nodes g (fun u ->
-      Buffer.add_string buf (Data_graph.label_name g u);
-      Buffer.add_char buf '\n');
-  Buffer.add_string buf (Printf.sprintf "edges %d\n" (Data_graph.n_edges g));
-  (* Canonical (u, v) order: a graph mutated through the overflow
-     layer and its reloaded copy serialize byte-identically. *)
-  let edges = Array.make (Data_graph.n_edges g) (0, 0) in
-  let i = ref 0 in
-  Data_graph.iter_edges g (fun u v ->
-      edges.(!i) <- (u, v);
-      incr i);
-  Array.sort compare edges;
-  Array.iter (fun (u, v) -> Buffer.add_string buf (Printf.sprintf "%d %d\n" u v)) edges;
-  let values = ref [] in
-  Data_graph.iter_nodes g (fun u ->
-      match Data_graph.value g u with
-      | Some payload -> values := (u, payload) :: !values
-      | None -> ());
-  Buffer.add_string buf (Printf.sprintf "values %d\n" (List.length !values));
-  List.iter
-    (fun (u, payload) -> Buffer.add_string buf (Printf.sprintf "%d %s\n" u (escape_value payload)))
-    (List.rev !values);
+  let buf = Buffer.create (size_hint g) in
+  write buf g;
   Buffer.contents buf
 
-let of_string s =
-  let lines = String.split_on_char '\n' s in
+(* ------------------------------------------------------------------ *)
+(* Reading *)
+
+(* The value of the plain decimal s.[k .. j - 1], or -1 on any other
+   character. *)
+let rec digits s k j acc =
+  if k = j then acc
+  else
+    match String.unsafe_get s k with
+    | '0' .. '9' as c -> digits s (k + 1) j ((acc * 10) + Char.code c - 48)
+    | _ -> -1
+
+let int_of_sub s i j =
+  let neg = j - i > 1 && Char.equal (String.unsafe_get s i) '-' in
+  let d0 = if neg then i + 1 else i in
+  (* Up to 18 plain digits cannot overflow; anything else (signs,
+     underscores, base prefixes, long runs) is int_of_string's call. *)
+  let v = if j - d0 < 1 || j - d0 > 18 then -1 else digits s d0 j 0 in
+  if v < 0 then int_of_string_opt (String.sub s i (j - i)) else Some (if neg then -v else v)
+
+let rec same_from s i lit k =
+  k = String.length lit
+  || Char.equal (String.unsafe_get s (i + k)) (String.unsafe_get lit k)
+     && same_from s i lit (k + 1)
+
+(* s.[i .. j - 1] = lit, without the copy. *)
+let sub_equals s i j lit = j - i = String.length lit && same_from s i lit 0
+
+(* The first [c] in s.[i .. j - 1], or [j]. *)
+let rec index_in s c i j =
+  if i >= j || Char.equal (String.unsafe_get s i) c then i else index_in s c (i + 1) j
+
+(* The inverse of [add_escaped]; an unknown or cut-short escape stays
+   literal. *)
+let unescape_sub s i j =
+  if index_in s '%' i j = j then String.sub s i (j - i)
+  else begin
+    let buf = Buffer.create (j - i) in
+    let k = ref i in
+    while !k < j do
+      if Char.equal s.[!k] '%' && !k + 2 < j then begin
+        (match (s.[!k + 1], s.[!k + 2]) with
+        | '0', 'A' -> Buffer.add_char buf '\n'
+        | '0', 'D' -> Buffer.add_char buf '\r'
+        | '2', '5' -> Buffer.add_char buf '%'
+        | _ -> Buffer.add_string buf (String.sub s !k 3));
+        k := !k + 3
+      end
+      else begin
+        Buffer.add_char buf s.[!k];
+        incr k
+      end
+    done;
+    Buffer.contents buf
+  end
+
+let of_substring s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Serial.of_substring";
   let fail fmt = Printf.ksprintf failwith fmt in
-  let version = ref 2 in
-  let expect_header rest =
-    match rest with
-    | first :: rest when String.equal first magic_v2 -> rest
-    | first :: rest when String.equal first magic ->
-      version := 1;
-      rest
-    | _ -> fail "Serial.of_string: bad magic"
+  let lim = pos + len in
+  (* A cursor over the lines [String.split_on_char '\n'] would yield
+     for the region: [next_line] sets [ls, le) to the next line and
+     moves [cur] past its '\n'.  The text after the last '\n' (maybe
+     empty) is a line too; [cur > lim] once it has been taken. *)
+  let cur = ref pos and ls = ref pos and le = ref pos in
+  let next_line missing =
+    if !cur > lim then fail "Serial.of_string: %s" missing;
+    ls := !cur;
+    le := index_in s '\n' !cur lim;
+    cur := !le + 1
   in
-  let parse_count keyword line =
-    match String.split_on_char ' ' line with
-    | [ kw; n ] when String.equal kw keyword -> (
-      match int_of_string_opt n with
-      | Some n when n >= 0 -> n
-      | _ -> fail "Serial.of_string: bad %s count" keyword)
-    | _ -> fail "Serial.of_string: expected '%s <count>'" keyword
+  let parse_count keyword missing =
+    next_line missing;
+    let kl = String.length keyword in
+    if not (!le - !ls > kl && sub_equals s !ls (!ls + kl) keyword && Char.equal s.[!ls + kl] ' ')
+    then fail "Serial.of_string: expected '%s <count>'" keyword;
+    match int_of_sub s (!ls + kl + 1) !le with
+    | Some n when n >= 0 -> n
+    | _ -> fail "Serial.of_string: bad %s count" keyword
   in
-  match expect_header lines with
-  | [] -> fail "Serial.of_string: truncated"
-  | count_line :: rest ->
-    let n = parse_count "nodes" count_line in
-    let pool = Label.Pool.create () in
-    let labels = Array.make (max n 1) (Label.of_int 0) in
-    let rec read_labels i rest =
-      if i >= n then rest
-      else
-        match rest with
-        | name :: rest ->
-          labels.(i) <- Label.Pool.intern pool name;
-          read_labels (i + 1) rest
-        | [] -> fail "Serial.of_string: truncated labels"
-    in
-    let rest = read_labels 0 rest in
-    (match rest with
-    | [] -> fail "Serial.of_string: missing edges"
-    | edge_line :: rest ->
-      let m = parse_count "edges" edge_line in
-      let edges = ref [] in
-      let rec read_edges i rest =
-        if i >= m then rest
-        else
-          match rest with
-          | line :: rest -> (
-            match String.split_on_char ' ' line with
-            | [ u; v ] -> (
-              match (int_of_string_opt u, int_of_string_opt v) with
-              | Some u, Some v ->
-                edges := (u, v) :: !edges;
-                read_edges (i + 1) rest
-              | _ -> fail "Serial.of_string: bad edge")
-            | _ -> fail "Serial.of_string: bad edge line")
-          | [] -> fail "Serial.of_string: truncated edges"
-      in
-      let rest = read_edges 0 rest in
-      if n = 0 then fail "Serial.of_string: empty graph";
-      let values = ref [] in
-      (if !version >= 2 then
-         match rest with
-         | [] -> fail "Serial.of_string: missing values section"
-         | values_line :: rest ->
-           let nv = parse_count "values" values_line in
-           let rec read_values i rest =
-             if i >= nv then ()
-             else
-               match rest with
-               | line :: rest -> (
-                 match String.index_opt line ' ' with
-                 | Some sp -> (
-                   match int_of_string_opt (String.sub line 0 sp) with
-                   | Some u ->
-                     values :=
-                       (u, unescape_value (String.sub line (sp + 1) (String.length line - sp - 1)))
-                       :: !values;
-                     read_values (i + 1) rest
-                   | None -> fail "Serial.of_string: bad value line")
-                 | None -> fail "Serial.of_string: bad value line")
-               | [] -> fail "Serial.of_string: truncated values"
-           in
-           read_values 0 rest);
-      Data_graph.make ~values:!values ~pool ~labels:(Array.sub labels 0 n) ~edges:!edges ())
+  (* A section of [count] lines of at least [min_line] bytes each
+     cannot fit in what is left: reject before allocating for it. *)
+  let check_fits count min_line what =
+    if count > (lim + 1 - !cur) / min_line then fail "Serial.of_string: truncated %s" what
+  in
+  next_line "truncated";
+  let version =
+    if sub_equals s !ls !le magic_v2 then 2
+    else if sub_equals s !ls !le magic then 1
+    else fail "Serial.of_string: bad magic"
+  in
+  let n = parse_count "nodes" "truncated" in
+  check_fits n 1 "labels";
+  let pool = Label.Pool.create () in
+  let label_codes = Int_vec.create n in
+  for u = 0 to n - 1 do
+    next_line "truncated labels";
+    Int_vec.unsafe_set label_codes u
+      (Label.to_int (Label.Pool.intern pool (String.sub s !ls (!le - !ls))))
+  done;
+  let m = parse_count "edges" "missing edges" in
+  check_fits m 4 "edges";
+  let src = Int_vec.create m and dst = Int_vec.create m in
+  for i = 0 to m - 1 do
+    next_line "truncated edges";
+    let sp = index_in s ' ' !ls !le in
+    if sp = !le then fail "Serial.of_string: bad edge line";
+    match (int_of_sub s !ls sp, int_of_sub s (sp + 1) !le) with
+    | Some u, Some v ->
+      Int_vec.unsafe_set src i u;
+      Int_vec.unsafe_set dst i v
+    | _ -> fail "Serial.of_string: bad edge"
+  done;
+  if n = 0 then fail "Serial.of_string: empty graph";
+  (* Newest first, as [make] takes them: the first line for a node
+     wins. *)
+  let values = ref [] in
+  if version >= 2 then begin
+    let nv = parse_count "values" "missing values section" in
+    check_fits nv 3 "values";
+    for _ = 1 to nv do
+      next_line "truncated values";
+      let sp = index_in s ' ' !ls !le in
+      if sp = !le then fail "Serial.of_string: bad value line";
+      match int_of_sub s !ls sp with
+      | Some u -> values := (u, unescape_sub s (sp + 1) !le) :: !values
+      | None -> fail "Serial.of_string: bad value line"
+    done
+  end;
+  Data_graph.of_edge_vecs ~values:!values ~pool ~label_codes ~src ~dst ()
+
+let of_string s = of_substring s ~pos:0 ~len:(String.length s)
 
 let save path g =
   let oc = open_out path in

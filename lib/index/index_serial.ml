@@ -5,99 +5,135 @@ let magic = "dkindex-index 2"
 
 let to_string t =
   let data = Index_graph.data t in
-  let n = Data_graph.n_nodes data in
   let cls, order, _ = Index_graph.dense_classes t in
   let count = Array.length order in
-  let tail = Buffer.create (n * 4) in
-  Buffer.add_string tail "cls\n";
+  let enc k = if k >= Index_graph.k_infinite then -1 else k in
+  (* The header declares the embedded graph's length, so the graph and
+     the partition tail go into [body] first and the header is put in
+     front of it in the final copy. *)
+  let body = Buffer.create (Serial.size_hint data + (Array.length cls * 6)) in
+  Serial.write body data;
+  let graph_len = Buffer.length body in
+  Buffer.add_string body "cls\n";
   Array.iter
     (fun c ->
-      Buffer.add_string tail (string_of_int c);
-      Buffer.add_char tail '\n')
+      Serial.add_int body c;
+      Buffer.add_char body '\n')
     cls;
-  Buffer.add_string tail (Printf.sprintf "classes %d\n" count);
+  Buffer.add_string body "classes ";
+  Serial.add_int body count;
+  Buffer.add_char body '\n';
   Array.iter
     (fun id ->
       let nd = Index_graph.node t id in
-      let enc k = if k >= Index_graph.k_infinite then -1 else k in
-      Buffer.add_string tail
-        (Printf.sprintf "%d %d\n" (enc nd.Index_graph.k) (enc nd.Index_graph.req)))
+      Serial.add_int body (enc nd.Index_graph.k);
+      Buffer.add_char body ' ';
+      Serial.add_int body (enc nd.Index_graph.req);
+      Buffer.add_char body '\n')
     order;
-  let buf = Buffer.create (n * 8) in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf
-    (Printf.sprintf "counts %d %d %d\n" n (Data_graph.n_edges data) count);
-  let graph_text = Serial.to_string data in
-  Buffer.add_string buf (Printf.sprintf "graph %d\n" (String.length graph_text));
-  Buffer.add_string buf graph_text;
-  Buffer.add_buffer buf tail;
-  Buffer.contents buf
+  let head = Buffer.create 96 in
+  Buffer.add_string head magic;
+  Buffer.add_string head "\ncounts ";
+  Serial.add_int head (Data_graph.n_nodes data);
+  Buffer.add_char head ' ';
+  Serial.add_int head (Data_graph.n_edges data);
+  Buffer.add_char head ' ';
+  Serial.add_int head count;
+  Buffer.add_string head "\ngraph ";
+  Serial.add_int head graph_len;
+  Buffer.add_char head '\n';
+  let hl = Buffer.length head and bl = Buffer.length body in
+  let out = Bytes.create (hl + bl) in
+  Buffer.blit head 0 out 0 hl;
+  Buffer.blit body 0 out hl bl;
+  Bytes.unsafe_to_string out
 
 let of_string s =
   let fail fmt = Printf.ksprintf failwith fmt in
   let len = String.length s in
-  let line_end pos = match String.index_from_opt s pos '\n' with
-    | Some i -> i
-    | None -> fail "Index_serial.of_string: truncated"
+  (* A cursor over '\n'-terminated lines: [next_line] sets [ls, le) to
+     the line at [pos] and moves [pos] past it.  A line without its
+     '\n' is truncation. *)
+  let rec eol i =
+    if i >= len then fail "Index_serial.of_string: truncated"
+    else if Char.equal (String.unsafe_get s i) '\n' then i
+    else eol (i + 1)
   in
-  let read_line pos =
-    let e = line_end pos in
-    (String.sub s pos (e - pos), e + 1)
+  let pos = ref 0 and ls = ref 0 and le = ref 0 in
+  let next_line () =
+    ls := !pos;
+    le := eol !pos;
+    pos := !le + 1
   in
-  let header, pos = read_line 0 in
+  let line_is lit =
+    !le - !ls = String.length lit && String.equal (String.sub s !ls (!le - !ls)) lit
+  in
+  (* [keyword] and a single space, then the line's remaining tokens:
+     the position just past the keyword's space, or [-1]. *)
+  let after keyword =
+    let kl = String.length keyword in
+    if !le - !ls > kl && String.equal (String.sub s !ls kl) keyword && Char.equal s.[!ls + kl] ' '
+    then !ls + kl + 1
+    else -1
+  in
+  let rec space i =
+    if i >= !le || Char.equal (String.unsafe_get s i) ' ' then i else space (i + 1)
+  in
+  next_line ();
   let version =
-    if String.equal header magic then 2
-    else if String.equal header magic_v1 then 1
+    if line_is magic then 2
+    else if line_is magic_v1 then 1
     else fail "Index_serial.of_string: bad magic"
   in
   (* v2 declares the shape up front; the declaration is checked against
      what the body actually decodes to, so a snapshot whose graph or
      partition was truncated or spliced is rejected even when each part
      parses on its own. *)
-  let declared, pos =
-    if version = 1 then (None, pos)
-    else
-      let counts_line, pos = read_line pos in
-      match String.split_on_char ' ' counts_line with
-      | [ "counts"; a; b; c ] -> (
-        match (int_of_string_opt a, int_of_string_opt b, int_of_string_opt c) with
-        | Some a, Some b, Some c when a >= 0 && b >= 0 && c >= 0 -> (Some (a, b, c), pos)
-        | _ -> fail "Index_serial.of_string: bad counts line")
-      | _ -> fail "Index_serial.of_string: expected 'counts <nodes> <edges> <classes>'"
+  let declared =
+    if version = 1 then None
+    else begin
+      next_line ();
+      let a0 = after "counts" in
+      let a1 = if a0 < 0 then !le else space a0 in
+      let a2 = if a1 >= !le then !le else space (a1 + 1) in
+      if a2 >= !le then
+        fail "Index_serial.of_string: expected 'counts <nodes> <edges> <classes>'";
+      match
+        ( Serial.int_of_sub s a0 a1,
+          Serial.int_of_sub s (a1 + 1) a2,
+          Serial.int_of_sub s (a2 + 1) !le )
+      with
+      | Some a, Some b, Some c when a >= 0 && b >= 0 && c >= 0 -> Some (a, b, c)
+      | _ -> fail "Index_serial.of_string: bad counts line"
+    end
   in
-  let graph_line, pos = read_line pos in
+  next_line ();
+  let g0 = after "graph" in
+  if g0 < 0 then fail "Index_serial.of_string: expected 'graph <len>'";
   let graph_len =
-    match String.split_on_char ' ' graph_line with
-    | [ "graph"; n ] -> (
-      match int_of_string_opt n with
-      | Some n when n >= 0 && pos + n <= len -> n
-      | _ -> fail "Index_serial.of_string: bad graph length")
-    | _ -> fail "Index_serial.of_string: expected 'graph <len>'"
+    match Serial.int_of_sub s g0 !le with
+    | Some n when n >= 0 && !pos + n <= len -> n
+    | _ -> fail "Index_serial.of_string: bad graph length"
   in
-  let data = Serial.of_string (String.sub s pos graph_len) in
-  let pos = pos + graph_len in
-  let marker, pos = read_line pos in
-  if not (String.equal marker "cls") then fail "Index_serial.of_string: expected 'cls'";
+  let data = Serial.of_substring s ~pos:!pos ~len:graph_len in
+  pos := !pos + graph_len;
+  next_line ();
+  if not (line_is "cls") then fail "Index_serial.of_string: expected 'cls'";
   let n = Data_graph.n_nodes data in
   let cls = Array.make n 0 in
-  let pos = ref pos in
   for u = 0 to n - 1 do
-    let line, next = read_line !pos in
-    (match int_of_string_opt line with
+    next_line ();
+    match Serial.int_of_sub s !ls !le with
     | Some c when c >= 0 -> cls.(u) <- c
-    | _ -> fail "Index_serial.of_string: bad class for node %d" u);
-    pos := next
+    | _ -> fail "Index_serial.of_string: bad class for node %d" u
   done;
-  let classes_line, next = read_line !pos in
-  pos := next;
+  next_line ();
+  let c0 = after "classes" in
+  if c0 < 0 then fail "Index_serial.of_string: expected 'classes <m>'";
   let m =
-    match String.split_on_char ' ' classes_line with
-    | [ "classes"; m ] -> (
-      match int_of_string_opt m with
-      | Some m when m > 0 -> m
-      | _ -> fail "Index_serial.of_string: bad class count")
-    | _ -> fail "Index_serial.of_string: expected 'classes <m>'"
+    match Serial.int_of_sub s c0 !le with
+    | Some m when m > 0 -> m
+    | _ -> fail "Index_serial.of_string: bad class count"
   in
   Array.iter (fun c -> if c >= m then fail "Index_serial.of_string: class out of range") cls;
   (match declared with
@@ -109,18 +145,21 @@ let of_string s =
       fail "Index_serial.of_string: declared %d edges, graph has %d" de
         (Data_graph.n_edges data);
     if dm <> m then fail "Index_serial.of_string: declared %d classes, body has %d" dm m);
+  (* Each class line takes at least 4 bytes ("k r\n"). *)
+  if m > (len - !pos) / 4 then fail "Index_serial.of_string: truncated";
   let ks = Array.make m 0 and reqs = Array.make m 0 in
+  let dec k = if k < 0 then Index_graph.k_infinite else k in
   for c = 0 to m - 1 do
-    let line, next = read_line !pos in
-    (match String.split_on_char ' ' line with
-    | [ k; req ] -> (
-      match (int_of_string_opt k, int_of_string_opt req) with
-      | Some k, Some req ->
-        ks.(c) <- (if k < 0 then Index_graph.k_infinite else k);
-        reqs.(c) <- (if req < 0 then Index_graph.k_infinite else req)
-      | _ -> fail "Index_serial.of_string: bad class line %d" c)
-    | _ -> fail "Index_serial.of_string: bad class line %d" c);
-    pos := next
+    next_line ();
+    let sp = space !ls in
+    match
+      if sp >= !le then (None, None)
+      else (Serial.int_of_sub s !ls sp, Serial.int_of_sub s (sp + 1) !le)
+    with
+    | Some k, Some req ->
+      ks.(c) <- dec k;
+      reqs.(c) <- dec req
+    | _ -> fail "Index_serial.of_string: bad class line %d" c
   done;
   Index_graph.of_partition data ~cls ~n_classes:m
     ~k_of_class:(fun c -> ks.(c))

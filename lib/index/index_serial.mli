@@ -19,10 +19,20 @@
     ...
     v}
 
+    The embedded graph lists its edges in {!Dkindex_graph.Serial}'s
+    canonical order (CSR order, overflow additions merged in,
+    tombstones skipped), so an index serializes to the same bytes
+    before and after its data graph is flattened or reloaded.
+
     The [counts] line is validated against the decoded body: a
     snapshot whose declared node/edge/class counts disagree with what
     its graph and partition actually contain is rejected.  Version-1
-    documents (no [counts] line) are still read. *)
+    documents (no [counts] line) are still read.
+
+    Both directions are single passes, O(bytes of the document):
+    {!to_string} writes the graph and partition into one buffer and
+    copies the header in front once; {!of_string} walks a cursor over
+    the text and decodes the embedded graph in place. *)
 
 val to_string : Index_graph.t -> string
 val of_string : string -> Index_graph.t

@@ -184,6 +184,8 @@ type recovery = {
   torn_bytes : int;
   fallback_checkpoints : int;
   replay_errors : int;
+  load_ms : float;
+  replay_ms : float;
 }
 
 let empty_recovery =
@@ -194,9 +196,14 @@ let empty_recovery =
     torn_bytes = 0;
     fallback_checkpoints = 0;
     replay_errors = 0;
+    load_ms = 0.0;
+    replay_ms = 0.0;
   }
 
+let ms_since t0 = (Unix.gettimeofday () -. t0) *. 1000.0
+
 let recover ?read_faults ~dir () =
+  let t0 = Unix.gettimeofday () in
   let cps = List.rev (checkpoint_seqs dir) (* newest first *) in
   let rec load cps skipped =
     match cps with
@@ -214,6 +221,8 @@ let recover ?read_faults ~dir () =
   match load cps 0 with
   | None -> empty_recovery
   | Some (base, seq, fallback_checkpoints) ->
+    let load_ms = ms_since t0 in
+    let t1 = Unix.gettimeofday () in
     let replayed = ref 0 and torn = ref 0 and errors = ref 0 in
     let idx = ref base in
     (match base with
@@ -255,6 +264,8 @@ let recover ?read_faults ~dir () =
       torn_bytes = !torn;
       fallback_checkpoints;
       replay_errors = !errors;
+      load_ms;
+      replay_ms = ms_since t1;
     }
 
 (* ------------------------------------------------------------------ *)
@@ -286,6 +297,7 @@ type t = {
   checkpoints_written : int Atomic.t;
   checkpoint_failures : int Atomic.t;
   checkpoint_last_bytes : int Atomic.t;
+  checkpoint_last_encode_us : int Atomic.t;
 }
 
 let read_only t = Atomic.get t.read_only_flag
@@ -295,6 +307,14 @@ let note_wal_failure t msg =
   t.wal_error := msg;
   Mutex.unlock t.err_mu;
   Atomic.set t.read_only_flag true
+
+(* The snapshot text, timed for [stats] on whichever domain takes it. *)
+let encode t index =
+  let t0 = Unix.gettimeofday () in
+  let s = Index_serial.to_string index in
+  Atomic.set t.checkpoint_last_encode_us
+    (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
+  s
 
 let write_checkpoint t seq s =
   write_atomic ?faults:t.cp_faults t.cfg.dir (cp_name seq) s;
@@ -343,12 +363,13 @@ let start ?wal_faults ?checkpoint_faults ?recovery cfg index =
       checkpoints_written = Atomic.make 0;
       checkpoint_failures = Atomic.make 0;
       checkpoint_last_bytes = Atomic.make 0;
+      checkpoint_last_encode_us = Atomic.make 0;
     }
   in
   (* The recovered (or initial) state becomes durable before the
      server accepts traffic; this is also what licenses pruning the
      generation we just recovered from. *)
-  write_checkpoint t seq (Index_serial.to_string index);
+  write_checkpoint t seq (encode t index);
   t.writer := Some (Domain.spawn (writer_loop t));
   t
 
@@ -362,7 +383,7 @@ let log_mutation t m =
    retire the old log.  Returns the snapshot to write at the new
    generation, or None if rotation failed. *)
 let rotate t index =
-  let s = Index_serial.to_string index in
+  let s = encode t index in
   let seq' = t.seq + 1 in
   match Wal.create ?faults:t.wal_faults ~sync:t.cfg.sync (Filename.concat t.cfg.dir (wal_name seq')) with
   | exception e ->
@@ -454,11 +475,14 @@ let stats t =
     ("checkpoints_written", string_of_int (Atomic.get t.checkpoints_written));
     ("checkpoint_failures", string_of_int (Atomic.get t.checkpoint_failures));
     ("checkpoint_last_bytes", string_of_int (Atomic.get t.checkpoint_last_bytes));
+    ("checkpoint_last_encode_us", string_of_int (Atomic.get t.checkpoint_last_encode_us));
     ("recovery_checkpoint_seq", string_of_int t.recovery.checkpoint_seq);
     ("recovery_replayed_records", string_of_int t.recovery.replayed_records);
     ("recovery_torn_bytes", string_of_int t.recovery.torn_bytes);
     ("recovery_fallback_checkpoints", string_of_int t.recovery.fallback_checkpoints);
     ("recovery_replay_errors", string_of_int t.recovery.replay_errors);
+    ("recovery_load_ms", Printf.sprintf "%.3f" t.recovery.load_ms);
+    ("recovery_replay_ms", Printf.sprintf "%.3f" t.recovery.replay_ms);
   ]
 
 let close t index =

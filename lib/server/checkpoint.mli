@@ -57,6 +57,8 @@ type recovery = {
   torn_bytes : int;  (** trailing bytes discarded from torn WAL tails *)
   fallback_checkpoints : int;  (** newer checkpoints skipped as corrupt *)
   replay_errors : int;  (** records that failed to re-apply (always 0 unless files were tampered mid-log) *)
+  load_ms : float;  (** reading, sidecar-checking and decoding checkpoints, fallbacks included *)
+  replay_ms : float;  (** replaying the WAL chain on top of the loaded checkpoint *)
 }
 
 val recover : ?read_faults:Faults.t -> dir:string -> unit -> recovery
@@ -107,7 +109,11 @@ val note_wal_failure : t -> string -> unit
 (** Flip to read-only and record the error for {!stats}. *)
 
 val stats : t -> (string * string) list
-(** WAL/checkpoint/recovery counters, domain-safe. *)
+(** WAL/checkpoint/recovery counters, domain-safe.  Persistence stage
+    times: [checkpoint_last_encode_us] (the {!Index_serial.to_string}
+    of the newest checkpoint, on whichever domain took it),
+    [recovery_load_ms] and [recovery_replay_ms] (the two halves of
+    {!recover}, as fractional milliseconds; 0 without a recovery). *)
 
 val write_atomic : ?faults:Faults.t -> string -> string -> string -> unit
 (** [write_atomic dir name s] makes [s] the durable content of

@@ -26,20 +26,46 @@ let sync_policy_to_string = function
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) *)
 
-let crc_table =
+(* Slicing-by-4: [tables] holds four 256-entry tables back to back;
+   table [k] advances the CRC of a byte by [k] further zero bytes, so
+   one step folds a 32-bit little-endian word with four lookups. *)
+let tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make 1024 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 3 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+       done
+     done;
+     t)
 
 let crc32 s off len =
-  let table = Lazy.force crc_table in
+  if len > 0 && (off < 0 || off > String.length s - len) then invalid_arg "Wal.crc32";
+  let t = Lazy.force tables in
   let c = ref 0xFFFFFFFF in
-  for i = off to off + len - 1 do
-    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  let i = ref off and stop = off + len in
+  while !i + 4 <= stop do
+    let x = !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF) in
+    c :=
+      Array.unsafe_get t (768 + (x land 0xff))
+      lxor Array.unsafe_get t (512 + ((x lsr 8) land 0xff))
+      lxor Array.unsafe_get t (256 + ((x lsr 16) land 0xff))
+      lxor Array.unsafe_get t (x lsr 24);
+    i := !i + 4
+  done;
+  while !i < stop do
+    c :=
+      Array.unsafe_get t ((!c lxor Char.code (String.unsafe_get s !i)) land 0xff)
+      lxor (!c lsr 8);
+    incr i
   done;
   !c lxor 0xFFFFFFFF
 

@@ -522,6 +522,53 @@ let test_close_drains_queued_checkpoints () =
   check_same_answers ~what:"recovery after close" (eval_all oracle)
     (eval_all (Option.get r.Checkpoint.index))
 
+(* Stats time the persistence stages: the encode of the newest
+   checkpoint, and the load and replay halves of a recovery that
+   actually replays records. *)
+let test_stats_time_persistence_stages () =
+  let dir = temp_dir () and dir2 = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir; rm_rf dir2) @@ fun () ->
+  let stream = make_stream ~seed:17 ~count:8 in
+  let cfg = { (Checkpoint.default_config ~dir) with checkpoint_records = 1000 } in
+  let d = Checkpoint.start cfg (build_base ()) in
+  let num stats key =
+    match List.assoc_opt key stats with
+    | Some v -> (
+      match float_of_string_opt v with
+      | Some x -> x
+      | None -> Alcotest.fail (Printf.sprintf "%s = %S is not a number" key v))
+    | None -> Alcotest.fail ("stats lack " ^ key)
+  in
+  let s0 = Checkpoint.stats d in
+  Alcotest.(check bool) "start checkpoint encode timed" true (num s0 "checkpoint_last_encode_us" > 0.0);
+  Alcotest.(check (float 0.0)) "no recovery: load 0" 0.0 (num s0 "recovery_load_ms");
+  Alcotest.(check (float 0.0)) "no recovery: replay 0" 0.0 (num s0 "recovery_replay_ms");
+  let idx =
+    List.fold_left
+      (fun idx m ->
+        let idx' = Checkpoint.apply_mutation idx m in
+        Checkpoint.log_mutation d m;
+        idx')
+      (build_base ()) stream
+  in
+  (* [dir] now holds what a crash would leave: the start checkpoint and
+     a WAL of every record.  Recover from it while [d] is still live;
+     the recovery only needs to reach a manager's stats. *)
+  let recovery = Checkpoint.recover ~dir () in
+  Alcotest.(check int) "replayed the stream" (List.length stream)
+    recovery.Checkpoint.replayed_records;
+  let d2 = Checkpoint.start ~recovery { cfg with dir = dir2 } idx in
+  let s2 = Checkpoint.stats d2 in
+  Alcotest.(check bool) "recovery_load_ms > 0" true (num s2 "recovery_load_ms" > 0.0);
+  Alcotest.(check bool) "recovery_replay_ms > 0" true (num s2 "recovery_replay_ms" > 0.0);
+  Alcotest.(check bool) "encode timed" true (num s2 "checkpoint_last_encode_us" > 0.0);
+  List.iter
+    (fun m ->
+      match Checkpoint.close m idx with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail ("close failed: " ^ e))
+    [ d2; d ]
+
 let () =
   Alcotest.run "recovery"
     [
@@ -544,5 +591,10 @@ let () =
             test_corrupt_checkpoint_fallback;
           Alcotest.test_case "close drains every queued background checkpoint" `Quick
             test_close_drains_queued_checkpoints;
+        ] );
+      ( "stats",
+        [
+          Alcotest.test_case "persistence stages are timed" `Quick
+            test_stats_time_persistence_stages;
         ] );
     ]
