@@ -35,17 +35,13 @@ let tests () =
     Test.make ~name:"fig4/5:query-data-naive"
       (Staged.stage (fun () ->
            Dkindex_pathexpr.Matcher.eval_label_path g query ~cost:(Cost.create ())));
-    (* Regex engine comparison: NFA bitsets vs determinized automaton. *)
+    (* Regex evaluation on the data graph: product reachability over
+       NFA state bitsets. *)
     (let pool = Dkindex_graph.Data_graph.pool g in
      let expr = Dkindex_pathexpr.Path_parser.parse "open_auction.(bidder|seller).personref?" in
      let nfa = Dkindex_pathexpr.Nfa.compile pool expr in
      Test.make ~name:"substrate:regex-NFA-eval"
        (Staged.stage (fun () -> Dkindex_pathexpr.Matcher.eval_nfa g nfa ~cost:(Cost.create ()))));
-    (let pool = Dkindex_graph.Data_graph.pool g in
-     let expr = Dkindex_pathexpr.Path_parser.parse "open_auction.(bidder|seller).personref?" in
-     let dfa = Dkindex_pathexpr.Dfa.compile pool expr in
-     Test.make ~name:"substrate:regex-DFA-eval"
-       (Staged.stage (fun () -> Dkindex_pathexpr.Matcher.eval_dfa g dfa ~cost:(Cost.create ()))));
     (* Table 1: the read-only core of the D(k) edge update. *)
     Test.make ~name:"table1:update-local-similarity"
       (Staged.stage (fun () -> Dk_update.update_local_similarity dk ~u:iu ~v:iv));

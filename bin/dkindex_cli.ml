@@ -11,7 +11,7 @@
 open Cmdliner
 open Dkindex_graph
 open Dkindex_core
-module Xml_parser = Dkindex_xml.Xml_parser
+module Xml_sax = Dkindex_xml.Xml_sax
 module Xml_to_graph = Dkindex_xml.Xml_to_graph
 module Xml_writer = Dkindex_xml.Xml_writer
 
@@ -27,14 +27,13 @@ let load_graph ~input ~id_attrs ~idref_attrs =
     failwith (input ^ " is an index container; pass it to `query --load-index`")
   | None ->
   if Filename.check_suffix input ".xml" then begin
-    let doc = Xml_parser.parse_file input in
     let config =
       {
         Xml_to_graph.id_attrs = (if id_attrs = [] then [ "id" ] else id_attrs);
         idref_attrs = (if idref_attrs = [] then [ "idref"; "ref" ] else idref_attrs);
       }
     in
-    let result = Xml_to_graph.convert ~config doc in
+    let result = Xml_to_graph.convert_file ~config input in
     if result.Xml_to_graph.unresolved_refs <> [] then
       Printf.eprintf "warning: %d unresolved references\n"
         (List.length result.Xml_to_graph.unresolved_refs);
@@ -72,7 +71,7 @@ let graph_term =
 let generate dataset scale seed output stream =
   let write_doc config doc =
     if Filename.check_suffix output ".xml" then Xml_writer.write_file output doc
-    else Serial.save output (Xml_to_graph.graph_of_doc ~config doc)
+    else Serial.save output (Xml_to_graph.convert ~config (Xml_sax.emit_tree doc.root)).graph
   in
   (if stream then
      (* Streamed generation: edges go through an external sorter into a

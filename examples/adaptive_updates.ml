@@ -61,8 +61,7 @@ let () =
   report "after demoting to k <= 1" demoted queries;
 
   (* And a new document arrives: subgraph addition (Algorithm 3). *)
-  let h = Dkindex_datagen.Nasa.doc ~seed:77 ~scale:10 () in
-  let h_graph = Dkindex_xml.Xml_to_graph.graph_of_doc ~config:Dkindex_datagen.Nasa.config h in
+  let h_graph = Dkindex_datagen.Nasa.graph ~seed:77 ~scale:10 () in
   let g', idx' = Dk_update.add_subgraph demoted h_graph ~reqs:shallow_reqs in
   Format.printf "after inserting a new document:   data nodes %d -> %d, index size %d@."
     (Data_graph.n_nodes g) (Data_graph.n_nodes g') (Index_graph.n_nodes idx')

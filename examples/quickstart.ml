@@ -22,11 +22,10 @@ let document =
 </library>|}
 
 let () =
-  (* 1. Parse the document and load it as a data graph: elements become
-     labeled nodes, text becomes VALUE leaves, and the ref attributes
-     become reference edges (the graph is not a tree). *)
-  let doc = Xml_parser.parse_string document in
-  let graph = Xml_to_graph.graph_of_doc doc in
+  (* 1. Stream the document's parse events into a data graph: elements
+     become labeled nodes, text becomes VALUE leaves, and the ref
+     attributes become reference edges (the graph is not a tree). *)
+  let graph = (Xml_to_graph.convert (Xml_sax.iter (Xml_sax.of_string document))).graph in
   Format.printf "data graph: %a@." Dkindex_graph.Data_graph.pp_stats
     (Dkindex_graph.Data_graph.stats graph);
 

@@ -249,12 +249,8 @@ let events ?(seed = 43) ~scale emit =
   done;
   emit (Xml_sax.End_element "datasets")
 
-let doc ?seed ~scale () =
-  let collect = Xml_sax.Collect.create () in
-  events ?seed ~scale (Xml_sax.Collect.feed collect);
-  { Xml_ast.root = Xml_sax.Collect.root collect }
-
-let graph ?seed ~scale () = Xml_to_graph.graph_of_doc ~config (doc ?seed ~scale ())
+let doc ?seed ~scale () = Xml_sax.collect (events ?seed ~scale)
+let graph ?seed ~scale () = (Xml_to_graph.convert ~config (events ?seed ~scale)).graph
 
 let stream ?seed ?mem_budget ?tmp_dir ~scale ~path () =
   Xml_to_graph.stream_to_container ~config ?mem_budget ?tmp_dir ~path (events ?seed ~scale)

@@ -26,6 +26,7 @@
 val doc : ?seed:int -> scale:int -> unit -> Dkindex_xml.Xml_ast.doc
 val config : Dkindex_xml.Xml_to_graph.config
 val graph : ?seed:int -> scale:int -> unit -> Dkindex_graph.Data_graph.t
+(** {!events} fed straight into the graph builder, as {!Xmark.graph}. *)
 
 val events : ?seed:int -> scale:int -> (Dkindex_xml.Xml_sax.event -> unit) -> unit
 (** Emit the document as SAX events ([doc] is these events collected);

@@ -91,4 +91,5 @@ let doc ?(seed = 47) ~scale () =
   in
   { Xml_ast.root = el "treebank" sentences }
 
-let graph ?seed ~scale () = Xml_to_graph.graph_of_doc ~config (doc ?seed ~scale ())
+let graph ?seed ~scale () =
+  (Xml_to_graph.convert ~config (Xml_sax.emit_tree (doc ?seed ~scale ()).root)).graph

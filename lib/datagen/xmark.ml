@@ -230,10 +230,11 @@ let gen_closed_auction rng pop =
     ]
 
 (* Event emission is the primitive: [doc] collects the very same
-   events [stream] feeds to a container sink, so the two can never
-   diverge.  Each top-level chunk (one item, person, auction ...) is
-   still built as a bounded [Xml_ast] subtree and flushed with
-   [Xml_sax.emit_tree], so peak memory is one chunk, not the document.
+   events that [graph] and [stream] feed to the graph builder and to a
+   container sink, so the three can never diverge.  Each top-level
+   chunk (one item, person, auction ...) is still built as a bounded
+   [Xml_ast] subtree and flushed with [Xml_sax.emit_tree], so peak
+   memory is one chunk, not the document.
    Region assignments are drawn for every item up front — region-major
    emission order needs them before the first region opens. *)
 let events ?(seed = 42) ~scale emit =
@@ -280,12 +281,8 @@ let events ?(seed = 42) ~scale emit =
   close "closed_auctions";
   close "site"
 
-let doc ?seed ~scale () =
-  let collect = Xml_sax.Collect.create () in
-  events ?seed ~scale (Xml_sax.Collect.feed collect);
-  { Xml_ast.root = Xml_sax.Collect.root collect }
-
-let graph ?seed ~scale () = Xml_to_graph.graph_of_doc ~config (doc ?seed ~scale ())
+let doc ?seed ~scale () = Xml_sax.collect (events ?seed ~scale)
+let graph ?seed ~scale () = (Xml_to_graph.convert ~config (events ?seed ~scale)).graph
 
 let stream ?seed ?mem_budget ?tmp_dir ~scale ~path () =
   Xml_to_graph.stream_to_container ~config ?mem_budget ?tmp_dir ~path (events ?seed ~scale)

@@ -41,7 +41,8 @@ val config : Dkindex_xml.Xml_to_graph.config
 (** ID/IDREF attribute mapping for XMark documents. *)
 
 val graph : ?seed:int -> scale:int -> unit -> Dkindex_graph.Data_graph.t
-(** [graph ~scale] = generate the document and load it with {!config}. *)
+(** [graph ~scale] feeds {!events} straight into the graph builder
+    with {!config}; no document tree is built. *)
 
 val ref_pairs : (string * string) list
 (** The (source label, target label) ID/IDREF pairs of the schema, used

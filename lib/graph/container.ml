@@ -71,29 +71,6 @@ let kind_code = function Graph -> 1 | Index -> 2
 let align_page n = (n + page - 1) / page * page
 
 (* ------------------------------------------------------------------ *)
-(* CRC-32 (IEEE reflected, poly 0xEDB88320) — deliberately local: the
-   graph library sits below the server's WAL and depends on nothing. *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32_update crc buf off len =
-  let table = Lazy.force crc_table in
-  let c = ref (crc lxor 0xFFFFFFFF) in
-  for i = off to off + len - 1 do
-    c :=
-      Array.unsafe_get table ((!c lxor Char.code (Bytes.unsafe_get buf i)) land 0xFF)
-      lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
-
-(* ------------------------------------------------------------------ *)
 (* Writer *)
 
 module Writer = struct
@@ -150,7 +127,7 @@ module Writer = struct
     if w.fill > 0 then begin
       (match w.cur with
       | Some s ->
-        s.crc <- crc32_update s.crc w.buf 0 w.fill;
+        s.crc <- Crc32.update s.crc w.buf 0 w.fill;
         s.len <- s.len + w.fill
       | None -> ());
       really_write w.fd w.buf 0 w.fill;
@@ -228,7 +205,7 @@ module Writer = struct
         set_u32 b (off + 24) e.e_crc)
       entries;
     let crc =
-      crc32_update 0 b 0 (header_prefix + (w.n_sections * entry_bytes))
+      Crc32.update 0 b 0 (header_prefix + (w.n_sections * entry_bytes))
     in
     set_u32 b 32 crc;
     b
@@ -373,7 +350,7 @@ let read_header fd ~kind =
   really_read fd header header_prefix (header_len - header_prefix);
   let declared_crc = get_u32 header 32 in
   Bytes.set_int32_le header 32 0l;
-  if crc32_update 0 header 0 header_len <> declared_crc then
+  if Crc32.update 0 header 0 header_len <> declared_crc then
     error (Crc_mismatch "header");
   List.init n_sections (fun i ->
       let off = header_prefix + (i * entry_bytes) in
@@ -398,7 +375,7 @@ let verify_section fd s tag =
   while !rem > 0 do
     let k = min !rem (Bytes.length chunk) in
     really_read fd chunk 0 k;
-    crc := crc32_update !crc chunk 0 k;
+    crc := Crc32.update !crc chunk 0 k;
     rem := !rem - k
   done;
   if !crc <> s.s_crc then error (Crc_mismatch tag)

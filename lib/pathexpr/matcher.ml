@@ -1,5 +1,4 @@
 open Dkindex_graph
-module Int_states = Set.Make (Int)
 
 let eval_nfa g nfa ~cost =
   let n = Data_graph.n_nodes g in
@@ -172,31 +171,3 @@ let node_matches_nfa g nfa ~node ~cost =
   match Hashtbl.find_opt states node with
   | Some s -> Nfa.accepting nfa s
   | None -> false
-
-let eval_dfa g dfa ~cost =
-  (* Product reachability over (node, DFA state).  Because matching can
-     start anywhere, each node may carry several live DFA states. *)
-  let states : (int, Int_states.t) Hashtbl.t = Hashtbl.create 256 in
-  let queue = Queue.create () in
-  let enqueue u s =
-    let current = Option.value (Hashtbl.find_opt states u) ~default:Int_states.empty in
-    if not (Int_states.mem s current) then begin
-      Hashtbl.replace states u (Int_states.add s current);
-      Queue.add (u, s) queue
-    end
-  in
-  Data_graph.iter_nodes g (fun u ->
-      let s = Dfa.step dfa (Dfa.start dfa) (Data_graph.label g u) in
-      if s >= 0 then enqueue u s);
-  while not (Queue.is_empty queue) do
-    let u, s = Queue.pop queue in
-    Cost.visit_data cost;
-    Data_graph.iter_children g u (fun c ->
-        let s' = Dfa.step dfa s (Data_graph.label g c) in
-        if s' >= 0 then enqueue c s')
-  done;
-  let result = ref [] in
-  Hashtbl.iter
-    (fun u live -> if Int_states.exists (Dfa.accepting dfa) live then result := u :: !result)
-    states;
-  List.sort Int.compare !result

@@ -11,12 +11,6 @@ val eval_nfa : Data_graph.t -> Nfa.t -> cost:Cost.t -> int list
 (** Full regular path expression evaluation via product reachability of
     (node, NFA-state set); returns matching node ids, sorted. *)
 
-val eval_dfa : Data_graph.t -> Dfa.t -> cost:Cost.t -> int list
-(** Same result through a determinized automaton: each graph node
-    carries a set of integer DFA states instead of NFA bitset unions —
-    the faster choice for repeated evaluation (and the cost model
-    counts the same node visits). *)
-
 val eval_label_path : Data_graph.t -> Label.t array -> cost:Cost.t -> int list
 (** Specialized evaluation for plain label sequences, the workload of
     the paper's experiments; equivalent to {!eval_nfa} on the same

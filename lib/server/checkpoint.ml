@@ -51,7 +51,7 @@ let crc_file ~dir ~seq = Filename.concat dir (crc_name seq)
    closes that hole for both recovery and the scrubber.  A checkpoint
    without a sidecar (crash between the two writes, or a pre-sidecar
    generation) is accepted as-is. *)
-let sidecar_of s = Printf.sprintf "%d %d\n" (Wal.crc32 s 0 (String.length s)) (String.length s)
+let sidecar_of s = Printf.sprintf "%d %d\n" (Crc32.string s 0 (String.length s)) (String.length s)
 
 (* [Ok true] = sidecar present and matching, [Ok false] = no sidecar,
    [Error reason] = sidecar present and contradicting the payload. *)
@@ -65,7 +65,7 @@ let check_sidecar ~dir ~seq s =
       | Some crc, Some len ->
         if len <> String.length s then
           Error (Printf.sprintf "length %d, sidecar says %d" (String.length s) len)
-        else if crc <> Wal.crc32 s 0 len then Error "crc mismatch"
+        else if crc <> Crc32.string s 0 len then Error "crc mismatch"
         else Ok true
       | _ -> Error "unparsable sidecar")
     | _ -> Error "unparsable sidecar")
@@ -86,15 +86,7 @@ let write_atomic ?faults dir name s =
   let final = Filename.concat dir name in
   let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
   (try
-     let b = Bytes.unsafe_of_string s in
-     let off = ref 0 and len = ref (Bytes.length b) in
-     while !len > 0 do
-       match Faults.write faults fd b !off !len with
-       | n ->
-         off := !off + n;
-         len := !len - n
-       | exception Unix.Unix_error (EINTR, _, _) -> ()
-     done;
+     Faults.write_all faults fd (Bytes.unsafe_of_string s) 0 (String.length s);
      Faults.fsync faults fd;
      Unix.close fd
    with e ->

@@ -147,6 +147,10 @@ val checkpoint_seqs : string -> int list
 val wal_seqs : string -> int list
 (** Generations present in a data directory, increasing. *)
 
+val seq_of : string -> prefix:string -> suffix:string -> int option
+(** The generation in a file name [<prefix><seq><suffix>], if the name
+    has that shape. *)
+
 val check_sidecar : dir:string -> seq:int -> string -> (bool, string) result
 (** Validate snapshot bytes against their CRC sidecar: [Ok true] =
     sidecar present and matching, [Ok false] = no sidecar,

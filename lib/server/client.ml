@@ -108,22 +108,12 @@ let drop t =
     t.fd <- None;
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
-let write_all fd b off len =
-  let off = ref off and len = ref len in
-  while !len > 0 do
-    match Unix.write fd b !off !len with
-    | n ->
-      off := !off + n;
-      len := !len - n
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-  done
-
 let send_on t fd req =
   let id = t.next_id in
   t.next_id <- id + 1;
   Obuf.clear t.buf;
   Wire.encode_request t.buf ~id req;
-  write_all fd (Obuf.base t.buf) 0 (Obuf.length t.buf);
+  Faults.write_all None fd (Obuf.base t.buf) 0 (Obuf.length t.buf);
   id
 
 (* A read function with [Unix.read] semantics that enforces the
@@ -311,7 +301,7 @@ let send t req = send_on t (current_fd t) req
 
 let send_raw_frame t payload =
   let b = Bytes.of_string (Wire.frame_of_payload payload) in
-  write_all (current_fd t) b 0 (Bytes.length b)
+  Faults.write_all None (current_fd t) b 0 (Bytes.length b)
 
 let recv t =
   match recv_on (current_fd t) (deadline_of t) with

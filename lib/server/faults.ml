@@ -61,6 +61,21 @@ let write faults fd b off len =
       t.bytes <- t.bytes + n;
       n)
 
+let write_all faults fd b off len =
+  let stalls = ref 0 and off = ref off and len = ref len in
+  while !len > 0 do
+    match write faults fd b !off !len with
+    | n ->
+      off := !off + n;
+      len := !len - n;
+      stalls := 0
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+      incr stalls;
+      if !stalls > 30 then raise (Unix.Unix_error (EPIPE, "write", "stalled peer"));
+      ignore (Unix.select [] [ fd ] [] 1.0)
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
+  done
+
 let read faults fd b off len =
   match faults with
   | None -> Unix.read fd b off len

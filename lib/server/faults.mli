@@ -54,6 +54,14 @@ val write : t option -> Unix.file_descr -> bytes -> int -> int -> int
 (** [write faults fd b off len] has [Unix.write] semantics, filtered
     through the fault spec.  [None] is a plain [Unix.write]. *)
 
+val write_all : t option -> Unix.file_descr -> bytes -> int -> int -> unit
+(** [write_all faults fd b off len] writes all [len] bytes through
+    {!write}, retrying [EINTR] and short writes — the one write loop
+    of the WAL, checkpoints, replication streams, the client and the
+    server.  On a non-blocking [fd] that reports [EAGAIN] it waits for
+    writability, one second at a time, and raises [EPIPE] after 30
+    consecutive stalled seconds (a peer that stopped reading). *)
+
 val read : t option -> Unix.file_descr -> bytes -> int -> int -> int
 (** [read faults fd b off len] has [Unix.read] semantics, filtered
     through the fault spec.  [None] is a plain [Unix.read]. *)

@@ -42,16 +42,6 @@ let store_epoch ~dir e = Checkpoint.write_atomic dir "epoch" (string_of_int e ^ 
 (* ------------------------------------------------------------------ *)
 (* Shared plumbing *)
 
-let write_all ?faults fd b off len =
-  let off = ref off and len = ref len in
-  while !len > 0 do
-    match Faults.write faults fd b !off !len with
-    | n ->
-      off := !off + n;
-      len := !len - n
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-  done
-
 let file_size path = match Unix.stat path with s -> s.Unix.st_size | exception Unix.Unix_error _ -> -1
 
 (* ------------------------------------------------------------------ *)
@@ -113,12 +103,12 @@ let writev_all fd head hlen tail =
 let send_frame sub resp =
   let buf = Obuf.create 512 in
   match (Wire.encode_response_gather buf ~id:0 resp, sub.sfaults) with
-  | None, _ -> write_all ?faults:sub.sfaults sub.sfd (Obuf.base buf) 0 (Obuf.length buf)
+  | None, _ -> Faults.write_all sub.sfaults sub.sfd (Obuf.base buf) 0 (Obuf.length buf)
   | Some tail, Some _ ->
     (* The gathered header already accounts for the tail's length;
        appending the tail reconstitutes the exact single-buffer frame. *)
     Obuf.add_string buf tail;
-    write_all ?faults:sub.sfaults sub.sfd (Obuf.base buf) 0 (Obuf.length buf)
+    Faults.write_all sub.sfaults sub.sfd (Obuf.base buf) 0 (Obuf.length buf)
   | Some tail, None -> writev_all sub.sfd (Obuf.base buf) (Obuf.length buf) tail
 
 (* Stream one subscriber.  Returns when the hub stops or the socket
@@ -464,7 +454,7 @@ let read_response r fd =
 let send_request fd req =
   let buf = Obuf.create 64 in
   Wire.encode_request buf ~id:0 req;
-  write_all fd (Obuf.base buf) 0 (Obuf.length buf)
+  Faults.write_all None fd (Obuf.base buf) 0 (Obuf.length buf)
 
 (* One session against the primary: Hello, subscribe, stream. *)
 let session r push fd =

@@ -96,13 +96,6 @@ let verify_container path =
 
 let quarantine_dir dir = Filename.concat dir "quarantine"
 
-let seq_of name ~prefix ~suffix =
-  let pl = String.length prefix and sl = String.length suffix in
-  let n = String.length name in
-  if n > pl + sl && String.starts_with ~prefix name && String.ends_with ~suffix name then
-    int_of_string_opt (String.sub name pl (n - pl - sl))
-  else None
-
 let scan ?(max_bytes_per_s = 0) ~dir () =
   let th = throttle max_bytes_per_s in
   let scanned = ref 0 and corrupt = ref [] in
@@ -118,7 +111,7 @@ let scan ?(max_bytes_per_s = 0) ~dir () =
     (fun name ->
       let path = Filename.concat dir name in
       if (not (Filename.check_suffix name ".tmp")) && not (Sys.is_directory path) then
-        match seq_of name ~prefix:"checkpoint-" ~suffix:".index" with
+        match Checkpoint.seq_of name ~prefix:"checkpoint-" ~suffix:".index" with
         | Some seq -> (
           incr scanned;
           match read_file th path with
@@ -128,7 +121,7 @@ let scan ?(max_bytes_per_s = 0) ~dir () =
             | None -> ())
           | exception e -> note name (`Checkpoint seq) (Printexc.to_string e))
         | None -> (
-          match seq_of name ~prefix:"wal-" ~suffix:".log" with
+          match Checkpoint.seq_of name ~prefix:"wal-" ~suffix:".log" with
           | Some seq -> (
             incr scanned;
             match read_file th path with

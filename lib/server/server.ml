@@ -276,28 +276,14 @@ let install state ~serving ~spare =
    no intermediate copy.  Workers and the mutator flush immediately;
    the main domain's inline fast path batches every reply of a frame
    batch and flushes once ([flush_replies]), so a pipelined client
-   costs one [write] per batch instead of one per request. *)
-
-let write_all fd b off len =
-  let stalls = ref 0 in
-  let off = ref off and len = ref len in
-  while !len > 0 do
-    match Unix.write fd b !off !len with
-    | n ->
-      off := !off + n;
-      len := !len - n;
-      stalls := 0
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-      incr stalls;
-      if !stalls > 30 then raise (Unix.Unix_error (EPIPE, "write", "stalled peer"));
-      ignore (Unix.select [] [ fd ] [] 1.0)
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-  done
+   costs one [write] per batch instead of one per request.  Sockets are
+   non-blocking: [Faults.write_all] waits out a full send buffer and
+   gives up on a peer stalled for 30 s, which closes the connection. *)
 
 (* Must be called with [conn.wmu] held. *)
 let flush_locked conn =
   if (not conn.closed) && Obuf.length conn.wbuf > 0 then (
-    try write_all conn.fd (Obuf.base conn.wbuf) 0 (Obuf.length conn.wbuf)
+    try Faults.write_all None conn.fd (Obuf.base conn.wbuf) 0 (Obuf.length conn.wbuf)
     with Unix.Unix_error _ -> conn.closed <- true);
   Obuf.clear conn.wbuf
 

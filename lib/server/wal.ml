@@ -24,52 +24,6 @@ let sync_policy_to_string = function
   | Interval n -> Printf.sprintf "interval:%d" n
 
 (* ------------------------------------------------------------------ *)
-(* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) *)
-
-(* Slicing-by-4: [tables] holds four 256-entry tables back to back;
-   table [k] advances the CRC of a byte by [k] further zero bytes, so
-   one step folds a 32-bit little-endian word with four lookups. *)
-let tables =
-  lazy
-    (let t = Array.make 1024 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-       done;
-       t.(n) <- !c
-     done;
-     for k = 1 to 3 do
-       for n = 0 to 255 do
-         let prev = t.(((k - 1) * 256) + n) in
-         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
-       done
-     done;
-     t)
-
-let crc32 s off len =
-  if len > 0 && (off < 0 || off > String.length s - len) then invalid_arg "Wal.crc32";
-  let t = Lazy.force tables in
-  let c = ref 0xFFFFFFFF in
-  let i = ref off and stop = off + len in
-  while !i + 4 <= stop do
-    let x = !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF) in
-    c :=
-      Array.unsafe_get t (768 + (x land 0xff))
-      lxor Array.unsafe_get t (512 + ((x lsr 8) land 0xff))
-      lxor Array.unsafe_get t (256 + ((x lsr 16) land 0xff))
-      lxor Array.unsafe_get t (x lsr 24);
-    i := !i + 4
-  done;
-  while !i < stop do
-    c :=
-      Array.unsafe_get t ((!c lxor Char.code (String.unsafe_get s !i)) land 0xff)
-      lxor (!c lsr 8);
-    incr i
-  done;
-  !c lxor 0xFFFFFFFF
-
-(* ------------------------------------------------------------------ *)
 (* Payload codec.  Same u8/u16/u32 conventions as Wire, but records
    are self-contained — the WAL must stay readable even if the wire
    protocol moves on. *)
@@ -126,7 +80,7 @@ let encode_mutation buf m =
   encode_payload payload m;
   let p = Buffer.contents payload in
   add_u32 buf (String.length p);
-  add_u32 buf (crc32 p 0 (String.length p));
+  add_u32 buf (Dkindex_graph.Crc32.string p 0 (String.length p));
   Buffer.add_string buf p
 
 exception Bad
@@ -210,16 +164,6 @@ let create ?faults ~sync path =
   let n_bytes = (Unix.fstat fd).st_size in
   { fd; faults; sync_policy = sync; buf = Buffer.create 256; n_records = 0; n_bytes; unsynced = 0 }
 
-let write_all t b off len =
-  let off = ref off and len = ref len in
-  while !len > 0 do
-    match Faults.write t.faults t.fd b !off !len with
-    | n ->
-      off := !off + n;
-      len := !len - n
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-  done
-
 let sync t =
   if t.unsynced > 0 then begin
     Faults.fsync t.faults t.fd;
@@ -230,7 +174,7 @@ let append t m =
   Buffer.clear t.buf;
   encode_mutation t.buf m;
   let b = Buffer.to_bytes t.buf in
-  write_all t b 0 (Bytes.length b);
+  Faults.write_all t.faults t.fd b 0 (Bytes.length b);
   t.n_records <- t.n_records + 1;
   t.n_bytes <- t.n_bytes + Bytes.length b;
   t.unsynced <- t.unsynced + 1;
@@ -263,7 +207,7 @@ let replay_string s =
       let plen = u32 c in
       let crc = u32 c in
       if plen <= 0 || plen > max_payload || !pos + 8 + plen > len then stop := true
-      else if crc32 s (!pos + 8) plen <> crc then stop := true
+      else if Dkindex_graph.Crc32.string s (!pos + 8) plen <> crc then stop := true
       else begin
         let c = { s; limit = !pos + 8 + plen; pos = !pos + 8 } in
         match decode_payload c with

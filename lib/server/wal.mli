@@ -36,13 +36,6 @@ val sync_policy_of_string : string -> (sync_policy, string) result
 
 val sync_policy_to_string : sync_policy -> string
 
-val crc32 : string -> int -> int -> int
-(** [crc32 s off len]: the IEEE CRC-32 of [String.sub s off len]
-    (also the checkpoint sidecar's checksum).  Slicing-by-4, four
-    table lookups per 32-bit word.
-    @raise Invalid_argument if [len > 0] and the range is not within
-    [s]. *)
-
 val encode_mutation : Buffer.t -> mutation -> unit
 (** Append one full record (length + CRC + payload) to [buf]. *)
 

@@ -364,34 +364,29 @@ let rec next t =
     | Content ->
       if t.stack = [] then begin
         t.phase <- Epilog;
-        next_epilog t
+        next t
       end
       else Some (content_event t))
 
-and next_epilog t =
-  skip_misc t;
-  match peek t with
-  | None ->
-    t.phase <- Done;
-    None
-  | Some c -> error t "trailing content after root element (%C)" c
+let iter t emit =
+  let rec go () =
+    match next t with
+    | Some event ->
+      emit event;
+      go ()
+    | None -> ()
+  in
+  go ()
 
-let fold t ~init ~f =
-  let rec go acc = match next t with Some event -> go (f acc event) | None -> acc in
-  go init
-
-let fold_string s ~init ~f = fold (of_string s) ~init ~f
-let fold_channel ic ~init ~f = fold (of_channel ic) ~init ~f
-
-let fold_file path ~init ~f =
+let iter_file path emit =
   let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> fold_channel ic ~init ~f)
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> iter (of_channel ic) emit)
 
-(* Tree <-> event bridges for the streaming datagen path: generators
-   emit events as the primitive, [Collect] rebuilds the tree for the
-   materializing [doc] API, and [emit_tree] lets a generator build a
-   bounded subtree with the ordinary Xml_ast constructors and flush it
-   into the event stream. *)
+(* Tree <-> event bridges: the generators emit events as the primitive,
+   [collect] rebuilds the tree for the materializing [doc] API and for
+   [parse_string], and [emit_tree] lets a generator build a bounded
+   subtree with the ordinary Xml_ast constructors and flush it into the
+   event stream. *)
 
 let emit_tree (root : Xml_ast.element) emit =
   let rec go (el : Xml_ast.element) =
@@ -403,43 +398,41 @@ let emit_tree (root : Xml_ast.element) emit =
   in
   go root
 
-module Collect = struct
-  type frame = {
-    f_tag : string;
-    f_attrs : Xml_ast.attr list;
-    mutable f_children : Xml_ast.node list;  (* reverse document order *)
-  }
+type frame = {
+  f_tag : string;
+  f_attrs : Xml_ast.attr list;
+  mutable f_children : Xml_ast.node list;  (* reverse document order *)
+}
 
-  type t = { mutable stack : frame list; mutable result : Xml_ast.element option }
-
-  let create () = { stack = []; result = None }
-
-  let feed t = function
+let collect events =
+  let stack = ref [] and result = ref None in
+  events (function
     | Start_element { tag; attrs } ->
-      if t.result <> None then invalid_arg "Xml_sax.Collect: second root element";
-      t.stack <- { f_tag = tag; f_attrs = attrs; f_children = [] } :: t.stack
+      if !result <> None then invalid_arg "Xml_sax.collect: second root element";
+      stack := { f_tag = tag; f_attrs = attrs; f_children = [] } :: !stack
     | Text text -> (
-      match t.stack with
+      match !stack with
       | top :: _ -> top.f_children <- Xml_ast.Text text :: top.f_children
-      | [] -> invalid_arg "Xml_sax.Collect: text outside any element")
+      | [] -> invalid_arg "Xml_sax.collect: text outside any element")
     | End_element tag -> (
-      match t.stack with
+      match !stack with
       | top :: rest ->
         if not (String.equal top.f_tag tag) then
-          invalid_arg
-            (Printf.sprintf "Xml_sax.Collect: </%s> closes <%s>" tag top.f_tag);
-        let el =
-          { Xml_ast.tag = top.f_tag; attrs = top.f_attrs; children = List.rev top.f_children }
-        in
-        t.stack <- rest;
+          invalid_arg (Printf.sprintf "Xml_sax.collect: </%s> closes <%s>" tag top.f_tag);
+        let el = { Xml_ast.tag; attrs = top.f_attrs; children = List.rev top.f_children } in
+        stack := rest;
         (match rest with
         | parent :: _ -> parent.f_children <- Xml_ast.Element el :: parent.f_children
-        | [] -> t.result <- Some el)
-      | [] -> invalid_arg "Xml_sax.Collect: end event without a matching start")
+        | [] -> result := Some el)
+      | [] -> invalid_arg "Xml_sax.collect: end event without a matching start"));
+  match (!result, !stack) with
+  | Some root, [] -> { Xml_ast.root }
+  | _, _ :: _ -> invalid_arg "Xml_sax.collect: unclosed element"
+  | None, [] -> invalid_arg "Xml_sax.collect: no events"
 
-  let root t =
-    match (t.result, t.stack) with
-    | Some el, [] -> el
-    | _, _ :: _ -> invalid_arg "Xml_sax.Collect.root: unclosed element"
-    | None, [] -> invalid_arg "Xml_sax.Collect.root: no events fed"
-end
+let parse_string s = collect (iter (of_string s))
+let parse_file path = collect (iter_file path)
+
+let pp_error ppf = function
+  | Parse_error { line; msg } -> Format.fprintf ppf "XML parse error at line %d: %s" line msg
+  | exn -> raise exn

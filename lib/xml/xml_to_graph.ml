@@ -41,92 +41,58 @@ let stream_sink gs =
     sink_add_edge = (fun u v -> GS.add_edge gs u v);
   }
 
-type stream = {
-  s_config : config;
-  s_sink : sink;
-  s_ids : (string, int) Hashtbl.t;
-  mutable s_pending : (int * string) list;  (* (source node, target id string) *)
-  mutable s_stack : int list;
-}
-
-let stream_create ?(config = default_config) sink =
-  {
-    s_config = config;
-    s_sink = sink;
-    s_ids = Hashtbl.create 256;
-    s_pending = [];
-    s_stack = [ sink.sink_root ];
-  }
-
-let stream_feed st (event : Xml_sax.event) =
+(* The one conversion driver: feed the producer's events through the
+   mapping into [sink], then resolve the pending references.  Returns
+   [(n_reference_edges, unresolved_refs)]. *)
+let run ?(config = default_config) sink events =
+  let ids = Hashtbl.create 256 in
+  let pending = ref [] (* (source node, target id string), newest first *)
+  and stack = ref [ sink.sink_root ] in
   let top () =
-    match st.s_stack with
+    match !stack with
     | node :: _ -> node
-    | [] -> invalid_arg "Xml_to_graph.stream_feed: event after the root closed"
+    | [] -> invalid_arg "Xml_to_graph: event after the root closed"
   in
-  match event with
-  | Xml_sax.Start_element { tag; attrs } ->
-    let node = st.s_sink.sink_add_child ~parent:(top ()) tag in
-    List.iter
-      (fun (a : Xml_ast.attr) ->
-        if List.mem a.name st.s_config.id_attrs then Hashtbl.replace st.s_ids a.value node
-        else if List.mem a.name st.s_config.idref_attrs then
-          List.iter
-            (fun target -> st.s_pending <- (node, target) :: st.s_pending)
-            (split_refs a.value)
-        else begin
-          let attr_node = st.s_sink.sink_add_child ~parent:node a.name in
-          ignore (st.s_sink.sink_add_value ~parent:attr_node ~text:(Some a.value))
-        end)
-      attrs;
-    st.s_stack <- node :: st.s_stack
-  | Xml_sax.End_element _ -> (
-    match st.s_stack with
-    | _ :: rest -> st.s_stack <- rest
-    | [] -> invalid_arg "Xml_to_graph.stream_feed: unmatched end event")
-  | Xml_sax.Text text -> ignore (st.s_sink.sink_add_value ~parent:(top ()) ~text:(Some text))
-
-let stream_finish st =
+  events (function
+    | Xml_sax.Start_element { tag; attrs } ->
+      let node = sink.sink_add_child ~parent:(top ()) tag in
+      List.iter
+        (fun (a : Xml_ast.attr) ->
+          if List.mem a.name config.id_attrs then Hashtbl.replace ids a.value node
+          else if List.mem a.name config.idref_attrs then
+            List.iter (fun target -> pending := (node, target) :: !pending) (split_refs a.value)
+          else begin
+            let attr_node = sink.sink_add_child ~parent:node a.name in
+            ignore (sink.sink_add_value ~parent:attr_node ~text:(Some a.value))
+          end)
+        attrs;
+      stack := node :: !stack
+    | Xml_sax.End_element _ -> (
+      match !stack with
+      | _ :: rest -> stack := rest
+      | [] -> invalid_arg "Xml_to_graph: unmatched end event")
+    | Xml_sax.Text text -> ignore (sink.sink_add_value ~parent:(top ()) ~text:(Some text)));
   let unresolved = ref [] and n_refs = ref 0 in
   List.iter
     (fun (source, target) ->
-      match Hashtbl.find_opt st.s_ids target with
+      match Hashtbl.find_opt ids target with
       | Some node ->
-        st.s_sink.sink_add_edge source node;
+        sink.sink_add_edge source node;
         incr n_refs
       | None -> unresolved := target :: !unresolved)
-    st.s_pending;
+    !pending;
   (!n_refs, List.rev !unresolved)
 
-let convert ?config doc =
+let convert ?config events =
   let builder = B.create () in
-  let st = stream_create ?config (builder_sink builder) in
-  Xml_sax.emit_tree doc.Xml_ast.root (stream_feed st);
-  let n_refs, unresolved = stream_finish st in
+  let n_refs, unresolved = run ?config (builder_sink builder) events in
   { graph = B.build builder; n_reference_edges = n_refs; unresolved_refs = unresolved }
 
-let graph_of_doc ?config doc = (convert ?config doc).graph
-
-let convert_events ?config stream =
-  let builder = B.create () in
-  let st = stream_create ?config (builder_sink builder) in
-  Xml_sax.fold stream ~init:() ~f:(fun () event -> stream_feed st event);
-  let n_refs, unresolved = stream_finish st in
-  { graph = B.build builder; n_reference_edges = n_refs; unresolved_refs = unresolved }
-
-let convert_file ?config path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> convert_events ?config (Xml_sax.of_channel ic))
+let convert_file ?config path = convert ?config (Xml_sax.iter_file path)
 
 let stream_to_container ?config ?mem_budget ?tmp_dir ~path events =
   let gs = GS.create ?mem_budget ?tmp_dir ~path () in
-  match
-    let st = stream_create ?config (stream_sink gs) in
-    events (stream_feed st);
-    stream_finish st
-  with
+  match run ?config (stream_sink gs) events with
   | stats ->
     GS.finish gs;
     stats

@@ -27,58 +27,17 @@ type result = {
   unresolved_refs : string list;  (** referenced ids that were never defined *)
 }
 
-val convert : ?config:config -> Xml_ast.doc -> result
+val convert : ?config:config -> ((Xml_sax.event -> unit) -> unit) -> result
+(** [convert events] runs the mapping over the events that the
+    producer [events emit] feeds to [emit], straight into the graph
+    builder: peak memory is the graph plus whatever the producer
+    holds.  Producers include {!Xml_sax.iter} over a parser,
+    {!Xml_sax.emit_tree} over a materialized tree, and the dataset
+    generators' [events].
+    @raise Invalid_argument on events outside the root element. *)
 
-val graph_of_doc : ?config:config -> Xml_ast.doc -> Dkindex_graph.Data_graph.t
-(** [convert] keeping only the graph. *)
-
-(** {1 Streaming}
-
-    Bulk loading without materializing the document: events from
-    {!Xml_sax} feed the graph builder directly, so peak memory is the
-    graph plus a constant lexer buffer. *)
-
-val convert_events : ?config:config -> Xml_sax.t -> result
 val convert_file : ?config:config -> string -> result
-(** Stream-parse an XML file.  Produces exactly the same graph as
-    [convert (Xml_parser.parse_file path)]. *)
-
-(** {1 Out-of-core}
-
-    The conversion pass decoupled from its destination: a {!sink}
-    receives nodes and edges, and the event consumer
-    ({!stream_create} / {!stream_feed} / {!stream_finish}) performs
-    exactly the mapping above against whichever sink it is given.
-    [convert] and [convert_events] are this pass over a
-    {!builder_sink}; {!stream_to_container} runs it over a
-    {!Dkindex_graph.Graph_stream} sink, writing a container file
-    without materializing the graph.  Node ids are allocated in call
-    order by both sinks, so the two destinations yield identical
-    graphs — byte-identical container files, per
-    {!Dkindex_graph.Graph_stream}. *)
-
-type sink = {
-  sink_root : int;
-  sink_add_child : parent:int -> string -> int;
-  sink_add_value : parent:int -> text:string option -> int;
-  sink_add_edge : int -> int -> unit;
-}
-
-val builder_sink : Dkindex_graph.Builder.t -> sink
-val stream_sink : Dkindex_graph.Graph_stream.t -> sink
-
-type stream
-(** An in-progress conversion: element stack, id table and pending
-    references. *)
-
-val stream_create : ?config:config -> sink -> stream
-
-val stream_feed : stream -> Xml_sax.event -> unit
-(** @raise Invalid_argument on events outside the root element. *)
-
-val stream_finish : stream -> int * string list
-(** Resolve pending references (adding the reference edges) and return
-    [(n_reference_edges, unresolved_refs)]. *)
+(** [convert] over {!Xml_sax.iter_file}: stream-parse an XML file. *)
 
 val stream_to_container :
   ?config:config ->
@@ -87,9 +46,10 @@ val stream_to_container :
   path:string ->
   ((Xml_sax.event -> unit) -> unit) ->
   int * string list
-(** [stream_to_container ~path events] feeds the events that
-    [events emit] produces through the conversion into a
-    {!Dkindex_graph.Graph_stream} and finishes the container at
-    [path].  Returns [(n_reference_edges, unresolved_refs)].  On any
-    exception the partial output is aborted and the exception
-    reraised. *)
+(** The same mapping over a {!Dkindex_graph.Graph_stream}:
+    [stream_to_container ~path events] writes a container file at
+    [path] without materializing the graph.  Node ids are allocated in
+    call order by both the builder and the stream, so the file is
+    byte-identical to saving [(convert events).graph].  Returns
+    [(n_reference_edges, unresolved_refs)].  On any exception the
+    partial output is aborted and the exception reraised. *)

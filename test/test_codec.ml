@@ -1,4 +1,4 @@
-(* The text index codec and the WAL checksum against fixed bytes and
+(* The text index codec and the shared CRC-32 against fixed bytes and
    against their reference implementations (Ref_codec).
 
    - Goldens: the MD5 of Index_serial.to_string for the Golden_inputs
@@ -13,7 +13,8 @@
      and their references, and what both accept must re-encode to the
      same bytes.  A failure prints its seed.
    - CRC-32: the standard check value, and agreement with the
-     byte-at-a-time reference on random substrings. *)
+     byte-at-a-time reference on random substrings, whole and fed to
+     [Crc32.update] in chunks split at random points. *)
 
 open Dkindex_core
 open Testlib
@@ -306,25 +307,43 @@ let differential_tests =
 (* ----------------------------------------------------------------- *)
 (* CRC-32 *)
 
+module Crc32 = Dkindex_graph.Crc32
+
+(* The CRC of [s]'s window [off, off + len) chained through
+   [Crc32.update] over the consecutive chunks that [cuts] (offsets into
+   the window, any order, any multiplicity) split it into. *)
+let chunked_crc s off len cuts =
+  let b = Bytes.of_string s in
+  let cuts = List.sort_uniq Int.compare (List.map (fun c -> c mod (len + 1)) cuts) in
+  let crc, last =
+    List.fold_left
+      (fun (crc, from) cut -> (Crc32.update crc b (off + from) (cut - from), cut))
+      (0, 0) cuts
+  in
+  Crc32.update crc b (off + last) (len - last)
+
 let crc_prop =
   QCheck.Test.make ~count:500 ~name:"slicing-by-4 CRC = byte-at-a-time CRC"
-    QCheck.(triple string small_nat small_nat)
-    (fun (s, a, b) ->
+    QCheck.(quad string small_nat small_nat (small_list small_nat))
+    (fun (s, a, b, cuts) ->
       let off = a mod (String.length s + 1) in
       let len = b mod (String.length s - off + 1) in
-      Wal.crc32 s off len = Ref_codec.crc32 s off len)
+      let reference = Ref_codec.crc32 s off len in
+      Crc32.string s off len = reference && chunked_crc s off len cuts = reference)
 
 let crc_tests =
   [
     test "check value" (fun () ->
-        check_int "crc32 \"123456789\"" 0xCBF43926 (Wal.crc32 "123456789" 0 9);
-        check_int "empty" 0 (Wal.crc32 "" 0 0);
-        check_int "window" (Ref_codec.crc32 "xx123456789yy" 2 9) (Wal.crc32 "xx123456789yy" 2 9));
+        check_int "crc32 \"123456789\"" 0xCBF43926 (Crc32.string "123456789" 0 9);
+        check_int "empty" 0 (Crc32.string "" 0 0);
+        check_int "window" (Ref_codec.crc32 "xx123456789yy" 2 9) (Crc32.string "xx123456789yy" 2 9);
+        check_int "two chunks" 0xCBF43926
+          (Crc32.update (Crc32.string "1234" 0 4) (Bytes.of_string "56789") 0 5));
     test "out-of-range windows are rejected" (fun () ->
         List.iter
           (fun (off, len) ->
             check_bool (Printf.sprintf "off %d len %d" off len) true
-              (match Wal.crc32 "abcdef" off len with
+              (match Crc32.string "abcdef" off len with
               | _ -> false
               | exception Invalid_argument _ -> true))
           [ (-1, 2); (5, 2); (0, 7); (7, 1) ]);

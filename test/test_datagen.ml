@@ -2,6 +2,19 @@ open Dkindex_datagen
 open Testlib
 module Data_graph = Dkindex_graph.Data_graph
 module Label = Dkindex_graph.Label
+module Xml_sax = Dkindex_xml.Xml_sax
+module Xml_to_graph = Dkindex_xml.Xml_to_graph
+
+(* [graph] feeds the generator's events straight into the builder; the
+   tree route collects the same events into a document ([doc]), replays
+   it and converts that.  Both must give the same graph, byte for
+   byte. *)
+let graph_is_tree_route ~config ~doc ~graph =
+  let tree : Dkindex_xml.Xml_ast.doc = doc () in
+  let via_tree = (Xml_to_graph.convert ~config (Xml_sax.emit_tree tree.root)).graph in
+  check_string "Serial.to_string"
+    (Dkindex_graph.Serial.to_string via_tree)
+    (Dkindex_graph.Serial.to_string (graph ()))
 
 let prng_tests =
   [
@@ -109,9 +122,7 @@ let xmark_tests =
         let small = Xmark.graph ~seed:1 ~scale:10 () and big = Xmark.graph ~seed:1 ~scale:40 () in
         check_bool "monotone" true (Data_graph.n_nodes big > 2 * Data_graph.n_nodes small));
     test "no unresolved references, fully reachable" (fun () ->
-        let result =
-          Dkindex_xml.Xml_to_graph.convert ~config:Xmark.config (Xmark.doc ~seed:2 ~scale:20 ())
-        in
+        let result = Xml_to_graph.convert ~config:Xmark.config (Xmark.events ~seed:2 ~scale:20) in
         check_int "unresolved" 0 (List.length result.Dkindex_xml.Xml_to_graph.unresolved_refs);
         check_bool "has references" true (result.Dkindex_xml.Xml_to_graph.n_reference_edges > 0);
         check_int "unreachable" 0
@@ -124,6 +135,10 @@ let xmark_tests =
             "category"; "bidder"; "itemref"; "VALUE" ]);
     test "every declared ref pair occurs in the data" (fun () ->
         ref_edges_exist (Xmark.graph ~seed:2 ~scale:30 ()) Xmark.ref_pairs);
+    test "graph equals the document tree route" (fun () ->
+        graph_is_tree_route ~config:Xmark.config
+          ~doc:(Xmark.doc ~seed:2 ~scale:20)
+          ~graph:(Xmark.graph ~seed:2 ~scale:20));
   ]
 
 let nasa_tests =
@@ -132,9 +147,7 @@ let nasa_tests =
         let a = Nasa.doc ~seed:3 ~scale:5 () and b = Nasa.doc ~seed:3 ~scale:5 () in
         check_bool "equal docs" true (Dkindex_xml.Xml_ast.equal_doc a b));
     test "no unresolved references, fully reachable" (fun () ->
-        let result =
-          Dkindex_xml.Xml_to_graph.convert ~config:Nasa.config (Nasa.doc ~seed:2 ~scale:20 ())
-        in
+        let result = Xml_to_graph.convert ~config:Nasa.config (Nasa.events ~seed:2 ~scale:20) in
         check_int "unresolved" 0 (List.length result.Dkindex_xml.Xml_to_graph.unresolved_refs);
         check_int "unreachable" 0
           (Data_graph.stats result.Dkindex_xml.Xml_to_graph.graph).Data_graph.unreachable);
@@ -151,6 +164,10 @@ let nasa_tests =
           (fun l -> check_bool l true (contains_label g l))
           [ "datasets"; "dataset"; "reference"; "source"; "history"; "tableHead";
             "field"; "definition"; "para" ]);
+    test "graph equals the document tree route" (fun () ->
+        graph_is_tree_route ~config:Nasa.config
+          ~doc:(Nasa.doc ~seed:2 ~scale:20)
+          ~graph:(Nasa.graph ~seed:2 ~scale:20));
   ]
 
 let treebank_tests =
@@ -158,9 +175,8 @@ let treebank_tests =
     test "deterministic and loadable" (fun () ->
         let a = Treebank.doc ~seed:3 ~scale:5 () and b = Treebank.doc ~seed:3 ~scale:5 () in
         check_bool "equal" true (Dkindex_xml.Xml_ast.equal_doc a b);
-        let result =
-          Dkindex_xml.Xml_to_graph.convert ~config:Treebank.config (Treebank.doc ~seed:2 ~scale:20 ())
-        in
+        let doc = Treebank.doc ~seed:2 ~scale:20 () in
+        let result = Xml_to_graph.convert ~config:Treebank.config (Xml_sax.emit_tree doc.root) in
         check_int "unresolved" 0 (List.length result.Dkindex_xml.Xml_to_graph.unresolved_refs);
         check_int "unreachable" 0
           (Data_graph.stats result.Dkindex_xml.Xml_to_graph.graph).Data_graph.unreachable);

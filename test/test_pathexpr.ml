@@ -214,60 +214,6 @@ let nfa_tests =
           exprs);
   ]
 
-let dfa_tests =
-  let pool = Label.Pool.create () in
-  let l name = Label.Pool.intern pool name in
-  let a = l "a" and b = l "b" and c = l "c" in
-  [
-    test "DFA accepts exactly what the NFA accepts" (fun () ->
-        let exprs =
-          List.map parse [ "a"; "a.b"; "a|b"; "a*"; "a?.b"; "(a|b).c"; "a.(b.c)*"; "_.b"; "a.(b|c)*.b" ]
-        in
-        let alphabet = [ a; b; c ] in
-        let words =
-          let rec gen n =
-            if n = 0 then [ [] ]
-            else List.concat_map (fun w -> List.map (fun s -> s :: w) alphabet) (gen (n - 1))
-          in
-          List.concat_map gen [ 0; 1; 2; 3; 4 ]
-        in
-        List.iter
-          (fun expr ->
-            let nfa = Nfa.compile pool expr in
-            let dfa = Dfa.compile pool expr in
-            List.iter
-              (fun word ->
-                check_bool
-                  (Path_ast.to_string expr)
-                  (Nfa.accepts_word nfa word) (Dfa.accepts_word dfa word))
-              words)
-          exprs);
-    test "dead state stays dead" (fun () ->
-        let dfa = Dfa.compile pool (parse "a.b") in
-        let s = Dfa.step dfa (Dfa.start dfa) c in
-        check_int "dead" (-1) s;
-        check_int "still dead" (-1) (Dfa.step dfa s a);
-        check_bool "not accepting" false (Dfa.accepting dfa (-1)));
-    test "determinization is capped" (fun () ->
-        check_bool "raises" true
-          (match Dfa.compile ~max_states:1 pool (parse "a.b.c") with
-          | _ -> false
-          | exception Dfa.Too_large _ -> true));
-    test "eval_dfa equals eval_nfa on graphs" (fun () ->
-        List.iter
-          (fun seed ->
-            let g = random_graph ~seed ~nodes:150 in
-            let gpool = Data_graph.pool g in
-            List.iter
-              (fun src ->
-                let expr = parse src in
-                let by_nfa = Matcher.eval_nfa g (Nfa.compile gpool expr) ~cost:(Cost.create ()) in
-                let by_dfa = Matcher.eval_dfa g (Dfa.compile gpool expr) ~cost:(Cost.create ()) in
-                check_int_list src by_nfa by_dfa)
-              [ "l0.l1"; "l0.(l1|l2)*"; "_.l3?"; "l2.l0.l1|l4" ])
-          [ 301; 302; 303 ]);
-  ]
-
 let matcher_tests =
   [
     test "eval_label_path on the movie graph" (fun () ->
@@ -357,7 +303,6 @@ let () =
       ("ast", ast_tests);
       ("bitset", bitset_tests);
       ("nfa", nfa_tests);
-      ("dfa", dfa_tests);
       ("matcher", matcher_tests);
       ("cost", cost_tests);
     ]

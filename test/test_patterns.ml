@@ -295,9 +295,9 @@ let value_tests =
             check_int_list "exact" expected r.Query_eval.nodes)
           [ Label_split.build g; One_index.build g; Fb_index.build g ]);
     test "xml text round-trips into payloads" (fun () ->
-        let doc = Dkindex_xml.Xml_parser.parse_string
+        let doc = Dkindex_xml.Xml_sax.parse_string
             {|<catalog><book genre="fiction"><title>Dune</title></book></catalog>|} in
-        let g = Dkindex_xml.Xml_to_graph.graph_of_doc doc in
+        let g = (Dkindex_xml.Xml_to_graph.convert (Dkindex_xml.Xml_sax.emit_tree doc.root)).graph in
         check_int_list "by title" (eval_data g {|//book[./title[.="Dune"]]|})
           (eval_data g "//book");
         check_int_list "by attribute" (eval_data g {|//book[./genre[.="fiction"]]|})
@@ -306,7 +306,8 @@ let value_tests =
     test "streaming loader also records payloads" (fun () ->
         let text = {|<a><b>hello</b></a>|} in
         let g =
-          (Dkindex_xml.Xml_to_graph.convert_events (Dkindex_xml.Xml_sax.of_string text)).Dkindex_xml.Xml_to_graph.graph
+          (Dkindex_xml.Xml_to_graph.convert
+             (Dkindex_xml.Xml_sax.iter (Dkindex_xml.Xml_sax.of_string text))).graph
         in
         check_int_list "match" (eval_data g {|//b[.="hello"]|}) (eval_data g "//b"));
     test "has_value_test" (fun () ->

@@ -71,21 +71,6 @@ let prop_nfa_matches_reference =
       let codes = List.map (fun n -> Option.get (Label.Pool.find_opt pool n)) word in
       Nfa.accepts_word nfa codes = word_in_lang expr word)
 
-let prop_dfa_matches_nfa =
-  QCheck.Test.make ~count:300 ~name:"DFA acceptance = NFA acceptance"
-    (QCheck.pair expr_arb (QCheck.make ~print:(String.concat ".") word_gen))
-    (fun (expr, word) ->
-      let pool = Label.Pool.create () in
-      for i = 0 to 3 do
-        ignore (Label.Pool.intern pool (Printf.sprintf "l%d" i))
-      done;
-      let codes = List.map (fun n -> Option.get (Label.Pool.find_opt pool n)) word in
-      match Dkindex_pathexpr.Dfa.compile ~max_states:2000 pool expr with
-      | dfa ->
-        Dkindex_pathexpr.Dfa.accepts_word dfa codes
-        = Nfa.accepts_word (Nfa.compile pool expr) codes
-      | exception Dkindex_pathexpr.Dfa.Too_large _ -> true)
-
 let prop_pp_parse_roundtrip =
   (* Reparsing can re-associate Alt/Seq chains, so require the printed
      form to be a fixpoint rather than the AST itself. *)
@@ -351,7 +336,7 @@ let prop_xml_roundtrip =
         Xml_ast.element ~attrs tag children
       in
       let doc = { Xml_ast.root = element 3 } in
-      Xml_ast.equal_doc doc (Xml_parser.parse_string (Xml_writer.doc_to_string doc)))
+      Xml_ast.equal_doc doc (Xml_sax.parse_string (Xml_writer.doc_to_string doc)))
 
 (* Random tree patterns over l0..l3 with child/descendant axes and
    nested predicates. *)
@@ -604,8 +589,8 @@ let prop_sax_equals_dom =
       in
       let doc = { Xml_ast.root = element 3 } in
       let text = Xml_writer.doc_to_string doc in
-      let dom = Xml_to_graph.convert doc in
-      let sax = Xml_to_graph.convert_events (Xml_sax.of_string text) in
+      let dom = Xml_to_graph.convert (Xml_sax.emit_tree doc.root) in
+      let sax = Xml_to_graph.convert (Xml_sax.iter (Xml_sax.of_string text)) in
       Dkindex_graph.Serial.to_string dom.Xml_to_graph.graph
       = Dkindex_graph.Serial.to_string sax.Xml_to_graph.graph)
 
@@ -686,37 +671,15 @@ let fuzz_gen =
                   "<![CDATA["; "]]>"; "<?pi?>"; "\""; "'"; "<"; "/>"; "<a/>"; " " ]));
       ])
 
-let prop_parser_total =
-  QCheck.Test.make ~count:500 ~name:"DOM parser: garbage in, Parse_error (or a doc) out"
-    (QCheck.make ~print:String.escaped fuzz_gen)
-    (fun src ->
-      match Dkindex_xml.Xml_parser.parse_string src with
-      | _ -> true
-      | exception Dkindex_xml.Xml_parser.Parse_error _ -> true)
-
 let prop_sax_total =
   QCheck.Test.make ~count:500 ~name:"SAX parser: garbage in, Parse_error (or events) out"
     (QCheck.make ~print:String.escaped fuzz_gen)
     (fun src ->
-      match Dkindex_xml.Xml_sax.fold_string src ~init:0 ~f:(fun n _ -> n + 1) with
+      (* parse_string collects the events into a tree: the property
+         also covers [collect] on whatever the tokenizer accepts *)
+      match Dkindex_xml.Xml_sax.parse_string src with
       | _ -> true
       | exception Dkindex_xml.Xml_sax.Parse_error _ -> true)
-
-let prop_parsers_agree_on_acceptance =
-  QCheck.Test.make ~count:500 ~name:"DOM and SAX accept exactly the same inputs"
-    (QCheck.make ~print:String.escaped fuzz_gen)
-    (fun src ->
-      let dom_ok =
-        match Dkindex_xml.Xml_parser.parse_string src with
-        | _ -> true
-        | exception Dkindex_xml.Xml_parser.Parse_error _ -> false
-      in
-      let sax_ok =
-        match Dkindex_xml.Xml_sax.fold_string src ~init:0 ~f:(fun n _ -> n + 1) with
-        | _ -> true
-        | exception Dkindex_xml.Xml_sax.Parse_error _ -> false
-      in
-      dom_ok = sax_ok)
 
 let prop_path_parser_total =
   QCheck.Test.make ~count:500 ~name:"path expression parser is total"
@@ -740,7 +703,7 @@ let () =
   Alcotest.run "properties"
     [
       ( "pathexpr",
-        List.map to_alcotest [ prop_nfa_matches_reference; prop_dfa_matches_nfa; prop_pp_parse_roundtrip; prop_bitset_vs_set ] );
+        List.map to_alcotest [ prop_nfa_matches_reference; prop_pp_parse_roundtrip; prop_bitset_vs_set ] );
       ("graph", List.map to_alcotest [ prop_serial_roundtrip; prop_xml_roundtrip; prop_sax_equals_dom ]);
       ( "index",
         List.map to_alcotest
@@ -760,9 +723,7 @@ let () =
       ( "fuzz",
         List.map to_alcotest
           [
-            prop_parser_total;
             prop_sax_total;
-            prop_parsers_agree_on_acceptance;
             prop_path_parser_total;
             prop_pattern_parser_total;
           ] );

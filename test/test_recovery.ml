@@ -375,7 +375,7 @@ let test_crash_during_checkpoint () =
        sidecar; the crash must land inside the *second* snapshot. *)
     let sidecar_bytes =
       String.length
-        (Printf.sprintf "%d %d\n" (Wal.crc32 s0 0 cp_bytes) cp_bytes)
+        (Printf.sprintf "%d %d\n" (Dkindex_graph.Crc32.string s0 0 cp_bytes) cp_bytes)
     in
     let faults = Faults.create (Faults.Crash_after_bytes (cp_bytes + sidecar_bytes + 7)) in
     let cfg = { (Checkpoint.default_config ~dir) with checkpoint_records = 1000 } in

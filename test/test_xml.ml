@@ -1,9 +1,12 @@
 open Dkindex_xml
 open Testlib
 
-let parse = Xml_parser.parse_string
+let parse = Xml_sax.parse_string
 
 let root_of s = (parse s).Xml_ast.root
+
+(* The parser's events streamed straight into the graph builder. *)
+let load ?config src = Xml_to_graph.convert ?config (Xml_sax.iter (Xml_sax.of_string src))
 
 let parser_tests =
   [
@@ -53,26 +56,26 @@ let parser_tests =
         check_bool "raises" true
           (match parse "<a><b></a></b>" with
           | _ -> false
-          | exception Xml_parser.Parse_error _ -> true));
+          | exception Xml_sax.Parse_error _ -> true));
     test "unterminated element is an error" (fun () ->
         check_bool "raises" true
           (match parse "<a><b>" with
           | _ -> false
-          | exception Xml_parser.Parse_error _ -> true));
+          | exception Xml_sax.Parse_error _ -> true));
     test "trailing content is an error" (fun () ->
         check_bool "raises" true
           (match parse "<a/><b/>" with
           | _ -> false
-          | exception Xml_parser.Parse_error _ -> true));
+          | exception Xml_sax.Parse_error _ -> true));
     test "unknown entity is an error" (fun () ->
         check_bool "raises" true
           (match parse "<a>&nope;</a>" with
           | _ -> false
-          | exception Xml_parser.Parse_error _ -> true));
+          | exception Xml_sax.Parse_error _ -> true));
     test "error carries a line number" (fun () ->
         match parse "<a>\n<b>\n</c>\n</a>" with
         | _ -> Alcotest.fail "should fail"
-        | exception Xml_parser.Parse_error { line; _ } -> check_bool "line >= 3" true (line >= 3));
+        | exception Xml_sax.Parse_error { line; _ } -> check_bool "line >= 3" true (line >= 3));
     test "names can contain colon dash dot digits" (fun () ->
         let el = root_of "<ns:a-b.c2/>" in
         check_string "tag" "ns:a-b.c2" el.Xml_ast.tag);
@@ -102,20 +105,20 @@ let writer_tests =
                 ];
           }
         in
-        let doc' = Xml_parser.parse_string (Xml_writer.doc_to_string doc) in
+        let doc' = Xml_sax.parse_string (Xml_writer.doc_to_string doc) in
         check_bool "equal" true (Xml_ast.equal_doc doc doc'));
     test "round trip: generated XMark document" (fun () ->
         let doc = Dkindex_datagen.Xmark.doc ~seed:9 ~scale:5 () in
-        let doc' = Xml_parser.parse_string (Xml_writer.doc_to_string doc) in
+        let doc' = Xml_sax.parse_string (Xml_writer.doc_to_string doc) in
         check_int "elements" (Xml_ast.n_elements doc) (Xml_ast.n_elements doc');
         check_bool "equal" true (Xml_ast.equal_doc doc doc'));
     test "round trip: generated NASA document" (fun () ->
         let doc = Dkindex_datagen.Nasa.doc ~seed:9 ~scale:5 () in
-        let doc' = Xml_parser.parse_string (Xml_writer.doc_to_string doc) in
+        let doc' = Xml_sax.parse_string (Xml_writer.doc_to_string doc) in
         check_bool "equal" true (Xml_ast.equal_doc doc doc'));
     test "compact mode also round trips" (fun () ->
         let doc = Dkindex_datagen.Xmark.doc ~seed:10 ~scale:3 () in
-        let doc' = Xml_parser.parse_string (Xml_writer.doc_to_string ~indent:false doc) in
+        let doc' = Xml_sax.parse_string (Xml_writer.doc_to_string ~indent:false doc) in
         check_bool "equal" true (Xml_ast.equal_doc doc doc'));
   ]
 
@@ -145,19 +148,19 @@ let to_graph_tests =
   let module G = Dkindex_graph.Data_graph in
   [
     test "elements become labeled nodes under ROOT" (fun () ->
-        let g = Xml_to_graph.graph_of_doc (parse "<a><b/><b/></a>") in
+        let g = (load "<a><b/><b/></a>").Xml_to_graph.graph in
         check_int "nodes: ROOT a b b" 4 (G.n_nodes g);
         check_string "root" "ROOT" (G.label_name g 0);
         check_string "doc root" "a" (G.label_name g 1));
     test "text becomes VALUE leaves" (fun () ->
-        let g = Xml_to_graph.graph_of_doc (parse "<a>hi<b>there</b></a>") in
+        let g = (load "<a>hi<b>there</b></a>").Xml_to_graph.graph in
         let values =
           G.fold_nodes g ~init:0 ~f:(fun acc u ->
               if String.equal (G.label_name g u) "VALUE" then acc + 1 else acc)
         in
         check_int "values" 2 values);
     test "plain attributes become name + VALUE nodes" (fun () ->
-        let g = Xml_to_graph.graph_of_doc (parse {|<a size="3"/>|}) in
+        let g = (load {|<a size="3"/>|}).Xml_to_graph.graph in
         (* ROOT, a, size, VALUE *)
         check_int "nodes" 4 (G.n_nodes g);
         let size =
@@ -167,10 +170,10 @@ let to_graph_tests =
         check_bool "size exists" true (size >= 0);
         check_int "value child" 1 (G.out_degree g size));
     test "id attributes register, not materialize" (fun () ->
-        let g = Xml_to_graph.graph_of_doc (parse {|<a id="x"/>|}) in
+        let g = (load {|<a id="x"/>|}).Xml_to_graph.graph in
         check_int "nodes: ROOT a" 2 (G.n_nodes g));
     test "idref creates a reference edge" (fun () ->
-        let result = Xml_to_graph.convert (parse {|<a><b id="t"/><c ref="t"/></a>|}) in
+        let result = load {|<a><b id="t"/><c ref="t"/></a>|} in
         let g = result.Xml_to_graph.graph in
         check_int "ref edges" 1 result.Xml_to_graph.n_reference_edges;
         let find l =
@@ -179,35 +182,37 @@ let to_graph_tests =
         in
         check_bool "c -> b" true (G.has_edge g (find "c") (find "b")));
     test "IDREFS values split on spaces" (fun () ->
-        let result =
-          Xml_to_graph.convert (parse {|<a><b id="t1"/><b id="t2"/><c ref="t1 t2"/></a>|})
-        in
+        let result = load {|<a><b id="t1"/><b id="t2"/><c ref="t1 t2"/></a>|} in
         check_int "two edges" 2 result.Xml_to_graph.n_reference_edges);
     test "unresolved references are reported" (fun () ->
-        let result = Xml_to_graph.convert (parse {|<a><c ref="ghost"/></a>|}) in
+        let result = load {|<a><c ref="ghost"/></a>|} in
         check_string_list "unresolved" [ "ghost" ] result.Xml_to_graph.unresolved_refs;
         check_int "no edge" 0 result.Xml_to_graph.n_reference_edges);
     test "custom config renames id/idref attributes" (fun () ->
         let config = { Xml_to_graph.id_attrs = [ "key" ]; idref_attrs = [ "to" ] } in
-        let result =
-          Xml_to_graph.convert ~config (parse {|<a><b key="k"/><c to="k"/></a>|})
-        in
+        let result = load ~config {|<a><b key="k"/><c to="k"/></a>|} in
         check_int "edge" 1 result.Xml_to_graph.n_reference_edges);
     test "default idref names are not special under custom config" (fun () ->
         let config = { Xml_to_graph.id_attrs = [ "id" ]; idref_attrs = [ "to" ] } in
-        let result = Xml_to_graph.convert ~config (parse {|<a><b id="k"/><c ref="k"/></a>|}) in
+        let result = load ~config {|<a><b id="k"/><c ref="k"/></a>|} in
         (* ref becomes an ordinary attribute: a node + VALUE. *)
         check_int "no ref edge" 0 result.Xml_to_graph.n_reference_edges;
         check_int "nodes: ROOT a b c ref VALUE" 6 (G.n_nodes result.Xml_to_graph.graph));
     test "whole graph stays reachable from ROOT" (fun () ->
-        let g = Xml_to_graph.graph_of_doc ~config:Dkindex_datagen.Xmark.config
-            (Dkindex_datagen.Xmark.doc ~seed:5 ~scale:10 ()) in
+        let g = (Xml_to_graph.convert ~config:Dkindex_datagen.Xmark.config
+                   (Dkindex_datagen.Xmark.events ~seed:5 ~scale:10)).graph in
         check_int "unreachable" 0 (G.stats g).G.unreachable);
   ]
 
 let sax_events src =
-  List.rev
-    (Xml_sax.fold_string src ~init:[] ~f:(fun acc e -> e :: acc))
+  let events = ref [] in
+  Xml_sax.iter (Xml_sax.of_string src) (fun e -> events := e :: !events);
+  List.rev !events
+
+let count_events ?(keep = fun _ -> true) stream =
+  let n = ref 0 in
+  Xml_sax.iter stream (fun e -> if keep e then incr n);
+  !n
 
 let sax_tests =
   [
@@ -262,8 +267,8 @@ let sax_tests =
               ~finally:(fun () -> close_in ic)
               (fun () ->
                 let stream = Xml_sax.of_channel ~buffer_size:64 ic in
-                let from_chan = Xml_sax.fold stream ~init:0 ~f:(fun n _ -> n + 1) in
-                let from_string = Xml_sax.fold_string text ~init:0 ~f:(fun n _ -> n + 1) in
+                let from_chan = count_events stream in
+                let from_string = count_events (Xml_sax.of_string text) in
                 check_int "same event count" from_string from_chan)));
     test "tokens larger than the buffer force growth, not failure" (fun () ->
         let big = String.make 1000 'x' in
@@ -281,7 +286,7 @@ let sax_tests =
               (fun () ->
                 let stream = Xml_sax.of_channel ~buffer_size:64 ic in
                 let texts = ref [] in
-                Xml_sax.fold stream ~init:() ~f:(fun () e ->
+                Xml_sax.iter stream (fun e ->
                     match e with
                     | Xml_sax.Text t -> texts := t :: !texts
                     | Xml_sax.Start_element { attrs = [ { Xml_ast.value; _ } ]; _ } ->
@@ -292,16 +297,17 @@ let sax_tests =
         let doc = Dkindex_datagen.Nasa.doc ~seed:14 ~scale:3 () in
         let text = Xml_writer.doc_to_string doc in
         let starts =
-          Xml_sax.fold_string text ~init:0 ~f:(fun n e ->
-              match e with Xml_sax.Start_element _ -> n + 1 | _ -> n)
+          count_events (Xml_sax.of_string text) ~keep:(function
+            | Xml_sax.Start_element _ -> true
+            | _ -> false)
         in
         check_int "elements" (Xml_ast.n_elements doc) starts);
     test "streaming loader builds the identical graph" (fun () ->
         let doc = Dkindex_datagen.Xmark.doc ~seed:15 ~scale:5 () in
         let text = Xml_writer.doc_to_string doc in
         let config = Dkindex_datagen.Xmark.config in
-        let via_dom = Xml_to_graph.convert ~config doc in
-        let via_sax = Xml_to_graph.convert_events ~config (Xml_sax.of_string text) in
+        let via_dom = Xml_to_graph.convert ~config (Xml_sax.emit_tree doc.root) in
+        let via_sax = Xml_to_graph.convert ~config (Xml_sax.iter (Xml_sax.of_string text)) in
         let module G = Dkindex_graph.Data_graph in
         check_int "ref edges" via_dom.Xml_to_graph.n_reference_edges
           via_sax.Xml_to_graph.n_reference_edges;
@@ -317,7 +323,8 @@ let sax_tests =
             Xml_writer.write_file path doc;
             let config = Dkindex_datagen.Nasa.config in
             let streamed = Xml_to_graph.convert_file ~config path in
-            let dom = Xml_to_graph.convert ~config (Xml_parser.parse_file path) in
+            let tree = Xml_sax.parse_file path in
+            let dom = Xml_to_graph.convert ~config (Xml_sax.emit_tree tree.root) in
             check_string "identical"
               (Dkindex_graph.Serial.to_string dom.Xml_to_graph.graph)
               (Dkindex_graph.Serial.to_string streamed.Xml_to_graph.graph)));
