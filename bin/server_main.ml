@@ -206,7 +206,7 @@ let serve host port xmark seed load workers queue_depth deadline idle snapshot d
     | None, None ->
       Printf.printf "dkindex-server: building pinned XMark dataset (scale %d, seed %d)\n%!"
         xmark seed;
-      (Dkindex_server.Dataset.make ~seed ~scale:xmark ()).index
+      Dkindex_server.Dataset.index ~seed ~scale:xmark
   in
   let index, durability =
     match data_dir with

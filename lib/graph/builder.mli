@@ -2,7 +2,12 @@
 
     A builder accumulates nodes and edges and produces an immutable
     {!Data_graph.t}.  The first node added becomes the root and should
-    carry the label {!Label.root_name}; {!create} adds it for you. *)
+    carry the label {!Label.root_name}; {!create} adds it for you.
+    Node ids are allocated in call order and label codes in the order
+    labels are first interned.  Label codes and edge endpoints are
+    kept in growable flat int arrays, so adding a node or an edge
+    boxes nothing (the storage doubles now and then); edge endpoints
+    are range-checked only by {!build}. *)
 
 type t
 
@@ -26,12 +31,18 @@ val add_value : ?text:string -> t -> parent:int -> int
     optionally recording its payload. *)
 
 val set_value : t -> int -> string -> unit
-(** Record (or overwrite) an atomic payload on an existing node. *)
+(** Record an atomic payload on an existing node.  The first payload
+    recorded for a node (by [set_value] or {!add_value}'s [text]) wins;
+    a later [set_value] on the same node is ignored, as in
+    {!Graph_stream.set_value}. *)
 
 val add_edge : t -> int -> int -> unit
 val n_nodes : t -> int
 val pool : t -> Label.Pool.t
 
 val build : t -> Data_graph.t
-(** Freeze the builder.  The builder may keep being used afterwards;
-    later [build]s see later additions. *)
+(** Freeze the builder into a graph that shares no storage with it.
+    The builder may keep being used afterwards; later [build]s see
+    later additions and earlier graphs are unaffected.
+    @raise Invalid_argument if an edge names a node that does not
+    exist. *)

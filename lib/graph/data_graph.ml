@@ -49,27 +49,45 @@ let value g u = Hashtbl.find_opt g.values u
 (* ------------------------------------------------------------------ *)
 (* CSR construction *)
 
-(* Build a children CSR for [n] nodes from an edge producer ([iter]
-   must yield the same multiset on every call): counting-sort by
-   source, sort each run, then compact duplicates in place.  Returns
-   the deduplicated layout and edge count. *)
-let csr_of_edges n iter =
-  let deg = Int_vec.zeros (n + 1) in
-  iter (fun u _ -> Int_vec.set deg (u + 1) (Int_vec.get deg (u + 1) + 1));
+(* Turn per-node counts, stored at [deg.(u + 1)], into run starts:
+   afterwards [deg.(u)] is where node [u]'s run begins and [deg.(n)]
+   is the total. *)
+let prefix_sum deg n =
   for i = 1 to n do
     Int_vec.set deg i (Int_vec.get deg i + Int_vec.get deg (i - 1))
+  done
+
+(* Once a fill pass has advanced every run start [deg.(u)] past its
+   run, [deg.(u)] holds the start of run [u + 1]: shift it back.
+   Using the offsets vector as the fill cursor saves allocating a
+   copy of it. *)
+let unshift deg n =
+  for u = n - 1 downto 1 do
+    Int_vec.set deg u (Int_vec.get deg (u - 1))
   done;
-  let fill = Int_vec.copy deg in
-  let arr = Int_vec.create (Int_vec.get deg n) in
-  iter (fun u v ->
-      Int_vec.set arr (Int_vec.get fill u) v;
-      Int_vec.set fill u (Int_vec.get fill u + 1));
-  (* Sort and dedup each run, compacting the whole vector. *)
+  Int_vec.set deg 0 0
+
+(* Build a children CSR for [n] nodes from an edge producer ([iter]
+   must yield the same multiset on every call): counting-sort by
+   source, sort each run, then compact duplicates in place, offsets
+   included.  Returns the deduplicated layout and edge count. *)
+let csr_of_edges n iter =
   let off = Int_vec.zeros (n + 1) in
+  iter (fun u _ -> Int_vec.set off (u + 1) (Int_vec.get off (u + 1) + 1));
+  prefix_sum off n;
+  let arr = Int_vec.create (Int_vec.get off n) in
+  iter (fun u v ->
+      let i = Int_vec.get off u in
+      Int_vec.set arr i v;
+      Int_vec.set off u (i + 1));
+  unshift off n;
+  (* Sort and dedup each run, compacting the whole vector.  [off.(u)]
+     is overwritten with the compacted start only after both of run
+     [u]'s bounds have been read. *)
   let w = ref 0 in
   for u = 0 to n - 1 do
+    let lo = Int_vec.get off u and hi = Int_vec.get off (u + 1) in
     Int_vec.set off u !w;
-    let lo = Int_vec.get deg u and hi = Int_vec.get deg (u + 1) in
     Int_vec.sort_range arr ~lo ~hi;
     let len = Int_vec.dedup_range arr ~lo ~hi in
     (* Left-to-right compaction: the write cursor never passes the
@@ -89,24 +107,23 @@ let csr_of_edges n iter =
    increasing order appends each parent in increasing order, so runs
    come out sorted without a sorting pass. *)
 let reverse_csr n children =
-  let deg = Int_vec.zeros (n + 1) in
+  let off = Int_vec.zeros (n + 1) in
   for i = 0 to Int_vec.get children.off n - 1 do
     let v = Int_vec.get children.arr i in
-    Int_vec.set deg (v + 1) (Int_vec.get deg (v + 1) + 1)
+    Int_vec.set off (v + 1) (Int_vec.get off (v + 1) + 1)
   done;
-  for i = 1 to n do
-    Int_vec.set deg i (Int_vec.get deg i + Int_vec.get deg (i - 1))
-  done;
-  let fill = Int_vec.copy deg in
-  let arr = Int_vec.create (Int_vec.get deg n) in
+  prefix_sum off n;
+  let arr = Int_vec.create (Int_vec.get off n) in
   for u = 0 to n - 1 do
     for i = Int_vec.get children.off u to Int_vec.get children.off (u + 1) - 1 do
       let v = Int_vec.get children.arr i in
-      Int_vec.set arr (Int_vec.get fill v) u;
-      Int_vec.set fill v (Int_vec.get fill v + 1)
+      let j = Int_vec.get off v in
+      Int_vec.set arr j u;
+      Int_vec.set off v (j + 1)
     done
   done;
-  { off = deg; arr }
+  unshift off n;
+  { off; arr }
 
 (* ------------------------------------------------------------------ *)
 (* Iteration: CSR run (skipping tombstones when any exist) + overflow *)

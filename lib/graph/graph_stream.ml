@@ -66,8 +66,8 @@ let add_child t ~parent name =
   id
 
 (* First payload wins, matching the builder path: [Builder.set_value]
-   prepends and [Data_graph.make] folds newest-first with replace, so
-   the oldest entry survives there too. *)
+   prepends and [Data_graph.of_edge_vecs] folds newest-first with
+   replace, so the oldest entry survives there too. *)
 let set_value t node payload =
   if not (Hashtbl.mem t.values node) then Hashtbl.add t.values node payload
 

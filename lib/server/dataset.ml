@@ -44,9 +44,11 @@ let update_edges g ~count ~seed =
       let srcs, dsts = Dkindex_datagen.Prng.choose rng groups in
       (Dkindex_datagen.Prng.choose rng srcs, Dkindex_datagen.Prng.choose rng dsts))
 
+let index ~seed ~scale = Dk_index.build (Dkindex_datagen.Xmark.graph ~seed ~scale ()) ~reqs
+
 let make ?(seed = 1) ?(n_queries = 100) ?(n_updates = 200) ~scale () =
-  let graph = Dkindex_datagen.Xmark.graph ~seed ~scale () in
-  let index = Dk_index.build graph ~reqs in
+  let index = index ~seed ~scale in
+  let graph = Index_graph.data index in
   let queries =
     Dkindex_workload.Query_gen.to_strings graph
       (Dkindex_workload.Query_gen.generate ~seed ~count:n_queries graph)

@@ -23,5 +23,9 @@ type t = {
 val reqs : (string * int) list
 (** The pinned D(k) requirements (same as the benchmark harness). *)
 
+val index : seed:int -> scale:int -> Index_graph.t
+(** The pinned index alone, exactly as {!make} builds it: what a server
+    serves, without the cost of the query and update workloads. *)
+
 val make : ?seed:int -> ?n_queries:int -> ?n_updates:int -> scale:int -> unit -> t
 (** Defaults: [seed = 1], [n_queries = 100], [n_updates = 200]. *)

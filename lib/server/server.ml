@@ -84,13 +84,14 @@ type pending = { conn : conn; id : int; req : Wire.request; arrival : float }
 type wjob = Wreq of pending | Wrepl of Replication.event | Wrun of (unit -> unit)
 
 (* The serving snapshot: a frozen index plus its swap generation.
-   Readers load it through one [Atomic.t]; the mutator maintains two
-   physical copies of the index ("left-right"): it mutates the spare
-   copy, publishes it with a single atomic swap, and catches the
-   retired copy up before the next write — after waiting for every
-   reader slot to have moved past the retired generation.  Readers
-   therefore never take a lock and never observe a half-applied
-   mutation. *)
+   Readers load it through one [Atomic.t]; once written to, the
+   mutator maintains two physical copies of the index ("left-right"):
+   it mutates the spare copy, publishes it with a single atomic swap,
+   and catches the retired copy up before the next write — after
+   waiting for every reader slot to have moved past the retired
+   generation.  The spare is copied from the serving index by the
+   first write that needs one ([catch_up]).  Readers therefore never
+   take a lock and never observe a half-applied mutation. *)
 type snap = { idx : Index_graph.t; gen : int }
 
 type state = {
@@ -100,13 +101,14 @@ type state = {
       (* one per reader domain (slot 0 = the event-loop domain's
          inline reader): -1 when idle, else the generation being
          read *)
-  mutable spare : Index_graph.t;  (* mutator-owned back copy *)
+  mutable spare : Index_graph.t option;
+      (* mutator-owned back copy; [None] until a mutation needs one,
+         and again after a failed application left it suspect: copy the
+         serving index before the next mutation *)
   mutable lag : Wal.mutation list;
       (* mutations in serving but not yet in spare, newest first *)
-  mutable spare_dirty : bool;
-      (* a failed application left the spare suspect: rebuild it from
-         the serving side before the next mutation *)
   swaps : int Atomic.t;
+  spare_copies : int Atomic.t;  (* [Index_graph.copy] calls made for a spare *)
   mutable wake : unit -> unit;  (* nudges the event loop (self-pipe) *)
   mutable evloop_backend : string;
   durability : Checkpoint.t option;
@@ -208,35 +210,35 @@ let wait_readers state gen =
       done)
     state.slots
 
-(* Bring the spare copy up to date with the serving content.  Called
-   by the mutator before touching the spare; the grace wait happens
-   here, off the acknowledgement path of the previous write.  A spare
-   that cannot be caught up by replaying the lag is rebuilt with
-   [Index_graph.copy] of the serving index, which only reads it, so
-   readers still on it are undisturbed. *)
+(* The spare, up to date with the serving content.  Called by the
+   mutator before every mutation; the grace wait happens here, off the
+   acknowledgement path of the previous write.  This is the one place
+   a spare is built: when there is none yet (nothing has been written
+   since launch or since a snapshot install) or the lag cannot be
+   replayed onto the one there is, it is [Index_graph.copy] of the
+   serving index, which only reads it, so readers still on it are
+   undisturbed. *)
 let catch_up state =
-  if state.spare_dirty || state.lag <> [] then begin
-    let serving = Atomic.get state.serving in
-    wait_readers state serving.gen;
-    (* The serving side applied the lag; a spare that cannot replay it
-       would diverge, so it is rebuilt instead. *)
-    let replayed =
-      (not state.spare_dirty)
-      &&
-      try
-        List.iter
-          (fun m -> state.spare <- Checkpoint.apply_mutation state.spare m)
-          (List.rev state.lag);
-        true
-      with _ -> false
-    in
-    if not replayed then begin
-      state.spare <- Index_graph.copy serving.idx;
-      Integrity.attach state.integrity state.spare
-    end;
-    state.spare_dirty <- false;
-    state.lag <- []
-  end
+  let copy_serving () =
+    let spare = Index_graph.copy (Atomic.get state.serving).idx in
+    Atomic.incr state.spare_copies;
+    Integrity.attach state.integrity spare;
+    spare
+  in
+  let spare =
+    match state.spare with
+    | None -> copy_serving ()
+    | Some spare when state.lag = [] -> spare
+    | Some spare -> (
+      wait_readers state (Atomic.get state.serving).gen;
+      (* The serving side applied the lag; a spare that cannot replay
+         it would diverge, so it is rebuilt instead. *)
+      try List.fold_left Checkpoint.apply_mutation spare (List.rev state.lag)
+      with _ -> copy_serving ())
+  in
+  state.spare <- Some spare;
+  state.lag <- [];
+  spare
 
 (* Publish [idx'] (the mutated spare) as the new serving snapshot and
    retire the old one into the spare slot, remembering [muts] for
@@ -246,7 +248,7 @@ let swap_in state idx' muts =
   let old = Atomic.get state.serving in
   Atomic.set state.serving { idx = idx'; gen = old.gen + 1 };
   Atomic.incr state.swaps;
-  state.spare <- old.idx;
+  state.spare <- Some old.idx;
   state.lag <- muts
 
 (* Publish a mutated spare with the digest tracker kept in step.
@@ -257,18 +259,18 @@ let publish state idx' muts =
   swap_in state idx' muts;
   Integrity.commit state.integrity
 
-(* Install a wholesale replacement (replica snapshot bootstrap): both
-   copies are fresh, nothing retired is ever mutated, so no grace wait
-   is needed — readers still on the old copies finish on them and the
-   GC reclaims them after. *)
-let install state ~serving ~spare =
+(* Install a wholesale replacement (replica snapshot bootstrap): the
+   serving copy is fresh and the old spare is dropped, so nothing
+   retired is ever mutated and no grace wait is needed — readers still
+   on the old copies finish on them and the GC reclaims them after.
+   The next mutation copies the new serving index into a spare. *)
+let install state serving =
   Index_graph.prepare_serving serving;
   let old = Atomic.get state.serving in
   Atomic.set state.serving { idx = serving; gen = old.gen + 1 };
   Atomic.incr state.swaps;
-  state.spare <- spare;
-  state.lag <- [];
-  state.spare_dirty <- false
+  state.spare <- None;
+  state.lag <- []
 
 (* ------------------------------------------------------------------ *)
 (* Response writing.  All replies are encoded into the connection's
@@ -445,6 +447,7 @@ let stats_kvs state idx =
     ("workers", string_of_int state.cfg.workers);
     ("evloop_backend", state.evloop_backend);
     ("snapshot_swaps", string_of_int (Atomic.get state.swaps));
+    ("spare_copies", string_of_int (Atomic.get state.spare_copies));
     ("role", if Atomic.get state.is_primary then "primary" else "replica");
     ("epoch", string_of_int (Atomic.get state.epoch));
     ("max_seen_epoch", string_of_int (Atomic.get state.max_seen));
@@ -648,13 +651,13 @@ let apply_write state (p : pending) : Wire.response =
         match state.durability with
         | Some d when Checkpoint.read_only d -> Wire.Read_only
         | durability -> (
-          catch_up state;
           let idx' =
-            try Checkpoint.apply_mutation state.spare m
+            try Checkpoint.apply_mutation (catch_up state) m
             with e ->
-              (* The spare may be half-mutated; schedule a rebuild.
-                 The serving side is untouched. *)
-              state.spare_dirty <- true;
+              (* The spare may be half-mutated; drop it so the next
+                 mutation copies a fresh one.  The serving side is
+                 untouched. *)
+              state.spare <- None;
               raise e
           in
           Integrity.note_mutation state.integrity m;
@@ -743,15 +746,18 @@ let apply_write state (p : pending) : Wire.response =
    published with one snapshot swap. *)
 
 (* Apply one peer-supplied mutation (replication record or repair) to
-   the spare.  The primary applied it successfully, so failing here
-   means divergence: count it and keep going.  [true] if applied. *)
-let apply_to_spare state m =
-  match Checkpoint.apply_mutation state.spare m with
+   the spare [!spare].  The primary applied it successfully, so failing
+   here means divergence: count it and keep going, and drop the
+   possibly half-mutated spare unless a later success publishes it.
+   [true] if applied. *)
+let apply_to_spare state spare m =
+  match Checkpoint.apply_mutation !spare m with
   | idx' ->
-    state.spare <- idx';
+    spare := idx';
     Integrity.note_mutation state.integrity m;
     true
   | exception _ ->
+    state.spare <- None;
     Atomic.incr state.repl_apply_errors;
     false
 
@@ -764,18 +770,13 @@ let apply_repl state scratch (ev : Replication.event) =
   | Replication.Ev_snapshot { index; epoch; seq } -> (
     match state.replica with
     | Some r when not (Replication.is_promoted r) -> (
-      (* Decode once; the spare is an in-memory copy of the decoded
-         index, so the snapshot becomes both physical copies of the
-         left-right pair. *)
-      match
-        let idx' = Index_serial.of_string index in
-        (idx', Index_graph.copy idx')
-      with
-      | idx', spare' ->
+      (* Decode once into the serving copy; the spare is copied from
+         it by the first mutation that needs one. *)
+      match Index_serial.of_string index with
+      | idx' ->
         Integrity.invalidate state.integrity;
         Integrity.attach state.integrity idx';
-        Integrity.attach state.integrity spare';
-        install state ~serving:idx' ~spare:spare';
+        install state idx';
         Integrity.commit state.integrity;
         Atomic.set state.digest_pos (seq, 0);
         (match state.durability with
@@ -794,7 +795,7 @@ let apply_repl state scratch (ev : Replication.event) =
       let aseq, aoff = Replication.applied_position r in
       if seq < aseq || (seq = aseq && offset <= aoff) then ()
       else begin
-        catch_up state;
+        let spare = ref (catch_up state) in
         let applied = ref [] in
         let pos = ref base in
         List.iter
@@ -809,7 +810,7 @@ let apply_repl state scratch (ev : Replication.event) =
                     but the applied position still advances past it, so
                     replication itself never notices. *)
                  ()
-               else if apply_to_spare state m then begin
+               else if apply_to_spare state spare m then begin
                  applied := m :: !applied;
                  match state.durability with
                  | Some d when not (Checkpoint.read_only d) -> (
@@ -822,7 +823,7 @@ let apply_repl state scratch (ev : Replication.event) =
           muts;
         (* [lag] is newest-first, which is exactly what [applied]
            accumulated to. *)
-        if !applied <> [] then publish state state.spare !applied;
+        if !applied <> [] then publish state !spare !applied;
         (* The position is stamped in the primary's WAL coordinates —
            the same clock the primary stamps its own digests with. *)
         Atomic.set state.digest_pos (seq, offset);
@@ -842,19 +843,19 @@ let apply_repl state scratch (ev : Replication.event) =
    not stream records), so only a fresh checkpoint prevents a restart
    from resurrecting the divergence. *)
 let apply_repair state sections =
-  catch_up state;
+  let spare = ref (catch_up state) in
   let applied = ref [] and repaired = ref 0 in
   List.iter
     (fun (range, theirs) ->
-      let muts = Integrity.section_diff (Index_graph.data state.spare) ~range ~theirs in
+      let muts = Integrity.section_diff (Index_graph.data !spare) ~range ~theirs in
       if muts <> [] then begin
         incr repaired;
-        List.iter (fun m -> if apply_to_spare state m then applied := m :: !applied) muts
+        List.iter (fun m -> if apply_to_spare state spare m then applied := m :: !applied) muts
       end)
     sections;
   if !applied <> [] then begin
     ignore (Atomic.fetch_and_add state.ranges_repaired !repaired);
-    publish state state.spare !applied;
+    publish state !spare !applied;
     match state.durability with
     | Some d -> (
       match Checkpoint.checkpoint_now d (serving_idx state) with Ok () | Error _ -> ())
@@ -1106,10 +1107,6 @@ let dispatch state ~slot ~reader conn ~id (req : Wire.request) =
 let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?replica_of
     ?hub_faults ?hub_heartbeat_s ?(repl_drop_nth = 0) cfg index =
   Index_graph.prepare_serving index;
-  (* The second physical copy of the left-right pair: an in-memory
-     deep copy whose content is bit-for-bit the serialization
-     round-trip's. *)
-  let spare = Index_graph.copy index in
   let epoch0 =
     match durability with
     | Some d -> Replication.load_epoch ~dir:(Checkpoint.dir d)
@@ -1125,10 +1122,10 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
       cfg;
       serving = Atomic.make { idx = index; gen = 0 };
       slots = Array.init (n_workers + 1) (fun _ -> Atomic.make (-1));
-      spare;
+      spare = None;
       lag = [];
-      spare_dirty = false;
       swaps = Atomic.make 0;
+      spare_copies = Atomic.make 0;
       wake = (fun () -> ());
       evloop_backend = "";
       durability;
@@ -1179,7 +1176,6 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
     }
   in
   Integrity.attach state.integrity index;
-  Integrity.attach state.integrity state.spare;
   let ev =
     match Evloop.create () with
     | Ok ev -> ev

@@ -14,6 +14,10 @@
       publishes it ({!Dkindex_core.Index_graph.prepare_serving} first,
       one atomic store after) and replays the delta onto the retired
       copy once in-flight readers have drained (left-right scheme).
+      The spare is built ({!Dkindex_core.Index_graph.copy} of the
+      serving index) by the first mutation that needs one — after
+      launch, after a replica's snapshot install, and after a failed
+      application — so a server that never writes holds one copy.
       The write queue is the mutator's only coordination point: client
       writes, replication events, and the integrity domain's digest,
       checkpoint and repair jobs (closures) all reach the index through

@@ -971,10 +971,12 @@ let shutdown_server pid c =
   Client.close c;
   Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
 
-(* A write that fails inside the mutator leaves the spare suspect; the
-   next write rebuilds it as a copy of the serving index, and the
-   writes after that catch it up by replay.  Every answer must equal a
-   local Dk_update oracle that saw only the valid writes. *)
+(* The spare is built lazily: a server that has only been read holds
+   no spare, the first write copies the serving index into one, and the
+   writes after that catch it up by replay.  A write that fails inside
+   the mutator drops the suspect spare, so the next write copies again.
+   The [spare_copies] stat counts the copies, and every answer must
+   equal a local Dk_update oracle that saw only the valid writes. *)
 let test_spare_rebuild () =
   let g, idx = build_smoke_dataset () in
   with_server idx @@ fun pid port ->
@@ -1017,14 +1019,29 @@ let test_spare_rebuild () =
           got.index_visits)
       paths
   in
-  add_some 4;
+  let check_copies what want =
+    match Client.call c Wire.Stats with
+    | Wire.Stats_reply kvs ->
+      Alcotest.(check string) (what ^ ": spare_copies") (string_of_int want)
+        (Option.value (List.assoc_opt "spare_copies" kvs) ~default:"missing")
+    | _ -> Alcotest.fail "expected Stats_reply"
+  in
+  check_all "read-only";
+  check_copies "after launch and reads" 0;
+  add_some 1;
+  check_copies "after the first write" 1;
+  add_some 3;
+  check_all "after the first writes";
+  check_copies "writes catch up by replay" 1;
   (match Client.call c (Wire.Add_edge { u = n + 7; v = 0 }) with
   | Wire.Error_reply { code = `App; _ } -> ()
   | _ -> Alcotest.fail "expected `App error for an out-of-range node");
   check_all "after the failed write";
   (* The first valid write rebuilds the spare by copy; the rest catch
      up by lag replay on alternating copies. *)
-  add_some 6;
+  add_some 1;
+  check_copies "after the failed write and a valid one" 2;
+  add_some 5;
   (match !added with
   | (u, v) :: rest ->
     write (Wire.Remove_edge { u; v });
@@ -1033,6 +1050,7 @@ let test_spare_rebuild () =
   | [] -> ());
   add_some 2;
   check_all "after the rebuild";
+  check_copies "after the rebuild" 2;
   shutdown_server pid c
 
 (* [Snapshot] is acknowledged only once the file is in place: it loads,
