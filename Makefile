@@ -1,6 +1,6 @@
-.PHONY: all build test bench bench-quick bench-smoke bench-trajectory bench-xl dkbench dkbench-ab serve loadgen examples loc clean fmt
+.PHONY: all build test bench bench-quick bench-xl dkbench dkbench-ab serve loadgen examples loc clean fmt
 
-all: build test bench-smoke
+all: build test
 
 build:
 	dune build @all
@@ -15,23 +15,12 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- --quick
 
-# Tiny-scale trajectory run (< 30 s): allocation assertions, no JSON.
-# Also runs as part of `dune runtest` via the alias in bench/dune.
-bench-smoke:
-	dune exec bench/trajectory.exe -- --smoke
-
-# Full trajectory pass: writes BENCH_PR14.json with the BENCH_PR10.json
-# numbers merged in as baselines.
-bench-trajectory:
-	dune exec bench/trajectory.exe -- --scale 40 --baseline BENCH_PR10.json --out BENCH_PR14.json
-
-# Trajectory plus the out-of-core scale:xl series: streamed 10M-edge
-# datagen, external-memory D(k) build under a 512 MiB OCaml heap cap,
-# O(1) mmap opens, mmap-backed queries and the in-memory copy of the
-# mapped index — each xl bench in a fresh process with its peak RSS
-# recorded in the JSON.
+# The out-of-core scale:xl series: streamed 10M-edge datagen, the
+# external-memory D(k) build under a 512 MiB OCaml heap cap, O(1)
+# container opens, mmap-backed queries and the in-memory copy of the
+# mapped index, each bench in a fresh process reporting its peak RSS.
 bench-xl:
-	dune exec bench/trajectory.exe -- --scale 40 --xl --baseline BENCH_PR10.json --out BENCH_PR14.json
+	dune exec bench/main.exe -- --xl
 
 # The end-to-end benchmark behind BENCHMARK.json: one run of each
 # workload against a freshly spawned dkindex-server (bench/suite/README.md).

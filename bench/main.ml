@@ -1,6 +1,7 @@
 (* Reproduction harness: regenerates every table and figure of the
    paper's Section 6, plus the extension experiments listed in
-   DESIGN.md.  `--bechamel` additionally runs micro-benchmarks. *)
+   DESIGN.md.  `--bechamel` additionally runs micro-benchmarks;
+   `--xl` runs only the out-of-core scale:xl series (bench/xl.ml). *)
 
 let xmark_scale = ref 300
 let nasa_scale = ref 250
@@ -9,6 +10,9 @@ let n_updates = ref 100
 let seed = ref 2003
 let run_bechamel = ref false
 let quick = ref false
+let xl = ref false
+let xl_child = ref ""
+let xl_dir = ref ""
 
 let spec =
   [
@@ -19,10 +23,22 @@ let spec =
     ("--seed", Arg.Set_int seed, "N  master random seed (default 2003)");
     ("--bechamel", Arg.Set run_bechamel, "   also run Bechamel micro-benchmarks");
     ("--quick", Arg.Set quick, "   small scales for a fast smoke run");
+    ("--xl", Arg.Set xl, "   run only the out-of-core scale:xl series, a process per bench");
+    ( "--xl-child",
+      Arg.Tuple [ Arg.Set_string xl_child; Arg.Set_string xl_dir ],
+      "NAME DIR  (internal) run one xl bench in DIR and exit" );
   ]
 
 let () =
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "bench/main.exe";
+  if not (String.equal !xl_child "") then begin
+    Xl.child !xl_child !xl_dir;
+    exit 0
+  end;
+  if !xl then begin
+    Xl.run ();
+    exit 0
+  end;
   if !quick then begin
     xmark_scale := 60;
     nasa_scale := 50;

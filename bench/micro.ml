@@ -7,6 +7,7 @@ open Toolkit
 open Dkindex_graph
 open Dkindex_core
 module Cost = Dkindex_pathexpr.Cost
+module Planner = Dkindex_planner.Planner
 
 let tests () =
   let g = Dkindex_datagen.Xmark.graph ~scale:40 () in
@@ -25,6 +26,28 @@ let tests () =
     | _ -> assert false
   in
   let iu = Index_graph.cls dk u and iv = Index_graph.cls dk v in
+  let deep =
+    let b = Builder.create () in
+    let node = ref (Builder.root b) in
+    for _ = 1 to 2000 do
+      node := Builder.add_child b ~parent:!node "a"
+    done;
+    Builder.build b
+  in
+  (* The planner end to end against each single-index scan of the
+     family the CLI registers, for the same path. *)
+  let family =
+    [
+      ("dk", dk);
+      ("ak", a2);
+      ("1-index", One_index.build g);
+      ("label-split", Label_split.build g);
+      ("fb", Fb_index.build g);
+    ]
+  in
+  let pl = Planner.create g in
+  List.iter (fun (name, idx) -> Planner.register pl ~name idx) family;
+  Planner.observe_workload pl queries;
   [
     (* Figures 4/5: index construction and query evaluation. *)
     Test.make ~name:"fig4/5:build-A(2)" (Staged.stage (fun () -> A_k_index.build g ~k:2));
@@ -54,6 +77,10 @@ let tests () =
       ~allocate:(fun () -> A_k_index.build (Data_graph.copy g) ~k:2)
       ~free:ignore
       (Staged.stage (fun idx -> Ak_update.add_edge idx ~k:2 u v));
+    Test.make_with_resource ~name:"table1:data-add-edge" Test.multiple
+      ~allocate:(fun () -> Data_graph.copy g)
+      ~free:ignore
+      (Staged.stage (fun h -> Data_graph.add_edge h u v));
     (* ExtA/ExtB: tuning. *)
     Test.make ~name:"extB:demote-rebuild" (Staged.stage (fun () -> Dk_index.rebuild dk ~reqs));
     (* Figure 1/0-level substrate: bisimulation refinement. *)
@@ -62,27 +89,22 @@ let tests () =
     Test.make ~name:"substrate:1-index-paige-tarjan"
       (Staged.stage (fun () -> Paige_tarjan.build_one_index g));
     (* Deep chains are the hash-refinement worst case (O(m d) rounds). *)
-    (let deep =
-       let b = Dkindex_graph.Builder.create () in
-       let node = ref (Dkindex_graph.Builder.root b) in
-       for _ = 1 to 2000 do
-         node := Dkindex_graph.Builder.add_child b ~parent:!node "a"
-       done;
-       Dkindex_graph.Builder.build b
-     in
-     Test.make ~name:"substrate:deep-chain-hash-refinement"
-       (Staged.stage (fun () -> One_index.build deep)));
-    (let deep =
-       let b = Dkindex_graph.Builder.create () in
-       let node = ref (Dkindex_graph.Builder.root b) in
-       for _ = 1 to 2000 do
-         node := Dkindex_graph.Builder.add_child b ~parent:!node "a"
-       done;
-       Dkindex_graph.Builder.build b
-     in
-     Test.make ~name:"substrate:deep-chain-paige-tarjan"
-       (Staged.stage (fun () -> Paige_tarjan.build_one_index deep)));
+    Test.make ~name:"substrate:deep-chain-hash-refinement"
+      (Staged.stage (fun () -> One_index.build deep));
+    Test.make ~name:"substrate:deep-chain-paige-tarjan"
+      (Staged.stage (fun () -> Paige_tarjan.build_one_index deep));
+    (* The batch driver over the whole workload, on 1, 2 and 4 domains;
+       on a host with fewer cores the >1 rows measure scheduling
+       overhead, not speedup. *)
+    Test.make_indexed ~name:"serve:batch-throughput-d" ~args:[ 1; 2; 4 ] (fun domains ->
+        Staged.stage (fun () -> Query_eval.eval_batch ~domains dk queries));
   ]
+  @ Test.make ~name:"plan:auto" (Staged.stage (fun () -> Planner.eval_planned_path pl query))
+    :: List.map
+         (fun (name, idx) ->
+           Test.make ~name:("plan:scan-" ^ name)
+             (Staged.stage (fun () -> Query_eval.eval_path ~strategy:`Auto idx query)))
+         family
 
 let run () =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in

@@ -8,8 +8,8 @@ type t = {
   update_edges : (int * int) list;
 }
 
-(* Pinned requirements, identical to bench/trajectory.ml so serving
-   benchmarks and the perf trajectory exercise the same index shape. *)
+(* Pinned requirements, so the served index has the same shape in
+   every run of the server, the load generator and dkbench. *)
 let reqs =
   [
     ("personref", 4);

@@ -431,16 +431,12 @@ let misc_tests =
         for i = 1 to 70_000 do
           ignore (Builder.add_child b ~parent:(i - 1) "x")
         done;
-        let allocated () =
-          let s = Gc.quick_stat () in
-          Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
-        in
         let n = 50_000 in
-        let w0 = allocated () in
+        let w0 = allocated_words () in
         for i = 70_001 to 70_000 + n do
           ignore (Builder.add_child b ~parent:(i - 1) "x")
         done;
-        let per = (allocated () -. w0) /. float_of_int n in
+        let per = (allocated_words () -. w0) /. float_of_int n in
         check_bool (Printf.sprintf "%.3f words per add_child" per) true (per < 2.01));
   ]
 

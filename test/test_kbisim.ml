@@ -94,6 +94,37 @@ let refine_tests =
             Data_graph.iter_nodes g (fun v ->
                 if p1.Kbisim.cls.(u) = p1.Kbisim.cls.(v) then
                   check_int "coarser before" p0.Kbisim.cls.(u) p0.Kbisim.cls.(v))));
+    test "a refinement round allocates no per-parent cells" (fun () ->
+        (* On a graph with m >> n the list-based refinement allocated
+           >= 3m words; the signature pass writes into preallocated
+           scratch, so a round stays under m words and under its O(n)
+           result arrays plus O(classes) tables (1,111 words measured). *)
+        let module B = Dkindex_graph.Builder in
+        let module Prng = Dkindex_datagen.Prng in
+        let nodes = 2_000 and fan = 64 in
+        let b = B.create () in
+        let spine = Array.make nodes 0 in
+        let node = ref (B.root b) in
+        for i = 0 to nodes - 1 do
+          node := B.add_child b ~parent:!node (if i mod 3 = 0 then "a" else "b");
+          spine.(i) <- !node
+        done;
+        let rng = Prng.create ~seed:7 in
+        for _ = 1 to nodes * fan / 2 do
+          let u = spine.(Prng.int rng nodes) and v = spine.(Prng.int rng nodes) in
+          B.add_edge b u v
+        done;
+        let g = B.build b in
+        let m = Data_graph.n_edges g and n = Data_graph.n_nodes g in
+        let p = Kbisim.label_partition g in
+        (* Warm up: tables and one refinement's worth of survivors. *)
+        ignore (Kbisim.refine g p ~eligible:(fun _ -> true));
+        let before = allocated_words () in
+        let p1, _ = Kbisim.refine g p ~eligible:(fun _ -> true) in
+        let words = allocated_words () -. before in
+        let budget = (24 * n) + (16 * p1.Kbisim.n_classes) + 65_536 in
+        let what = Printf.sprintf "%.0f words (m=%d, n=%d, budget=%d)" words m n budget in
+        check_bool what true (words <= float_of_int m && words <= float_of_int budget));
   ]
 
 let k_partition_tests =

@@ -216,6 +216,26 @@ let plan_tests =
         (* deterministic: same ranked list on every call *)
         assert (List.map Plan.describe ranked = List.map Plan.describe (Planner.plans pl expr));
         assert (Plan.describe (Planner.choose pl expr) = Plan.describe (List.hd ranked)));
+    test "choose_path allocates O(1) words" (fun () ->
+        (* Catalog consultation is array indexing into the swept rows and
+           a bounded list of plan records: no per-extent or per-node work
+           (5 words measured). *)
+        let g = Dkindex_datagen.Xmark.graph ~scale:8 () in
+        let pl, _ = build_family ~with_cache:false g in
+        let path =
+          Array.map
+            (fun l -> Option.get (Label.Pool.find_opt (Data_graph.pool g) l))
+            [| "site"; "open_auctions"; "open_auction"; "bidder"; "personref" |]
+        in
+        ignore (Planner.choose_path pl path);
+        let n = 1_000 in
+        let before = allocated_words () in
+        for _ = 1 to n do
+          ignore (Planner.choose_path pl path)
+        done;
+        let per = (allocated_words () -. before) /. float_of_int n in
+        check_bool (Printf.sprintf "%.0f words per choose_path (budget 2048)" per) true
+          (per <= 2048.0));
     test "unknown label plans as an empty raw no-op" (fun () ->
         let g = random_graph ~seed:8 ~nodes:30 in
         let pl, _ = build_family g in

