@@ -8,6 +8,7 @@
 
 open Dkindex_graph
 open Dkindex_core
+open Dkindex_baselines
 module Cost = Dkindex_pathexpr.Cost
 module Prng = Dkindex_datagen.Prng
 module Query_gen = Dkindex_workload.Query_gen
@@ -334,3 +335,67 @@ let ext_cracking ds ~seed =
     (Index_graph.n_nodes cracked);
   Printf.printf "  %-26s %14d %14d %10d\n" "offline-mined D(k)" pass_offline pass_offline
     (Index_graph.n_nodes offline)
+
+(* ExtK: access paths — the summaries of Figure 4 as alternatives to
+   plan over.  For every workload path, a planner holding only one
+   summary executes its scan, and a planner holding none walks the raw
+   graph.  Each row totals the actual visits of one access path and
+   counts the paths it is cheapest for (ties count for each); the last
+   row totals the per-path best.  A scan whose answer differs from the
+   raw walk fails the run. *)
+let ext_access_paths ds comp =
+  let module Planner = Dkindex_planner.Planner in
+  let g = ds.graph in
+  let paths = List.filter (fun q -> Array.length q > 0) comp.queries in
+  Printf.printf "\n== ExtK: access paths over the workload (%s, %d paths) ==\n" ds.ds_name
+    (List.length paths);
+  let exprs =
+    List.map
+      (fun q ->
+        Dkindex_pathexpr.Path_ast.seq_of_labels
+          (List.map (Label.Pool.name (Data_graph.pool g)) (Array.to_list q)))
+      paths
+  in
+  let bare = Planner.create g in
+  let raw = List.map (fun e -> snd (Planner.eval_planned bare e)) exprs in
+  let scans name idx =
+    let pl = Planner.create g in
+    Planner.register pl ~name idx;
+    List.map2
+      (fun e (want : Query_eval.result) ->
+        let r = Planner.execute pl (Planner.choose pl e) e in
+        if r.Query_eval.nodes <> want.Query_eval.nodes then
+          failwith
+            (Printf.sprintf "ExtK: %s scan of %s disagrees with the raw graph" name
+               (Dkindex_pathexpr.Path_ast.to_string e));
+        Cost.total r.Query_eval.cost)
+      exprs raw
+  in
+  let rows =
+    List.map
+      (fun (name, idx) -> (name, string_of_int (Index_graph.n_nodes idx), scans name idx))
+      [
+        ("D(k)", Dk_index.build g ~reqs:comp.reqs);
+        ("A(2)", A_k_index.build g ~k:2);
+        ("1-index", One_index.build g);
+        ("label-split", Label_split.build g);
+        ("F&B", Fb_index.build g);
+      ]
+    @ [ ("raw", "-", List.map (fun (r : Query_eval.result) -> Cost.total r.Query_eval.cost) raw) ]
+  in
+  let best =
+    match rows with
+    | (_, _, v0) :: rest -> List.fold_left (fun acc (_, _, v) -> List.map2 min acc v) v0 rest
+    | [] -> []
+  in
+  let sum = List.fold_left ( + ) 0 in
+  let total_best = sum best in
+  Printf.printf "  %-14s %12s %14s %10s %9s\n  %s\n" "access path" "size(nodes)" "total visits"
+    "paths won" "vs best" hline;
+  List.iter
+    (fun (name, size, v) ->
+      let won = List.length (List.filter Fun.id (List.map2 ( = ) v best)) in
+      Printf.printf "  %-14s %12s %14d %10d %8.2fx\n" name size (sum v) won
+        (float_of_int (sum v) /. float_of_int (max 1 total_best)))
+    rows;
+  Printf.printf "  %-14s %12s %14d\n" "per-path best" "-" total_best

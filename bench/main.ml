@@ -87,5 +87,7 @@ let () =
   Experiments.ext_strategy nasa comp_n;
   Experiments.ext_cracking xmark ~seed:(!seed + 5);
   Experiments.ext_cracking nasa ~seed:(!seed + 6);
+  Experiments.ext_access_paths xmark comp_x;
+  Experiments.ext_access_paths nasa comp_n;
   Experiments.ext_loading ~scale:(if !quick then 100 else 400);
   if !run_bechamel then Micro.run ()

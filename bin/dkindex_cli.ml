@@ -11,6 +11,7 @@
 open Cmdliner
 open Dkindex_graph
 open Dkindex_core
+open Dkindex_baselines
 module Xml_sax = Dkindex_xml.Xml_sax
 module Xml_to_graph = Dkindex_xml.Xml_to_graph
 module Xml_writer = Dkindex_xml.Xml_writer
@@ -250,71 +251,48 @@ let print_result g show result =
       if i < show then Printf.printf "  node %d label %s\n" u (Data_graph.label_name g u))
     result.Query_eval.nodes
 
-(* --plan: route the query through the cost-based planner over the
-   whole index family (or over the loaded index alone). *)
-let planned_query g k workload_size seed load expr_str plan_sel explain show check =
+let load_index path =
+  match Container.probe path with
+  | Some Container.Index -> Index_serial.load_container path
+  | Some Container.Graph ->
+    failwith (path ^ " is a graph container, not an index; pass it to --input")
+  | None -> Index_serial.load path
+
+(* --plan: route the query through the cost-based planner over the one
+   index --index built or --load-index loaded, and the raw graph. *)
+let planned_query idx name expr_str plan_sel explain show check =
   let module Plan = Dkindex_planner.Plan in
   let module Planner = Dkindex_planner.Planner in
   if String.length expr_str > 0 && Char.equal expr_str.[0] '/' then
     failwith "--plan covers path expressions; tree patterns pick their index with --index";
   let expr = Dkindex_pathexpr.Path_parser.parse expr_str in
-  let pl =
-    match load with
-    | Some path ->
-      let idx =
-        match Container.probe path with
-        | Some Container.Index -> Index_serial.load_container path
-        | Some Container.Graph ->
-          failwith (path ^ " is a graph container, not an index; pass it to --input")
-        | None -> Index_serial.load path
-      in
-      let pl = Planner.create (Index_graph.data idx) in
-      Planner.register pl ~name:"loaded" ~cache:(Validation_cache.create idx) idx;
-      pl
-    | None ->
-      let queries = Dkindex_workload.Query_gen.generate ~seed ~count:workload_size g in
-      let reqs = Dkindex_workload.Miner.mine g queries in
-      let pl = Planner.create g in
-      let reg name idx = Planner.register pl ~name ~cache:(Validation_cache.create idx) idx in
-      reg "dk" (Dk_index.build g ~reqs);
-      reg "ak" (A_k_index.build g ~k);
-      reg "1-index" (One_index.build g);
-      reg "label-split" (Label_split.build g);
-      reg "fb" (Fb_index.build g);
-      Planner.observe_workload pl queries;
-      pl
-  in
-  let dg = Planner.data pl in
+  let pl = Planner.create (Index_graph.data idx) in
+  Planner.register pl ~name ~cache:(Validation_cache.create idx) idx;
   if explain then List.iter print_endline (Planner.explain pl expr);
+  let plans = Planner.plans pl expr in
   let plan, result =
     match plan_sel with
     | "auto" -> Planner.eval_planned pl expr
-    | name -> (
+    | sel -> (
       let wanted (p : Plan.t) =
         match p.Plan.access with
-        | Plan.Scan n -> String.equal n name
-        | Plan.Raw -> String.equal name "raw"
-        | Plan.Intersect _ -> false
+        | Plan.Scan n -> String.equal n sel
+        | Plan.Raw -> String.equal sel "raw"
       in
-      match List.find_opt wanted (Planner.plans pl expr) with
+      match List.find_opt wanted plans with
       | Some p -> (p, Planner.execute pl p expr)
-      | None ->
-        failwith
-          (Printf.sprintf "no plan for --plan %s (family: %s, raw)" name
-             (String.concat ", " (Planner.names pl))))
+      | None -> failwith (Printf.sprintf "no plan for --plan %s (auto | %s | raw)" sel name))
   in
   Printf.printf "plan: %s\n" (Plan.describe plan);
-  print_result dg show result;
+  print_result (Index_graph.data idx) show result;
   if check then begin
-    (* Execute every candidate plan the enumerator emitted and require
-       bit-for-bit identical answers (the raw-graph plan is always in
-       the list, so this also checks against direct evaluation). *)
-    let ranked = Planner.plans pl expr in
+    (* Execute every plan and require bit-for-bit identical answers
+       (the raw-graph plan is always in the list, so this also checks
+       against direct evaluation). *)
     let mismatches =
       List.filter
-        (fun p ->
-          (Planner.execute pl p expr).Query_eval.nodes <> result.Query_eval.nodes)
-        ranked
+        (fun p -> (Planner.execute pl p expr).Query_eval.nodes <> result.Query_eval.nodes)
+        plans
     in
     if mismatches <> [] then begin
       List.iter
@@ -322,25 +300,20 @@ let planned_query g k workload_size seed load expr_str plan_sel explain show che
         mismatches;
       exit 1
     end;
-    Printf.printf "check OK: %d plans agree (%d nodes)\n" (List.length ranked)
+    Printf.printf "check OK: %d plans agree (%d nodes)\n" (List.length plans)
       (List.length result.Query_eval.nodes)
   end
 
 let query g kind k workload_size seed load expr_str show check plan_sel explain =
-  match plan_sel, explain with
-  | Some sel, _ -> planned_query g k workload_size seed load expr_str sel explain show check
-  | None, true -> planned_query g k workload_size seed load expr_str "auto" true show check
-  | None, false ->
-  let idx =
+  let idx, name =
     match load with
-    | Some path -> (
-      match Container.probe path with
-      | Some Container.Index -> Index_serial.load_container path
-      | Some Container.Graph ->
-        failwith (path ^ " is a graph container, not an index; pass it to --input")
-      | None -> Index_serial.load path)
-    | None -> make_index g kind k workload_size seed
+    | Some path -> (load_index path, "loaded")
+    | None -> (make_index g kind k workload_size seed, kind)
   in
+  match plan_sel, explain with
+  | Some sel, _ -> planned_query idx name expr_str sel explain show check
+  | None, true -> planned_query idx name expr_str "auto" true show check
+  | None, false ->
   let g = Index_graph.data idx in
   let result = eval_one idx kind expr_str in
   print_result g show result;
@@ -384,8 +357,8 @@ let query_cmd =
       & info [ "check" ]
           ~doc:
             "Re-evaluate on a fully in-RAM copy of the index and fail unless \
-             the answers agree bit for bit (with --plan: execute every \
-             candidate plan and require identical answers)")
+             the answers agree bit for bit (with --plan: execute the index \
+             scan and the raw-graph plan and require identical answers)")
   in
   let plan =
     Arg.(
@@ -393,16 +366,17 @@ let query_cmd =
       & opt (some string) None
       & info [ "plan" ] ~docv:"PLAN"
           ~doc:
-            "Route the query through the cost-based planner. 'auto' picks \
-             the cheapest plan from the statistics catalog; naming an index \
-             (dk, ak, 1-index, label-split, fb — or 'raw') forces that \
-             access path")
+            "Route the query through the cost-based planner over the index \
+             (from --index or --load-index) and the raw graph. 'auto' scans \
+             the index, falling back to the raw graph; 'raw' forces the \
+             raw-graph walk, and the index's name (its --index KIND, or \
+             'loaded') forces the scan")
   in
   let explain =
     Arg.(
       value & flag
       & info [ "explain" ]
-          ~doc:"Print the ranked candidate-plan list with cost estimates (implies --plan auto)")
+          ~doc:"Print the candidate plans with cost estimates (implies --plan auto)")
   in
   Cmd.v
     (Cmd.info "query"

@@ -7,6 +7,7 @@
 
 open Dkindex_graph
 open Dkindex_core
+open Dkindex_baselines
 module Cost = Dkindex_pathexpr.Cost
 
 let () =

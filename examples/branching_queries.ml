@@ -10,6 +10,7 @@
 
 open Dkindex_graph
 open Dkindex_core
+open Dkindex_baselines
 module Tree_pattern = Dkindex_pathexpr.Tree_pattern
 module Cost = Dkindex_pathexpr.Cost
 

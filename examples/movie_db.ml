@@ -16,6 +16,7 @@
 
 open Dkindex_graph
 open Dkindex_core
+open Dkindex_baselines
 module B = Builder
 
 let () =

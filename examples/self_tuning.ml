@@ -11,6 +11,7 @@
 
 open Dkindex_graph
 open Dkindex_core
+open Dkindex_baselines
 module Tuner = Dkindex_workload.Tuner
 module Cost = Dkindex_pathexpr.Cost
 module Prng = Dkindex_datagen.Prng

@@ -24,9 +24,6 @@ val mem_range : int array -> lo:int -> hi:int -> int -> bool
 val of_list : int list -> int array
 (** Array of the list, sorted increasing (duplicates kept). *)
 
-val merge : int array -> int array -> int array
-(** Merge two sorted arrays into a sorted array (duplicates kept). *)
-
 val merge_many : int array list -> int array
 (** Merge sorted arrays into one sorted array (duplicates kept):
     pairwise tournament, O(N log k) for N total elements across k

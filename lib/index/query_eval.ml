@@ -142,7 +142,8 @@ let eval_path_forward t path ~cost =
     !finals
   end
 
-(* Strategy selection shared by [eval_path] and [eval_path_finals]. *)
+(* The matched final index nodes of a label path, walked in the
+   direction [strategy] selects. *)
 let matched_finals strategy t path ~cost =
   let m = Array.length path in
   let backward =
@@ -153,11 +154,6 @@ let matched_finals strategy t path ~cost =
       Index_graph.count_with_label t path.(m - 1) < Index_graph.count_with_label t path.(0)
   in
   if backward then eval_path_backward t path ~cost else eval_path_forward t path ~cost
-
-let eval_path_finals ?(strategy = `Forward) t path =
-  let cost = Cost.create () in
-  if Array.length path = 0 then ([], cost)
-  else (matched_finals strategy t path ~cost, cost)
 
 let eval_path ?(strategy = `Forward) ?cache t path =
   let cost = Cost.create () in

@@ -49,17 +49,6 @@ val eval_path :
     {!Validation_cache}); result nodes are unaffected, only the
     validation cost of repeated queries drops. *)
 
-val eval_path_finals :
-  ?strategy:[ `Forward | `Backward | `Auto ] ->
-  Index_graph.t ->
-  Label.t array ->
-  int list * Cost.t
-(** The matched final index nodes of a label path — the traversal of
-    {!eval_path} without the extent merge or validation.  This is the
-    raw material for multi-index plans (the planner intersects the
-    extents of two indexes' finals and validates only the survivors).
-    The returned cost counts the index visits of the traversal. *)
-
 val eval_path_strings : Index_graph.t -> string list -> result
 (** Convenience wrapper interning label names; unknown labels yield an
     empty result. *)
@@ -77,8 +66,9 @@ val eval_pattern : ?validate:bool -> Index_graph.t -> Tree_pattern.t -> result
     extent member is then checked against the data graph (predicates
     downward, the main path upward), so the result is exact on {e any}
     index.  Pass [~validate:false] only for a covering index
-    ({!Fb_index.build}), where the index answer is exact by
-    construction — on other indexes that would return a superset. *)
+    ({!Dkindex_baselines.Fb_index.build}), where the index answer is
+    exact by construction — on other indexes that would return a
+    superset. *)
 
 val eval_batch :
   ?domains:int ->

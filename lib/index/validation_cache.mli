@@ -15,9 +15,9 @@
     mutation — {!Index_graph.split} (promotion, A(k) propagation),
     {!Index_graph.set_k}/{!Index_graph.set_req} (demotion, broadcast),
     index edge updates, and the explicit {!Index_graph.touch} calls the
-    update drivers ({!Dk_update}, {!Ak_update}) issue on data-graph
-    edge changes — bumps the generation, so the next lookup drops every
-    memo before it can serve a stale answer.  Compiled automata survive
+    update drivers ({!Dk_update}, {!Dkindex_baselines.Ak_update}) issue
+    on data-graph edge changes — bumps the generation, so the next
+    lookup drops every memo before it can serve a stale answer.  Compiled automata survive
     invalidation (they depend only on the expression and the label
     pool); per-node answers do not.
 

@@ -1,6 +1,5 @@
 type access =
   | Scan of string
-  | Intersect of string * string
   | Raw
 
 type t = {
@@ -14,7 +13,6 @@ type t = {
 
 let access_name = function
   | Scan n -> "scan(" ^ n ^ ")"
-  | Intersect (a, b) -> "intersect(" ^ a ^ "," ^ b ^ ")"
   | Raw -> "raw"
 
 let describe t =
@@ -27,9 +25,3 @@ let describe t =
     Printf.sprintf "%s: est %.0f total (%.0f index visits + %.0f validation over %.0f candidates)"
       (access_name t.access) t.est_total t.est_index_visits t.est_data_visits
       t.est_candidates
-
-let compare a b =
-  let c = Float.compare a.est_total b.est_total in
-  if c <> 0 then c else String.compare (access_name a.access) (access_name b.access)
-
-let pp ppf t = Format.pp_print_string ppf (describe t)

@@ -1,41 +1,28 @@
-(** Candidate access paths and their priced plans.
+(** The two access paths of a query and their priced plans.
 
-    A plan is one way to answer a parsed path expression: scan a
-    single registered index (validating under-refined extents), scan
-    two indexes and validate only the intersection of their candidate
-    extents, or fall back to direct NFA evaluation on the data graph.
-    The planner ({!Planner}) emits one plan per valid access path,
-    priced from the {!Stats_catalog}; plans order by estimated total
-    visits with a deterministic name tie-break, and the raw-graph
-    fallback is always present (and always executable), closing the
-    fallback chain. *)
+    A plan is one way to answer a parsed path expression: scan the
+    planner's one registered index (validating under-refined extents),
+    or evaluate directly on the data graph.  The planner ({!Planner})
+    prices both from the {!Stats_catalog}; the raw-graph plan is always
+    present, always executable and always last, closing the fallback
+    chain. *)
 
 type access =
-  | Scan of string  (** single registered index, validate as needed *)
-  | Intersect of string * string
-      (** candidate extents of both indexes intersected; only the
-          survivors outside either side's certain extents are
-          validated *)
+  | Scan of string  (** the registered index, validating as needed *)
   | Raw  (** direct evaluation on the data graph — always sound *)
 
 type t = {
   access : access;
-  est_index_visits : float;  (** traversal cost over the index graph(s) *)
+  est_index_visits : float;  (** traversal cost over the index graph *)
   est_candidates : float;  (** data nodes expected to need validation *)
   est_data_visits : float;  (** validation cost after the cache discount *)
-  est_total : float;  (** what the ranking orders by *)
+  est_total : float;  (** index plus data visits *)
   certain : bool;  (** no validation expected (soundness covers the query) *)
 }
 
 val access_name : access -> string
-(** ["scan(dk)"], ["intersect(dk,1-index)"], ["raw"]. *)
+(** ["scan(dk)"], ["raw"]. *)
 
 val describe : t -> string
 (** One line: access path, estimates, certainty — the EXPLAIN row and
     the [Planned_result] plan tag. *)
-
-val compare : t -> t -> int
-(** Ascending estimated total; ties broken by {!access_name} so the
-    ranking is deterministic. *)
-
-val pp : Format.formatter -> t -> unit

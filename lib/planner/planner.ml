@@ -10,30 +10,29 @@ type entry = {
   mutable gen : int;
       (* graph generation the catalog was last swept at — a local
          mirror of [Stats_catalog.generation] so the per-query
-         freshness check reads one field per entry *)
+         freshness check reads one field *)
 }
 
 type t = {
   dg : Data_graph.t;
-  mutable entries : entry list;  (* registration order *)
+  mutable entry : entry option;  (* the one registered index *)
   mutable freq : int array;  (* label code -> observed last-label count *)
   mutable observed : int;
   mutable fallbacks : int;
-  plan_cache : (Label.t array, (Plan.t * (Label.t array -> Query_eval.result)) list) Hashtbl.t;
-      (* memoized ranked plans per label path, each pre-bound to its
-         executor, valid for one generation stamp; see
-         [plans_of_path] *)
+  plan_cache : (Label.t array, Plan.t list) Hashtbl.t;
+      (* memoized plans per label path, valid for one generation
+         stamp; see [plans_of_path] *)
   mutable cache_stamp : int;
   (* one-entry MRU in front of the hashtable: the serving hot path is
      dominated by runs of the same query *)
   mutable last_path : Label.t array;
-  mutable last_plans : (Plan.t * (Label.t array -> Query_eval.result)) list;
+  mutable last_plans : Plan.t list;
 }
 
 let create dg =
   {
     dg;
-    entries = [];
+    entry = None;
     freq = [||];
     observed = 0;
     fallbacks = 0;
@@ -44,46 +43,37 @@ let create dg =
   }
 
 let register t ~name ?cache idx =
+  if Option.is_some t.entry then invalid_arg "Planner.register: the planner already holds an index";
   if name = "raw" then invalid_arg "Planner.register: \"raw\" is reserved";
-  if List.exists (fun e -> e.name = name) t.entries then
-    invalid_arg ("Planner.register: duplicate name " ^ name);
   if not (Index_graph.data idx == t.dg) then
     invalid_arg "Planner.register: index summarizes a different data graph";
-  t.entries <- t.entries @ [ { name; idx; cat = Stats_catalog.create idx; cache; gen = -1 } ];
+  t.entry <- Some { name; idx; cat = Stats_catalog.create idx; cache; gen = -1 };
   Hashtbl.reset t.plan_cache;
   t.cache_stamp <- min_int;
   t.last_path <- [||]
 
-let names t = List.map (fun e -> e.name) t.entries
-let find_entry t name = List.find_opt (fun e -> e.name = name) t.entries
-let find t name = Option.map (fun e -> e.idx) (find_entry t name)
-let catalog t name = Option.map (fun e -> e.cat) (find_entry t name)
-let data t = t.dg
+let index t = Option.map (fun e -> e.idx) t.entry
 
-(* Refresh every catalog and return the family's generation stamp in
-   the same pass.  Pulling validation-cache counters only when a sweep
-   actually happens is deliberate: ranked plans are memoized against
-   the stamp (see [plans_of_path]), so a fresher hit rate could not
-   influence anything until the next sweep anyway. *)
+(* Refresh the catalog and return the index generation as the plan
+   memo's stamp (0 with no index).  Pulling validation-cache counters
+   only when a sweep actually happens is deliberate: plans are memoized
+   against the stamp (see [plans_of_path]), so a fresher hit rate could
+   not influence anything until the next sweep anyway. *)
 let refresh_stamp t =
-  let rec go acc = function
-    | [] -> acc
-    | e :: rest ->
-      let g = Index_graph.generation e.idx in
-      if g <> e.gen then begin
-        (match e.cache with
-        | Some c ->
-          let hits, misses = Validation_cache.stats c in
-          Stats_catalog.observe_cache e.cat ~hits ~misses
-        | None -> ());
-        Stats_catalog.refresh e.cat;
-        e.gen <- g
-      end;
-      go (acc + g) rest
-  in
-  go 0 t.entries
-
-let refresh t = ignore (refresh_stamp t)
+  match t.entry with
+  | None -> 0
+  | Some e ->
+    let g = Index_graph.generation e.idx in
+    if g <> e.gen then begin
+      (match e.cache with
+      | Some c ->
+        let hits, misses = Validation_cache.stats c in
+        Stats_catalog.observe_cache e.cat ~hits ~misses
+      | None -> ());
+      Stats_catalog.refresh e.cat;
+      e.gen <- g
+    end;
+    g
 
 (* ------------------------------------------------------------------ *)
 (* Workload observation: per-label frequency of query endpoints, the
@@ -183,62 +173,19 @@ let scan_plan t e path =
     certain;
   }
 
-(* Intersecting two candidate sets scans both sides' matched extents
-   once (the merge) and validates only the survivors; candidate
-   survivorship is estimated under independence within the end label's
-   data population. *)
-let intersect_plan t ea a eb b path =
-  let m = Array.length path in
-  let last = path.(m - 1) in
-  let pop = float_of_int (max 1 (Stats_catalog.label_extent ea.cat last)) in
-  let matched d =
-    (* matched data volume on one side: candidates + certain extents *)
-    let share =
-      let inl = Stats_catalog.label_inodes d.cat last in
-      if inl = 0 then 0.0 else 1.0
-    in
-    float_of_int (Stats_catalog.label_extent d.cat last) *. share
-  in
-  let cand = a.Plan.est_candidates *. b.Plan.est_candidates /. pop in
-  let disc = discount t ea.cat (Label.to_int last) in
-  let merge_cost = 0.25 *. (matched ea +. matched eb) in
-  let dv = cand *. float_of_int m *. (1.0 -. disc) in
-  let iv = a.Plan.est_index_visits +. b.Plan.est_index_visits in
+let raw_path_plan e path =
+  let cat = e.cat in
+  let pops = Array.map (fun l -> Stats_catalog.label_extent cat l) path in
+  let fanouts = Array.map (fun _ -> Stats_catalog.data_fanout cat) path in
+  let visits, _ = frontier_walk pops fanouts in
   {
-    Plan.access = Plan.Intersect (ea.name, eb.name);
-    est_index_visits = iv;
-    est_candidates = cand;
-    est_data_visits = dv;
-    est_total = iv +. merge_cost +. dv;
-    certain = false;
+    Plan.access = Plan.Raw;
+    est_index_visits = 0.0;
+    est_candidates = 0.0;
+    est_data_visits = visits;
+    est_total = visits;
+    certain = true;
   }
-
-let raw_path_plan t path =
-  match t.entries with
-  | [] ->
-    (* No catalog to price from: the raw plan is the only plan, so its
-       estimate does not matter — mark it zero. *)
-    {
-      Plan.access = Plan.Raw;
-      est_index_visits = 0.0;
-      est_candidates = 0.0;
-      est_data_visits = 0.0;
-      est_total = 0.0;
-      certain = true;
-    }
-  | e :: _ ->
-    let cat = e.cat in
-    let pops = Array.map (fun l -> Stats_catalog.label_extent cat l) path in
-    let fanouts = Array.map (fun _ -> Stats_catalog.data_fanout cat) path in
-    let visits, _ = frontier_walk pops fanouts in
-    {
-      Plan.access = Plan.Raw;
-      est_index_visits = 0.0;
-      est_candidates = 0.0;
-      est_data_visits = visits;
-      est_total = visits;
-      certain = true;
-    }
 
 (* General expressions: cruder pricing.  The index side pays a sweep
    bounded by the live index nodes; validation is estimated from the
@@ -299,7 +246,9 @@ let intern_path t labels =
   else Some (Array.of_list (List.map Option.get interned))
 
 (* An unknown label means the answer is empty on every access path:
-   plan as a raw no-op. *)
+   plan as a raw no-op.  With no index there is no catalog to price
+   from and the raw plan is the only plan, so its estimate is zero
+   too. *)
 let empty_query_plan =
   {
     Plan.access = Plan.Raw;
@@ -310,85 +259,16 @@ let empty_query_plan =
     certain = true;
   }
 
-let rec pairs = function
-  | [] -> []
-  | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
-
 let compute_plans_of_path t path =
-  if Array.length path = 0 then [ empty_query_plan ]
-  else begin
-    let scans = List.map (fun e -> (e, scan_plan t e path)) t.entries in
-    let intersects =
-      List.filter_map
-        (fun ((ea, a), (eb, b)) ->
-          if a.Plan.est_candidates > 0.0 && b.Plan.est_candidates > 0.0 then
-            Some (intersect_plan t ea a eb b path)
-          else None)
-        (pairs scans)
-    in
-    let ranked =
-      List.sort Plan.compare (List.map snd scans @ intersects)
-    in
-    ranked @ [ raw_path_plan t path ]
-  end
-
+  match t.entry with
+  | Some e when Array.length path > 0 -> [ scan_plan t e path; raw_path_plan e path ]
+  | Some _ | None -> [ empty_query_plan ]
 
 (* ------------------------------------------------------------------ *)
 (* Execution *)
 
 let empty_result () =
   { Query_eval.nodes = []; cost = Cost.create (); n_candidates = 0; n_certain = 0 }
-
-(* Sorted, duplicate-free int array set algebra for the intersection
-   executor. *)
-let inter_sorted a b =
-  let la = Array.length a and lb = Array.length b in
-  let out = Array.make (min la lb) 0 in
-  let i = ref 0 and j = ref 0 and w = ref 0 in
-  while !i < la && !j < lb do
-    let x = a.(!i) and y = b.(!j) in
-    if x = y then begin
-      out.(!w) <- x;
-      incr w;
-      incr i;
-      incr j
-    end
-    else if x < y then incr i
-    else incr j
-  done;
-  Array.sub out 0 !w
-
-let diff_sorted a b =
-  let la = Array.length a and lb = Array.length b in
-  let out = Array.make la 0 in
-  let i = ref 0 and j = ref 0 and w = ref 0 in
-  while !i < la do
-    if !j >= lb || a.(!i) < b.(!j) then begin
-      out.(!w) <- a.(!i);
-      incr w;
-      incr i
-    end
-    else if a.(!i) = b.(!j) then begin
-      incr i;
-      incr j
-    end
-    else incr j
-  done;
-  Array.sub out 0 !w
-
-let dedup_sorted a =
-  let n = Array.length a in
-  if n = 0 then a
-  else begin
-    let w = ref 1 in
-    for i = 1 to n - 1 do
-      if a.(i) <> a.(!w - 1) then begin
-        a.(!w) <- a.(i);
-        incr w
-      end
-    done;
-    Array.sub a 0 !w
-  end
 
 let exec_scan e expr =
   match e.cache with
@@ -399,46 +279,6 @@ let exec_scan_path e path =
   match e.cache with
   | Some cache -> Query_eval.eval_path ~strategy:`Auto ~cache e.idx path
   | None -> Query_eval.eval_path ~strategy:`Auto e.idx path
-
-(* Intersection: every sound index's matched extents are a superset of
-   the answer, and certain extents are subsets of it, so
-
-      answer = certain(A) ∪ certain(B)
-             ∪ { u ∈ (matched(A) ∩ matched(B)) \ certain : validate u }.
-
-   [n_certain] counts the certain matched index nodes across both
-   sides (Query_eval's convention per index); [n_candidates] counts
-   the data nodes actually validated. *)
-let exec_intersect t ea eb path =
-  let m = Array.length path in
-  let cost = Cost.create () in
-  let side e =
-    let finals, c = Query_eval.eval_path_finals ~strategy:`Auto e.idx path in
-    Cost.add cost c;
-    let certain, uncertain =
-      List.partition (fun id -> (Index_graph.node e.idx id).Index_graph.k >= m - 1) finals
-    in
-    let extents ids =
-      Int_arr.merge_many (List.map (fun id -> (Index_graph.node e.idx id).Index_graph.extent) ids)
-    in
-    (extents (certain @ uncertain), extents certain, List.length certain)
-  in
-  let matched_a, certain_a, nca = side ea in
-  let matched_b, certain_b, ncb = side eb in
-  let certain_all = dedup_sorted (Int_arr.merge certain_a certain_b) in
-  let survivors = diff_sorted (inter_sorted matched_a matched_b) certain_all in
-  let validate =
-    match ea.cache with
-    | Some c -> Validation_cache.path_validator c path ~cost
-    | None -> Matcher.make_path_validator t.dg path ~cost
-  in
-  let kept = Array.of_list (List.filter validate (Array.to_list survivors)) in
-  {
-    Query_eval.nodes = Int_arr.to_list (Int_arr.merge certain_all kept);
-    cost;
-    n_candidates = Array.length survivors;
-    n_certain = nca + ncb;
-  }
 
 let exec_raw_path t path =
   let cost = Cost.create () in
@@ -451,67 +291,36 @@ let exec_raw_expr t expr =
   let nodes = Matcher.eval_nfa t.dg nfa ~cost in
   { Query_eval.nodes; cost; n_candidates = 0; n_certain = 0 }
 
-let entry_exn t name =
-  match find_entry t name with
-  | Some e -> e
-  | None -> invalid_arg ("Planner.execute: unregistered index " ^ name)
+let entry_named t name =
+  match t.entry with
+  | Some e when String.equal e.name name -> e
+  | Some _ | None -> invalid_arg ("Planner.execute: unregistered index " ^ name)
 
 let execute t plan expr =
-  let path () =
-    match Path_ast.as_label_seq expr with
-    | Some labels -> intern_path t labels
-    | None -> None
+  let scan =
+    match plan.Plan.access with
+    | Plan.Raw -> None
+    | Plan.Scan name -> Some (entry_named t name)
   in
-  match plan.Plan.access with
-  | Plan.Raw -> (
-    match path () with
-    | Some p when Array.length p > 0 -> exec_raw_path t p
-    | Some _ -> empty_result ()
-    | None -> (
-      match Path_ast.as_label_seq expr with
-      | Some _ -> empty_result ()  (* label path with unknown labels *)
-      | None -> exec_raw_expr t expr))
-  | Plan.Scan name -> (
-    let e = entry_exn t name in
-    match path () with
-    | Some p when Array.length p > 0 -> exec_scan_path e p
-    | Some _ -> empty_result ()
-    | None -> (
-      match Path_ast.as_label_seq expr with
-      | Some _ -> empty_result ()
-      | None -> exec_scan e expr))
-  | Plan.Intersect (a, b) -> (
-    let ea = entry_exn t a and eb = entry_exn t b in
-    match path () with
-    | Some p when Array.length p > 0 -> exec_intersect t ea eb p
-    | Some _ -> empty_result ()
-    | None ->
-      invalid_arg "Planner.execute: intersection plans require a plain label path")
+  match Path_ast.as_label_seq expr with
+  | Some labels -> (
+    match intern_path t labels with
+    | Some p when Array.length p > 0 -> (
+      match scan with Some e -> exec_scan_path e p | None -> exec_raw_path t p)
+    | Some _ | None -> empty_result ()  (* empty, or a label the graph never saw *))
+  | None -> ( match scan with Some e -> exec_scan e expr | None -> exec_raw_expr t expr)
 
-(* Ranked plans are memoized per path against a stamp of the family's
-   generation counters (computed by [refresh_stamp], which the callers
-   below have just run), so the steady-state planned query pays a
-   one-entry MRU check or a hashtable probe, not a re-enumeration.
-   Each cached plan carries its executor with index entries already
-   resolved, so execution skips the by-name lookup too.  Cost
-   estimates can go stale against a drifting cache hit rate between
-   index mutations, which only reorders plans — every access path
-   stays exact. *)
+(* Plans are memoized per path against the index generation (computed
+   by [refresh_stamp], which the callers below have just run), so the
+   steady-state planned query pays a one-entry MRU check or a hashtable
+   probe, not a re-pricing.  Cost estimates can go stale against a
+   drifting cache hit rate between index mutations, which cannot change
+   the plans' order — the raw plan is always last. *)
 let path_equal a b =
   Array.length a = Array.length b
   &&
   let rec go i = i < 0 || (Label.equal a.(i) b.(i) && go (i - 1)) in
   go (Array.length a - 1)
-
-let executor_of_plan t plan =
-  match plan.Plan.access with
-  | Plan.Raw -> exec_raw_path t
-  | Plan.Scan name ->
-    let e = entry_exn t name in
-    exec_scan_path e
-  | Plan.Intersect (a, b) ->
-    let ea = entry_exn t a and eb = entry_exn t b in
-    exec_intersect t ea eb
 
 let plans_of_path t ~stamp path =
   if stamp <> t.cache_stamp then begin
@@ -521,20 +330,18 @@ let plans_of_path t ~stamp path =
   end;
   if path_equal path t.last_path then t.last_plans
   else begin
-    let key, ranked =
+    let key, plans =
       match Hashtbl.find_opt t.plan_cache path with
-      | Some ranked -> (path, ranked)
+      | Some plans -> (path, plans)
       | None ->
         let key = Array.copy path in
-        let ranked =
-          List.map (fun p -> (p, executor_of_plan t p)) (compute_plans_of_path t path)
-        in
-        Hashtbl.add t.plan_cache key ranked;
-        (key, ranked)
+        let plans = compute_plans_of_path t path in
+        Hashtbl.add t.plan_cache key plans;
+        (key, plans)
     in
     t.last_path <- key;
-    t.last_plans <- ranked;
-    ranked
+    t.last_plans <- plans;
+    plans
   end
 
 let plans t expr =
@@ -542,70 +349,47 @@ let plans t expr =
   match Path_ast.as_label_seq expr with
   | Some labels -> (
     match intern_path t labels with
-    | Some path -> List.map fst (plans_of_path t ~stamp path)
+    | Some path -> plans_of_path t ~stamp path
     | None -> [ empty_query_plan ])
-  | None ->
-    let scans = List.sort Plan.compare (List.map (fun e -> expr_scan_plan t e expr) t.entries) in
-    scans @ [ raw_expr_plan t ]
+  | None -> (
+    match t.entry with
+    | Some e -> [ expr_scan_plan t e expr; raw_expr_plan t ]
+    | None -> [ raw_expr_plan t ])
 
 let choose t expr = List.hd (plans t expr)
 
 let choose_path t path =
   let stamp = refresh_stamp t in
-  fst (List.hd (plans_of_path t ~stamp path))
+  List.hd (plans_of_path t ~stamp path)
 
 let explain t expr =
-  let ranked = plans t expr in
+  let plans = plans t expr in
+  let names = match t.entry with Some e -> [ e.name; "raw" ] | None -> [ "raw" ] in
   let header =
     Printf.sprintf "query %s: %d candidate plan(s) over [%s]" (Path_ast.to_string expr)
-      (List.length ranked)
-      (String.concat ", " (names t @ [ "raw" ]))
+      (List.length plans) (String.concat ", " names)
   in
   header
   :: List.mapi
        (fun i p ->
          Printf.sprintf "  %d. %s%s" (i + 1) (Plan.describe p) (if i = 0 then "  <- chosen" else ""))
-       ranked
+       plans
 
-
-(* The fallback chain: try plans in rank order; the raw plan closes
-   the chain and cannot fail. *)
-let eval_ranked_with t exec ranked =
-  let rec go = function
-    | [] -> assert false  (* ranked always ends with Raw *)
-    | [ last ] -> (last, exec last)
-    | p :: rest -> (
-      match exec p with
-      | r -> (p, r)
-      | exception _ ->
-        t.fallbacks <- t.fallbacks + 1;
-        go rest)
-  in
-  go ranked
-
-let eval_ranked t ranked expr = eval_ranked_with t (fun p -> execute t p expr) ranked
-
+(* The fallback chain: try plans in order; the raw plan closes the
+   chain and cannot fail. *)
 let eval_planned t expr =
   (match Path_ast.as_label_seq expr with
   | Some labels -> (
     match intern_path t labels with Some p -> observe_path t p | None -> ())
   | None -> ());
-  eval_ranked t (plans t expr) expr
-
-let eval_planned_path t path =
-  if Array.length path = 0 then (empty_query_plan, empty_result ())
-  else begin
-    observe_path t path;
-    let stamp = refresh_stamp t in
-    let rec go = function
-      | [] -> assert false  (* ranked always ends with Raw *)
-      | [ (p, f) ] -> (p, f path)
-      | (p, f) :: rest -> (
-        match f path with
-        | r -> (p, r)
-        | exception _ ->
-          t.fallbacks <- t.fallbacks + 1;
-          go rest)
-    in
-    go (plans_of_path t ~stamp path)
-  end
+  let rec go = function
+    | [] -> assert false  (* plans always end with Raw *)
+    | [ last ] -> (last, execute t last expr)
+    | p :: rest -> (
+      match execute t p expr with
+      | r -> (p, r)
+      | exception _ ->
+        t.fallbacks <- t.fallbacks + 1;
+        go rest)
+  in
+  go (plans t expr)

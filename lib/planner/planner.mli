@@ -1,24 +1,24 @@
-(** Cost-based plan selection across the index family.
+(** Cost-based choice between scanning the served index and walking
+    the raw data graph.
 
-    A planner holds a family of access paths over one data graph: any
-    number of registered index graphs (D(k), A(k), 1-index,
-    label-split, F&B — anything speaking {!Index_graph}) plus the raw
-    data graph itself.  For a parsed query it emits every valid plan
-    ({!plans}), prices each from the per-index {!Stats_catalog}, and
-    executes the cheapest with a deterministic fallback chain
-    ({!eval_planned}): plans are tried in rank order and the raw-graph
-    evaluation — always last, always executable — closes the chain.
+    A planner holds at most one index graph over one data graph (any
+    summary speaking {!Index_graph}; dkserve registers its D(k)).  For
+    a parsed query it emits the valid plans ({!plans}) — the index scan
+    priced from the index's {!Stats_catalog}, then the raw-graph
+    evaluation — and executes them down a fallback chain
+    ({!eval_planned}): the scan first, and the raw plan, always last
+    and always executable, if the scan raises.
 
-    Catalogs refresh lazily off {!Index_graph.generation}, so a
+    The catalog refreshes lazily off {!Index_graph.generation}, so a
     planner owned by a serving loop stays correct across updates
     without ever recomputing statistics for an unchanged index.
 
-    {b Estimates never affect answers.}  The cost model only orders
-    plans; every plan's executor is exact (index scans validate
-    under-refined extents through {!Query_eval}, intersections
-    validate the surviving candidates, the raw path is exact by
-    construction), so a wrong estimate can cost time, never
-    correctness. *)
+    {b Estimates never affect answers.}  Every plan's executor is exact
+    (the index scan validates under-refined extents through
+    {!Query_eval}, the raw path is exact by construction), so a wrong
+    estimate can cost time, never correctness.  Comparing summaries
+    against each other is an experiment, not a runtime choice: see
+    [bench/experiments.ml]. *)
 
 open Dkindex_graph
 open Dkindex_core
@@ -27,33 +27,24 @@ open Dkindex_pathexpr
 type t
 
 val create : Data_graph.t -> t
-(** A planner over the data graph with no indexes yet: only the raw
+(** A planner over the data graph with no index yet: only the raw
     access path is available until {!register} is called. *)
 
 val register : t -> name:string -> ?cache:Validation_cache.t -> Index_graph.t -> unit
-(** Add an index to the family under a unique name.  [cache] is used
-    by this index's scan executor and its hit/miss counters feed the
+(** Set the planner's one index, named [name] in plans.  [cache] is
+    used by the scan executor and its hit/miss counters feed the
     catalog's validation discount.  @raise Invalid_argument if the
-    name is taken, the name is ["raw"], or the index summarizes a
-    different data graph. *)
+    planner already holds an index, the name is ["raw"], or the index
+    summarizes a different data graph. *)
 
-val names : t -> string list
-(** Registered index names, in registration order. *)
-
-val find : t -> string -> Index_graph.t option
-val catalog : t -> string -> Stats_catalog.t option
-val data : t -> Data_graph.t
-
-val refresh : t -> unit
-(** Generation-gated refresh of every catalog, plus a pull of each
-    registered cache's hit/miss counters.  Called implicitly by
-    {!plans} / {!eval_planned}; O(#indexes) comparisons when nothing
-    changed. *)
+val index : t -> Index_graph.t option
+(** The registered index, if any. *)
 
 val observe_workload : t -> Label.t array list -> unit
 (** Feed an observed (e.g. mined) workload: per-label query frequencies
     sharpen the validation-cache discount.  {!eval_planned} also
-    observes each query it serves, so the discount adapts online. *)
+    observes each label-path query it serves, so the discount adapts
+    online. *)
 
 val observed_queries : t -> int
 
@@ -64,34 +55,27 @@ val fallbacks : t -> int
 (** {1 Planning} *)
 
 val plans : t -> Path_ast.t -> Plan.t list
-(** Every valid access path for the query, priced and ranked (cheapest
-    first, deterministic tie-break).  Always non-empty; the last plan
-    is always {!Plan.Raw}.  Label-sequence queries additionally get
-    intersection plans for every index pair whose scans both expect
-    validation work. *)
+(** The valid access paths for the query, priced: [[scan; raw]], or
+    [[raw]] when the planner holds no index or the query names a label
+    the data graph never saw.  The last plan is always {!Plan.Raw}. *)
 
 val choose : t -> Path_ast.t -> Plan.t
 
 val choose_path : t -> Label.t array -> Plan.t
-(** [choose] for a pre-interned label path: the planning step of
-    {!eval_planned_path} alone (catalog refresh check + memoized plan
-    lookup), without expression conversion or execution. *)
+(** [choose] for a pre-interned label path: catalog refresh check plus
+    memoized plan lookup, without expression conversion or
+    execution. *)
 
 val explain : t -> Path_ast.t -> string list
-(** Human-readable ranking: one header line, then one numbered line
-    per plan ({!Plan.describe}), the chosen plan marked. *)
+(** Human-readable plans: one header line, then one numbered line per
+    plan ({!Plan.describe}), the chosen plan marked. *)
 
 (** {1 Execution} *)
 
 val execute : t -> Plan.t -> Path_ast.t -> Query_eval.result
-(** Run one specific plan.  @raise Invalid_argument if the plan names
-    an unregistered index, or an intersection plan is applied to a
-    query that is not a plain label sequence. *)
+(** Run one specific plan.  @raise Invalid_argument if the plan scans
+    an index the planner does not hold. *)
 
 val eval_planned : t -> Path_ast.t -> Plan.t * Query_eval.result
 (** Plan, then execute down the fallback chain; returns the plan that
     actually produced the answer. *)
-
-val eval_planned_path : t -> Label.t array -> Plan.t * Query_eval.result
-(** {!eval_planned} for an already-interned label path (the workload
-    form); an empty path yields an empty result on the raw plan. *)

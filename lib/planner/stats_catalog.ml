@@ -3,16 +3,15 @@ open Dkindex_core
 
 let k_cap = 32
 
-(* Per-label row.  [cov.(j)] / [covd.(j)] are suffix counts: index
-   nodes (resp. their data population) whose capped similarity is at
-   least [j], for j in [0 .. k_cap].  Consultation indexes straight
-   into these arrays — no hashing, no allocation. *)
+(* Per-label row.  [covd.(j)] is a suffix count: the data population
+   of index nodes whose capped similarity is at least [j], for j in
+   [0 .. k_cap].  Consultation indexes straight into the array — no
+   hashing, no allocation. *)
 type row = {
   mutable inodes : int;
   mutable extent : int;
   mutable max_extent : int;
   mutable out_edges : int;  (* index out-edges of this label's nodes *)
-  cov : int array;
   covd : int array;
 }
 
@@ -42,7 +41,6 @@ let sweep t =
           extent = 0;
           max_extent = 0;
           out_edges = 0;
-          cov = Array.make (k_cap + 1) 0;
           covd = Array.make (k_cap + 1) 0;
         })
   in
@@ -57,14 +55,12 @@ let sweep t =
       r.out_edges <- r.out_edges + Index_graph.out_degree t.idx nd.Index_graph.id;
       if size > r.max_extent then r.max_extent <- size;
       (* bucket counts first; suffix-summed below *)
-      r.cov.(kc) <- r.cov.(kc) + 1;
       r.covd.(kc) <- r.covd.(kc) + size;
       k_hist.(kc) <- k_hist.(kc) + 1;
       data_nodes := !data_nodes + size);
   Array.iter
     (fun r ->
       for j = k_cap - 1 downto 0 do
-        r.cov.(j) <- r.cov.(j) + r.cov.(j + 1);
         r.covd.(j) <- r.covd.(j) + r.covd.(j + 1)
       done)
     rows;
@@ -96,7 +92,6 @@ let create idx =
   sweep t;
   t
 
-let index t = t.idx
 let refresh t = if Index_graph.generation t.idx <> t.gen then sweep t
 let refreshes t = t.refreshes
 let generation t = t.gen
@@ -140,25 +135,10 @@ let label_fanout t l =
 let label_extent t l = match row t l with Some r -> r.extent | None -> 0
 let label_max_extent t l = match row t l with Some r -> r.max_extent | None -> 0
 
-let label_selectivity t l =
-  if t.n_data_nodes = 0 then 0.0
-  else float_of_int (label_extent t l) /. float_of_int t.n_data_nodes
-
-let covered_inodes t l m =
-  match row t l with Some r -> r.cov.(cap_k (max 0 m)) | None -> 0
-
 let covered_extent t l m =
   match row t l with Some r -> r.covd.(cap_k (max 0 m)) | None -> 0
 
 let uncovered_extent t l m = label_extent t l - covered_extent t l m
-
-let interned t name = Label.Pool.find_opt (Data_graph.pool (Index_graph.data t.idx)) name
-
-let label_inodes_name t name =
-  match interned t name with Some l -> label_inodes t l | None -> 0
-
-let label_extent_name t name =
-  match interned t name with Some l -> label_extent t l | None -> 0
 
 let observe_cache t ~hits ~misses =
   t.cache_hits <- hits;
@@ -167,8 +147,3 @@ let observe_cache t ~hits ~misses =
 let cache_hit_rate t =
   let total = t.cache_hits + t.cache_misses in
   if total = 0 then 0.0 else float_of_int t.cache_hits /. float_of_int total
-
-let pp ppf t =
-  Format.fprintf ppf
-    "catalog gen=%d: %d inodes, %d iedges (fanout %.2f), %d data nodes, vcache hit rate %.2f"
-    t.gen t.n_inodes t.n_iedges (index_fanout t) t.n_data_nodes (cache_hit_rate t)

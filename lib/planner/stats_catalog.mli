@@ -33,8 +33,6 @@ val k_cap : int
 val create : Index_graph.t -> t
 (** Bind a catalog to an index and run the first sweep. *)
 
-val index : t -> Index_graph.t
-
 val refresh : t -> unit
 (** Re-sweep if (and only if) the index generation moved. *)
 
@@ -63,8 +61,7 @@ val k_histogram : t -> (int * int) list
 
 (** {1 Per-label statistics}
 
-    All take an interned label; [*_name] variants intern first and
-    return zero statistics for labels the data graph never saw. *)
+    All take an interned label. *)
 
 val label_inodes : t -> Label.t -> int
 (** Live index nodes carrying the label. *)
@@ -80,24 +77,15 @@ val label_extent : t -> Label.t -> int
 
 val label_max_extent : t -> Label.t -> int
 
-val label_selectivity : t -> Label.t -> float
-(** [label_extent / n_data_nodes], in [0, 1]. *)
-
-val covered_inodes : t -> Label.t -> int -> int
-(** [covered_inodes t l m]: this label's index nodes with
-    [min k k_cap >= min m k_cap] — the nodes certain for a query of
-    [m + 1] labels. *)
-
 val covered_extent : t -> Label.t -> int -> int
-(** Data population of the nodes {!covered_inodes} counts. *)
+(** [covered_extent t l m]: data population of this label's index
+    nodes with [min k k_cap >= min m k_cap] — the nodes certain for a
+    query of [m + 1] labels. *)
 
 val uncovered_extent : t -> Label.t -> int -> int
 (** [label_extent - covered_extent]: data nodes that would need
     validation if every node of the label matched a query of [m + 1]
     labels. *)
-
-val label_inodes_name : t -> string -> int
-val label_extent_name : t -> string -> int
 
 (** {1 Validation-cache observation} *)
 
@@ -107,6 +95,3 @@ val observe_cache : t -> hits:int -> misses:int -> unit
 
 val cache_hit_rate : t -> float
 (** Hits over total observed probes; 0 before any observation. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary, for logs and EXPLAIN headers. *)

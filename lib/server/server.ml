@@ -150,9 +150,13 @@ type state = {
   resyncs : int Atomic.t;
   anti_entropy_rounds : int Atomic.t;
   (* planner / statistics observability *)
-  vcaches : Validation_cache.t list Atomic.t;
-      (* every reader-side validation cache ever created, for the
-         aggregate hit/miss/eviction counters in Stats *)
+  vcache_mu : Mutex.t;
+  mutable vcaches : Validation_cache.t list;
+      (* the validation caches readers hold, for the aggregate
+         hit/miss/eviction counters in Stats *)
+  mutable vcache_retired : int * int * int;
+      (* hits, misses and evictions of the caches readers dropped, so
+         the exported counters never decrease *)
   stats_mu : Mutex.t;
   mutable stats_srcs : Index_stats.source list;
       (* generation-gated Index_stats per physical copy (<= 2 live) *)
@@ -328,13 +332,16 @@ let wire_result ~gen ~age_ms (r : Query_eval.result) : Wire.query_result =
 
 (* Per-reader state: validation caches plus cost-based planners.  The
    serving snapshot alternates between the two physical copies as
-   writes land, so each reader keeps one cache (and one planner) per
-   copy — two live entries keyed by physical identity; a wholesale
-   replacement simply ages both out.  Planners come in a cached and an
-   uncached flavor so Query_planned honors the [no_cache] flag. *)
+   writes land, so each reader keeps one cache per copy — two live
+   entries keyed by physical identity; a third copy (a spare rebuilt
+   after a failed write, a snapshot install) drops the older entry.
+   Planners come in a cached and an uncached flavor so Query_planned
+   honors the [no_cache] flag; a cached planner is keyed by its cache,
+   so one whose cache was dropped is never used again. *)
 type reader = {
   caches : Validation_cache.t list ref;
-  planners : (bool * Planner.t) list ref;  (* (uses the cache?, planner) *)
+  planners : (Validation_cache.t option * Planner.t) list ref;
+      (* (the cache it scans through, planner) *)
 }
 
 let new_reader () = { caches = ref []; planners = ref [] }
@@ -344,41 +351,51 @@ let reader_cache state rd idx =
   | Some c -> c
   | None ->
     let c = Validation_cache.create idx in
-    (rd.caches :=
-       match !(rd.caches) with
-       | prev :: _ -> [ c; prev ]
-       | [] -> [ c ]);
-    (* Register for the aggregate vcache_* stats; the list only ever
-       grows by two entries per reader, so a cons race retry is cheap
-       and rare. *)
-    let rec add () =
-      let cur = Atomic.get state.vcaches in
-      if not (Atomic.compare_and_set state.vcaches cur (c :: cur)) then add ()
+    let dropped =
+      match !(rd.caches) with
+      | prev :: dropped ->
+        rd.caches := [ c; prev ];
+        dropped
+      | [] ->
+        rd.caches := [ c ];
+        []
     in
-    add ();
+    (* Register for the aggregate vcache_* stats, and retire the
+       dropped cache in the same critical section: its counters move
+       into the retired totals as it leaves the list, so a concurrent
+       Stats never sees them twice or not at all. *)
+    Mutex.lock state.vcache_mu;
+    Fun.protect ~finally:(fun () -> Mutex.unlock state.vcache_mu) (fun () ->
+        List.iter
+          (fun d ->
+            let h, m = Validation_cache.stats d in
+            let rh, rm, re = state.vcache_retired in
+            state.vcache_retired <- (rh + h, rm + m, re + Validation_cache.evictions d))
+          dropped;
+        state.vcaches <- c :: List.filter (fun x -> not (List.memq x dropped)) state.vcaches);
     c
 
-(* The server-side plan family per snapshot: the serving index (named
-   "index") plus the raw data graph the planner always carries.  The
-   richer multi-index family lives CLI-side where the whole family is
-   built over an immutable graph; here the planner's job is per-query
-   routing between the index scan and the raw fallback, priced from
-   the live catalog (generation-gated, so update churn refreshes it). *)
+(* The server-side planner per snapshot: the serving index (named
+   "index") plus the raw data graph the planner always carries.  Its
+   job is per-query routing between the index scan and the raw
+   fallback, priced from the live catalog (generation-gated, so update
+   churn refreshes it). *)
 let reader_planner state rd ~use_cache idx =
-  let matches (cached, pl) =
-    cached = use_cache
-    && match Planner.find pl "index" with Some i -> i == idx | None -> false
+  let cache = if use_cache then Some (reader_cache state rd idx) else None in
+  let matches (c, pl) =
+    match (c, cache) with
+    | Some c, Some want -> c == want
+    | None, None -> ( match Planner.index pl with Some i -> i == idx | None -> false)
+    | Some _, None | None, Some _ -> false
   in
   match List.find_opt matches !(rd.planners) with
   | Some (_, pl) -> pl
   | None ->
     let pl = Planner.create (Index_graph.data idx) in
-    (if use_cache then
-       Planner.register pl ~name:"index" ~cache:(reader_cache state rd idx) idx
-     else Planner.register pl ~name:"index" idx);
+    Planner.register pl ~name:"index" ?cache idx;
     (* cap at 4 live planners: {cached, uncached} x {two copies} *)
     rd.planners :=
-      (use_cache, pl) :: (match !(rd.planners) with a :: b :: c :: _ -> [ a; b; c ] | l -> l);
+      (cache, pl) :: (match !(rd.planners) with a :: b :: c :: _ -> [ a; b; c ] | l -> l);
     pl
 
 let eval_labels ?cache idx labels =
@@ -407,8 +424,11 @@ let stats_source state idx =
     s
 
 let vcache_kvs state =
-  let hits = ref 0 and misses = ref 0 and entries = ref 0 and evictions = ref 0 in
-  let caches = Atomic.get state.vcaches in
+  Mutex.lock state.vcache_mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock state.vcache_mu) @@ fun () ->
+  let rh, rm, re = state.vcache_retired in
+  let hits = ref rh and misses = ref rm and entries = ref 0 and evictions = ref re in
+  let caches = state.vcaches in
   List.iter
     (fun c ->
       let h, m = Validation_cache.stats c in
@@ -522,7 +542,7 @@ let handle_read state (snap : snap) rd req : Wire.response =
     Atomic.incr state.planned;
     (match plan.Plan.access with
     | Plan.Raw -> Atomic.incr state.planned_raw_scans
-    | Plan.Scan _ | Plan.Intersect _ -> Atomic.incr state.planned_index_scans);
+    | Plan.Scan _ -> Atomic.incr state.planned_index_scans);
     let fell = Planner.fallbacks pl - fb0 in
     if fell > 0 then ignore (Atomic.fetch_and_add state.plan_fallbacks fell);
     Wire.Planned_result { plan = Plan.describe plan; result = wire_result r }
@@ -1165,7 +1185,9 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
       replica_divergences = Atomic.make 0;
       resyncs = Atomic.make 0;
       anti_entropy_rounds = Atomic.make 0;
-      vcaches = Atomic.make [];
+      vcache_mu = Mutex.create ();
+      vcaches = [];
+      vcache_retired = (0, 0, 0);
       stats_mu = Mutex.create ();
       stats_srcs = [];
       planned = Atomic.make 0;

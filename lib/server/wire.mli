@@ -68,7 +68,7 @@ type request =
           live statistics catalog) and reports the chosen plan in the
           {!Planned_result} reply. *)
   | Explain of { expr : Path_ast.t }
-      (** Ask for the ranked plan list the planner would consider for
+      (** Ask for the plan list the planner would consider for
           this query, without executing anything. *)
   | Has_edge of { u : int; v : int }
       (** Point probe: is the data edge [u -> v] present in the serving
@@ -142,7 +142,7 @@ type response =
       (** Answer to {!Query_planned}; [plan] is the one-line
           description of the plan that produced the result. *)
   | Explain_reply of string list
-      (** Answer to {!Explain}: header line plus one line per ranked
+      (** Answer to {!Explain}: header line plus one line per
           plan, chosen plan marked. *)
   | Edge_reply of { present : bool; generation : int; age_ms : int }
       (** Answer to {!Has_edge}, stamped like {!query_result}:

@@ -4,6 +4,7 @@
 
 open Dkindex_graph
 open Dkindex_core
+open Dkindex_baselines
 module Dataset = Dkindex_server.Dataset
 
 (* (a) The pinned serving index at scale 40. *)

@@ -1,6 +1,7 @@
 (* The baseline summary structures: label-split / A(k) / 1-index /
    strong DataGuide. *)
 open Dkindex_core
+open Dkindex_baselines
 open Testlib
 module Data_graph = Dkindex_graph.Data_graph
 module Label = Dkindex_graph.Label

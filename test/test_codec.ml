@@ -17,6 +17,7 @@
      [Crc32.update] in chunks split at random points. *)
 
 open Dkindex_core
+open Dkindex_baselines
 open Testlib
 module Data_graph = Dkindex_graph.Data_graph
 module Builder = Dkindex_graph.Builder

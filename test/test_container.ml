@@ -4,6 +4,7 @@
 
 open Dkindex_graph
 open Dkindex_core
+open Dkindex_baselines
 open Testlib
 module Query_gen = Dkindex_workload.Query_gen
 module Prng = Dkindex_datagen.Prng

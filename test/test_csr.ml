@@ -7,6 +7,7 @@
 
 open Dkindex_graph
 open Dkindex_core
+open Dkindex_baselines
 module Prng = Dkindex_datagen.Prng
 
 let check_int = Alcotest.(check int)

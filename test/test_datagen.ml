@@ -194,7 +194,7 @@ let treebank_tests =
           [ "S"; "NP"; "VP"; "PP"; "SBAR"; "trace"; "VALUE" ]);
     test "the 1-index compresses poorly (the treebank effect)" (fun () ->
         let g = Treebank.graph ~seed:4 ~scale:50 () in
-        let one = Dkindex_core.One_index.build g in
+        let one = Dkindex_baselines.One_index.build g in
         let ratio =
           float_of_int (Dkindex_core.Index_graph.n_nodes one)
           /. float_of_int (Data_graph.n_nodes g)

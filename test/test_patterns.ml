@@ -1,6 +1,7 @@
 (* Tree patterns (branching path queries), the F&B-index, and pattern
    evaluation through indexes. *)
 open Dkindex_core
+open Dkindex_baselines
 open Testlib
 module Data_graph = Dkindex_graph.Data_graph
 module Tree_pattern = Dkindex_pathexpr.Tree_pattern

@@ -1,10 +1,11 @@
 (* Cost-based query planner: statistics catalog correctness and
-   laziness, plan enumeration/ranking, executor equivalence (every
-   candidate access path answers bit for bit like direct evaluation),
-   and robustness of the whole family under update churn. *)
+   laziness, the two plans of a one-index planner, executor
+   equivalence (every plan over every summary answers bit for bit like
+   direct evaluation), and robustness under update churn. *)
 
 open Dkindex_graph
 open Dkindex_core
+open Dkindex_baselines
 open Testlib
 module Cost = Dkindex_pathexpr.Cost
 module Path_ast = Dkindex_pathexpr.Path_ast
@@ -22,22 +23,29 @@ let to_alcotest = QCheck_alcotest.to_alcotest
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)
 
-(* The full family the CLI registers, in the same order. *)
-let build_family ?(with_cache = true) ?(k = 2) ?(seed = 42) ?(workload = 20) g =
-  let queries = Query_gen.generate ~seed ~count:workload g in
-  let reqs = Miner.mine g queries in
+(* The summaries the CLI can plan over, each built on its own. *)
+let kinds g ~queries =
+  [
+    ("dk", fun () -> Dk_index.build g ~reqs:(Miner.mine g queries));
+    ("ak", fun () -> A_k_index.build g ~k:2);
+    ("1-index", fun () -> One_index.build g);
+    ("label-split", fun () -> Label_split.build g);
+    ("fb", fun () -> Fb_index.build g);
+  ]
+
+(* A planner holding only [idx], with its workload observed. *)
+let single ?(with_cache = true) ?(queries = []) g name idx =
   let pl = Planner.create g in
-  let reg name idx =
-    if with_cache then Planner.register pl ~name ~cache:(Validation_cache.create idx) idx
-    else Planner.register pl ~name idx
-  in
-  reg "dk" (Dk_index.build g ~reqs);
-  reg "ak" (A_k_index.build g ~k);
-  reg "1-index" (One_index.build g);
-  reg "label-split" (Label_split.build g);
-  reg "fb" (Fb_index.build g);
+  if with_cache then Planner.register pl ~name ~cache:(Validation_cache.create idx) idx
+  else Planner.register pl ~name idx;
   Planner.observe_workload pl queries;
-  (pl, queries)
+  pl
+
+(* A planner holding only a D(k) mined from a [Query_gen] workload. *)
+let dk_planner ?with_cache ?(seed = 42) ?(workload = 20) g =
+  let queries = Query_gen.generate ~seed ~count:workload g in
+  let dk = Dk_index.build g ~reqs:(Miner.mine g queries) in
+  (single ?with_cache ~queries g "dk" dk, queries)
 
 let oracle g path =
   let cost = Cost.create () in
@@ -47,44 +55,41 @@ let expr_of_path g path =
   Path_ast.seq_of_labels
     (List.map (Label.Pool.name (Data_graph.pool g)) (Array.to_list path))
 
-(* Execute every enumerated plan for [path] plus every forced pairwise
-   intersection, requiring all node lists to equal the raw oracle. *)
+let access_names plans = List.map (fun p -> Plan.access_name p.Plan.access) plans
+
+(* Execute every plan for [expr], requiring the node lists to equal
+   [want]; a planner holding an index must offer exactly [scan; raw]. *)
+let check_plans_answer pl expr want =
+  let plans = Planner.plans pl expr in
+  (match Planner.index pl with
+  | Some _ -> check_int "plans are [scan; raw]" 2 (List.length plans)
+  | None -> ());
+  List.iter
+    (fun p ->
+      let r = Planner.execute pl p expr in
+      if r.Query_eval.nodes <> want then
+        Alcotest.failf "%s: plan %s disagrees with raw (%d vs %d nodes)"
+          (Path_ast.to_string expr) (Plan.describe p) (List.length r.Query_eval.nodes)
+          (List.length want))
+    plans
+
 let check_all_plans_agree pl g path =
-  if Array.length path > 0 then begin
-    let expr = expr_of_path g path in
-    let want = oracle g path in
-    let ranked = Planner.plans pl expr in
-    List.iter
-      (fun p ->
-        let r = Planner.execute pl p expr in
-        if r.Query_eval.nodes <> want then
-          Alcotest.failf "plan %s disagrees with oracle (%d vs %d nodes)"
-            (Plan.describe p) (List.length r.Query_eval.nodes) (List.length want))
-      ranked;
-    (* Forced intersections, whether or not the enumerator priced them. *)
-    let names = Planner.names pl in
-    List.iter
-      (fun a ->
-        List.iter
-          (fun b ->
-            if a < b then begin
-              let p =
-                {
-                  Plan.access = Plan.Intersect (a, b);
-                  est_index_visits = 0.0;
-                  est_candidates = 0.0;
-                  est_data_visits = 0.0;
-                  est_total = 0.0;
-                  certain = false;
-                }
-              in
-              let r = Planner.execute pl p expr in
-              if r.Query_eval.nodes <> want then
-                Alcotest.failf "intersect(%s,%s) disagrees with oracle" a b
-            end)
-          names)
-      names
-  end
+  if Array.length path > 0 then check_plans_answer pl (expr_of_path g path) (oracle g path)
+
+(* For each summary, a planner holding only it answers every workload
+   path and each regex like the raw graph, through every plan. *)
+let check_kinds_agree g ~queries regexes =
+  List.iter
+    (fun (name, build) ->
+      let pl = single ~queries g name (build ()) in
+      List.iter (check_all_plans_agree pl g) queries;
+      List.iter
+        (fun s ->
+          let expr = Path_parser.parse s in
+          let nfa = Dkindex_pathexpr.Nfa.compile (Data_graph.pool g) expr in
+          check_plans_answer pl expr (Matcher.eval_nfa g nfa ~cost:(Cost.create ())))
+        regexes)
+    (kinds g ~queries)
 
 (* ------------------------------------------------------------------ *)
 (* Statistics catalog                                                  *)
@@ -192,36 +197,30 @@ let index_stats_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Enumeration and ranking                                             *)
+(* Plans                                                               *)
+
+let expect_invalid f =
+  match f () with
+  | () -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
 let plan_tests =
   [
     test "plans are ranked, deterministic, raw-terminated" (fun () ->
         let g = Dkindex_datagen.Xmark.graph ~seed:3 ~scale:8 () in
-        let pl, _ = build_family g in
+        let pl, _ = dk_planner g in
         let expr = Path_parser.parse "site.regions.africa.item" in
-        let ranked = Planner.plans pl expr in
-        (match List.rev ranked with
-        | last :: _ -> assert (last.Plan.access = Plan.Raw)
-        | [] -> Alcotest.fail "no plans");
-        let costs = List.filter_map
-            (fun p -> if p.Plan.access = Plan.Raw then None else Some p.Plan.est_total)
-            ranked
-        in
-        let rec sorted = function
-          | a :: (b :: _ as rest) -> a <= b && sorted rest
-          | _ -> true
-        in
-        assert (sorted costs);
-        (* deterministic: same ranked list on every call *)
-        assert (List.map Plan.describe ranked = List.map Plan.describe (Planner.plans pl expr));
-        assert (Plan.describe (Planner.choose pl expr) = Plan.describe (List.hd ranked)));
+        let plans = Planner.plans pl expr in
+        Alcotest.(check (list string)) "scan, then raw" [ "scan(dk)"; "raw" ] (access_names plans);
+        (* deterministic: same plans on every call *)
+        assert (List.map Plan.describe plans = List.map Plan.describe (Planner.plans pl expr));
+        assert (Plan.describe (Planner.choose pl expr) = Plan.describe (List.hd plans)));
     test "choose_path allocates O(1) words" (fun () ->
         (* Catalog consultation is array indexing into the swept rows and
-           a bounded list of plan records: no per-extent or per-node work
-           (5 words measured). *)
+           a memoized list of plan records: no per-extent or per-node
+           work. *)
         let g = Dkindex_datagen.Xmark.graph ~scale:8 () in
-        let pl, _ = build_family ~with_cache:false g in
+        let pl, _ = dk_planner ~with_cache:false g in
         let path =
           Array.map
             (fun l -> Option.get (Label.Pool.find_opt (Data_graph.pool g) l))
@@ -238,7 +237,7 @@ let plan_tests =
           (per <= 2048.0));
     test "unknown label plans as an empty raw no-op" (fun () ->
         let g = random_graph ~seed:8 ~nodes:30 in
-        let pl, _ = build_family g in
+        let pl, _ = dk_planner g in
         let expr = Path_parser.parse "no_such_label.l0" in
         (match Planner.plans pl expr with
         | [ p ] ->
@@ -246,11 +245,26 @@ let plan_tests =
           let r = Planner.execute pl p expr in
           check_int_list "empty" [] r.Query_eval.nodes
         | ps -> Alcotest.failf "expected 1 plan, got %d" (List.length ps)));
+    test "a planner with no index plans [raw]" (fun () ->
+        let g = random_graph ~seed:9 ~nodes:60 in
+        let pl = Planner.create g in
+        check_bool "no index" true (Option.is_none (Planner.index pl));
+        let pool = Data_graph.pool g in
+        let path = Array.map (fun l -> Option.get (Label.Pool.find_opt pool l)) [| "l0"; "l1" |] in
+        let expr = expr_of_path g path in
+        Alcotest.(check (list string))
+          "label path" [ "raw" ] (access_names (Planner.plans pl expr));
+        Alcotest.(check (list string)) "regex" [ "raw" ]
+          (access_names (Planner.plans pl (Path_parser.parse "l0.(l1|l2)*")));
+        check_bool "choose_path" true ((Planner.choose_path pl path).Plan.access = Plan.Raw);
+        let plan, r = Planner.eval_planned pl expr in
+        check_bool "raw answered" true (plan.Plan.access = Plan.Raw);
+        check_int_list "nodes = oracle" (oracle g path) r.Query_eval.nodes);
     test "explain marks the chosen plan" (fun () ->
         let g = random_graph ~seed:12 ~nodes:60 in
-        let pl, _ = build_family g in
+        let pl, _ = dk_planner g in
         let lines = Planner.explain pl (Path_parser.parse "l0.l1") in
-        assert (List.length lines >= 2);
+        check_int "header and two plans" 3 (List.length lines);
         (match lines with
         | _header :: first :: _ ->
           assert (
@@ -262,17 +276,22 @@ let plan_tests =
         let g2 = random_graph ~seed:14 ~nodes:20 in
         let pl = Planner.create g in
         Planner.register pl ~name:"one" (One_index.build g);
-        let expect_invalid f =
-          match f () with
-          | () -> Alcotest.fail "expected Invalid_argument"
-          | exception Invalid_argument _ -> ()
-        in
         expect_invalid (fun () -> Planner.register pl ~name:"one" (Label_split.build g));
-        expect_invalid (fun () -> Planner.register pl ~name:"raw" (Label_split.build g));
-        expect_invalid (fun () -> Planner.register pl ~name:"foreign" (One_index.build g2)));
+        expect_invalid (fun () ->
+            Planner.register (Planner.create g) ~name:"raw" (Label_split.build g));
+        expect_invalid (fun () ->
+            Planner.register (Planner.create g) ~name:"foreign" (One_index.build g2)));
+    test "a second register raises" (fun () ->
+        let g = random_graph ~seed:17 ~nodes:40 in
+        let pl, _ = dk_planner g in
+        let first = Option.get (Planner.index pl) in
+        expect_invalid (fun () -> Planner.register pl ~name:"ak" (A_k_index.build g ~k:2));
+        check_bool "first index kept" true (Option.get (Planner.index pl) == first);
+        Alcotest.(check (list string)) "plans over the first" [ "scan(dk)"; "raw" ]
+          (access_names (Planner.plans pl (Path_parser.parse "l0.l1"))));
     test "execute on an unregistered index raises" (fun () ->
         let g = random_graph ~seed:15 ~nodes:20 in
-        let pl, _ = build_family g in
+        let pl, _ = dk_planner g in
         let bogus =
           {
             Plan.access = Plan.Scan "nope";
@@ -287,21 +306,18 @@ let plan_tests =
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
     test "planner catalogs refresh lazily through plans" (fun () ->
+        (* Plans are memoized against the index generation: the same
+           list comes back until a mutation re-prices them. *)
         let g = random_graph ~seed:16 ~nodes:60 in
-        let pl, _ = build_family g in
+        let pl, _ = dk_planner g in
         let expr = Path_parser.parse "l0.l1" in
-        ignore (Planner.plans pl expr);
-        let cat = Option.get (Planner.catalog pl "dk") in
-        let before = Stats_catalog.refreshes cat in
-        ignore (Planner.plans pl expr);
-        ignore (Planner.plans pl expr);
-        check_int "no resweep without mutation" before (Stats_catalog.refreshes cat);
-        let idx = Option.get (Planner.find pl "dk") in
+        let plans = Planner.plans pl expr in
+        check_bool "memoized without mutation" true (Planner.plans pl expr == plans);
+        let idx = Option.get (Planner.index pl) in
         let u = 0 and v = Data_graph.n_nodes g - 1 in
         if not (Data_graph.has_edge g u v) then begin
           Dk_update.add_edge idx u v;
-          ignore (Planner.plans pl expr);
-          check_int "resweep after mutation" (before + 1) (Stats_catalog.refreshes cat)
+          check_bool "re-priced after mutation" false (Planner.plans pl expr == plans)
         end);
   ]
 
@@ -312,15 +328,17 @@ let executor_tests =
   [
     test "all access paths agree on XMark fixtures" (fun () ->
         let g = Dkindex_datagen.Xmark.graph ~seed:21 ~scale:10 () in
-        let pl, queries = build_family g in
-        List.iter (check_all_plans_agree pl g) queries);
+        let queries = Query_gen.generate ~seed:42 ~count:20 g in
+        check_kinds_agree g ~queries
+          [ "site.(regions|people).(item|person)"; "site.(people)*.person.name" ]);
     test "all access paths agree on NASA fixtures" (fun () ->
         let g = Dkindex_datagen.Nasa.graph ~seed:22 ~scale:10 () in
-        let pl, queries = build_family g in
-        List.iter (check_all_plans_agree pl g) queries);
+        let queries = Query_gen.generate ~seed:42 ~count:20 g in
+        check_kinds_agree g ~queries
+          [ "dataset.(reference|history).(source|revision)"; "datasets.(dataset)*.title" ]);
     test "eval_planned returns the chosen plan's exact result" (fun () ->
         let g = Dkindex_datagen.Xmark.graph ~seed:23 ~scale:8 () in
-        let pl, queries = build_family g in
+        let pl, queries = dk_planner g in
         List.iter
           (fun path ->
             if Array.length path > 0 then begin
@@ -331,27 +349,28 @@ let executor_tests =
             end)
           queries;
         check_int "no fallbacks" 0 (Planner.fallbacks pl));
-    test "eval_planned_path observes the workload" (fun () ->
+    test "eval_planned observes the workload" (fun () ->
         let g = random_graph ~seed:24 ~nodes:60 in
-        let pl = Planner.create g in
-        Planner.register pl ~name:"1-index" (One_index.build g);
+        let pl = single g "1-index" (One_index.build g) in
         let before = Planner.observed_queries pl in
         let pool = Data_graph.pool g in
         let path =
           [| Option.get (Label.Pool.find_opt pool "l0"); Option.get (Label.Pool.find_opt pool "l1") |]
         in
-        let _, r = Planner.eval_planned_path pl path in
+        let _, r = Planner.eval_planned pl (expr_of_path g path) in
         check_int "observed" (before + 1) (Planner.observed_queries pl);
         check_int_list "nodes = oracle" (oracle g path) r.Query_eval.nodes);
     test "general expressions route through scans and raw identically" (fun () ->
         let g = Dkindex_datagen.Xmark.graph ~seed:25 ~scale:8 () in
-        let pl, _ = build_family g in
+        let pl, _ = dk_planner g in
         List.iter
           (fun s ->
             let expr = Path_parser.parse s in
-            let ranked = Planner.plans pl expr in
+            let plans = Planner.plans pl expr in
+            Alcotest.(check (list string)) "scan, then raw" [ "scan(dk)"; "raw" ]
+              (access_names plans);
             let results =
-              List.map (fun p -> (Planner.execute pl p expr).Query_eval.nodes) ranked
+              List.map (fun p -> (Planner.execute pl p expr).Query_eval.nodes) plans
             in
             match results with
             | first :: rest ->
@@ -365,11 +384,10 @@ let executor_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* qcheck: every candidate plan agrees with the raw oracle and with
-   its own repeat execution on random graphs, through update churn.   *)
+(* qcheck: every plan agrees with the raw oracle and with its own
+   repeat execution on random graphs, through update churn.           *)
 
-let churn g pl ~seed ~rounds =
-  let idx = Option.get (Planner.find pl "dk") in
+let churn g idx ~seed ~rounds =
   let rng = Prng.create ~seed in
   let added = ref [] in
   for _ = 1 to rounds do
@@ -386,20 +404,8 @@ let churn g pl ~seed ~rounds =
       added := rest
   done
 
-(* After churn the maintained D(k) index stays registered while the
-   rest of the family is rebuilt against the mutated graph: the mix of
-   an incrementally-updated summary and freshly-built ones is exactly
-   what the planner must keep coherent. *)
-let rebuilt_family g dk =
-  let pl = Planner.create g in
-  Planner.register pl ~name:"dk" ~cache:(Validation_cache.create dk) dk;
-  let reg name idx = Planner.register pl ~name ~cache:(Validation_cache.create idx) idx in
-  reg "ak" (A_k_index.build g ~k:2);
-  reg "1-index" (One_index.build g);
-  reg "label-split" (Label_split.build g);
-  reg "fb" (Fb_index.build g);
-  pl
-
+(* The planner keeps the maintained D(k) registered through the churn:
+   its catalog and plan memo must follow the incremental updates. *)
 let prop_plans_agree_through_churn =
   QCheck.Test.make ~count:25 ~name:"every candidate plan = raw oracle, through churn"
     (QCheck.make
@@ -407,13 +413,12 @@ let prop_plans_agree_through_churn =
        QCheck.Gen.(pair (int_bound 10_000) (int_range 10 80)))
     (fun (seed, nodes) ->
       let g = random_graph ~seed ~nodes in
-      let pl, queries = build_family g ~seed in
+      let pl, queries = dk_planner g ~seed in
       List.iter (check_all_plans_agree pl g) queries;
-      churn g pl ~seed:(seed * 7) ~rounds:12;
-      let dk = Option.get (Planner.find pl "dk") in
+      let dk = Option.get (Planner.index pl) in
+      churn g dk ~seed:(seed * 7) ~rounds:12;
       Index_graph.check_invariants dk;
-      let pl' = rebuilt_family g dk in
-      List.iter (check_all_plans_agree pl' g) queries;
+      List.iter (check_all_plans_agree pl g) queries;
       true)
 
 let prop_plan_results_reproducible =
@@ -424,8 +429,9 @@ let prop_plan_results_reproducible =
        QCheck.Gen.(pair (int_bound 10_000) (int_range 10 80)))
     (fun (seed, nodes) ->
       let g = random_graph ~seed ~nodes in
-      (* no caches: costs must also be bit-for-bit reproducible *)
-      let pl, queries = build_family g ~with_cache:false ~seed in
+      (* no cache: costs must also be bit-for-bit reproducible *)
+      let pl, queries = dk_planner g ~with_cache:false ~seed in
+      let dk = Option.get (Planner.index pl) in
       List.iter
         (fun path ->
           if Array.length path > 0 then begin
@@ -440,16 +446,12 @@ let prop_plan_results_reproducible =
                 if triple r1 <> triple r2 then
                   Alcotest.failf "plan %s not reproducible" (Plan.describe p);
                 match p.Plan.access with
-                | Plan.Scan name ->
-                  let direct =
-                    Query_eval.eval_path ~strategy:`Auto
-                      (Option.get (Planner.find pl name))
-                      path
-                  in
+                | Plan.Scan _ ->
+                  let direct = Query_eval.eval_path ~strategy:`Auto dk path in
                   if triple r1 <> triple direct then
                     Alcotest.failf "plan %s differs from direct Query_eval"
                       (Plan.describe p)
-                | Plan.Intersect _ | Plan.Raw -> ())
+                | Plan.Raw -> ())
               (Planner.plans pl expr)
           end)
         queries;

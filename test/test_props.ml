@@ -3,6 +3,7 @@
    implementations and against each other on randomized inputs. *)
 
 open Dkindex_core
+open Dkindex_baselines
 open Testlib
 module Data_graph = Dkindex_graph.Data_graph
 module Label = Dkindex_graph.Label

@@ -4,6 +4,7 @@
    the same queries one at a time against the data graph. *)
 
 open Dkindex_core
+open Dkindex_baselines
 open Testlib
 module Data_graph = Dkindex_graph.Data_graph
 module Label = Dkindex_graph.Label

@@ -568,7 +568,7 @@ let test_smoke () =
     let want = Query_eval.eval_expr idx expr in
     Alcotest.(check (list int)) "expr nodes" want.Query_eval.nodes (Array.to_list got.Wire.nodes);
     (* The planned read path: same answers, plan reported; EXPLAIN is
-       read-only and returns the ranked list. *)
+       read-only and returns the plan list. *)
     List.iter
       (fun labels ->
         let expr = Path_ast.seq_of_labels labels in
@@ -1093,6 +1093,64 @@ let test_spare_rebuild () =
   check_copies "after the rebuild" 2;
   shutdown_server pid c
 
+(* Each failed write drops the spare, so the next write publishes a
+   fresh physical copy and every reader that meets it makes a new
+   validation cache.  A reader holds two caches; the one it drops must
+   leave the Stats aggregate (or every copy would keep a retired index
+   alive) while its counters move into retired totals, so the exported
+   hits and misses never go backwards. *)
+let test_vcache_retirement () =
+  let g, idx = build_smoke_dataset () in
+  with_server idx @@ fun pid port ->
+  let c = Client.connect ~port () in
+  let n = Data_graph.n_nodes g in
+  let rng = Prng.create ~seed:41 in
+  let added = Hashtbl.create 64 in
+  let rec fresh_edge () =
+    let u = Prng.int rng n and v = Prng.int rng n in
+    if u = v || Data_graph.has_edge g u v || Hashtbl.mem added (u, v) then fresh_edge ()
+    else begin
+      Hashtbl.add added (u, v) ();
+      (u, v)
+    end
+  in
+  let stat kvs key =
+    match List.assoc_opt key kvs with
+    | Some v -> int_of_string v
+    | None -> Alcotest.failf "Stats lacks %s" key
+  in
+  let expr = Path_ast.(Seq (Label "l1", Star (Label "l2"))) in
+  let last_probes = ref 0 in
+  for round = 1 to 30 do
+    (match Client.call c (Wire.Add_edge { u = n + 7; v = 0 }) with
+    | Wire.Error_reply { code = `App; _ } -> ()
+    | _ -> Alcotest.fail "expected `App error for an out-of-range node");
+    let u, v = fresh_edge () in
+    (match Client.call c (Wire.Add_edge { u; v }) with
+    | Wire.Ok_reply _ -> ()
+    | _ -> Alcotest.fail "expected Ok_reply");
+    (* A regex read compiles its automaton through the cache.  The
+       varying count gives the copies unequal probe totals, so a
+       dropped cache's counters would be missed if they vanished. *)
+    for _ = 0 to round mod 3 do
+      ignore (expect_result (Client.call c (Wire.Query { flags = { no_cache = false }; expr })))
+    done;
+    match Client.call c Wire.Stats with
+    | Wire.Stats_reply kvs ->
+      let readers = stat kvs "workers" + 1 (* the main domain's inline reader *) in
+      let instances = stat kvs "vcache_instances" in
+      if instances > 2 * readers then
+        Alcotest.failf "round %d: %d validation caches for %d readers" round instances readers;
+      let probes = stat kvs "vcache_hits" + stat kvs "vcache_misses" in
+      if probes < !last_probes then
+        Alcotest.failf "round %d: vcache hits + misses fell from %d to %d" round !last_probes
+          probes;
+      last_probes := probes
+    | _ -> Alcotest.fail "expected Stats_reply"
+  done;
+  Alcotest.(check bool) "the reads probed the caches" true (!last_probes > 0);
+  shutdown_server pid c
+
 (* [Snapshot] is acknowledged only once the file is in place: it loads,
    answers like the served index, and no temp file is left behind —
    for the explicit request and for the final snapshot of the drain. *)
@@ -1283,6 +1341,8 @@ let () =
             test_pipelined_ordering;
           Alcotest.test_case "failed write: spare rebuilt by copy, answers exact" `Quick
             test_spare_rebuild;
+          Alcotest.test_case "failed writes: dropped validation caches retire" `Quick
+            test_vcache_retirement;
           Alcotest.test_case "snapshot durable and loadable when acknowledged" `Quick
             test_snapshot_durable;
           (* Last forking test: it spawns reader domains in the

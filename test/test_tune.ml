@@ -1,4 +1,5 @@
 open Dkindex_core
+open Dkindex_baselines
 open Testlib
 module Data_graph = Dkindex_graph.Data_graph
 module Label = Dkindex_graph.Label

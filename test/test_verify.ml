@@ -1,6 +1,7 @@
 (* The Verify auditing module: it must bless healthy indexes and flag
    each kind of corruption. *)
 open Dkindex_core
+open Dkindex_baselines
 open Testlib
 module Data_graph = Dkindex_graph.Data_graph
 

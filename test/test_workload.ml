@@ -105,7 +105,7 @@ let miner_tests =
 
 module Tuner = Dkindex_workload.Tuner
 module Index_graph = Dkindex_core.Index_graph
-module Label_split = Dkindex_core.Label_split
+module Label_split = Dkindex_baselines.Label_split
 module Dk_index = Dkindex_core.Dk_index
 
 let tuner_tests =
@@ -168,7 +168,7 @@ let tuner_tests =
     test "size budget triggers demotion" (fun () ->
         let g = random_graph ~seed:285 ~nodes:200 in
         (* Start from a needlessly refined index and a tiny budget. *)
-        let big = Dkindex_core.One_index.build g in
+        let big = Dkindex_baselines.One_index.build g in
         let budget = Index_graph.n_nodes (Label_split.build g) + 10 in
         let tuner =
           Tuner.create ~config:{ Tuner.default_config with size_budget = Some budget } big
@@ -196,7 +196,7 @@ let tuner_tests =
         let tuner =
           Tuner.create
             ~config:{ Tuner.default_config with window = 100; hot_fraction = 0.2 }
-            (Dkindex_core.Label_split.build g)
+            (Dkindex_baselines.Label_split.build g)
         in
         (* 95 queries on c, 1 on b: b stays below 20% of the window *)
         for _ = 1 to 95 do
@@ -208,7 +208,7 @@ let tuner_tests =
         check_bool "b not required" true (not (List.mem_assoc "b" reqs)));
     test "empty queries are ignored by the window" (fun () ->
         let g = chain_graph [ "a" ] in
-        let tuner = Tuner.create (Dkindex_core.Label_split.build g) in
+        let tuner = Tuner.create (Dkindex_baselines.Label_split.build g) in
         ignore (Tuner.observe tuner [||]);
         check_bool "no requirements" true (Tuner.required_now tuner = []));
     test "invalid window rejected" (fun () ->
