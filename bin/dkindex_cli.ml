@@ -429,7 +429,7 @@ let dot_cmd =
 
 let verify g kind k workload_size seed load quick =
   let idx =
-    match load with Some path -> Index_serial.load path | None -> make_index g kind k workload_size seed
+    match load with Some path -> load_index path | None -> make_index g kind k workload_size seed
   in
   let g = Index_graph.data idx in
   let queries =

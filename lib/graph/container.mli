@@ -14,9 +14,10 @@
     content with no explicit close.  The file descriptor is closed
     before {!open_graph} returns; deleting or rewriting the file while
     a graph still uses the old mapping is safe (the pages stay).
-    Mutating an opened graph is allowed: updates accumulate in
-    {!Data_graph}'s heap-side overflow layer, and the first overflow
-    fold migrates the whole graph to heap vectors.
+    Mutating an opened graph is allowed: updates accumulate in the
+    heap-side overflow layer of its {!Adjacency} store, allocated by
+    the first update, and the first overflow fold migrates the whole
+    graph to heap vectors.
 
     Section bodies carry CRC-32s checked only under [~verify] — a full
     scan of a multi-GB file on every open would defeat the mapping. *)

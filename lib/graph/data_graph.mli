@@ -12,17 +12,14 @@
     (Section 5.2); node sets are fixed at construction (subgraph
     addition builds a new graph, see {!graft}).
 
-    Internally adjacency is stored in CSR (compressed sparse row)
-    layout: a flat offsets vector plus a flat neighbor vector per
-    direction ({!Int_vec}), each node's neighbor run sorted
-    increasing.  Updates go through a small overflow buffer that is
-    folded back into fresh flat vectors once it exceeds a fraction of
-    the edge count, so {!iter_children}/{!iter_parents} are
-    allocation-free flat loops and {!has_edge} is a binary search in
-    the common case.
+    Edges live in an {!Adjacency} store, the one index graphs keep
+    their edges in too: sorted CSR runs per direction ({!Int_vec}),
+    so {!iter_children}/{!iter_parents} are allocation-free flat loops
+    and {!has_edge} is a binary search in the common case, plus an
+    overflow layer for updates, folded back into fresh flat vectors
+    in amortized batches.
 
-    Because the flat storage is {!Int_vec} (a native-int bigarray),
-    the CSR sections can also be views into a memory-mapped
+    The CSR sections can also be views into a memory-mapped
     {!Container} file ({!of_csr}): queries run identically on a mapped
     graph, and the first overflow fold after a mutation migrates the
     graph to fresh heap-side vectors. *)

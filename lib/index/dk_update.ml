@@ -32,7 +32,19 @@ let update_local_similarity t ~u ~v =
   let nu = Index_graph.node t u and nv = Index_graph.node t v in
   let upbound = min (nu.k + 1) nv.k in
   if upbound <= 0 then 0
+  else if Index_graph.has_index_edge t u v then
+    (* u is already a parent of v, so every label path entering v
+       through u is an old one at every length: the loop below would
+       climb all the way to [upbound]. *)
+    upbound
   else begin
+    (* On a 1-index both k are infinite and, over a cycle, the loop
+       may never find a mismatch.  A finite bound is sound: k only
+       promises that the extent is that similar, so a lower k only
+       sends more queries to validation. *)
+    let upbound =
+      if upbound >= Index_graph.k_infinite then Index_graph.max_k t + 1 else upbound
+    in
     let new_set = Path_map.singleton [ label_code t u ] (Int_set.singleton u) in
     let old_set =
       let acc = ref Path_map.empty in

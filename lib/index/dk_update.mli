@@ -17,7 +17,11 @@ val update_local_similarity : Index_graph.t -> u:int -> v:int -> int
     local similarity of [v] under a new index edge [u -> v]: the
     largest [kN <= min (k u + 1) (k v)] such that every label path of
     length [kN] entering [v] through [u] already matches [v] in the
-    current index graph.  Call before inserting the edge. *)
+    current index graph.  Call before inserting the edge.  If the
+    index edge [u -> v] already exists the answer is the bound itself;
+    otherwise an infinite bound (both nodes of a 1-index) is first
+    lowered to [Index_graph.max_k t + 1], so the search terminates on
+    cyclic indexes. *)
 
 val add_edge : Index_graph.t -> int -> int -> unit
 (** Algorithm 5.  [add_edge t u v] with {e data} node ids: inserts the

@@ -9,36 +9,15 @@ type inode = {
   mutable req : int;
 }
 
-(* Index adjacency mirrors Data_graph's layout: one flat offsets array
-   plus one flat neighbor array per direction (each run sorted
-   increasing), with an overflow layer — per-node extra-edge lists for
-   additions, a tombstone table for deletions — folded back into fresh
-   CSR arrays once it grows past a fraction of the edge count.  Index
-   node ids allocated after the last rebuild ([id >= csr_n]) live
-   purely in the overflow until the next fold. *)
-type adj = {
-  mutable off : int array;  (* csr_n + 1 offsets into arr *)
-  mutable arr : int array;  (* neighbor runs, each sorted increasing *)
-  mutable csr_n : int;  (* node-id space covered by the offsets *)
-}
-
 type t = {
   data : Data_graph.t;
   cls : int array;
   mutable nodes : inode option array;
   mutable next_id : int;
   mutable n_alive : int;
-  mutable n_iedges : int;  (* live index edges, maintained exactly *)
-  children : adj;
-  parents : adj;
-  mutable extra_children : int list array;  (* capacity tracks [nodes] *)
-  mutable extra_parents : int list array;
-  deleted : (int, unit) Hashtbl.t;  (* tombstoned CSR edges, keyed by [edge_key] *)
-  mutable del_out : int array;  (* id -> tombstoned out-edges; capacity tracks [nodes] *)
-  mutable del_in : int array;  (* id -> tombstoned in-edges *)
-  mutable n_extra : int;
-  mutable n_deleted : int;
-  mutable rebuild_at : int;  (* overflow size that triggers a rebuild *)
+  adj : Adjacency.t;
+      (* index edges over ids [0, next_id); ids allocated since the last
+         fold live in its overflow layer *)
   by_label : int list array;
       (* label code -> index node ids, possibly stale; appended to on
          allocation and compacted on read only when [dead_in_bucket]
@@ -73,7 +52,7 @@ let cls t u = t.cls.(u)
 let root_node t = t.cls.(Data_graph.root t.data)
 let n_nodes t = t.n_alive
 let max_id t = t.next_id
-let n_edges t = t.n_iedges
+let n_edges t = Adjacency.n_edges t.adj
 let generation t = t.generation
 let touch t = t.generation <- t.generation + 1
 let set_tracer t f = t.tracer <- f
@@ -95,266 +74,25 @@ let fold_alive t ~init ~f =
   !acc
 
 (* ------------------------------------------------------------------ *)
-(* Adjacency: CSR run (skipping tombstones when any exist) + overflow *)
+(* Adjacency *)
 
-(* Tombstones are keyed by one immediate int, not an (int * int) tuple:
-   membership tests sit on the iteration hot path, and hashing a tuple
-   both allocates and follows pointers.  Index-node ids are array
-   indexes, far below 2^31, so the packing cannot collide.  [del_out] /
-   [del_in] count tombstones per endpoint so iteration over the vast
-   majority of nodes — whose runs contain no tombstoned edge — skips
-   the table entirely even mid-churn. *)
-let edge_key a b = (a lsl 31) lor b
-
-let iter_children t id f =
-  if id < t.children.csr_n then begin
-    let off = t.children.off and arr = t.children.arr in
-    if t.del_out.(id) = 0 then
-      for i = off.(id) to off.(id + 1) - 1 do
-        f arr.(i)
-      done
-    else
-      for i = off.(id) to off.(id + 1) - 1 do
-        if not (Hashtbl.mem t.deleted (edge_key id arr.(i))) then f arr.(i)
-      done
-  end;
-  if t.n_extra > 0 then List.iter f t.extra_children.(id)
-
-let iter_parents t id f =
-  if id < t.parents.csr_n then begin
-    let off = t.parents.off and arr = t.parents.arr in
-    if t.del_in.(id) = 0 then
-      for i = off.(id) to off.(id + 1) - 1 do
-        f arr.(i)
-      done
-    else
-      for i = off.(id) to off.(id + 1) - 1 do
-        if not (Hashtbl.mem t.deleted (edge_key arr.(i) id)) then f arr.(i)
-      done
-  end;
-  if t.n_extra > 0 then List.iter f t.extra_parents.(id)
-
-let exists_children t id pred =
-  let found = ref false in
-  if id < t.children.csr_n then begin
-    let off = t.children.off and arr = t.children.arr in
-    let i = ref off.(id) and hi = off.(id + 1) in
-    if t.del_out.(id) = 0 then
-      while (not !found) && !i < hi do
-        if pred arr.(!i) then found := true;
-        incr i
-      done
-    else
-      while (not !found) && !i < hi do
-        if (not (Hashtbl.mem t.deleted (edge_key id arr.(!i)))) && pred arr.(!i) then found := true;
-        incr i
-      done
-  end;
-  !found || (t.n_extra > 0 && List.exists pred t.extra_children.(id))
-
-let exists_parents t id pred =
-  let found = ref false in
-  if id < t.parents.csr_n then begin
-    let off = t.parents.off and arr = t.parents.arr in
-    let i = ref off.(id) and hi = off.(id + 1) in
-    if t.del_in.(id) = 0 then
-      while (not !found) && !i < hi do
-        if pred arr.(!i) then found := true;
-        incr i
-      done
-    else
-      while (not !found) && !i < hi do
-        if (not (Hashtbl.mem t.deleted (edge_key arr.(!i) id))) && pred arr.(!i) then found := true;
-        incr i
-      done
-  end;
-  !found || (t.n_extra > 0 && List.exists pred t.extra_parents.(id))
-
-let collect_sorted t a ~extra ~ndel ~del id =
-  let base = ref [] in
-  if id < a.csr_n then begin
-    let off = a.off and arr = a.arr in
-    for i = off.(id + 1) - 1 downto off.(id) do
-      if ndel = 0 || not (Hashtbl.mem t.deleted (del id arr.(i))) then
-        base := arr.(i) :: !base
-    done
-  end;
-  match (if t.n_extra = 0 then [] else extra.(id)) with
-  | [] -> !base
-  | extras -> List.merge Int.compare !base (List.sort Int.compare extras)
-
-let children_list t id =
-  collect_sorted t t.children ~extra:t.extra_children ~ndel:t.del_out.(id) ~del:edge_key id
-
-let parents_list t id =
-  collect_sorted t t.parents ~extra:t.extra_parents ~ndel:t.del_in.(id)
-    ~del:(fun a b -> edge_key b a) id
-
-let out_degree t id =
-  let d = ref 0 in
-  iter_children t id (fun _ -> incr d);
-  !d
-
-let in_degree t id =
-  let d = ref 0 in
-  iter_parents t id (fun _ -> incr d);
-  !d
-
-let in_csr t a b =
-  a < t.children.csr_n
-  && Int_arr.mem_range t.children.arr ~lo:t.children.off.(a) ~hi:t.children.off.(a + 1) b
-
-let has_index_edge t a b =
-  (not (t.del_out.(a) > 0 && Hashtbl.mem t.deleted (edge_key a b)))
-  && (in_csr t a b || (t.n_extra > 0 && List.memq b t.extra_children.(a)))
-
-(* Balances split bursts against read speed: rebuilding at m/4 made an
-   update cascade rebuild the CSR several times over, while letting the
-   overflow grow to m leaves enough edges outside the flat arrays to
-   slow query traversal measurably.  (Serving paths sidestep the
-   tradeoff entirely via [prepare_serving].)  The threshold also charges
-   for the id space: [rebuild_csr] scans every id ever allocated, and
-   split cascades grow [next_id] well past the live edge count, so a
-   threshold in edges alone made cascades rebuild ever more expensively
-   at the same frequency. *)
-let rebuild_threshold ~next_id m = max 64 ((m + next_id) / 2)
-
-(* Fold the overflow layer back into flat arrays covering every id
-   allocated so far.  Amortized: runs after O(n_iedges) overflow
-   operations and costs O(next_id + edges). *)
-let rebuild_csr t =
-  let n = t.next_id in
-  let deg = Array.make (n + 1) 0 in
-  for id = 0 to n - 1 do
-    iter_children t id (fun _ -> deg.(id + 1) <- deg.(id + 1) + 1)
-  done;
-  for i = 1 to n do
-    deg.(i) <- deg.(i) + deg.(i - 1)
-  done;
-  let fill = Array.copy deg in
-  let arr = Array.make deg.(n) 0 in
-  for id = 0 to n - 1 do
-    iter_children t id (fun c ->
-        arr.(fill.(id)) <- c;
-        fill.(id) <- fill.(id) + 1)
-  done;
-  for id = 0 to n - 1 do
-    Int_arr.sort_range arr ~lo:deg.(id) ~hi:deg.(id + 1)
-  done;
-  (* Reverse direction: scanning sources ascending appends each parent
-     in increasing order, so runs come out sorted without a sort. *)
-  let pdeg = Array.make (n + 1) 0 in
-  Array.iter (fun v -> pdeg.(v + 1) <- pdeg.(v + 1) + 1) arr;
-  for i = 1 to n do
-    pdeg.(i) <- pdeg.(i) + pdeg.(i - 1)
-  done;
-  let pfill = Array.copy pdeg in
-  let parr = Array.make (Array.length arr) 0 in
-  for id = 0 to n - 1 do
-    for i = deg.(id) to deg.(id + 1) - 1 do
-      let v = arr.(i) in
-      parr.(pfill.(v)) <- id;
-      pfill.(v) <- pfill.(v) + 1
-    done
-  done;
-  t.children.off <- deg;
-  t.children.arr <- arr;
-  t.children.csr_n <- n;
-  t.parents.off <- pdeg;
-  t.parents.arr <- parr;
-  t.parents.csr_n <- n;
-  let cap = Array.length t.nodes in
-  t.extra_children <- Array.make cap [];
-  t.extra_parents <- Array.make cap [];
-  Hashtbl.reset t.deleted;
-  t.del_out <- Array.make cap 0;
-  t.del_in <- Array.make cap 0;
-  t.n_extra <- 0;
-  t.n_deleted <- 0;
-  t.rebuild_at <- rebuild_threshold ~next_id:t.next_id t.n_iedges
-
-let maybe_rebuild t = if t.n_extra + t.n_deleted > t.rebuild_at then rebuild_csr t
-
-let flatten t =
-  if t.n_extra + t.n_deleted > 0 || t.children.csr_n < t.next_id then rebuild_csr t
-
-let csr_children t =
-  flatten t;
-  (t.children.off, t.children.arr)
-
-let csr_parents t =
-  flatten t;
-  (t.parents.off, t.parents.arr)
-
-(* Raw edge insert/delete: exact dedup, exact [n_iedges], amortized
-   rebuild.  Do not bump [generation] here — the public entry points
-   do, once per logical operation. *)
-let add_edge_raw t a b =
-  if t.del_out.(a) > 0 && Hashtbl.mem t.deleted (edge_key a b) then begin
-    (* The slot still exists in the CSR: just lift the tombstone. *)
-    Hashtbl.remove t.deleted (edge_key a b);
-    t.del_out.(a) <- t.del_out.(a) - 1;
-    t.del_in.(b) <- t.del_in.(b) - 1;
-    t.n_deleted <- t.n_deleted - 1;
-    t.n_iedges <- t.n_iedges + 1
-  end
-  else if
-    not (in_csr t a b || (t.n_extra > 0 && List.memq b t.extra_children.(a)))
-  then begin
-    t.extra_children.(a) <- b :: t.extra_children.(a);
-    t.extra_parents.(b) <- a :: t.extra_parents.(b);
-    t.n_extra <- t.n_extra + 1;
-    t.n_iedges <- t.n_iedges + 1;
-    maybe_rebuild t
-  end
-
-let remove_once x l =
-  let rec go acc = function
-    | [] -> None
-    | y :: rest -> if y = x then Some (List.rev_append acc rest) else go (y :: acc) rest
-  in
-  go [] l
-
-(* No-op if the edge is absent. *)
-let remove_edge_raw t a b =
-  if t.del_out.(a) > 0 && Hashtbl.mem t.deleted (edge_key a b) then ()
-  else if in_csr t a b then begin
-    Hashtbl.replace t.deleted (edge_key a b) ();
-    t.del_out.(a) <- t.del_out.(a) + 1;
-    t.del_in.(b) <- t.del_in.(b) + 1;
-    t.n_deleted <- t.n_deleted + 1;
-    t.n_iedges <- t.n_iedges - 1;
-    maybe_rebuild t
-  end
-  else
-    match remove_once b t.extra_children.(a) with
-    | None -> ()
-    | Some rest ->
-      t.extra_children.(a) <- rest;
-      (match remove_once a t.extra_parents.(b) with
-      | Some rest -> t.extra_parents.(b) <- rest
-      | None -> assert false);
-      t.n_extra <- t.n_extra - 1;
-      t.n_iedges <- t.n_iedges - 1
+let iter_children t id f = Adjacency.iter_children t.adj id f
+let iter_parents t id f = Adjacency.iter_parents t.adj id f
+let exists_children t id pred = Adjacency.exists_children t.adj id pred
+let exists_parents t id pred = Adjacency.exists_parents t.adj id pred
+let children_list t id = Adjacency.children t.adj id
+let parents_list t id = Adjacency.parents t.adj id
+let out_degree t id = Adjacency.out_degree t.adj id
+let in_degree t id = Adjacency.in_degree t.adj id
+let has_index_edge t a b = Adjacency.mem t.adj a b
 
 (* ------------------------------------------------------------------ *)
 (* Node allocation *)
 
 let grow_capacity t =
-  let cap = max 16 (2 * Array.length t.nodes) in
-  let nodes = Array.make cap None in
+  let nodes = Array.make (max 16 (2 * Array.length t.nodes)) None in
   Array.blit t.nodes 0 nodes 0 t.next_id;
-  t.nodes <- nodes;
-  let ec = Array.make cap [] and ep = Array.make cap [] in
-  Array.blit t.extra_children 0 ec 0 t.next_id;
-  Array.blit t.extra_parents 0 ep 0 t.next_id;
-  t.extra_children <- ec;
-  t.extra_parents <- ep;
-  let dout = Array.make cap 0 and din = Array.make cap 0 in
-  Array.blit t.del_out 0 dout 0 t.next_id;
-  Array.blit t.del_in 0 din 0 t.next_id;
-  t.del_out <- dout;
-  t.del_in <- din
+  t.nodes <- nodes
 
 let alloc t ~label ~extent ~k ~req =
   if t.next_id >= Array.length t.nodes then grow_capacity t;
@@ -362,6 +100,7 @@ let alloc t ~label ~extent ~k ~req =
   let nd = { id; label; extent; extent_size = Array.length extent; k; req } in
   t.nodes.(id) <- Some nd;
   t.next_id <- id + 1;
+  Adjacency.extend t.adj t.next_id;
   t.n_alive <- t.n_alive + 1;
   let code = Label.to_int label in
   t.by_label.(code) <- id :: t.by_label.(code);
@@ -377,105 +116,6 @@ let kill t id =
     t.dead_in_bucket.(code) <- t.dead_in_bucket.(code) + 1;
     t.live_count.(code) <- t.live_count.(code) - 1
   | None -> ()
-
-(* Drop every edge incident to [id] (both directions).  Only called on
-   a node about to be retired by [split], so this is a bulk path: the
-   generic [remove_edge_raw] pays a [remove_once] list scan per edge,
-   which goes quadratic when the node's adjacency sits entirely in the
-   overflow layer (the common case for a freshly-split node that splits
-   again during an update cascade).  Here the CSR runs are tombstoned
-   wholesale — skipping the tombstone table entirely when the node has
-   no tombstones yet — and the node's own overflow lists are cleared in
-   one sweep, leaving only the unavoidable neighbor-side removals. *)
-let detach_all t id =
-  (* CSR-resident out-edges. *)
-  if id < t.children.csr_n then begin
-    let off = t.children.off and arr = t.children.arr in
-    let lo = off.(id) and hi = off.(id + 1) in
-    if t.del_out.(id) = 0 then begin
-      (* No tombstone can name this node as source: every slot is live. *)
-      for i = lo to hi - 1 do
-        let c = arr.(i) in
-        Hashtbl.replace t.deleted (edge_key id c) ();
-        t.del_in.(c) <- t.del_in.(c) + 1;
-        t.n_deleted <- t.n_deleted + 1;
-        t.n_iedges <- t.n_iedges - 1
-      done;
-      t.del_out.(id) <- t.del_out.(id) + (hi - lo)
-    end
-    else
-      for i = lo to hi - 1 do
-        let c = arr.(i) in
-        if not (Hashtbl.mem t.deleted (edge_key id c)) then begin
-          Hashtbl.replace t.deleted (edge_key id c) ();
-          t.del_out.(id) <- t.del_out.(id) + 1;
-          t.del_in.(c) <- t.del_in.(c) + 1;
-          t.n_deleted <- t.n_deleted + 1;
-          t.n_iedges <- t.n_iedges - 1
-        end
-      done
-  end;
-  (* CSR-resident in-edges.  A self-loop tombstoned above left
-     [del_in id > 0], routing this loop through the probing branch. *)
-  if id < t.parents.csr_n then begin
-    let off = t.parents.off and arr = t.parents.arr in
-    let lo = off.(id) and hi = off.(id + 1) in
-    if t.del_in.(id) = 0 then begin
-      for i = lo to hi - 1 do
-        let p = arr.(i) in
-        Hashtbl.replace t.deleted (edge_key p id) ();
-        t.del_out.(p) <- t.del_out.(p) + 1;
-        t.n_deleted <- t.n_deleted + 1;
-        t.n_iedges <- t.n_iedges - 1
-      done;
-      t.del_in.(id) <- t.del_in.(id) + (hi - lo)
-    end
-    else
-      for i = lo to hi - 1 do
-        let p = arr.(i) in
-        if not (Hashtbl.mem t.deleted (edge_key p id)) then begin
-          Hashtbl.replace t.deleted (edge_key p id) ();
-          t.del_out.(p) <- t.del_out.(p) + 1;
-          t.del_in.(id) <- t.del_in.(id) + 1;
-          t.n_deleted <- t.n_deleted + 1;
-          t.n_iedges <- t.n_iedges - 1
-        end
-      done
-  end;
-  (* Overflow edges: clear this node's lists wholesale; only the
-     neighbor-side lists need a scan.  A self-loop appears in both of
-     the node's own lists but is one edge — count it once. *)
-  let removed = ref 0 in
-  (match t.extra_children.(id) with
-  | [] -> ()
-  | mine ->
-    List.iter
-      (fun c ->
-        incr removed;
-        if c <> id then
-          match remove_once id t.extra_parents.(c) with
-          | Some rest -> t.extra_parents.(c) <- rest
-          | None -> assert false)
-      mine;
-    t.extra_children.(id) <- []);
-  (match t.extra_parents.(id) with
-  | [] -> ()
-  | mine ->
-    List.iter
-      (fun p ->
-        if p <> id then begin
-          incr removed;
-          match remove_once id t.extra_children.(p) with
-          | Some rest -> t.extra_children.(p) <- rest
-          | None -> assert false
-        end)
-      mine;
-    t.extra_parents.(id) <- []);
-  if !removed > 0 then begin
-    t.n_extra <- t.n_extra - !removed;
-    t.n_iedges <- t.n_iedges - !removed
-  end;
-  maybe_rebuild t
 
 let nodes_with_label t l =
   let code = Label.to_int l in
@@ -507,7 +147,7 @@ let ensure_scratch t =
 (* Recompute [nd]'s adjacency from the data graph and patch neighbors'
    runs to point back.  [t.cls] must already map nd's extent to nd.id.
    The distinct neighbor classes are collected first with a stamp-array
-   dedup so [add_edge_raw] (tombstone probe, binary search, overflow
+   dedup so [Adjacency.add] (tombstone probe, binary search, overflow
    scan) runs once per distinct index edge, not once per data edge. *)
 let attach_edges t nd =
   ensure_scratch t;
@@ -526,7 +166,7 @@ let attach_edges t nd =
           end))
     nd.extent;
   for i = 0 to !n - 1 do
-    add_edge_raw t scratch.(i) nd.id
+    Adjacency.add t.adj scratch.(i) nd.id
   done;
   t.stamp <- t.stamp + 1;
   let s = t.stamp in
@@ -542,14 +182,15 @@ let attach_edges t nd =
           end))
     nd.extent;
   for i = 0 to !n - 1 do
-    add_edge_raw t nd.id scratch.(i)
+    Adjacency.add t.adj nd.id scratch.(i)
   done
 
-(* Nodes, extents and the [cls] map of a partition — everything but
-   the index edges, shared by [of_partition] (which projects the data
-   edges) and [of_partition_with_edges] (which installs a precomputed
+(* An index over a partition: nodes, extents and the [cls] map, with
+   the index edges from [edges], which runs once the partition is
+   validated.  Shared by [of_partition] (which projects the data
+   edges) and [of_partition_with_edges] (which adopts a precomputed
    CSR, e.g. from an index container). *)
-let partition_nodes ~fname g ~cls ~n_classes ~k_of_class ~req_of_class =
+let partition_nodes ~fname g ~cls ~n_classes ~k_of_class ~req_of_class ~edges =
   let n = Data_graph.n_nodes g in
   if Array.length cls <> n then invalid_arg (fname ^ ": cls size mismatch");
   let sizes = Array.make n_classes 0 in
@@ -564,6 +205,7 @@ let partition_nodes ~fname g ~cls ~n_classes ~k_of_class ~req_of_class =
     | Some l' ->
       if not (Label.equal l l') then invalid_arg (fname ^ ": class mixes labels")
   done;
+  if Array.exists Option.is_none labels then invalid_arg (fname ^ ": empty class");
   (* Fill extents by a second ascending scan: each comes out sorted. *)
   let extents = Array.map (fun s -> Array.make s 0) sizes in
   let fill = Array.make n_classes 0 in
@@ -572,6 +214,7 @@ let partition_nodes ~fname g ~cls ~n_classes ~k_of_class ~req_of_class =
     extents.(c).(fill.(c)) <- u;
     fill.(c) <- fill.(c) + 1
   done;
+  let n_labels = Label.Pool.count (Data_graph.pool g) in
   let t =
     {
       data = g;
@@ -579,20 +222,10 @@ let partition_nodes ~fname g ~cls ~n_classes ~k_of_class ~req_of_class =
       nodes = Array.make (max 16 n_classes) None;
       next_id = 0;
       n_alive = 0;
-      n_iedges = 0;
-      children = { off = [| 0 |]; arr = [||]; csr_n = 0 };
-      parents = { off = [| 0 |]; arr = [||]; csr_n = 0 };
-      extra_children = Array.make (max 16 n_classes) [];
-      extra_parents = Array.make (max 16 n_classes) [];
-      deleted = Hashtbl.create 8;
-      del_out = Array.make (max 16 n_classes) 0;
-      del_in = Array.make (max 16 n_classes) 0;
-      n_extra = 0;
-      n_deleted = 0;
-      rebuild_at = 32;
-      by_label = Array.make (Label.Pool.count (Data_graph.pool g)) [];
-      dead_in_bucket = Array.make (Label.Pool.count (Data_graph.pool g)) 0;
-      live_count = Array.make (Label.Pool.count (Data_graph.pool g)) 0;
+      adj = edges ();
+      by_label = Array.make n_labels [];
+      dead_in_bucket = Array.make n_labels 0;
+      live_count = Array.make n_labels 0;
       forwards = Hashtbl.create 64;
       generation = 0;
       tracer = None;
@@ -601,41 +234,13 @@ let partition_nodes ~fname g ~cls ~n_classes ~k_of_class ~req_of_class =
       scratch = [||];
     }
   in
-  for c = 0 to n_classes - 1 do
-    match labels.(c) with
-    | None -> invalid_arg (fname ^ ": empty class")
-    | Some label ->
-      ignore (alloc t ~label ~extent:extents.(c) ~k:(k_of_class c) ~req:(req_of_class c))
-  done;
+  Array.iteri
+    (fun c label ->
+      ignore
+        (alloc t ~label:(Option.get label) ~extent:extents.(c) ~k:(k_of_class c)
+           ~req:(req_of_class c)))
+    labels;
   t
-
-(* Install a child CSR and derive the parent CSR from it by counting
-   sort (deterministic: parent runs come out sorted because [a]
-   ascends). *)
-let install_from_children t n_classes ~coff ~carr =
-  let m = Array.length carr in
-  let pdeg = Array.make (n_classes + 1) 0 in
-  Array.iter (fun v -> pdeg.(v + 1) <- pdeg.(v + 1) + 1) carr;
-  for i = 1 to n_classes do
-    pdeg.(i) <- pdeg.(i) + pdeg.(i - 1)
-  done;
-  let pfill = Array.copy pdeg in
-  let parr = Array.make m 0 in
-  for a = 0 to n_classes - 1 do
-    for i = coff.(a) to coff.(a + 1) - 1 do
-      let b = carr.(i) in
-      parr.(pfill.(b)) <- a;
-      pfill.(b) <- pfill.(b) + 1
-    done
-  done;
-  t.children.off <- coff;
-  t.children.arr <- carr;
-  t.children.csr_n <- n_classes;
-  t.parents.off <- pdeg;
-  t.parents.arr <- parr;
-  t.parents.csr_n <- n_classes;
-  t.n_iedges <- m;
-  t.rebuild_at <- rebuild_threshold ~next_id:t.next_id m
 
 (* Same cutover point as [Kbisim.auto_threshold]: past ~16M data
    edges the in-RAM dedup structures dominate the heap, and the
@@ -645,19 +250,19 @@ let external_edge_threshold = 1 lsl 24
 (* Out-of-core edge projection: stream every projected (class, class)
    pair through the external sorter, then consume the globally sorted
    merge, skipping duplicates.  The merge order (src ascending, dst
-   ascending within a run) IS the CSR layout, so the neighbor array
+   ascending within a run) IS the CSR layout, so the neighbor vector
    fills left to right with no counting sort and no per-run sort —
-   bit-identical to the in-RAM path's output.  Heap usage is the final
-   CSR plus the [n_classes + 1] degree array; the sorter buffer is
-   off-heap and spills past its budget. *)
-let project_edges_external t g ~n_classes ~deg =
+   bit-identical to the in-RAM path's output.  Besides the final CSR,
+   only the sorter buffer and a staging vector are live, both off-heap,
+   and the sorter spills past its budget. *)
+let project_edges_external g ~cls ~n_classes =
   let sorter = Ext_sort.Pairs.create () in
-  Data_graph.iter_edges g (fun u v ->
-      Ext_sort.Pairs.add sorter t.cls.(u) t.cls.(v));
+  Data_graph.iter_edges g (fun u v -> Ext_sort.Pairs.add sorter cls.(u) cls.(v));
   (* Distinct-pair count is unknown until the merge, so stage the
-     neighbor column in an off-heap buffer sized by the (known) total
-     and copy the deduplicated prefix into an exact-size array. *)
+     neighbor column in a buffer sized by the (known) total and copy
+     the deduplicated prefix into an exact-size vector. *)
   let buf = Int_vec.create (max 1 (Ext_sort.Pairs.total sorter)) in
+  let off = Int_vec.zeros (n_classes + 1) in
   let m = ref 0 in
   let prev_a = ref (-1) and prev_b = ref (-1) in
   Ext_sort.Pairs.iter_merged sorter (fun a b ->
@@ -666,20 +271,19 @@ let project_edges_external t g ~n_classes ~deg =
         prev_b := b;
         Int_vec.unsafe_set buf !m b;
         incr m;
-        deg.(a + 1) <- deg.(a + 1) + 1
+        Int_vec.set off (a + 1) (Int_vec.get off (a + 1) + 1)
       end);
-  let carr = Array.init !m (fun i -> Int_vec.unsafe_get buf i) in
   for i = 1 to n_classes do
-    deg.(i) <- deg.(i) + deg.(i - 1)
+    Int_vec.set off i (Int_vec.get off i + Int_vec.get off (i - 1))
   done;
-  install_from_children t n_classes ~coff:deg ~carr
+  Adjacency.of_children n_classes (off, Int_vec.copy (Int_vec.sub buf ~pos:0 ~len:!m))
 
 (* In-RAM edge projection: project every data edge to its
-   (class, class) pair, dedup, then counting-sort the distinct pairs
-   straight into the CSR layout.  A flat byte matrix keeps the
-   per-edge check to two loads when the class count is small; huge
-   partitions fall back to a hash table. *)
-let project_edges_in_ram t g ~n_classes ~deg =
+   (class, class) pair and keep the distinct pairs, which
+   [Adjacency.of_edges] counting-sorts into the CSR layout.  A flat
+   byte matrix keeps the per-edge check to two loads when the class
+   count is small; huge partitions fall back to a hash table. *)
+let project_edges_in_ram g ~cls ~n_classes =
   let srcs = ref (Array.make 1024 0) and dsts = ref (Array.make 1024 0) in
   let m = ref 0 in
   let push a b =
@@ -693,13 +297,12 @@ let project_edges_in_ram t g ~n_classes ~deg =
     end;
     !srcs.(!m) <- a;
     !dsts.(!m) <- b;
-    incr m;
-    deg.(a + 1) <- deg.(a + 1) + 1
+    incr m
   in
   if n_classes * n_classes <= 1 lsl 22 then begin
     let seen = Bytes.make (n_classes * n_classes) '\000' in
     Data_graph.iter_edges g (fun u v ->
-        let a = t.cls.(u) and b = t.cls.(v) in
+        let a = cls.(u) and b = cls.(v) in
         let i = (a * n_classes) + b in
         if Bytes.unsafe_get seen i = '\000' then begin
           Bytes.unsafe_set seen i '\001';
@@ -709,33 +312,19 @@ let project_edges_in_ram t g ~n_classes ~deg =
   else begin
     let seen = Hashtbl.create 256 in
     Data_graph.iter_edges g (fun u v ->
-        let a = t.cls.(u) and b = t.cls.(v) in
+        let a = cls.(u) and b = cls.(v) in
         let key = (a * n_classes) + b in
         if not (Hashtbl.mem seen key) then begin
           Hashtbl.add seen key ();
           push a b
         end)
   end;
-  for i = 1 to n_classes do
-    deg.(i) <- deg.(i) + deg.(i - 1)
-  done;
-  let cfill = Array.copy deg in
-  let carr = Array.make !m 0 in
-  for i = 0 to !m - 1 do
-    let a = !srcs.(i) in
-    carr.(cfill.(a)) <- !dsts.(i);
-    cfill.(a) <- cfill.(a) + 1
-  done;
-  for c = 0 to n_classes - 1 do
-    Int_arr.sort_range carr ~lo:deg.(c) ~hi:deg.(c + 1)
-  done;
-  install_from_children t n_classes ~coff:deg ~carr
+  Adjacency.of_edges n_classes (fun f ->
+      for i = 0 to !m - 1 do
+        f !srcs.(i) !dsts.(i)
+      done)
 
 let of_partition ?(mode = `Auto) g ~cls ~n_classes ~k_of_class ~req_of_class =
-  let t =
-    partition_nodes ~fname:"Index_graph.of_partition" g ~cls ~n_classes ~k_of_class
-      ~req_of_class
-  in
   let project =
     match mode with
     | `External -> project_edges_external
@@ -744,33 +333,35 @@ let of_partition ?(mode = `Auto) g ~cls ~n_classes ~k_of_class ~req_of_class =
       if Data_graph.n_edges g >= external_edge_threshold then project_edges_external
       else project_edges_in_ram
   in
-  project t g ~n_classes ~deg:(Array.make (n_classes + 1) 0);
-  t
+  partition_nodes ~fname:"Index_graph.of_partition" g ~cls ~n_classes ~k_of_class
+    ~req_of_class ~edges:(fun () -> project g ~cls ~n_classes)
 
 let of_partition_with_edges g ~cls ~n_classes ~k_of_class ~req_of_class
     ~children:(coff, carr) =
   let fname = "Index_graph.of_partition_with_edges" in
-  let t = partition_nodes ~fname g ~cls ~n_classes ~k_of_class ~req_of_class in
   (* Shape-validate the provided CSR (O(index edges), not O(data
      edges) — skipping the data-edge projection is this entry point's
      whole purpose; content integrity is the container CRC's job). *)
-  if Array.length coff <> n_classes + 1 || coff.(0) <> 0 then
-    invalid_arg (fname ^ ": bad offsets shape");
-  for c = 0 to n_classes - 1 do
-    if coff.(c) > coff.(c + 1) then invalid_arg (fname ^ ": offsets not monotone")
-  done;
-  if coff.(n_classes) <> Array.length carr then
-    invalid_arg (fname ^ ": offsets/neighbors length mismatch");
-  for c = 0 to n_classes - 1 do
-    for i = coff.(c) to coff.(c + 1) - 1 do
-      let b = carr.(i) in
-      if b < 0 || b >= n_classes then invalid_arg (fname ^ ": neighbor out of range");
-      if i > coff.(c) && carr.(i - 1) >= b then
-        invalid_arg (fname ^ ": neighbor run not sorted strictly increasing")
-    done
-  done;
-  install_from_children t n_classes ~coff ~carr;
-  t
+  let edges () =
+    if Int_vec.length coff <> n_classes + 1 || Int_vec.get coff 0 <> 0 then
+      invalid_arg (fname ^ ": bad offsets shape");
+    for c = 0 to n_classes - 1 do
+      if Int_vec.get coff c > Int_vec.get coff (c + 1) then
+        invalid_arg (fname ^ ": offsets not monotone")
+    done;
+    if Int_vec.get coff n_classes <> Int_vec.length carr then
+      invalid_arg (fname ^ ": offsets/neighbors length mismatch");
+    for c = 0 to n_classes - 1 do
+      for i = Int_vec.get coff c to Int_vec.get coff (c + 1) - 1 do
+        let b = Int_vec.get carr i in
+        if b < 0 || b >= n_classes then invalid_arg (fname ^ ": neighbor out of range");
+        if i > Int_vec.get coff c && Int_vec.get carr (i - 1) >= b then
+          invalid_arg (fname ^ ": neighbor run not sorted strictly increasing")
+      done
+    done;
+    Adjacency.of_children n_classes (coff, carr)
+  in
+  partition_nodes ~fname g ~cls ~n_classes ~k_of_class ~req_of_class ~edges
 
 let split t id groups =
   let old = node t id in
@@ -788,7 +379,7 @@ let split t id groups =
       groups;
     touch t;
     trace t id;
-    detach_all t id;
+    Adjacency.detach_all t.adj id;
     kill t id;
     let fresh =
       List.map
@@ -817,7 +408,7 @@ let add_index_edge t a b =
   touch t;
   trace t a;
   trace t b;
-  add_edge_raw t a b
+  Adjacency.add t.adj a b
 
 let remove_index_edge t a b =
   ignore (node t a);
@@ -825,7 +416,7 @@ let remove_index_edge t a b =
   touch t;
   trace t a;
   trace t b;
-  remove_edge_raw t a b
+  ignore (Adjacency.remove t.adj a b)
 
 let set_k t id k =
   let nd = node t id in
@@ -844,7 +435,7 @@ let set_req t id req =
   end
 
 let prepare_serving t =
-  flatten t;
+  Adjacency.flatten t.adj;
   Array.iteri
     (fun code dead ->
       if dead > 0 then begin
@@ -917,31 +508,35 @@ let dense_classes t =
   done;
   (cls, order, of_id)
 
+(* Runs re-sorted: the dense remap does not preserve id order.  Read
+   only, like [copy]. *)
+let dense_children t ~order ~of_id =
+  let nc = Array.length order in
+  let off = Int_vec.zeros (nc + 1) in
+  for c = 0 to nc - 1 do
+    Int_vec.set off (c + 1) (Int_vec.get off c + out_degree t order.(c))
+  done;
+  let arr = Int_vec.create (Int_vec.get off nc) in
+  for c = 0 to nc - 1 do
+    let lo = Int_vec.get off c in
+    let i = ref lo in
+    iter_children t order.(c) (fun id ->
+        Int_vec.set arr !i of_id.(id);
+        incr i);
+    Int_vec.sort_range arr ~lo ~hi:!i
+  done;
+  (off, arr)
+
 (* Read-only on [t] (no CSR flattening), so it is safe on an index
    that other domains are reading. *)
 let copy t =
   let cls, order, of_id = dense_classes t in
-  let nc = Array.length order in
-  let coff = Array.make (nc + 1) 0 in
-  for c = 0 to nc - 1 do
-    coff.(c + 1) <- coff.(c) + out_degree t order.(c)
-  done;
-  (* Child runs in dense space, re-sorted: the remap does not preserve
-     id order. *)
-  let carr = Array.make coff.(nc) 0 in
-  for c = 0 to nc - 1 do
-    let i = ref coff.(c) in
-    iter_children t order.(c) (fun id ->
-        carr.(!i) <- of_id.(id);
-        incr i);
-    Int_arr.sort_range carr ~lo:coff.(c) ~hi:coff.(c + 1)
-  done;
   (* What the text format's -1 encoding reads back as. *)
   let norm k = if k < 0 || k >= k_infinite then k_infinite else k in
-  of_partition_with_edges (Data_graph.copy t.data) ~cls ~n_classes:nc
+  of_partition_with_edges (Data_graph.copy t.data) ~cls ~n_classes:(Array.length order)
     ~k_of_class:(fun c -> norm (node t order.(c)).k)
     ~req_of_class:(fun c -> norm (node t order.(c)).req)
-    ~children:(coff, carr)
+    ~children:(dense_children t ~order ~of_id)
 
 let partition_signature t =
   let n = Data_graph.n_nodes t.data in
@@ -1003,8 +598,8 @@ let check_invariants t =
           fail "edge %d -> %d missing forward link" p id)
       pl
   done;
-  if !seen_edges <> t.n_iedges then
-    fail "n_edges counter says %d but the store holds %d" t.n_iedges !seen_edges;
+  if !seen_edges <> n_edges t then
+    fail "n_edges counter says %d but the store holds %d" (n_edges t) !seen_edges;
   (* Edges match the data graph exactly. *)
   let expected = Hashtbl.create 256 in
   Data_graph.iter_edges t.data (fun u v -> Hashtbl.replace expected (t.cls.(u), t.cls.(v)) ());

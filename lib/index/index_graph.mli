@@ -18,9 +18,11 @@
     Splitting retires the old node id and allocates fresh ids, so ids
     are stable for as long as a node is alive.
 
-    Adjacency is stored CSR-style (flat offsets + neighbor arrays per
-    direction) with an overflow layer absorbing mutations, folded back
-    in amortized batches — the same layout {!Data_graph} uses.  All
+    Index edges live in a {!Dkindex_graph.Adjacency} over the node ids,
+    the same store {!Data_graph} keeps its edges in: sorted CSR runs
+    per direction plus an overflow layer that absorbs mutations and is
+    folded back in amortized batches.  Ids allocated by {!split} live
+    in the overflow layer until the next fold.  All
     [iter_*]/[exists_*] traversals are allocation-free. *)
 
 open Dkindex_graph
@@ -69,15 +71,15 @@ val of_partition_with_edges :
   n_classes:int ->
   k_of_class:(int -> int) ->
   req_of_class:(int -> int) ->
-  children:(int array * int array) ->
+  children:Int_vec.t * Int_vec.t ->
   t
-(** {!of_partition}, but installing the given index adjacency
+(** {!of_partition}, but adopting the given index adjacency
     ([children] = CSR offsets + sorted neighbor runs over class ids;
     parents are derived by counting sort) instead of projecting every
     data edge — O(n + index edges) instead of O(data edges).  The
-    loader for index containers, whose stored CSR came from this
-    module in the first place.  Only the CSR {i shape} is validated;
-    callers vouch for its content. *)
+    vectors are adopted, not copied, so a container loader can pass
+    views of its mapped sections.  Only the CSR {i shape} is
+    validated; callers vouch for its content. *)
 
 (** {1 Accessors} *)
 
@@ -147,14 +149,6 @@ val has_index_edge : t -> int -> int -> bool
 
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
-
-val csr_children : t -> int array * int array
-(** [(off, arr)] — flat child adjacency: children of [id] are
-    [arr.(off.(id)) .. arr.(off.(id+1) - 1)], sorted increasing.
-    Flattens any pending overflow first; the arrays remain valid until
-    the next mutation. *)
-
-val csr_parents : t -> int array * int array
 
 (** {1 Mutation} *)
 
@@ -237,6 +231,12 @@ val dense_classes : t -> int array * int array * int array
     [of_id.(id)] the dense class of live id [id] ([-1] for dead ids;
     length {!max_id}).  The numbering {!Index_serial} writes and
     {!copy} produces. *)
+
+val dense_children : t -> order:int array -> of_id:int array -> Int_vec.t * Int_vec.t
+(** [dense_children t ~order ~of_id], with [order] and [of_id] from
+    {!dense_classes}: the live child CSR [(off, arr)] in the dense
+    numbering, each run sorted increasing.  What {!copy} builds from
+    and {!Index_serial} saves.  Reads [t] only. *)
 
 val copy : t -> t
 (** A deep copy: exactly what a text round trip ([Index_serial.to_string],

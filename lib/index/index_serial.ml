@@ -202,21 +202,7 @@ let save_container path t =
   let rqs =
     Int_vec.init nc (fun c -> enc (Index_graph.node t order.(c)).Index_graph.req)
   in
-  (* Index child CSR in dense-class space; runs re-sorted because the
-     dense remap does not preserve id order. *)
-  let kids =
-    Array.map
-      (fun id ->
-        let l = List.sort Int.compare (List.map (Array.get of_id) (Index_graph.children_list t id)) in
-        Array.of_list l)
-      order
-  in
-  let im = Array.fold_left (fun acc a -> acc + Array.length a) 0 kids in
-  let ioff = Int_vec.zeros (nc + 1) in
-  Array.iteri (fun c a -> Int_vec.set ioff (c + 1) (Array.length a)) kids;
-  for c = 1 to nc do
-    Int_vec.set ioff c (Int_vec.get ioff c + Int_vec.get ioff (c - 1))
-  done;
+  let ioff, iarr = Index_graph.dense_children t ~order ~of_id in
   let w = Container.Writer.create path ~kind:Container.Index ~n_sections:container_sections in
   (try
      Container.write_graph_sections w data;
@@ -224,12 +210,10 @@ let save_container path t =
      Container.Writer.int_section w "clsk" ks;
      Container.Writer.int_section w "clsrq" rqs;
      Container.Writer.int_section w "ioff" ioff;
-     Container.Writer.begin_section w "iarr";
-     Array.iter (fun a -> Array.iter (Container.Writer.write_int w) a) kids;
-     Container.Writer.end_section w;
+     Container.Writer.int_section w "iarr" iarr;
      Container.Writer.begin_section w "imeta";
      Container.Writer.write_int w nc;
-     Container.Writer.write_int w im;
+     Container.Writer.write_int w (Int_vec.length iarr);
      Container.Writer.end_section w
    with e ->
      Container.Writer.abort w;
@@ -254,13 +238,11 @@ let load_container ?verify path =
       if Int_vec.length ks <> nc || Int_vec.length rqs <> nc then malformed "class table";
       if Int_vec.length ioff_v <> nc + 1 || Int_vec.length iarr_v <> im then
         malformed "index csr shape";
-      let cls = Array.init n (fun u -> Int_vec.get cls_v u) in
-      let coff = Array.init (nc + 1) (fun c -> Int_vec.get ioff_v c) in
-      let carr = Array.init im (fun i -> Int_vec.get iarr_v i) in
+      let cls = Int_vec.to_array cls_v in
       let dec k = if k < 0 then Index_graph.k_infinite else k in
       try
         Index_graph.of_partition_with_edges data ~cls ~n_classes:nc
           ~k_of_class:(fun c -> dec (Int_vec.get ks c))
           ~req_of_class:(fun c -> dec (Int_vec.get rqs c))
-          ~children:(coff, carr)
+          ~children:(ioff_v, iarr_v)
       with Invalid_argument msg -> malformed msg)

@@ -52,9 +52,9 @@ val load : string -> Index_graph.t
     data graph as mappable sections plus the partition (dense
     first-touch class ids — the same numbering {!to_string} uses),
     per-class k/req, and the index adjacency itself.  Loading maps the
-    data CSR in place and installs the stored index CSR directly
-    ({!Index_graph.of_partition_with_edges}), so the cost is
-    O(data nodes + index edges), never O(data edges). *)
+    data CSR and the index child CSR in place and adopts both
+    ({!Index_graph.of_partition_with_edges} derives the index parents),
+    so the cost is O(data nodes + index edges), never O(data edges). *)
 
 val save_container : string -> Index_graph.t -> unit
 (** Atomic (container tmp + rename). *)

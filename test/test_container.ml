@@ -334,6 +334,61 @@ let external_tests =
                   (Query_eval.eval_path idx' q).Query_eval.nodes)
               queries;
             check_string "text form" (Index_serial.to_string idx) (Index_serial.to_string idx')));
+    test "a loaded index container takes edge churn like its in-RAM copy" (fun () ->
+        with_tmp_dir (fun dir ->
+            let path = Filename.concat dir "i.dkc" in
+            let g = Dkindex_datagen.Xmark.graph ~seed:76 ~scale:10 () in
+            let queries = Query_gen.generate ~seed:77 ~count:30 g in
+            let reqs = Dkindex_workload.Miner.mine g queries in
+            Index_serial.save_container path (Dk_index.build g ~reqs);
+            let bytes = read_file path in
+            (* The data CSR and the index CSR are both views of the
+               mapping; the copy lives on the heap. *)
+            let mapped = Index_serial.load_container path in
+            let ram = Index_graph.copy mapped in
+            let both f =
+              f ram;
+              f mapped
+            in
+            let same tag =
+              List.iter
+                (fun q ->
+                  check_int_list tag
+                    (Query_eval.eval_path ram q).Query_eval.nodes
+                    (Query_eval.eval_path mapped q).Query_eval.nodes)
+                queries
+            in
+            let data = Index_graph.data mapped in
+            let n = Data_graph.n_nodes data in
+            let rng = Prng.create ~seed:78 in
+            let added = ref [] in
+            for round = 1 to 90 do
+              let u = Prng.int rng n and v = 1 + Prng.int rng (n - 1) in
+              (match (round mod 3, !added) with
+              | 0, (a, b) :: rest ->
+                both (fun idx -> Dk_update.remove_edge idx a b);
+                added := rest
+              | 1, _ -> (
+                (* An edge of the file: a tombstone in the mapped CSR. *)
+                match Data_graph.children data u with
+                | c :: _ -> both (fun idx -> Dk_update.remove_edge idx u c)
+                | [] -> ())
+              | _ ->
+                if not (Data_graph.has_edge data u v) then begin
+                  both (fun idx -> Dk_update.add_edge idx u v);
+                  added := (u, v) :: !added
+                end);
+              if round mod 30 = 0 then same "churned"
+            done;
+            (* Promotion splits classes: whole CSR runs of the mapped
+               index get tombstoned and fresh ids join the overflow. *)
+            let before = Index_graph.max_id mapped in
+            both Dk_tune.promote_to_requirements;
+            check_bool "promotion split classes" true (Index_graph.max_id mapped > before);
+            same "promoted";
+            Index_graph.check_invariants mapped;
+            check_string "same text" (Index_serial.to_string ram) (Index_serial.to_string mapped);
+            check_bool "file unchanged" true (String.equal bytes (read_file path))));
   ]
 
 let () =

@@ -101,8 +101,147 @@ let churn ~seed ~rounds g m =
   done;
   check_graph_against_model g m
 
+(* ------------------------------------------------------------------ *)
+(* The adjacency store itself, through the paths only the index graph
+   takes: ids grown past the CSR, detach_all, tombstones lifted by a
+   re-add, folds mid-churn, and copies that must not share state *)
+
+let check_adj_node a m u =
+  let tag fmt = Printf.sprintf fmt u in
+  let kids = Model.children m u and pars = Model.parents m u in
+  check_int_list (tag "children of %d") kids (Adjacency.children a u);
+  check_int_list (tag "parents of %d") pars (Adjacency.parents a u);
+  check_int (tag "out_degree of %d") (List.length kids) (Adjacency.out_degree a u);
+  check_int (tag "in_degree of %d") (List.length pars) (Adjacency.in_degree a u);
+  let collect iter =
+    let acc = ref [] in
+    iter (fun x -> acc := x :: !acc);
+    !acc
+  in
+  check_int_list (tag "iter_children of %d") kids
+    (List.sort compare (collect (Adjacency.iter_children a u)));
+  check_int_list (tag "iter_parents of %d") pars
+    (List.sort compare (collect (Adjacency.iter_parents a u)));
+  check_int_list (tag "iter_children_sorted of %d") kids
+    (List.rev (collect (Adjacency.iter_children_sorted a u)));
+  List.iter
+    (fun v ->
+      check_bool (tag "exists_children of %d") true
+        (Adjacency.exists_children a u (fun x -> x = v));
+      check_bool (tag "mem from %d") true (Adjacency.mem a u v))
+    kids;
+  List.iter
+    (fun p ->
+      check_bool (tag "exists_parents of %d") true (Adjacency.exists_parents a u (fun x -> x = p)))
+    pars;
+  check_bool (tag "exists_children of %d, no hit") false
+    (Adjacency.exists_children a u (fun x -> x < 0))
+
+let check_adj a m n =
+  check_int "id space" n (Adjacency.n a);
+  check_int "n_edges" (Model.n_edges m) (Adjacency.n_edges a);
+  for u = 0 to n - 1 do
+    check_adj_node a m u
+  done
+
+let model_detach m u =
+  let incident = Hashtbl.fold (fun (a, b) () acc -> if a = u || b = u then (a, b) :: acc else acc) m.Model.edges [] in
+  List.iter (fun (a, b) -> Model.remove_edge m a b) incident
+
+let adjacency_churn ~seed =
+  let rng = Prng.create ~seed in
+  let n = ref 40 in
+  let m = { Model.edges = Hashtbl.create 256; n = !n } in
+  for _ = 1 to 80 do
+    Model.add_edge m (Prng.int rng !n) (Prng.int rng !n)
+  done;
+  let edges = Hashtbl.fold (fun e () acc -> e :: acc) m.Model.edges [] in
+  (* Every edge twice: construction must deduplicate. *)
+  let a =
+    Adjacency.of_edges !n (fun f ->
+        List.iter
+          (fun (u, v) ->
+            f u v;
+            f u v)
+          edges)
+  in
+  check_adj a m !n;
+  let folds = ref 0 and lifted = ref 0 and grown_edges = ref 0 in
+  let frozen = ref None in
+  for round = 1 to 700 do
+    let pending = Adjacency.overflow a <> (0, 0) in
+    let u = Prng.int rng !n and v = Prng.int rng !n in
+    (match Prng.int rng 12 with
+    | 0 ->
+      (* Grow the id space past the CSR; the new ids start bare. *)
+      n := !n + 1 + Prng.int rng 3;
+      Adjacency.extend a !n
+    | 1 ->
+      (* Often with a self-loop: one edge, in both of [u]'s runs. *)
+      if Prng.bool rng 0.5 then begin
+        Adjacency.add a u u;
+        Model.add_edge m u u
+      end;
+      Adjacency.detach_all a u;
+      model_detach m u
+    | 2 -> (
+      (* Delete a CSR edge, then add it back: the tombstone is lifted. *)
+      match Adjacency.children a u with
+      | [] -> ()
+      | c :: _ ->
+        let _, dead = Adjacency.overflow a in
+        check_bool "remove live" true (Adjacency.remove a u c);
+        if snd (Adjacency.overflow a) = dead + 1 then begin
+          Adjacency.add a u c;
+          check_int "tombstone lifted" dead (snd (Adjacency.overflow a));
+          incr lifted
+        end
+        else Model.remove_edge m u c)
+    | 3 when !frozen = None -> frozen := Some (Adjacency.copy a, Hashtbl.copy m.Model.edges, !n)
+    | r when r < 8 ->
+      if u >= 40 || v >= 40 then incr grown_edges;
+      Adjacency.add a u v;
+      Model.add_edge m u v
+    | _ ->
+      check_bool "remove reports presence" (Model.has_edge m u v) (Adjacency.remove a u v);
+      Model.remove_edge m u v);
+    if pending && Adjacency.overflow a = (0, 0) then incr folds;
+    check_bool "mem" (Model.has_edge m u v) (Adjacency.mem a u v);
+    check_adj_node a m u;
+    check_adj_node a m v;
+    if round mod 100 = 0 then check_adj a m !n
+  done;
+  check_adj a m !n;
+  check_bool "folded mid-churn" true (!folds > 0);
+  check_bool "lifted a tombstone" true (!lifted > 0);
+  check_bool "edges on grown ids" true (!grown_edges > 0);
+  (* The CSR views of the flattened store are the sorted lists. *)
+  let off, arr = Adjacency.csr_children a in
+  check_bool "flat" true (Adjacency.overflow a = (0, 0));
+  for u = 0 to !n - 1 do
+    check_int_list "csr run" (Model.children m u)
+      (List.init
+         (Int_vec.get off (u + 1) - Int_vec.get off u)
+         (fun i -> Int_vec.get arr (Int_vec.get off u + i)))
+  done;
+  (* The copy saw none of the later churn, and churning it leaves the
+     original alone. *)
+  match !frozen with
+  | None -> Alcotest.fail "no copy taken"
+  | Some (c, edges, cn) ->
+    let cm = { Model.edges; n = cn } in
+    check_adj c cm cn;
+    for u = 0 to cn - 1 do
+      Adjacency.detach_all c u
+    done;
+    Adjacency.add c 0 0;
+    check_int "copy churned" 1 (Adjacency.n_edges c);
+    check_adj a m !n
+
 let graph_cases =
   [
+    test "the adjacency store matches the edge-set model through churn" (fun () ->
+        List.iter (fun seed -> adjacency_churn ~seed) [ 71; 72; 73; 74 ]);
     test "random graphs match the edge-set model through churn" (fun () ->
         List.iter
           (fun seed ->

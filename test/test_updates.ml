@@ -435,10 +435,36 @@ let ak_subgraph_tests =
           (Dkindex_workload.Query_gen.generate ~seed:365 ~count:15 g'));
   ]
 
+(* A 1-index gives every class k = infinity, so Algorithm 4's bound is
+   infinite, and over a cycle every label path can keep matching: the
+   search must still stop.  Random additions and removals on 1-indexes
+   of small cyclic graphs terminate, keep the invariants and keep every
+   answer equal to naive evaluation. *)
+let one_index_churn_prop =
+  QCheck.Test.make ~count:60 ~name:"edge churn on a cyclic 1-index terminates and stays exact"
+    (QCheck.make ~print:(Printf.sprintf "seed=%d") QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let g =
+        Dkindex_datagen.Random_graph.graph ~seed ~nodes:30 ~n_labels:3 ~extra_edges:15 ()
+      in
+      let idx = One_index.build g in
+      let rng = Prng.create ~seed in
+      let n = Data_graph.n_nodes g in
+      for _ = 1 to 12 do
+        let u = Prng.int rng n and v = 1 + Prng.int rng (n - 1) in
+        if Data_graph.has_edge g u v then Dk_update.remove_edge idx u v
+        else Dk_update.add_edge idx u v
+      done;
+      Index_graph.check_invariants idx;
+      assert_index_matches_data g idx
+        (Dkindex_workload.Query_gen.generate ~seed ~count:20 g);
+      true)
+
 let () =
   Alcotest.run "updates"
     [
       ("update_local_similarity", uls_tests);
+      ("one_index_churn", [ QCheck_alcotest.to_alcotest one_index_churn_prop ]);
       ("edge_addition", add_edge_tests);
       ("subgraph_addition", subgraph_tests);
       ("edge_removal", remove_edge_tests);
