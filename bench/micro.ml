@@ -49,6 +49,7 @@ let tests () =
   let pl = Planner.create g in
   Planner.register pl ~name:"dk" dk;
   Planner.observe_workload pl queries;
+  let doc = Index_serial.to_string dk in
   let query_expr =
     Dkindex_pathexpr.Path_ast.seq_of_labels
       (List.map (Label.Pool.name (Data_graph.pool g)) (Array.to_list query))
@@ -98,6 +99,14 @@ let tests () =
       (Staged.stage (fun () -> One_index.build deep));
     Test.make ~name:"substrate:deep-chain-paige-tarjan"
       (Staged.stage (fun () -> Paige_tarjan.build_one_index deep));
+    (* Persistence on every durable launch: generating the document,
+       encoding the index into one buffer, and the sidecar CRC of the
+       encoded document. *)
+    Test.make ~name:"persist:xmark-graph"
+      (Staged.stage (fun () -> Dkindex_datagen.Xmark.graph ~scale:40 ()));
+    Test.make ~name:"persist:index-encode" (Staged.stage (fun () -> Index_serial.encode dk));
+    Test.make ~name:"persist:crc32"
+      (Staged.stage (fun () -> Crc32.string doc 0 (String.length doc)));
     (* The batch driver over the whole workload, on 1, 2 and 4 domains;
        on a host with fewer cores the >1 rows measure scheduling
        overhead, not speedup. *)

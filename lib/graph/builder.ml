@@ -5,7 +5,11 @@
    of a bigarray would count its whole size as off-heap memory and
    pull a major collection forward, where an array is paced like any
    other heap block.  The graph adopts only the fresh copies, so the
-   builder can keep growing after a [build]. *)
+   builder can keep growing after a [build].
+
+   Payloads append into a {!Payloads.acc}, which [build] gathers into
+   the graph's two sorted arrays, sorting only if the appends came out
+   of order (a document generator appends them in node order). *)
 
 type t = {
   pool : Label.Pool.t;
@@ -14,8 +18,7 @@ type t = {
   mutable src : int array;  (* edge i is src.(i) -> dst.(i), live in [0, n_edges) *)
   mutable dst : int array;
   mutable n_edges : int;
-  mutable values : (int * string) list;
-      (* newest first; [Data_graph] keeps the oldest entry per node *)
+  values : Payloads.acc;  (* the first payload per node wins *)
 }
 
 let create_with_root root_label =
@@ -29,7 +32,7 @@ let create_with_root root_label =
     src = Array.make 1024 0;
     dst = Array.make 1024 0;
     n_edges = 0;
-    values = [];
+    values = Payloads.acc ();
   }
 
 let create () = create_with_root Label.root_name
@@ -67,7 +70,7 @@ let add_child b ~parent name =
   add_edge b parent id;
   id
 
-let set_value b node payload = b.values <- (node, payload) :: b.values
+let set_value b node payload = Payloads.add b.values node payload
 
 let add_value ?text b ~parent =
   let id = add_child b ~parent Label.value_name in
@@ -76,7 +79,7 @@ let add_value ?text b ~parent =
 
 let build b =
   let prefix a len = Int_vec.init len (Array.unsafe_get a) in
-  Data_graph.of_edge_vecs ~values:b.values
+  Data_graph.of_edge_vecs ~values:(Payloads.freeze b.values)
     ~pool:(Label.Pool.copy b.pool)
     ~label_codes:(prefix b.labels b.count)
     ~src:(prefix b.src b.n_edges) ~dst:(prefix b.dst b.n_edges) ()

@@ -253,15 +253,12 @@ let write_pool w pool =
   Writer.end_section w
 
 let write_values w values =
-  (* [values] sorted by node id, each node at most once. *)
   Writer.begin_section w "values";
-  Writer.write_int w (List.length values);
-  List.iter
-    (fun (u, payload) ->
+  Writer.write_int w (Payloads.length values);
+  Payloads.iter values (fun u payload ->
       Writer.write_int w u;
       Writer.write_int w (String.length payload);
-      Writer.write_string w payload)
-    values;
+      Writer.write_string w payload);
   Writer.end_section w
 
 let write_meta w ints =
@@ -272,9 +269,7 @@ let write_meta w ints =
 let write_graph_sections w g =
   let coff, carr = Data_graph.csr_children g in
   let poff, parr = Data_graph.csr_parents g in
-  let values = ref [] in
-  Data_graph.iter_values g (fun u payload -> values := (u, payload) :: !values);
-  let values = List.rev !values in
+  let values = Data_graph.payloads g in
   write_pool w (Data_graph.pool g);
   Writer.int_section w "labels" (Data_graph.label_codes g);
   Writer.int_section w "carr" carr;
@@ -282,7 +277,7 @@ let write_graph_sections w g =
   Writer.int_section w "parr" parr;
   Writer.int_section w "poff" poff;
   write_values w values;
-  write_meta w [ Data_graph.n_nodes g; Data_graph.n_edges g; List.length values ]
+  write_meta w [ Data_graph.n_nodes g; Data_graph.n_edges g; Payloads.length values ]
 
 let save_graph g path =
   let w = Writer.create path ~kind:Graph ~n_sections:graph_n_sections in
@@ -429,13 +424,17 @@ let decode_values b =
   in
   let n = next_int () in
   if n < 0 then error (Malformed "values count");
-  List.init n (fun _ ->
-      let u = next_int () in
-      let slen = next_int () in
-      if slen < 0 || !pos + slen > len then error (Malformed "value payload");
-      let payload = Bytes.sub_string b !pos slen in
-      pos := !pos + slen;
-      (u, payload))
+  (* Filled in file order: a file with out-of-order or repeated nodes
+     still loads, the first payload per node winning. *)
+  let values = Payloads.acc () in
+  for _ = 1 to n do
+    let u = next_int () in
+    let slen = next_int () in
+    if slen < 0 || !pos + slen > len then error (Malformed "value payload");
+    Payloads.add values u (Bytes.sub_string b !pos slen);
+    pos := !pos + slen
+  done;
+  (n, Payloads.freeze values)
 
 let with_reader path ~kind f =
   let fd =
@@ -458,7 +457,7 @@ let graph_of_reader fd r =
   let coff = map_int_section fd (sec "coff") "coff" in
   let parr = map_int_section fd (sec "parr") "parr" in
   let poff = map_int_section fd (sec "poff") "poff" in
-  let values = decode_values (read_bytes_section fd (sec "values")) in
+  let n_listed, values = decode_values (read_bytes_section fd (sec "values")) in
   let meta = map_int_section fd (sec "meta") "meta" in
   if Int_vec.length meta < 3 then error (Malformed "meta");
   let n = Int_vec.get meta 0 and m = Int_vec.get meta 1 and nv = Int_vec.get meta 2 in
@@ -470,8 +469,8 @@ let graph_of_reader fd r =
     || Int_vec.length parr <> m
     || (n > 0 && (Int_vec.get coff n <> m || Int_vec.get poff n <> m))
   then error (Malformed "csr shape");
-  if List.length values <> nv then error (Malformed "value count");
-  List.iter (fun (u, _) -> if u < 0 || u >= n then error (Malformed "value node")) values;
+  if n_listed <> nv then error (Malformed "value count");
+  (* Value nodes out of range surface as [of_csr]'s Invalid_argument. *)
   try
     Data_graph.of_csr ~values ~pool ~label_codes:labels ~children:(coff, carr)
       ~parents:(poff, parr) ()

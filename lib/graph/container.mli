@@ -94,8 +94,7 @@ val write_graph_sections : Writer.t -> Data_graph.t -> unit
     container. *)
 
 val write_pool : Writer.t -> Label.Pool.t -> unit
-val write_values : Writer.t -> (int * string) list -> unit
-(** [values] must be sorted by node id. *)
+val write_values : Writer.t -> Payloads.t -> unit
 
 val write_meta : Writer.t -> int list -> unit
 

@@ -1,7 +1,7 @@
 (** CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the one
     checksum of the container sections and header, the WAL records and
-    the checkpoint sidecar.  Slicing-by-4: four table lookups per
-    32-bit word. *)
+    the checkpoint sidecar.  Slicing-by-8: eight table lookups per
+    64 bits. *)
 
 val update : int -> Bytes.t -> int -> int -> int
 (** [update crc b off len] extends [crc], the CRC-32 of some prefix,

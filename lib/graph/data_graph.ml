@@ -7,7 +7,7 @@ type t = {
   pool : Label.Pool.t;
   labels : Int_vec.t;  (* node -> label code *)
   adj : Adjacency.t;
-  values : (int, string) Hashtbl.t;  (* node -> atomic payload *)
+  values : Payloads.t;  (* immutable, so copies share it *)
   mutable by_label : int list array option;
       (* label code -> node ids, built lazily; labels never change *)
 }
@@ -18,7 +18,7 @@ let n_edges g = Adjacency.n_edges g.adj
 let root _ = 0
 let label g u = Label.of_int (Int_vec.get g.labels u)
 let label_name g u = Label.Pool.name g.pool (Label.of_int (Int_vec.get g.labels u))
-let value g u = Hashtbl.find_opt g.values u
+let value g u = Payloads.find g.values u
 
 let iter_children g u f = Adjacency.iter_children g.adj u f
 let iter_parents g u f = Adjacency.iter_parents g.adj u f
@@ -68,19 +68,15 @@ let check_range n u v =
 (* ------------------------------------------------------------------ *)
 (* Construction and mutation *)
 
-(* Attach labels and payloads to an adjacency (a later list entry for
-   the same node wins). *)
+(* Attach labels and payloads to an adjacency.  Payload nodes are
+   strictly increasing, so checking the ends checks them all. *)
 let assemble ~fname ~values ~pool ~label_codes adj =
-  let n = Int_vec.length label_codes in
-  let value_table = Hashtbl.create (max 16 (List.length values)) in
-  List.iter
-    (fun (u, payload) ->
-      if u < 0 || u >= n then invalid_arg (fname ^ ": value node out of range");
-      Hashtbl.replace value_table u payload)
-    values;
-  { pool; labels = label_codes; adj; values = value_table; by_label = None }
+  let n = Int_vec.length label_codes and nv = Payloads.length values in
+  if nv > 0 && (Payloads.node values 0 < 0 || Payloads.node values (nv - 1) >= n) then
+    invalid_arg (fname ^ ": value node out of range");
+  { pool; labels = label_codes; adj; values; by_label = None }
 
-let make ?(values = []) ~pool ~labels ~edges () =
+let make_of_payloads ~values ~pool ~labels ~edges =
   let n = Array.length labels in
   if n = 0 then invalid_arg "Data_graph.make: no nodes";
   List.iter (fun (u, v) -> check_range n u v) edges;
@@ -88,15 +84,18 @@ let make ?(values = []) ~pool ~labels ~edges () =
     ~label_codes:(Int_vec.init n (fun u -> Label.to_int labels.(u)))
     (Adjacency.of_edges n (fun f -> List.iter (fun (u, v) -> f u v) edges))
 
-let of_edge_vecs ?(values = []) ~pool ~label_codes ~src ~dst () =
+let make ?(values = []) ~pool ~labels ~edges () =
+  make_of_payloads ~values:(Payloads.of_list values) ~pool ~labels ~edges
+
+let of_edge_vecs ?(values = Payloads.empty) ~pool ~label_codes ~src ~dst () =
   let n = Int_vec.length label_codes in
-  if n = 0 then invalid_arg "Data_graph.make: no nodes";
+  if n = 0 then invalid_arg "Data_graph.of_edge_vecs: no nodes";
   let m = Int_vec.length src in
   if Int_vec.length dst <> m then invalid_arg "Data_graph.of_edge_vecs: length mismatch";
   for i = 0 to m - 1 do
     check_range n (Int_vec.get src i) (Int_vec.get dst i)
   done;
-  assemble ~fname:"Data_graph.make" ~values ~pool ~label_codes
+  assemble ~fname:"Data_graph.of_edge_vecs" ~values ~pool ~label_codes
     (Adjacency.of_edges n (fun f ->
          for i = 0 to m - 1 do
            f (Int_vec.unsafe_get src i) (Int_vec.unsafe_get dst i)
@@ -106,7 +105,7 @@ let of_edge_vecs ?(values = []) ~pool ~label_codes ~src ~dst () =
    makes open O(1).  Both directions must already be sorted,
    deduplicated views of the same edge set — Container guarantees that
    for files it wrote. *)
-let of_csr ?(values = []) ~pool ~label_codes ~children ~parents () =
+let of_csr ?(values = Payloads.empty) ~pool ~label_codes ~children ~parents () =
   let n = Int_vec.length label_codes in
   if n = 0 then invalid_arg "Data_graph.of_csr: no nodes";
   let adj = Adjacency.of_csr ~children ~parents in
@@ -118,12 +117,9 @@ let csr_children g = Adjacency.csr_children g.adj
 let csr_parents g = Adjacency.csr_parents g.adj
 let label_codes g = g.labels
 
-let iter_values g f =
-  let pairs = Hashtbl.fold (fun u payload acc -> (u, payload) :: acc) g.values [] in
-  List.iter (fun (u, payload) -> f u payload)
-    (List.sort (fun (a, _) (b, _) -> Int.compare a b) pairs)
-
-let n_values g = Hashtbl.length g.values
+let payloads g = g.values
+let iter_values g f = Payloads.iter g.values f
+let n_values g = Payloads.length g.values
 let overflow g = Adjacency.overflow g.adj
 
 let add_edge g u v =
@@ -140,7 +136,7 @@ let copy g =
     pool = Label.Pool.copy g.pool;
     labels = Int_vec.copy g.labels;
     adj = Adjacency.copy g.adj;
-    values = Hashtbl.copy g.values;
+    values = g.values;
     by_label = None;
   }
 
@@ -163,12 +159,11 @@ let graft g h =
       let u' = if u = 0 then root g else remap u
       and v' = if v = 0 then root g else remap v in
       edges := (u', v') :: !edges);
-  let values = ref [] in
-  Hashtbl.iter (fun u payload -> values := (u, payload) :: !values) g.values;
-  Hashtbl.iter
-    (fun u payload -> if u > 0 then values := (remap u, payload) :: !values)
-    h.values;
-  (make ~values:!values ~pool ~labels ~edges:!edges (), offset)
+  (* g's payload nodes all precede h's shifted ones: appends in order. *)
+  let values = Payloads.acc () in
+  iter_values g (Payloads.add values);
+  iter_values h (fun u payload -> if u > 0 then Payloads.add values (remap u) payload);
+  (make_of_payloads ~values:(Payloads.freeze values) ~pool ~labels ~edges:!edges, offset)
 
 type stats = {
   nodes : int;

@@ -22,7 +22,13 @@
     The CSR sections can also be views into a memory-mapped
     {!Container} file ({!of_csr}): queries run identically on a mapped
     graph, and the first overflow fold after a mutation migrates the
-    graph to fresh heap-side vectors. *)
+    graph to fresh heap-side vectors.
+
+    Payloads are a {!Payloads.t}: two immutable flat arrays, the
+    payload-carrying node ids strictly increasing and their strings
+    beside them.  {!value} is a binary search, O(log n_values);
+    {!iter_values} walks the arrays in node order; {!copy} shares
+    them. *)
 
 type t
 
@@ -49,7 +55,7 @@ val value : t -> int -> string option
 (** The atomic payload of a [VALUE] node (text content, attribute
     value), if one was recorded.  Structural algorithms ignore
     payloads; queries with value predicates read them during
-    validation. *)
+    validation.  A binary search: O(log {!n_values}). *)
 
 val iter_children : t -> int -> (int -> unit) -> unit
 val iter_parents : t -> int -> (int -> unit) -> unit
@@ -91,9 +97,14 @@ val label_codes : t -> Int_vec.t
     storage — never to be written. *)
 
 val iter_values : t -> (int -> string -> unit) -> unit
-(** Visit every (node, payload) pair in increasing node order. *)
+(** Visit every (node, payload) pair in increasing node order: a walk
+    of the payload arrays, no sort. *)
 
 val n_values : t -> int
+(** The number of nodes carrying a payload. *)
+
+val payloads : t -> Payloads.t
+(** The payloads themselves, for encoders that walk them by position. *)
 
 val iter_edges : t -> (int -> int -> unit) -> unit
 val fold_nodes : t -> init:'a -> f:('a -> int -> 'a) -> 'a
@@ -121,12 +132,13 @@ val make :
 (** [make ~pool ~labels ~edges ()] builds a graph over nodes
     [0 .. Array.length labels - 1] with node [0] as root.  Duplicate
     edges are kept once; self-loops are allowed (they can arise from
-    IDREFs).  [values] attaches atomic payloads to nodes.
+    IDREFs).  [values] attaches atomic payloads to nodes, in any
+    order; the first entry for a node wins.
     @raise Invalid_argument on out-of-range endpoints or if [labels]
     is empty. *)
 
 val of_edge_vecs :
-  ?values:(int * string) list ->
+  ?values:Payloads.t ->
   pool:Label.Pool.t ->
   label_codes:Int_vec.t ->
   src:Int_vec.t ->
@@ -135,12 +147,13 @@ val of_edge_vecs :
   t
 (** {!make} with the labels as codes of [pool] and edge [i] given as
     [src.(i) -> dst.(i)]: the same checks, deduplication and payload
-    semantics, without an edge list.  [label_codes] is adopted.
+    semantics, without an edge list.  [label_codes] and [values] are
+    adopted.
     @raise Invalid_argument on out-of-range endpoints, mismatched
     [src]/[dst] lengths, or if [label_codes] is empty. *)
 
 val of_csr :
-  ?values:(int * string) list ->
+  ?values:Payloads.t ->
   pool:Label.Pool.t ->
   label_codes:Int_vec.t ->
   children:Int_vec.t * Int_vec.t ->

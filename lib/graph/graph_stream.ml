@@ -20,7 +20,7 @@ type t = {
   mutable count : int;
   children : Ext_sort.Pairs.t;
   parents : Ext_sort.Pairs.t;
-  values : (int, string) Hashtbl.t;
+  values : Payloads.acc;
   mutable finished : bool;
 }
 
@@ -36,7 +36,7 @@ let create ?(root_label = Label.root_name) ?mem_budget ?tmp_dir ~path () =
     count = 1;
     children = Ext_sort.Pairs.create ?mem_budget ?tmp_dir ();
     parents = Ext_sort.Pairs.create ?mem_budget ?tmp_dir ();
-    values = Hashtbl.create 1024;
+    values = Payloads.acc ();
     finished = false;
   }
 
@@ -65,11 +65,9 @@ let add_child t ~parent name =
   add_edge t parent id;
   id
 
-(* First payload wins, matching the builder path: [Builder.set_value]
-   prepends and [Data_graph.of_edge_vecs] folds newest-first with
-   replace, so the oldest entry survives there too. *)
-let set_value t node payload =
-  if not (Hashtbl.mem t.values node) then Hashtbl.add t.values node payload
+(* First payload wins, as in the builder: both append into a
+   [Payloads.acc]. *)
+let set_value t node payload = Payloads.add t.values node payload
 
 let add_value ?text t ~parent =
   let id = add_child t ~parent Label.value_name in
@@ -104,11 +102,7 @@ let finish t =
   if t.finished then invalid_arg "Graph_stream.finish: already finished";
   t.finished <- true;
   let n = t.count in
-  let values =
-    List.sort
-      (fun (a, _) (b, _) -> Int.compare a b)
-      (Hashtbl.fold (fun u payload acc -> (u, payload) :: acc) t.values [])
-  in
+  let values = Payloads.freeze t.values in
   let w = Container.Writer.create t.path ~kind:Graph ~n_sections:Container.graph_n_sections in
   (try
      Container.write_pool w t.pool;
@@ -121,7 +115,7 @@ let finish t =
      Container.Writer.int_section w "poff" pdeg;
      if m <> m' then invalid_arg "Graph_stream: direction edge counts disagree";
      Container.write_values w values;
-     Container.write_meta w [ n; m; List.length values ]
+     Container.write_meta w [ n; m; Payloads.length values ]
    with e ->
      Container.Writer.abort w;
      Ext_sort.Pairs.close t.children;

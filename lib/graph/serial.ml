@@ -4,73 +4,87 @@ let magic_v2 = "dkindex-graph 2"
 (* ------------------------------------------------------------------ *)
 (* Writing *)
 
-let rec add_digits buf n =
-  if n >= 10 then add_digits buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
-
-let add_int buf n =
-  if n = min_int then Buffer.add_string buf (string_of_int n)
-  else if n < 0 then begin
-    Buffer.add_char buf '-';
-    add_digits buf (-n)
-  end
-  else add_digits buf n
+(* Whether s.[i ..] needs no escape: a loop, not [String.exists],
+   which calls a closure per byte. *)
+let rec plain s i =
+  i >= String.length s
+  || match String.unsafe_get s i with '\n' | '\r' | '%' -> false | _ -> plain s (i + 1)
 
 (* Payloads are written percent-escaped so they stay one-per-line. *)
-let add_escaped buf s =
-  if not (String.exists (function '\n' | '\r' | '%' -> true | _ -> false) s) then
-    Buffer.add_string buf s
+let add_escaped out s =
+  if plain s 0 then Text_buf.add_string out s
   else
     String.iter
       (function
-        | '\n' -> Buffer.add_string buf "%0A"
-        | '\r' -> Buffer.add_string buf "%0D"
-        | '%' -> Buffer.add_string buf "%25"
-        | c -> Buffer.add_char buf c)
+        | '\n' -> Text_buf.add_string out "%0A"
+        | '\r' -> Text_buf.add_string out "%0D"
+        | '%' -> Text_buf.add_string out "%25"
+        | c -> Text_buf.add_char out c)
       s
 
-let write buf g =
+(* Label names by code. *)
+let label_names g =
+  let pool = Data_graph.pool g in
+  Array.init (Label.Pool.count pool) (fun c -> Label.Pool.name pool (Label.of_int c))
+
+(* Every node id is counted at the digits of [n], its most; escapes
+   in payloads are not counted. *)
+let size_hint g =
+  let n = Data_graph.n_nodes g and codes = Data_graph.label_codes g in
+  let line = Array.map (fun name -> String.length name + 1) (label_names g) in
+  let id = String.length (string_of_int n) in
+  let bytes = ref (64 + (Data_graph.n_edges g * ((2 * id) + 2))) in
+  for u = 0 to n - 1 do
+    bytes := !bytes + line.(Int_vec.unsafe_get codes u)
+  done;
+  Data_graph.iter_values g (fun _ payload -> bytes := !bytes + id + 2 + String.length payload);
+  !bytes
+
+let encode out g =
   let n = Data_graph.n_nodes g in
-  Buffer.add_string buf magic_v2;
-  Buffer.add_string buf "\nnodes ";
-  add_int buf n;
-  Buffer.add_char buf '\n';
+  Text_buf.add_string out magic_v2;
+  Text_buf.add_string out "\nnodes ";
+  Text_buf.add_int out n;
+  Text_buf.add_char out '\n';
+  let names = label_names g and codes = Data_graph.label_codes g in
   for u = 0 to n - 1 do
-    Buffer.add_string buf (Data_graph.label_name g u);
-    Buffer.add_char buf '\n'
+    Text_buf.add_line out names.(Int_vec.unsafe_get codes u)
   done;
-  Buffer.add_string buf "edges ";
-  add_int buf (Data_graph.n_edges g);
-  Buffer.add_char buf '\n';
-  (* Canonical (u, v) order straight from the CSR: a graph mutated
+  Text_buf.add_string out "edges ";
+  Text_buf.add_int out (Data_graph.n_edges g);
+  Text_buf.add_char out '\n';
+  (* Canonical (u, v) order straight from the CSR runs: a graph mutated
      through the overflow layer and its reloaded copy serialize
-     byte-identically. *)
-  for u = 0 to n - 1 do
-    Data_graph.iter_children_sorted g u (fun v ->
-        add_int buf u;
-        Buffer.add_char buf ' ';
-        add_int buf v;
-        Buffer.add_char buf '\n')
-  done;
-  Buffer.add_string buf "values ";
-  add_int buf (Data_graph.n_values g);
-  Buffer.add_char buf '\n';
-  for u = 0 to n - 1 do
-    match Data_graph.value g u with
-    | Some payload ->
-      add_int buf u;
-      Buffer.add_char buf ' ';
-      add_escaped buf payload;
-      Buffer.add_char buf '\n'
-    | None -> ()
+     byte-identically.  A flat graph's runs are read in place; with
+     pending updates each run is merged with its overflow on the fly,
+     leaving the graph as it is. *)
+  (match Data_graph.overflow g with
+  | 0, 0 ->
+    let off, arr = Data_graph.csr_children g in
+    for u = 0 to n - 1 do
+      for i = Int_vec.unsafe_get off u to Int_vec.unsafe_get off (u + 1) - 1 do
+        Text_buf.add_int_pair_line out u (Int_vec.unsafe_get arr i)
+      done
+    done
+  | _ ->
+    for u = 0 to n - 1 do
+      Data_graph.iter_children_sorted g u (Text_buf.add_int_pair_line out u)
+    done);
+  let values = Data_graph.payloads g in
+  Text_buf.add_string out "values ";
+  Text_buf.add_int out (Payloads.length values);
+  Text_buf.add_char out '\n';
+  for i = 0 to Payloads.length values - 1 do
+    Text_buf.add_int out (Payloads.node values i);
+    Text_buf.add_char out ' ';
+    add_escaped out (Payloads.text values i);
+    Text_buf.add_char out '\n'
   done
 
-let size_hint g = (Data_graph.n_nodes g * 24) + (Data_graph.n_edges g * 12) + 64
-
 let to_string g =
-  let buf = Buffer.create (size_hint g) in
-  write buf g;
-  Buffer.contents buf
+  let out = Text_buf.create ~gap:0 (size_hint g) in
+  encode out g;
+  Text_buf.contents out
 
 (* ------------------------------------------------------------------ *)
 (* Reading *)
@@ -186,9 +200,8 @@ let of_substring s ~pos ~len =
     | _ -> fail "Serial.of_string: bad edge"
   done;
   if n = 0 then fail "Serial.of_string: empty graph";
-  (* Newest first, as [make] takes them: the first line for a node
-     wins. *)
-  let values = ref [] in
+  (* In document order; the first line for a node wins. *)
+  let values = Payloads.acc () in
   if version >= 2 then begin
     let nv = parse_count "values" "missing values section" in
     check_fits nv 3 "values";
@@ -197,11 +210,11 @@ let of_substring s ~pos ~len =
       let sp = index_in s ' ' !ls !le in
       if sp = !le then fail "Serial.of_string: bad value line";
       match int_of_sub s !ls sp with
-      | Some u -> values := (u, unescape_sub s (sp + 1) !le) :: !values
+      | Some u -> Payloads.add values u (unescape_sub s (sp + 1) !le)
       | None -> fail "Serial.of_string: bad value line"
     done
   end;
-  Data_graph.of_edge_vecs ~values:!values ~pool ~label_codes ~src ~dst ()
+  Data_graph.of_edge_vecs ~values:(Payloads.freeze values) ~pool ~label_codes ~src ~dst ()
 
 let of_string s = of_substring s ~pos:0 ~len:(String.length s)
 

@@ -23,10 +23,13 @@
 
     Version 1 is the same without the [values] section; it is still
     read.  Both directions are single passes over flat buffers,
-    O(bytes of the document): the writer emits the CSR in order (no
-    sort), and the reader walks a cursor over the text (no line
-    splitting) straight into the edge vectors {!Data_graph.of_edge_vecs}
-    takes. *)
+    O(bytes of the document): the writer emits the CSR runs and the
+    payload arrays in order (no sort, no lookups) as digits straight
+    into one {!Text_buf}, and the reader walks a cursor over the text
+    (no line splitting) straight into the edge vectors and payload
+    arrays {!Data_graph.of_edge_vecs} takes.  Value lines out of node
+    order, or repeating a node, are accepted: the first line for a
+    node wins, and re-encoding writes the payloads in node order. *)
 
 val to_string : Data_graph.t -> string
 
@@ -42,19 +45,18 @@ val load : string -> Data_graph.t
     {!Index_serial} embeds a graph document in its own; these let it
     write and read the embedding in place. *)
 
-val write : Buffer.t -> Data_graph.t -> unit
+val encode : Text_buf.t -> Data_graph.t -> unit
 (** Append [to_string g] to the buffer. *)
 
 val size_hint : Data_graph.t -> int
-(** A buffer capacity close to (usually above) the document size. *)
+(** A bound on the document size, above it by the digits node ids
+    fall short of [n_nodes]'s, and below it only when payloads need
+    escaping. *)
 
 val of_substring : string -> pos:int -> len:int -> Data_graph.t
 (** [of_string (String.sub s pos len)] without the copy; whatever
     follows the graph inside the region is ignored, as [of_string]
     ignores it. *)
-
-val add_int : Buffer.t -> int -> unit
-(** [Buffer.add_string buf (string_of_int n)] without the string. *)
 
 val int_of_sub : string -> int -> int -> int option
 (** [int_of_sub s i j] is [int_of_string_opt (String.sub s i (j - i))],

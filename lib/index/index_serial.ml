@@ -3,50 +3,44 @@ open Dkindex_graph
 let magic_v1 = "dkindex-index 1"
 let magic = "dkindex-index 2"
 
-let to_string t =
+type slice = { bytes : Bytes.t; off : int; len : int }
+
+(* Room for the header: the magic, three counts and a length, each at
+   most 20 characters. *)
+let header_room = 128
+
+let encode t =
   let data = Index_graph.data t in
   let cls, order, _ = Index_graph.dense_classes t in
   let count = Array.length order in
   let enc k = if k >= Index_graph.k_infinite then -1 else k in
-  (* The header declares the embedded graph's length, so the graph and
-     the partition tail go into [body] first and the header is put in
-     front of it in the final copy. *)
-  let body = Buffer.create (Serial.size_hint data + (Array.length cls * 6)) in
-  Serial.write body data;
-  let graph_len = Buffer.length body in
-  Buffer.add_string body "cls\n";
-  Array.iter
-    (fun c ->
-      Serial.add_int body c;
-      Buffer.add_char body '\n')
-    cls;
-  Buffer.add_string body "classes ";
-  Serial.add_int body count;
-  Buffer.add_char body '\n';
+  let cls_line = String.length (string_of_int count) + 1 in
+  let out =
+    Text_buf.create ~gap:header_room
+      (Serial.size_hint data + (Array.length cls * cls_line) + (count * 8) + 32)
+  in
+  Serial.encode out data;
+  let graph_len = Text_buf.length out in
+  Text_buf.add_string out "cls\n";
+  Array.iter (Text_buf.add_int_line out) cls;
+  Text_buf.add_string out "classes ";
+  Text_buf.add_int out count;
+  Text_buf.add_char out '\n';
   Array.iter
     (fun id ->
       let nd = Index_graph.node t id in
-      Serial.add_int body (enc nd.Index_graph.k);
-      Buffer.add_char body ' ';
-      Serial.add_int body (enc nd.Index_graph.req);
-      Buffer.add_char body '\n')
+      Text_buf.add_int_pair_line out (enc nd.Index_graph.k) (enc nd.Index_graph.req))
     order;
-  let head = Buffer.create 96 in
-  Buffer.add_string head magic;
-  Buffer.add_string head "\ncounts ";
-  Serial.add_int head (Data_graph.n_nodes data);
-  Buffer.add_char head ' ';
-  Serial.add_int head (Data_graph.n_edges data);
-  Buffer.add_char head ' ';
-  Serial.add_int head count;
-  Buffer.add_string head "\ngraph ";
-  Serial.add_int head graph_len;
-  Buffer.add_char head '\n';
-  let hl = Buffer.length head and bl = Buffer.length body in
-  let out = Bytes.create (hl + bl) in
-  Buffer.blit head 0 out 0 hl;
-  Buffer.blit body 0 out hl bl;
-  Bytes.unsafe_to_string out
+  (* The header declares the embedded graph's length, known only now:
+     it goes into the gap in front of the body. *)
+  Text_buf.prepend out
+    (Printf.sprintf "%s\ncounts %d %d %d\ngraph %d\n" magic (Data_graph.n_nodes data)
+       (Data_graph.n_edges data) count graph_len);
+  { bytes = Text_buf.bytes out; off = Text_buf.start out; len = Text_buf.length out }
+
+let to_string t =
+  let { bytes; off; len } = encode t in
+  Bytes.sub_string bytes off len
 
 let of_string s =
   let fail fmt = Printf.ksprintf failwith fmt in
@@ -171,7 +165,11 @@ let save path t =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
   (try
-     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string t))
+     Fun.protect
+       ~finally:(fun () -> close_out oc)
+       (fun () ->
+         let { bytes; off; len } = encode t in
+         output oc bytes off len)
    with e ->
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);

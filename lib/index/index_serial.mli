@@ -30,11 +30,20 @@
     documents (no [counts] line) are still read.
 
     Both directions are single passes, O(bytes of the document):
-    {!to_string} writes the graph and partition into one buffer and
-    copies the header in front once; {!of_string} walks a cursor over
-    the text and decodes the embedded graph in place. *)
+    {!encode} writes the graph and the partition once, as digits
+    straight into one buffer, with a gap left in front for the header
+    (whose [graph <len>] is known only at the end); {!of_string} walks
+    a cursor over the text and decodes the embedded graph in place. *)
+
+type slice = { bytes : Bytes.t; off : int; len : int }
+(** The document is [bytes] from [off] for [len] bytes. *)
+
+val encode : Index_graph.t -> slice
+(** The document, in a buffer of its own that nothing else writes. *)
 
 val to_string : Index_graph.t -> string
+(** A copy of {!encode}'s slice. *)
+
 val of_string : string -> Index_graph.t
 (** @raise Failure on malformed input. *)
 

@@ -51,7 +51,8 @@ let crc_file ~dir ~seq = Filename.concat dir (crc_name seq)
    closes that hole for both recovery and the scrubber.  A checkpoint
    without a sidecar (crash between the two writes, or a pre-sidecar
    generation) is accepted as-is. *)
-let sidecar_of s = Printf.sprintf "%d %d\n" (Crc32.string s 0 (String.length s)) (String.length s)
+let sidecar_of { Index_serial.bytes; off; len } =
+  Printf.sprintf "%d %d\n" (Crc32.update 0 bytes off len) len
 
 (* [Ok true] = sidecar present and matching, [Ok false] = no sidecar,
    [Error reason] = sidecar present and contradicting the payload. *)
@@ -81,12 +82,12 @@ let fsync_dir dir =
     (try Unix.fsync fd with Unix.Unix_error _ -> ());
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
-let write_atomic ?faults dir name s =
+let write_atomic ?faults dir name b off len =
   let tmp = Filename.concat dir (name ^ ".tmp") in
   let final = Filename.concat dir name in
   let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
   (try
-     Faults.write_all faults fd (Bytes.unsafe_of_string s) 0 (String.length s);
+     Faults.write_all faults fd b off len;
      Faults.fsync faults fd;
      Unix.close fd
    with e ->
@@ -276,9 +277,9 @@ type t = {
      beyond the complete records of the generation it names. *)
   seq_a : int Atomic.t;
   mutable last_rotate : float;
-  (* background writer: (generation, snapshot bytes) to write; unbounded,
+  (* background writer: (generation, snapshot) to write; unbounded,
      so the mutator never waits on checkpoint I/O *)
-  jobs : (int * string) Bqueue.t;
+  jobs : (int * Index_serial.slice) Bqueue.t;
   writer : unit Domain.t option ref;
   (* counters, read by stats from any domain *)
   read_only_flag : bool Atomic.t;
@@ -303,16 +304,19 @@ let note_wal_failure t msg =
 (* The snapshot text, timed for [stats] on whichever domain takes it. *)
 let encode t index =
   let t0 = Unix.gettimeofday () in
-  let s = Index_serial.to_string index in
+  let s = Index_serial.encode index in
   Atomic.set t.checkpoint_last_encode_us
     (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
   s
 
-let write_checkpoint t seq s =
-  write_atomic ?faults:t.cp_faults t.cfg.dir (cp_name seq) s;
-  write_atomic ?faults:t.cp_faults t.cfg.dir (crc_name seq) (sidecar_of s);
+(* The snapshot is written and CRC'd where the encoder left it. *)
+let write_checkpoint t seq ({ Index_serial.bytes; off; len } as s) =
+  write_atomic ?faults:t.cp_faults t.cfg.dir (cp_name seq) bytes off len;
+  let side = sidecar_of s in
+  write_atomic ?faults:t.cp_faults t.cfg.dir (crc_name seq) (Bytes.unsafe_of_string side) 0
+    (String.length side);
   Atomic.incr t.checkpoints_written;
-  Atomic.set t.checkpoint_last_bytes (String.length s);
+  Atomic.set t.checkpoint_last_bytes len;
   prune t.cfg.dir
 
 let writer_loop t () =

@@ -17,10 +17,13 @@
     The single mutator domain owns the log: it applies a mutation in
     memory, {!log_mutation}s it, and only then acknowledges.  When the
     log grows past the configured record/byte thresholds (or the timer
-    fires), {!maybe_checkpoint} serializes the index, rotates to
-    generation [seq+1], and queues the snapshot bytes on a {!Bqueue}
-    for a background writer domain — the mutator never blocks on
-    checkpoint I/O.  {!close} closes that queue and joins the writer,
+    fires), {!maybe_checkpoint} encodes the index
+    ({!Index_serial.encode}: one pass into one buffer of its own),
+    rotates to generation [seq+1], and queues that buffer slice on a
+    {!Bqueue} for a background writer domain — the mutator never
+    blocks on checkpoint I/O.  The writer writes the slice and CRCs it
+    for the sidecar where the encoder left it: no copy of the
+    document is made after the encode.  {!close} closes that queue and joins the writer,
     which first writes every snapshot still queued.  The
     two newest checkpoint generations are kept; older files are
     pruned only after a newer snapshot is durably renamed, so
@@ -30,7 +33,9 @@
 
     {!start} begins by writing a fresh synchronous checkpoint of the
     index it is given, so a recovered state is made durable (and old
-    generations prunable) before the server accepts traffic. *)
+    generations prunable) before the server accepts traffic.  Every
+    durable launch pays that encode, write, CRC and fsync before it
+    listens. *)
 
 open Dkindex_core
 
@@ -85,8 +90,8 @@ val start :
   ?wal_faults:Faults.t -> ?checkpoint_faults:Faults.t -> ?recovery:recovery ->
   config -> Index_graph.t -> t
 (** Write a fresh synchronous checkpoint of [index] at the next
-    generation, open its WAL, and spawn the background checkpoint
-    writer.  [recovery] is carried into {!stats}.
+    generation (encoded once, written and CRC'd in place), open its
+    WAL, and spawn the background checkpoint writer.  [recovery] is carried into {!stats}.
     @raise Unix.Unix_error if the initial checkpoint cannot be
     written (a server that cannot persist at startup must not
     pretend it can). *)
@@ -110,16 +115,17 @@ val note_wal_failure : t -> string -> unit
 
 val stats : t -> (string * string) list
 (** WAL/checkpoint/recovery counters, domain-safe.  Persistence stage
-    times: [checkpoint_last_encode_us] (the {!Index_serial.to_string}
+    times: [checkpoint_last_encode_us] (the {!Index_serial.encode}
     of the newest checkpoint, on whichever domain took it),
     [recovery_load_ms] and [recovery_replay_ms] (the two halves of
     {!recover}, as fractional milliseconds; 0 without a recovery). *)
 
-val write_atomic : ?faults:Faults.t -> string -> string -> string -> unit
-(** [write_atomic dir name s] makes [s] the durable content of
-    [dir/name]: it writes [dir/name.tmp], fsyncs it, renames it over
-    [dir/name] and fsyncs [dir], so after a crash the file holds either
-    its previous content or [s].  [faults] filters the write and the
+val write_atomic : ?faults:Faults.t -> string -> string -> Bytes.t -> int -> int -> unit
+(** [write_atomic dir name b off len] makes bytes [off .. off + len - 1]
+    of [b] the durable content of [dir/name]: it writes
+    [dir/name.tmp], fsyncs it, renames it over [dir/name] and fsyncs
+    [dir], so after a crash the file holds either its previous content
+    or those bytes.  [faults] filters the write and the
     file fsync ({!Faults.write}, {!Faults.fsync}).
     @raise Unix.Unix_error if a write, fsync or the rename fails (a
     failed write or file fsync removes the temp file). *)

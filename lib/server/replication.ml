@@ -37,7 +37,9 @@ let load_epoch ~dir =
         | _ -> 0
         | exception End_of_file -> 0)
 
-let store_epoch ~dir e = Checkpoint.write_atomic dir "epoch" (string_of_int e ^ "\n")
+let store_epoch ~dir e =
+  let s = string_of_int e ^ "\n" in
+  Checkpoint.write_atomic dir "epoch" (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Shared plumbing *)

@@ -612,8 +612,8 @@ let serving_idx state = (Atomic.get state.serving).idx
 (* The [--snapshot] file, durable before it is acknowledged: temp
    file, fsync, rename, fsync of the directory. *)
 let save_snapshot path idx =
-  Checkpoint.write_atomic (Filename.dirname path) (Filename.basename path)
-    (Index_serial.to_string idx)
+  let { Index_serial.bytes; off; len } = Index_serial.encode idx in
+  Checkpoint.write_atomic (Filename.dirname path) (Filename.basename path) bytes off len
 
 let not_primary_reply state : Wire.response =
   match state.replica with

@@ -10,6 +10,10 @@ module Dataset = Dkindex_server.Dataset
 (* (a) The pinned serving index at scale 40. *)
 let pinned () = (Dataset.make ~scale:40 ()).Dataset.index
 
+(* (d) The pinned serving index at scale 2000, the size a durable
+   launch of the benchmark checkpoints: node ids of up to six digits. *)
+let pinned_2000 () = Dataset.index ~seed:1 ~scale:2000
+
 (* (b) The same index after a few edge updates: twelve ID/IDREF
    additions (one of them removed again) and six removals of original
    edges.  That is far below the overflow layer's fold threshold, so

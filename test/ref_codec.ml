@@ -1,13 +1,97 @@
 (* Reference implementations the production codecs are checked
-   against: the line-splitting text decoders and the byte-at-a-time
-   CRC-32 that lib/ replaced with single-pass versions.  They define
-   what the fast versions must accept, reject and compute. *)
+   against: the Buffer-based text encoders, the line-splitting text
+   decoders and the byte-at-a-time CRC-32 that lib/ replaced with
+   single-pass versions.  They define what the fast versions must
+   write, accept, reject and compute. *)
 
 open Dkindex_graph
 open Dkindex_core
 
 let magic = "dkindex-graph 1"
 let magic_v2 = "dkindex-graph 2"
+
+(* ----------------------------------------------------------------- *)
+(* Encoders: one line at a time into a Buffer, payloads looked up node
+   by node, the index header copied in front of the body at the end. *)
+
+let escape_value buf s =
+  String.iter
+    (function
+      | '\n' -> Buffer.add_string buf "%0A"
+      | '\r' -> Buffer.add_string buf "%0D"
+      | '%' -> Buffer.add_string buf "%25"
+      | c -> Buffer.add_char buf c)
+    s
+
+let add_int buf n = Buffer.add_string buf (string_of_int n)
+
+let serial_write buf g =
+  let n = Data_graph.n_nodes g in
+  Buffer.add_string buf magic_v2;
+  Buffer.add_string buf "\nnodes ";
+  add_int buf n;
+  Buffer.add_char buf '\n';
+  for u = 0 to n - 1 do
+    Buffer.add_string buf (Data_graph.label_name g u);
+    Buffer.add_char buf '\n'
+  done;
+  Buffer.add_string buf "edges ";
+  add_int buf (Data_graph.n_edges g);
+  Buffer.add_char buf '\n';
+  for u = 0 to n - 1 do
+    Data_graph.iter_children_sorted g u (fun v ->
+        add_int buf u;
+        Buffer.add_char buf ' ';
+        add_int buf v;
+        Buffer.add_char buf '\n')
+  done;
+  Buffer.add_string buf "values ";
+  add_int buf (Data_graph.n_values g);
+  Buffer.add_char buf '\n';
+  for u = 0 to n - 1 do
+    match Data_graph.value g u with
+    | Some payload ->
+      add_int buf u;
+      Buffer.add_char buf ' ';
+      escape_value buf payload;
+      Buffer.add_char buf '\n'
+    | None -> ()
+  done
+
+let serial_to_string g =
+  let buf = Buffer.create 1024 in
+  serial_write buf g;
+  Buffer.contents buf
+
+let index_to_string t =
+  let data = Index_graph.data t in
+  let cls, order, _ = Index_graph.dense_classes t in
+  let enc k = if k >= Index_graph.k_infinite then -1 else k in
+  let body = Buffer.create 1024 in
+  serial_write body data;
+  let graph_len = Buffer.length body in
+  Buffer.add_string body "cls\n";
+  Array.iter
+    (fun c ->
+      add_int body c;
+      Buffer.add_char body '\n')
+    cls;
+  Buffer.add_string body "classes ";
+  add_int body (Array.length order);
+  Buffer.add_char body '\n';
+  Array.iter
+    (fun id ->
+      let nd = Index_graph.node t id in
+      add_int body (enc nd.Index_graph.k);
+      Buffer.add_char body ' ';
+      add_int body (enc nd.Index_graph.req);
+      Buffer.add_char body '\n')
+    order;
+  Printf.sprintf "dkindex-index 2\ncounts %d %d %d\ngraph %d\n%s" (Data_graph.n_nodes data)
+    (Data_graph.n_edges data) (Array.length order) graph_len (Buffer.contents body)
+
+(* ----------------------------------------------------------------- *)
+(* Decoders *)
 
 let unescape_value s =
   let buf = Buffer.create (String.length s) in
@@ -111,7 +195,10 @@ let serial_of_string s =
                | [] -> fail "Serial.of_string: truncated values"
            in
            read_values 0 rest);
-      Data_graph.make ~values:!values ~pool ~labels:(Array.sub labels 0 n) ~edges:!edges ())
+      (* [values] is newest first; [make] keeps the first entry per
+         node, so the first line for a node wins. *)
+      Data_graph.make ~values:(List.rev !values) ~pool ~labels:(Array.sub labels 0 n)
+        ~edges:!edges ())
 
 let index_magic_v1 = "dkindex-index 1"
 let index_magic = "dkindex-index 2"

@@ -2,19 +2,24 @@
    against their reference implementations (Ref_codec).
 
    - Goldens: the MD5 of Index_serial.to_string for the Golden_inputs
-     indexes, recorded from the line-splitting codec this one replaced,
+     indexes, recorded from earlier codecs ((a)-(c) from the
+     line-splitting one, (d) from the Buffer encoder now in Ref_codec),
      so the format cannot drift even if encoder and decoder drift
-     together.  A committed checkpoint directory written by that codec
+     together.  A committed checkpoint directory written by the first
      (snapshot, CRC sidecar, WAL) must recover, and a version-1
      document must load.
+   - Differential encoding: random indexes must encode to the bytes
+     the reference encoders write.  A failure prints its seed.
    - Differential decoding: random indexes and random edits of their
      text (truncation, digit replacement, deleted, duplicated and
      swapped lines) must be accepted or rejected alike by the decoders
      and their references, and what both accept must re-encode to the
      same bytes.  A failure prints its seed.
-   - CRC-32: the standard check value, and agreement with the
-     byte-at-a-time reference on random substrings, whole and fed to
-     [Crc32.update] in chunks split at random points. *)
+   - CRC-32 (slicing-by-8): the standard check value, and agreement
+     with the byte-at-a-time reference on random substrings, whole and
+     fed to [Crc32.update] in chunks split at random points.
+   - Text_buf: integers and lines as Buffer writes them, growth from
+     any starting size, and the gap [prepend] fills. *)
 
 open Dkindex_core
 open Dkindex_baselines
@@ -49,6 +54,8 @@ let golden_tests =
       "0a9db3416fc567318ce2e12b655c5699";
     golden "(c) escaped payloads, k = infinity" Golden_inputs.escapes
       "4f3faf75a8c4501f87f7cbda62924cac";
+    golden "(d) pinned scale-2000 index, 6-digit ids" Golden_inputs.pinned_2000
+      "1b39e029eea2e2079ddf19bca2b7b83f";
     test "(b) keeps overflow additions and tombstones" (fun () ->
         let idx = Golden_inputs.edited () in
         let extra, deleted = Data_graph.overflow (Index_graph.data idx) in
@@ -136,19 +143,26 @@ let graph_disagreement =
 let labels = [| "a"; "b"; "c"; "a b"; "x%y"; "VALUE" |]
 let payload_chars = "ab %\n\r0AD25 "
 
+let random_payload rng =
+  String.init (Prng.int rng 6) (fun _ -> payload_chars.[Prng.int rng (String.length payload_chars)])
+
 (* A random index over a random graph with awkward labels and
-   payloads; a D(k)-index is sometimes left with unflattened edge
-   updates (Dk_update maintains D(k) only). *)
+   payloads (none at all in one graph of five, and some set out of
+   node order or twice); a D(k)-index is sometimes left with
+   unflattened edge updates, additions and tombstones (Dk_update
+   maintains D(k) only), and a 1-index has k = infinity throughout. *)
 let random_index rng =
   let b = Builder.create () in
   let n = Prng.range rng 2 60 in
+  let p_value = if Prng.bool rng 0.2 then 0.0 else 0.3 in
   for i = 1 to n - 1 do
     let u = Builder.add_child b ~parent:(Prng.int rng i) (Prng.choose rng labels) in
-    if Prng.bool rng 0.3 then
-      Builder.set_value b u
-        (String.init (Prng.int rng 6) (fun _ ->
-             payload_chars.[Prng.int rng (String.length payload_chars)]))
+    if Prng.bool rng p_value then Builder.set_value b u (random_payload rng)
   done;
+  if p_value > 0.0 then
+    for _ = 1 to Prng.int rng 4 do
+      Builder.set_value b (Prng.int rng n) (random_payload rng)
+    done;
   for _ = 1 to Prng.int rng n do
     Builder.add_edge b (Prng.int rng n) (Prng.int rng n)
   done;
@@ -236,6 +250,20 @@ let differential_prop =
       check "graph" graph_disagreement gtext;
       true)
 
+let encoder_prop =
+  QCheck.Test.make ~count:300 ~name:"encoders write the reference encoders' bytes"
+    (QCheck.make ~print:(Printf.sprintf "seed=%d") QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      let idx = random_index rng in
+      let g = Index_graph.data idx in
+      let { Index_serial.bytes; off; len } = Index_serial.encode idx in
+      if not (String.equal (Bytes.sub_string bytes off len) (Ref_codec.index_to_string idx)) then
+        QCheck.Test.fail_reportf "seed %d: index documents differ" seed;
+      if not (String.equal (Serial.to_string g) (Ref_codec.serial_to_string g)) then
+        QCheck.Test.fail_reportf "seed %d: graph documents differ" seed;
+      true)
+
 (* Hand edits the random ones rarely produce: leading zeros, signs,
    base prefixes, underscores, negative k/req, blanks and CRs. *)
 let hand_edits =
@@ -287,6 +315,14 @@ let int_tokens =
 
 let differential_tests =
   [
+    test "golden inputs encode as the reference encoder writes them" (fun () ->
+        List.iter
+          (fun build ->
+            let idx = build () in
+            check_string "index document" (Ref_codec.index_to_string idx)
+              (Index_serial.to_string idx))
+          [ Golden_inputs.pinned; Golden_inputs.edited; Golden_inputs.escapes ]);
+    QCheck_alcotest.to_alcotest encoder_prop;
     test "hand-edited documents" (fun () ->
         let text = Index_serial.to_string (Golden_inputs.escapes ()) in
         List.iter
@@ -324,7 +360,7 @@ let chunked_crc s off len cuts =
   Crc32.update crc b (off + last) (len - last)
 
 let crc_prop =
-  QCheck.Test.make ~count:500 ~name:"slicing-by-4 CRC = byte-at-a-time CRC"
+  QCheck.Test.make ~count:500 ~name:"slicing-by-8 CRC = byte-at-a-time CRC"
     QCheck.(quad string small_nat small_nat (small_list small_nat))
     (fun (s, a, b, cuts) ->
       let off = a mod (String.length s + 1) in
@@ -351,6 +387,53 @@ let crc_tests =
     QCheck_alcotest.to_alcotest crc_prop;
   ]
 
+(* ----------------------------------------------------------------- *)
+(* Text_buf *)
+
+module Text_buf = Dkindex_graph.Text_buf
+
+let text_buf_tests =
+  [
+    test "writes what Buffer and string_of_int write, growing from any hint" (fun () ->
+        let ints =
+          [ 0; 1; 9; 10; 99; 100; 101; 999999; 1000000; 123456789; -1; -10; -100; max_int;
+            min_int; min_int + 1 ]
+        in
+        List.iter
+          (fun hint ->
+            let t = Text_buf.create ~gap:0 hint and b = Buffer.create 16 in
+            List.iter
+              (fun n ->
+                Text_buf.add_int t n;
+                Text_buf.add_char t ';';
+                Text_buf.add_int_line t n;
+                Text_buf.add_int_pair_line t n (-n);
+                Text_buf.add_line t "line";
+                Text_buf.add_string t "s";
+                Printf.bprintf b "%d;%d\n%d %d\nline\ns" n n n (-n))
+              ints;
+            check_string (Printf.sprintf "hint %d" hint) (Buffer.contents b) (Text_buf.contents t))
+          [ 0; 1; 7; 100; 10_000 ]);
+    test "prepend fills the gap and no more" (fun () ->
+        let t = Text_buf.create ~gap:4 0 in
+        Text_buf.add_string t "body";
+        Text_buf.prepend t "he";
+        Text_buf.prepend t "ad";
+        check_string "contents" "adhebody" (Text_buf.contents t);
+        check_int "start" 0 (Text_buf.start t);
+        check_string "slice"
+          "adhebody"
+          (Bytes.sub_string (Text_buf.bytes t) (Text_buf.start t) (Text_buf.length t));
+        Alcotest.check_raises "no gap left"
+          (Invalid_argument "Text_buf.prepend: larger than the gap left") (fun () ->
+            Text_buf.prepend t "x"));
+  ]
+
 let () =
   Alcotest.run "codec"
-    [ ("golden", golden_tests); ("differential", differential_tests); ("crc32", crc_tests) ]
+    [
+      ("golden", golden_tests);
+      ("differential", differential_tests);
+      ("crc32", crc_tests);
+      ("text_buf", text_buf_tests);
+    ]

@@ -440,6 +440,79 @@ let misc_tests =
         check_bool (Printf.sprintf "%.3f words per add_child" per) true (per < 2.01));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Payload semantics                                                   *)
+
+module Prng = Dkindex_datagen.Prng
+
+(* [g]'s payloads against a first-wins table: [value] agrees on every
+   node, [iter_values] visits the table in strictly increasing node
+   order, and [n_values] counts its nodes. *)
+let check_payloads seed what g model =
+  let fail fmt = QCheck.Test.fail_reportf ("seed %d: %s: " ^^ fmt) seed what in
+  for u = 0 to Data_graph.n_nodes g - 1 do
+    if Data_graph.value g u <> Hashtbl.find_opt model u then fail "value of node %d" u
+  done;
+  let last = ref (-1) and seen = ref 0 in
+  Data_graph.iter_values g (fun u payload ->
+      if u <= !last then fail "iter_values: %d after %d" u !last;
+      if Hashtbl.find_opt model u <> Some payload then fail "iter_values: payload of %d" u;
+      last := u;
+      incr seen);
+  if !seen <> Hashtbl.length model then fail "iter_values visited %d nodes" !seen;
+  if Data_graph.n_values g <> Hashtbl.length model then fail "n_values %d" (Data_graph.n_values g)
+
+(* A builder given [set_value]s on random nodes, repeats and all, and
+   the first-wins table of what they set.  Half the time a graph is
+   built halfway through and checked after the builder has moved on. *)
+let random_payloads seed =
+  let rng = Prng.create ~seed in
+  let b = Builder.create () in
+  let n = Prng.range rng 1 40 in
+  for i = 1 to n - 1 do
+    ignore (Builder.add_child b ~parent:(Prng.int rng i) (if Prng.bool rng 0.5 then "x" else "y"))
+  done;
+  let model = Hashtbl.create 16 in
+  let set () =
+    let u = Prng.int rng n in
+    let payload = string_of_int (Prng.int rng 100) ^ if Prng.bool rng 0.2 then "\n%" else "" in
+    Builder.set_value b u payload;
+    if not (Hashtbl.mem model u) then Hashtbl.add model u payload
+  in
+  let k = Prng.int rng (2 * n) in
+  for _ = 1 to k do
+    set ()
+  done;
+  let early = if Prng.bool rng 0.5 then Some (Builder.build b, Hashtbl.copy model) else None in
+  for _ = 1 to Prng.int rng n do
+    set ()
+  done;
+  (Builder.build b, model, early)
+
+let prop_payloads =
+  QCheck.Test.make ~count:300 ~name:"payloads: first wins, sorted, through every path"
+    (QCheck.make ~print:(Printf.sprintf "seed=%d") QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let g, model, early = random_payloads seed in
+      check_payloads seed "built" g model;
+      (match early with
+      | Some (g0, model0) -> check_payloads seed "built earlier" g0 model0
+      | None -> ());
+      check_payloads seed "Serial round trip" (Serial.of_string (Serial.to_string g)) model;
+      (let path = Filename.temp_file "payloads" ".dkg" in
+       Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+       Container.save_graph g path;
+       check_payloads seed "Container round trip" (Container.open_graph path) model);
+      check_payloads seed "copy" (Data_graph.copy g) model;
+      (* Grafted under a host with payloads of its own: the host's stay,
+         and [g]'s shift by the offset, but for its root's. *)
+      let host, host_model, _ = random_payloads (seed + 1) in
+      let combined, offset = Data_graph.graft host g in
+      let expected = Hashtbl.copy host_model in
+      Hashtbl.iter (fun u payload -> if u > 0 then Hashtbl.add expected (u - 1 + offset) payload) model;
+      check_payloads seed "graft" combined expected;
+      true)
+
 let () =
   Alcotest.run "graph"
     [
@@ -447,7 +520,7 @@ let () =
       ("data_graph", graph_tests);
       ("graft", graft_tests);
       ("traversal", traversal_tests);
-      ("values", value_tests);
+      ("values", value_tests @ [ QCheck_alcotest.to_alcotest prop_payloads ]);
       ("serial", serial_tests);
       ("misc", misc_tests);
     ]
