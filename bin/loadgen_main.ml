@@ -233,6 +233,9 @@ let print_stats_summary kvs =
   Printf.printf
     "server: uptime %s s  evicted_slow_clients %s  rejected_at_admission %s\n"
     (getd "uptime_s") (getd "evicted_slow_clients") (getd "rejected_at_admission");
+  Printf.printf "server: launch ms  datagen %s  index_build %s  recover %s  checkpoint %s  prepare %s\n"
+    (getd "launch_datagen_ms") (getd "launch_index_build_ms") (getd "launch_recover_ms")
+    (getd "launch_checkpoint_ms") (getd "launch_prepare_ms");
   (match (get "role", get "epoch") with
   | Some role, Some epoch ->
     Printf.printf "server: role %s  epoch %s  fenced %s\n" role epoch (getd "fenced")

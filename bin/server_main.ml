@@ -193,11 +193,13 @@ let serve host port xmark seed load workers queue_depth deadline idle snapshot d
               staleness_bound_s = staleness_bound;
             }))
   in
+  let launch = Server.launch () in
+  let stage st f = Server.stage launch st f in
   let build () =
     match (load, replica_of) with
     | Some file, _ ->
       Printf.printf "dkindex-server: loading %s\n%!" file;
-      Index_serial.load file
+      stage Datagen (fun () -> Index_serial.load file)
     | None, Some _ ->
       (* A replica bootstraps over the wire; don't build a dataset it
          will immediately throw away. *)
@@ -206,13 +208,14 @@ let serve host port xmark seed load workers queue_depth deadline idle snapshot d
     | None, None ->
       Printf.printf "dkindex-server: building pinned XMark dataset (scale %d, seed %d)\n%!"
         xmark seed;
-      Dkindex_server.Dataset.index ~seed ~scale:xmark
+      let g = stage Datagen (fun () -> Dkindex_datagen.Xmark.graph ~seed ~scale:xmark ()) in
+      stage Index_build (fun () -> Dkindex_server.Dataset.build g)
   in
   let index, durability =
     match data_dir with
     | None -> (build (), None)
     | Some dir ->
-      let recovery = Checkpoint.recover ~dir () in
+      let recovery = stage Recover (fun () -> Checkpoint.recover ~dir ()) in
       let index =
         match recovery.Checkpoint.index with
         | Some idx ->
@@ -232,7 +235,7 @@ let serve host port xmark seed load workers queue_depth deadline idle snapshot d
           checkpoint_records = checkpoint_every;
         }
       in
-      (index, Some (Checkpoint.start ~recovery cfg index))
+      (index, Some (stage Checkpoint (fun () -> Checkpoint.start ~recovery cfg index)))
   in
   let cfg =
     {
@@ -263,7 +266,7 @@ let serve host port xmark seed load workers queue_depth deadline idle snapshot d
       ~on_ready:(fun port ->
         Printf.printf "dkindex-server: listening on %s:%d (pid %d)\n%!" host port
           (Unix.getpid ()))
-      ?durability ?replica_of ~hub_heartbeat_s:heartbeat cfg index
+      ?durability ?replica_of ~hub_heartbeat_s:heartbeat ~launch cfg index
   with
   | Ok () -> Printf.printf "dkindex-server: drained, bye\n%!"
   | Error msg -> fatal "shutdown failed: %s" msg

@@ -4,46 +4,33 @@ module GS = Dkindex_graph.Graph_stream
 let label_name i = Printf.sprintf "l%d" i
 
 (* One generation body drives both the in-RAM builder and the
-   streaming container writer; the sink record pins the PRNG draw
-   sequence and the node-id allocation order to be identical, so the
-   streamed container is byte-identical to saving [graph]. *)
-type sink = {
-  snk_add_node : string -> int;
-  snk_add_edge : int -> int -> unit;
-  snk_set_value : int -> string -> unit;
-}
-
-let skeleton rng snk ~nodes ~n_labels =
+   streaming container writer; both allocate node ids in call order,
+   so with the same PRNG draws the streamed container is byte-identical
+   to saving [graph]. *)
+let skeleton (type g) rng (module G : B.S with type t = g) (g : g) ~nodes ~n_labels =
   for _ = 1 to nodes - 1 do
-    let id = snk.snk_add_node (label_name (Prng.int rng n_labels)) in
+    let id = G.add_node g (label_name (Prng.int rng n_labels)) in
     let parent = Prng.int rng id in
-    snk.snk_add_edge parent id
+    G.add_edge g parent id
   done
 
-let generate rng snk ~nodes ~n_labels ~extra_edges ~value_fraction =
-  skeleton rng snk ~nodes ~n_labels;
+let generate (type g) rng (module G : B.S with type t = g) (g : g) ~nodes ~n_labels ~extra_edges
+    ~value_fraction =
+  skeleton rng (module G) g ~nodes ~n_labels;
   for _ = 1 to extra_edges do
     let u = Prng.int rng nodes and v = Prng.int rng nodes in
-    if v <> 0 then snk.snk_add_edge u v
+    if v <> 0 then G.add_edge g u v
   done;
   if value_fraction > 0.0 then
     for u = 1 to nodes - 1 do
-      if Prng.bool rng value_fraction then
-        snk.snk_set_value u (Printf.sprintf "v%d" (Prng.int rng 4))
+      if Prng.bool rng value_fraction then G.set_value g u (Printf.sprintf "v%d" (Prng.int rng 4))
     done
-
-let builder_sink b =
-  {
-    snk_add_node = B.add_node b;
-    snk_add_edge = B.add_edge b;
-    snk_set_value = B.set_value b;
-  }
 
 let graph ?(seed = 7) ?(value_fraction = 0.0) ~nodes ~n_labels ~extra_edges () =
   if nodes < 1 then invalid_arg "Random_graph.graph: need at least the root";
   let rng = Prng.create ~seed in
   let b = B.create () in
-  generate rng (builder_sink b) ~nodes ~n_labels ~extra_edges ~value_fraction;
+  generate rng (module B) b ~nodes ~n_labels ~extra_edges ~value_fraction;
   B.build b
 
 let stream ?(seed = 7) ?(value_fraction = 0.0) ?mem_budget ?tmp_dir ~nodes ~n_labels
@@ -51,16 +38,7 @@ let stream ?(seed = 7) ?(value_fraction = 0.0) ?mem_budget ?tmp_dir ~nodes ~n_la
   if nodes < 1 then invalid_arg "Random_graph.stream: need at least the root";
   let rng = Prng.create ~seed in
   let gs = GS.create ?mem_budget ?tmp_dir ~path () in
-  match
-    let snk =
-      {
-        snk_add_node = GS.add_node gs;
-        snk_add_edge = GS.add_edge gs;
-        snk_set_value = GS.set_value gs;
-      }
-    in
-    generate rng snk ~nodes ~n_labels ~extra_edges ~value_fraction
-  with
+  match generate rng (module GS) gs ~nodes ~n_labels ~extra_edges ~value_fraction with
   | () -> GS.finish gs
   | exception e ->
     GS.abort gs;
@@ -70,5 +48,5 @@ let tree ?(seed = 7) ~nodes ~n_labels () =
   if nodes < 1 then invalid_arg "Random_graph.tree: need at least the root";
   let rng = Prng.create ~seed in
   let b = B.create () in
-  skeleton rng (builder_sink b) ~nodes ~n_labels;
+  skeleton rng (module B) b ~nodes ~n_labels;
   B.build b

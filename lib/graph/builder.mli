@@ -4,10 +4,15 @@
     {!Data_graph.t}.  The first node added becomes the root and should
     carry the label {!Label.root_name}; {!create} adds it for you.
     Node ids are allocated in call order and label codes in the order
-    labels are first interned.  Label codes and edge endpoints are
-    kept in growable flat int arrays, so adding a node or an edge
-    boxes nothing (the storage doubles now and then); edge endpoints
-    are range-checked only by {!build}. *)
+    labels are first interned.  A producer that interns each label
+    once into {!pool} passes codes ({!add_child_code}) and skips the
+    per-node name lookup; [VALUE] is looked up once per builder.
+    Label codes and edge endpoints are appended to flat int storage
+    that grows by whole segments, each as long as all before it, so
+    adding a node or an edge boxes nothing and growing copies nothing.
+    {!build} makes no prefix copies: the CSR construction reads the
+    edge segments in place and range-checks each endpoint as it reads
+    it, and only the label codes are copied into the graph. *)
 
 type t
 
@@ -25,6 +30,9 @@ val add_node : t -> string -> int
 
 val add_child : t -> parent:int -> string -> int
 (** [add_child b ~parent label] = [add_node] + [add_edge parent]. *)
+
+val add_child_code : t -> parent:int -> Label.t -> int
+(** {!add_child} with a label already interned in {!pool}. *)
 
 val add_value : ?text:string -> t -> parent:int -> int
 (** Attach a [VALUE]-labeled leaf under [parent] (atomic content),
@@ -46,3 +54,20 @@ val build : t -> Data_graph.t
     later additions and earlier graphs are unaffected.
     @raise Invalid_argument if an edge names a node that does not
     exist. *)
+
+(** What a producer needs, offered by this module and by
+    {!Graph_stream} alike: one generator feeds either, and both
+    allocate node ids in call order and label codes in first-intern
+    order, so the two give the same graph. *)
+module type S = sig
+  type t
+
+  val root : t -> int
+  val pool : t -> Label.Pool.t
+  val add_node : t -> string -> int
+  val add_child : t -> parent:int -> string -> int
+  val add_child_code : t -> parent:int -> Label.t -> int
+  val add_value : ?text:string -> t -> parent:int -> int
+  val set_value : t -> int -> string -> unit
+  val add_edge : t -> int -> int -> unit
+end

@@ -87,19 +87,16 @@ let make_of_payloads ~values ~pool ~labels ~edges =
 let make ?(values = []) ~pool ~labels ~edges () =
   make_of_payloads ~values:(Payloads.of_list values) ~pool ~labels ~edges
 
-let of_edge_vecs ?(values = Payloads.empty) ~pool ~label_codes ~src ~dst () =
+(* The range check rides on the producer, so each endpoint is checked
+   as the CSR pass reads it rather than in a pass of its own. *)
+let of_edges ?(values = Payloads.empty) ~pool ~label_codes iter =
   let n = Int_vec.length label_codes in
-  if n = 0 then invalid_arg "Data_graph.of_edge_vecs: no nodes";
-  let m = Int_vec.length src in
-  if Int_vec.length dst <> m then invalid_arg "Data_graph.of_edge_vecs: length mismatch";
-  for i = 0 to m - 1 do
-    check_range n (Int_vec.get src i) (Int_vec.get dst i)
-  done;
-  assemble ~fname:"Data_graph.of_edge_vecs" ~values ~pool ~label_codes
+  if n = 0 then invalid_arg "Data_graph.of_edges: no nodes";
+  assemble ~fname:"Data_graph.of_edges" ~values ~pool ~label_codes
     (Adjacency.of_edges n (fun f ->
-         for i = 0 to m - 1 do
-           f (Int_vec.unsafe_get src i) (Int_vec.unsafe_get dst i)
-         done))
+         iter (fun u v ->
+             if u < 0 || u >= n || v < 0 || v >= n then check_range n u v;
+             f u v)))
 
 (* The vectors are adopted, not copied: for a mapped file this is what
    makes open O(1).  Both directions must already be sorted,

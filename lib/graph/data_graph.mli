@@ -137,20 +137,20 @@ val make :
     @raise Invalid_argument on out-of-range endpoints or if [labels]
     is empty. *)
 
-val of_edge_vecs :
+val of_edges :
   ?values:Payloads.t ->
   pool:Label.Pool.t ->
   label_codes:Int_vec.t ->
-  src:Int_vec.t ->
-  dst:Int_vec.t ->
-  unit ->
+  ((int -> int -> unit) -> unit) ->
   t
-(** {!make} with the labels as codes of [pool] and edge [i] given as
-    [src.(i) -> dst.(i)]: the same checks, deduplication and payload
+(** {!make} with the labels as codes of [pool] and the edges given by
+    a producer: [iter f] must call [f u v] for every edge, the same
+    multiset on every call (it runs twice, and each endpoint is
+    range-checked as it is read).  The same deduplication and payload
     semantics, without an edge list.  [label_codes] and [values] are
     adopted.
-    @raise Invalid_argument on out-of-range endpoints, mismatched
-    [src]/[dst] lengths, or if [label_codes] is empty. *)
+    @raise Invalid_argument on out-of-range endpoints or if
+    [label_codes] is empty. *)
 
 val of_csr :
   ?values:Payloads.t ->

@@ -18,6 +18,7 @@ type t = {
   path : string;
   mutable labels : Int_vec.t;  (* node -> label code *)
   mutable count : int;
+  mutable value_code : int;  (* the VALUE code, -1 until first interned here *)
   children : Ext_sort.Pairs.t;
   parents : Ext_sort.Pairs.t;
   values : Payloads.acc;
@@ -34,6 +35,7 @@ let create ?(root_label = Label.root_name) ?mem_budget ?tmp_dir ~path () =
     path;
     labels;
     count = 1;
+    value_code = -1;
     children = Ext_sort.Pairs.create ?mem_budget ?tmp_dir ();
     parents = Ext_sort.Pairs.create ?mem_budget ?tmp_dir ();
     values = Payloads.acc ();
@@ -44,8 +46,7 @@ let root _ = 0
 let n_nodes t = t.count
 let pool t = t.pool
 
-let add_node t name =
-  let l = Label.Pool.intern t.pool name in
+let add_node_code t l =
   if t.count >= Int_vec.length t.labels then begin
     let bigger = Int_vec.create (2 * Int_vec.length t.labels) in
     Int_vec.blit ~src:t.labels ~src_pos:0 ~dst:bigger ~dst_pos:0 ~len:t.count;
@@ -56,21 +57,27 @@ let add_node t name =
   t.count <- id + 1;
   id
 
+let add_node t name = add_node_code t (Label.Pool.intern t.pool name)
+
 let add_edge t u v =
   Ext_sort.Pairs.add t.children u v;
   Ext_sort.Pairs.add t.parents v u
 
-let add_child t ~parent name =
-  let id = add_node t name in
+let add_child_code t ~parent l =
+  let id = add_node_code t l in
   add_edge t parent id;
   id
+
+let add_child t ~parent name = add_child_code t ~parent (Label.Pool.intern t.pool name)
 
 (* First payload wins, as in the builder: both append into a
    [Payloads.acc]. *)
 let set_value t node payload = Payloads.add t.values node payload
 
 let add_value ?text t ~parent =
-  let id = add_child t ~parent Label.value_name in
+  if t.value_code < 0 then
+    t.value_code <- Label.to_int (Label.Pool.intern t.pool Label.value_name);
+  let id = add_child_code t ~parent (Label.of_int t.value_code) in
   (match text with Some payload -> set_value t id payload | None -> ());
   id
 

@@ -29,6 +29,9 @@ val n_nodes : t -> int
 val pool : t -> Label.Pool.t
 val add_node : t -> string -> int
 val add_child : t -> parent:int -> string -> int
+val add_child_code : t -> parent:int -> Label.t -> int
+(** As {!Builder.add_child_code}. *)
+
 val add_value : ?text:string -> t -> parent:int -> int
 val set_value : t -> int -> string -> unit
 

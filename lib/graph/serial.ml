@@ -214,7 +214,10 @@ let of_substring s ~pos ~len =
       | None -> fail "Serial.of_string: bad value line"
     done
   end;
-  Data_graph.of_edge_vecs ~values:(Payloads.freeze values) ~pool ~label_codes ~src ~dst ()
+  Data_graph.of_edges ~values:(Payloads.freeze values) ~pool ~label_codes (fun f ->
+      for i = 0 to m - 1 do
+        f (Int_vec.unsafe_get src i) (Int_vec.unsafe_get dst i)
+      done)
 
 let of_string s = of_substring s ~pos:0 ~len:(String.length s)
 

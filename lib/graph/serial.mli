@@ -26,8 +26,8 @@
     O(bytes of the document): the writer emits the CSR runs and the
     payload arrays in order (no sort, no lookups) as digits straight
     into one {!Text_buf}, and the reader walks a cursor over the text
-    (no line splitting) straight into the edge vectors and payload
-    arrays {!Data_graph.of_edge_vecs} takes.  Value lines out of node
+    (no line splitting) straight into the edge vectors that feed
+    {!Data_graph.of_edges} and the payload arrays.  Value lines out of node
     order, or repeating a node, are accepted: the first line for a
     node wins, and re-encoding writes the payloads in node order. *)
 

@@ -44,7 +44,8 @@ let update_edges g ~count ~seed =
       let srcs, dsts = Dkindex_datagen.Prng.choose rng groups in
       (Dkindex_datagen.Prng.choose rng srcs, Dkindex_datagen.Prng.choose rng dsts))
 
-let index ~seed ~scale = Dk_index.build (Dkindex_datagen.Xmark.graph ~seed ~scale ()) ~reqs
+let build g = Dk_index.build g ~reqs
+let index ~seed ~scale = build (Dkindex_datagen.Xmark.graph ~seed ~scale ())
 
 let make ?(seed = 1) ?(n_queries = 100) ?(n_updates = 200) ~scale () =
   let index = index ~seed ~scale in

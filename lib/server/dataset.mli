@@ -23,9 +23,13 @@ type t = {
 val reqs : (string * int) list
 (** The pinned D(k) requirements (same as the benchmark harness). *)
 
+val build : Data_graph.t -> Index_graph.t
+(** The pinned index over a graph: [Dk_index.build] with {!reqs}. *)
+
 val index : seed:int -> scale:int -> Index_graph.t
 (** The pinned index alone, exactly as {!make} builds it: what a server
-    serves, without the cost of the query and update workloads. *)
+    serves, without the cost of the query and update workloads:
+    {!build} over [Xmark.graph ~seed ~scale ()]. *)
 
 val make : ?seed:int -> ?n_queries:int -> ?n_updates:int -> scale:int -> unit -> t
 (** Defaults: [seed = 1], [n_queries = 100], [n_updates = 200]. *)

@@ -94,6 +94,22 @@ type wjob = Wreq of pending | Wrepl of Replication.event | Wrun of (unit -> unit
    take a lock and never observe a half-applied mutation. *)
 type snap = { idx : Index_graph.t; gen : int }
 
+(* Launch stages in [Stats] order; [run] times [Prepare] itself. *)
+type stage = Datagen | Index_build | Recover | Checkpoint | Prepare
+
+let stage_names = [| "datagen"; "index_build"; "recover"; "checkpoint"; "prepare" |]
+let stage_slot = function Datagen -> 0 | Index_build -> 1 | Recover -> 2 | Checkpoint -> 3 | Prepare -> 4
+
+type launch = { launched_at : float; stage_ms : float array }
+
+let launch () = { launched_at = Unix.gettimeofday (); stage_ms = Array.make 5 0.0 }
+
+let stage launch st f =
+  let t0 = Unix.gettimeofday () and i = stage_slot st in
+  let result = f () in
+  launch.stage_ms.(i) <- launch.stage_ms.(i) +. ((Unix.gettimeofday () -. t0) *. 1000.0);
+  result
+
 type state = {
   cfg : config;
   serving : snap Atomic.t;
@@ -121,7 +137,7 @@ type state = {
   shed : int Atomic.t;
   proto_errors : int Atomic.t;
   deadline_expired : int Atomic.t;
-  started_at : float;
+  launch : launch;  (* its clock is uptime's *)
   evicted_slow_clients : int Atomic.t;
   rejected_at_admission : int Atomic.t;
   (* replication / failover *)
@@ -474,7 +490,7 @@ let stats_kvs state idx =
     ("fenced", b (Atomic.get state.fenced));
     ("repl_apply_errors", string_of_int (Atomic.get state.repl_apply_errors));
     ("durability", match state.durability with Some _ -> "wal+checkpoint" | None -> "none");
-    ("uptime_s", Printf.sprintf "%.1f" (Unix.gettimeofday () -. state.started_at));
+    ("uptime_s", Printf.sprintf "%.3f" (Unix.gettimeofday () -. state.launch.launched_at));
     ("evicted_slow_clients", string_of_int (Atomic.get state.evicted_slow_clients));
     ("rejected_at_admission", string_of_int (Atomic.get state.rejected_at_admission));
     ("planned_queries", string_of_int (Atomic.get state.planned));
@@ -489,6 +505,9 @@ let stats_kvs state idx =
     ("integrity_resyncs", string_of_int (Atomic.get state.resyncs));
     ("anti_entropy_rounds", string_of_int (Atomic.get state.anti_entropy_rounds));
   ]
+  @ List.mapi
+      (fun i name -> ("launch_" ^ name ^ "_ms", Printf.sprintf "%.3f" state.launch.stage_ms.(i)))
+      (Array.to_list stage_names)
   @ vcache_kvs state
   @ (match state.durability with Some d -> Checkpoint.stats d | None -> [])
   @ (match Atomic.get state.hub with Some h -> Replication.hub_stats h | None -> [])
@@ -1125,8 +1144,8 @@ let dispatch state ~slot ~reader conn ~id (req : Wire.request) =
   end
 
 let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?replica_of
-    ?hub_faults ?hub_heartbeat_s ?(repl_drop_nth = 0) cfg index =
-  Index_graph.prepare_serving index;
+    ?hub_faults ?hub_heartbeat_s ?(repl_drop_nth = 0) ?(launch = launch ()) cfg index =
+  stage launch Prepare (fun () -> Index_graph.prepare_serving index);
   let epoch0 =
     match durability with
     | Some d -> Replication.load_epoch ~dir:(Checkpoint.dir d)
@@ -1158,7 +1177,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
       shed = Atomic.make 0;
       proto_errors = Atomic.make 0;
       deadline_expired = Atomic.make 0;
-      started_at = Unix.gettimeofday ();
+      launch;
       evicted_slow_clients = Atomic.make 0;
       rejected_at_admission = Atomic.make 0;
       epoch;

@@ -122,6 +122,25 @@ val default_config : config
     {!Wire.max_frame_default}, no snapshot path, no connection budget,
     no read-progress deadline, no scrubbing, no anti-entropy. *)
 
+(** {1 Launch stages} *)
+
+type stage = Datagen | Index_build | Recover | Checkpoint | Prepare
+
+type launch
+(** The wall-clock time of a launch's stages.  [Stats] reports them as
+    [launch_datagen_ms] (dataset generation or index load),
+    [launch_index_build_ms], [launch_recover_ms],
+    [launch_checkpoint_ms] (the initial checkpoint) and
+    [launch_prepare_ms] ([Index_graph.prepare_serving], timed by
+    {!run}); a stage the launch skipped reads 0. *)
+
+val launch : unit -> launch
+(** Start a launch's clock.  Passed to {!run}, it is also where
+    [uptime_s] counts from, so the stages sum to at most the uptime. *)
+
+val stage : launch -> stage -> (unit -> 'a) -> 'a
+(** [stage l st f] runs [f] and adds its wall time to [st]'s. *)
+
 val run :
   ?on_ready:(int -> unit) ->
   ?handle_signals:bool ->
@@ -130,6 +149,7 @@ val run :
   ?hub_faults:(int -> Faults.t option) ->
   ?hub_heartbeat_s:float ->
   ?repl_drop_nth:int ->
+  ?launch:launch ->
   config ->
   Index_graph.t ->
   (unit, string) result
@@ -149,7 +169,9 @@ val run :
     overrides the replication heartbeat interval.  [repl_drop_nth]
     (tests only) makes a replica silently skip the nth fresh record of
     its replication stream — divergence the stream itself cannot see,
-    which is exactly what anti-entropy exists to catch.  Returns [Error _]
+    which is exactly what anti-entropy exists to catch.  [launch]
+    carries the stage times of the work done before [run] (default: a
+    clock started by [run]).  Returns [Error _]
     if the final snapshot or checkpoint could not be written —
     connections are already cleaned up by then, so callers should log
     it and exit nonzero. *)

@@ -14,40 +14,15 @@ module GS = Dkindex_graph.Graph_stream
 let split_refs value =
   String.split_on_char ' ' value |> List.filter (fun s -> not (String.equal s ""))
 
-(* Where converted nodes and edges go.  The same conversion pass
-   serves the in-RAM [Builder] and the out-of-core [Graph_stream] —
-   both allocate node ids in call order, so the two sinks produce
-   identical graphs from the same event sequence. *)
-type sink = {
-  sink_root : int;
-  sink_add_child : parent:int -> string -> int;
-  sink_add_value : parent:int -> text:string option -> int;
-  sink_add_edge : int -> int -> unit;
-}
-
-let builder_sink b =
-  {
-    sink_root = B.root b;
-    sink_add_child = (fun ~parent tag -> B.add_child b ~parent tag);
-    sink_add_value = (fun ~parent ~text -> B.add_value ?text b ~parent);
-    sink_add_edge = (fun u v -> B.add_edge b u v);
-  }
-
-let stream_sink gs =
-  {
-    sink_root = GS.root gs;
-    sink_add_child = (fun ~parent tag -> GS.add_child gs ~parent tag);
-    sink_add_value = (fun ~parent ~text -> GS.add_value ?text gs ~parent);
-    sink_add_edge = (fun u v -> GS.add_edge gs u v);
-  }
-
 (* The one conversion driver: feed the producer's events through the
-   mapping into [sink], then resolve the pending references.  Returns
-   [(n_reference_edges, unresolved_refs)]. *)
-let run ?(config = default_config) sink events =
+   mapping into the in-RAM [Builder] or the out-of-core [Graph_stream]
+   (both allocate node ids in call order, so they build identical
+   graphs from the same events), then resolve the pending references.
+   Returns [(n_reference_edges, unresolved_refs)]. *)
+let run (type g) ?(config = default_config) (module G : B.S with type t = g) (g : g) events =
   let ids = Hashtbl.create 256 in
   let pending = ref [] (* (source node, target id string), newest first *)
-  and stack = ref [ sink.sink_root ] in
+  and stack = ref [ G.root g ] in
   let top () =
     match !stack with
     | node :: _ -> node
@@ -55,15 +30,15 @@ let run ?(config = default_config) sink events =
   in
   events (function
     | Xml_sax.Start_element { tag; attrs } ->
-      let node = sink.sink_add_child ~parent:(top ()) tag in
+      let node = G.add_child g ~parent:(top ()) tag in
       List.iter
         (fun (a : Xml_ast.attr) ->
           if List.mem a.name config.id_attrs then Hashtbl.replace ids a.value node
           else if List.mem a.name config.idref_attrs then
             List.iter (fun target -> pending := (node, target) :: !pending) (split_refs a.value)
           else begin
-            let attr_node = sink.sink_add_child ~parent:node a.name in
-            ignore (sink.sink_add_value ~parent:attr_node ~text:(Some a.value))
+            let attr_node = G.add_child g ~parent:node a.name in
+            ignore (G.add_value ~text:a.value g ~parent:attr_node)
           end)
         attrs;
       stack := node :: !stack
@@ -71,13 +46,13 @@ let run ?(config = default_config) sink events =
       match !stack with
       | _ :: rest -> stack := rest
       | [] -> invalid_arg "Xml_to_graph: unmatched end event")
-    | Xml_sax.Text text -> ignore (sink.sink_add_value ~parent:(top ()) ~text:(Some text)));
+    | Xml_sax.Text text -> ignore (G.add_value ~text g ~parent:(top ())));
   let unresolved = ref [] and n_refs = ref 0 in
   List.iter
     (fun (source, target) ->
       match Hashtbl.find_opt ids target with
       | Some node ->
-        sink.sink_add_edge source node;
+        G.add_edge g source node;
         incr n_refs
       | None -> unresolved := target :: !unresolved)
     !pending;
@@ -85,14 +60,14 @@ let run ?(config = default_config) sink events =
 
 let convert ?config events =
   let builder = B.create () in
-  let n_refs, unresolved = run ?config (builder_sink builder) events in
+  let n_refs, unresolved = run ?config (module B) builder events in
   { graph = B.build builder; n_reference_edges = n_refs; unresolved_refs = unresolved }
 
 let convert_file ?config path = convert ?config (Xml_sax.iter_file path)
 
 let stream_to_container ?config ?mem_budget ?tmp_dir ~path events =
   let gs = GS.create ?mem_budget ?tmp_dir ~path () in
-  match run ?config (stream_sink gs) events with
+  match run ?config (module GS) gs events with
   | stats ->
     GS.finish gs;
     stats

@@ -110,6 +110,45 @@ let ref_edges_exist g pairs =
       | _ -> Alcotest.failf "labels %s/%s missing" src dst)
     pairs
 
+(* [Xmark.graph] writes the generator's calls straight into the
+   builder; the three other routes go through the XML layer or the
+   streaming builder.  All four must give the same [Serial] text, over
+   seeds and scales 1-60 (scales 1-3 hit [population]'s clamps).  The
+   stream's sorter gets the smallest budget (1024 pairs), so scales
+   past ~14 spill runs.  A failure prints its seed and scale. *)
+let xmark_routes_agree =
+  QCheck.Test.make ~count:60 ~name:"xmark: direct graph = events = parsed XML = stream"
+    (QCheck.make
+       ~print:(fun (seed, scale) -> Printf.sprintf "seed=%d scale=%d" seed scale)
+       QCheck.Gen.(
+         pair (int_bound 1_000_000) (frequency [ (1, int_range 1 3); (3, int_range 4 60) ])))
+    (fun (seed, scale) ->
+      let text g = Dkindex_graph.Serial.to_string g in
+      let convert events = text (Xml_to_graph.convert ~config:Xmark.config events).graph in
+      let direct = text (Xmark.graph ~seed ~scale ()) in
+      let xml = Dkindex_xml.Xml_writer.doc_to_string (Xmark.doc ~seed ~scale ()) in
+      let path = Filename.temp_file "xmark" ".dkc" in
+      let streamed =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            ignore
+              (Xmark.stream ~seed ~scale ~mem_budget:(1 lsl 11)
+                 ~tmp_dir:(Filename.dirname path) ~path ());
+            text (Dkindex_graph.Container.open_graph ~verify:true path))
+      in
+      List.iter
+        (fun (route, got) ->
+          if got <> direct then
+            QCheck.Test.fail_reportf "seed %d scale %d: %s differs from Xmark.graph" seed scale
+              route)
+        [
+          ("Xml_to_graph.convert (Xmark.events)", convert (Xmark.events ~seed ~scale));
+          ("the parsed Xml_writer rendering", convert (Xml_sax.iter (Xml_sax.of_string xml)));
+          ("Xmark.stream, reopened", streamed);
+        ];
+      true)
+
 let xmark_tests =
   [
     test "deterministic for a fixed seed" (fun () ->
@@ -139,6 +178,22 @@ let xmark_tests =
         graph_is_tree_route ~config:Xmark.config
           ~doc:(Xmark.doc ~seed:2 ~scale:20)
           ~graph:(Xmark.graph ~seed:2 ~scale:20));
+    QCheck_alcotest.to_alcotest xmark_routes_agree;
+    test "graph allocation budget at scale 40" (fun () ->
+        (* The hot-read launch generates scale 40; staying small keeps
+           it free of collections before listening.  Measured 68,093
+           words (the XML-event route this replaced: 191,493); one
+           [Printf.sprintf] per ID and IDREF puts it over.  The full
+           major runs the finalisers earlier tests left pending (mapped
+           containers), which would otherwise allocate inside the
+           window; the minor collection at its end flushes the large
+           blocks' words into the counters. *)
+        Gc.full_major ();
+        let w0 = allocated_words () in
+        ignore (Sys.opaque_identity (Xmark.graph ~seed:1 ~scale:40 ()));
+        Gc.minor ();
+        let words = allocated_words () -. w0 in
+        check_bool (Printf.sprintf "%.0f words" words) true (words < 75_000.));
   ]
 
 let nasa_tests =

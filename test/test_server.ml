@@ -962,7 +962,7 @@ let test_pipelined_ordering () =
 
 (* Fork a server on an ephemeral port; returns its pid and port.  The
    child exits 0 iff [Server.run] returns [Ok]. *)
-let fork_server ?snapshot_path idx =
+let fork_server ?snapshot_path ?launch idx =
   let r, w = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
@@ -975,6 +975,7 @@ let fork_server ?snapshot_path idx =
               let line = string_of_int port ^ "\n" in
               ignore (Unix.write_substring w line 0 (String.length line));
               Unix.close w)
+            ?launch
             { Server.default_config with port = 0; workers = 1; snapshot_path }
             idx
         with
@@ -992,8 +993,8 @@ let fork_server ?snapshot_path idx =
 (* Run [f pid port] against a forked server.  [f] ends by shutting the
    server down; if it raises first, the server is killed so a failed
    check never leaves it running. *)
-let with_server ?snapshot_path idx f =
-  let pid, port = fork_server ?snapshot_path idx in
+let with_server ?snapshot_path ?launch idx f =
+  let pid, port = fork_server ?snapshot_path ?launch idx in
   match f pid port with
   | () -> ()
   | exception e ->
@@ -1010,6 +1011,42 @@ let shutdown_server pid c =
   let _, status = Unix.waitpid [] pid in
   Client.close c;
   Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
+
+(* A launch's stages are timed once each and reported in [Stats]; a
+   stage the launch skipped reads 0.  The uptime counts from the
+   launch's start, so the stages sum to at most it. *)
+let test_launch_stages () =
+  let launch = Server.launch () in
+  let g =
+    Server.stage launch Datagen (fun () -> Dkindex_datagen.Xmark.graph ~seed:1 ~scale:20 ())
+  in
+  let idx = Server.stage launch Index_build (fun () -> Dkindex_server.Dataset.build g) in
+  with_server ~launch idx @@ fun pid port ->
+  let c = Client.connect ~port () in
+  let kvs =
+    match Client.call c Wire.Stats with
+    | Wire.Stats_reply kvs -> kvs
+    | _ -> Alcotest.fail "expected Stats_reply"
+  in
+  let get key =
+    match Option.bind (List.assoc_opt key kvs) float_of_string_opt with
+    | Some v when v >= 0.0 -> v
+    | _ -> Alcotest.failf "%s missing or not a non-negative number" key
+  in
+  let stages =
+    List.map
+      (fun key -> (key, get ("launch_" ^ key ^ "_ms")))
+      [ "datagen"; "index_build"; "recover"; "checkpoint"; "prepare" ]
+  in
+  let ms key = List.assoc key stages in
+  Alcotest.(check bool) "datagen timed" true (ms "datagen" > 0.0);
+  Alcotest.(check bool) "index build timed" true (ms "index_build" > 0.0);
+  Alcotest.(check (float 0.0)) "no recovery" 0.0 (ms "recover");
+  Alcotest.(check (float 0.0)) "no checkpoint" 0.0 (ms "checkpoint");
+  let sum_s = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 stages /. 1000.0 in
+  let uptime = get "uptime_s" in
+  if sum_s > uptime then Alcotest.failf "stages sum to %.4f s, uptime is %.3f s" sum_s uptime;
+  shutdown_server pid c
 
 (* The spare is built lazily: a server that has only been read holds
    no spare, the first write copies the serving index into one, and the
@@ -1341,6 +1378,7 @@ let () =
             test_pipelined_ordering;
           Alcotest.test_case "failed write: spare rebuilt by copy, answers exact" `Quick
             test_spare_rebuild;
+          Alcotest.test_case "launch stages timed, within the uptime" `Quick test_launch_stages;
           Alcotest.test_case "failed writes: dropped validation caches retire" `Quick
             test_vcache_retirement;
           Alcotest.test_case "snapshot durable and loadable when acknowledged" `Quick
