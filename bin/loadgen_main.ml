@@ -272,10 +272,9 @@ let print_stats_summary kvs =
   match get "scrub_passes" with
   | Some _ ->
     Printf.printf
-      "integrity: scrub_passes %s  corruptions_found %s  ranges_repaired %s  divergences %s  \
-       resyncs %s\n"
-      (getd "scrub_passes") (getd "scrub_corruptions_found") (getd "ranges_repaired")
-      (getd "replica_divergences") (getd "integrity_resyncs")
+      "integrity: scrub_passes %s  corruptions_found %s  divergences %s  resyncs %s\n"
+      (getd "scrub_passes") (getd "scrub_corruptions_found") (getd "replica_divergences")
+      (getd "integrity_resyncs")
   | None -> ()
 
 let throughput ~host ~port ~conns ~requests ~no_cache ~pipeline (ds : Dataset.t) =
@@ -472,7 +471,7 @@ let wait_replication ~host ~port ~timeout_s () =
 (* Integrity convergence check: poll every endpoint's digest until all
    report the same root at the same write-stream position.  Run after
    the write stream drains; exit 4 on timeout = the cluster is serving
-   divergent content and anti-entropy has not (or cannot) repair it. *)
+   divergent content and anti-entropy has not (yet) resynced it. *)
 
 let parse_endpoints spec =
   String.split_on_char ',' spec

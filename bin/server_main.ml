@@ -154,9 +154,10 @@ let anti_entropy_arg =
     value & opt float 0.0
     & info [ "anti-entropy-interval" ] ~docv:"SECONDS"
         ~doc:
-          "Replica anti-entropy: every interval, compare integrity digests with the primary \
-           at equal write-stream positions and repair divergent ranges (snapshot re-bootstrap \
-           as fallback) (<= 0 disables; needs --replicate-from)")
+          "Replica anti-entropy: every interval, compare the root integrity digest with the \
+           primary's when both are at the same write-stream position; the third mismatch at \
+           equal positions (a match resets the count) resyncs a snapshot from the primary \
+           (<= 0 disables; needs --replicate-from)")
 
 (* A replica that has no local state serves this until its first
    snapshot bootstrap replaces it: a one-node ROOT-only index. *)

@@ -3,6 +3,4 @@
     length at most k; longer queries need validation.  A special case
     of the D(k)-index with every local similarity equal to [k]. *)
 
-val build : ?domains:int -> ?mode:Kbisim.mode -> Dkindex_graph.Data_graph.t -> k:int -> Index_graph.t
-(** [domains] parallelizes the refinement key computation
-    ({!Kbisim.refine}); the result is independent of it. *)
+val build : ?mode:Kbisim.mode -> Dkindex_graph.Data_graph.t -> k:int -> Index_graph.t

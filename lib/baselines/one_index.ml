@@ -1,5 +1,5 @@
-let build ?domains ?mode g =
-  let p, _rounds = Kbisim.stable_partition ?domains ?mode g in
+let build ?mode g =
+  let p, _rounds = Kbisim.stable_partition ?mode g in
   Index_graph.of_partition ?mode g ~cls:p.cls ~n_classes:p.n_classes
     ~k_of_class:(fun _ -> Index_graph.k_infinite)
     ~req_of_class:(fun _ -> Index_graph.k_infinite)

@@ -113,7 +113,6 @@ type intern = {
   mutable n : int;
   mutable rep : int array;  (* class -> representative node *)
   mutable old : int array;  (* class -> source class in the argument partition *)
-  mutable sg : int array;  (* class -> signature *)
   mutable nxt : int array;  (* class -> next class with the same signature *)
   table : (int, int) Hashtbl.t;  (* signature -> chain head *)
 }
@@ -124,25 +123,22 @@ let intern_create hint =
     n = 0;
     rep = Array.make cap 0;
     old = Array.make cap 0;
-    sg = Array.make cap 0;
     nxt = Array.make cap (-1);
     table = Hashtbl.create (2 * cap);
   }
 
 let grow a = Array.append a (Array.make (Array.length a) 0)
 
-let intern_push it ~rep ~old ~sg ~nxt =
+let intern_push it ~rep ~old ~nxt =
   if it.n = Array.length it.rep then begin
     it.rep <- grow it.rep;
     it.old <- grow it.old;
-    it.sg <- grow it.sg;
     it.nxt <- grow it.nxt
   end;
   let cid = it.n in
   it.n <- cid + 1;
   it.rep.(cid) <- rep;
   it.old.(cid) <- old;
-  it.sg.(cid) <- sg;
   it.nxt.(cid) <- nxt;
   cid
 
@@ -161,110 +157,42 @@ let intern_assign it p ~eligible ~vstamp ~ticket ~off ~arr u sg c =
   done;
   if !found >= 0 then !found
   else begin
-    let cid = intern_push it ~rep:u ~old:c ~sg ~nxt:head in
+    let cid = intern_push it ~rep:u ~old:c ~nxt:head in
     Hashtbl.replace it.table sg cid;
     cid
   end
 
-let refine_gen ?(domains = 1) g p ~eligible ~off ~arr =
+(* One fused pass computing each node's signature and assigning its
+   class. *)
+let refine_in_ram g p ~eligible ~off ~arr =
   let n = Data_graph.n_nodes g in
   let nc = p.n_classes in
   let cls = Array.make n 0 in
-  if domains <= 1 || n < 4096 then begin
-    (* Sequential: one fused pass computing each node's signature and
-       assigning its class. *)
-    let seen = Array.make nc (-1) in
-    let vstamp = Array.make nc 0 in
-    let ticket = ref 0 in
-    let it = intern_create nc in
-    (* An ineligible class passes through unsplit, so all its nodes land
-       in one new class: resolve it once and skip the hash lookup for
-       the rest of the class. *)
-    let direct = Array.make nc (-1) in
-    for u = 0 to n - 1 do
-      let c = p.cls.(u) in
-      if not (eligible c) then begin
-        let d = direct.(c) in
-        if d >= 0 then cls.(u) <- d
-        else begin
-          let cid = intern_assign it p ~eligible ~vstamp ~ticket ~off ~arr u (mix c) c in
-          direct.(c) <- cid;
-          cls.(u) <- cid
-        end
-      end
+  let seen = Array.make nc (-1) in
+  let vstamp = Array.make nc 0 in
+  let ticket = ref 0 in
+  let it = intern_create nc in
+  (* An ineligible class passes through unsplit, so all its nodes land
+     in one new class: resolve it once and skip the hash lookup for
+     the rest of the class. *)
+  let direct = Array.make nc (-1) in
+  for u = 0 to n - 1 do
+    let c = p.cls.(u) in
+    if not (eligible c) then begin
+      let d = direct.(c) in
+      if d >= 0 then cls.(u) <- d
       else begin
-        let sg = signature p ~eligible ~seen ~off ~arr u in
-        cls.(u) <- intern_assign it p ~eligible ~vstamp ~ticket ~off ~arr u sg c
+        let cid = intern_assign it p ~eligible ~vstamp ~ticket ~off ~arr u (mix c) c in
+        direct.(c) <- cid;
+        cls.(u) <- cid
       end
-    done;
-    ({ cls; n_classes = it.n; parent_class = Array.sub it.old 0 it.n }, it.n <> nc)
-  end
-  else begin
-    (* Parallel: each domain interns its contiguous chunk of nodes
-       into a local table (local class ids ascend by first occurrence
-       within the chunk, written into [cls] as placeholders); the
-       local tables are then merged sequentially in domain order.
-       Because the chunks partition [0 .. n) in ascending order, the
-       merge meets keys in exactly global first-occurrence order, so
-       class ids come out bit-for-bit equal to the sequential pass.
-       A final parallel pass remaps placeholders through the per-domain
-       translation tables. *)
-    let chunk = (n + domains - 1) / domains in
-    let locals = Array.make domains None in
-    let worker d () =
-      let lo = d * chunk and hi = min n ((d + 1) * chunk) in
-      let seen = Array.make nc (-1) in
-      let vstamp = Array.make nc 0 in
-      let ticket = ref 0 in
-      let it = intern_create (1 + ((nc - 1) / domains)) in
-      let direct = Array.make nc (-1) in
-      for u = lo to hi - 1 do
-        let c = p.cls.(u) in
-        if not (eligible c) then begin
-          let d = direct.(c) in
-          if d >= 0 then cls.(u) <- d
-          else begin
-            let cid = intern_assign it p ~eligible ~vstamp ~ticket ~off ~arr u (mix c) c in
-            direct.(c) <- cid;
-            cls.(u) <- cid
-          end
-        end
-        else begin
-          let sg = signature p ~eligible ~seen ~off ~arr u in
-          cls.(u) <- intern_assign it p ~eligible ~vstamp ~ticket ~off ~arr u sg c
-        end
-      done;
-      locals.(d) <- Some it
-    in
-    let spawned = List.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1))) in
-    worker 0 ();
-    List.iter Domain.join spawned;
-    let vstamp = Array.make nc 0 in
-    let ticket = ref 0 in
-    let global = intern_create nc in
-    let trans =
-      Array.map
-        (function
-          | None -> [||]
-          | Some it ->
-            Array.init it.n (fun lid ->
-                intern_assign global p ~eligible ~vstamp ~ticket ~off ~arr it.rep.(lid)
-                  it.sg.(lid) it.old.(lid)))
-        locals
-    in
-    let remap d () =
-      let lo = d * chunk and hi = min n ((d + 1) * chunk) in
-      let t = trans.(d) in
-      for u = lo to hi - 1 do
-        cls.(u) <- t.(cls.(u))
-      done
-    in
-    let spawned = List.init (domains - 1) (fun d -> Domain.spawn (remap (d + 1))) in
-    remap 0 ();
-    List.iter Domain.join spawned;
-    ( { cls; n_classes = global.n; parent_class = Array.sub global.old 0 global.n },
-      global.n <> nc )
-  end
+    end
+    else begin
+      let sg = signature p ~eligible ~seen ~off ~arr u in
+      cls.(u) <- intern_assign it p ~eligible ~vstamp ~ticket ~off ~arr u sg c
+    end
+  done;
+  ({ cls; n_classes = it.n; parent_class = Array.sub it.old 0 it.n }, it.n <> nc)
 
 (* External-memory refinement (after Hellings et al., "I/O efficient
    bisimulation partitioning"): instead of interning keys in a hash
@@ -366,8 +294,8 @@ let refine_external ?tmp_dir ?mem_budget g p ~eligible ~off ~arr =
 type mode = [ `Auto | `In_ram | `External ]
 
 (* Auto cutover: below this many edges the in-RAM hash-interning path
-   (with its parallel option) wins easily; above it, key records no
-   longer fit comfortably in RAM and the sort/scan pass takes over. *)
+   wins easily; above it, key records no longer fit comfortably in RAM
+   and the sort/scan pass takes over. *)
 let auto_threshold = 1 lsl 24
 
 let resolve_mode mode g : [ `In_ram | `External ] =
@@ -375,18 +303,18 @@ let resolve_mode mode g : [ `In_ram | `External ] =
   | (`In_ram | `External) as m -> m
   | `Auto -> if Data_graph.n_edges g >= auto_threshold then `External else `In_ram
 
-let refine_dispatch ?domains ~mode g p ~eligible ~off ~arr =
+let refine_dispatch ~mode g p ~eligible ~off ~arr =
   match resolve_mode mode g with
-  | `In_ram -> refine_gen ?domains g p ~eligible ~off ~arr
+  | `In_ram -> refine_in_ram g p ~eligible ~off ~arr
   | `External -> refine_external g p ~eligible ~off ~arr
 
-let refine ?domains ?(mode = `Auto) g p ~eligible =
+let refine ?(mode = `Auto) g p ~eligible =
   let off, arr = Data_graph.csr_parents g in
-  refine_dispatch ?domains ~mode g p ~eligible ~off ~arr
+  refine_dispatch ~mode g p ~eligible ~off ~arr
 
-let refine_by_children ?domains ?(mode = `Auto) g p =
+let refine_by_children ?(mode = `Auto) g p =
   let off, arr = Data_graph.csr_children g in
-  refine_dispatch ?domains ~mode g p ~eligible:(fun _ -> true) ~off ~arr
+  refine_dispatch ~mode g p ~eligible:(fun _ -> true) ~off ~arr
 
 (* Round-to-round eligibility.  When a round is over, a class of the
    new partition can only split in the next round if some node in it
@@ -417,7 +345,7 @@ let next_eligible ~off ~arr n p p' =
 
 let all_false e = not (Array.exists Fun.id e)
 
-let k_partition ?domains ?(mode = `Auto) g ~k =
+let k_partition ?(mode = `Auto) g ~k =
   let off, arr = Data_graph.csr_parents g in
   let n = Data_graph.n_nodes g in
   let p = ref (label_partition g) in
@@ -429,7 +357,7 @@ let k_partition ?domains ?(mode = `Auto) g ~k =
          | None -> fun _ -> true
          | Some e -> if all_false e then raise Exit else fun c -> e.(c)
        in
-       let p', changed = refine_dispatch ?domains ~mode g !p ~eligible ~off ~arr in
+       let p', changed = refine_dispatch ~mode g !p ~eligible ~off ~arr in
        if not changed then begin
          p := p';
          raise Exit
@@ -440,7 +368,7 @@ let k_partition ?domains ?(mode = `Auto) g ~k =
    with Exit -> ());
   !p
 
-let stable_partition ?domains ?(mode = `Auto) g =
+let stable_partition ?(mode = `Auto) g =
   let off, arr = Data_graph.csr_parents g in
   let n = Data_graph.n_nodes g in
   let rec go p rounds elig =
@@ -450,7 +378,7 @@ let stable_partition ?domains ?(mode = `Auto) g =
       let eligible =
         match elig with None -> fun _ -> true | Some e -> fun c -> e.(c)
       in
-      let p', changed = refine_dispatch ?domains ~mode g p ~eligible ~off ~arr in
+      let p', changed = refine_dispatch ~mode g p ~eligible ~off ~arr in
       if not changed then (p, rounds)
       else go p' (rounds + 1) (Some (next_eligible ~off ~arr n p p'))
   in

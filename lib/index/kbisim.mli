@@ -25,7 +25,7 @@ val class_labels : Data_graph.t -> partition -> Label.t array
 
 type mode = [ `Auto | `In_ram | `External ]
 (** How a refinement round runs.  [`In_ram] is the hash-interning
-    pass below (optionally parallel); [`External] is a sort/scan pass
+    pass below; [`External] is a sort/scan pass
     that writes each node's exact key record to an external merge
     sorter and groups equal keys in one merged stream — O(n) words of
     RAM regardless of edge count, with the O(m) key data in spilled
@@ -36,7 +36,6 @@ type mode = [ `Auto | `In_ram | `External ]
     bit-for-bit identical whichever runs. *)
 
 val refine :
-  ?domains:int ->
   ?mode:mode ->
   Data_graph.t ->
   partition ->
@@ -49,26 +48,17 @@ val refine :
     Keys are hashed into 64-bit order-insensitive signatures (no
     per-node lists or sorting; O(degree) per node with every signature
     hit verified against a representative node, so hash collisions
-    cannot merge distinct keys).
+    cannot merge distinct keys). *)
 
-    [domains] (default 1) parallelizes both the signature/interning
-    pass (per-domain chunks with local tables) and the final class
-    remap across that many OCaml 5 domains; local tables are merged
-    sequentially in domain order, which preserves global
-    first-occurrence numbering, so the result is bit-for-bit
-    independent of [domains].  [eligible] must be safe to call from
-    multiple domains (a pure array read qualifies). *)
-
-val refine_by_children :
-  ?domains:int -> ?mode:mode -> Data_graph.t -> partition -> partition * bool
+val refine_by_children : ?mode:mode -> Data_graph.t -> partition -> partition * bool
 (** One backward refinement round: splits every class on the key
     {i (own class, set of child classes)}.  The mirror of {!refine}
     used by the F&B-index construction; same determinism guarantees. *)
 
-val k_partition : ?domains:int -> ?mode:mode -> Data_graph.t -> k:int -> partition
+val k_partition : ?mode:mode -> Data_graph.t -> k:int -> partition
 (** The A(k) partition: [k] full rounds from the label partition. *)
 
-val stable_partition : ?domains:int -> ?mode:mode -> Data_graph.t -> partition * int
+val stable_partition : ?mode:mode -> Data_graph.t -> partition * int
 (** The full bisimulation (1-index) partition: refine to fixpoint.
     Also returns the number of rounds taken (the graph's bisimulation
     depth). *)

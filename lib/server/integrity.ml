@@ -252,46 +252,3 @@ let refresh t idx =
   end;
   fold_digests ~n ~dranges:(Array.copy t.dranges) ~iranges:(Array.copy t.iranges)
     ~buckets:t.buckets ~lhash
-
-(* ------------------------------------------------------------------ *)
-(* Anti-entropy helpers                                               *)
-
-let diff_data_ranges a b =
-  if a.n_nodes <> b.n_nodes then
-    invalid_arg "Integrity.diff_data_ranges: node counts differ";
-  let out = ref [] in
-  for r = Array.length a.data_ranges - 1 downto 0 do
-    if a.data_ranges.(r) <> b.data_ranges.(r) then out := r :: !out
-  done;
-  !out
-
-let section idx r =
-  let g = Index_graph.data idx in
-  let n = Data_graph.n_nodes g in
-  let lo = r lsl range_shift and hi = min n ((r + 1) lsl range_shift) in
-  let out = ref [] and count = ref 0 in
-  for u = hi - 1 downto lo do
-    Data_graph.iter_children g u (fun v ->
-        out := (u, v) :: !out;
-        incr count)
-  done;
-  let arr = Array.make !count (0, 0) in
-  List.iteri (fun i e -> arr.(i) <- e) !out;
-  arr
-
-let section_diff g ~range ~theirs =
-  let n = Data_graph.n_nodes g in
-  let lo = range lsl range_shift and hi = min n ((range + 1) lsl range_shift) in
-  (* Node ids stay well under 2^31 (they index arrays), so packing an
-     edge into one int cannot collide. *)
-  let key u v = (u lsl 31) lor v in
-  let want = Hashtbl.create (Array.length theirs * 2) in
-  Array.iter (fun (u, v) -> Hashtbl.replace want (key u v) (u, v)) theirs;
-  let muts = ref [] in
-  for u = lo to hi - 1 do
-    Data_graph.iter_children g u (fun v ->
-        if Hashtbl.mem want (key u v) then Hashtbl.remove want (key u v)
-        else muts := Wal.Remove_edge { u; v } :: !muts)
-  done;
-  Hashtbl.iter (fun _ (u, v) -> muts := Wal.Add_edge { u; v } :: !muts) want;
-  !muts

@@ -10,8 +10,8 @@
     - {b data-range digests}: the data-node id space is cut into fixed
       ranges of [1 lsl range_shift] ids; each range digests, per node,
       its label {e name} hash and the set of its children (combined
-      order-independently, so a repaired edge applied late hashes the
-      same as one applied in stream order).
+      order-independently, so the digest does not depend on the order
+      the edges arrived in).
     - {b index-range digests}: the same ranges, digesting per data node
       the canonical representative of its class (the smallest data node
       id in the extent, {!Index_graph.extent_min}) and the class's
@@ -37,17 +37,17 @@
     server commits right after it publishes the new serving snapshot,
     so a concurrent refresh never clears a mark for state it has not
     yet seen.  {!refresh} against a copy equals {!compute_full} of that
-    copy — qcheck-proven through update churn. *)
+    copy — qcheck-proven through update churn.
 
-open Dkindex_graph
+    Only [n_nodes] and [root] travel ({!Wire.Digest_reply}): the
+    ranges and buckets exist so a refresh after a few edge updates
+    re-hashes a few ranges, not the whole graph.  A replica whose root
+    disagrees with its primary's heals by a snapshot resync. *)
+
 open Dkindex_core
 
 val range_shift : int
-(** log2 of the number of data-node ids per range (protocol constant:
-    both sides of an anti-entropy exchange must agree on it). *)
-
-val n_ranges : int -> int
-(** Number of ranges covering a data graph of [n] nodes (at least 1). *)
+(** log2 of the number of data-node ids per range. *)
 
 type digests = {
   n_nodes : int;  (** data nodes the digests were computed over *)
@@ -90,18 +90,3 @@ val refresh : t -> Index_graph.t -> digests
 val compute_full : Index_graph.t -> digests
 (** From-scratch digests, no cache: the oracle {!refresh} is tested
     against, and what one-shot tools use. *)
-
-val diff_data_ranges : digests -> digests -> int list
-(** Ranges whose {e data-layer} digests differ, increasing.  Meaningful
-    only when both sides have the same [n_nodes] (same range count);
-    raises [Invalid_argument] otherwise. *)
-
-val section : Index_graph.t -> int -> (int * int) array
-(** [(u, v)] data edges whose source lies in the given range — what a
-    primary ships for a {!Wire.Repair_fetch}. *)
-
-val section_diff :
-  Data_graph.t -> range:int -> theirs:(int * int) array -> Wal.mutation list
-(** Mutations that transform this graph's adjacency rows for sources in
-    [range] into [theirs]: [Add_edge] for missing edges, [Remove_edge]
-    for spurious ones.  Empty when the rows already agree. *)

@@ -458,22 +458,30 @@ let send_request fd req =
   Wire.encode_request buf ~id:0 req;
   Faults.write_all None fd (Obuf.base buf) 0 (Obuf.length buf)
 
-(* One session against the primary: Hello, subscribe, stream. *)
+(* One session against the primary: Hello, subscribe, stream.  A
+   requested resync is taken before the Hello: [watchdog_read] ends any
+   session while the flag is set, this one's own Hello included.  If
+   the Hello fails, the request is put back for the next session. *)
 let session r push fd =
-  send_request fd (Wire.Hello { version = Wire.version; epoch = Atomic.get r.rmax_seen });
-  (match read_response r fd with
-  | Wire.Hello_reply { version; epoch; role = _ } ->
-    if version <> Wire.version then
-      raise (Disconnected (Printf.sprintf "protocol version mismatch: primary %d, us %d" version Wire.version));
-    if epoch > Atomic.get r.rmax_seen then Atomic.set r.rmax_seen epoch;
-    if epoch < Atomic.get r.repoch then raise (Disconnected "primary has an older epoch than us")
-  | Wire.Error_reply { code = `Version; message } -> raise (Disconnected ("version refused: " ^ message))
-  | _ -> raise (Disconnected "expected hello_reply"));
+  let resync = Atomic.exchange r.resync false in
+  (try
+     send_request fd (Wire.Hello { version = Wire.version; epoch = Atomic.get r.rmax_seen });
+     match read_response r fd with
+     | Wire.Hello_reply { version; epoch; role = _ } ->
+       if version <> Wire.version then
+         raise (Disconnected (Printf.sprintf "protocol version mismatch: primary %d, us %d" version Wire.version));
+       if epoch > Atomic.get r.rmax_seen then Atomic.set r.rmax_seen epoch;
+       if epoch < Atomic.get r.repoch then raise (Disconnected "primary has an older epoch than us")
+     | Wire.Error_reply { code = `Version; message } -> raise (Disconnected ("version refused: " ^ message))
+     | _ -> raise (Disconnected "expected hello_reply")
+   with e ->
+     if resync then Atomic.set r.resync true;
+     raise e);
   let sub_seq, sub_off =
     (* A position is only meaningful within the lineage it was applied
        under; anything else (cold start, new primary) bootstraps.  A
        requested resync bootstraps unconditionally. *)
-    if Atomic.exchange r.resync false then (-1, 0)
+    if resync then (-1, 0)
     else if Atomic.get r.synced_epoch = Atomic.get r.rmax_seen && Atomic.get r.applied_seq >= 0 then
       (Atomic.get r.applied_seq, Atomic.get r.applied_off)
     else (-1, 0)

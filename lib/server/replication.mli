@@ -108,9 +108,10 @@ val stop_replica : replica -> unit
 
 val force_resync : replica -> unit
 (** Drop the current stream (if any) and re-subscribe with [seq = -1],
-    forcing a full snapshot bootstrap on the next session.  The
-    anti-entropy fallback when range repair cannot reconcile (the
-    index layer itself has drifted). *)
+    forcing a full snapshot bootstrap on the next session.  This is
+    how anti-entropy heals a replica whose digest has diverged from
+    its primary's, whatever the cause: the snapshot is a bit-identical
+    copy of the primary's index, and its install is checkpointed. *)
 
 val mark_promoted : replica -> unit
 (** Called by the mutator once promotion completes; the tailer domain

@@ -79,8 +79,7 @@ type pending = { conn : conn; id : int; req : Wire.request; arrival : float }
    applies them in FIFO order, so replica reads observe mutations in
    primary order.  Running the integrity work on the mutator is what
    makes the digest tracker trivially race-free: a refresh always sees
-   exactly the published state together with its committed marks, and
-   repairs ride the same apply/swap path as every other mutation. *)
+   exactly the published state together with its committed marks. *)
 type wjob = Wreq of pending | Wrepl of Replication.event | Wrun of (unit -> unit)
 
 (* The serving snapshot: a frozen index plus its swap generation.
@@ -161,9 +160,7 @@ type state = {
          (divergence injection); 0 = never *)
   scrub_passes : int Atomic.t;
   scrub_corruptions : int Atomic.t;
-  ranges_repaired : int Atomic.t;
-  replica_divergences : int Atomic.t;
-  resyncs : int Atomic.t;
+  replica_divergences : int Atomic.t;  (* each one healed by one resync *)
   anti_entropy_rounds : int Atomic.t;
   (* planner / statistics observability *)
   vcache_mu : Mutex.t;
@@ -500,9 +497,8 @@ let stats_kvs state idx =
     ("plan_fallbacks", string_of_int (Atomic.get state.plan_fallbacks));
     ("scrub_passes", string_of_int (Atomic.get state.scrub_passes));
     ("scrub_corruptions_found", string_of_int (Atomic.get state.scrub_corruptions));
-    ("ranges_repaired", string_of_int (Atomic.get state.ranges_repaired));
     ("replica_divergences", string_of_int (Atomic.get state.replica_divergences));
-    ("integrity_resyncs", string_of_int (Atomic.get state.resyncs));
+    ("integrity_resyncs", string_of_int (Atomic.get state.replica_divergences));
     ("anti_entropy_rounds", string_of_int (Atomic.get state.anti_entropy_rounds));
   ]
   @ List.mapi
@@ -750,19 +746,7 @@ let apply_write state (p : pending) : Wire.response =
             offset;
             n_nodes = d.Integrity.n_nodes;
             root = d.Integrity.root;
-            label_edges = d.Integrity.label_edges;
-            data_ranges = d.Integrity.data_ranges;
-            index_ranges = d.Integrity.index_ranges;
           }
-      | Wire.Repair_fetch { ranges } ->
-        let idx = serving_idx state in
-        let nr = Integrity.n_ranges (Data_graph.n_nodes (Index_graph.data idx)) in
-        let sections =
-          List.filter_map
-            (fun r -> if r >= 0 && r < nr then Some (r, Integrity.section idx r) else None)
-            ranges
-        in
-        Wire.Repair_reply { generation = (Atomic.get state.serving).gen; sections }
       | Wire.Promote_primary -> do_promote state
       | Wire.Shutdown ->
         let r = ok () in
@@ -784,11 +768,10 @@ let apply_write state (p : pending) : Wire.response =
    the applied position is skipped.  A whole [Ev_mutations] batch is
    published with one snapshot swap. *)
 
-(* Apply one peer-supplied mutation (replication record or repair) to
-   the spare [!spare].  The primary applied it successfully, so failing
-   here means divergence: count it and keep going, and drop the
-   possibly half-mutated spare unless a later success publishes it.
-   [true] if applied. *)
+(* Apply one replicated record to the spare [!spare].  The primary
+   applied it successfully, so failing here means divergence: count it
+   and keep going, and drop the possibly half-mutated spare unless a
+   later success publishes it.  [true] if applied. *)
 let apply_to_spare state spare m =
   match Checkpoint.apply_mutation !spare m with
   | idx' ->
@@ -873,34 +856,6 @@ let apply_repl state scratch (ev : Replication.event) =
       end
     | _ -> ())
 
-(* Anti-entropy repair, on the mutator: transform the named ranges'
-   adjacency rows into the primary's ([sections]), through the same
-   apply/swap path as every other mutation.  Readers only ever see the
-   pre-repair or post-repair snapshot, so no acked answer is built from
-   half-repaired state.  A successful repair is made durable with an
-   immediate checkpoint: repairs bypass the WAL (they are corrections,
-   not stream records), so only a fresh checkpoint prevents a restart
-   from resurrecting the divergence. *)
-let apply_repair state sections =
-  let spare = ref (catch_up state) in
-  let applied = ref [] and repaired = ref 0 in
-  List.iter
-    (fun (range, theirs) ->
-      let muts = Integrity.section_diff (Index_graph.data !spare) ~range ~theirs in
-      if muts <> [] then begin
-        incr repaired;
-        List.iter (fun m -> if apply_to_spare state spare m then applied := m :: !applied) muts
-      end)
-    sections;
-  if !applied <> [] then begin
-    ignore (Atomic.fetch_and_add state.ranges_repaired !repaired);
-    publish state !spare !applied;
-    match state.durability with
-    | Some d -> (
-      match Checkpoint.checkpoint_now d (serving_idx state) with Ok () | Error _ -> ())
-    | None -> ()
-  end
-
 let mutator_loop state () =
   let scratch = Buffer.create 256 in
   let rec go () =
@@ -958,6 +913,17 @@ let scrub_pass state d =
       ignore (Scrub.quarantine ~dir (List.map (fun c -> c.Scrub.file) report.Scrub.corrupt))
   end
 
+(* One anti-entropy round on a replica: compare root digests with the
+   primary at equal write-stream positions.  [suspicion] counts
+   mismatches seen at equal positions; a round at differing positions
+   (ordinary lag) neither counts nor resets it, and only a match at
+   equal positions clears it.  The third mismatch is a divergence,
+   whatever its cause (a lost record, a data edge applied twice, or an
+   index layer refined differently by order-dependent D(k) updates):
+   the replica resyncs a bit-identical snapshot from the primary.  That
+   install is checkpointed like any bootstrap, so every change to a
+   replica's index is a logged stream record or a checkpointed
+   snapshot. *)
 let anti_entropy_round state r suspicion =
   let rc = Replication.rconfig_of r in
   match
@@ -969,9 +935,7 @@ let anti_entropy_round state r suspicion =
     Fun.protect ~finally:(fun () -> try Client.close c with _ -> ()) @@ fun () ->
     Atomic.incr state.anti_entropy_rounds;
     (match Client.call c Wire.Digest_request with
-    | Wire.Digest_reply
-        { generation = _; seq = pseq; offset = poff; n_nodes; root; label_edges; data_ranges; index_ranges }
-      -> (
+    | Wire.Digest_reply { generation = _; seq = pseq; offset = poff; n_nodes; root } -> (
       (* The digest of the published state, stamped with the write-
          stream position it reflects. *)
       match
@@ -980,45 +944,17 @@ let anti_entropy_round state r suspicion =
       with
       | None -> ()
       | Some (mine, (seq, off)) ->
-        if pseq < 0 || seq < 0 || pseq <> seq || poff <> off then
-          (* positions differ: ordinary replication lag, not
-             divergence — digests are only comparable at equal
-             write-stream positions *)
-          ()
+        if pseq < 0 || seq < 0 || pseq <> seq || poff <> off then ()
         else if n_nodes = mine.Integrity.n_nodes && root = mine.Integrity.root then
           suspicion := 0
         else begin
-          (* Same position, different content.  One observation can
-             still be an in-flight race; only a persistent mismatch
-             counts as divergence. *)
+          (* One observation can still be an in-flight race; only a
+             persistent mismatch counts as divergence. *)
           incr suspicion;
           if !suspicion >= 3 then begin
             suspicion := 0;
             Atomic.incr state.replica_divergences;
-            let theirs =
-              { Integrity.n_nodes; data_ranges; index_ranges; label_edges; root }
-            in
-            let dranges =
-              if n_nodes <> mine.Integrity.n_nodes then []
-              else Integrity.diff_data_ranges theirs mine
-            in
-            match dranges with
-            | [] ->
-              (* Node counts differ, or the data layer agrees and the
-                 index layer itself has drifted (order-dependent D(k)
-                 refinement).  Range repair cannot reconcile either —
-                 bootstrap a bit-identical copy from the primary. *)
-              Atomic.incr state.resyncs;
-              Replication.force_resync r
-            | dranges ->
-              let dranges = List.filteri (fun i _ -> i < 16) dranges in
-              (match Client.call c (Wire.Repair_fetch { ranges = dranges }) with
-              | Wire.Repair_reply { sections; _ } ->
-                ignore
-                  (on_mutator state (fun () ->
-                       try apply_repair state sections
-                       with _ -> Atomic.incr state.repl_apply_errors))
-              | _ -> ())
+            Replication.force_resync r
           end
         end)
     | _ -> ())
@@ -1200,9 +1136,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
       repl_drop_nth;
       scrub_passes = Atomic.make 0;
       scrub_corruptions = Atomic.make 0;
-      ranges_repaired = Atomic.make 0;
       replica_divergences = Atomic.make 0;
-      resyncs = Atomic.make 0;
       anti_entropy_rounds = Atomic.make 0;
       vcache_mu = Mutex.create ();
       vcaches = [];

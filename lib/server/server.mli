@@ -19,9 +19,9 @@
       launch, after a replica's snapshot install, and after a failed
       application — so a server that never writes holds one copy.
       The write queue is the mutator's only coordination point: client
-      writes, replication events, and the integrity domain's digest,
-      checkpoint and repair jobs (closures) all reach the index through
-      it, so nothing else needs a lock.
+      writes, replication events, and the integrity domain's digest
+      and checkpoint jobs (closures) all reach the index through it,
+      so nothing else needs a lock.
 
     Readers therefore never block and never take a lock: acquiring
     the snapshot is an atomic load plus a generation-stamped slot
@@ -109,12 +109,14 @@ type config = {
           WAL); <= 0 unlimited *)
   anti_entropy_interval_s : float;
       (** replica-side anti-entropy cadence: every interval the replica
-          fetches the primary's {!Integrity} digests, compares at equal
-          write-stream positions, and on persistent divergence repairs
-          the differing ranges ({!Wire.Repair_fetch}) or falls back to
-          a snapshot re-bootstrap — counted in
-          [replica_divergences]/[ranges_repaired]/[integrity_resyncs].
-          Only meaningful with [replica_of]; <= 0 disables *)
+          fetches the primary's {!Integrity} root digest and compares it
+          with its own when both are at the same write-stream position.
+          The third mismatch at equal positions (a round at differing
+          positions neither counts nor resets; a match resets) is a
+          divergence, healed by a snapshot resync
+          ({!Replication.force_resync}) — counted in
+          [replica_divergences] and [integrity_resyncs].  Only
+          meaningful with [replica_of]; <= 0 disables *)
 }
 
 val default_config : config

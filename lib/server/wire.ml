@@ -1,6 +1,6 @@
 open Dkindex_pathexpr
 
-let version = 1
+let version = 2
 let max_frame_default = 16 * 1024 * 1024
 
 type query_flags = { no_cache : bool }
@@ -26,7 +26,6 @@ type request =
   | Explain of { expr : Path_ast.t }
   | Has_edge of { u : int; v : int }
   | Digest_request
-  | Repair_fetch of { ranges : int list }
 
 type query_result = {
   nodes : int array;
@@ -64,11 +63,7 @@ type response =
       offset : int;
       n_nodes : int;
       root : int;
-      label_edges : int;
-      data_ranges : int array;
-      index_ranges : int array;  (** same length as [data_ranges] *)
     }
-  | Repair_reply of { generation : int; sections : (int * (int * int) array) list }
 
 (* ------------------------------------------------------------------ *)
 (* Primitive encoders, over {!Obuf} so frames can be written (and
@@ -231,7 +226,6 @@ let request_kind = function
   | Explain _ -> 0x11
   | Has_edge _ -> 0x12
   | Digest_request -> 0x13
-  | Repair_fetch _ -> 0x14
 
 (* Hello carries its sender's protocol version in the header version
    byte itself, so a server can answer a mismatched peer with a typed
@@ -245,10 +239,6 @@ let encode_request buf ~id req =
       add_u32 buf id;
       match req with
       | Ping | Stats | Snapshot | Shutdown | Promote_primary | Digest_request -> ()
-      | Repair_fetch { ranges } ->
-        if List.length ranges > 0xffff then invalid_arg "Wire: too many ranges";
-        add_u16 buf (List.length ranges);
-        List.iter (add_u32 buf) ranges
       | Hello { version = _; epoch } -> add_u32 buf epoch
       | Rep_subscribe { replica_id; epoch; seq; offset } ->
         add_u32 buf replica_id;
@@ -385,10 +375,6 @@ let decode_request_at big ~pos ~len =
         let v = u32 c in
         Has_edge { u; v }
       | 0x13 -> Digest_request
-      | 0x14 ->
-        let n = u16 c in
-        check_count c n ~min_item_bytes:4;
-        Repair_fetch { ranges = List.init n (fun _ -> u32 c) }
       | k -> raise (Bad (Printf.sprintf "unknown request kind 0x%02x" k))
     in
     expect_end c "request";
@@ -467,7 +453,6 @@ let response_kind = function
   | Explain_reply _ -> 0x90
   | Edge_reply _ -> 0x91
   | Digest_reply _ -> 0x92
-  | Repair_reply _ -> 0x93
 
 let encode_response buf ~id resp =
   with_frame buf (fun () ->
@@ -516,32 +501,12 @@ let encode_response buf ~id resp =
         add_u8 buf (if present then 1 else 0);
         add_u32 buf generation;
         add_u32 buf age_ms
-      | Digest_reply { generation; seq; offset; n_nodes; root; label_edges; data_ranges; index_ranges } ->
-        if Array.length data_ranges <> Array.length index_ranges then
-          invalid_arg "Wire: digest range arrays differ";
+      | Digest_reply { generation; seq; offset; n_nodes; root } ->
         add_u32 buf generation;
         add_seq buf seq;
         add_u48 buf offset;
         add_u32 buf n_nodes;
-        add_u48 buf root;
-        add_u48 buf label_edges;
-        add_u32 buf (Array.length data_ranges);
-        Array.iter (add_u48 buf) data_ranges;
-        Array.iter (add_u48 buf) index_ranges
-      | Repair_reply { generation; sections } ->
-        if List.length sections > 0xffff then invalid_arg "Wire: too many sections";
-        add_u32 buf generation;
-        add_u16 buf (List.length sections);
-        List.iter
-          (fun (range, edges) ->
-            add_u32 buf range;
-            add_u32 buf (Array.length edges);
-            Array.iter
-              (fun (u, v) ->
-                add_u32 buf u;
-                add_u32 buf v)
-              edges)
-          sections
+        add_u48 buf root
       | Stats_reply kvs ->
         if List.length kvs > 0xffff then invalid_arg "Wire: too many stats";
         add_u16 buf (List.length kvs);
@@ -620,30 +585,7 @@ let decode_response_at big ~pos ~len =
         let offset = u48 c in
         let n_nodes = u32 c in
         let root = u48 c in
-        let label_edges = u48 c in
-        let n = u32 c in
-        check_count c n ~min_item_bytes:12;
-        let data_ranges = Array.init n (fun _ -> u48 c) in
-        let index_ranges = Array.init n (fun _ -> u48 c) in
-        Digest_reply { generation; seq; offset; n_nodes; root; label_edges; data_ranges; index_ranges }
-      | 0x93 ->
-        let generation = u32 c in
-        let n = u16 c in
-        check_count c n ~min_item_bytes:8;
-        let sections =
-          List.init n (fun _ ->
-              let range = u32 c in
-              let m = u32 c in
-              check_count c m ~min_item_bytes:8;
-              let edges =
-                Array.init m (fun _ ->
-                    let u = u32 c in
-                    let v = u32 c in
-                    (u, v))
-              in
-              (range, edges))
-        in
-        Repair_reply { generation; sections }
+        Digest_reply { generation; seq; offset; n_nodes; root }
       | 0x85 ->
         let n = u16 c in
         check_count c n ~min_item_bytes:4;

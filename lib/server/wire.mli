@@ -2,7 +2,7 @@
 
     {v
     frame   := u32_be payload_length, payload
-    payload := u8 version (= 1), u8 kind, u32_be request id, body
+    payload := u8 version (= 2), u8 kind, u32_be request id, body
     v}
 
     The payload length is bounded ({!max_frame_default}, configurable
@@ -76,13 +76,9 @@ type request =
           ambiguous (sent-but-unacknowledged) writes after a failure. *)
   | Digest_request
       (** Ask for the server's current {!Dkindex_server.Integrity}
-          digests (root + per-range).  Served even by a stale replica —
-          anti-entropy needs to see divergence precisely when a replica
-          is unhealthy. *)
-  | Repair_fetch of { ranges : int list }
-      (** Ask the primary to ship the full data-edge contents of the
-          named digest ranges (see {!Integrity.section}); the replica
-          overwrites its divergent rows from the reply. *)
+          root digest and the write-stream position it reflects.
+          Served even by a stale replica — anti-entropy needs to see
+          divergence precisely when a replica is unhealthy. *)
 
 type query_result = {
   nodes : int array;  (** matching data nodes, sorted *)
@@ -158,16 +154,12 @@ type response =
               only at equal positions *)
       offset : int;  (** WAL byte offset within [seq] *)
       n_nodes : int;
-      root : int;
-      label_edges : int;
-      data_ranges : int array;
-      index_ranges : int array;  (** same length as [data_ranges] *)
+      root : int;  (** {!Integrity.digests} root: data and index layers folded *)
     }
-      (** Answer to {!Digest_request}: the full {!Integrity.digests}
-          content plus the write-stream position it was computed at. *)
-  | Repair_reply of { generation : int; sections : (int * (int * int) array) list }
-      (** Answer to {!Repair_fetch}: per requested range, every
-          [(u, v)] data edge whose source lies in that range. *)
+      (** Answer to {!Digest_request}: exactly what anti-entropy
+          compares.  A replica that disagrees on [n_nodes] or [root] at
+          an equal position heals by a snapshot resync, so no per-range
+          detail travels. *)
 
 (** {1 Codecs} *)
 

@@ -445,11 +445,6 @@ let refine_oracle g (p : Kbisim.partition) =
   done;
   (cls, !count)
 
-let check_partition_equal name (a : Kbisim.partition) (b : Kbisim.partition) =
-  check_int (name ^ ": n_classes") a.Kbisim.n_classes b.Kbisim.n_classes;
-  check_bool (name ^ ": cls") true (a.Kbisim.cls = b.Kbisim.cls);
-  check_bool (name ^ ": parent_class") true (a.Kbisim.parent_class = b.Kbisim.parent_class)
-
 let kbisim_cases =
   [
     test "signature refinement equals the list-key oracle" (fun () ->
@@ -468,28 +463,6 @@ let kbisim_cases =
             Dkindex_datagen.Xmark.graph ~seed:9 ~scale:4 ();
             Dkindex_datagen.Nasa.graph ~seed:10 ~scale:3 ();
           ]);
-    test "refine ~domains:4 is bit-for-bit refine ~domains:1" (fun () ->
-        (* Large enough to take the parallel path (n >= 4096). *)
-        let g = random_graph ~seed:62 ~nodes:6000 in
-        let p1 = Kbisim.k_partition g ~k:3 ~domains:1 in
-        let p4 = Kbisim.k_partition g ~k:3 ~domains:4 in
-        check_partition_equal "k_partition" p1 p4;
-        let s1, r1 = Kbisim.stable_partition g ~domains:1 in
-        let s4, r4 = Kbisim.stable_partition g ~domains:4 in
-        check_int "rounds" r1 r4;
-        check_partition_equal "stable" s1 s4;
-        let b1, ch1 = Kbisim.refine_by_children g p1 ~domains:1 in
-        let b4, ch4 = Kbisim.refine_by_children g p1 ~domains:4 in
-        check_bool "children changed flag" ch1 ch4;
-        check_partition_equal "by_children" b1 b4);
-    test "domain counts 2, 3 and 5 also agree" (fun () ->
-        let g = Dkindex_datagen.Xmark.graph ~seed:11 ~scale:70 () in
-        check_bool "big enough for the parallel path" true (Data_graph.n_nodes g >= 4096);
-        let p1 = Kbisim.k_partition g ~k:2 ~domains:1 in
-        List.iter
-          (fun d -> check_partition_equal (Printf.sprintf "domains:%d" d) p1
-               (Kbisim.k_partition g ~k:2 ~domains:d))
-          [ 2; 3; 5 ]);
   ]
 
 let () =

@@ -1,9 +1,10 @@
 (* Integrity tests: the incremental digest tree (qcheck-proven equal to
-   a full recompute through update churn), digest localization and
-   section repair, the at-rest scrubber with quarantine, and end-to-end
-   anti-entropy: a replica that silently dropped a replicated record
-   (or whose checkpoint rotted on disk) detects the divergence against
-   the primary's digests and repairs itself.
+   a full recompute through update churn), content-canonical roots that
+   a one-edge divergence changes, the at-rest scrubber with quarantine,
+   the digest wire exchange, and end-to-end anti-entropy: a replica that
+   silently dropped a replicated record detects the divergence against
+   the primary's root and heals by a snapshot resync, and one whose
+   checkpoint rotted on disk re-checkpoints and stays converged.
 
    As in test_chaos, every server runs in a forked child process —
    OCaml 5 forbids Unix.fork once a domain exists, so the parent stays
@@ -56,7 +57,7 @@ let build_base () =
   Dk_index.build g ~reqs:[ ("l0", 2); ("l1", 3); ("l2", 2) ]
 
 (* Big enough to span several digest ranges (1 lsl range_shift ids per
-   range), for the localization test. *)
+   range), so a divergence outside range 0 must still reach the root. *)
 let build_wide () =
   let g =
     Dkindex_datagen.Random_graph.graph ~seed:29
@@ -143,47 +144,23 @@ let test_content_canonical () =
   Alcotest.(check bool) "root is nonzero" true (a.Integrity.root <> 0);
   let c = Integrity.compute_full (empty_index ()) in
   Alcotest.(check bool) "different content, different root" true
-    (a.Integrity.root <> c.Integrity.root)
-
-(* ----------------------------------------------------------------- *)
-(* 2. Localization + section repair: a one-edge divergence names one
-   range, and shipping that range's section converges the copies. *)
-
-let test_section_repair () =
-  let a = ref (build_wide ()) in
-  let b = ref (build_wide ()) in
-  let g = Index_graph.data !a in
+    (a.Integrity.root <> c.Integrity.root);
+  (* Anti-entropy compares roots only, so one edge in a later range
+     must change it. *)
+  let wide = build_wide () in
+  let g = Index_graph.data wide in
   let u = (1 lsl Integrity.range_shift) + 137 in
   let v =
     let rec find v = if v <> u && not (Data_graph.has_edge g u v) then v else find (v + 1) in
     find 0
   in
-  a := Checkpoint.apply_mutation !a (Wal.Add_edge { u; v });
-  let da = Integrity.compute_full !a in
-  let db = Integrity.compute_full !b in
+  let before = Integrity.compute_full wide in
+  let after = Integrity.compute_full (Checkpoint.apply_mutation wide (Wal.Add_edge { u; v })) in
   Alcotest.(check bool) "divergence shows in the root" true
-    (da.Integrity.root <> db.Integrity.root);
-  Alcotest.(check (list int)) "exactly the mutated source's range differs"
-    [ u lsr Integrity.range_shift ]
-    (Integrity.diff_data_ranges da db);
-  (* the repair protocol in miniature: fetch the divergent section from
-     [a], diff it against [b], apply the resulting mutations *)
-  List.iter
-    (fun r ->
-      let theirs = Integrity.section !a r in
-      let ms = Integrity.section_diff (Index_graph.data !b) ~range:r ~theirs in
-      Alcotest.(check bool) "diff proposes repairs" true (ms <> []);
-      List.iter (fun m -> b := Checkpoint.apply_mutation !b m) ms)
-    (Integrity.diff_data_ranges da db);
-  Alcotest.(check bool) "repaired copy digests identically" true
-    (Integrity.compute_full !b = da);
-  (* agreeing rows propose nothing *)
-  Alcotest.(check int) "no-op diff on agreeing rows" 0
-    (List.length
-       (Integrity.section_diff (Index_graph.data !b) ~range:0 ~theirs:(Integrity.section !a 0)))
+    (before.Integrity.root <> after.Integrity.root)
 
 (* ----------------------------------------------------------------- *)
-(* 3. The scrubber: flips are found, torn tails are tolerated,
+(* 2. The scrubber: flips are found, torn tails are tolerated,
    quarantine moves the evidence aside. *)
 
 (* Checkpoint.start spawns a background writer domain, and this OCaml
@@ -382,18 +359,17 @@ let probe c u v =
 
 let digest_of c =
   match Client.call c Wire.Digest_request with
-  | Wire.Digest_reply { seq; offset; n_nodes; root; label_edges; _ } ->
-    (seq, offset, n_nodes, root, label_edges)
+  | Wire.Digest_reply { seq; offset; n_nodes; root; _ } -> (seq, offset, n_nodes, root)
   | _ -> Alcotest.fail "expected Digest_reply"
 
 let wait_digests_equal ?(timeout_s = 60.0) ~what cp cr =
   let deadline = now () +. timeout_s in
   let rec go () =
-    let ((pseq, _, _, _, _) as p) = digest_of cp in
+    let ((pseq, _, _, _) as p) = digest_of cp in
     let r = digest_of cr in
     if pseq >= 0 && p = r then ()
     else if now () > deadline then
-      let show (s, o, n, root, le) = Printf.sprintf "(%d,%d n=%d root=%x le=%x)" s o n root le in
+      let show (s, o, n, root) = Printf.sprintf "(%d,%d n=%d root=%x)" s o n root in
       Alcotest.fail
         (Printf.sprintf "%s: digests never converged: primary %s, replica %s" what (show p)
            (show r))
@@ -405,7 +381,7 @@ let wait_digests_equal ?(timeout_s = 60.0) ~what cp cr =
   go ()
 
 (* ----------------------------------------------------------------- *)
-(* 4. Digest_request / Repair_fetch over the wire *)
+(* 3. Digest_request over the wire *)
 
 let test_digest_request () =
   let dir = temp_dir () in
@@ -418,35 +394,52 @@ let test_digest_request () =
   let ppid, pport = fork_server ~dir () in
   pids := [ ppid ];
   let c = Client.connect ~port:pport ~timeout_s:10.0 () in
-  let ((s1, _, n1, r1, _) as d1) = digest_of c in
+  let ((s1, _, n1, r1) as d1) = digest_of c in
   Alcotest.(check bool) "a durable primary has a stable position" true (s1 >= 0);
   Alcotest.(check bool) "digests are deterministic" true (d1 = digest_of c);
   let u, v = List.hd (fresh_edges ~seed:41 ~count:1) in
   add_edges c [ (u, v) ];
-  let s2, o2, n2, r2, _ = digest_of c in
+  let s2, o2, n2, r2 = digest_of c in
   Alcotest.(check bool) "a write moves the root" true (r2 <> r1);
   Alcotest.(check int) "node count is unchanged by an edge" n1 n2;
   Alcotest.(check bool) "the position advanced" true
     (s2 > s1 || (s2 = s1 && o2 > 0));
-  (* Repair_fetch ships the adjacency section of a live range *)
-  (match Client.call c (Wire.Repair_fetch { ranges = [ 0; 99999 ] }) with
-  | Wire.Repair_reply { sections; _ } -> (
-    match sections with
-    | [ (0, edges) ] ->
-      Alcotest.(check bool) "range 0 has edges" true (Array.length edges > 0);
-      Alcotest.(check bool) "the fresh edge is in its section" true
-        (Array.exists (fun e -> e = (u, v)) edges)
-    | _ -> Alcotest.fail "expected exactly the one live range back")
-  | _ -> Alcotest.fail "expected Repair_reply");
   Client.close c
 
-(* ----------------------------------------------------------------- *)
-(* 5. Anti-entropy end-to-end: a replica that silently dropped one
-   replicated record diverges invisibly (its stream position still
-   advances) — the digest comparison catches it and the repair (or the
-   snapshot-resync fallback) converges the pair. *)
+(* The range-repair op codes (request 0x14, response 0x93) are
+   retired: a current-version frame of either kind is a decode error,
+   never a message and never an exception. *)
+let test_retired_op_codes () =
+  let payload kind body =
+    Printf.sprintf "%c%c\000\000\000\001%s" (Char.chr Wire.version) (Char.chr kind) body
+  in
+  let req = payload 0x14 "\000\001\000\000\000\000" in
+  (match Wire.decode_request_at req ~pos:0 ~len:(String.length req) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "request kind 0x14 decoded");
+  let resp = payload 0x93 "\000\000\000\000\000\000" in
+  match Wire.decode_response_at resp ~pos:0 ~len:(String.length resp) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "response kind 0x93 decoded"
 
-let test_anti_entropy_repairs_drop () =
+(* ----------------------------------------------------------------- *)
+(* 4. Anti-entropy end-to-end: a replica that silently dropped one
+   replicated record diverges invisibly (its stream position still
+   advances).  The root comparison catches it, and a snapshot resync
+   makes the replica a bit-identical copy of the primary, so every
+   query answers the same on both. *)
+
+(* Label-path queries over the base graph, as wire label lists. *)
+let base_queries () =
+  let g = Index_graph.data (build_base ()) in
+  Dkindex_workload.Query_gen.(to_strings g (generate ~seed:53 ~count:40 g))
+
+let answers c labels =
+  match Client.call c (Wire.Query_path { flags = { no_cache = true }; labels }) with
+  | Wire.Result r -> r.Wire.nodes
+  | _ -> Alcotest.fail ("expected Result for " ^ String.concat "." labels)
+
+let test_anti_entropy_resyncs_drop () =
   let dir_p = temp_dir () and dir_r = temp_dir () in
   let pids = ref [] in
   Fun.protect
@@ -476,20 +469,24 @@ let test_anti_entropy_repairs_drop () =
     wait_for ~what:"divergence detected" cr (fun kvs -> istat kvs "replica_divergences" >= 1)
   in
   Alcotest.(check bool) "anti-entropy rounds ran" true (istat kvs "anti_entropy_rounds" >= 1);
-  ignore
-    (wait_for ~what:"repair or resync" cr (fun kvs ->
-         istat kvs "ranges_repaired" >= 1 || istat kvs "integrity_resyncs" >= 1));
-  wait_digests_equal ~what:"post-repair convergence" cp cr;
+  ignore (wait_for ~what:"resync" cr (fun kvs -> istat kvs "integrity_resyncs" >= 1));
+  wait_digests_equal ~what:"post-resync convergence" cp cr;
   (* the dropped write is now served by the replica like any other *)
   List.iter
     (fun (u, v) ->
       Alcotest.(check bool) (Printf.sprintf "replica serves (%d,%d)" u v) true (probe cr u v))
     edges;
+  List.iter
+    (fun labels ->
+      Alcotest.(check (array int))
+        ("same answer for " ^ String.concat "." labels)
+        (answers cp labels) (answers cr labels))
+    (base_queries ());
   Client.close cp;
   Client.close cr
 
 (* ----------------------------------------------------------------- *)
-(* 6. At-rest corruption end-to-end: flip one bit in the newest
+(* 5. At-rest corruption end-to-end: flip one bit in the newest
    checkpoint underneath a running, scrubbing replica.  The scrubber
    finds and counts it, re-checkpoints from the live (known-good)
    index before the corrupt generation leaves the recovery chain, and
@@ -564,8 +561,6 @@ let () =
         [
           to_alcotest incremental_matches_full;
           Alcotest.test_case "digests are content-canonical" `Quick test_content_canonical;
-          Alcotest.test_case "divergence localizes; section repair converges" `Quick
-            test_section_repair;
         ] );
       ( "scrub",
         [
@@ -574,13 +569,14 @@ let () =
         ] );
       ( "wire",
         [
-          Alcotest.test_case "Digest_request and Repair_fetch round-trip" `Quick
-            test_digest_request;
+          Alcotest.test_case "Digest_request round-trip" `Quick test_digest_request;
+          Alcotest.test_case "retired op codes 0x14 and 0x93 decode to Error" `Quick
+            test_retired_op_codes;
         ] );
       ( "anti-entropy",
         [
-          Alcotest.test_case "a dropped record is detected and repaired" `Quick
-            test_anti_entropy_repairs_drop;
+          Alcotest.test_case "a dropped record is detected and healed by resync" `Quick
+            test_anti_entropy_resyncs_drop;
           Alcotest.test_case "at-rest bit rot: scrubbed, quarantined, converged" `Quick
             test_scrub_finds_bitrot_e2e;
         ] );

@@ -161,30 +161,6 @@ let k_partition_tests =
         check_bool "ascending" true (ascending sizes));
   ]
 
-let domains_tests =
-  [
-    test "parallel key computation is bit-for-bit identical" (fun () ->
-        List.iter
-          (fun seed ->
-            let g = random_graph ~seed ~nodes:5000 in
-            let seq = Kbisim.k_partition g ~k:3 in
-            let par = Kbisim.k_partition ~domains:3 g ~k:3 in
-            check_bool "identical cls" true (seq.Kbisim.cls = par.Kbisim.cls);
-            check_int "classes" seq.Kbisim.n_classes par.Kbisim.n_classes)
-          [ 331; 332 ]);
-    test "parallel stable partition matches sequential" (fun () ->
-        let g = random_graph ~seed:333 ~nodes:5000 in
-        let seq, r1 = Kbisim.stable_partition g in
-        let par, r2 = Kbisim.stable_partition ~domains:4 g in
-        check_bool "identical" true (seq.Kbisim.cls = par.Kbisim.cls);
-        check_int "rounds" r1 r2);
-    test "small graphs skip the parallel path" (fun () ->
-        let g = random_graph ~seed:334 ~nodes:50 in
-        let seq = Kbisim.k_partition g ~k:2 in
-        let par = Kbisim.k_partition ~domains:8 g ~k:2 in
-        check_bool "identical" true (seq.Kbisim.cls = par.Kbisim.cls));
-  ]
-
 let stable_tests =
   [
     test "stable partition is a fixpoint" (fun () ->
@@ -215,5 +191,4 @@ let () =
       ("refine", refine_tests);
       ("k_partition", k_partition_tests);
       ("stable", stable_tests);
-      ("domains", domains_tests);
     ]
