@@ -49,8 +49,18 @@ let avg_cost idx queries =
 
 let hline = String.make 66 '-'
 
-let print_perf_row name idx queries =
-  Printf.printf "  %-8s %12d %18.1f\n" name (Index_graph.n_nodes idx) (avg_cost idx queries)
+(* The deterministic columns of the tables that pin the reproduction
+   (index sizes, visit figures, answer counts, "identical" flags; no
+   wall-clock), collected as they print: bench/main.exe --golden
+   writes them out, and the runtest rule diffs the --quick block
+   against test/golden/bench-quick.expected. *)
+let golden = Buffer.create 4096
+let pin fmt = Printf.bprintf golden fmt
+
+let print_perf_row ~table name idx queries =
+  let size = Index_graph.n_nodes idx and cost = avg_cost idx queries in
+  Printf.printf "  %-8s %12d %18.1f\n" name size cost;
+  pin "%s %s size %d visits %.1f\n" table name size cost
 
 (* The random ID/IDREF edge insertions of Section 6.2: a (source label,
    target label) pair from the DTD, one random node from each group. *)
@@ -100,8 +110,11 @@ let figure_before_updating ~fig ds comp =
   Printf.printf "\n== Figure %d: evaluation performance before updating (%s) ==\n" fig
     ds.ds_name;
   Printf.printf "  %-8s %12s %18s\n  %s\n" "index" "size(nodes)" "avg cost(visits)" hline;
-  List.iter (fun (k, ak) -> print_perf_row (Printf.sprintf "A(%d)" k) ak comp.queries) comp.aks;
-  print_perf_row "D(k)" comp.dk comp.queries
+  let table = Printf.sprintf "fig%d %s" fig ds.ds_name in
+  List.iter
+    (fun (k, ak) -> print_perf_row ~table (Printf.sprintf "A(%d)" k) ak comp.queries)
+    comp.aks;
+  print_perf_row ~table "D(k)" comp.dk comp.queries
 
 (* Table 1 (applied to one dataset; main prints both columns). *)
 type update_timing = { per_index : (string * float) list }
@@ -133,8 +146,11 @@ let figure_after_updating ~fig ds comp =
   Printf.printf "\n== Figure %d: evaluation performance after updating (%s) ==\n" fig
     ds.ds_name;
   Printf.printf "  %-8s %12s %18s\n  %s\n" "index" "size(nodes)" "avg cost(visits)" hline;
-  List.iter (fun (k, ak) -> print_perf_row (Printf.sprintf "A(%d)" k) ak comp.queries) comp.aks;
-  print_perf_row "D(k)" comp.dk comp.queries
+  let table = Printf.sprintf "fig%d %s" fig ds.ds_name in
+  List.iter
+    (fun (k, ak) -> print_perf_row ~table (Printf.sprintf "A(%d)" k) ak comp.queries)
+    comp.aks;
+  print_perf_row ~table "D(k)" comp.dk comp.queries
 
 (* Extension A: the promoting process (deferred to the paper's "full
    version"): promote the updated D(k)-index back to its mined
@@ -142,11 +158,16 @@ let figure_after_updating ~fig ds comp =
 let ext_promote ds comp =
   Printf.printf "\n== ExtA: promoting after updates (%s) ==\n" ds.ds_name;
   Printf.printf "  %-22s %12s %18s\n  %s\n" "state" "size(nodes)" "avg cost(visits)" hline;
-  Printf.printf "  %-22s %12d %18.1f\n" "D(k) after updates" (Index_graph.n_nodes comp.dk)
-    (avg_cost comp.dk comp.queries);
+  let row state =
+    let size = Index_graph.n_nodes comp.dk and cost = avg_cost comp.dk comp.queries in
+    pin "extA %s %s size %d visits %.1f\n" ds.ds_name state size cost;
+    Printf.printf "  %-22s %12d %18.1f" ("D(k) " ^ state) size cost
+  in
+  row "after updates";
+  print_newline ();
   let _, ms = time_of (fun () -> Dk_tune.promote_to_requirements comp.dk) in
-  Printf.printf "  %-22s %12d %18.1f   (promote took %.1f ms)\n" "D(k) after promoting"
-    (Index_graph.n_nodes comp.dk) (avg_cost comp.dk comp.queries) ms
+  row "after promoting";
+  Printf.printf "   (promote took %.1f ms)\n" ms
 
 (* Extension B: the demoting process: halve all requirements. *)
 let ext_demote ds comp =
@@ -171,6 +192,7 @@ let ext_subgraph ds ~seed =
   let equal =
     Index_graph.partition_signature incremental = Index_graph.partition_signature scratch
   in
+  pin "extC %s identical %b\n" ds.ds_name equal;
   Printf.printf "  incremental (Alg 3): %.1f ms;  from scratch: %.1f ms;  identical: %b\n"
     ms_inc ms_scratch equal
 
@@ -242,10 +264,10 @@ let ext_fb ds =
       let validated = Query_eval.eval_pattern one pattern in
       let direct = Query_eval.eval_pattern ~validate:false fb pattern in
       assert (validated.Query_eval.nodes = direct.Query_eval.nodes);
-      Printf.printf "  %-46s %8d %16d %12d\n" src
-        (List.length direct.Query_eval.nodes)
-        (Cost.total validated.Query_eval.cost)
-        (Cost.total direct.Query_eval.cost))
+      let answers = List.length direct.Query_eval.nodes in
+      let v = Cost.total validated.Query_eval.cost and d = Cost.total direct.Query_eval.cost in
+      pin "extF %s %s answers %d visits %d %d\n" ds.ds_name src answers v d;
+      Printf.printf "  %-46s %8d %16d %12d\n" src answers v d)
     patterns
 
 (* ExtG: construction-cost scaling — the O(km) claim of Section 4.2. *)

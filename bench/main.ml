@@ -13,6 +13,7 @@ let quick = ref false
 let xl = ref false
 let xl_child = ref ""
 let xl_dir = ref ""
+let golden = ref ""
 
 let spec =
   [
@@ -23,6 +24,9 @@ let spec =
     ("--seed", Arg.Set_int seed, "N  master random seed (default 2003)");
     ("--bechamel", Arg.Set run_bechamel, "   also run Bechamel micro-benchmarks");
     ("--quick", Arg.Set quick, "   small scales for a fast smoke run");
+    ( "--golden",
+      Arg.Set_string golden,
+      "FILE  write the deterministic columns of Figs. 4-7, ExtA, ExtC and ExtF to FILE" );
     ("--xl", Arg.Set xl, "   run only the out-of-core scale:xl series, a process per bench");
     ( "--xl-child",
       Arg.Tuple [ Arg.Set_string xl_child; Arg.Set_string xl_dir ],
@@ -90,4 +94,7 @@ let () =
   Experiments.ext_access_paths xmark comp_x;
   Experiments.ext_access_paths nasa comp_n;
   Experiments.ext_loading ~scale:(if !quick then 100 else 400);
+  if not (String.equal !golden "") then
+    Out_channel.with_open_bin !golden (fun oc ->
+        Out_channel.output_string oc (Buffer.contents Experiments.golden));
   if !run_bechamel then Micro.run ()

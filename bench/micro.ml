@@ -100,18 +100,16 @@ let tests () =
     Test.make ~name:"substrate:deep-chain-paige-tarjan"
       (Staged.stage (fun () -> Paige_tarjan.build_one_index deep));
     (* Persistence on every durable launch: generating the document,
-       encoding the index into one buffer, and the sidecar CRC of the
-       encoded document. *)
+       encoding the index into one buffer, and the CRC the checkpoint
+       file's header line carries for the encoded document. *)
     Test.make ~name:"persist:xmark-graph"
       (Staged.stage (fun () -> Dkindex_datagen.Xmark.graph ~scale:40 ()));
     Test.make ~name:"persist:index-encode" (Staged.stage (fun () -> Index_serial.encode dk));
     Test.make ~name:"persist:crc32"
       (Staged.stage (fun () -> Crc32.string doc 0 (String.length doc)));
-    (* The batch driver over the whole workload, on 1, 2 and 4 domains;
-       on a host with fewer cores the >1 rows measure scheduling
-       overhead, not speedup. *)
-    Test.make_indexed ~name:"serve:batch-throughput-d" ~args:[ 1; 2; 4 ] (fun domains ->
-        Staged.stage (fun () -> Query_eval.eval_batch ~domains dk queries));
+    (* The batch driver over the whole workload. *)
+    Test.make ~name:"serve:batch-throughput"
+      (Staged.stage (fun () -> Query_eval.eval_batch dk queries));
   ]
   @ Test.make ~name:"plan:auto" (Staged.stage (fun () -> Planner.eval_planned pl query_expr))
     :: List.map

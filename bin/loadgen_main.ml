@@ -267,7 +267,9 @@ let print_stats_summary kvs =
     Printf.printf "replication: connected %s  applied %s/%s  behind %s bytes  stale %s\n"
       (getd "replication_connected") (getd "replication_applied_seq")
       (getd "replication_applied_offset") (getd "replication_bytes_behind")
-      (getd "replication_stale")
+      (getd "replication_stale");
+    Printf.printf "replication: snapshots installed %s  last install %s ms\n"
+      (getd "replication_snapshots_installed") (getd "replication_snapshot_install_ms")
   | None -> ());
   match get "scrub_passes" with
   | Some _ ->
@@ -353,7 +355,7 @@ let query_phase ~host ~port ~conns ~phase ~pipeline (ds : Dataset.t) =
          let r = Client.call c (query_of_labels ~no_cache:true queries.(i)) in
          got.(i) <- Some (expect_result (Printf.sprintf "%s query %d" phase i) r)));
   let want =
-    Query_eval.eval_batch ~domains:1 ~strategy:`Forward ~cache:false ds.index
+    Query_eval.eval_batch ~strategy:`Forward ~cache:false ds.index
       (intern_queries ds)
   in
   Array.iteri

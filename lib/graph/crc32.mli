@@ -1,6 +1,6 @@
 (** CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the one
     checksum of the container sections and header, the WAL records and
-    the checkpoint sidecar.  Slicing-by-8: eight table lookups per
+    the checkpoint file's header line.  Slicing-by-8: eight table lookups per
     64 bits. *)
 
 val update : int -> Bytes.t -> int -> int -> int

@@ -207,7 +207,7 @@ val prepare_serving : t -> unit
     multiple domains: flatten index and data adjacency into pure CSR
     form, compact every label bucket, and force lazily-built tables.
     After this, all query-side reads are mutation-free until the next
-    update.  {!Query_eval.eval_batch} calls it before spawning. *)
+    update. *)
 
 (** {1 Derived views} *)
 

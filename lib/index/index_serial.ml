@@ -5,9 +5,11 @@ let magic = "dkindex-index 2"
 
 type slice = { bytes : Bytes.t; off : int; len : int }
 
-(* Room for the header: the magic, three counts and a length, each at
-   most 20 characters. *)
-let header_room = 128
+(* Room for the header (the magic, three counts and a length, at most
+   109 bytes) and, in front of it, the [front_room] bytes promised to
+   callers. *)
+let front_room = 64
+let header_room = 128 + front_room
 
 let encode t =
   let data = Index_graph.data t in

@@ -38,6 +38,10 @@
 type slice = { bytes : Bytes.t; off : int; len : int }
 (** The document is [bytes] from [off] for [len] bytes. *)
 
+val front_room : int
+(** 64: {!encode}'s slice has [off >= front_room], room for a
+    caller's header line in front (a checkpoint's CRC line). *)
+
 val encode : Index_graph.t -> slice
 (** The document, in a buffer of its own that nothing else writes. *)
 

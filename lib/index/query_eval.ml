@@ -365,57 +365,6 @@ let eval_pattern ?(validate = true) t pattern =
 (* ------------------------------------------------------------------ *)
 (* Batch serving                                                        *)
 
-let merge_costs results =
-  let acc = Cost.create () in
-  Array.iter (fun r -> Cost.add acc r.cost) results;
-  acc
-
-(* Below this many queries a batch runs its slices sequentially:
-   Domain.spawn + join overhead dominates evaluation time for small
-   batches (the "d2" serving benchmark regressed 1.5x when every
-   64-query batch paid two spawns). *)
-let batch_parallel_threshold = 128
-
-let eval_batch ?(domains = 1) ?(strategy = `Forward) ?(cache = true) t queries =
-  if domains < 1 then invalid_arg "Query_eval.eval_batch: domains must be >= 1";
-  let queries = Array.of_list queries in
-  let nq = Array.length queries in
-  let results = Array.make nq None in
-  let run_slice first step =
-    (* Round-robin static assignment: query i belongs to domain
-       [i mod domains], independent of timing, so the per-query results
-       (and, with [cache:false], the per-query costs) are identical for
-       every domain count. *)
-    let vcache = if cache then Some (Validation_cache.create t) else None in
-    let i = ref first in
-    while !i < nq do
-      results.(!i) <- Some (eval_path ~strategy ?cache:vcache t queries.(!i));
-      i := !i + step
-    done
-  in
-  if domains = 1 then run_slice 0 1
-  else if nq < batch_parallel_threshold then
-    (* Sequential fast path: spawning domains costs more than it saves
-       on small batches.  Running the same round-robin slices one after
-       another — each with its own validation cache, exactly as the
-       spawned domains would — keeps every per-query result and cost
-       bit-for-bit identical to the parallel schedule. *)
-    for d = 0 to domains - 1 do
-      run_slice d domains
-    done
-  else begin
-    (* Freeze all lazily-materialized state so worker domains only ever
-       read: label buckets compacted, index and data adjacency in pure
-       CSR form. *)
-    Index_graph.prepare_serving t;
-    let spawned =
-      List.init (domains - 1) (fun d -> Domain.spawn (fun () -> run_slice (d + 1) domains))
-    in
-    run_slice 0 domains;
-    List.iter Domain.join spawned
-  end;
-  Array.map
-    (function
-      | Some r -> r
-      | None -> assert false)
-    results
+let eval_batch ?(strategy = `Forward) ?(cache = true) t queries =
+  let vcache = if cache then Some (Validation_cache.create t) else None in
+  Array.of_list (List.map (eval_path ~strategy ?cache:vcache t) queries)

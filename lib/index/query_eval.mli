@@ -71,29 +71,15 @@ val eval_pattern : ?validate:bool -> Index_graph.t -> Tree_pattern.t -> result
     superset. *)
 
 val eval_batch :
-  ?domains:int ->
   ?strategy:[ `Forward | `Backward | `Auto ] ->
   ?cache:bool ->
   Index_graph.t ->
   Label.t array list ->
   result array
 (** Serve a workload of label-path queries (as produced by
-    {!Query_gen}), fanned out over [domains] worker domains
-    (default 1).
-
-    {b Determinism.}  Queries are assigned round-robin (query [i] to
-    domain [i mod domains]) and results land in an array slot per
-    query, so [nodes], [n_candidates] and [n_certain] of every result
-    are bit-for-bit identical for any domain count.  With [cache:true]
-    (the default) each domain keeps its own {!Validation_cache}, so a
-    query's [cost] can drop when a same-domain predecessor warmed the
-    memo; with [cache:false] the per-query costs are also bit-for-bit
-    independent of [domains].
-
-    Before spawning, {!Index_graph.prepare_serving} freezes all
-    lazily-materialized state, making the fan-out strictly read-only.
-    The index must not be mutated concurrently. *)
-
-val merge_costs : result array -> Cost.t
-(** Total cost of a batch, accumulated in query order (deterministic
-    regardless of how the batch was scheduled). *)
+    {!Query_gen}) in order, result [i] for query [i].  With
+    [cache:true] (the default) the batch shares one
+    {!Validation_cache}, so a query's [cost] can drop when a
+    predecessor warmed the memo; its [nodes], [n_candidates] and
+    [n_certain] are those of {!eval_path} either way, and with
+    [cache:false] so is its [cost]. *)

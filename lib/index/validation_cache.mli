@@ -31,7 +31,7 @@
     part that grows with churn — are evicted.
 
     A cache is single-domain state: {!Query_eval.eval_batch} creates
-    one per worker domain. *)
+    one per batch, and a concurrent reader needs one of its own. *)
 
 open Dkindex_graph
 open Dkindex_pathexpr

@@ -22,8 +22,11 @@ let default_config ~dir =
 (* File naming *)
 
 let cp_name seq = Printf.sprintf "checkpoint-%09d.index" seq
-let crc_name seq = Printf.sprintf "checkpoint-%09d.crc" seq
 let wal_name seq = Printf.sprintf "wal-%09d.log" seq
+
+(* A pre-header generation's "crc32 length" sidecar: read by [body]'s
+   legacy rule and deleted by [prune], written by nothing. *)
+let legacy_sidecar seq = Printf.sprintf "checkpoint-%09d.crc" seq
 
 let seq_of name ~prefix ~suffix =
   let pl = String.length prefix and sl = String.length suffix in
@@ -43,33 +46,50 @@ let list_seqs dir ~prefix ~suffix =
 let checkpoint_seqs dir = list_seqs dir ~prefix:"checkpoint-" ~suffix:".index"
 let wal_seqs dir = list_seqs dir ~prefix:"wal-" ~suffix:".log"
 let checkpoint_file ~dir ~seq = Filename.concat dir (cp_name seq)
-let crc_file ~dir ~seq = Filename.concat dir (crc_name seq)
 
-(* Checkpoint CRC sidecar: "crc32 length\n" of the snapshot bytes.
-   The text snapshot format has per-line structure but no whole-file
-   check of its own, so a flipped digit can still parse; the sidecar
-   closes that hole for both recovery and the scrubber.  A checkpoint
-   without a sidecar (crash between the two writes, or a pre-sidecar
-   generation) is accepted as-is. *)
-let sidecar_of { Index_serial.bytes; off; len } =
-  Printf.sprintf "%d %d\n" (Crc32.update 0 bytes off len) len
+(* ------------------------------------------------------------------ *)
+(* The checkpoint file: a fixed-width header line with the CRC-32 and
+   length of the Index_serial document after it (checkpoint.mli). *)
 
-(* [Ok true] = sidecar present and matching, [Ok false] = no sidecar,
-   [Error reason] = sidecar present and contradicting the payload. *)
-let check_sidecar ~dir ~seq s =
-  match In_channel.with_open_bin (crc_file ~dir ~seq) In_channel.input_all with
-  | exception Sys_error _ -> Ok false
-  | raw -> (
-    match String.split_on_char ' ' (String.trim raw) with
-    | [ crc; len ] -> (
-      match (int_of_string_opt crc, int_of_string_opt len) with
-      | Some crc, Some len ->
-        if len <> String.length s then
-          Error (Printf.sprintf "length %d, sidecar says %d" (String.length s) len)
-        else if crc <> Crc32.string s 0 len then Error "crc mismatch"
-        else Ok true
-      | _ -> Error "unparsable sidecar")
-    | _ -> Error "unparsable sidecar")
+let magic = "dkindex-checkpoint 1 "
+let header_bytes = String.length magic + 8 + 1 + 12 + 1
+let header ~crc ~len = Printf.sprintf "%s%08x %012d\n" magic crc len
+
+(* Put the header in front of an encoded document, in its gap. *)
+let frame { Index_serial.bytes; off; len } =
+  let h = header ~crc:(Crc32.update 0 bytes off len) ~len in
+  let off = off - header_bytes in
+  Bytes.blit_string h 0 bytes off header_bytes;
+  { Index_serial.bytes; off; len = len + header_bytes }
+
+(* A pre-header file: its sidecar must match it; without one, a parse
+   is the only check there is. *)
+let legacy_body ~dir ~seq s =
+  let path = Filename.concat dir (legacy_sidecar seq) in
+  match In_channel.with_open_bin path In_channel.input_all with
+  | side ->
+    let len = String.length s in
+    if String.equal side (Printf.sprintf "%d %d\n" (Crc32.string s 0 len) len) then Ok s
+    else Error "checkpoint sidecar contradicts the snapshot"
+  | exception Sys_error _ -> (
+    match Index_serial.of_string s with
+    | _ -> Ok s
+    | exception e -> Error ("unparsable snapshot: " ^ Printexc.to_string e))
+
+let body ?generation file =
+  let n = String.length file in
+  if String.starts_with ~prefix:magic file then
+    let len = n - header_bytes in
+    (* The header must be exactly what [header] renders for this body:
+       any change to it is as fatal as a change to the body. *)
+    if len >= 0 && String.equal (String.sub file 0 header_bytes)
+         (header ~crc:(Crc32.string file header_bytes len) ~len)
+    then Ok (String.sub file header_bytes len)
+    else Error "checkpoint header contradicts its body"
+  else
+    match generation with
+    | Some (dir, seq) -> legacy_body ~dir ~seq file
+    | None -> Error "no checkpoint header"
 
 (* ------------------------------------------------------------------ *)
 (* Atomic snapshot write: tmp in the same directory, fsync, rename,
@@ -116,7 +136,7 @@ let prune dir =
     List.iter
       (fun s ->
         rm (cp_name s);
-        rm (crc_name s))
+        rm (legacy_sidecar s))
       rest;
     List.iter (fun s -> if s < prev then rm (wal_name s)) (wal_seqs dir)
   | _ -> ());
@@ -203,10 +223,10 @@ let recover ?read_faults ~dir () =
     | [] -> if skipped > 0 then Some (None, -1, skipped) else None
     | seq :: older -> (
       match
-        let s = Faults.read_all read_faults (Filename.concat dir (cp_name seq)) in
-        match check_sidecar ~dir ~seq s with
-        | Ok _ -> Index_serial.of_string s
-        | Error reason -> failwith ("checkpoint sidecar: " ^ reason)
+        let file = Faults.read_all read_faults (checkpoint_file ~dir ~seq) in
+        match body ~generation:(dir, seq) file with
+        | Ok s -> Index_serial.of_string s
+        | Error reason -> failwith reason
       with
       | idx -> Some (Some idx, seq, skipped)
       | exception _ -> load older (skipped + 1))
@@ -277,8 +297,8 @@ type t = {
      beyond the complete records of the generation it names. *)
   seq_a : int Atomic.t;
   mutable last_rotate : float;
-  (* background writer: (generation, snapshot) to write; unbounded,
-     so the mutator never waits on checkpoint I/O *)
+  (* background writer: (generation, encoded document) to frame and
+     write; unbounded, so the mutator never waits on checkpoint I/O *)
   jobs : (int * Index_serial.slice) Bqueue.t;
   writer : unit Domain.t option ref;
   (* counters, read by stats from any domain *)
@@ -309,12 +329,9 @@ let encode t index =
     (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
   s
 
-(* The snapshot is written and CRC'd where the encoder left it. *)
-let write_checkpoint t seq ({ Index_serial.bytes; off; len } as s) =
+(* One write of a whole checkpoint file. *)
+let write_file t seq { Index_serial.bytes; off; len } =
   write_atomic ?faults:t.cp_faults t.cfg.dir (cp_name seq) bytes off len;
-  let side = sidecar_of s in
-  write_atomic ?faults:t.cp_faults t.cfg.dir (crc_name seq) (Bytes.unsafe_of_string side) 0
-    (String.length side);
   Atomic.incr t.checkpoints_written;
   Atomic.set t.checkpoint_last_bytes len;
   prune t.cfg.dir
@@ -324,7 +341,7 @@ let writer_loop t () =
     match Bqueue.pop t.jobs with
     | None -> ()
     | Some (seq, s) ->
-      (try write_checkpoint t seq s
+      (try write_file t seq (frame s)
        with _ -> Atomic.incr t.checkpoint_failures);
       go ()
   in
@@ -365,7 +382,7 @@ let start ?wal_faults ?checkpoint_faults ?recovery cfg index =
   (* The recovered (or initial) state becomes durable before the
      server accepts traffic; this is also what licenses pruning the
      generation we just recovered from. *)
-  write_checkpoint t seq (encode t index);
+  write_file t seq (frame (encode t index));
   t.writer := Some (Domain.spawn (writer_loop t));
   t
 
@@ -376,10 +393,9 @@ let log_mutation t m =
 
 (* Rotate to the next generation: open the new WAL first (if that
    fails we still have the old one and degrade to read-only), then
-   retire the old log.  Returns the snapshot to write at the new
-   generation, or None if rotation failed. *)
-let rotate t index =
-  let s = encode t index in
+   retire the old log.  Returns the new generation, or None if
+   rotation failed. *)
+let rotate t =
   let seq' = t.seq + 1 in
   match Wal.create ?faults:t.wal_faults ~sync:t.cfg.sync (Filename.concat t.cfg.dir (wal_name seq')) with
   | exception e ->
@@ -393,7 +409,7 @@ let rotate t index =
     Atomic.set t.wal_records_a 0;
     Atomic.set t.wal_bytes_a 0;
     Atomic.set t.seq_a seq';
-    Some (seq', s)
+    Some seq'
 
 let triggered t =
   let records = Wal.records t.wal and bytes = Wal.bytes t.wal in
@@ -405,21 +421,30 @@ let triggered t =
 
 let maybe_checkpoint t index =
   if (not (read_only t)) && triggered t then
-    match rotate t index with
-    | Some job -> Bqueue.push t.jobs job
+    let s = encode t index in
+    match rotate t with
+    | Some seq -> Bqueue.push t.jobs (seq, s)
     | None -> ()
 
-let checkpoint_now t index =
+(* Synchronous rotate + write of the checkpoint file [file ()]. *)
+let checkpoint_sync t file =
   if read_only t then Error "read-only: wal unwritable"
   else
-    match rotate t index with
+    let file = file () in
+    match rotate t with
     | None -> Error "wal rotation failed"
-    | Some (seq, s) -> (
-      match write_checkpoint t seq s with
+    | Some seq -> (
+      match write_file t seq file with
       | () -> Ok ()
       | exception e ->
         Atomic.incr t.checkpoint_failures;
         Error (Printexc.to_string e))
+
+let checkpoint_now t index = checkpoint_sync t (fun () -> frame (encode t index))
+
+let install t file =
+  checkpoint_sync t (fun () ->
+      { Index_serial.bytes = Bytes.unsafe_of_string file; off = 0; len = String.length file })
 
 let dir t = t.cfg.dir
 let wal_file ~dir ~seq = Filename.concat dir (wal_name seq)
@@ -432,23 +457,22 @@ let wal_position t =
   let bytes = Atomic.get t.wal_bytes_a in
   (seq, bytes)
 
-let read_file ?faults path = Faults.read_all faults path
-
-(* Newest checkpoint that actually parses, as raw snapshot bytes (for
-   replica bootstrap).  Racing the pruner just skips to an older one. *)
+(* Racing the pruner just skips to an older generation. *)
 let newest_checkpoint ~dir =
   let rec go = function
     | [] -> None
     | seq :: older -> (
       match
-        let s = read_file (Filename.concat dir (cp_name seq)) in
-        (match check_sidecar ~dir ~seq s with
-        | Ok _ -> ()
-        | Error reason -> failwith reason);
-        ignore (Index_serial.of_string s);
-        s
+        let file = Faults.read_all None (checkpoint_file ~dir ~seq) in
+        match body ~generation:(dir, seq) file with
+        | Error reason -> failwith reason
+        | Ok _ when String.starts_with ~prefix:magic file -> file
+        | Ok b ->
+          (* a checked pre-header generation ships with its header *)
+          let len = String.length b in
+          header ~crc:(Crc32.string b 0 len) ~len ^ b
       with
-      | s -> Some (seq, s)
+      | file -> Some (seq, file)
       | exception _ -> go older)
   in
   go (List.rev (checkpoint_seqs dir))

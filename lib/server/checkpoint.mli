@@ -2,17 +2,21 @@
 
     A data directory holds numbered generations:
     {v
-    checkpoint-<seq>.index   Index_serial snapshot (atomic tmp+rename)
-    checkpoint-<seq>.crc     "crc32 length" sidecar of the snapshot
+    checkpoint-<seq>.index   one header line, then the Index_serial document
     wal-<seq>.log            mutations applied after that snapshot
     v}
 
-    The sidecar exists because the text snapshot format has no
-    whole-file check of its own: a flipped digit can still parse.
-    Recovery and the scrubber reject a checkpoint whose sidecar
-    contradicts it; a checkpoint {e without} a sidecar (crash between
-    the two writes, or written before sidecars existed) is accepted
-    on parse alone.
+    The header line, [dkindex-checkpoint 1 <crc32: 8 hex> <length: 12
+    digits>], checks the document after it: the text format has no
+    whole-file check of its own (a flipped digit can still parse).
+    {!body} is the one reader; recovery, {!newest_checkpoint}, the
+    scrubber and a replica's snapshot install all go through it.  A
+    file without the header predates it: it is accepted if its
+    [checkpoint-<seq>.crc] sidecar ("crc32 length") matches, else if
+    it parses.  Nothing writes sidecars; pruning deletes old ones.
+    Header and document are one {!write_atomic} (the header fills the
+    encoder's front gap, {!Index_serial.front_room}), so a crash leaves
+    the whole file or a [.tmp] that {!start} sweeps, nothing between.
 
     The single mutator domain owns the log: it applies a mutation in
     memory, {!log_mutation}s it, and only then acknowledges.  When the
@@ -21,20 +25,19 @@
     ({!Index_serial.encode}: one pass into one buffer of its own),
     rotates to generation [seq+1], and queues that buffer slice on a
     {!Bqueue} for a background writer domain — the mutator never
-    blocks on checkpoint I/O.  The writer writes the slice and CRCs it
-    for the sidecar where the encoder left it: no copy of the
-    document is made after the encode.  {!close} closes that queue and joins the writer,
-    which first writes every snapshot still queued.  The
-    two newest checkpoint generations are kept; older files are
-    pruned only after a newer snapshot is durably renamed, so
-    {!recover} can always fall back one generation: newest valid
-    checkpoint ⊕ replay of every following WAL, with a torn or
-    corrupt tail treated as a clean truncation, never a crash.
+    blocks on checkpoint I/O.  The writer CRCs the slice, puts the
+    header in front and writes the file.  {!close} closes that queue
+    and joins the writer, which first writes every snapshot still
+    queued.  The two newest checkpoint generations are kept; older
+    files are pruned only after a newer snapshot is durably renamed,
+    so {!recover} can always fall back one generation: newest valid
+    checkpoint ⊕ replay of every following WAL, with a torn or corrupt
+    tail treated as a clean truncation, never a crash.
 
     {!start} begins by writing a fresh synchronous checkpoint of the
     index it is given, so a recovered state is made durable (and old
     generations prunable) before the server accepts traffic.  Every
-    durable launch pays that encode, write, CRC and fsync before it
+    durable launch pays that encode, CRC, write and fsync before it
     listens. *)
 
 open Dkindex_core
@@ -62,18 +65,19 @@ type recovery = {
   torn_bytes : int;  (** trailing bytes discarded from torn WAL tails *)
   fallback_checkpoints : int;  (** newer checkpoints skipped as corrupt *)
   replay_errors : int;  (** records that failed to re-apply (always 0 unless files were tampered mid-log) *)
-  load_ms : float;  (** reading, sidecar-checking and decoding checkpoints, fallbacks included *)
+  load_ms : float;  (** reading, checking and decoding checkpoints, fallbacks included *)
   replay_ms : float;  (** replaying the WAL chain on top of the loaded checkpoint *)
 }
 
 val recover : ?read_faults:Faults.t -> dir:string -> unit -> recovery
 (** Never raises on corrupt or torn files: it loads the newest
-    checkpoint that parses, replays the longest valid prefix of each
+    checkpoint that {!body} accepts and that decodes, replays the
+    longest valid prefix of each
     following WAL, and reports what it skipped.  A missing or empty
     directory yields [{ index = None; _ }].  [read_faults] filters
     every checkpoint and WAL read through {!Faults.read}: a flipped
-    bit lands in the snapshot decoder or the WAL CRC check (falling
-    back / truncating), short reads and EINTR storms are absorbed. *)
+    bit lands in the checkpoint or WAL CRC check (falling back /
+    truncating), short reads and EINTR storms are absorbed. *)
 
 val apply_mutation : Index_graph.t -> Wal.mutation -> Index_graph.t
 (** Apply one logged mutation (the same code path replay uses, shared
@@ -90,7 +94,7 @@ val start :
   ?wal_faults:Faults.t -> ?checkpoint_faults:Faults.t -> ?recovery:recovery ->
   config -> Index_graph.t -> t
 (** Write a fresh synchronous checkpoint of [index] at the next
-    generation (encoded once, written and CRC'd in place), open its
+    generation (encoded once, CRC'd and written in place), open its
     WAL, and spawn the background checkpoint writer.  [recovery] is carried into {!stats}.
     @raise Unix.Unix_error if the initial checkpoint cannot be
     written (a server that cannot persist at startup must not
@@ -108,6 +112,11 @@ val maybe_checkpoint : t -> Index_graph.t -> unit
 
 val checkpoint_now : t -> Index_graph.t -> (unit, string) result
 (** Synchronous rotate + snapshot (the [Snapshot] request). *)
+
+val install : t -> string -> (unit, string) result
+(** Synchronous rotate, writing checkpoint file [file] verbatim: a
+    replica keeps the file its primary shipped instead of re-encoding
+    what it decoded from it. *)
 
 val read_only : t -> bool
 val note_wal_failure : t -> string -> unit
@@ -146,8 +155,7 @@ val wal_file : dir:string -> seq:int -> string
 (** {1 Scrubber hooks} *)
 
 val checkpoint_file : dir:string -> seq:int -> string
-val crc_file : dir:string -> seq:int -> string
-(** Path of generation [seq]'s checkpoint / CRC sidecar. *)
+(** Path of generation [seq]'s checkpoint file. *)
 
 val checkpoint_seqs : string -> int list
 val wal_seqs : string -> int list
@@ -157,18 +165,20 @@ val seq_of : string -> prefix:string -> suffix:string -> int option
 (** The generation in a file name [<prefix><seq><suffix>], if the name
     has that shape. *)
 
-val check_sidecar : dir:string -> seq:int -> string -> (bool, string) result
-(** Validate snapshot bytes against their CRC sidecar: [Ok true] =
-    sidecar present and matching, [Ok false] = no sidecar,
-    [Error reason] = sidecar contradicts the payload. *)
+val body : ?generation:string * int -> string -> (string, string) result
+(** The {!Index_serial} document of checkpoint file contents [file],
+    if its header line matches it; [Error reason] otherwise.  With
+    [generation = (dir, seq)], where [file] was read from, a file
+    without the header gets the pre-header rule (sidecar, else parse);
+    without [generation] it is refused. *)
 
 val fsync_dir : string -> unit
 (** Best-effort directory fsync, making renames/unlinks durable. *)
 
 val newest_checkpoint : dir:string -> (int * string) option
-(** Newest checkpoint generation whose snapshot loads, as raw
-    [Index_serial] bytes (what a bootstrap ships to a replica).
-    [None] if no checkpoint parses. *)
+(** Newest checkpoint generation that {!body} accepts, as file bytes
+    with the header (a pre-header generation is given one): what a
+    bootstrap ships.  Nothing is decoded.  [None] if none checks. *)
 
 val close : t -> Index_graph.t -> (unit, string) result
 (** Final synchronous checkpoint (if the WAL holds records), then

@@ -33,6 +33,15 @@ let write faults fd b off len =
       let half = len / 2 in
       if half > 0 then ignore (Unix.write fd b off half);
       raise (Unix.Unix_error (Unix.EIO, "write", "injected short write"))
+    | Flip_bit_after_bytes thresh when (not t.tripped) && t.bytes + len > thresh ->
+      (* Corrupt a copy: the caller's buffer stays as it was. *)
+      let i = thresh - t.bytes in
+      let c = Bytes.sub b off len in
+      Bytes.set c i (Char.chr (Char.code (Bytes.get c i) lxor (1 lsl (thresh mod 8))));
+      let n = Unix.write fd c 0 len in
+      if n > i then t.tripped <- true;
+      t.bytes <- t.bytes + n;
+      n
     | Slow_write s ->
       Unix.sleepf s;
       let n = Unix.write fd b off len in

@@ -38,7 +38,8 @@ type spec =
   | Flip_bit_after_bytes of int
       (** flip bit [n mod 8] of the byte at cumulative read offset
           [n], once — a deterministic single-bit disk corruption that
-          the CRC/decoder validation paths must catch *)
+          the CRC/decoder validation paths must catch; on writes, a
+          link that flips the byte at written offset [n] *)
   | Eintr_reads of int
       (** the first [n] read calls raise [EINTR] — a signal storm
           during recovery; callers must retry, not truncate *)

@@ -129,7 +129,7 @@ let sender_loop hub sub start_seq start_off () =
     gen_fd := Some fd
   in
   let epoch () = Atomic.get hub.hepoch in
-  (* Snapshot bootstrap: ship the newest loadable checkpoint and
+  (* Snapshot bootstrap: ship the newest checkpoint file that checks and
      restart the stream at its generation. *)
   let bootstrap () =
     close_gen ();
@@ -138,8 +138,8 @@ let sender_loop hub sub start_seq start_off () =
       send_frame sub
         (Wire.Error_reply { code = `App; message = "primary has no loadable checkpoint" });
       raise Exit
-    | Some (seq, index) ->
-      send_frame sub (Wire.Rep_snapshot { epoch = epoch (); seq; index });
+    | Some (seq, checkpoint) ->
+      send_frame sub (Wire.Rep_snapshot { epoch = epoch (); seq; checkpoint });
       Atomic.incr sub.boots;
       Atomic.set sub.pos_seq seq;
       Atomic.set sub.pos_off 0;
@@ -323,7 +323,7 @@ let default_rconfig ~host ~port ~replica_id =
   }
 
 type event =
-  | Ev_snapshot of { index : string; epoch : int; seq : int }
+  | Ev_snapshot of { checkpoint : string; epoch : int; seq : int }
   | Ev_mutations of { muts : Wal.mutation list; epoch : int; seq : int; base : int; offset : int }
   | Ev_promote
 
@@ -345,6 +345,7 @@ type replica = {
   promoted : bool Atomic.t;
   rstop : bool Atomic.t;
   snapshots_installed : int Atomic.t;
+  snapshot_install_ms : float Atomic.t;
   records_applied : int Atomic.t;
   reconnects : int Atomic.t;
   (* Anti-entropy escape hatch: drop the stream and re-subscribe with
@@ -370,6 +371,7 @@ let create_replica rcfg ~epoch ~max_seen =
     promoted = Atomic.make false;
     rstop = Atomic.make false;
     snapshots_installed = Atomic.make 0;
+    snapshot_install_ms = Atomic.make 0.0;
     records_applied = Atomic.make 0;
     reconnects = Atomic.make 0;
     resync = Atomic.make false;
@@ -388,8 +390,9 @@ let note_applied r ~seq ~offset ~n =
   Atomic.set r.applied_off offset;
   if n > 0 then Atomic.set r.records_applied (Atomic.get r.records_applied + n)
 
-let note_installed r ~epoch ~seq =
+let note_installed r ~epoch ~seq ~ms =
   Atomic.incr r.snapshots_installed;
+  Atomic.set r.snapshot_install_ms ms;
   Atomic.set r.synced_epoch epoch;
   Atomic.set r.applied_seq seq;
   Atomic.set r.applied_off 0
@@ -513,12 +516,12 @@ let session r push fd =
       if epoch > Atomic.get r.rmax_seen then Atomic.set r.rmax_seen epoch;
       Atomic.set r.primary_seq seq;
       Atomic.set r.primary_off offset
-    | Wire.Rep_snapshot { epoch; seq; index } ->
+    | Wire.Rep_snapshot { epoch; seq; checkpoint } ->
       if epoch > Atomic.get r.rmax_seen then Atomic.set r.rmax_seen epoch;
       reset_at seq 0;
       Atomic.set r.recv_seq seq;
       Atomic.set r.recv_off 0;
-      push (Ev_snapshot { index; epoch; seq })
+      push (Ev_snapshot { checkpoint; epoch; seq })
     | Wire.Rep_records { epoch; seq; offset; data } ->
       if epoch > Atomic.get r.rmax_seen then Atomic.set r.rmax_seen epoch;
       (* Advance the known primary position from record frames too, not
@@ -654,6 +657,7 @@ let replica_stats r =
     ("replication_bytes_behind", string_of_int (bytes_behind r));
     ("replication_records_applied", string_of_int (Atomic.get r.records_applied));
     ("replication_snapshots_installed", string_of_int (Atomic.get r.snapshots_installed));
+    ("replication_snapshot_install_ms", Printf.sprintf "%.3f" (Atomic.get r.snapshot_install_ms));
     ("replication_reconnects", string_of_int (Atomic.get r.reconnects));
     ( "replication_contact_age_s",
       if lc = 0.0 then "inf" else Printf.sprintf "%.3f" (now () -. lc) );

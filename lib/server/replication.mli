@@ -84,9 +84,9 @@ val default_rconfig : host:string -> port:int -> replica_id:int -> rconfig
 
 (** Events handed to the server's mutator domain, in stream order. *)
 type event =
-  | Ev_snapshot of { index : string; epoch : int; seq : int }
-      (** install this {!Index_serial} document; the stream continues
-          from [(seq, 0)] *)
+  | Ev_snapshot of { checkpoint : string; epoch : int; seq : int }
+      (** check ({!Checkpoint.body}) and install this checkpoint file;
+          the stream continues from [(seq, 0)] *)
   | Ev_mutations of { muts : Wal.mutation list; epoch : int; seq : int; base : int; offset : int }
       (** complete WAL records decoded from bytes [[base, offset)] of
           generation [seq]; after a reconnect the same bytes can be
@@ -125,9 +125,9 @@ val note_applied : replica -> seq:int -> offset:int -> n:int -> unit
 val applied_position : replica -> int * int
 (** Last applied [(generation, offset)]; [(-1, 0)] before any sync. *)
 
-val note_installed : replica -> epoch:int -> seq:int -> unit
-(** Mutator bookkeeping: a snapshot of lineage [epoch] installed; the
-    applied position resets to [(seq, 0)]. *)
+val note_installed : replica -> epoch:int -> seq:int -> ms:float -> unit
+(** Mutator bookkeeping: a snapshot of lineage [epoch] installed in
+    [ms] (check, decode, install, write); applied position [(seq, 0)]. *)
 
 val stale : replica -> bool
 (** True when reads must be refused ([`Stale]): never synced, or the
@@ -143,4 +143,5 @@ val contact_age_s : replica -> float option
 val rconfig_of : replica -> rconfig
 val replica_stats : replica -> (string * string) list
 (** [replication_*] keys: connection, positions, bytes behind, records
-    applied, snapshots installed, reconnects, contact age, staleness. *)
+    applied, snapshots installed and the last one's install time,
+    reconnects, contact age, staleness. *)

@@ -1,5 +1,4 @@
 open Dkindex_graph
-open Dkindex_core
 
 type corrupt = {
   file : string;
@@ -46,16 +45,6 @@ let read_file th path =
 
 (* ------------------------------------------------------------------ *)
 (* Per-kind verification                                              *)
-
-let verify_checkpoint ~dir ~seq s =
-  match Checkpoint.check_sidecar ~dir ~seq s with
-  | Error reason -> Some reason
-  | Ok true -> None  (* bytes match the CRC written with them *)
-  | Ok false -> (
-    (* no sidecar: parse is the only check we have *)
-    match Index_serial.of_string s with
-    | _ -> None
-    | exception e -> Some ("unparsable snapshot: " ^ Printexc.to_string e))
 
 (* A torn tail that looks like a crashed append — fewer bytes than one
    record header, or a header whose record extends past EOF — is not
@@ -116,9 +105,9 @@ let scan ?(max_bytes_per_s = 0) ~dir () =
           incr scanned;
           match read_file th path with
           | s -> (
-            match verify_checkpoint ~dir ~seq s with
-            | Some reason -> note name (`Checkpoint seq) reason
-            | None -> ())
+            match Checkpoint.body ~generation:(dir, seq) s with
+            | Error reason -> note name (`Checkpoint seq) reason
+            | Ok _ -> ())
           | exception e -> note name (`Checkpoint seq) (Printexc.to_string e))
         | None -> (
           match Checkpoint.seq_of name ~prefix:"wal-" ~suffix:".log" with

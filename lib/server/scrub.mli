@@ -1,10 +1,11 @@
 (** Background verification of at-rest server state.
 
-    A scrub pass walks a data directory — checkpoint generations (with
-    their CRC sidecars), WAL segments, and any containers — reads every
-    file back at a bounded I/O rate, and re-checks the integrity
-    machinery that normally only runs at recovery time: sidecar CRCs,
-    snapshot parses, WAL record CRCs, container section CRCs.  Silent
+    A scrub pass walks a data directory — checkpoint generations, WAL
+    segments, and any containers — reads every file back at a bounded
+    I/O rate, and re-checks the integrity machinery that normally only
+    runs at recovery time: each checkpoint through {!Checkpoint.body}
+    (the CRC in its header line; a pre-header generation by the legacy
+    rule there), WAL record CRCs, container section CRCs.  Silent
     corruption is found while the good copies still exist, not at the
     next crash.
 

@@ -789,27 +789,29 @@ let apply_repl state scratch (ev : Replication.event) =
     match state.replica with
     | Some r when not (Replication.is_promoted r) -> ignore (do_promote state)
     | _ -> ())
-  | Replication.Ev_snapshot { index; epoch; seq } -> (
+  | Replication.Ev_snapshot { checkpoint; epoch; seq } -> (
     match state.replica with
     | Some r when not (Replication.is_promoted r) -> (
-      (* Decode once into the serving copy; the spare is copied from
-         it by the first mutation that needs one. *)
-      match Index_serial.of_string index with
-      | idx' ->
+      (* Check and decode once into the serving copy (the spare is
+         copied from it by the first mutation that needs one), then
+         keep the checked file itself as the next checkpoint. *)
+      let t0 = Unix.gettimeofday () in
+      match Result.map Index_serial.of_string (Checkpoint.body checkpoint) with
+      | Ok idx' ->
         Integrity.invalidate state.integrity;
         Integrity.attach state.integrity idx';
         install state idx';
         Integrity.commit state.integrity;
         Atomic.set state.digest_pos (seq, 0);
-        (match state.durability with
-        | Some d -> (
-          match Checkpoint.checkpoint_now d (serving_idx state) with Ok () | Error _ -> ())
-        | None -> ());
-        Replication.note_installed r ~epoch ~seq
-      | exception _ ->
-        (* A snapshot that does not parse leaves us behind; the next
-           reconnect bootstraps again. *)
-        Atomic.incr state.repl_apply_errors)
+        Option.iter
+          (fun d -> match Checkpoint.install d checkpoint with Ok () | Error _ -> ())
+          state.durability;
+        Replication.note_installed r ~epoch ~seq ~ms:((Unix.gettimeofday () -. t0) *. 1000.0)
+      | Error _ | (exception _) ->
+        (* A snapshot that fails its check or does not decode leaves
+           us behind: bootstrap again. *)
+        Atomic.incr state.repl_apply_errors;
+        Replication.force_resync r)
     | _ -> ())
   | Replication.Ev_mutations { muts; epoch = _; seq; base; offset } -> (
     match state.replica with

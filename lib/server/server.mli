@@ -98,8 +98,9 @@ type config = {
           and is {e not} refreshed by trickled bytes; <= 0 disables *)
   scrub_interval_s : float;
       (** background at-rest scrub cadence: every interval, the
-          integrity domain re-reads the data directory (checkpoints +
-          CRC sidecars, sealed WAL segments, containers) with {!Scrub},
+          integrity domain re-reads the data directory (checkpoint
+          files against their CRC header lines, sealed WAL segments,
+          containers) with {!Scrub},
           quarantines anything corrupt after re-checkpointing from the
           live index, and counts findings in
           [scrub_passes]/[scrub_corruptions_found].  Needs

@@ -1,6 +1,6 @@
 open Dkindex_pathexpr
 
-let version = 2
+let version = 3
 let max_frame_default = 16 * 1024 * 1024
 
 type query_flags = { no_cache : bool }
@@ -50,7 +50,7 @@ type response =
   | Read_only
   | Hello_reply of { version : int; epoch : int; role : role }
   | Rep_records of { epoch : int; seq : int; offset : int; data : string }
-  | Rep_snapshot of { epoch : int; seq : int; index : string }
+  | Rep_snapshot of { epoch : int; seq : int; checkpoint : string }
   | Rep_heartbeat of { epoch : int; seq : int; offset : int }
   | Not_primary of { host : string; port : int }
   | Fenced of { epoch : int }
@@ -478,10 +478,10 @@ let encode_response buf ~id resp =
         add_seq buf seq;
         add_u48 buf offset;
         add_str32 buf data
-      | Rep_snapshot { epoch; seq; index } ->
+      | Rep_snapshot { epoch; seq; checkpoint } ->
         add_u32 buf epoch;
         add_seq buf seq;
-        add_str32 buf index
+        add_str32 buf checkpoint
       | Rep_heartbeat { epoch; seq; offset } ->
         add_u32 buf epoch;
         add_seq buf seq;
@@ -550,8 +550,8 @@ let decode_response_at big ~pos ~len =
       | 0x8b ->
         let epoch = u32 c in
         let seq = seq32 c in
-        let index = str32 c in
-        Rep_snapshot { epoch; seq; index }
+        let checkpoint = str32 c in
+        Rep_snapshot { epoch; seq; checkpoint }
       | 0x8c ->
         let epoch = u32 c in
         let seq = seq32 c in
@@ -638,8 +638,8 @@ let encode_response_gather buf ~id resp =
         add_u32 buf epoch;
         add_seq buf seq;
         add_u48 buf offset)
-  | Rep_snapshot { epoch; seq; index } when String.length index >= gather_threshold ->
-    header index (fun () ->
+  | Rep_snapshot { epoch; seq; checkpoint } when String.length checkpoint >= gather_threshold ->
+    header checkpoint (fun () ->
         add_u32 buf epoch;
         add_seq buf seq)
   | _ ->

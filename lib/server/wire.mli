@@ -2,7 +2,7 @@
 
     {v
     frame   := u32_be payload_length, payload
-    payload := u8 version (= 2), u8 kind, u32_be request id, body
+    payload := u8 version (= 3), u8 kind, u32_be request id, body
     v}
 
     The payload length is bounded ({!max_frame_default}, configurable
@@ -121,10 +121,11 @@ type response =
           the in-generation byte offset {e after} [data].  Records may
           span chunks; the replica reassembles with {!Wal.replay_string}
           semantics. *)
-  | Rep_snapshot of { epoch : int; seq : int; index : string }
-      (** Snapshot bootstrap: a full {!Dkindex_index.Index_serial}
-          document; the stream continues from generation [seq],
-          offset 0. *)
+  | Rep_snapshot of { epoch : int; seq : int; checkpoint : string }
+      (** Snapshot bootstrap: the bytes of a checkpoint file, its CRC
+          header line and the full {!Dkindex_index.Index_serial}
+          document (see {!Checkpoint.body}); the stream continues from
+          generation [seq], offset 0. *)
   | Rep_heartbeat of { epoch : int; seq : int; offset : int }
       (** Primary liveness + current WAL position (lag measurement,
           failover-timeout reset). *)

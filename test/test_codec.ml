@@ -86,12 +86,52 @@ let golden_tests =
           (Index_serial.to_string (Index_serial.of_string Golden_inputs.v1_document)));
     test "committed checkpoint re-encodes byte for byte" (fun () ->
         let s = read_file (Checkpoint.checkpoint_file ~dir:fixture_dir ~seq:0) in
-        check_bool "sidecar matches" true
-          (Checkpoint.check_sidecar ~dir:fixture_dir ~seq:0 s = Ok true);
+        (* A pre-header generation: its sidecar checks it, and
+           contradicts a copy with one label letter changed, which
+           still parses. *)
+        check_bool "sidecar accepts it" true
+          (Checkpoint.body ~generation:(fixture_dir, 0) s = Ok s);
+        let flipped = Bytes.of_string s in
+        let i = String.index_from s (String.index s '\n') 'R' in
+        Bytes.set flipped i 'Q';
+        let flipped = Bytes.to_string flipped in
+        ignore (Index_serial.of_string flipped);
+        check_bool "sidecar refuses a parseable flip" true
+          (Result.is_error (Checkpoint.body ~generation:(fixture_dir, 0) flipped));
         check_string "fixture is the base index"
           (Index_serial.to_string (Golden_inputs.fixture_base ()))
           s;
         check_string "decode then encode" s (Index_serial.to_string (Index_serial.of_string s)));
+    test "a pre-header directory ships with a header and upgrades" (fun () ->
+        let fixture = read_file (Checkpoint.checkpoint_file ~dir:fixture_dir ~seq:0) in
+        (match Checkpoint.newest_checkpoint ~dir:fixture_dir with
+        | Some (0, file) ->
+          check_bool "shipped with a header over the same document" true
+            (Checkpoint.body file = Ok fixture)
+        | _ -> Alcotest.fail "no checkpoint to ship");
+        let dir = Filename.temp_file "dkcodec" "" in
+        Sys.remove dir;
+        Unix.mkdir dir 0o755;
+        Fun.protect ~finally:(fun () ->
+            Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+            Unix.rmdir dir)
+        @@ fun () ->
+        Array.iter
+          (fun n ->
+            Out_channel.with_open_bin (Filename.concat dir n) (fun oc ->
+                Out_channel.output_string oc (read_file (Filename.concat fixture_dir n))))
+          (Sys.readdir fixture_dir);
+        let r = Checkpoint.recover ~dir () in
+        let idx = Option.get r.Checkpoint.index in
+        let d = Checkpoint.start ~recovery:r (Checkpoint.default_config ~dir) idx in
+        (match Checkpoint.checkpoint_now d idx with Ok () -> () | Error e -> Alcotest.fail e);
+        (match Checkpoint.close d idx with Ok () -> () | Error e -> Alcotest.fail e);
+        check_bool "the sidecar went with its pruned generation" false
+          (Array.exists (fun n -> Filename.check_suffix n ".crc") (Sys.readdir dir));
+        let r' = Checkpoint.recover ~dir () in
+        check_int "recovered from a new generation" 2 r'.Checkpoint.checkpoint_seq;
+        check_string "same state" (Index_serial.to_string idx)
+          (Index_serial.to_string (Option.get r'.Checkpoint.index)));
     test "committed checkpoint directory recovers" (fun () ->
         let r = Checkpoint.recover ~dir:fixture_dir () in
         check_int "checkpoint generation" 0 r.Checkpoint.checkpoint_seq;

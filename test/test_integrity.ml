@@ -204,15 +204,13 @@ let test_scrub_pass () =
   Alcotest.(check int) "clean directory scans clean" 0 (List.length clean.Scrub.corrupt);
   Alcotest.(check bool) "files were scanned" true (clean.Scrub.files_scanned > 0);
   Alcotest.(check bool) "bytes were read" true (clean.Scrub.bytes_read > 0);
-  (* flip one bit in the newest checkpoint: the sidecar contradicts it *)
+  (* flip one bit in the newest checkpoint: its header's CRC contradicts it *)
   let cseq = List.fold_left max 0 (Checkpoint.checkpoint_seqs dir) in
   let cfile = Checkpoint.checkpoint_file ~dir ~seq:cseq in
   Faults.flip_bit_at_rest cfile ~off:(Faults.file_size cfile / 2) ~bit:0;
-  (match
-     Checkpoint.check_sidecar ~dir ~seq:cseq (Faults.read_all None cfile)
-   with
+  (match Checkpoint.body ~generation:(dir, cseq) (Faults.read_all None cfile) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "sidecar must contradict the flipped snapshot");
+  | Ok _ -> Alcotest.fail "the header must contradict the flipped snapshot");
   (* ... and recovery falls back a generation rather than loading it *)
   let r = Checkpoint.recover ~dir () in
   Alcotest.(check int) "recovery skipped the corrupt generation" 1

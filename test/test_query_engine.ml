@@ -166,50 +166,37 @@ let golden_pattern_tests =
 
 let batch_tests =
   [
-    test "eval_batch equals sequential eval_path for every domain count" (fun () ->
+    test "eval_batch equals sequential eval_path" (fun () ->
         let g = random_graph ~seed:841 ~nodes:200 in
         let queries = Query_gen.generate ~seed:842 ~count:60 g in
         let idx = Dk_index.build g ~reqs:(Dkindex_workload.Miner.mine g queries) in
         let sequential = List.map (fun q -> Query_eval.eval_path idx q) queries in
-        List.iter
-          (fun domains ->
-            let batch = Query_eval.eval_batch ~domains ~cache:false idx queries in
-            List.iteri
-              (fun i seq ->
-                let b = batch.(i) in
-                let tag = Printf.sprintf "d=%d q=%d" domains i in
-                check_int_list tag seq.Query_eval.nodes b.Query_eval.nodes;
-                check_int (tag ^ " candidates") seq.Query_eval.n_candidates
-                  b.Query_eval.n_candidates;
-                check_int (tag ^ " certain") seq.Query_eval.n_certain b.Query_eval.n_certain;
-                (* cache:false: even the per-query cost counters agree *)
-                check_int (tag ^ " index visits")
-                  seq.Query_eval.cost.Cost.index_visits b.Query_eval.cost.Cost.index_visits;
-                check_int (tag ^ " data visits") seq.Query_eval.cost.Cost.data_visits
-                  b.Query_eval.cost.Cost.data_visits)
-              sequential)
-          [ 1; 2; 4 ]);
+        let batch = Query_eval.eval_batch ~cache:false idx queries in
+        List.iteri
+          (fun i seq ->
+            let b = batch.(i) in
+            let tag = Printf.sprintf "q=%d" i in
+            check_int_list tag seq.Query_eval.nodes b.Query_eval.nodes;
+            check_int (tag ^ " candidates") seq.Query_eval.n_candidates
+              b.Query_eval.n_candidates;
+            check_int (tag ^ " certain") seq.Query_eval.n_certain b.Query_eval.n_certain;
+            (* cache:false: even the per-query cost counters agree *)
+            check_int (tag ^ " index visits")
+              seq.Query_eval.cost.Cost.index_visits b.Query_eval.cost.Cost.index_visits;
+            check_int (tag ^ " data visits") seq.Query_eval.cost.Cost.data_visits
+              b.Query_eval.cost.Cost.data_visits)
+          sequential);
     test "eval_batch answers are identical with and without caching" (fun () ->
         let g = Dkindex_datagen.Xmark.graph ~seed:843 ~scale:10 () in
         let queries = Query_gen.generate ~seed:844 ~count:50 g in
         let idx = Label_split.build g in
-        let cached = Query_eval.eval_batch ~domains:2 ~cache:true idx queries in
-        let uncached = Query_eval.eval_batch ~domains:2 ~cache:false idx queries in
+        let cached = Query_eval.eval_batch ~cache:true idx queries in
+        let uncached = Query_eval.eval_batch ~cache:false idx queries in
         Array.iteri
           (fun i r ->
             check_int_list (Printf.sprintf "q=%d" i) uncached.(i).Query_eval.nodes
               r.Query_eval.nodes)
           cached);
-    test "merge_costs totals are domain-independent with cache off" (fun () ->
-        let g = random_graph ~seed:845 ~nodes:120 in
-        let queries = Query_gen.generate ~seed:846 ~count:30 g in
-        let idx = Label_split.build g in
-        let total d =
-          Cost.total (Query_eval.merge_costs (Query_eval.eval_batch ~domains:d ~cache:false idx queries))
-        in
-        let t1 = total 1 in
-        check_int "d=2" t1 (total 2);
-        check_int "d=4" t1 (total 4));
   ]
 
 let cache_tests =

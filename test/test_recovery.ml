@@ -11,7 +11,9 @@
    - Fault injection: WAL write failure degrades the server to
      read-only (typed Read_only reply, reads keep working); a crash
      mid-checkpoint-write leaves only an ignorable .tmp; a corrupt
-     newest checkpoint falls back one generation; a torn WAL tail is
+     newest checkpoint falls back one generation, also when the
+     corruption still parses (the checkpoint's own CRC line refuses
+     it, no sidecar needed); a torn WAL tail is
      truncated, never fatal; an unwritable final snapshot at shutdown
      exits nonzero after socket cleanup.
    - Background checkpoints: closing the manager writes every snapshot
@@ -97,7 +99,7 @@ let eval_all idx =
   let interned =
     List.map (fun labels -> Array.of_list (List.map (Label.Pool.intern pool) labels)) queries
   in
-  Query_eval.eval_batch ~domains:1 ~strategy:`Forward ~cache:false idx interned
+  Query_eval.eval_batch ~strategy:`Forward ~cache:false idx interned
 
 let check_same_answers ~what a b =
   Array.iteri
@@ -341,9 +343,9 @@ let test_shutdown_enospc_exits_nonzero () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let pid, port =
-    (* Each checkpoint is two faulted writes (.index then its .crc
-       sidecar), so write 3 is the shutdown checkpoint's snapshot. *)
-    fork_server ~cp_fault_spec:(Faults.Fail_nth_write 3) ~dir ~sync:(Wal.Interval 64)
+    (* Each checkpoint is one faulted write (header and snapshot in
+       one file), so write 2 is the shutdown checkpoint. *)
+    fork_server ~cp_fault_spec:(Faults.Fail_nth_write 2) ~dir ~sync:(Wal.Interval 64)
       ~checkpoint_records:1000 ()
   in
   let c = Client.connect ~port () in
@@ -369,15 +371,11 @@ let test_crash_during_checkpoint () =
   (match Unix.fork () with
   | 0 ->
     let idx = build_base () in
-    let s0 = Index_serial.to_string idx in
-    let cp_bytes = String.length s0 in
-    (* The initial checkpoint writes the snapshot plus its CRC
-       sidecar; the crash must land inside the *second* snapshot. *)
-    let sidecar_bytes =
-      String.length
-        (Printf.sprintf "%d %d\n" (Dkindex_graph.Crc32.string s0 0 cp_bytes) cp_bytes)
-    in
-    let faults = Faults.create (Faults.Crash_after_bytes (cp_bytes + sidecar_bytes + 7)) in
+    (* The initial checkpoint file is the fixed-width header line and
+       the snapshot; the crash must land inside the *second* file. *)
+    let header_bytes = String.length (Printf.sprintf "dkindex-checkpoint 1 %08x %012d\n" 0 0) in
+    let cp_bytes = String.length (Index_serial.to_string idx) in
+    let faults = Faults.create (Faults.Crash_after_bytes (header_bytes + cp_bytes + 7)) in
     let cfg = { (Checkpoint.default_config ~dir) with checkpoint_records = 1000 } in
     let d = Checkpoint.start ~checkpoint_faults:faults cfg idx in
     let idx =
@@ -487,6 +485,77 @@ let test_corrupt_checkpoint_fallback () =
     (r3.Checkpoint.index = None);
   Alcotest.(check int) "both skipped" 2 r3.Checkpoint.fallback_checkpoints
 
+(* A corrupted newest checkpoint that still parses, and no sidecar in
+   the directory: one digit of the partition changed so that the
+   document decodes to an index answering differently.  Only the
+   checkpoint's own CRC can catch it; recovery must refuse it, fall
+   back one generation and replay to the oracle's state. *)
+let test_parseable_flip_falls_back () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let stream = make_stream ~seed:19 ~count:10 in
+  let cfg = { (Checkpoint.default_config ~dir) with checkpoint_records = 1000 } in
+  let d = Checkpoint.start cfg (build_base ()) in
+  let idx =
+    List.fold_left
+      (fun idx m ->
+        let idx' = Checkpoint.apply_mutation idx m in
+        Checkpoint.log_mutation d m;
+        idx')
+      (build_base ()) stream
+  in
+  (match Checkpoint.checkpoint_now d idx with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("checkpoint failed: " ^ e));
+  (match Checkpoint.close d idx with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("close failed: " ^ e));
+  let want = eval_all (List.fold_left Checkpoint.apply_mutation (build_base ()) stream) in
+  let seqs = Checkpoint.checkpoint_seqs dir in
+  Alcotest.(check int) "two generations" 2 (List.length seqs);
+  let path = Checkpoint.checkpoint_file ~dir ~seq:(List.fold_left max 0 seqs) in
+  let file = In_channel.with_open_bin path In_channel.input_all in
+  let find sub from =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length file then Alcotest.fail ("no " ^ String.escaped sub)
+      else if String.equal (String.sub file i n) sub then i
+      else go (i + 1)
+    in
+    go from
+  in
+  let doc = find "dkindex-index" 0 in
+  let answers f = eval_all (Index_serial.of_string (String.sub f doc (String.length f - doc))) in
+  (* The first single-digit change in the class lines that still
+     decodes and changes an answer or its cost. *)
+  let rec flip i =
+    if i >= String.length file then Alcotest.fail "no parseable flip changes an answer"
+    else
+      let c = file.[i] in
+      let tried =
+        if c < '0' || c > '9' then None
+        else
+          List.find_map
+            (fun d ->
+              let b = Bytes.of_string file in
+              Bytes.set b i d;
+              let f = Bytes.to_string b in
+              match answers f with
+              | got when got <> want -> Some f
+              | _ | (exception _) -> None)
+            (List.filter (( <> ) c) [ '0'; '1'; '2'; '3'; '4'; '5'; '6'; '7'; '8'; '9' ])
+      in
+      match tried with Some f -> f | None -> flip (i + 1)
+  in
+  let flipped = flip (find "\ncls\n" doc + 5) in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc flipped);
+  Sys.readdir dir
+  |> Array.iter (fun n -> if Filename.check_suffix n ".crc" then Sys.remove (Filename.concat dir n));
+  let r = Checkpoint.recover ~dir () in
+  Alcotest.(check int) "refused the flipped generation" 1 r.Checkpoint.fallback_checkpoints;
+  check_same_answers ~what:"recovery past a parseable flip" want
+    (eval_all (Option.get r.Checkpoint.index))
+
 (* The background checkpoint writer drains on close: with a rotation
    every two records and slowed checkpoint writes, snapshots are still
    queued when [close] is called, and it returns only after every one
@@ -589,6 +658,8 @@ let () =
             test_crash_during_checkpoint;
           Alcotest.test_case "corrupt checkpoints fall back; torn tails truncate" `Quick
             test_corrupt_checkpoint_fallback;
+          Alcotest.test_case "a parseable flip is refused without a sidecar" `Quick
+            test_parseable_flip_falls_back;
           Alcotest.test_case "close drains every queued background checkpoint" `Quick
             test_close_drains_queued_checkpoints;
         ] );

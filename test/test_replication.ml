@@ -20,7 +20,9 @@
      (split-brain) fences the deposed primary — its writes are refused
      with Fenced, and a cluster client routes around it.
    - bootstrap: a replica joining after the primary pruned its early
-     WAL generations catches up via snapshot transfer.
+     WAL generations catches up via snapshot transfer; a snapshot
+     flipped on the link is refused and fetched again, and the one
+     installed is kept byte for byte as the replica's checkpoint.
    - torn streams: a replication link that tears mid-frame makes the
      replica reconnect and still converge.
    - auto-promotion: with --auto-promote, a replica whose primary goes
@@ -113,7 +115,7 @@ let eval_all idx =
   let interned =
     List.map (fun labels -> Array.of_list (List.map (Label.Pool.intern pool) labels)) queries
   in
-  Query_eval.eval_batch ~domains:1 ~strategy:`Forward ~cache:false idx interned
+  Query_eval.eval_batch ~strategy:`Forward ~cache:false idx interned
 
 (* Every query answered by [c] must match the oracle bit-for-bit,
    validation costs included. *)
@@ -522,6 +524,61 @@ let test_bootstrap_after_prune () =
   shutdown cp ppid;
   pids := []
 
+(* A bootstrap ships the primary's checkpoint file, which the replica
+   checks, installs and keeps byte for byte as its own newest
+   checkpoint.  The first replication link flips one bit inside that
+   payload: the replica must refuse it (an apply error), bootstrap
+   again, and converge. *)
+let test_bootstrap_checks_and_keeps_file () =
+  let dir_p = temp_dir () and dir_r = temp_dir () in
+  let pids = ref [] in
+  Fun.protect ~finally:(fun () ->
+      List.iter kill_quiet !pids;
+      rm_rf dir_p;
+      rm_rf dir_r)
+  @@ fun () ->
+  (* A fresh subscriber's first frame is the snapshot; byte 1000 of
+     the link lies inside its checkpoint payload. *)
+  let hub_faults =
+    let attaches = Atomic.make 0 in
+    fun (_ : int) ->
+      if Atomic.fetch_and_add attaches 1 = 0 then
+        Some (Faults.create (Faults.Flip_bit_after_bytes 1000))
+      else None
+  in
+  let ppid, pport = fork_server ~dir:dir_p ~hub_faults ~hub_heartbeat_s:0.05 () in
+  pids := [ ppid ];
+  let stream = make_stream ~seed:81 ~count:12 in
+  let cp = Client.connect ~port:pport () in
+  send_stream cp stream;
+  (* The newest checkpoint now holds every write: it is what each
+     bootstrap ships, and no record follows it. *)
+  (match Client.call cp Wire.Snapshot with
+  | Wire.Ok_reply _ -> ()
+  | _ -> Alcotest.fail "primary refused the snapshot request");
+  let rpid, rport =
+    fork_server ~dir:dir_r ~empty:true ~replica_of:(rconfig ~port:pport ()) ()
+  in
+  pids := [ ppid; rpid ];
+  let cr = Client.connect ~port:rport () in
+  let kvs = wait_replica_applied ~what:"bootstrap after a refused snapshot" cp cr in
+  Alcotest.(check bool) "the flipped snapshot was refused" true
+    (int_of_string (stat kvs "repl_apply_errors") >= 1);
+  Alcotest.(check string) "one snapshot installed" "1" (stat kvs "replication_snapshots_installed");
+  Alcotest.(check bool) "install timed" true
+    (float_of_string (stat kvs "replication_snapshot_install_ms") > 0.0);
+  check_serves_oracle ~what:"replica after a refused snapshot" cr (oracle_after stream);
+  let newest dir =
+    let seq = List.fold_left max 0 (Checkpoint.checkpoint_seqs dir) in
+    In_channel.with_open_bin (Checkpoint.checkpoint_file ~dir ~seq) In_channel.input_all
+  in
+  Alcotest.(check bool) "replica's newest checkpoint is the shipped file" true
+    (String.equal (newest dir_p) (newest dir_r));
+  shutdown cr rpid;
+  pids := [ ppid ];
+  shutdown cp ppid;
+  pids := []
+
 (* ----------------------------------------------------------------- *)
 (* Torn replication streams: reconnect and converge *)
 
@@ -619,6 +676,8 @@ let () =
             test_fencing_deposed_primary;
           Alcotest.test_case "late replica bootstraps over a pruned WAL" `Quick
             test_bootstrap_after_prune;
+          Alcotest.test_case "bootstrap refuses a flipped snapshot, keeps the shipped file" `Quick
+            test_bootstrap_checks_and_keeps_file;
           Alcotest.test_case "torn streams reconnect and still converge" `Quick
             test_torn_stream_reconnects;
           Alcotest.test_case "auto-promotion after heartbeat silence" `Quick

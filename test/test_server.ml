@@ -142,7 +142,7 @@ let response_gen : Wire.response QCheck.Gen.t =
         (pair seq_gen offset48_gen)
         (string_size (int_bound 80));
       map3
-        (fun epoch seq index -> Wire.Rep_snapshot { epoch; seq; index })
+        (fun epoch seq checkpoint -> Wire.Rep_snapshot { epoch; seq; checkpoint })
         (int_bound 1_000_000) seq_gen
         (string_size (int_bound 80));
       map3
