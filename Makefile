@@ -39,7 +39,7 @@ dkbench-ab:
 
 # Serve the pinned XMark dataset over TCP (dkserve protocol, DESIGN.md 9).
 serve:
-	dune exec dkindex-server -- --xmark 40 --port 7411 --workers 2 --snapshot auction.index
+	dune exec dkindex-server -- --xmark 40 --port 7411 --snapshot auction.index
 
 # Drive a running server: throughput + latency percentiles.
 loadgen:

@@ -221,15 +221,15 @@ let server_stats ~host ~port () =
       | Wire.Stats_reply kvs -> kvs
       | _ -> failwith "stats: unexpected response kind")
 
-(* The post-run health summary: load shedding, queue pressure, and —
+(* The post-run health summary: load shedding, write-queue pressure, and —
    when the server is part of a replica set — how far behind each
    replica is. *)
 let print_stats_summary kvs =
   let get k = List.assoc_opt k kvs in
   let getd k = Option.value (get k) ~default:"0" in
-  Printf.printf "server: shed %s  deadline_expired %s  queue r/w %s/%s (cap %s)  in_flight %s\n"
-    (getd "shed") (getd "deadline_expired") (getd "read_queue_depth") (getd "write_queue_depth")
-    (getd "queue_capacity") (getd "in_flight");
+  Printf.printf "server: shed %s  deadline_expired %s  write queue %s (cap %s)  in_flight %s\n"
+    (getd "shed") (getd "deadline_expired") (getd "write_queue_depth") (getd "queue_capacity")
+    (getd "in_flight");
   Printf.printf
     "server: uptime %s s  evicted_slow_clients %s  rejected_at_admission %s\n"
     (getd "uptime_s") (getd "evicted_slow_clients") (getd "rejected_at_admission");

@@ -32,7 +32,12 @@ let load_arg =
     & info [ "load" ] ~docv:"FILE" ~doc:"Serve a saved index snapshot instead of --xmark")
 
 let workers_arg =
-  Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N" ~doc:"Query worker domains")
+  Arg.(
+    value & opt int 1
+    & info [ "workers" ] ~docv:"1"
+        ~doc:
+          "Accepted for compatibility and must be 1: every read is answered on the event loop \
+           and every write by the one mutator, so there are no query worker domains")
 
 let queue_arg =
   Arg.(value & opt int 256 & info [ "queue-depth" ] ~docv:"N" ~doc:"Bound before shedding")
@@ -171,6 +176,9 @@ let serve host port xmark seed load workers queue_depth deadline idle snapshot d
     checkpoint_every replicate_from replica_id auto_promote failover_timeout staleness_bound
     heartbeat max_conns read_progress_deadline scrub_interval scrub_rate anti_entropy_interval =
   let fatal fmt = Printf.ksprintf (fun m -> prerr_endline ("dkindex-server: " ^ m); exit 1) fmt in
+  if workers <> 1 then
+    fatal "--workers %d: must be 1 (every read is answered on the event loop; no worker domains)"
+      workers;
   let sync =
     match Wal.sync_policy_of_string sync with Ok s -> s | Error msg -> fatal "%s" msg
   in
@@ -242,7 +250,6 @@ let serve host port xmark seed load workers queue_depth deadline idle snapshot d
     {
       Server.host;
       port;
-      workers;
       queue_depth;
       deadline_s = deadline;
       idle_timeout_s = idle;

@@ -72,7 +72,7 @@ let eval_path_backward t path ~cost =
   List.filter (fun id -> matches id (m - 1)) targets
 
 (* Scratch for [eval_path_forward], reused across calls (domain-local,
-   so batch worker domains cannot race).  The stamp array is never
+   so evaluations on different domains cannot race).  The stamp array is never
    cleared: each call claims a fresh band of stamp values above [gen],
    so stale marks from earlier calls can never collide. *)
 type scratch = {

@@ -35,8 +35,8 @@ let eval_nfa g nfa ~cost =
 
 (* Scratch for [eval_label_path], reused across calls so a query that
    touches a handful of nodes does not pay three O(n) array allocations.
-   Domain-local, so concurrent evaluation from worker domains (the batch
-   driver) cannot race.  The stamp array is never cleared: each call
+   Domain-local, so evaluations running on different domains cannot
+   race.  The stamp array is never cleared: each call
    claims a fresh band of stamp values above [gen], so stale entries
    from earlier calls (all <= gen) can never collide. *)
 type scratch = {

@@ -1,8 +1,8 @@
 (** Bounded multi-producer/multi-consumer FIFO queue over
     [Mutex]/[Condition] (domain-safe in OCaml 5).
 
-    dkserve's one work-queue implementation: the server's read and
-    write queues, the replies of jobs run on the mutator, and the
+    dkserve's one work-queue implementation: the server's write
+    queue, the replies of jobs run on the mutator, and the
     {!Checkpoint} background writer all use it.  Closing is how a
     consumer is stopped: {!pop} hands out every element admitted
     before {!close} and only then returns [None], so "close, then join

@@ -72,7 +72,6 @@ type t = {
   breaker : breaker;
   mutable fd : Unix.file_descr option;
   mutable next_id : int;
-  mutable n_reconnects : int;
   (* Version/epoch negotiation: every new connection starts with a
      Hello carrying the highest epoch this client has observed. *)
   mutable hello_epoch : int;  (* what we will claim on the next dial *)
@@ -198,9 +197,7 @@ let ensure t =
       | exception Unix.Unix_error (e, _, _) ->
         retry_or (Printf.sprintf "connect %s:%d: %s" t.host t.port (Unix.error_message e))
     in
-    let fd = go 1 in
-    t.n_reconnects <- t.n_reconnects + 1;
-    fd
+    go 1
 
 let set_epoch t e =
   if e > t.hello_epoch then t.hello_epoch <- e;
@@ -229,7 +226,6 @@ let connect ?(host = "127.0.0.1") ?(attempts = 1) ?(retries = 0) ?(timeout_s = 0
       breaker = breaker_make ~threshold:breaker_threshold ~cooldown_s:breaker_cooldown_s;
       fd = None;
       next_id = 1;
-      n_reconnects = 0;
       hello_epoch = max 0 epoch;
       helloed_epoch = -1;
       server_epoch = 0;
@@ -239,11 +235,9 @@ let connect ?(host = "127.0.0.1") ?(attempts = 1) ?(retries = 0) ?(timeout_s = 0
   (try ignore (ensure t) with
   | Conn_failure msg -> raise (Error (Retryable msg))
   | Proto_failure msg -> raise (Error (Fatal msg)));
-  t.n_reconnects <- 0;
   t
 
 let close = drop
-let reconnects t = t.n_reconnects
 
 let idempotent = function
   | Wire.Ping | Wire.Query _ | Wire.Query_path _ | Wire.Batch_query _ | Wire.Stats
@@ -319,7 +313,6 @@ type cluster = {
       (* per-endpoint, deliberately outside the member connection so
          breaker state survives drop_member + redial *)
   mutable crr : int;  (* round-robin read cursor *)
-  mutable clast : int;  (* member that served the last response; -1 before any *)
   mutable cprimary : int option;
   mutable cepoch : int;  (* highest epoch observed anywhere *)
   cattempts : int;
@@ -374,7 +367,6 @@ let cluster_connect ?(attempts = 1) ?(retries = 0) ?(timeout_s = 0.0) ?(seed = 0
         Array.init (List.length endpoints) (fun _ ->
             breaker_make ~threshold:breaker_threshold ~cooldown_s:breaker_cooldown_s);
       crr = 0;
-      clast = -1;
       cprimary = None;
       cepoch = 0;
       cattempts = max 1 attempts;
@@ -423,7 +415,6 @@ let cluster_read cl req =
           | resp ->
             breaker_success cl.cbreakers.(i);
             cl.crr <- next;
-            cl.clast <- i;
             resp
           | exception Error ((Retryable _ | Fatal _) as e) ->
             breaker_failure cl.cbreakers.(i);
@@ -469,7 +460,6 @@ let cluster_write cl req =
             breaker_success cl.cbreakers.(i);
             bump_epoch cl epoch;
             cl.cprimary <- Some i;
-            cl.clast <- i;
             resp
           | Wire.Fenced { epoch } ->
             (* [epoch] is the highest the fenced primary has observed,
@@ -488,7 +478,6 @@ let cluster_write cl req =
             (* Shutting_down, Read_only, app errors ... the caller's
                problem, not a routing problem. *)
             breaker_success cl.cbreakers.(i);
-            cl.clast <- i;
             resp
           | exception Error ((Retryable _ | Fatal _) as e) ->
             breaker_failure cl.cbreakers.(i);
@@ -501,10 +490,3 @@ let cluster_write cl req =
 
 let cluster_call cl req = if idempotent req then cluster_read cl req else cluster_write cl req
 
-let cluster_last_endpoint cl = cl.clast
-
-let cluster_circuit_open_count cl =
-  Array.fold_left (fun acc br -> acc + br.opens) 0 cl.cbreakers
-  + Array.fold_left
-      (fun acc m -> match m with Some c -> acc + c.breaker.opens | None -> acc)
-      0 cl.cmembers

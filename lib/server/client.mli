@@ -62,8 +62,6 @@ val connect :
     @raise Error when the initial connect exhausts [attempts]. *)
 
 val close : t -> unit
-val reconnects : t -> int
-(** Successful re-dials performed after the initial connect. *)
 
 val set_epoch : t -> int -> unit
 (** Raise the epoch this client claims in its Hello.  If the current
@@ -78,8 +76,11 @@ val server_role : t -> Wire.role option
 (** Role from the last Hello exchange ([None] before any). *)
 
 val call : t -> Wire.request -> Wire.response
-(** Send, then receive until the matching id comes back (out-of-order
-    responses to earlier pipelined requests are discarded).  Heals per
+(** Send, then receive until the matching id comes back (responses to
+    earlier pipelined requests are discarded).  A server answers a
+    connection's reads in send order and its writes in send order, but
+    a read sent behind a write can be answered before the write is
+    acknowledged, so pipelined replies correlate by id.  Heals per
     the policy above.  @raise Error when healing is exhausted (reads)
     or not permitted (writes, protocol errors), or fast when the
     circuit breaker is open. *)
@@ -156,12 +157,3 @@ val cluster_epoch : cluster -> int
 val cluster_primary : cluster -> (string * int) option
 (** Current believed primary endpoint, if any. *)
 
-val cluster_last_endpoint : cluster -> int
-(** Index (into the [endpoints] list) of the member that served the
-    last successful response, or -1 before any.  History recording
-    uses this to attribute a read to a server, since snapshot
-    generations are only comparable within one server process. *)
-
-val cluster_circuit_open_count : cluster -> int
-(** Total circuit-breaker opens across all endpoints (per-endpoint
-    breakers plus any member-level ones). *)

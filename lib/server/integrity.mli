@@ -84,7 +84,8 @@ val commit : t -> unit
 val refresh : t -> Index_graph.t -> digests
 (** Digests of [idx], recomputing only dirty ranges/buckets.  Safe to
     call from any domain (internally locked) as long as [idx] is a
-    read-stable snapshot (the caller holds a reader slot).  [idx] must
+    read-stable snapshot (the server calls it on the mutator, between
+    writes).  [idx] must
     reflect every committed mark. *)
 
 val compute_full : Index_graph.t -> digests

@@ -270,9 +270,6 @@ let hub_subs hub =
   Mutex.unlock hub.hmu;
   subs
 
-let hub_lag_bytes hub =
-  List.fold_left (fun acc s -> max acc (sub_lag hub s)) 0 (hub_subs hub)
-
 let hub_stats hub =
   let subs = hub_subs hub in
   let live = List.filter (fun s -> Atomic.get s.alive) subs in

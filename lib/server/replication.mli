@@ -57,9 +57,6 @@ val hub_stats : hub -> (string * string) list
 (** [replicas_connected] plus, per live replica,
     [replica.<id>.{epoch,wal_seq,wal_offset,bytes_behind,bootstraps}]. *)
 
-val hub_lag_bytes : hub -> int
-(** Max [bytes_behind] across live subscribers (0 when none). *)
-
 val stop_hub : hub -> unit
 (** Shut every subscriber socket and join the sender domains. *)
 

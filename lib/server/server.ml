@@ -7,7 +7,6 @@ module Planner = Dkindex_planner.Planner
 type config = {
   host : string;
   port : int;
-  workers : int;
   queue_depth : int;
   deadline_s : float;
   idle_timeout_s : float;
@@ -31,7 +30,6 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 7411;
-    workers = 2;
     queue_depth = 256;
     deadline_s = 10.0;
     idle_timeout_s = 60.0;
@@ -45,14 +43,15 @@ let default_config =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Connections.  The main domain owns the read side (buffer, frame
-   extraction) and is the only closer of the file descriptor; any
-   domain may write a response under [wmu].  [closed] is flipped under
-   [wmu] before the descriptor is closed, so a writer holding [wmu]
-   can never race a close into a reused descriptor.  [wbuf] is the
-   shared frame-encoding buffer, also guarded by [wmu]: responses are
-   encoded straight into it (no per-reply [Buffer.to_bytes]) and the
-   main domain batches several inline replies into one write. *)
+(* Connections.  The event-loop domain owns the read side (buffer,
+   frame extraction) and is the only closer of the file descriptor; it
+   and the mutator write responses under [wmu].  [closed] is flipped
+   under [wmu] before the descriptor is closed, so a writer holding
+   [wmu] can never race a close into a reused descriptor.  [wbuf] is
+   the shared frame-encoding buffer, also guarded by [wmu]: responses
+   are encoded straight into it (no per-reply [Buffer.to_bytes]) and
+   the event loop batches the read replies of a frame batch into one
+   write. *)
 
 type conn = {
   fd : Unix.file_descr;
@@ -87,7 +86,7 @@ type wjob = Wreq of pending | Wrepl of Replication.event | Wrun of (unit -> unit
    mutator maintains two physical copies of the index ("left-right"):
    it mutates the spare copy, publishes it with a single atomic swap,
    and catches the retired copy up before the next write — after
-   waiting for every reader slot to have moved past the retired
+   waiting for the reader slot to have moved past the retired
    generation.  The spare is copied from the serving index by the
    first write that needs one ([catch_up]).  Readers therefore never
    take a lock and never observe a half-applied mutation. *)
@@ -112,10 +111,9 @@ let stage launch st f =
 type state = {
   cfg : config;
   serving : snap Atomic.t;
-  slots : int Atomic.t array;
-      (* one per reader domain (slot 0 = the event-loop domain's
-         inline reader): -1 when idle, else the generation being
-         read *)
+  slot : int Atomic.t;
+      (* the reader slot of the event loop, which answers every read:
+         -1 when idle, else the generation being read *)
   mutable spare : Index_graph.t option;
       (* mutator-owned back copy; [None] until a mutation needs one,
          and again after a failed application left it suspect: copy the
@@ -127,7 +125,6 @@ type state = {
   mutable wake : unit -> unit;  (* nudges the event loop (self-pipe) *)
   mutable evloop_backend : string;
   durability : Checkpoint.t option;
-  readq : pending Bqueue.t;
   writeq : wjob Bqueue.t;
   in_flight : int Atomic.t;
   stop : bool Atomic.t;
@@ -162,15 +159,13 @@ type state = {
   scrub_corruptions : int Atomic.t;
   replica_divergences : int Atomic.t;  (* each one healed by one resync *)
   anti_entropy_rounds : int Atomic.t;
-  (* planner / statistics observability *)
-  vcache_mu : Mutex.t;
-  mutable vcaches : Validation_cache.t list;
-      (* the validation caches readers hold, for the aggregate
-         hit/miss/eviction counters in Stats *)
+  (* Reader state, touched only by the event loop (see [reader_cache]) *)
+  mutable caches : Validation_cache.t list;  (* newest first, <= 2 *)
+  mutable planners : (Validation_cache.t option * Planner.t) list;
+      (* (the cache it scans through, planner), newest first, <= 4 *)
   mutable vcache_retired : int * int * int;
-      (* hits, misses and evictions of the caches readers dropped, so
-         the exported counters never decrease *)
-  stats_mu : Mutex.t;
+      (* hits, misses and evictions of the caches the reader dropped,
+         so the exported counters never decrease *)
   mutable stats_srcs : Index_stats.source list;
       (* generation-gated Index_stats per physical copy (<= 2 live) *)
   planned : int Atomic.t;
@@ -181,51 +176,47 @@ type state = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot acquisition (readers) and the swap/grace protocol
-   (mutator).  A reader publishes the generation it is about to read,
-   then re-checks the serving pointer: if a swap raced in between it
-   retries, so once the loop exits the mutator is guaranteed to see
-   either the published (current) generation or a later one in the
-   slot.  The mutator's grace wait only blocks on slots still
-   publishing a generation {e older} than the current one — i.e. on
-   requests that were already in flight on the retired copy. *)
+(* Snapshot acquisition (the reader) and the swap/grace protocol
+   (mutator).  The reader publishes the generation it is about to
+   read, then re-checks the serving pointer: if a swap raced in
+   between it retries, so once the loop exits the mutator is
+   guaranteed to see either the published (current) generation or a
+   later one in the slot.  The mutator's grace wait only blocks while
+   the slot still publishes a generation {e older} than the current
+   one — i.e. on a read that was already in flight on the retired
+   copy. *)
 
-let snap_acquire state slot =
+let snap_acquire state =
   let rec go () =
     let s = Atomic.get state.serving in
-    Atomic.set slot s.gen;
+    Atomic.set state.slot s.gen;
     if (Atomic.get state.serving).gen = s.gen then s
     else begin
-      Atomic.set slot (-1);
+      Atomic.set state.slot (-1);
       go ()
     end
   in
   go ()
 
-let snap_release slot = Atomic.set slot (-1)
+let with_snapshot state f =
+  let s = snap_acquire state in
+  Fun.protect ~finally:(fun () -> Atomic.set state.slot (-1)) (fun () -> f s)
 
-let with_snapshot state slot f =
-  let s = snap_acquire state slot in
-  Fun.protect ~finally:(fun () -> snap_release slot) (fun () -> f s)
-
-(* Mutator-side: wait until no reader is still on a generation older
-   than [gen].  Bounded by the duration of the in-flight requests that
+(* Mutator-side: wait until the reader is no longer on a generation
+   older than [gen].  Bounded by the duration of the read that
    acquired before the last swap (the same wait a writer-priority
    rw-lock would impose), but paid before the {e next} mutation
    rather than on the acknowledgement path. *)
 let wait_readers state gen =
-  Array.iter
-    (fun slot ->
-      let spins = ref 0 in
-      let busy () =
-        let v = Atomic.get slot in
-        v >= 0 && v < gen
-      in
-      while busy () do
-        incr spins;
-        if !spins < 200 then Domain.cpu_relax () else Unix.sleepf 0.0002
-      done)
-    state.slots
+  let spins = ref 0 in
+  let busy () =
+    let v = Atomic.get state.slot in
+    v >= 0 && v < gen
+  in
+  while busy () do
+    incr spins;
+    if !spins < 200 then Domain.cpu_relax () else Unix.sleepf 0.0002
+  done
 
 (* The spare, up to date with the serving content.  Called by the
    mutator before every mutation; the grace wait happens here, off the
@@ -292,12 +283,12 @@ let install state serving =
 (* ------------------------------------------------------------------ *)
 (* Response writing.  All replies are encoded into the connection's
    [wbuf] under [wmu] and flushed from its backing bytes directly —
-   no intermediate copy.  Workers and the mutator flush immediately;
-   the main domain's inline fast path batches every reply of a frame
-   batch and flushes once ([flush_replies]), so a pipelined client
-   costs one [write] per batch instead of one per request.  Sockets are
-   non-blocking: [Faults.write_all] waits out a full send buffer and
-   gives up on a peer stalled for 30 s, which closes the connection. *)
+   no intermediate copy.  The mutator flushes immediately; the event
+   loop buffers every reply of a frame batch and flushes once
+   ([flush_responses]), so a pipelined client costs one [write] per
+   batch instead of one per request.  Sockets are non-blocking:
+   [Faults.write_all] waits out a full send buffer and gives up on a
+   peer stalled for 30 s, which closes the connection. *)
 
 (* Must be called with [conn.wmu] held. *)
 let flush_locked conn =
@@ -314,7 +305,7 @@ let send_response conn ~id resp =
     flush_locked conn
   end
 
-(* Main-domain fast path: append without flushing. *)
+(* Event-loop replies: append without flushing. *)
 let buffer_response conn ~id resp =
   Mutex.lock conn.wmu;
   Fun.protect ~finally:(fun () -> Mutex.unlock conn.wmu) @@ fun () ->
@@ -326,8 +317,7 @@ let flush_responses conn =
   flush_locked conn
 
 (* ------------------------------------------------------------------ *)
-(* Query evaluation (shared by the worker domains and the main
-   domain's inline fast path) *)
+(* Query evaluation, on the event loop *)
 
 let empty_result =
   { Query_eval.nodes = []; cost = { Cost.index_visits = 0; data_visits = 0 }; n_candidates = 0; n_certain = 0 }
@@ -343,49 +333,31 @@ let wire_result ~gen ~age_ms (r : Query_eval.result) : Wire.query_result =
     age_ms;
   }
 
-(* Per-reader state: validation caches plus cost-based planners.  The
-   serving snapshot alternates between the two physical copies as
-   writes land, so each reader keeps one cache per copy — two live
-   entries keyed by physical identity; a third copy (a spare rebuilt
-   after a failed write, a snapshot install) drops the older entry.
+(* The reader's state: validation caches plus cost-based planners,
+   all owned by the event loop (Stats is answered there too, so none
+   of it needs a lock).  The serving snapshot alternates between the
+   two physical copies as writes land, so the reader keeps one cache
+   per copy — two live entries keyed by physical identity; a third
+   copy (a spare rebuilt after a failed write, a snapshot install)
+   drops the older entry, whose counters move into the retired totals.
    Planners come in a cached and an uncached flavor so Query_planned
    honors the [no_cache] flag; a cached planner is keyed by its cache,
    so one whose cache was dropped is never used again. *)
-type reader = {
-  caches : Validation_cache.t list ref;
-  planners : (Validation_cache.t option * Planner.t) list ref;
-      (* (the cache it scans through, planner) *)
-}
-
-let new_reader () = { caches = ref []; planners = ref [] }
-
-let reader_cache state rd idx =
-  match List.find_opt (fun c -> Validation_cache.index c == idx) !(rd.caches) with
+let reader_cache state idx =
+  match List.find_opt (fun c -> Validation_cache.index c == idx) state.caches with
   | Some c -> c
   | None ->
     let c = Validation_cache.create idx in
-    let dropped =
-      match !(rd.caches) with
-      | prev :: dropped ->
-        rd.caches := [ c; prev ];
+    (match state.caches with
+    | prev :: dropped ->
+      state.caches <- [ c; prev ];
+      List.iter
+        (fun d ->
+          let h, m = Validation_cache.stats d in
+          let rh, rm, re = state.vcache_retired in
+          state.vcache_retired <- (rh + h, rm + m, re + Validation_cache.evictions d))
         dropped
-      | [] ->
-        rd.caches := [ c ];
-        []
-    in
-    (* Register for the aggregate vcache_* stats, and retire the
-       dropped cache in the same critical section: its counters move
-       into the retired totals as it leaves the list, so a concurrent
-       Stats never sees them twice or not at all. *)
-    Mutex.lock state.vcache_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock state.vcache_mu) (fun () ->
-        List.iter
-          (fun d ->
-            let h, m = Validation_cache.stats d in
-            let rh, rm, re = state.vcache_retired in
-            state.vcache_retired <- (rh + h, rm + m, re + Validation_cache.evictions d))
-          dropped;
-        state.vcaches <- c :: List.filter (fun x -> not (List.memq x dropped)) state.vcaches);
+    | [] -> state.caches <- [ c ]);
     c
 
 (* The server-side planner per snapshot: the serving index (named
@@ -393,22 +365,22 @@ let reader_cache state rd idx =
    job is per-query routing between the index scan and the raw
    fallback, priced from the live catalog (generation-gated, so update
    churn refreshes it). *)
-let reader_planner state rd ~use_cache idx =
-  let cache = if use_cache then Some (reader_cache state rd idx) else None in
+let reader_planner state ~use_cache idx =
+  let cache = if use_cache then Some (reader_cache state idx) else None in
   let matches (c, pl) =
     match (c, cache) with
     | Some c, Some want -> c == want
     | None, None -> ( match Planner.index pl with Some i -> i == idx | None -> false)
     | Some _, None | None, Some _ -> false
   in
-  match List.find_opt matches !(rd.planners) with
+  match List.find_opt matches state.planners with
   | Some (_, pl) -> pl
   | None ->
     let pl = Planner.create (Index_graph.data idx) in
     Planner.register pl ~name:"index" ?cache idx;
     (* cap at 4 live planners: {cached, uncached} x {two copies} *)
-    rd.planners :=
-      (cache, pl) :: (match !(rd.planners) with a :: b :: c :: _ -> [ a; b; c ] | l -> l);
+    state.planners <-
+      (cache, pl) :: (match state.planners with a :: b :: c :: _ -> [ a; b; c ] | l -> l);
     pl
 
 let eval_labels ?cache idx labels =
@@ -422,8 +394,6 @@ let eval_labels ?cache idx labels =
    instead of sweeping every live index node.  Sources are keyed by
    physical copy like the reader caches. *)
 let stats_source state idx =
-  Mutex.lock state.stats_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock state.stats_mu) @@ fun () ->
   match
     List.find_opt (fun s -> Index_stats.source_index s == idx) state.stats_srcs
   with
@@ -437,11 +407,9 @@ let stats_source state idx =
     s
 
 let vcache_kvs state =
-  Mutex.lock state.vcache_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock state.vcache_mu) @@ fun () ->
   let rh, rm, re = state.vcache_retired in
   let hits = ref rh and misses = ref rm and entries = ref 0 and evictions = ref re in
-  let caches = state.vcaches in
+  let caches = state.caches in
   List.iter
     (fun c ->
       let h, m = Validation_cache.stats c in
@@ -473,11 +441,9 @@ let stats_kvs state idx =
     ("shed", string_of_int (Atomic.get state.shed));
     ("protocol_errors", string_of_int (Atomic.get state.proto_errors));
     ("deadline_expired", string_of_int (Atomic.get state.deadline_expired));
-    ("read_queue_depth", string_of_int (Bqueue.length state.readq));
     ("write_queue_depth", string_of_int (Bqueue.length state.writeq));
     ("queue_capacity", string_of_int state.cfg.queue_depth);
     ("in_flight", string_of_int (Atomic.get state.in_flight));
-    ("workers", string_of_int state.cfg.workers);
     ("evloop_backend", state.evloop_backend);
     ("snapshot_swaps", string_of_int (Atomic.get state.swaps));
     ("spare_copies", string_of_int (Atomic.get state.spare_copies));
@@ -523,9 +489,9 @@ let read_age_ms state =
     | Some a -> int_of_float (a *. 1000.0)
     | None -> 0xffffffff)
 
-let handle_read state (snap : snap) rd req : Wire.response =
+let handle_read state (snap : snap) req : Wire.response =
   let idx = snap.idx in
-  let cache flags = if flags.Wire.no_cache then None else Some (reader_cache state rd idx) in
+  let cache flags = if flags.Wire.no_cache then None else Some (reader_cache state idx) in
   let wire_result r = wire_result ~gen:snap.gen ~age_ms:(read_age_ms state) r in
   match req with
   | Wire.Ping -> Wire.Pong
@@ -551,7 +517,7 @@ let handle_read state (snap : snap) rd req : Wire.response =
     Wire.Batch_result
       (Array.of_list (List.map (fun p -> wire_result (eval_labels ?cache idx p)) paths))
   | Wire.Query_planned { flags; expr } ->
-    let pl = reader_planner state rd ~use_cache:(not flags.Wire.no_cache) idx in
+    let pl = reader_planner state ~use_cache:(not flags.Wire.no_cache) idx in
     let fb0 = Planner.fallbacks pl in
     let plan, r = Planner.eval_planned pl expr in
     Atomic.incr state.planned;
@@ -562,17 +528,10 @@ let handle_read state (snap : snap) rd req : Wire.response =
     if fell > 0 then ignore (Atomic.fetch_and_add state.plan_fallbacks fell);
     Wire.Planned_result { plan = Plan.describe plan; result = wire_result r }
   | Wire.Explain { expr } ->
-    let pl = reader_planner state rd ~use_cache:true idx in
+    let pl = reader_planner state ~use_cache:true idx in
     Atomic.incr state.explains;
     Wire.Explain_reply (Planner.explain pl expr)
   | _ -> Wire.Error_reply { code = `Protocol; message = "write request on read path" }
-
-let expired state p =
-  state.cfg.deadline_s > 0.0 && Unix.gettimeofday () -. p.arrival > state.cfg.deadline_s
-
-let deadline_reply state =
-  Atomic.incr state.deadline_expired;
-  Wire.Error_reply { code = `Deadline; message = "deadline exceeded" }
 
 (* Ping and Stats stay answerable on a stale replica (they are how an
    operator finds out it is stale); queries are refused. *)
@@ -583,29 +542,6 @@ let stale_read state req =
     | Wire.Ping | Wire.Stats -> false
     | _ -> Replication.stale r)
   | None -> false
-
-let worker_loop state slot () =
-  let rd = new_reader () in
-  let rec go () =
-    match Bqueue.pop state.readq with
-    | None -> ()
-    | Some p ->
-      (if not p.conn.closed then
-         let resp =
-           if expired state p then deadline_reply state
-           else if stale_read state p.req then
-             Wire.Error_reply { code = `Stale; message = "replica outside staleness bound" }
-           else
-             try
-               with_snapshot state slot (fun snap -> handle_read state snap rd p.req)
-             with e -> Wire.Error_reply { code = `App; message = Printexc.to_string e }
-         in
-         send_response p.conn ~id:p.id resp;
-         Atomic.incr state.served);
-      Atomic.decr state.in_flight;
-      go ()
-  in
-  go ()
 
 (* ------------------------------------------------------------------ *)
 (* The mutator: all updates, applied in FIFO order to the spare copy
@@ -858,6 +794,15 @@ let apply_repl state scratch (ev : Replication.event) =
       end
     | _ -> ())
 
+(* A write that waited in the queue past [deadline_s] is answered
+   [`Deadline] instead of being applied. *)
+let expired state p =
+  state.cfg.deadline_s > 0.0 && Unix.gettimeofday () -. p.arrival > state.cfg.deadline_s
+
+let deadline_reply state =
+  Atomic.incr state.deadline_expired;
+  Wire.Error_reply { code = `Deadline; message = "deadline exceeded" }
+
 let mutator_loop state () =
   let scratch = Buffer.create 256 in
   let rec go () =
@@ -986,7 +931,7 @@ let integrity_loop state () =
 
 (* ------------------------------------------------------------------ *)
 (* Main loop: accept, buffered reads, in-place frame extraction,
-   inline reads, routing. *)
+   reads answered in place, writes routed to the mutator. *)
 
 let be32 b off =
   (Char.code (Bytes.get b off) lsl 24)
@@ -1002,22 +947,20 @@ let observe_epoch state e =
   if e > Atomic.get state.epoch && Atomic.get state.is_primary then
     Atomic.set state.fenced true
 
-(* Route one decoded request.  Single-shot reads (Ping, Query,
-   Query_path, Stats) are answered inline by the event-loop domain
-   against the lock-free snapshot: they are cheap, and skipping the
-   queue handoff removes two cross-domain wakeups from the common
-   path.  Their replies are buffered on the connection and flushed
-   once per frame batch.  Batch queries (arbitrarily large) go to the
-   worker domains; writes go to the mutator. *)
-let dispatch state ~slot ~reader conn ~id (req : Wire.request) =
+(* Route one decoded request.  Every read is answered by the event-loop
+   domain against the lock-free snapshot, with no queue handoff and no
+   cross-domain wakeup; its reply is buffered on the connection and
+   flushed once per frame batch, so a connection's reads are answered
+   in send order.  Writes go to the mutator. *)
+let dispatch state conn ~id (req : Wire.request) =
   if Atomic.get state.stop then
     buffer_response conn ~id
       (Wire.Error_reply { code = `Shutting_down; message = "server shutting down" })
   else begin
     match req with
-    (* Answered inline by the main domain: version negotiation must
-       precede everything and never queue, and a subscribe converts
-       the connection into a replication stream. *)
+    (* Version negotiation must precede everything and never queue,
+       and a subscribe converts the connection into a replication
+       stream. *)
     | Wire.Hello { version = v; epoch = e } ->
       observe_epoch state e;
       if v <> Wire.version then
@@ -1054,13 +997,13 @@ let dispatch state ~slot ~reader conn ~id (req : Wire.request) =
           flush_responses conn;
           conn.detached <- true;
           Replication.attach hub ~fd:conn.fd ~replica_id ~seq ~offset)
-    | Wire.Ping | Wire.Query _ | Wire.Query_path _ | Wire.Stats | Wire.Query_planned _
-    | Wire.Explain _ | Wire.Has_edge _ ->
+    | Wire.Ping | Wire.Query _ | Wire.Query_path _ | Wire.Batch_query _ | Wire.Stats
+    | Wire.Query_planned _ | Wire.Explain _ | Wire.Has_edge _ ->
       let resp =
         if stale_read state req then
           Wire.Error_reply { code = `Stale; message = "replica outside staleness bound" }
         else
-          try with_snapshot state slot (fun snap -> handle_read state snap reader req)
+          try with_snapshot state (fun snap -> handle_read state snap req)
           with e -> Wire.Error_reply { code = `App; message = Printexc.to_string e }
       in
       buffer_response conn ~id resp;
@@ -1069,12 +1012,7 @@ let dispatch state ~slot ~reader conn ~id (req : Wire.request) =
     | _ ->
       let p = { conn; id; req; arrival = Unix.gettimeofday () } in
       Atomic.incr state.in_flight;
-      let pushed =
-        match req with
-        | Wire.Batch_query _ -> Bqueue.try_push state.readq p
-        | _ -> Bqueue.try_push state.writeq (Wreq p)
-      in
-      if not pushed then begin
+      if not (Bqueue.try_push state.writeq (Wreq p)) then begin
         Atomic.decr state.in_flight;
         Atomic.incr state.shed;
         buffer_response conn ~id Wire.Overloaded
@@ -1093,12 +1031,11 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
   let max_seen = Atomic.make epoch0 in
   let mk_hub d = Replication.create_hub ?faults_for:hub_faults ?heartbeat_s:hub_heartbeat_s ~epoch d in
   let replica = Option.map (fun rc -> Replication.create_replica rc ~epoch ~max_seen) replica_of in
-  let n_workers = max 1 cfg.workers in
   let state =
     {
       cfg;
       serving = Atomic.make { idx = index; gen = 0 };
-      slots = Array.init (n_workers + 1) (fun _ -> Atomic.make (-1));
+      slot = Atomic.make (-1);
       spare = None;
       lag = [];
       swaps = Atomic.make 0;
@@ -1106,7 +1043,6 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
       wake = (fun () -> ());
       evloop_backend = "";
       durability;
-      readq = Bqueue.create cfg.queue_depth;
       writeq = Bqueue.create cfg.queue_depth;
       in_flight = Atomic.make 0;
       stop = Atomic.make false;
@@ -1140,10 +1076,9 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
       scrub_corruptions = Atomic.make 0;
       replica_divergences = Atomic.make 0;
       anti_entropy_rounds = Atomic.make 0;
-      vcache_mu = Mutex.create ();
-      vcaches = [];
+      caches = [];
+      planners = [];
       vcache_retired = (0, 0, 0);
-      stats_mu = Mutex.create ();
       stats_srcs = [];
       planned = Atomic.make 0;
       planned_index_scans = Atomic.make 0;
@@ -1190,9 +1125,6 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
     | ADDR_INET (_, p) -> p
     | _ -> assert false
   in
-  let workers =
-    Array.init n_workers (fun i -> Domain.spawn (worker_loop state state.slots.(i + 1)))
-  in
   let mutator = Domain.spawn (mutator_loop state) in
   let integrity_domain =
     if
@@ -1207,8 +1139,6 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
     (fun r -> Replication.start_replica r ~push:(fun ev -> Bqueue.push state.writeq (Wrepl ev)))
     replica;
   on_ready port;
-  let main_slot = state.slots.(0) in
-  let main_reader = new_reader () in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let close_conn conn =
     Mutex.lock conn.wmu;
@@ -1285,7 +1215,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
           | Error msg ->
             Atomic.incr state.proto_errors;
             buffer_response conn ~id:0 (Wire.Error_reply { code = `Protocol; message = msg })
-          | Ok { id; msg = req } -> dispatch state ~slot:main_slot ~reader:main_reader conn ~id req);
+          | Ok { id; msg = req } -> dispatch state conn ~id req);
           go (off + 4 + len)
         end
         else off
@@ -1404,13 +1334,11 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   (* Drain by closing: the producers go first — the tailer, then the
      integrity domain, whose [on_mutator] jobs must still be admitted —
-     then both queues close, and each consumer answers everything
+     then the write queue closes, and the mutator answers everything
      already admitted before its [pop] returns [None]. *)
   Option.iter Replication.stop_replica state.replica;
   Option.iter Domain.join integrity_domain;
-  Bqueue.close state.readq;
   Bqueue.close state.writeq;
-  Array.iter Domain.join workers;
   Domain.join mutator;
   Option.iter Replication.stop_hub (Atomic.get state.hub);
   (* Sockets go first: a failing final snapshot (disk full, say) must

@@ -1,19 +1,20 @@
 (** dkserve: the concurrent D(k)-index query/update server.
 
-    Threading model ("one mutator, N workers, lock-free reads"):
+    Threading model ("one reader, one mutator, lock-free reads"):
     - the {e main} domain runs an {!Evloop} (poll/epoll readiness
       loop, not a fixed select tick): it accepts, accumulates bytes,
       decodes frames in place from the connection buffer, answers
-      cheap reads (ping, query, query-path, stats) {e inline}, and
-      routes batch queries and mutations to two bounded queues;
-    - [workers] query domains drain the read queue; each evaluates
-      against an immutable {e serving snapshot} of the index, with a
-      per-domain {!Dkindex_core.Validation_cache};
+      {e every} read (ping, query, query-path, batch query, planned
+      query, explain, has-edge, stats) itself against an immutable
+      {e serving snapshot} of the index, with one
+      {!Dkindex_core.Validation_cache} per physical copy, and routes
+      mutations to the bounded write queue;
     - one {e mutator} domain drains the write queue in FIFO order and
       applies each update to a private spare copy of the index, then
       publishes it ({!Dkindex_core.Index_graph.prepare_serving} first,
       one atomic store after) and replays the delta onto the retired
-      copy once in-flight readers have drained (left-right scheme).
+      copy once the reader has left it (left-right scheme, one reader
+      slot).
       The spare is built ({!Dkindex_core.Index_graph.copy} of the
       serving index) by the first mutation that needs one — after
       launch, after a replica's snapshot install, and after a failed
@@ -23,34 +24,33 @@
       and checkpoint jobs (closures) all reach the index through it,
       so nothing else needs a lock.
 
-    Readers therefore never block and never take a lock: acquiring
-    the snapshot is an atomic load plus a generation-stamped slot
-    store, and a query admitted before a mutation completes on the
-    pre-mutation snapshot.
+    Reads therefore never block and never take a lock: acquiring the
+    snapshot is an atomic load plus a generation-stamped slot store,
+    and a query started before a mutation is published completes on
+    the pre-mutation snapshot.
 
-    Responses are written by whichever domain handled the request,
-    under a per-connection mutex, and carry the request id.  Because
-    the inline fast path answers ahead of queued work, a pipelining
-    client {e will} see responses out of order (a ping can overtake an
-    earlier batch query); the id is the authoritative correlation.
-    Requests on the {e same} queue (all mutations; all batch queries)
-    keep their submission order.
+    Responses carry the request id and are written under a
+    per-connection mutex, by the event loop (reads: buffered, one
+    write per frame batch) or the mutator (writes).  A connection's
+    reads are answered in send order, as are its writes; a read sent
+    after a write may be answered before the write is acknowledged,
+    so a pipelining client correlates by id.
 
     Overload and failure semantics:
-    - a full queue sheds the request with {!Wire.Overloaded};
-    - a request older than [deadline_s] at dequeue time is answered
-      with [`Deadline] instead of being evaluated;
+    - a full write queue sheds the write with {!Wire.Overloaded};
+    - a write older than [deadline_s] when the mutator dequeues it is
+      answered with [`Deadline] instead of being applied;
     - a malformed payload in a well-formed frame gets [`Protocol] and
       the connection survives; an oversized frame closes it;
     - connections idle longer than [idle_timeout_s] are closed;
     - SIGTERM/SIGINT (or a {!Wire.Shutdown} request) starts a graceful
       drain: stop accepting and reading, stop the replica tailer and
-      the integrity domain, then close the read and write queues and
-      join their consumers — a closed queue still hands out everything
-      admitted before it closed, so every in-flight request is
-      answered.  Then close every connection and write a final
-      snapshot/checkpoint — a failure there (disk full, say) is
-      reported as [Error _], never raised through the drain.
+      the integrity domain, then close the write queue and join the
+      mutator — a closed queue still hands out everything admitted
+      before it closed, so every in-flight write is answered.  Then
+      close every connection and write a final snapshot/checkpoint —
+      a failure there (disk full, say) is reported as [Error _], never
+      raised through the drain.
 
     Durability: pass [?durability] (a running {!Checkpoint.t}) and the
     mutator logs every applied mutation to the write-ahead log before
@@ -80,9 +80,8 @@ open Dkindex_core
 type config = {
   host : string;
   port : int;  (** 0 picks an ephemeral port (reported via [on_ready]) *)
-  workers : int;  (** query worker domains, >= 1 *)
-  queue_depth : int;  (** per-queue bound before shedding *)
-  deadline_s : float;  (** per-request deadline; <= 0 disables *)
+  queue_depth : int;  (** write-queue bound before shedding *)
+  deadline_s : float;  (** how long a write may wait in the queue; <= 0 disables *)
   idle_timeout_s : float;  (** idle-connection close; <= 0 disables *)
   max_frame : int;
   snapshot_path : string option;  (** for {!Wire.Snapshot} and the final drain *)
@@ -121,7 +120,7 @@ type config = {
 }
 
 val default_config : config
-(** 127.0.0.1:7411, 2 workers, depth 256, 10 s deadline, 60 s idle,
+(** 127.0.0.1:7411, depth 256, 10 s deadline, 60 s idle,
     {!Wire.max_frame_default}, no snapshot path, no connection budget,
     no read-progress deadline, no scrubbing, no anti-entropy. *)
 

@@ -44,7 +44,16 @@ let v1_as_v2 =
   "dkindex-index 2\ncounts 4 4 3\ngraph 68\ndkindex-graph 2\nnodes 4\nROOT\na\nb\na\nedges 4\n\
    0 1\n0 3\n1 2\n3 2\nvalues 0\ncls\n0\n1\n2\n1\nclasses 3\n-1 -1\n1 2\n0 0\n"
 
-let fixture_dir = "golden"
+(* The committed checkpoint directory test/golden, found from the
+   executable rather than the working directory: [dune runtest] copies
+   it beside the executable, and otherwise the source copy is three
+   levels up from _build/default/test. *)
+let fixture_dir =
+  let here = Filename.dirname Sys.executable_name in
+  let beside = Filename.concat here "golden" in
+  if Sys.file_exists beside then beside
+  else List.fold_left Filename.concat here [ ".."; ".."; ".."; "test"; "golden" ]
+
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let golden_tests =

@@ -154,7 +154,7 @@ let fork_server ?wal_fault_spec ?cp_fault_spec ~dir ~sync ~checkpoint_records ()
               let line = string_of_int port ^ "\n" in
               ignore (Unix.write_substring w line 0 (String.length line));
               Unix.close w)
-            { Server.default_config with port = 0; workers = 1; deadline_s = 0.0 }
+            { Server.default_config with port = 0; deadline_s = 0.0 }
             index
         with
         | Ok () -> 0

@@ -180,7 +180,7 @@ let fork_server ?(sync = Wal.Always) ?(checkpoint_records = 1000) ?replica_of ?(
               let line = string_of_int port ^ "\n" in
               ignore (Unix.write_substring w line 0 (String.length line));
               Unix.close w)
-            { Server.default_config with port = 0; workers = 1; deadline_s = 0.0 }
+            { Server.default_config with port = 0; deadline_s = 0.0 }
             index
         with
         | Ok () -> 0

@@ -538,7 +538,6 @@ let test_smoke () =
             {
               Server.default_config with
               port = 0;
-              workers = 2;
               queue_depth = 64;
               idle_timeout_s = 30.0;
               snapshot_path = Some snapshot;
@@ -658,7 +657,7 @@ let test_smoke_protocol_errors () =
               let line = string_of_int port ^ "\n" in
               ignore (Unix.write_substring w line 0 (String.length line));
               Unix.close w)
-            { Server.default_config with port = 0; workers = 1; max_frame = 4096 }
+            { Server.default_config with port = 0; max_frame = 4096 }
             idx
         with
         | Ok () -> 0
@@ -791,178 +790,9 @@ let test_bqueue_sheds_at_capacity () =
   | None -> ()
   | Some _ -> Alcotest.fail "closed+empty must pop None"
 
-(* Deadline expiry: with one worker, a long batch plugs the read
-   queue; a second batch pipelined behind it is older than the
-   deadline by the time the worker dequeues it and must be answered
-   `Deadline (never silently dropped).  If scheduling is so slow that
-   the plug itself expires, the victim — enqueued in the same burst —
-   has aged just as much, so the assertion holds on either path.  A
-   Ping pipelined behind both is served inline off the event loop: it
-   overtakes the queued batches entirely (no head-of-line blocking)
-   and is matched to its request by frame id. *)
-let test_deadline_expiry () =
-  let _g, idx = build_smoke_dataset () in
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close r;
-    let status =
-      try
-        match
-          Server.run
-            ~on_ready:(fun port ->
-              let line = string_of_int port ^ "\n" in
-              ignore (Unix.write_substring w line 0 (String.length line));
-              Unix.close w)
-            { Server.default_config with port = 0; workers = 1; deadline_s = 0.02 }
-            idx
-        with
-        | Ok () -> 0
-        | Error _ -> 1
-      with _ -> 1
-    in
-    Unix._exit status
-  | pid ->
-    Unix.close w;
-    let port = read_port_line r in
-    Unix.close r;
-    let c = Client.connect ~port () in
-    let plug_path = [ "l1"; "l2"; "l3"; "l4" ] in
-    let batch n =
-      Wire.Batch_query { flags = { no_cache = true }; paths = List.init n (fun _ -> plug_path) }
-    in
-    let plug_id = Client.send c (batch 8000) in
-    let victim_id = Client.send c (batch 4) in
-    let ping_id = Client.send c Wire.Ping in
-    (* The inline fast path answers the Ping immediately, ahead of the
-       queued batches. *)
-    let r1 = Client.recv c in
-    Alcotest.(check int) "inline Ping overtakes the queued batches" ping_id r1.Wire.id;
-    (match r1.Wire.msg with Wire.Pong -> () | _ -> Alcotest.fail "expected Pong");
-    let r2 = Client.recv c in
-    let r3 = Client.recv c in
-    Alcotest.(check (list int)) "worker replies keep queue order" [ plug_id; victim_id ]
-      [ r2.Wire.id; r3.Wire.id ];
-    let deadline_hits = ref 0 in
-    let handle = function
-      | Wire.Error_reply { code = `Deadline; _ } -> incr deadline_hits
-      | Wire.Batch_result _ -> ()
-      | _ -> Alcotest.fail "unexpected response kind"
-    in
-    handle r2.Wire.msg;
-    handle r3.Wire.msg;
-    (match r3.Wire.msg with
-    | Wire.Error_reply { code = `Deadline; _ } -> ()
-    | _ -> Alcotest.fail "the queued second batch must expire");
-    (match Client.call c Wire.Stats with
-    | Wire.Stats_reply kvs ->
-      let expired =
-        int_of_string (Option.value (List.assoc_opt "deadline_expired" kvs) ~default:"0")
-      in
-      Alcotest.(check bool) "stats count the expiries" true (expired >= !deadline_hits)
-    | _ -> Alcotest.fail "expected Stats_reply");
-    (match Client.call c Wire.Shutdown with
-    | Wire.Ok_reply _ -> ()
-    | _ -> Alcotest.fail "expected Ok_reply for Shutdown");
-    let _, status = Unix.waitpid [] pid in
-    Client.close c;
-    Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
-
-(* Pipelining over a real socket: one connection, many requests in
-   flight.  Codifies the response-ordering contract that
-   dkindex-loadgen --pipeline relies on: inline-served requests (Ping,
-   Query, Query_path, Stats) are answered in send order relative to
-   each other, queued Batch_query work may be overtaken by later
-   inline requests, and every reply carries its request's frame id —
-   a pipelining client correlates by id, never by arrival order. *)
-let test_pipelined_ordering () =
-  let _g, idx = build_smoke_dataset () in
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close r;
-    let status =
-      try
-        match
-          Server.run
-            ~on_ready:(fun port ->
-              let line = string_of_int port ^ "\n" in
-              ignore (Unix.write_substring w line 0 (String.length line));
-              Unix.close w)
-            { Server.default_config with port = 0; workers = 1; deadline_s = 0.0 }
-            idx
-        with
-        | Ok () -> 0
-        | Error _ -> 1
-      with _ -> 1
-    in
-    Unix._exit status
-  | pid ->
-    Unix.close w;
-    let port = read_port_line r in
-    Unix.close r;
-    let c = Client.connect ~port () in
-    (* Phase 1: a pure-inline pipeline of 8 queries is answered in
-       send order, every answer bit-for-bit against the local oracle. *)
-    let qs = smoke_queries @ smoke_queries in
-    let ids =
-      List.map
-        (fun labels -> Client.send c (Wire.Query_path { flags = { no_cache = true }; labels }))
-        qs
-    in
-    let rs = List.map (fun _ -> Client.recv c) ids in
-    Alcotest.(check (list int)) "inline pipeline is FIFO" ids (List.map (fun d -> d.Wire.id) rs);
-    List.iter2
-      (fun labels d ->
-        let want = Query_eval.eval_path_strings idx labels in
-        match d.Wire.msg with
-        | Wire.Result r ->
-          Alcotest.(check (list int))
-            ("pipelined " ^ String.concat "." labels ^ ": nodes")
-            want.Query_eval.nodes (Array.to_list r.Wire.nodes)
-        | _ -> Alcotest.fail "expected Result")
-      qs rs;
-    (* Phase 2: a Batch_query with an inline query pipelined behind it
-       — replies are matched by id whatever the arrival order, and
-       both answers are bit-for-bit. *)
-    let batch_paths = List.init 64 (fun i -> List.nth smoke_queries (i mod 4)) in
-    let bid = Client.send c (Wire.Batch_query { flags = { no_cache = true }; paths = batch_paths }) in
-    let qid =
-      Client.send c (Wire.Query_path { flags = { no_cache = true }; labels = [ "l0" ] })
-    in
-    let d1 = Client.recv c in
-    let d2 = Client.recv c in
-    let by_id = [ (d1.Wire.id, d1.Wire.msg); (d2.Wire.id, d2.Wire.msg) ] in
-    Alcotest.(check bool) "both replies arrive with known ids" true
-      (List.mem_assoc bid by_id && List.mem_assoc qid by_id);
-    (match List.assoc bid by_id with
-    | Wire.Batch_result results ->
-      Alcotest.(check int) "batch result count" (List.length batch_paths) (Array.length results);
-      List.iteri
-        (fun i labels ->
-          let want = Query_eval.eval_path_strings idx labels in
-          Alcotest.(check (list int))
-            (Printf.sprintf "batch[%d] nodes" i)
-            want.Query_eval.nodes
-            (Array.to_list results.(i).Wire.nodes))
-        batch_paths
-    | _ -> Alcotest.fail "expected Batch_result for the batch id");
-    (match List.assoc qid by_id with
-    | Wire.Result r ->
-      let want = Query_eval.eval_path_strings idx [ "l0" ] in
-      Alcotest.(check (list int)) "overtaking query nodes" want.Query_eval.nodes
-        (Array.to_list r.Wire.nodes)
-    | _ -> Alcotest.fail "expected Result for the query id");
-    (match Client.call c Wire.Shutdown with
-    | Wire.Ok_reply _ -> ()
-    | _ -> Alcotest.fail "expected Ok_reply for Shutdown");
-    let _, status = Unix.waitpid [] pid in
-    Client.close c;
-    Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
-
 (* Fork a server on an ephemeral port; returns its pid and port.  The
    child exits 0 iff [Server.run] returns [Ok]. *)
-let fork_server ?snapshot_path ?launch idx =
+let fork_server ?snapshot_path ?launch ?(deadline_s = Server.default_config.deadline_s) idx =
   let r, w = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
@@ -976,7 +806,7 @@ let fork_server ?snapshot_path ?launch idx =
               ignore (Unix.write_substring w line 0 (String.length line));
               Unix.close w)
             ?launch
-            { Server.default_config with port = 0; workers = 1; snapshot_path }
+            { Server.default_config with port = 0; snapshot_path; deadline_s }
             idx
         with
         | Ok () -> 0
@@ -993,8 +823,8 @@ let fork_server ?snapshot_path ?launch idx =
 (* Run [f pid port] against a forked server.  [f] ends by shutting the
    server down; if it raises first, the server is killed so a failed
    check never leaves it running. *)
-let with_server ?snapshot_path ?launch idx f =
-  let pid, port = fork_server ?snapshot_path ?launch idx in
+let with_server ?snapshot_path ?launch ?deadline_s idx f =
+  let pid, port = fork_server ?snapshot_path ?launch ?deadline_s idx in
   match f pid port with
   | () -> ()
   | exception e ->
@@ -1011,6 +841,141 @@ let shutdown_server pid c =
   let _, status = Unix.waitpid [] pid in
   Client.close c;
   Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
+
+(* Deadline expiry on the write queue: a write that outlasts the
+   deadline goes first (grafting a 60,000-node subgraph), and the write
+   pipelined behind it has waited longer than the deadline by the time
+   the mutator dequeues it, so it must be answered `Deadline (never
+   silently dropped or applied) and counted in [deadline_expired].  If
+   scheduling is so slow that the plug itself expires, the victim — sent
+   in the same burst — has aged just as much, so the assertion holds on
+   either path.  The mutator answers writes in queue order. *)
+let test_deadline_expiry () =
+  let g, idx = build_smoke_dataset () in
+  with_server ~deadline_s:0.02 idx @@ fun pid port ->
+  let c = Client.connect ~port () in
+  let h =
+    Dkindex_datagen.Random_graph.graph ~seed:12 ~nodes:60_000 ~n_labels:5 ~extra_edges:24_000 ()
+  in
+  let plug = Wire.Add_subgraph { graph = Dkindex_graph.Serial.to_string h; reqs = [] } in
+  let rec absent v = if Data_graph.has_edge g 1 v then absent (v + 1) else v in
+  let plug_id = Client.send c plug in
+  let victim_id = Client.send c (Wire.Add_edge { u = 1; v = absent 2 }) in
+  let r1 = Client.recv c in
+  let r2 = Client.recv c in
+  Alcotest.(check (list int)) "writes answered in queue order" [ plug_id; victim_id ]
+    [ r1.Wire.id; r2.Wire.id ];
+  let deadline_hits = ref 0 in
+  let handle = function
+    | Wire.Error_reply { code = `Deadline; _ } -> incr deadline_hits
+    | Wire.Ok_reply _ -> ()
+    | _ -> Alcotest.fail "unexpected response kind"
+  in
+  handle r1.Wire.msg;
+  handle r2.Wire.msg;
+  (match r2.Wire.msg with
+  | Wire.Error_reply { code = `Deadline; _ } -> ()
+  | _ -> Alcotest.fail "the queued second write must expire");
+  (match Client.call c Wire.Stats with
+  | Wire.Stats_reply kvs ->
+    Alcotest.(check string) "stats count the expiries" (string_of_int !deadline_hits)
+      (Option.value (List.assoc_opt "deadline_expired" kvs) ~default:"missing")
+  | _ -> Alcotest.fail "expected Stats_reply");
+  shutdown_server pid c
+
+(* A batch answer equals local evaluation of each path bit for bit:
+   nodes, both visit counts, candidates and certain answers. *)
+let check_batch idx paths (results : Wire.query_result array) =
+  Alcotest.(check int) "batch result count" (List.length paths) (Array.length results);
+  List.iteri
+    (fun i labels ->
+      let want = Query_eval.eval_path_strings idx labels in
+      let got = results.(i) in
+      let field what a b =
+        if a <> b then
+          Alcotest.failf "batch[%d] %s: %s expected %d, got %d" i (String.concat "." labels) what a
+            b
+      in
+      if want.Query_eval.nodes <> Array.to_list got.Wire.nodes then
+        Alcotest.failf "batch[%d] %s: nodes differ" i (String.concat "." labels);
+      field "index_visits" want.cost.Dkindex_pathexpr.Cost.index_visits got.index_visits;
+      field "data_visits" want.cost.data_visits got.data_visits;
+      field "n_candidates" want.n_candidates got.n_candidates;
+      field "n_certain" want.n_certain got.n_certain)
+    paths
+
+(* Pipelining over a real socket: one connection, many requests in
+   flight.  Codifies the response-ordering contract that
+   dkindex-loadgen --pipeline relies on: every read, batch queries
+   included, is answered on the event loop in send order, and every
+   reply carries its request's frame id. *)
+let test_pipelined_ordering () =
+  let _g, idx = build_smoke_dataset () in
+  with_server ~deadline_s:0.0 idx @@ fun pid port ->
+  let c = Client.connect ~port () in
+  (* Phase 1: a pipeline of 8 queries is answered in send order,
+     every answer bit-for-bit against the local oracle. *)
+  let qs = smoke_queries @ smoke_queries in
+  let ids =
+    List.map
+      (fun labels -> Client.send c (Wire.Query_path { flags = { no_cache = true }; labels }))
+      qs
+  in
+  let rs = List.map (fun _ -> Client.recv c) ids in
+  Alcotest.(check (list int)) "query pipeline is FIFO" ids (List.map (fun d -> d.Wire.id) rs);
+  List.iter2
+    (fun labels d ->
+      let want = Query_eval.eval_path_strings idx labels in
+      match d.Wire.msg with
+      | Wire.Result r ->
+        Alcotest.(check (list int))
+          ("pipelined " ^ String.concat "." labels ^ ": nodes")
+          want.Query_eval.nodes (Array.to_list r.Wire.nodes)
+      | _ -> Alcotest.fail "expected Result")
+    qs rs;
+  (* Phase 2: a Batch_query with a query pipelined behind it — the
+     replies come back in send order, both bit-for-bit. *)
+  let batch_paths = List.init 64 (fun i -> List.nth smoke_queries (i mod 4)) in
+  let bid = Client.send c (Wire.Batch_query { flags = { no_cache = true }; paths = batch_paths }) in
+  let qid =
+    Client.send c (Wire.Query_path { flags = { no_cache = true }; labels = [ "l0" ] })
+  in
+  let d1 = Client.recv c in
+  let d2 = Client.recv c in
+  Alcotest.(check (list int)) "batch and query in send order" [ bid; qid ]
+    [ d1.Wire.id; d2.Wire.id ];
+  (match d1.Wire.msg with
+  | Wire.Batch_result results -> check_batch idx batch_paths results
+  | _ -> Alcotest.fail "expected Batch_result for the batch id");
+  (match d2.Wire.msg with
+  | Wire.Result r ->
+    let want = Query_eval.eval_path_strings idx [ "l0" ] in
+    Alcotest.(check (list int)) "query behind the batch: nodes" want.Query_eval.nodes
+      (Array.to_list r.Wire.nodes)
+  | _ -> Alcotest.fail "expected Result for the query id");
+  shutdown_server pid c
+
+(* Every read is answered on the event loop, so a Ping pipelined
+   behind a batch of 8,000 paths comes back after the batch, and the
+   batch equals local evaluation bit for bit. *)
+let test_batch_in_send_order () =
+  let _g, idx = build_smoke_dataset () in
+  with_server idx @@ fun pid port ->
+  let c = Client.connect ~port () in
+  let labels = [| "l0"; "l1"; "l2"; "l3"; "l4" |] in
+  let path i = List.init (1 + (i mod 4)) (fun j -> labels.(((i / 4) + (j * (i + 1))) mod 5)) in
+  let paths = List.init 8000 path in
+  let batch_id = Client.send c (Wire.Batch_query { flags = { no_cache = true }; paths }) in
+  let ping_id = Client.send c Wire.Ping in
+  let r1 = Client.recv c in
+  let r2 = Client.recv c in
+  Alcotest.(check (list int)) "batch, then Ping: send order" [ batch_id; ping_id ]
+    [ r1.Wire.id; r2.Wire.id ];
+  (match r1.Wire.msg with
+  | Wire.Batch_result results -> check_batch idx paths results
+  | _ -> Alcotest.fail "expected Batch_result first");
+  (match r2.Wire.msg with Wire.Pong -> () | _ -> Alcotest.fail "expected Pong second");
+  shutdown_server pid c
 
 (* A launch's stages are timed once each and reported in [Stats]; a
    stage the launch skipped reads 0.  The uptime counts from the
@@ -1131,8 +1096,8 @@ let test_spare_rebuild () =
   shutdown_server pid c
 
 (* Each failed write drops the spare, so the next write publishes a
-   fresh physical copy and every reader that meets it makes a new
-   validation cache.  A reader holds two caches; the one it drops must
+   fresh physical copy and the reader that meets it makes a new
+   validation cache.  The reader holds two caches; the one it drops must
    leave the Stats aggregate (or every copy would keep a retired index
    alive) while its counters move into retired totals, so the exported
    hits and misses never go backwards. *)
@@ -1174,10 +1139,9 @@ let test_vcache_retirement () =
     done;
     match Client.call c Wire.Stats with
     | Wire.Stats_reply kvs ->
-      let readers = stat kvs "workers" + 1 (* the main domain's inline reader *) in
+      (* One reader, the event loop, holds at most one cache per copy. *)
       let instances = stat kvs "vcache_instances" in
-      if instances > 2 * readers then
-        Alcotest.failf "round %d: %d validation caches for %d readers" round instances readers;
+      if instances > 2 then Alcotest.failf "round %d: %d validation caches" round instances;
       let probes = stat kvs "vcache_hits" + stat kvs "vcache_misses" in
       if probes < !last_probes then
         Alcotest.failf "round %d: vcache hits + misses fell from %d to %d" round !last_probes
@@ -1267,7 +1231,7 @@ let test_snapshot_churn () =
               let line = string_of_int port ^ "\n" in
               ignore (Unix.write_substring w line 0 (String.length line));
               Unix.close w)
-            { Server.default_config with port = 0; workers = 2; deadline_s = 0.0 }
+            { Server.default_config with port = 0; deadline_s = 0.0 }
             fresh_idx
         with
         | Ok () -> 0
@@ -1374,8 +1338,10 @@ let () =
           Alcotest.test_case "malformed frames, wire shutdown" `Quick test_smoke_protocol_errors;
           Alcotest.test_case "queued requests expire against the deadline" `Quick
             test_deadline_expiry;
-          Alcotest.test_case "pipelined requests: FIFO inline, id-matched overtaking" `Quick
-            test_pipelined_ordering;
+          Alcotest.test_case "pipelined requests: FIFO inline, id-matched, batches in send order"
+            `Quick test_pipelined_ordering;
+          Alcotest.test_case "a batch and a Ping behind it: replies in send order" `Quick
+            test_batch_in_send_order;
           Alcotest.test_case "failed write: spare rebuilt by copy, answers exact" `Quick
             test_spare_rebuild;
           Alcotest.test_case "launch stages timed, within the uptime" `Quick test_launch_stages;
