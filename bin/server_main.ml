@@ -36,8 +36,8 @@ let workers_arg =
     value & opt int 1
     & info [ "workers" ] ~docv:"1"
         ~doc:
-          "Accepted for compatibility and must be 1: every read is answered on the event loop \
-           and every write by the one mutator, so there are no query worker domains")
+          "Accepted for compatibility and must be 1: the event loop answers every read and \
+           applies every write, so there are no worker domains")
 
 let queue_arg =
   Arg.(value & opt int 256 & info [ "queue-depth" ] ~docv:"N" ~doc:"Bound before shedding")
@@ -177,7 +177,7 @@ let serve host port xmark seed load workers queue_depth deadline idle snapshot d
     heartbeat max_conns read_progress_deadline scrub_interval scrub_rate anti_entropy_interval =
   let fatal fmt = Printf.ksprintf (fun m -> prerr_endline ("dkindex-server: " ^ m); exit 1) fmt in
   if workers <> 1 then
-    fatal "--workers %d: must be 1 (every read is answered on the event loop; no worker domains)"
+    fatal "--workers %d: must be 1 (the event loop answers every request; no worker domains)"
       workers;
   let sync =
     match Wal.sync_policy_of_string sync with Ok s -> s | Error msg -> fatal "%s" msg

@@ -62,7 +62,8 @@ val n_edges : t -> int
 
 val iter_children : t -> int -> (int -> unit) -> unit
 (** The CSR run (tombstones skipped), then the overflow additions,
-    newest first.  Allocation-free. *)
+    newest first — or, after {!keep_sorted}, in increasing order.
+    Allocation-free. *)
 
 val iter_parents : t -> int -> (int -> unit) -> unit
 
@@ -98,6 +99,16 @@ val csr_children : t -> Int_vec.t * Int_vec.t
 val csr_parents : t -> Int_vec.t * Int_vec.t
 
 (** {1 Mutation} *)
+
+val keep_sorted : t -> unit
+(** From now on keep each node's overflow additions sorted and read
+    them merged into its CSR run, so every read ({!iter_children},
+    {!iter_parents} and the [exists_] pair) comes out in increasing
+    order: the order a fold leaves, whatever the overflow layer holds.
+    Then the nodes and visit counts of a traversal do not depend on
+    the order edges arrived in or on when the layer was last folded.
+    An addition then costs a scan of the node's overflow list.  Sorts
+    the lists present; idempotent. *)
 
 val extend : t -> int -> unit
 (** Grow the id space to at least the given size.  New ids start

@@ -110,6 +110,7 @@ let of_csr ?(values = Payloads.empty) ~pool ~label_codes ~children ~parents () =
   assemble ~fname:"Data_graph.of_csr" ~values ~pool ~label_codes adj
 
 let flatten g = Adjacency.flatten g.adj
+let keep_sorted g = Adjacency.keep_sorted g.adj
 let csr_children g = Adjacency.csr_children g.adj
 let csr_parents g = Adjacency.csr_parents g.adj
 let label_codes g = g.labels

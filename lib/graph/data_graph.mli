@@ -82,6 +82,9 @@ val flatten : t -> unit
     Semantically a no-op; called implicitly by {!csr_children} and
     {!csr_parents}. *)
 
+val keep_sorted : t -> unit
+(** {!Adjacency.keep_sorted} on the graph's edges. *)
+
 val csr_children : t -> Int_vec.t * Int_vec.t
 (** [(off, arr)]: node [u]'s children are [arr.(off.(u)) ..
     arr.(off.(u + 1) - 1)], sorted increasing.  Flattens pending

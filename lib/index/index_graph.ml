@@ -434,6 +434,10 @@ let set_req t id req =
     nd.req <- req
   end
 
+let keep_sorted t =
+  Adjacency.keep_sorted t.adj;
+  Data_graph.keep_sorted t.data
+
 let prepare_serving t =
   Adjacency.flatten t.adj;
   Array.iteri

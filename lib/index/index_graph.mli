@@ -203,11 +203,18 @@ val set_tracer : t -> (int -> unit) option -> unit
 (** {1 Serving} *)
 
 val prepare_serving : t -> unit
-(** Make the structure safe for concurrent read-only access from
-    multiple domains: flatten index and data adjacency into pure CSR
-    form, compact every label bucket, and force lazily-built tables.
-    After this, all query-side reads are mutation-free until the next
-    update. *)
+(** Flatten index and data adjacency into pure CSR form, compact
+    every label bucket, and force lazily-built tables.  After this,
+    all query-side reads are mutation-free until the next update, so
+    several domains may read concurrently.  dkserve runs it once, at
+    launch; later writes leave the overflow layers to fold themselves,
+    amortized. *)
+
+val keep_sorted : t -> unit
+(** {!Dkindex_graph.Adjacency.keep_sorted} on the index edges and the
+    data graph: traversals then read every adjacency in the order
+    {!prepare_serving} leaves, so their answers and visit counts equal
+    a flattened copy's, whatever updates are pending. *)
 
 (** {1 Derived views} *)
 

@@ -54,7 +54,6 @@ let create ?(max_entries = default_max_entries) idx =
     evictions = 0;
   }
 
-let index t = t.idx
 
 let add_slot t s =
   if t.n_slots = Array.length t.slots then begin

@@ -43,8 +43,6 @@ val create : ?max_entries:int -> Index_graph.t -> t
     [max_entries] (default [2^20]) caps the total memoized answers.
     @raise Invalid_argument if [max_entries < 1]. *)
 
-val index : t -> Index_graph.t
-
 val path_validator : t -> Label.t array -> cost:Cost.t -> int -> bool
 (** Like {!Matcher.make_path_validator}, but the [(node, position)]
     memo table is shared by every query asking the same label path

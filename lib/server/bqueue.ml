@@ -48,6 +48,13 @@ let pop t =
   Mutex.unlock t.mu;
   r
 
+let try_pop t =
+  Mutex.lock t.mu;
+  let r = if Queue.is_empty t.q then None else Some (Queue.pop t.q) in
+  if r <> None then Condition.signal t.notfull;
+  Mutex.unlock t.mu;
+  r
+
 let close t =
   Mutex.lock t.mu;
   t.closed <- true;

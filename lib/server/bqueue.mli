@@ -1,12 +1,12 @@
 (** Bounded multi-producer/multi-consumer FIFO queue over
-    [Mutex]/[Condition] (domain-safe in OCaml 5).
+    [Mutex]/[Condition] (safe across systhreads and domains).
 
-    dkserve's one work-queue implementation: the server's write
-    queue, the replies of jobs run on the mutator, and the
-    {!Checkpoint} background writer all use it.  Closing is how a
-    consumer is stopped: {!pop} hands out every element admitted
-    before {!close} and only then returns [None], so "close, then join
-    the consumer" finishes all queued work. *)
+    dkserve's one work-queue implementation: the server's job list
+    (drained by the event loop with {!try_pop}), the replies of jobs
+    run on the loop, and the {!Checkpoint} background writer all use
+    it.  Closing is how a consumer is stopped: {!pop} and {!try_pop}
+    hand out every element admitted before {!close}, so "close, then
+    drain" finishes all queued work. *)
 
 type 'a t
 
@@ -26,6 +26,10 @@ val pop : 'a t -> 'a option
 (** Dequeue the oldest element, blocking while the queue is empty and
     open.  [None] only after {!close} and once every admitted element
     has been handed out. *)
+
+val try_pop : 'a t -> 'a option
+(** Dequeue the oldest element without blocking: [None] when the
+    queue is empty, open or closed. *)
 
 val close : 'a t -> unit
 (** Refuse further pushes and wake every blocked producer and

@@ -23,8 +23,8 @@
       at once.
 
     The proxy is a single-threaded {!Evloop} loop: {!run} blocks, so
-    callers host it in a forked child (tests — the parent must stay
-    domain-free to fork) or a spawned domain (the load generator).
+    callers host it in a forked child (tests, which SIGKILL it at
+    cleanup) or a spawned domain (the load generator).
     {!stop} and {!stats} are safe from other domains. *)
 
 type action =

@@ -147,7 +147,7 @@ let prune dir =
 
 (* Delete the .tmp files a crash left behind mid-[write_atomic].  Only
    safe while nothing else writes into [dir]: {!start} runs it before
-   its writer domain exists. *)
+   its writer thread exists. *)
 let sweep_tmp dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> ()
@@ -291,21 +291,19 @@ type t = {
   recovery : recovery;
   mutable wal : Wal.t;
   mutable seq : int;
-  (* Mirror of [seq] readable from other domains (the replication hub
+  (* Mirror of [seq] readable from other threads (the replication hub
      tails the WAL files from its own senders).  Updated last on
      rotation, so (read seq_a, then wal_bytes_a) never claims bytes
      beyond the complete records of the generation it names. *)
   seq_a : int Atomic.t;
   mutable last_rotate : float;
   (* background writer: (generation, encoded document) to frame and
-     write; unbounded, so the mutator never waits on checkpoint I/O *)
+     write; unbounded, so the loop never waits on checkpoint I/O *)
   jobs : (int * Index_serial.slice) Bqueue.t;
-  writer : unit Domain.t option ref;
-  (* counters, read by stats from any domain *)
+  writer : Thread.t option ref;
+  (* counters, read by stats on the loop *)
   read_only_flag : bool Atomic.t;
-  wal_error : string ref;
-  err_mu : Mutex.t;
-  wal_records_a : int Atomic.t;
+  mutable wal_error : string;
   wal_bytes_a : int Atomic.t;
   checkpoints_written : int Atomic.t;
   checkpoint_failures : int Atomic.t;
@@ -316,12 +314,10 @@ type t = {
 let read_only t = Atomic.get t.read_only_flag
 
 let note_wal_failure t msg =
-  Mutex.lock t.err_mu;
-  t.wal_error := msg;
-  Mutex.unlock t.err_mu;
+  t.wal_error <- msg;
   Atomic.set t.read_only_flag true
 
-(* The snapshot text, timed for [stats] on whichever domain takes it. *)
+(* The snapshot text, timed for [stats]. *)
 let encode t index =
   let t0 = Unix.gettimeofday () in
   let s = Index_serial.encode index in
@@ -369,9 +365,7 @@ let start ?wal_faults ?checkpoint_faults ?recovery cfg index =
       jobs = Bqueue.create max_int;
       writer = ref None;
       read_only_flag = Atomic.make false;
-      wal_error = ref "";
-      err_mu = Mutex.create ();
-      wal_records_a = Atomic.make 0;
+      wal_error = "";
       wal_bytes_a = Atomic.make 0;
       checkpoints_written = Atomic.make 0;
       checkpoint_failures = Atomic.make 0;
@@ -383,12 +377,11 @@ let start ?wal_faults ?checkpoint_faults ?recovery cfg index =
      server accepts traffic; this is also what licenses pruning the
      generation we just recovered from. *)
   write_file t seq (frame (encode t index));
-  t.writer := Some (Domain.spawn (writer_loop t));
+  t.writer := Some (Thread.create (writer_loop t) ());
   t
 
 let log_mutation t m =
   Wal.append t.wal m;
-  Atomic.set t.wal_records_a (Wal.records t.wal);
   Atomic.set t.wal_bytes_a (Wal.bytes t.wal)
 
 (* Rotate to the next generation: open the new WAL first (if that
@@ -406,7 +399,6 @@ let rotate t =
     t.wal <- wal';
     t.seq <- seq';
     t.last_rotate <- Unix.gettimeofday ();
-    Atomic.set t.wal_records_a 0;
     Atomic.set t.wal_bytes_a 0;
     Atomic.set t.seq_a seq';
     Some seq'
@@ -449,7 +441,7 @@ let install t file =
 let dir t = t.cfg.dir
 let wal_file ~dir ~seq = Filename.concat dir (wal_name seq)
 
-(* Domain-safe current WAL position.  Only complete records are ever
+(* Thread-safe current WAL position.  Only complete records are ever
    claimed: wal_bytes_a is bumped after the append returns, and seq_a
    flips to a new generation only after its byte counter was reset. *)
 let wal_position t =
@@ -479,19 +471,13 @@ let newest_checkpoint ~dir =
 
 let stats t =
   let b v = if v then "true" else "false" in
-  let err =
-    Mutex.lock t.err_mu;
-    let e = !(t.wal_error) in
-    Mutex.unlock t.err_mu;
-    e
-  in
   [
     ("wal_seq", string_of_int t.seq);
-    ("wal_records", string_of_int (Atomic.get t.wal_records_a));
+    ("wal_records", string_of_int (Wal.records t.wal));
     ("wal_bytes", string_of_int (Atomic.get t.wal_bytes_a));
     ("wal_sync", Wal.sync_policy_to_string t.cfg.sync);
     ("read_only", b (read_only t));
-    ("wal_error", err);
+    ("wal_error", t.wal_error);
     ("checkpoints_written", string_of_int (Atomic.get t.checkpoints_written));
     ("checkpoint_failures", string_of_int (Atomic.get t.checkpoint_failures));
     ("checkpoint_last_bytes", string_of_int (Atomic.get t.checkpoint_last_bytes));
@@ -517,8 +503,8 @@ let close t index =
   (* Closing drains: the writer finishes every queued snapshot first. *)
   Bqueue.close t.jobs;
   (match !(t.writer) with
-  | Some d ->
-    Domain.join d;
+  | Some th ->
+    Thread.join th;
     t.writer := None
   | None -> ());
   Wal.close t.wal;

@@ -18,13 +18,13 @@
     encoder's front gap, {!Index_serial.front_room}), so a crash leaves
     the whole file or a [.tmp] that {!start} sweeps, nothing between.
 
-    The single mutator domain owns the log: it applies a mutation in
+    dkserve's event loop owns the log: it applies a mutation in
     memory, {!log_mutation}s it, and only then acknowledges.  When the
     log grows past the configured record/byte thresholds (or the timer
     fires), {!maybe_checkpoint} encodes the index
     ({!Index_serial.encode}: one pass into one buffer of its own),
     rotates to generation [seq+1], and queues that buffer slice on a
-    {!Bqueue} for a background writer domain — the mutator never
+    {!Bqueue} for a background writer thread — the loop never
     blocks on checkpoint I/O.  The writer CRCs the slice, puts the
     header in front and writes the file.  {!close} closes that queue
     and joins the writer, which first writes every snapshot still
@@ -123,9 +123,9 @@ val note_wal_failure : t -> string -> unit
 (** Flip to read-only and record the error for {!stats}. *)
 
 val stats : t -> (string * string) list
-(** WAL/checkpoint/recovery counters, domain-safe.  Persistence stage
+(** WAL/checkpoint/recovery counters.  Persistence stage
     times: [checkpoint_last_encode_us] (the {!Index_serial.encode}
-    of the newest checkpoint, on whichever domain took it),
+    of the newest checkpoint),
     [recovery_load_ms] and [recovery_replay_ms] (the two halves of
     {!recover}, as fractional milliseconds; 0 without a recovery). *)
 
@@ -145,7 +145,7 @@ val dir : t -> string
 
 val wal_position : t -> int * int
 (** Current [(generation, byte offset)] of the live WAL, readable from
-    any domain.  The offset only ever covers complete records, so a
+    any thread.  The offset only ever covers complete records, so a
     tailer reading up to it never ships a torn record of its own
     making. *)
 

@@ -8,8 +8,9 @@
     server costs nothing and a busy one wakes exactly when bytes
     arrive.
 
-    Not thread-safe: one loop belongs to one domain.  Other domains
-    wake it by writing to a registered self-pipe. *)
+    Not thread-safe: one loop belongs to one thread.  Other threads
+    wake it by writing to a registered self-pipe.  {!wait} releases
+    the OCaml runtime lock while it is parked. *)
 
 type t
 

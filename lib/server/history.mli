@@ -40,7 +40,7 @@ type outcome =
   | Acked of { epoch : int }  (** write acknowledged by that epoch *)
   | Read_ok of {
       present : bool;
-      generation : int;  (** serving-snapshot swap generation (per process) *)
+      generation : int;  (** the server's write generation (per process) *)
       age_ms : int;  (** wire-stamped replica age; 0 on a primary *)
       endpoint : int;  (** cluster member index that answered; -1 unknown *)
       epoch : int;  (** highest epoch the client had observed *)

@@ -115,8 +115,7 @@ let compute_full idx =
 (* Incremental tracker                                                *)
 
 type t = {
-  mu : Mutex.t;
-  (* committed dirty state + caches, guarded by [mu] *)
+  (* dirty marks + caches *)
   mutable cached : bool;
   mutable all_dirty : bool;
   mutable dirty_ranges : bool array;
@@ -126,15 +125,10 @@ type t = {
   mutable iranges : int array;
   mutable buckets : int array;
   mutable lhash : int array;
-  (* pending marks: mutator domain only, unlocked *)
-  mutable pend_all : bool;
-  mutable pend_nodes : int list;
-  mutable pend_ids : int list;
 }
 
 let create () =
   {
-    mu = Mutex.create ();
     cached = false;
     all_dirty = true;
     dirty_ranges = [||];
@@ -144,42 +138,23 @@ let create () =
     iranges = [||];
     buckets = [||];
     lhash = [||];
-    pend_all = false;
-    pend_nodes = [];
-    pend_ids = [];
   }
 
-let attach t idx = Index_graph.set_tracer idx (Some (fun id -> t.pend_ids <- id :: t.pend_ids))
+let attach t idx = Index_graph.set_tracer idx (Some (fun id -> t.dirty_ids <- id :: t.dirty_ids))
+
+let mark_node t u =
+  let r = u lsr range_shift in
+  if r < Array.length t.dirty_ranges then t.dirty_ranges.(r) <- true else t.all_dirty <- true
 
 let note_mutation t = function
   | Wal.Add_edge { u; v } | Wal.Remove_edge { u; v } ->
-    t.pend_nodes <- u :: v :: t.pend_nodes
-  | Wal.Add_subgraph _ | Wal.Promote _ | Wal.Demote _ -> t.pend_all <- true
+    mark_node t u;
+    mark_node t v
+  | Wal.Add_subgraph _ | Wal.Promote _ | Wal.Demote _ -> t.all_dirty <- true
 
-let invalidate t = t.pend_all <- true
-
-let commit t =
-  if t.pend_all || t.pend_nodes <> [] || t.pend_ids <> [] then begin
-    Mutex.lock t.mu;
-    if t.pend_all then t.all_dirty <- true
-    else begin
-      List.iter
-        (fun u ->
-          let r = u lsr range_shift in
-          if r < Array.length t.dirty_ranges then t.dirty_ranges.(r) <- true
-          else t.all_dirty <- true)
-        t.pend_nodes;
-      t.dirty_ids <- List.rev_append t.pend_ids t.dirty_ids
-    end;
-    t.pend_all <- false;
-    t.pend_nodes <- [];
-    t.pend_ids <- [];
-    Mutex.unlock t.mu
-  end
+let invalidate t = t.all_dirty <- true
 
 let refresh t idx =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) @@ fun () ->
   let g = Index_graph.data idx in
   let n = Data_graph.n_nodes g in
   let pool = Data_graph.pool g in
@@ -230,8 +205,9 @@ let refresh t idx =
       t.dirty_ids;
     t.dirty_ids <- [];
     if !bad then begin
-      (* An id this copy has never seen (e.g. marks that raced a
-         wholesale install): recompute everything rather than guess. *)
+      (* An id this index has never seen (e.g. a mark left from the
+         index a wholesale install replaced): recompute everything
+         rather than guess. *)
       let nr = n_ranges n in
       t.dranges <- Array.init nr (data_range_digest g lhash);
       t.iranges <- Array.init nr (index_range_digest idx);

@@ -29,15 +29,13 @@
     a mutation could have touched.  Data-edge mutations dirty the
     ranges of their endpoints ({!note_mutation}); structural index
     changes (splits, k/req changes, index-edge flips) are observed via
-    {!Index_graph.set_tracer} on every physical copy ({!attach}), and
-    resolved to dirty ranges and labels at refresh time.  Wholesale
-    changes (subgraph grafts, promote/demote, snapshot installs)
-    invalidate everything.  Marks accumulate privately in the mutator
-    domain and become visible to {!refresh} only at {!commit} — the
-    server commits right after it publishes the new serving snapshot,
-    so a concurrent refresh never clears a mark for state it has not
-    yet seen.  {!refresh} against a copy equals {!compute_full} of that
-    copy — qcheck-proven through update churn.
+    {!Index_graph.set_tracer} on the index ({!attach}), and resolved
+    to dirty ranges and labels at refresh time.  Wholesale changes
+    (subgraph grafts, promote/demote, snapshot installs) invalidate
+    everything.  Marks and refreshes come from one thread (dkserve's
+    event loop), and a refresh runs between writes, never inside one.
+    {!refresh} against an index equals {!compute_full} of it —
+    qcheck-proven through update churn.
 
     Only [n_nodes] and [root] travel ({!Wire.Digest_reply}): the
     ranges and buckets exist so a refresh after a few edge updates
@@ -63,30 +61,22 @@ val create : unit -> t
 (** An empty tracker; the first {!refresh} computes from scratch. *)
 
 val attach : t -> Index_graph.t -> unit
-(** Install this tracker's structural tracer on a physical index copy.
-    Call for every copy the mutator writes to (both sides of the
-    left-right pair, and any wholesale replacement). *)
+(** Install this tracker's structural tracer on an index.  Call for
+    the serving index and for every wholesale replacement of it. *)
 
 val note_mutation : t -> Wal.mutation -> unit
 (** Record a mutation about to be (or just) applied: edge mutations
     mark their endpoints' ranges, everything else invalidates all
-    layers.  Mutator domain only; cheap. *)
+    layers.  Cheap. *)
 
 val invalidate : t -> unit
-(** Mark everything dirty (pending, like {!note_mutation}): used when a
-    snapshot is installed wholesale (replica bootstrap). *)
-
-val commit : t -> unit
-(** Publish all pending marks to {!refresh}.  Call after the state the
-    marks describe is visible to readers (i.e. after the snapshot
-    swap). *)
+(** Mark everything dirty: used when a snapshot is installed
+    wholesale (replica bootstrap). *)
 
 val refresh : t -> Index_graph.t -> digests
-(** Digests of [idx], recomputing only dirty ranges/buckets.  Safe to
-    call from any domain (internally locked) as long as [idx] is a
-    read-stable snapshot (the server calls it on the mutator, between
-    writes).  [idx] must
-    reflect every committed mark. *)
+(** Digests of [idx], recomputing only dirty ranges/buckets.  [idx]
+    must reflect every mark, and no mutation may be in progress on it
+    (the server calls it on the loop, between writes). *)
 
 val compute_full : Index_graph.t -> digests
 (** From-scratch digests, no cache: the oracle {!refresh} is tested

@@ -1,6 +1,6 @@
 (* Primary/replica replication: WAL shipping, catch-up, failover.
 
-   The primary side is a [hub]: one sender domain per subscribed
+   The primary side is a [hub]: one sender thread per subscribed
    replica, each tailing the WAL files of the primary's data directory
    directly (never the in-memory log — only complete records are
    claimed by [Checkpoint.wal_position], so a tailer cannot ship a
@@ -9,13 +9,13 @@
    bootstrapped with the newest checkpoint snapshot and streamed from
    that generation on.
 
-   The replica side is a tailer loop in its own domain: connect,
+   The replica side is a tailer loop in its own thread: connect,
    Hello, subscribe from the last applied position (or -1 for a
    snapshot bootstrap), reassemble WAL records from the chunk stream,
-   and hand them to the server's mutator as [event]s.  The loop owns
+   and hand them to the server's event loop as [event]s.  The loop owns
    liveness: any byte from the primary refreshes [last_contact]; when
    the failover timeout elapses with no contact, an [Ev_promote] event
-   is pushed (if auto-promotion is enabled) and the mutator performs
+   is pushed (if auto-promotion is enabled) and the loop performs
    the epoch bump. *)
 
 let now () = Unix.gettimeofday ()
@@ -64,9 +64,8 @@ type hub = {
   hepoch : int Atomic.t;  (* the server's epoch, shared *)
   heartbeat_s : float;
   faults_for : int -> Faults.t option;
-  hmu : Mutex.t;
   mutable subs : sub list;
-  mutable senders : unit Domain.t list;
+  mutable senders : Thread.t list;
   hstop : bool Atomic.t;
 }
 
@@ -78,7 +77,6 @@ let create_hub ?(faults_for = fun _ -> None) ?(heartbeat_s = 0.25) ~epoch dur =
     hepoch = epoch;
     heartbeat_s;
     faults_for;
-    hmu = Mutex.create ();
     subs = [];
     senders = [];
     hstop = Atomic.make false;
@@ -236,12 +234,9 @@ let attach hub ~fd ~replica_id ~seq ~offset =
       boots = Atomic.make 0;
     }
   in
-  Mutex.lock hub.hmu;
   (* A reconnecting replica reuses its id: retire the dead entry. *)
   hub.subs <- sub :: List.filter (fun s -> s.sub_id <> replica_id || Atomic.get s.alive) hub.subs;
-  let d = Domain.spawn (sender_loop hub sub seq offset) in
-  hub.senders <- d :: hub.senders;
-  Mutex.unlock hub.hmu
+  hub.senders <- Thread.create (sender_loop hub sub seq offset) () :: hub.senders
 
 let sub_lag hub sub =
   if not (Atomic.get sub.alive) then 0
@@ -264,15 +259,8 @@ let sub_lag hub sub =
     end
   end
 
-let hub_subs hub =
-  Mutex.lock hub.hmu;
-  let subs = hub.subs in
-  Mutex.unlock hub.hmu;
-  subs
-
 let hub_stats hub =
-  let subs = hub_subs hub in
-  let live = List.filter (fun s -> Atomic.get s.alive) subs in
+  let live = List.filter (fun s -> Atomic.get s.alive) hub.subs in
   ("replicas_connected", string_of_int (List.length live))
   :: List.concat_map
        (fun s ->
@@ -288,14 +276,11 @@ let hub_stats hub =
 
 let stop_hub hub =
   Atomic.set hub.hstop true;
-  Mutex.lock hub.hmu;
   let senders = hub.senders in
-  let subs = hub.subs in
   hub.senders <- [];
-  Mutex.unlock hub.hmu;
   (* Close the sockets too: a sender blocked in write wakes with EPIPE/EBADF. *)
-  List.iter (fun s -> try Unix.shutdown s.sfd SHUTDOWN_ALL with Unix.Unix_error _ -> ()) subs;
-  List.iter Domain.join senders
+  List.iter (fun s -> try Unix.shutdown s.sfd SHUTDOWN_ALL with Unix.Unix_error _ -> ()) hub.subs;
+  List.iter Thread.join senders
 
 (* ------------------------------------------------------------------ *)
 (* Replica: the tailer side *)
@@ -348,7 +333,7 @@ type replica = {
   (* Anti-entropy escape hatch: drop the stream and re-subscribe with
      seq = -1, forcing a snapshot bootstrap. *)
   resync : bool Atomic.t;
-  mutable rdomain : unit Domain.t option;
+  mutable rthread : Thread.t option;
 }
 
 let create_replica rcfg ~epoch ~max_seen =
@@ -372,7 +357,7 @@ let create_replica rcfg ~epoch ~max_seen =
     records_applied = Atomic.make 0;
     reconnects = Atomic.make 0;
     resync = Atomic.make false;
-    rdomain = None;
+    rthread = None;
   }
 
 let rconfig_of r = r.rcfg
@@ -602,14 +587,14 @@ let replica_loop r push () =
   done;
   Atomic.set r.connected false
 
-let start_replica r ~push = r.rdomain <- Some (Domain.spawn (replica_loop r push))
+let start_replica r ~push = r.rthread <- Some (Thread.create (replica_loop r push) ())
 
 let stop_replica r =
   Atomic.set r.rstop true;
-  (match r.rdomain with
-  | Some d ->
-    Domain.join d;
-    r.rdomain <- None
+  (match r.rthread with
+  | Some th ->
+    Thread.join th;
+    r.rthread <- None
   | None -> ())
 
 (* How far behind this replica believes it is, in WAL bytes.  Two

@@ -43,8 +43,9 @@ val create_hub :
 (** [epoch] is shared with the server (heartbeats and chunks carry the
     value current at send time).  [faults_for replica_id] lets tests
     inject partitions / torn streams / slow links per subscriber.
-    Creating a hub spawns nothing; each {!attach} spawns one sender
-    domain. *)
+    Creating a hub spawns nothing; each {!attach} starts one sender
+    thread.  Call {!attach}, {!hub_stats} and {!stop_hub} from one
+    thread (dkserve's event loop). *)
 
 val attach : hub -> fd:Unix.file_descr -> replica_id:int -> seq:int -> offset:int -> unit
 (** Take ownership of [fd] (a connection the server has detached after
@@ -58,7 +59,7 @@ val hub_stats : hub -> (string * string) list
     [replica.<id>.{epoch,wal_seq,wal_offset,bytes_behind,bootstraps}]. *)
 
 val stop_hub : hub -> unit
-(** Shut every subscriber socket and join the sender domains. *)
+(** Shut every subscriber socket and join the sender threads. *)
 
 (** {1 Replica: the tailer side} *)
 
@@ -79,7 +80,7 @@ type rconfig = {
 val default_rconfig : host:string -> port:int -> replica_id:int -> rconfig
 (** auto_promote false, failover 3 s, staleness bound 10 s. *)
 
-(** Events handed to the server's mutator domain, in stream order. *)
+(** Events handed to the server's event loop, in stream order. *)
 type event =
   | Ev_snapshot of { checkpoint : string; epoch : int; seq : int }
       (** check ({!Checkpoint.body}) and install this checkpoint file;
@@ -98,8 +99,8 @@ val create_replica : rconfig -> epoch:int Atomic.t -> max_seen:int Atomic.t -> r
 (** [epoch]/[max_seen] are shared with the server. *)
 
 val start_replica : replica -> push:(event -> unit) -> unit
-(** Spawn the tailer domain.  [push] must block, never shed (it feeds
-    the mutator queue). *)
+(** Start the tailer thread.  [push] must block, never shed (it feeds
+    the server's job list). *)
 
 val stop_replica : replica -> unit
 
@@ -111,19 +112,19 @@ val force_resync : replica -> unit
     copy of the primary's index, and its install is checkpointed. *)
 
 val mark_promoted : replica -> unit
-(** Called by the mutator once promotion completes; the tailer domain
+(** Called by the server once promotion completes; the tailer thread
     exits and reads stop being staleness-checked. *)
 
 val is_promoted : replica -> bool
 
 val note_applied : replica -> seq:int -> offset:int -> n:int -> unit
-(** Mutator bookkeeping: [n] records applied up to [(seq, offset)]. *)
+(** Apply-side bookkeeping: [n] records applied up to [(seq, offset)]. *)
 
 val applied_position : replica -> int * int
 (** Last applied [(generation, offset)]; [(-1, 0)] before any sync. *)
 
 val note_installed : replica -> epoch:int -> seq:int -> ms:float -> unit
-(** Mutator bookkeeping: a snapshot of lineage [epoch] installed in
+(** Apply-side bookkeeping: a snapshot of lineage [epoch] installed in
     [ms] (check, decode, install, write); applied position [(seq, 0)]. *)
 
 val stale : replica -> bool

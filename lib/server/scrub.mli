@@ -13,7 +13,7 @@
     into a [quarantine/] subdirectory with directory fsyncs on both
     sides, so the evidence survives for forensics and a crash cannot
     resurrect the file into the recovery chain.  The caller (the
-    server's integrity domain) re-checkpoints from the live index
+    server's integrity thread) re-checkpoints from the live index
     before quarantining anything the recovery chain still needs.
 
     WAL classification is deliberately tolerant of crash artifacts: a
@@ -21,7 +21,7 @@
     claims) is exactly what a torn append looks like and is not
     corruption; only a {e complete} record that fails its CRC or
     decode is flagged.  The live WAL can therefore be scanned while
-    the mutator appends to it. *)
+    the server appends to it. *)
 
 type corrupt = {
   file : string;  (** basename within the scanned directory *)

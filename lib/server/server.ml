@@ -43,21 +43,15 @@ let default_config =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Connections.  The event-loop domain owns the read side (buffer,
-   frame extraction) and is the only closer of the file descriptor; it
-   and the mutator write responses under [wmu].  [closed] is flipped
-   under [wmu] before the descriptor is closed, so a writer holding
-   [wmu] can never race a close into a reused descriptor.  [wbuf] is
-   the shared frame-encoding buffer, also guarded by [wmu]: responses
-   are encoded straight into it (no per-reply [Buffer.to_bytes]) and
-   the event loop batches the read replies of a frame batch into one
-   write. *)
+(* Connections.  The event loop owns each connection: it reads and
+   extracts frames, encodes every reply into [wbuf] (no per-reply
+   [Buffer.to_bytes]), flushes it once per frame batch, and is the
+   only closer of the file descriptor. *)
 
 type conn = {
   fd : Unix.file_descr;
   mutable rbuf : Bytes.t;
   mutable rlen : int;
-  wmu : Mutex.t;
   wbuf : Obuf.t;
   mutable closed : bool;
   mutable detached : bool;
@@ -72,25 +66,47 @@ type conn = {
 
 type pending = { conn : conn; id : int; req : Wire.request; arrival : float }
 
-(* The write queue is the only coordination point of the mutator.  It
-   carries client requests, replication-stream events, and integrity-
-   domain jobs ([Wrun], see [on_mutator]); the single mutator domain
+(* The job list is how work reaches the index.  It carries client
+   writes, replication-stream events, and integrity-thread jobs ([Run],
+   see [on_loop]); the event loop drains it after each frame batch and
    applies them in FIFO order, so replica reads observe mutations in
-   primary order.  Running the integrity work on the mutator is what
-   makes the digest tracker trivially race-free: a refresh always sees
-   exactly the published state together with its committed marks. *)
-type wjob = Wreq of pending | Wrepl of Replication.event | Wrun of (unit -> unit)
+   primary order and a digest refresh always sees exactly the applied
+   state together with its marks. *)
+type job = Write of pending | Repl of Replication.event | Run of (unit -> unit)
 
-(* The serving snapshot: a frozen index plus its swap generation.
-   Readers load it through one [Atomic.t]; once written to, the
-   mutator maintains two physical copies of the index ("left-right"):
-   it mutates the spare copy, publishes it with a single atomic swap,
-   and catches the retired copy up before the next write — after
-   waiting for the reader slot to have moved past the retired
-   generation.  The spare is copied from the serving index by the
-   first write that needs one ([catch_up]).  Readers therefore never
-   take a lock and never observe a half-applied mutation. *)
-type snap = { idx : Index_graph.t; gen : int }
+(* The serving index and the reader state built over it: the
+   validation cache, the planners of planned reads (one through the
+   cache, one without it, so Query_planned honors [no_cache]) and the
+   generation-gated Index_stats source.  Writes mutate [idx] in place;
+   a mutation that returns a new index object (a subgraph graft, a
+   demotion rebuild) or a snapshot install replaces the whole record. *)
+type reader = {
+  idx : Index_graph.t;
+  cache : Validation_cache.t Lazy.t;
+  planner : Planner.t Lazy.t;
+  planner_nc : Planner.t Lazy.t;
+  stats_src : Index_stats.source Lazy.t;
+}
+
+let reader_of idx =
+  (* Reads see every adjacency in fold order, so a query's answer and
+     visit counts do not depend on when the overflow layers were last
+     folded, nor on the order concurrent writes arrived in. *)
+  Index_graph.keep_sorted idx;
+  let cache = lazy (Validation_cache.create idx) in
+  let planner cache =
+    lazy
+      (let pl = Planner.create (Index_graph.data idx) in
+       Planner.register pl ~name:"index" ?cache:(Option.map Lazy.force cache) idx;
+       pl)
+  in
+  {
+    idx;
+    cache;
+    planner = planner (Some cache);
+    planner_nc = planner None;
+    stats_src = lazy (Index_stats.source idx);
+  }
 
 (* Launch stages in [Stats] order; [run] times [Prepare] itself. *)
 type stage = Datagen | Index_build | Recover | Checkpoint | Prepare
@@ -108,50 +124,47 @@ let stage launch st f =
   launch.stage_ms.(i) <- launch.stage_ms.(i) +. ((Unix.gettimeofday () -. t0) *. 1000.0);
   result
 
+(* The event loop owns the state.  The atomics are what other threads
+   touch too: [stop] (signal handlers, the integrity thread), the epochs
+   (shared with the replication threads) and the integrity thread's
+   counters. *)
 type state = {
   cfg : config;
-  serving : snap Atomic.t;
-  slot : int Atomic.t;
-      (* the reader slot of the event loop, which answers every read:
-         -1 when idle, else the generation being read *)
-  mutable spare : Index_graph.t option;
-      (* mutator-owned back copy; [None] until a mutation needs one,
-         and again after a failed application left it suspect: copy the
-         serving index before the next mutation *)
-  mutable lag : Wal.mutation list;
-      (* mutations in serving but not yet in spare, newest first *)
-  swaps : int Atomic.t;
-  spare_copies : int Atomic.t;  (* [Index_graph.copy] calls made for a spare *)
-  mutable wake : unit -> unit;  (* nudges the event loop (self-pipe) *)
-  mutable evloop_backend : string;
+  mutable reader : reader;
+  mutable gen : int;  (* bumped by every applied mutation and install *)
+  mutable vcache_retired : int * int * int;
+      (* hits, misses and evictions of the caches dropped with a
+         replaced index, so the exported counters never decrease *)
+  wake : unit -> unit;  (* nudges the event loop (self-pipe) *)
+  evloop_backend : string;
   durability : Checkpoint.t option;
-  writeq : wjob Bqueue.t;
-  in_flight : int Atomic.t;
+  jobs : job Bqueue.t;
+  mutable in_flight : int;  (* admitted writes not yet answered *)
   stop : bool Atomic.t;
-  served : int Atomic.t;
-  served_inline : int Atomic.t;
-  shed : int Atomic.t;
-  proto_errors : int Atomic.t;
-  deadline_expired : int Atomic.t;
+  mutable served : int;
+  mutable served_inline : int;
+  mutable shed : int;
+  mutable proto_errors : int;
+  mutable deadline_expired : int;
   launch : launch;  (* its clock is uptime's *)
-  evicted_slow_clients : int Atomic.t;
-  rejected_at_admission : int Atomic.t;
+  mutable evicted_slow_clients : int;
+  mutable rejected_at_admission : int;
   (* replication / failover *)
   epoch : int Atomic.t;  (* our primary epoch (a replica carries its lineage's) *)
   max_seen : int Atomic.t;  (* highest epoch observed from any peer *)
-  is_primary : bool Atomic.t;
-  fenced : bool Atomic.t;  (* a peer proved a newer primary exists *)
-  hub : Replication.hub option Atomic.t;
+  mutable is_primary : bool;
+  mutable fenced : bool;  (* a peer proved a newer primary exists *)
+  mutable hub : Replication.hub option;
   mk_hub : Checkpoint.t -> Replication.hub;  (* for promotion *)
   replica : Replication.replica option;
-  repl_apply_errors : int Atomic.t;
+  mutable repl_apply_errors : int;
   (* integrity: digests, scrubbing, anti-entropy *)
   integrity : Integrity.t;
-  digest_pos : (int * int) Atomic.t;
-      (* write-stream position (primary WAL coordinates) the published
+  mutable digest_pos : int * int;
+      (* write-stream position (primary WAL coordinates) the applied
          state corresponds to; (-1, 0) when it cannot be stamped.  Two
          servers' digests are comparable only at equal positions. *)
-  repl_records_seen : int Atomic.t;
+  mutable repl_records_seen : int;
   repl_drop_nth : int;
       (* test hook: silently skip the nth fresh replicated record
          (divergence injection); 0 = never *)
@@ -159,162 +172,58 @@ type state = {
   scrub_corruptions : int Atomic.t;
   replica_divergences : int Atomic.t;  (* each one healed by one resync *)
   anti_entropy_rounds : int Atomic.t;
-  (* Reader state, touched only by the event loop (see [reader_cache]) *)
-  mutable caches : Validation_cache.t list;  (* newest first, <= 2 *)
-  mutable planners : (Validation_cache.t option * Planner.t) list;
-      (* (the cache it scans through, planner), newest first, <= 4 *)
-  mutable vcache_retired : int * int * int;
-      (* hits, misses and evictions of the caches the reader dropped,
-         so the exported counters never decrease *)
-  mutable stats_srcs : Index_stats.source list;
-      (* generation-gated Index_stats per physical copy (<= 2 live) *)
-  planned : int Atomic.t;
-  planned_index_scans : int Atomic.t;
-  planned_raw_scans : int Atomic.t;
-  explains : int Atomic.t;
-  plan_fallbacks : int Atomic.t;
+  mutable planned : int;
+  mutable planned_index_scans : int;
+  mutable planned_raw_scans : int;
+  mutable explains : int;
+  mutable plan_fallbacks : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Snapshot acquisition (the reader) and the swap/grace protocol
-   (mutator).  The reader publishes the generation it is about to
-   read, then re-checks the serving pointer: if a swap raced in
-   between it retries, so once the loop exits the mutator is
-   guaranteed to see either the published (current) generation or a
-   later one in the slot.  The mutator's grace wait only blocks while
-   the slot still publishes a generation {e older} than the current
-   one — i.e. on a read that was already in flight on the retired
-   copy. *)
+let serving_idx state = state.reader.idx
 
-let snap_acquire state =
-  let rec go () =
-    let s = Atomic.get state.serving in
-    Atomic.set state.slot s.gen;
-    if (Atomic.get state.serving).gen = s.gen then s
-    else begin
-      Atomic.set state.slot (-1);
-      go ()
-    end
-  in
-  go ()
+(* Make [idx] the serving index.  A new object gets a fresh reader
+   record; the counters of the cache it drops move into the retired
+   totals. *)
+let set_index state idx =
+  let r = state.reader in
+  if r.idx != idx then begin
+    if Lazy.is_val r.cache then begin
+      let c = Lazy.force r.cache in
+      let h, m = Validation_cache.stats c and rh, rm, re = state.vcache_retired in
+      state.vcache_retired <- (rh + h, rm + m, re + Validation_cache.evictions c)
+    end;
+    Integrity.attach state.integrity idx;
+    state.reader <- reader_of idx
+  end
 
-let with_snapshot state f =
-  let s = snap_acquire state in
-  Fun.protect ~finally:(fun () -> Atomic.set state.slot (-1)) (fun () -> f s)
-
-(* Mutator-side: wait until the reader is no longer on a generation
-   older than [gen].  Bounded by the duration of the read that
-   acquired before the last swap (the same wait a writer-priority
-   rw-lock would impose), but paid before the {e next} mutation
-   rather than on the acknowledgement path. *)
-let wait_readers state gen =
-  let spins = ref 0 in
-  let busy () =
-    let v = Atomic.get state.slot in
-    v >= 0 && v < gen
-  in
-  while busy () do
-    incr spins;
-    if !spins < 200 then Domain.cpu_relax () else Unix.sleepf 0.0002
-  done
-
-(* The spare, up to date with the serving content.  Called by the
-   mutator before every mutation; the grace wait happens here, off the
-   acknowledgement path of the previous write.  This is the one place
-   a spare is built: when there is none yet (nothing has been written
-   since launch or since a snapshot install) or the lag cannot be
-   replayed onto the one there is, it is [Index_graph.copy] of the
-   serving index, which only reads it, so readers still on it are
-   undisturbed. *)
-let catch_up state =
-  let copy_serving () =
-    let spare = Index_graph.copy (Atomic.get state.serving).idx in
-    Atomic.incr state.spare_copies;
-    Integrity.attach state.integrity spare;
-    spare
-  in
-  let spare =
-    match state.spare with
-    | None -> copy_serving ()
-    | Some spare when state.lag = [] -> spare
-    | Some spare -> (
-      wait_readers state (Atomic.get state.serving).gen;
-      (* The serving side applied the lag; a spare that cannot replay
-         it would diverge, so it is rebuilt instead. *)
-      try List.fold_left Checkpoint.apply_mutation spare (List.rev state.lag)
-      with _ -> copy_serving ())
-  in
-  state.spare <- Some spare;
-  state.lag <- [];
-  spare
-
-(* Publish [idx'] (the mutated spare) as the new serving snapshot and
-   retire the old one into the spare slot, remembering [muts] for
-   catch-up. *)
-let swap_in state idx' muts =
-  Index_graph.prepare_serving idx';
-  let old = Atomic.get state.serving in
-  Atomic.set state.serving { idx = idx'; gen = old.gen + 1 };
-  Atomic.incr state.swaps;
-  state.spare <- Some old.idx;
-  state.lag <- muts
-
-(* Publish a mutated spare with the digest tracker kept in step.
-   Wholesale mutations can return a brand-new index object with no
-   tracer installed; attaching is idempotent. *)
-let publish state idx' muts =
-  Integrity.attach state.integrity idx';
-  swap_in state idx' muts;
-  Integrity.commit state.integrity
-
-(* Install a wholesale replacement (replica snapshot bootstrap): the
-   serving copy is fresh and the old spare is dropped, so nothing
-   retired is ever mutated and no grace wait is needed — readers still
-   on the old copies finish on them and the GC reclaims them after.
-   The next mutation copies the new serving index into a spare. *)
-let install state serving =
-  Index_graph.prepare_serving serving;
-  let old = Atomic.get state.serving in
-  Atomic.set state.serving { idx = serving; gen = old.gen + 1 };
-  Atomic.incr state.swaps;
-  state.spare <- None;
-  state.lag <- []
+(* Apply one loggable mutation to the serving index.  Every rejection
+   the mutation path knows (a node out of range, a missing edge, an
+   unparsable subgraph, a subgraph root label that is not unique)
+   raises before anything is changed, so a failed write leaves the one
+   copy as it was.  Wholesale mutations return a new index object,
+   which replaces the reader state. *)
+let apply_mutation state m =
+  set_index state (Checkpoint.apply_mutation (serving_idx state) m);
+  state.gen <- state.gen + 1;
+  Integrity.note_mutation state.integrity m
 
 (* ------------------------------------------------------------------ *)
-(* Response writing.  All replies are encoded into the connection's
-   [wbuf] under [wmu] and flushed from its backing bytes directly —
-   no intermediate copy.  The mutator flushes immediately; the event
-   loop buffers every reply of a frame batch and flushes once
+(* Response writing.  Replies are encoded into the connection's [wbuf]
+   and flushed from its backing bytes directly — no intermediate copy.
+   Reads are buffered for a whole frame batch and flushed once
    ([flush_responses]), so a pipelined client costs one [write] per
-   batch instead of one per request.  Sockets are non-blocking:
-   [Faults.write_all] waits out a full send buffer and gives up on a
-   peer stalled for 30 s, which closes the connection. *)
+   batch instead of one per request; write replies are flushed as each
+   write is applied.  Sockets are non-blocking: [Faults.write_all]
+   waits out a full send buffer and gives up on a peer stalled for
+   30 s, which closes the connection. *)
 
-(* Must be called with [conn.wmu] held. *)
-let flush_locked conn =
+let flush_responses conn =
   if (not conn.closed) && Obuf.length conn.wbuf > 0 then (
     try Faults.write_all None conn.fd (Obuf.base conn.wbuf) 0 (Obuf.length conn.wbuf)
     with Unix.Unix_error _ -> conn.closed <- true);
   Obuf.clear conn.wbuf
 
-let send_response conn ~id resp =
-  Mutex.lock conn.wmu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock conn.wmu) @@ fun () ->
-  if not conn.closed then begin
-    Wire.encode_response conn.wbuf ~id resp;
-    flush_locked conn
-  end
-
-(* Event-loop replies: append without flushing. *)
-let buffer_response conn ~id resp =
-  Mutex.lock conn.wmu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock conn.wmu) @@ fun () ->
-  if not conn.closed then Wire.encode_response conn.wbuf ~id resp
-
-let flush_responses conn =
-  Mutex.lock conn.wmu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock conn.wmu) @@ fun () ->
-  flush_locked conn
+let buffer_response conn ~id resp = if not conn.closed then Wire.encode_response conn.wbuf ~id resp
 
 (* ------------------------------------------------------------------ *)
 (* Query evaluation, on the event loop *)
@@ -333,101 +242,37 @@ let wire_result ~gen ~age_ms (r : Query_eval.result) : Wire.query_result =
     age_ms;
   }
 
-(* The reader's state: validation caches plus cost-based planners,
-   all owned by the event loop (Stats is answered there too, so none
-   of it needs a lock).  The serving snapshot alternates between the
-   two physical copies as writes land, so the reader keeps one cache
-   per copy — two live entries keyed by physical identity; a third
-   copy (a spare rebuilt after a failed write, a snapshot install)
-   drops the older entry, whose counters move into the retired totals.
-   Planners come in a cached and an uncached flavor so Query_planned
-   honors the [no_cache] flag; a cached planner is keyed by its cache,
-   so one whose cache was dropped is never used again. *)
-let reader_cache state idx =
-  match List.find_opt (fun c -> Validation_cache.index c == idx) state.caches with
-  | Some c -> c
-  | None ->
-    let c = Validation_cache.create idx in
-    (match state.caches with
-    | prev :: dropped ->
-      state.caches <- [ c; prev ];
-      List.iter
-        (fun d ->
-          let h, m = Validation_cache.stats d in
-          let rh, rm, re = state.vcache_retired in
-          state.vcache_retired <- (rh + h, rm + m, re + Validation_cache.evictions d))
-        dropped
-    | [] -> state.caches <- [ c ]);
-    c
-
-(* The server-side planner per snapshot: the serving index (named
-   "index") plus the raw data graph the planner always carries.  Its
-   job is per-query routing between the index scan and the raw
-   fallback, priced from the live catalog (generation-gated, so update
-   churn refreshes it). *)
-let reader_planner state ~use_cache idx =
-  let cache = if use_cache then Some (reader_cache state idx) else None in
-  let matches (c, pl) =
-    match (c, cache) with
-    | Some c, Some want -> c == want
-    | None, None -> ( match Planner.index pl with Some i -> i == idx | None -> false)
-    | Some _, None | None, Some _ -> false
-  in
-  match List.find_opt matches state.planners with
-  | Some (_, pl) -> pl
-  | None ->
-    let pl = Planner.create (Index_graph.data idx) in
-    Planner.register pl ~name:"index" ?cache idx;
-    (* cap at 4 live planners: {cached, uncached} x {two copies} *)
-    state.planners <-
-      (cache, pl) :: (match state.planners with a :: b :: c :: _ -> [ a; b; c ] | l -> l);
-    pl
-
 let eval_labels ?cache idx labels =
   let pool = Data_graph.pool (Index_graph.data idx) in
   let codes = List.map (Label.Pool.find_opt pool) labels in
   if labels = [] || List.exists Option.is_none codes then empty_result
   else Query_eval.eval_path ?cache idx (Array.of_list (List.map Option.get codes))
 
-(* Index statistics are generation-gated ({!Index_stats.source}): a
-   Stats request on an unchanged index returns the memoized record
-   instead of sweeping every live index node.  Sources are keyed by
-   physical copy like the reader caches. *)
-let stats_source state idx =
-  match
-    List.find_opt (fun s -> Index_stats.source_index s == idx) state.stats_srcs
-  with
-  | Some s -> s
-  | None ->
-    let s = Index_stats.source idx in
-    (state.stats_srcs <-
-       match state.stats_srcs with
-       | prev :: _ -> [ s; prev ]
-       | [] -> [ s ]);
-    s
-
 let vcache_kvs state =
   let rh, rm, re = state.vcache_retired in
-  let hits = ref rh and misses = ref rm and entries = ref 0 and evictions = ref re in
-  let caches = state.caches in
-  List.iter
-    (fun c ->
+  let live = state.reader.cache in
+  let h, m, entries, e =
+    if Lazy.is_val live then begin
+      let c = Lazy.force live in
       let h, m = Validation_cache.stats c in
-      hits := !hits + h;
-      misses := !misses + m;
-      entries := !entries + Validation_cache.entry_count c;
-      evictions := !evictions + Validation_cache.evictions c)
-    caches;
+      (h, m, Validation_cache.entry_count c, Validation_cache.evictions c)
+    end
+    else (0, 0, 0, 0)
+  in
   [
-    ("vcache_instances", string_of_int (List.length caches));
-    ("vcache_hits", string_of_int !hits);
-    ("vcache_misses", string_of_int !misses);
-    ("vcache_entries", string_of_int !entries);
-    ("vcache_evictions", string_of_int !evictions);
+    ("vcache_instances", if Lazy.is_val live then "1" else "0");
+    ("vcache_hits", string_of_int (rh + h));
+    ("vcache_misses", string_of_int (rm + m));
+    ("vcache_entries", string_of_int entries);
+    ("vcache_evictions", string_of_int (re + e));
   ]
 
-let stats_kvs state idx =
-  let st = Index_stats.get (stats_source state idx) in
+(* Index statistics are generation-gated ({!Index_stats.source}): a
+   Stats request on an unchanged index returns the memoized record
+   instead of sweeping every live index node. *)
+let stats_kvs state =
+  let idx = serving_idx state in
+  let st = Index_stats.get (Lazy.force state.reader.stats_src) in
   let b v = if v then "true" else "false" in
   [
     ("n_index_nodes", string_of_int st.Index_stats.n_nodes);
@@ -436,31 +281,29 @@ let stats_kvs state idx =
     ("compression", Printf.sprintf "%.3f" st.compression);
     ("largest_extent", string_of_int st.largest_extent);
     ("generation", string_of_int (Index_graph.generation idx));
-    ("served", string_of_int (Atomic.get state.served));
-    ("served_inline", string_of_int (Atomic.get state.served_inline));
-    ("shed", string_of_int (Atomic.get state.shed));
-    ("protocol_errors", string_of_int (Atomic.get state.proto_errors));
-    ("deadline_expired", string_of_int (Atomic.get state.deadline_expired));
-    ("write_queue_depth", string_of_int (Bqueue.length state.writeq));
+    ("served", string_of_int (state.served));
+    ("served_inline", string_of_int (state.served_inline));
+    ("shed", string_of_int (state.shed));
+    ("protocol_errors", string_of_int (state.proto_errors));
+    ("deadline_expired", string_of_int (state.deadline_expired));
+    ("write_queue_depth", string_of_int (Bqueue.length state.jobs));
     ("queue_capacity", string_of_int state.cfg.queue_depth);
-    ("in_flight", string_of_int (Atomic.get state.in_flight));
+    ("in_flight", string_of_int state.in_flight);
     ("evloop_backend", state.evloop_backend);
-    ("snapshot_swaps", string_of_int (Atomic.get state.swaps));
-    ("spare_copies", string_of_int (Atomic.get state.spare_copies));
-    ("role", if Atomic.get state.is_primary then "primary" else "replica");
+    ("role", if state.is_primary then "primary" else "replica");
     ("epoch", string_of_int (Atomic.get state.epoch));
     ("max_seen_epoch", string_of_int (Atomic.get state.max_seen));
-    ("fenced", b (Atomic.get state.fenced));
-    ("repl_apply_errors", string_of_int (Atomic.get state.repl_apply_errors));
+    ("fenced", b (state.fenced));
+    ("repl_apply_errors", string_of_int (state.repl_apply_errors));
     ("durability", match state.durability with Some _ -> "wal+checkpoint" | None -> "none");
     ("uptime_s", Printf.sprintf "%.3f" (Unix.gettimeofday () -. state.launch.launched_at));
-    ("evicted_slow_clients", string_of_int (Atomic.get state.evicted_slow_clients));
-    ("rejected_at_admission", string_of_int (Atomic.get state.rejected_at_admission));
-    ("planned_queries", string_of_int (Atomic.get state.planned));
-    ("planned_index_scans", string_of_int (Atomic.get state.planned_index_scans));
-    ("planned_raw_scans", string_of_int (Atomic.get state.planned_raw_scans));
-    ("explain_queries", string_of_int (Atomic.get state.explains));
-    ("plan_fallbacks", string_of_int (Atomic.get state.plan_fallbacks));
+    ("evicted_slow_clients", string_of_int (state.evicted_slow_clients));
+    ("rejected_at_admission", string_of_int (state.rejected_at_admission));
+    ("planned_queries", string_of_int (state.planned));
+    ("planned_index_scans", string_of_int (state.planned_index_scans));
+    ("planned_raw_scans", string_of_int (state.planned_raw_scans));
+    ("explain_queries", string_of_int (state.explains));
+    ("plan_fallbacks", string_of_int (state.plan_fallbacks));
     ("scrub_passes", string_of_int (Atomic.get state.scrub_passes));
     ("scrub_corruptions_found", string_of_int (Atomic.get state.scrub_corruptions));
     ("replica_divergences", string_of_int (Atomic.get state.replica_divergences));
@@ -472,7 +315,7 @@ let stats_kvs state idx =
       (Array.to_list stage_names)
   @ vcache_kvs state
   @ (match state.durability with Some d -> Checkpoint.stats d | None -> [])
-  @ (match Atomic.get state.hub with Some h -> Replication.hub_stats h | None -> [])
+  @ (match state.hub with Some h -> Replication.hub_stats h | None -> [])
   @ (match state.replica with Some r -> Replication.replica_stats r | None -> [])
 
 (* How stale is the data a read is answered from?  0 on a primary (and
@@ -489,13 +332,13 @@ let read_age_ms state =
     | Some a -> int_of_float (a *. 1000.0)
     | None -> 0xffffffff)
 
-let handle_read state (snap : snap) req : Wire.response =
-  let idx = snap.idx in
-  let cache flags = if flags.Wire.no_cache then None else Some (reader_cache state idx) in
-  let wire_result r = wire_result ~gen:snap.gen ~age_ms:(read_age_ms state) r in
+let handle_read state req : Wire.response =
+  let { idx; cache; planner; planner_nc; _ } = state.reader in
+  let cache flags = if flags.Wire.no_cache then None else Some (Lazy.force cache) in
+  let wire_result r = wire_result ~gen:state.gen ~age_ms:(read_age_ms state) r in
   match req with
   | Wire.Ping -> Wire.Pong
-  | Wire.Stats -> Wire.Stats_reply (stats_kvs state idx)
+  | Wire.Stats -> Wire.Stats_reply (stats_kvs state)
   | Wire.Query { flags; expr } ->
     Wire.Result (wire_result (Query_eval.eval_expr ?cache:(cache flags) idx expr))
   | Wire.Query_path { flags; labels } ->
@@ -509,7 +352,7 @@ let handle_read state (snap : snap) req : Wire.response =
     Wire.Edge_reply
       {
         present = u >= 0 && u < n && v >= 0 && v < n && Data_graph.has_edge g u v;
-        generation = snap.gen;
+        generation = state.gen;
         age_ms = read_age_ms state;
       }
   | Wire.Batch_query { flags; paths } ->
@@ -517,19 +360,19 @@ let handle_read state (snap : snap) req : Wire.response =
     Wire.Batch_result
       (Array.of_list (List.map (fun p -> wire_result (eval_labels ?cache idx p)) paths))
   | Wire.Query_planned { flags; expr } ->
-    let pl = reader_planner state ~use_cache:(not flags.Wire.no_cache) idx in
+    let pl = Lazy.force (if flags.Wire.no_cache then planner_nc else planner) in
     let fb0 = Planner.fallbacks pl in
     let plan, r = Planner.eval_planned pl expr in
-    Atomic.incr state.planned;
+    state.planned <- state.planned + 1;
     (match plan.Plan.access with
-    | Plan.Raw -> Atomic.incr state.planned_raw_scans
-    | Plan.Scan _ -> Atomic.incr state.planned_index_scans);
+    | Plan.Raw -> state.planned_raw_scans <- state.planned_raw_scans + 1
+    | Plan.Scan _ -> state.planned_index_scans <- state.planned_index_scans + 1);
     let fell = Planner.fallbacks pl - fb0 in
-    if fell > 0 then ignore (Atomic.fetch_and_add state.plan_fallbacks fell);
+    state.plan_fallbacks <- state.plan_fallbacks + fell;
     Wire.Planned_result { plan = Plan.describe plan; result = wire_result r }
   | Wire.Explain { expr } ->
-    let pl = reader_planner state ~use_cache:true idx in
-    Atomic.incr state.explains;
+    let pl = Lazy.force planner in
+    state.explains <- state.explains + 1;
     Wire.Explain_reply (Planner.explain pl expr)
   | _ -> Wire.Error_reply { code = `Protocol; message = "write request on read path" }
 
@@ -544,8 +387,7 @@ let stale_read state req =
   | None -> false
 
 (* ------------------------------------------------------------------ *)
-(* The mutator: all updates, applied in FIFO order to the spare copy
-   and published with an atomic snapshot swap (see [snap] above). *)
+(* Writes: applied in FIFO order to the serving index, on the loop. *)
 
 (* The loggable mutations.  Everything the WAL replays goes through
    {!Checkpoint.apply_mutation}, the same code path recovery uses, so
@@ -557,8 +399,6 @@ let mutation_of_req : Wire.request -> Wal.mutation option = function
   | Wire.Promote pairs -> Some (Wal.Promote pairs)
   | Wire.Demote reqs -> Some (Wal.Demote reqs)
   | _ -> None
-
-let serving_idx state = (Atomic.get state.serving).idx
 
 (* The [--snapshot] file, durable before it is acknowledged: temp
    file, fsync, rename, fsync of the directory. *)
@@ -573,8 +413,8 @@ let not_primary_reply state : Wire.response =
     Wire.Not_primary { host = rc.Replication.primary_host; port = rc.Replication.primary_port }
   | None -> Wire.Not_primary { host = state.cfg.host; port = state.cfg.port }
 
-(* Promotion (operator request or failover watchdog), run by the
-   mutator.  Epoch = 1 + the highest epoch observed anywhere,
+(* Promotion (operator request or failover watchdog), run on the
+   loop.  Epoch = 1 + the highest epoch observed anywhere,
    persisted before the role flips so a restart cannot resurrect the
    old epoch — if it cannot be persisted, the promotion is refused and
    the replica keeps its role and epoch; then the replica tailer is
@@ -583,7 +423,7 @@ let not_primary_reply state : Wire.response =
 let do_promote state : Wire.response =
   let e = max (Atomic.get state.epoch) (Atomic.get state.max_seen) + 1 in
   let persist d = Replication.store_epoch ~dir:(Checkpoint.dir d) e in
-  if Atomic.get state.is_primary then
+  if state.is_primary then
     Wire.Error_reply { code = `App; message = "already primary" }
   else
     match Option.iter persist state.durability with
@@ -600,11 +440,11 @@ let do_promote state : Wire.response =
       Atomic.set state.epoch e;
       Atomic.set state.max_seen e;
       Option.iter Replication.mark_promoted state.replica;
-      (match (state.durability, Atomic.get state.hub) with
-      | Some d, None -> Atomic.set state.hub (Some (state.mk_hub d))
+      (match (state.durability, state.hub) with
+      | Some d, None -> state.hub <- Some (state.mk_hub d)
       | _ -> ());
-      Atomic.set state.fenced false;
-      Atomic.set state.is_primary true;
+      state.fenced <- false;
+      state.is_primary <- true;
       Wire.Ok_reply { generation = Index_graph.generation (serving_idx state); epoch = e }
 
 let apply_write state (p : pending) : Wire.response =
@@ -616,44 +456,32 @@ let apply_write state (p : pending) : Wire.response =
   try
     match mutation_of_req p.req with
     | Some m -> (
-      if not (Atomic.get state.is_primary) then not_primary_reply state
-      else if Atomic.get state.fenced then Wire.Fenced { epoch = Atomic.get state.max_seen }
+      if not state.is_primary then not_primary_reply state
+      else if state.fenced then Wire.Fenced { epoch = Atomic.get state.max_seen }
       else
         match state.durability with
         | Some d when Checkpoint.read_only d -> Wire.Read_only
         | durability -> (
-          let idx' =
-            try Checkpoint.apply_mutation (catch_up state) m
-            with e ->
-              (* The spare may be half-mutated; drop it so the next
-                 mutation copies a fresh one.  The serving side is
-                 untouched. *)
-              state.spare <- None;
-              raise e
-          in
-          Integrity.note_mutation state.integrity m;
+          apply_mutation state m;
           (* Log after applying, before acknowledging: the WAL holds
              only mutations that succeeded, and nothing is acknowledged
-             until it is logged.  A WAL failure degrades the server to
-             read-only — the published application stands (it can be at
-             most this one unacknowledged mutation ahead of the durable
-             state) and no further writes are accepted. *)
+             (or read, since reads wait for the loop too) until it is
+             logged.  A WAL failure degrades the server to read-only —
+             the application stands (it can be at most this one
+             unacknowledged mutation ahead of the durable state) and no
+             further writes are accepted. *)
           match durability with
-          | None ->
-            publish state idx' [ m ];
-            ok ()
+          | None -> ok ()
           | Some d -> (
             match Checkpoint.log_mutation d m with
             | () ->
-              publish state idx' [ m ];
-              Atomic.set state.digest_pos (Checkpoint.wal_position d);
+              state.digest_pos <- Checkpoint.wal_position d;
               ok ()
             | exception e ->
               Checkpoint.note_wal_failure d (Printexc.to_string e);
-              publish state idx' [ m ];
-              (* Applied but not logged: the published state is ahead
-                 of any WAL position. *)
-              Atomic.set state.digest_pos (-1, 0);
+              (* Applied but not logged: the state is ahead of any WAL
+                 position. *)
+              state.digest_pos <- (-1, 0);
               Wire.Read_only)))
     | None -> (
       match p.req with
@@ -668,16 +496,15 @@ let apply_write state (p : pending) : Wire.response =
           ok ()
         | None, None -> app "no snapshot path configured")
       | Wire.Digest_request ->
-        (* On the mutator by design: no swap can race the refresh, so
-           the digests describe exactly the published state and the
-           stamped position is exact.  Served even on a stale replica —
-           anti-entropy must see divergence precisely when the replica
-           is unhealthy. *)
+        (* A job by design: it runs between writes, so the digests
+           describe exactly the applied state and the stamped position
+           is exact.  Served even on a stale replica — anti-entropy must
+           see divergence precisely when the replica is unhealthy. *)
         let d = Integrity.refresh state.integrity (serving_idx state) in
-        let seq, offset = Atomic.get state.digest_pos in
+        let seq, offset = state.digest_pos in
         Wire.Digest_reply
           {
-            generation = (Atomic.get state.serving).gen;
+            generation = state.gen;
             seq;
             offset;
             n_nodes = d.Integrity.n_nodes;
@@ -685,10 +512,9 @@ let apply_write state (p : pending) : Wire.response =
           }
       | Wire.Promote_primary -> do_promote state
       | Wire.Shutdown ->
-        let r = ok () in
+        (* The loop stops after this drain. *)
         Atomic.set state.stop true;
-        state.wake ();
-        r
+        ok ()
       | _ -> app "read request on write path")
   with
   | Failure msg | Invalid_argument msg -> app msg
@@ -701,23 +527,7 @@ let apply_write state (p : pending) : Wire.response =
    fully durable primary.  After a reconnect the stream can replay
    bytes already applied; the WAL encoding is canonical, so each
    record's byte extent re-derives exactly and anything at or below
-   the applied position is skipped.  A whole [Ev_mutations] batch is
-   published with one snapshot swap. *)
-
-(* Apply one replicated record to the spare [!spare].  The primary
-   applied it successfully, so failing here means divergence: count it
-   and keep going, and drop the possibly half-mutated spare unless a
-   later success publishes it.  [true] if applied. *)
-let apply_to_spare state spare m =
-  match Checkpoint.apply_mutation !spare m with
-  | idx' ->
-    spare := idx';
-    Integrity.note_mutation state.integrity m;
-    true
-  | exception _ ->
-    state.spare <- None;
-    Atomic.incr state.repl_apply_errors;
-    false
+   the applied position is skipped. *)
 
 let apply_repl state scratch (ev : Replication.event) =
   match ev with
@@ -728,17 +538,15 @@ let apply_repl state scratch (ev : Replication.event) =
   | Replication.Ev_snapshot { checkpoint; epoch; seq } -> (
     match state.replica with
     | Some r when not (Replication.is_promoted r) -> (
-      (* Check and decode once into the serving copy (the spare is
-         copied from it by the first mutation that needs one), then
-         keep the checked file itself as the next checkpoint. *)
+      (* Check and decode once into the serving index, then keep the
+         checked file itself as the next checkpoint. *)
       let t0 = Unix.gettimeofday () in
       match Result.map Index_serial.of_string (Checkpoint.body checkpoint) with
       | Ok idx' ->
         Integrity.invalidate state.integrity;
-        Integrity.attach state.integrity idx';
-        install state idx';
-        Integrity.commit state.integrity;
-        Atomic.set state.digest_pos (seq, 0);
+        set_index state idx';
+        state.gen <- state.gen + 1;
+        state.digest_pos <- (seq, 0);
         Option.iter
           (fun d -> match Checkpoint.install d checkpoint with Ok () | Error _ -> ())
           state.durability;
@@ -746,7 +554,7 @@ let apply_repl state scratch (ev : Replication.event) =
       | Error _ | (exception _) ->
         (* A snapshot that fails its check or does not decode leaves
            us behind: bootstrap again. *)
-        Atomic.incr state.repl_apply_errors;
+        state.repl_apply_errors <- state.repl_apply_errors + 1;
         Replication.force_resync r)
     | _ -> ())
   | Replication.Ev_mutations { muts; epoch = _; seq; base; offset } -> (
@@ -755,8 +563,7 @@ let apply_repl state scratch (ev : Replication.event) =
       let aseq, aoff = Replication.applied_position r in
       if seq < aseq || (seq = aseq && offset <= aoff) then ()
       else begin
-        let spare = ref (catch_up state) in
-        let applied = ref [] in
+        let applied = ref 0 in
         let pos = ref base in
         List.iter
           (fun m ->
@@ -764,83 +571,83 @@ let apply_repl state scratch (ev : Replication.event) =
             Wal.encode_mutation scratch m;
             let rec_end = !pos + Buffer.length scratch in
             (if seq > aseq || rec_end > aoff then begin
-               let nth = 1 + Atomic.fetch_and_add state.repl_records_seen 1 in
-               if state.repl_drop_nth > 0 && nth = state.repl_drop_nth then
+               state.repl_records_seen <- state.repl_records_seen + 1;
+               if state.repl_drop_nth > 0 && state.repl_records_seen = state.repl_drop_nth then
                  (* Divergence injection (tests): the record is skipped
                     but the applied position still advances past it, so
                     replication itself never notices. *)
                  ()
-               else if apply_to_spare state spare m then begin
-                 applied := m :: !applied;
-                 match state.durability with
-                 | Some d when not (Checkpoint.read_only d) -> (
-                   try Checkpoint.log_mutation d m
-                   with e -> Checkpoint.note_wal_failure d (Printexc.to_string e))
-                 | _ -> ()
-               end
+               else
+                 (* The primary applied it successfully, so failing here
+                    means divergence: count it and keep going. *)
+                 match apply_mutation state m with
+                 | exception _ -> state.repl_apply_errors <- state.repl_apply_errors + 1
+                 | () -> (
+                   incr applied;
+                   match state.durability with
+                   | Some d when not (Checkpoint.read_only d) -> (
+                     try Checkpoint.log_mutation d m
+                     with e -> Checkpoint.note_wal_failure d (Printexc.to_string e))
+                   | _ -> ())
              end);
             pos := rec_end)
           muts;
-        (* [lag] is newest-first, which is exactly what [applied]
-           accumulated to. *)
-        if !applied <> [] then publish state !spare !applied;
         (* The position is stamped in the primary's WAL coordinates —
            the same clock the primary stamps its own digests with. *)
-        Atomic.set state.digest_pos (seq, offset);
-        Replication.note_applied r ~seq ~offset ~n:(List.length !applied);
+        state.digest_pos <- (seq, offset);
+        Replication.note_applied r ~seq ~offset ~n:!applied;
         Option.iter
           (fun d -> Checkpoint.maybe_checkpoint d (serving_idx state))
           state.durability
       end
     | _ -> ())
 
-(* A write that waited in the queue past [deadline_s] is answered
+(* A write that waited in the job list past [deadline_s] is answered
    [`Deadline] instead of being applied. *)
 let expired state p =
   state.cfg.deadline_s > 0.0 && Unix.gettimeofday () -. p.arrival > state.cfg.deadline_s
 
 let deadline_reply state =
-  Atomic.incr state.deadline_expired;
+  state.deadline_expired <- state.deadline_expired + 1;
   Wire.Error_reply { code = `Deadline; message = "deadline exceeded" }
 
-let mutator_loop state () =
-  let scratch = Buffer.create 256 in
-  let rec go () =
-    match Bqueue.pop state.writeq with
+(* Run the jobs queued when the drain starts, in FIFO order: a thread
+   pushing more wakes the loop again, so reads get their turn between
+   drains. *)
+let drain_jobs state scratch =
+  for _ = 1 to Bqueue.length state.jobs do
+    match Bqueue.try_pop state.jobs with
     | None -> ()
-    | Some (Wrepl ev) ->
-      apply_repl state scratch ev;
-      go ()
-    | Some (Wrun f) ->
-      f ();
-      go ()
-    | Some (Wreq p) ->
-      (if not p.conn.closed then
-         let resp = if expired state p then deadline_reply state else apply_write state p in
-         send_response p.conn ~id:p.id resp;
-         Atomic.incr state.served);
-      Atomic.decr state.in_flight;
-      Option.iter (fun d -> Checkpoint.maybe_checkpoint d (serving_idx state)) state.durability;
-      go ()
-  in
-  go ()
+    | Some (Repl ev) -> apply_repl state scratch ev
+    | Some (Run f) -> f ()
+    | Some (Write p) ->
+      if not p.conn.closed then begin
+        let resp = if expired state p then deadline_reply state else apply_write state p in
+        buffer_response p.conn ~id:p.id resp;
+        flush_responses p.conn;
+        state.served <- state.served + 1
+      end;
+      state.in_flight <- state.in_flight - 1;
+      Option.iter (fun d -> Checkpoint.maybe_checkpoint d (serving_idx state)) state.durability
+  done
 
 (* ------------------------------------------------------------------ *)
-(* The integrity domain: background scrubbing of at-rest state and, on
+(* The integrity thread: background scrubbing of at-rest state and, on
    replicas, anti-entropy digest comparison against the primary.  All
-   index access goes through [on_mutator] jobs; this domain only does
-   file I/O, networking, and bookkeeping, so it needs no reader slot. *)
+   index access goes through [on_loop] jobs; this thread only does
+   file I/O, networking, and bookkeeping. *)
 
-(* Run [f] on the mutator, between two writes, and wait for its result
-   on a one-slot reply queue.  [None] once shutdown has begun or if [f]
-   raised.  An admitted job always runs: [run] closes the write queue
-   only after joining this domain, and the mutator drains every queued
-   job before it exits. *)
-let on_mutator state f =
-  if Atomic.get state.stop then None
+(* Run [f] on the loop, between two writes, and wait for its result on
+   a one-slot reply queue.  [None] once shutdown has begun, when the
+   job list is full, or if [f] raised.  An admitted job always runs:
+   at shutdown the loop closes the job list and drains it before it
+   joins this thread. *)
+let on_loop state f =
+  let reply = Bqueue.create 1 in
+  let job = Run (fun () -> Bqueue.push reply (try Some (f ()) with _ -> None)) in
+  if Atomic.get state.stop || not (Bqueue.try_push state.jobs job) then None
   else begin
-    let reply = Bqueue.create 1 in
-    Bqueue.push state.writeq (Wrun (fun () -> Bqueue.push reply (try Some (f ()) with _ -> None)));
+    state.wake ();
     Option.join (Bqueue.pop reply)
   end
 
@@ -855,7 +662,7 @@ let scrub_pass state d =
        live (known-good) index first, and only quarantine once a fresh
        generation is durable.  On checkpoint failure the evidence
        stays in place and the next pass retries. *)
-    if on_mutator state (fun () -> Checkpoint.checkpoint_now d (serving_idx state)) = Some (Ok ())
+    if on_loop state (fun () -> Checkpoint.checkpoint_now d (serving_idx state)) = Some (Ok ())
     then
       ignore (Scrub.quarantine ~dir (List.map (fun c -> c.Scrub.file) report.Scrub.corrupt))
   end
@@ -883,11 +690,11 @@ let anti_entropy_round state r suspicion =
     Atomic.incr state.anti_entropy_rounds;
     (match Client.call c Wire.Digest_request with
     | Wire.Digest_reply { generation = _; seq = pseq; offset = poff; n_nodes; root } -> (
-      (* The digest of the published state, stamped with the write-
+      (* The digest of the applied state, stamped with the write-
          stream position it reflects. *)
       match
-        on_mutator state (fun () ->
-            (Integrity.refresh state.integrity (serving_idx state), Atomic.get state.digest_pos))
+        on_loop state (fun () ->
+            (Integrity.refresh state.integrity (serving_idx state), state.digest_pos))
       with
       | None -> ()
       | Some (mine, (seq, off)) ->
@@ -931,7 +738,8 @@ let integrity_loop state () =
 
 (* ------------------------------------------------------------------ *)
 (* Main loop: accept, buffered reads, in-place frame extraction,
-   reads answered in place, writes routed to the mutator. *)
+   reads answered in place, writes queued on the job list and applied
+   after the frame batch. *)
 
 let be32 b off =
   (Char.code (Bytes.get b off) lsl 24)
@@ -944,14 +752,14 @@ let be32 b off =
    were primary, fence ourselves. *)
 let observe_epoch state e =
   if e > Atomic.get state.max_seen then Atomic.set state.max_seen e;
-  if e > Atomic.get state.epoch && Atomic.get state.is_primary then
-    Atomic.set state.fenced true
+  if e > Atomic.get state.epoch && state.is_primary then
+    state.fenced <- true
 
-(* Route one decoded request.  Every read is answered by the event-loop
-   domain against the lock-free snapshot, with no queue handoff and no
-   cross-domain wakeup; its reply is buffered on the connection and
+(* Route one decoded request.  Every read is answered at once against
+   the serving index; its reply is buffered on the connection and
    flushed once per frame batch, so a connection's reads are answered
-   in send order.  Writes go to the mutator. *)
+   in send order.  Writes are queued, with their arrival time, and
+   applied once the whole batch is decoded. *)
 let dispatch state conn ~id (req : Wire.request) =
   if Atomic.get state.stop then
     buffer_response conn ~id
@@ -976,7 +784,7 @@ let dispatch state conn ~id (req : Wire.request) =
              {
                version = Wire.version;
                epoch = Atomic.get state.epoch;
-               role = (if Atomic.get state.is_primary then Wire.Primary else Wire.Replica);
+               role = (if state.is_primary then Wire.Primary else Wire.Replica);
              })
     | Wire.Rep_subscribe { replica_id; epoch = e; seq; offset } ->
       observe_epoch state e;
@@ -984,10 +792,10 @@ let dispatch state conn ~id (req : Wire.request) =
         (* The subscriber outranks us: refuse — following a deposed
            primary would fork its lineage. *)
         buffer_response conn ~id (Wire.Fenced { epoch = Atomic.get state.max_seen })
-      else if not (Atomic.get state.is_primary) then
+      else if not state.is_primary then
         buffer_response conn ~id (not_primary_reply state)
       else (
-        match Atomic.get state.hub with
+        match state.hub with
         | None ->
           buffer_response conn ~id
             (Wire.Error_reply
@@ -1003,18 +811,17 @@ let dispatch state conn ~id (req : Wire.request) =
         if stale_read state req then
           Wire.Error_reply { code = `Stale; message = "replica outside staleness bound" }
         else
-          try with_snapshot state (fun snap -> handle_read state snap req)
+          try handle_read state req
           with e -> Wire.Error_reply { code = `App; message = Printexc.to_string e }
       in
       buffer_response conn ~id resp;
-      Atomic.incr state.served;
-      Atomic.incr state.served_inline
+      state.served <- state.served + 1;
+      state.served_inline <- state.served_inline + 1
     | _ ->
       let p = { conn; id; req; arrival = Unix.gettimeofday () } in
-      Atomic.incr state.in_flight;
-      if not (Bqueue.try_push state.writeq (Wreq p)) then begin
-        Atomic.decr state.in_flight;
-        Atomic.incr state.shed;
+      if Bqueue.try_push state.jobs (Write p) then state.in_flight <- state.in_flight + 1
+      else begin
+        state.shed <- state.shed + 1;
         buffer_response conn ~id Wire.Overloaded
       end
   end
@@ -1031,70 +838,12 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
   let max_seen = Atomic.make epoch0 in
   let mk_hub d = Replication.create_hub ?faults_for:hub_faults ?heartbeat_s:hub_heartbeat_s ~epoch d in
   let replica = Option.map (fun rc -> Replication.create_replica rc ~epoch ~max_seen) replica_of in
-  let state =
-    {
-      cfg;
-      serving = Atomic.make { idx = index; gen = 0 };
-      slot = Atomic.make (-1);
-      spare = None;
-      lag = [];
-      swaps = Atomic.make 0;
-      spare_copies = Atomic.make 0;
-      wake = (fun () -> ());
-      evloop_backend = "";
-      durability;
-      writeq = Bqueue.create cfg.queue_depth;
-      in_flight = Atomic.make 0;
-      stop = Atomic.make false;
-      served = Atomic.make 0;
-      served_inline = Atomic.make 0;
-      shed = Atomic.make 0;
-      proto_errors = Atomic.make 0;
-      deadline_expired = Atomic.make 0;
-      launch;
-      evicted_slow_clients = Atomic.make 0;
-      rejected_at_admission = Atomic.make 0;
-      epoch;
-      max_seen;
-      is_primary = Atomic.make (replica = None);
-      fenced = Atomic.make false;
-      hub =
-        Atomic.make
-          (match (durability, replica) with Some d, None -> Some (mk_hub d) | _ -> None);
-      mk_hub;
-      replica;
-      repl_apply_errors = Atomic.make 0;
-      integrity = Integrity.create ();
-      digest_pos =
-        Atomic.make
-          (match (durability, replica) with
-          | Some d, None -> Checkpoint.wal_position d
-          | _ -> (-1, 0));
-      repl_records_seen = Atomic.make 0;
-      repl_drop_nth;
-      scrub_passes = Atomic.make 0;
-      scrub_corruptions = Atomic.make 0;
-      replica_divergences = Atomic.make 0;
-      anti_entropy_rounds = Atomic.make 0;
-      caches = [];
-      planners = [];
-      vcache_retired = (0, 0, 0);
-      stats_srcs = [];
-      planned = Atomic.make 0;
-      planned_index_scans = Atomic.make 0;
-      planned_raw_scans = Atomic.make 0;
-      explains = Atomic.make 0;
-      plan_fallbacks = Atomic.make 0;
-    }
-  in
-  Integrity.attach state.integrity index;
   let ev =
     match Evloop.create () with
     | Ok ev -> ev
     | Error msg -> failwith ("Server: event loop: " ^ msg)
   in
-  state.evloop_backend <- Evloop.backend_name ev;
-  (* Self-pipe: lets the mutator (Shutdown request) and signal
+  (* Self-pipe: lets the server's threads (queued jobs) and signal
      handlers wake a loop that is parked in the kernel with no tick. *)
   let pipe_r, pipe_w = Unix.pipe () in
   Unix.set_nonblock pipe_r;
@@ -1103,7 +852,53 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
     try ignore (Unix.write_substring pipe_w "x" 0 1)
     with Unix.Unix_error _ -> ()
   in
-  state.wake <- wake;
+  let state =
+    {
+      cfg;
+      reader = reader_of index;
+      gen = 0;
+      vcache_retired = (0, 0, 0);
+      wake;
+      evloop_backend = Evloop.backend_name ev;
+      durability;
+      jobs = Bqueue.create cfg.queue_depth;
+      in_flight = 0;
+      stop = Atomic.make false;
+      served = 0;
+      served_inline = 0;
+      shed = 0;
+      proto_errors = 0;
+      deadline_expired = 0;
+      launch;
+      evicted_slow_clients = 0;
+      rejected_at_admission = 0;
+      epoch;
+      max_seen;
+      is_primary = replica = None;
+      fenced = false;
+      hub = (match (durability, replica) with Some d, None -> Some (mk_hub d) | _ -> None);
+      mk_hub;
+      replica;
+      repl_apply_errors = 0;
+      integrity = Integrity.create ();
+      digest_pos =
+        (match (durability, replica) with
+        | Some d, None -> Checkpoint.wal_position d
+        | _ -> (-1, 0));
+      repl_records_seen = 0;
+      repl_drop_nth;
+      scrub_passes = Atomic.make 0;
+      scrub_corruptions = Atomic.make 0;
+      replica_divergences = Atomic.make 0;
+      anti_entropy_rounds = Atomic.make 0;
+      planned = 0;
+      planned_index_scans = 0;
+      planned_raw_scans = 0;
+      explains = 0;
+      plan_fallbacks = 0;
+    }
+  in
+  Integrity.attach state.integrity index;
   Evloop.add ev pipe_r Evloop.rd;
   if Sys.os_type = "Unix" then ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   if handle_signals then
@@ -1125,25 +920,25 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
     | ADDR_INET (_, p) -> p
     | _ -> assert false
   in
-  let mutator = Domain.spawn (mutator_loop state) in
-  let integrity_domain =
+  let integrity_thread =
     if
       (cfg.scrub_interval_s > 0.0 && Option.is_some durability)
       || (cfg.anti_entropy_interval_s > 0.0 && Option.is_some replica)
-    then Some (Domain.spawn (integrity_loop state))
+    then Some (Thread.create (integrity_loop state) ())
     else None
   in
-  (* The tailer feeds the mutator through a blocking push: replication
-     events are never shed, they apply FIFO with client writes. *)
+  (* The tailer's push blocks, never sheds: replication events apply
+     FIFO with client writes. *)
   Option.iter
-    (fun r -> Replication.start_replica r ~push:(fun ev -> Bqueue.push state.writeq (Wrepl ev)))
+    (fun r ->
+      Replication.start_replica r ~push:(fun ev ->
+          Bqueue.push state.jobs (Repl ev);
+          wake ()))
     replica;
   on_ready port;
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let close_conn conn =
-    Mutex.lock conn.wmu;
     conn.closed <- true;
-    Mutex.unlock conn.wmu;
     Evloop.remove ev conn.fd;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
     Hashtbl.remove conns conn.fd
@@ -1162,7 +957,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR | ECONNABORTED), _, _) -> ()
     | fd, _addr ->
       if cfg.max_conns > 0 && Hashtbl.length conns >= cfg.max_conns then begin
-        Atomic.incr state.rejected_at_admission;
+        state.rejected_at_admission <- state.rejected_at_admission + 1;
         (try ignore (Unix.write fd overloaded_frame 0 (Bytes.length overloaded_frame))
          with Unix.Unix_error _ -> ());
         try Unix.close fd with Unix.Unix_error _ -> ()
@@ -1176,7 +971,6 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
             fd;
             rbuf = Bytes.create 4096;
             rlen = 0;
-            wmu = Mutex.create ();
             wbuf = Obuf.create 1024;
             closed = false;
             detached = false;
@@ -1201,7 +995,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
                  message = Printf.sprintf "frame of %d bytes exceeds limit %d" len cfg.max_frame;
                });
           flush_responses conn;
-          Atomic.incr state.proto_errors;
+          state.proto_errors <- state.proto_errors + 1;
           close_conn conn;
           off
         end
@@ -1213,7 +1007,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
              Wire.decode_request_at (Bytes.unsafe_to_string conn.rbuf) ~pos:(off + 4) ~len
            with
           | Error msg ->
-            Atomic.incr state.proto_errors;
+            state.proto_errors <- state.proto_errors + 1;
             buffer_response conn ~id:0 (Wire.Error_reply { code = `Protocol; message = msg })
           | Ok { id; msg = req } -> dispatch state conn ~id req);
           go (off + 4 + len)
@@ -1230,7 +1024,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
       flush_responses conn
     end
   in
-  let chunk = Bytes.create 65536 in
+  let chunk = Bytes.create 65536 and scratch = Buffer.create 256 in
   let service_read conn =
     match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
@@ -1275,7 +1069,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
         conns;
       List.iter
         (fun c ->
-          Atomic.incr state.evicted_slow_clients;
+          state.evicted_slow_clients <- state.evicted_slow_clients + 1;
           close_conn c)
         !loris;
       List.iter close_conn !idle
@@ -1328,30 +1122,28 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
              match Hashtbl.find_opt conns fd with
              | Some conn -> service_read conn
              | None -> ()));
+    drain_jobs state scratch;
     sweep_idle ()
   done;
   Evloop.remove ev listen_fd;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  (* Drain by closing: the producers go first — the tailer, then the
-     integrity domain, whose [on_mutator] jobs must still be admitted —
-     then the write queue closes, and the mutator answers everything
-     already admitted before its [pop] returns [None]. *)
+  (* Drain by closing: once the job list is closed no thread can queue
+     a job, and every job admitted before that runs here — so the
+     tailer and the integrity thread, which may wait on one, can be
+     joined after. *)
+  Bqueue.close state.jobs;
+  drain_jobs state scratch;
   Option.iter Replication.stop_replica state.replica;
-  Option.iter Domain.join integrity_domain;
-  Bqueue.close state.writeq;
-  Domain.join mutator;
-  Option.iter Replication.stop_hub (Atomic.get state.hub);
+  Option.iter Thread.join integrity_thread;
+  Option.iter Replication.stop_hub (state.hub);
   (* Sockets go first: a failing final snapshot (disk full, say) must
      not leave descriptors open or the drain half-finished — it turns
      into an [Error _] the caller can exit nonzero on. *)
   Hashtbl.iter
     (fun _ c ->
-      Mutex.lock c.wmu;
       c.closed <- true;
-      Mutex.unlock c.wmu;
       try Unix.close c.fd with Unix.Unix_error _ -> ())
     conns;
-  (* The mutator has been joined: nothing else touches the index. *)
   let final_durability =
     match state.durability with
     | None -> Ok ()

@@ -1,60 +1,53 @@
-(** dkserve: the concurrent D(k)-index query/update server.
+(** dkserve: the D(k)-index query/update server.
 
-    Threading model ("one reader, one mutator, lock-free reads"):
-    - the {e main} domain runs an {!Evloop} (poll/epoll readiness
-      loop, not a fixed select tick): it accepts, accumulates bytes,
-      decodes frames in place from the connection buffer, answers
-      {e every} read (ping, query, query-path, batch query, planned
-      query, explain, has-edge, stats) itself against an immutable
-      {e serving snapshot} of the index, with one
-      {!Dkindex_core.Validation_cache} per physical copy, and routes
-      mutations to the bounded write queue;
-    - one {e mutator} domain drains the write queue in FIFO order and
-      applies each update to a private spare copy of the index, then
-      publishes it ({!Dkindex_core.Index_graph.prepare_serving} first,
-      one atomic store after) and replays the delta onto the retired
-      copy once the reader has left it (left-right scheme, one reader
-      slot).
-      The spare is built ({!Dkindex_core.Index_graph.copy} of the
-      serving index) by the first mutation that needs one — after
-      launch, after a replica's snapshot install, and after a failed
-      application — so a server that never writes holds one copy.
-      The write queue is the mutator's only coordination point: client
-      writes, replication events, and the integrity domain's digest
-      and checkpoint jobs (closures) all reach the index through it,
-      so nothing else needs a lock.
+    Threading model ("one loop, one index copy"):
+    - the thread that calls {!run} runs an {!Evloop} (poll/epoll
+      readiness loop, not a fixed select tick): it accepts,
+      accumulates bytes, decodes frames in place from the connection
+      buffer, and answers {e every} read (ping, query, query-path,
+      batch query, planned query, explain, has-edge, stats) itself
+      against the one serving index, with one
+      {!Dkindex_core.Validation_cache};
+    - writes go into a bounded job list, each with its arrival time,
+      and the loop applies them in FIFO order, in place
+      ({!Dkindex_core.Dk_update} and friends), after it has decoded
+      the whole frame batch.  Replication events and the integrity
+      thread's digest and checkpoint jobs (closures) reach the index
+      through the same list, so the index needs no lock and a read
+      never sees a half-applied write;
+    - blocking I/O runs on systhreads, never domains: the
+      {!Checkpoint} file writer, one {!Replication} sender per
+      subscriber, the replica tailer, and the integrity thread (scrub
+      reads, anti-entropy).  A plain launch runs one thread of OCaml
+      code, and [Unix.fork] still works after an in-process server.
 
-    Reads therefore never block and never take a lock: acquiring the
-    snapshot is an atomic load plus a generation-stamped slot store,
-    and a query started before a mutation is published completes on
-    the pre-mutation snapshot.
-
-    Responses carry the request id and are written under a
-    per-connection mutex, by the event loop (reads: buffered, one
-    write per frame batch) or the mutator (writes).  A connection's
-    reads are answered in send order, as are its writes; a read sent
-    after a write may be answered before the write is acknowledged,
-    so a pipelining client correlates by id.
+    Responses carry the request id.  A connection's reads are
+    answered in send order, as are its writes; a read decoded in the
+    same frame batch as an earlier write is answered before the write
+    is applied, so a pipelining client correlates by id.
 
     Overload and failure semantics:
-    - a full write queue sheds the write with {!Wire.Overloaded};
-    - a write older than [deadline_s] when the mutator dequeues it is
+    - a full job list sheds the write with {!Wire.Overloaded};
+    - a write older than [deadline_s] when the loop reaches it is
       answered with [`Deadline] instead of being applied;
+    - a write that fails is answered [`App] and leaves the index as it
+      was: every rejection the mutation path knows raises before it
+      changes anything;
     - a malformed payload in a well-formed frame gets [`Protocol] and
       the connection survives; an oversized frame closes it;
     - connections idle longer than [idle_timeout_s] are closed;
     - SIGTERM/SIGINT (or a {!Wire.Shutdown} request) starts a graceful
-      drain: stop accepting and reading, stop the replica tailer and
-      the integrity domain, then close the write queue and join the
-      mutator — a closed queue still hands out everything admitted
-      before it closed, so every in-flight write is answered.  Then
-      close every connection and write a final snapshot/checkpoint —
-      a failure there (disk full, say) is reported as [Error _], never
-      raised through the drain.
+      drain: stop accepting and reading, close the job list and apply
+      everything admitted before it closed (so every in-flight write is
+      answered), then join the replica tailer and the integrity thread.
+      Then close every connection and write a final
+      snapshot/checkpoint — a failure there (disk full, say) is
+      reported as [Error _], never raised through the drain.
 
     Durability: pass [?durability] (a running {!Checkpoint.t}) and the
-    mutator logs every applied mutation to the write-ahead log before
-    acknowledging it, takes periodic checkpoints, and — should the WAL
+    loop logs (and, per the sync policy, syncs) every applied mutation
+    to the write-ahead log before acknowledging it, takes periodic
+    checkpoints, and — should the WAL
     become unwritable — degrades to read-only: mutations are refused
     with {!Wire.Read_only} while queries keep working.  Shutdown then
     writes a final checkpoint and closes the log.
@@ -62,11 +55,11 @@
     Replication: a durable primary automatically runs a
     {!Replication.hub}; replicas subscribe with {!Wire.Rep_subscribe}
     (the connection is detached and handed to a dedicated sender
-    domain) and receive snapshot bootstraps, WAL chunks, and
+    thread) and receive snapshot bootstraps, WAL chunks, and
     heartbeats.  Pass [?replica_of] and the server starts as a
-    {e replica} instead: a tailer domain streams from the primary and
-    feeds decoded mutations through the same mutator path client
-    writes use; writes are refused with {!Wire.Not_primary}, and reads
+    {e replica} instead: a tailer thread streams from the primary and
+    feeds decoded mutations through the same job list client writes
+    use; writes are refused with {!Wire.Not_primary}, and reads
     are refused with [`Stale] once the primary has been silent past
     the configured staleness bound.  {!Wire.Promote_primary} (or the
     failover watchdog, when [auto_promote] is set) bumps the persisted
@@ -80,8 +73,8 @@ open Dkindex_core
 type config = {
   host : string;
   port : int;  (** 0 picks an ephemeral port (reported via [on_ready]) *)
-  queue_depth : int;  (** write-queue bound before shedding *)
-  deadline_s : float;  (** how long a write may wait in the queue; <= 0 disables *)
+  queue_depth : int;  (** job-list bound before shedding *)
+  deadline_s : float;  (** how long a write may wait in the job list; <= 0 disables *)
   idle_timeout_s : float;  (** idle-connection close; <= 0 disables *)
   max_frame : int;
   snapshot_path : string option;  (** for {!Wire.Snapshot} and the final drain *)
@@ -97,7 +90,7 @@ type config = {
           and is {e not} refreshed by trickled bytes; <= 0 disables *)
   scrub_interval_s : float;
       (** background at-rest scrub cadence: every interval, the
-          integrity domain re-reads the data directory (checkpoint
+          integrity thread re-reads the data directory (checkpoint
           files against their CRC header lines, sealed WAL segments,
           containers) with {!Scrub},
           quarantines anything corrupt after re-checkpointing from the
@@ -159,7 +152,7 @@ val run :
     the socket is bound and listening.  [handle_signals] (default
     [true]) installs SIGTERM/SIGINT handlers that trigger the graceful
     drain — pass [false] when embedding the server in a test or
-    benchmark domain and stopping it with {!Wire.Shutdown}.
+    benchmark thread and stopping it with {!Wire.Shutdown}.
     [durability] enables WAL + checkpoint logging (see above); the
     caller builds it with {!Checkpoint.start}, typically from a
     {!Checkpoint.recover}ed state.  [replica_of] starts the server as

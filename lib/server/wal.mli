@@ -6,8 +6,8 @@
     payload := u8 kind, body
     v}
 
-    The writing side is single-domain (dkserve's mutator); every
-    mutation is appended {e after} it is applied in memory and
+    The writing side is dkserve's event loop, the one thread that
+    applies writes; every mutation is appended {e after} it is applied in memory and
     {e before} it is acknowledged, so on restart the log replays to a
     state at least as new as everything the server ever acknowledged.
 

@@ -87,8 +87,9 @@ type query_result = {
   n_candidates : int;
   n_certain : int;
   generation : int;
-      (** the serving-snapshot swap generation this read observed —
-          monotone per server process (not comparable across servers:
+      (** the write generation this read observed (bumped by every
+          applied mutation and snapshot install) — monotone per server
+          process (not comparable across servers:
           the on-disk index format carries no generation) *)
   age_ms : int;
       (** staleness of the data answered from: 0 on a primary, and on a
@@ -143,12 +144,12 @@ type response =
           plan, chosen plan marked. *)
   | Edge_reply of { present : bool; generation : int; age_ms : int }
       (** Answer to {!Has_edge}, stamped like {!query_result}:
-          [generation] is the serving-snapshot swap generation and
+          [generation] is the write generation and
           [age_ms] the replica age (0 on a primary) — what the
           acknowledged-history checker's monotonicity and staleness
           checks run on. *)
   | Digest_reply of {
-      generation : int;  (** serving-snapshot swap generation *)
+      generation : int;  (** write generation *)
       seq : int;
           (** WAL position (generation) the digest reflects, [-1] when
               the server cannot stamp one; two digests are comparable

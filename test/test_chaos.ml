@@ -2,9 +2,8 @@
    checker, read-path fault injection, and the overload defenses.
 
    As in test_replication, every server (and every chaos proxy) runs in
-   a forked child process — OCaml 5 forbids Unix.fork once a domain
-   exists, so the parent stays single-threaded and drives plain
-   blocking clients.
+   a forked child process, so a test can SIGKILL it like a real crash,
+   and the parent drives plain blocking clients.
 
    The flagship cases fork a primary and two replicas behind seeded
    chaos proxies, drive a recorded operation history through the
@@ -143,9 +142,8 @@ let fork_server ?(sync = Wal.Always) ?(checkpoint_records = 1000) ?replica_of
     Unix.close r;
     (pid, port)
 
-(* A chaos proxy in its own process: the parent must stay domain-free
-   to keep forking, and Chaos.run blocks — so it lives in a child and
-   dies by SIGKILL at cleanup. *)
+(* A chaos proxy in its own process: Chaos.run blocks, so it lives in
+   a child and dies by SIGKILL at cleanup. *)
 let fork_chaos ~seed ~upstream spec_str =
   let r, w = Unix.pipe () in
   match Unix.fork () with

@@ -106,7 +106,9 @@ let churn ~seed ~rounds g m =
    takes: ids grown past the CSR, detach_all, tombstones lifted by a
    re-add, folds mid-churn, and copies that must not share state *)
 
-let check_adj_node a m u =
+(* [sorted]: the store is in {!Adjacency.keep_sorted} mode, so plain
+   iteration must already come out in increasing order. *)
+let check_adj_node ?(sorted = false) a m u =
   let tag fmt = Printf.sprintf fmt u in
   let kids = Model.children m u and pars = Model.parents m u in
   check_int_list (tag "children of %d") kids (Adjacency.children a u);
@@ -124,6 +126,21 @@ let check_adj_node a m u =
     (List.sort compare (collect (Adjacency.iter_parents a u)));
   check_int_list (tag "iter_children_sorted of %d") kids
     (List.rev (collect (Adjacency.iter_children_sorted a u)));
+  if sorted then begin
+    check_int_list (tag "sorted mode: iter_children of %d in order") kids
+      (List.rev (collect (Adjacency.iter_children a u)));
+    check_int_list (tag "sorted mode: iter_parents of %d in order") pars
+      (List.rev (collect (Adjacency.iter_parents a u)));
+    (* The short-circuit stops at the first hit in that order. *)
+    let seen = ref [] in
+    ignore
+      (Adjacency.exists_parents a u (fun p ->
+           seen := p :: !seen;
+           List.length !seen = 2));
+    check_int_list (tag "sorted mode: exists_parents of %d stops in order")
+      (List.filteri (fun i _ -> i < 2) pars)
+      (List.rev !seen)
+  end;
   List.iter
     (fun v ->
       check_bool (tag "exists_children of %d") true
@@ -137,18 +154,21 @@ let check_adj_node a m u =
   check_bool (tag "exists_children of %d, no hit") false
     (Adjacency.exists_children a u (fun x -> x < 0))
 
-let check_adj a m n =
+let check_adj ?sorted a m n =
   check_int "id space" n (Adjacency.n a);
   check_int "n_edges" (Model.n_edges m) (Adjacency.n_edges a);
   for u = 0 to n - 1 do
-    check_adj_node a m u
+    check_adj_node ?sorted a m u
   done
 
 let model_detach m u =
   let incident = Hashtbl.fold (fun (a, b) () acc -> if a = u || b = u then (a, b) :: acc else acc) m.Model.edges [] in
   List.iter (fun (a, b) -> Model.remove_edge m a b) incident
 
-let adjacency_churn ~seed =
+(* [sort_at]: the round at which the store switches to
+   {!Adjacency.keep_sorted} (its overflow lists then hold edges added
+   before the switch), or never. *)
+let adjacency_churn ?(sort_at = -1) ~seed () =
   let rng = Prng.create ~seed in
   let n = ref 40 in
   let m = { Model.edges = Hashtbl.create 256; n = !n } in
@@ -168,7 +188,13 @@ let adjacency_churn ~seed =
   check_adj a m !n;
   let folds = ref 0 and lifted = ref 0 and grown_edges = ref 0 in
   let frozen = ref None in
+  let sorted = ref false in
   for round = 1 to 700 do
+    if round = sort_at then begin
+      Adjacency.keep_sorted a;
+      sorted := true;
+      check_adj ~sorted:true a m !n
+    end;
     let pending = Adjacency.overflow a <> (0, 0) in
     let u = Prng.int rng !n and v = Prng.int rng !n in
     (match Prng.int rng 12 with
@@ -207,11 +233,11 @@ let adjacency_churn ~seed =
       Model.remove_edge m u v);
     if pending && Adjacency.overflow a = (0, 0) then incr folds;
     check_bool "mem" (Model.has_edge m u v) (Adjacency.mem a u v);
-    check_adj_node a m u;
-    check_adj_node a m v;
-    if round mod 100 = 0 then check_adj a m !n
+    check_adj_node ~sorted:!sorted a m u;
+    check_adj_node ~sorted:!sorted a m v;
+    if round mod 100 = 0 then check_adj ~sorted:!sorted a m !n
   done;
-  check_adj a m !n;
+  check_adj ~sorted:!sorted a m !n;
   check_bool "folded mid-churn" true (!folds > 0);
   check_bool "lifted a tombstone" true (!lifted > 0);
   check_bool "edges on grown ids" true (!grown_edges > 0);
@@ -241,7 +267,10 @@ let adjacency_churn ~seed =
 let graph_cases =
   [
     test "the adjacency store matches the edge-set model through churn" (fun () ->
-        List.iter (fun seed -> adjacency_churn ~seed) [ 71; 72; 73; 74 ]);
+        List.iter (fun seed -> adjacency_churn ~seed ()) [ 71; 72; 73; 74 ]);
+    test "in sorted mode every read comes out in fold order through churn" (fun () ->
+        adjacency_churn ~sort_at:1 ~seed:75 ();
+        adjacency_churn ~sort_at:350 ~seed:76 ());
     test "random graphs match the edge-set model through churn" (fun () ->
         List.iter
           (fun seed ->

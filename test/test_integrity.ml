@@ -6,9 +6,8 @@
    the primary's root and heals by a snapshot resync, and one whose
    checkpoint rotted on disk re-checkpoints and stays converged.
 
-   As in test_chaos, every server runs in a forked child process —
-   OCaml 5 forbids Unix.fork once a domain exists, so the parent stays
-   single-threaded and drives plain blocking clients. *)
+   As in test_chaos, every server runs in a forked child process, and
+   the parent drives plain blocking clients. *)
 
 open Dkindex_core
 module Data_graph = Dkindex_graph.Data_graph
@@ -91,8 +90,8 @@ let fresh_edges ~seed ~count =
 (* ----------------------------------------------------------------- *)
 (* 1. The tracker is exact: refresh through churn equals compute_full *)
 
-(* Mirror the mutator's discipline: apply, note, attach the (possibly
-   brand-new) index, commit, and only then refresh. *)
+(* Mirror the server's discipline: apply, note, attach the (possibly
+   brand-new) index, and only then refresh. *)
 let churn_step rng idx t =
   let g = Index_graph.data !idx in
   let n = Data_graph.n_nodes g in
@@ -111,8 +110,7 @@ let churn_step rng idx t =
   | idx' ->
     Integrity.note_mutation t m;
     Integrity.attach t idx';
-    idx := idx';
-    Integrity.commit t
+    idx := idx'
   | exception _ -> () (* invalid mutation (duplicate edge, self-loop): skipped *)
 
 let incremental_matches_full =
@@ -163,37 +161,27 @@ let test_content_canonical () =
 (* 2. The scrubber: flips are found, torn tails are tolerated,
    quarantine moves the evidence aside. *)
 
-(* Checkpoint.start spawns a background writer domain, and this OCaml
-   forbids Unix.fork in any process that has ever created a domain —
-   so the durable-directory setup runs in a forked child (exactly like
-   the servers below), leaving the parent free to keep forking. *)
+(* A durable data directory: two checkpoint generations and their
+   WALs.  [Checkpoint.start]'s writer is a systhread, so this runs in
+   the test process, which keeps forking servers after it. *)
 let populate_data_dir ~dir =
-  match Unix.fork () with
-  | 0 ->
-    let status =
-      try
-        let idx = ref (build_base ()) in
-        let cfg = { (Checkpoint.default_config ~dir) with sync = Wal.Always } in
-        let d = Checkpoint.start cfg !idx in
-        let edges = fresh_edges ~seed:31 ~count:12 in
-        List.iteri
-          (fun i (u, v) ->
-            let m = Wal.Add_edge { u; v } in
-            idx := Checkpoint.apply_mutation !idx m;
-            Checkpoint.log_mutation d m;
-            if i = 5 then
-              match Checkpoint.checkpoint_now d !idx with
-              | Ok () -> ()
-              | Error e -> failwith e)
-          edges;
-        match Checkpoint.close d !idx with Ok () -> 0 | Error _ -> 1
-      with _ -> 2
-    in
-    Unix._exit status
-  | pid -> (
-    match Unix.waitpid [] pid with
-    | _, Unix.WEXITED 0 -> ()
-    | _ -> Alcotest.fail "data-dir setup child failed")
+  let idx = ref (build_base ()) in
+  let cfg = { (Checkpoint.default_config ~dir) with sync = Wal.Always } in
+  let d = Checkpoint.start cfg !idx in
+  let edges = fresh_edges ~seed:31 ~count:12 in
+  List.iteri
+    (fun i (u, v) ->
+      let m = Wal.Add_edge { u; v } in
+      idx := Checkpoint.apply_mutation !idx m;
+      Checkpoint.log_mutation d m;
+      if i = 5 then
+        match Checkpoint.checkpoint_now d !idx with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e)
+    edges;
+  match Checkpoint.close d !idx with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("data-dir setup: " ^ e)
 
 let test_scrub_pass () =
   let dir = temp_dir () in

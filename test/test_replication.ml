@@ -1,11 +1,9 @@
 (* Replication tests for dkserve: WAL shipping, snapshot catch-up,
    failover, and epoch fencing.
 
-   Every server in these tests runs in a forked child process (OCaml 5
-   forbids Unix.fork once a domain exists, so the parent stays
-   single-threaded and all domain-spawning happens in children).  The
-   parent drives real TCP clients and compares answers against an
-   in-process oracle built from the same deterministic seeds — as in
+   Every server in these tests runs in a forked child process, so a
+   test can SIGKILL a primary like a real crash.  The parent drives
+   real TCP clients and compares answers against an in-process oracle built from the same deterministic seeds — as in
    test_recovery, equality of answers *including validation costs*
    means equality of index state.
 

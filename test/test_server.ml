@@ -9,7 +9,10 @@
    - Smoke: a real forked server process on an ephemeral port serving
      mixed query/update traffic from concurrent clients, fuzzed with
      malformed frames, then drained with SIGTERM into a loadable
-     snapshot. *)
+     snapshot.
+   - History: an in-process server on a systhread, whose every read
+     sees a prefix of the acknowledged writes; the process forks
+     after it. *)
 
 open Dkindex_core
 module Data_graph = Dkindex_graph.Data_graph
@@ -518,14 +521,12 @@ let check_against_local idx client labels =
 
 let smoke_queries = [ [ "l0" ]; [ "l1"; "l2" ]; [ "l0"; "l1"; "l3" ]; [ "l4"; "l0" ] ]
 
-let test_smoke () =
-  let g, idx = build_smoke_dataset () in
-  let snapshot = Filename.temp_file "dkserve_smoke" ".index" in
+(* Fork a server on an ephemeral port; returns its pid and port.  The
+   child exits 0 iff [Server.run] returns [Ok]. *)
+let fork_server ?(config = Server.default_config) ?launch idx =
   let r, w = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
-    (* Child: the server process.  [_exit] so the forked alcotest
-       runner never runs its own reporting. *)
     Unix.close r;
     let status =
       try
@@ -535,14 +536,7 @@ let test_smoke () =
               let line = string_of_int port ^ "\n" in
               ignore (Unix.write_substring w line 0 (String.length line));
               Unix.close w)
-            {
-              Server.default_config with
-              port = 0;
-              queue_depth = 64;
-              idle_timeout_s = 30.0;
-              snapshot_path = Some snapshot;
-            }
-            idx
+            ?launch { config with port = 0 } idx
         with
         | Ok () -> 0
         | Error _ -> 1
@@ -553,177 +547,190 @@ let test_smoke () =
     Unix.close w;
     let port = read_port_line r in
     Unix.close r;
-    let c1 = Client.connect ~port () in
-    let c2 = Client.connect ~port () in
-    (* Basic liveness and read traffic on two concurrent connections. *)
-    (match Client.call c1 Wire.Ping with
-    | Wire.Pong -> ()
-    | _ -> Alcotest.fail "expected Pong");
-    List.iter (check_against_local idx c1) smoke_queries;
-    List.iter (check_against_local idx c2) smoke_queries;
-    (* A general path expression through the same socket. *)
-    let expr = Path_ast.(Seq (Label "l1", Star (Label "l2"))) in
-    let got = expect_result (Client.call c2 (Wire.Query { flags = { no_cache = true }; expr })) in
-    let want = Query_eval.eval_expr idx expr in
-    Alcotest.(check (list int)) "expr nodes" want.Query_eval.nodes (Array.to_list got.Wire.nodes);
-    (* The planned read path: same answers, plan reported; EXPLAIN is
-       read-only and returns the plan list. *)
-    List.iter
-      (fun labels ->
-        let expr = Path_ast.seq_of_labels labels in
-        let plan, got =
-          match Client.call c1 (Wire.Query_planned { flags = { no_cache = true }; expr }) with
-          | Wire.Planned_result { plan; result } -> (plan, result)
-          | _ -> Alcotest.fail "expected Planned_result"
-        in
-        Alcotest.(check bool) "plan described" true (String.length plan > 0);
-        let want = Query_eval.eval_path_strings idx labels in
-        Alcotest.(check (list int))
-          ("planned " ^ String.concat "." labels)
-          want.Query_eval.nodes (Array.to_list got.Wire.nodes))
-      smoke_queries;
-    (match Client.call c2 (Wire.Explain { expr }) with
-    | Wire.Explain_reply (header :: plans) ->
-      Alcotest.(check bool) "explain has plans" true (List.length plans >= 1);
-      Alcotest.(check bool) "explain header" true (String.length header > 0)
-    | _ -> Alcotest.fail "expected Explain_reply");
-    (match Client.call c1 Wire.Stats with
-    | Wire.Stats_reply kvs ->
-      Alcotest.(check string) "planned_queries counted"
-        (string_of_int (List.length smoke_queries))
-        (Option.value (List.assoc_opt "planned_queries" kvs) ~default:"missing");
-      Alcotest.(check string) "explain counted" "1"
-        (Option.value (List.assoc_opt "explain_queries" kvs) ~default:"missing");
-      Alcotest.(check bool) "vcache counters exported" true
-        (List.mem_assoc "vcache_hits" kvs)
-    | _ -> Alcotest.fail "expected Stats_reply");
-    (* Updates through the write path, replayed locally. *)
-    let n = Data_graph.n_nodes g in
-    let rng = Prng.create ~seed:99 in
-    let applied = ref 0 in
-    while !applied < 12 do
-      let u = Prng.int rng n and v = Prng.int rng n in
-      if u <> v && not (Data_graph.has_edge g u v) then begin
-        (match Client.call c1 (Wire.Add_edge { u; v }) with
-        | Wire.Ok_reply _ -> ()
-        | _ -> Alcotest.fail "expected Ok_reply");
-        Dk_update.add_edge idx u v;
-        incr applied
-      end
-    done;
-    Index_graph.prepare_serving idx;
-    List.iter (check_against_local idx c1) smoke_queries;
-    List.iter (check_against_local idx c2) smoke_queries;
-    (* An app-level error: out-of-range node. *)
-    (match Client.call c2 (Wire.Add_edge { u = n + 50; v = 0 }) with
-    | Wire.Error_reply { code = `App; _ } -> ()
-    | _ -> Alcotest.fail "expected `App error");
-    (* Stats. *)
-    (match Client.call c1 Wire.Stats with
-    | Wire.Stats_reply kvs ->
-      Alcotest.(check bool) "stats has generation" true (List.mem_assoc "generation" kvs)
-    | _ -> Alcotest.fail "expected Stats_reply");
-    Client.close c2;
-    (* SIGTERM: graceful drain, final snapshot, clean exit. *)
-    Unix.kill pid Sys.sigterm;
-    let _, status = Unix.waitpid [] pid in
-    Alcotest.(check bool) "server exited cleanly" true (status = Unix.WEXITED 0);
-    Client.close c1;
-    let reloaded = Index_serial.load snapshot in
-    Index_graph.check_invariants reloaded;
-    List.iter
-      (fun q ->
-        let a = Query_eval.eval_path_strings idx q in
-        let b = Query_eval.eval_path_strings reloaded q in
-        Alcotest.(check (list int)) ("snapshot query " ^ String.concat "." q) a.Query_eval.nodes
-          b.Query_eval.nodes)
-      smoke_queries;
-    Sys.remove snapshot
+    (pid, port)
+
+(* Run [f pid port] against a forked server.  [f] ends by shutting the
+   server down; if it raises first, the server is killed so a failed
+   check never leaves it running. *)
+let with_server ?config ?launch idx f =
+  let pid, port = fork_server ?config ?launch idx in
+  match f pid port with
+  | () -> ()
+  | exception e ->
+    (try
+       Unix.kill pid Sys.sigkill;
+       ignore (Unix.waitpid [] pid)
+     with Unix.Unix_error _ -> ());
+    raise e
+
+let shutdown_server pid c =
+  (match Client.call c Wire.Shutdown with
+  | Wire.Ok_reply _ -> ()
+  | _ -> Alcotest.fail "expected Ok_reply for Shutdown");
+  let _, status = Unix.waitpid [] pid in
+  Client.close c;
+  Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
+
+let test_smoke () =
+  let g, idx = build_smoke_dataset () in
+  let snapshot = Filename.temp_file "dkserve_smoke" ".index" in
+  let config =
+    {
+      Server.default_config with
+      queue_depth = 64;
+      idle_timeout_s = 30.0;
+      snapshot_path = Some snapshot;
+    }
+  in
+  with_server ~config idx @@ fun pid port ->
+  let c1 = Client.connect ~port () in
+  let c2 = Client.connect ~port () in
+  (* Basic liveness and read traffic on two concurrent connections. *)
+  (match Client.call c1 Wire.Ping with
+  | Wire.Pong -> ()
+  | _ -> Alcotest.fail "expected Pong");
+  List.iter (check_against_local idx c1) smoke_queries;
+  List.iter (check_against_local idx c2) smoke_queries;
+  (* A general path expression through the same socket. *)
+  let expr = Path_ast.(Seq (Label "l1", Star (Label "l2"))) in
+  let got = expect_result (Client.call c2 (Wire.Query { flags = { no_cache = true }; expr })) in
+  let want = Query_eval.eval_expr idx expr in
+  Alcotest.(check (list int)) "expr nodes" want.Query_eval.nodes (Array.to_list got.Wire.nodes);
+  (* The planned read path: same answers, plan reported; EXPLAIN is
+     read-only and returns the plan list. *)
+  List.iter
+    (fun labels ->
+      let expr = Path_ast.seq_of_labels labels in
+      let plan, got =
+        match Client.call c1 (Wire.Query_planned { flags = { no_cache = true }; expr }) with
+        | Wire.Planned_result { plan; result } -> (plan, result)
+        | _ -> Alcotest.fail "expected Planned_result"
+      in
+      Alcotest.(check bool) "plan described" true (String.length plan > 0);
+      let want = Query_eval.eval_path_strings idx labels in
+      Alcotest.(check (list int))
+        ("planned " ^ String.concat "." labels)
+        want.Query_eval.nodes (Array.to_list got.Wire.nodes))
+    smoke_queries;
+  (match Client.call c2 (Wire.Explain { expr }) with
+  | Wire.Explain_reply (header :: plans) ->
+    Alcotest.(check bool) "explain has plans" true (List.length plans >= 1);
+    Alcotest.(check bool) "explain header" true (String.length header > 0)
+  | _ -> Alcotest.fail "expected Explain_reply");
+  (match Client.call c1 Wire.Stats with
+  | Wire.Stats_reply kvs ->
+    Alcotest.(check string) "planned_queries counted"
+      (string_of_int (List.length smoke_queries))
+      (Option.value (List.assoc_opt "planned_queries" kvs) ~default:"missing");
+    Alcotest.(check string) "explain counted" "1"
+      (Option.value (List.assoc_opt "explain_queries" kvs) ~default:"missing");
+    Alcotest.(check bool) "vcache counters exported" true
+      (List.mem_assoc "vcache_hits" kvs)
+  | _ -> Alcotest.fail "expected Stats_reply");
+  (* Updates through the write path, replayed locally. *)
+  let n = Data_graph.n_nodes g in
+  let rng = Prng.create ~seed:99 in
+  let applied = ref 0 in
+  while !applied < 12 do
+    let u = Prng.int rng n and v = Prng.int rng n in
+    if u <> v && not (Data_graph.has_edge g u v) then begin
+      (match Client.call c1 (Wire.Add_edge { u; v }) with
+      | Wire.Ok_reply _ -> ()
+      | _ -> Alcotest.fail "expected Ok_reply");
+      Dk_update.add_edge idx u v;
+      incr applied
+    end
+  done;
+  Index_graph.prepare_serving idx;
+  List.iter (check_against_local idx c1) smoke_queries;
+  List.iter (check_against_local idx c2) smoke_queries;
+  (* An app-level error: out-of-range node. *)
+  (match Client.call c2 (Wire.Add_edge { u = n + 50; v = 0 }) with
+  | Wire.Error_reply { code = `App; _ } -> ()
+  | _ -> Alcotest.fail "expected `App error");
+  (* Stats. *)
+  (match Client.call c1 Wire.Stats with
+  | Wire.Stats_reply kvs ->
+    Alcotest.(check bool) "stats has generation" true (List.mem_assoc "generation" kvs)
+  | _ -> Alcotest.fail "expected Stats_reply");
+  Client.close c2;
+  (* SIGTERM: graceful drain, final snapshot, clean exit. *)
+  Unix.kill pid Sys.sigterm;
+  let _, status = Unix.waitpid [] pid in
+  Alcotest.(check bool) "server exited cleanly" true (status = Unix.WEXITED 0);
+  Client.close c1;
+  let reloaded = Index_serial.load snapshot in
+  Index_graph.check_invariants reloaded;
+  List.iter
+    (fun q ->
+      let a = Query_eval.eval_path_strings idx q in
+      let b = Query_eval.eval_path_strings reloaded q in
+      Alcotest.(check (list int)) ("snapshot query " ^ String.concat "." q) a.Query_eval.nodes
+        b.Query_eval.nodes)
+    smoke_queries;
+  Sys.remove snapshot
 
 (* Malformed frames against a live server: every payload is answered
    with a protocol error (or the oversized frame closes the
    connection); the server stays alive throughout. *)
 let test_smoke_protocol_errors () =
   let _g, idx = build_smoke_dataset () in
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close r;
-    let status =
-      try
-        match
-          Server.run
-            ~on_ready:(fun port ->
-              let line = string_of_int port ^ "\n" in
-              ignore (Unix.write_substring w line 0 (String.length line));
-              Unix.close w)
-            { Server.default_config with port = 0; max_frame = 4096 }
-            idx
-        with
-        | Ok () -> 0
-        | Error _ -> 1
-      with _ -> 1
-    in
-    Unix._exit status
-  | pid ->
-    Unix.close w;
-    let port = read_port_line r in
-    Unix.close r;
-    (* Well-framed junk payloads: Error_reply `Protocol, connection
-       stays usable. *)
-    let c = Client.connect ~port () in
-    let junk_conn = Client.connect ~port () in
-    let rng = Prng.create ~seed:5 in
-    for _ = 1 to 50 do
-      let len = Prng.int rng 64 in
-      let payload = String.init len (fun _ -> Char.chr (Prng.int rng 256)) in
-      match Wire.decode_request payload with
-      | Ok _ -> () (* a miracle frame; the server would serve it *)
-      | Error _ -> (
-        Client.send_raw_frame junk_conn payload;
-        match Client.recv junk_conn with
-        | { msg = Wire.Error_reply { code = `Protocol; _ }; _ } -> ()
-        | _ -> Alcotest.fail "expected a protocol error")
-    done;
-    Client.close junk_conn;
-    (* The server is still healthy. *)
-    (match Client.call c Wire.Ping with
-    | Wire.Pong -> ()
-    | _ -> Alcotest.fail "expected Pong after junk barrage");
-    (* Version negotiation: a Hello from another protocol version is
-       refused with a typed error, not a decode failure, and the
-       connection survives. *)
-    let hello_v9 = encode_request_payload ~id:7777 (Wire.Hello { version = 9; epoch = 0 }) in
-    Client.send_raw_frame c hello_v9;
-    (match Client.recv c with
-    | { Wire.id = 7777; msg = Wire.Error_reply { code = `Version; _ } } -> ()
-    | _ -> Alcotest.fail "expected a `Version error for a mismatched Hello");
-    (* A current-version Hello gets epoch and role back. *)
-    (match Client.call c (Wire.Hello { version = Wire.version; epoch = 0 }) with
-    | Wire.Hello_reply { version; epoch = 0; role = Wire.Primary } ->
-      Alcotest.(check int) "hello echoes our version" Wire.version version
-    | _ -> Alcotest.fail "expected Hello_reply");
-    (* An oversized frame closes that connection but not the server. *)
-    let big = Client.connect ~port () in
-    Client.send_raw_frame big (String.make 10_000 'z');
-    (match Client.recv big with
-    | { msg = Wire.Error_reply { code = `Protocol; _ }; _ } -> ()
-    | _ -> Alcotest.fail "expected protocol error for oversized frame"
-    | exception Failure _ -> ());
-    (match Client.recv big with
-    | exception Failure _ -> ()
-    | _ -> Alcotest.fail "expected the oversized connection to be closed");
-    Client.close big;
-    (match Client.call c Wire.Ping with
-    | Wire.Pong -> ()
-    | _ -> Alcotest.fail "expected Pong after oversized frame");
-    (* Shutdown over the wire this time. *)
-    (match Client.call c Wire.Shutdown with
-    | Wire.Ok_reply _ -> ()
-    | _ -> Alcotest.fail "expected Ok_reply for Shutdown");
-    let _, status = Unix.waitpid [] pid in
-    Alcotest.(check bool) "server exited cleanly" true (status = Unix.WEXITED 0);
-    Client.close c
+  with_server ~config:{ Server.default_config with max_frame = 4096 } idx @@ fun pid port ->
+  (* Well-framed junk payloads: Error_reply `Protocol, connection
+     stays usable. *)
+  let c = Client.connect ~port () in
+  let junk_conn = Client.connect ~port () in
+  let rng = Prng.create ~seed:5 in
+  for _ = 1 to 50 do
+    let len = Prng.int rng 64 in
+    let payload = String.init len (fun _ -> Char.chr (Prng.int rng 256)) in
+    match Wire.decode_request payload with
+    | Ok _ -> () (* a miracle frame; the server would serve it *)
+    | Error _ -> (
+      Client.send_raw_frame junk_conn payload;
+      match Client.recv junk_conn with
+      | { msg = Wire.Error_reply { code = `Protocol; _ }; _ } -> ()
+      | _ -> Alcotest.fail "expected a protocol error")
+  done;
+  Client.close junk_conn;
+  (* The server is still healthy. *)
+  (match Client.call c Wire.Ping with
+  | Wire.Pong -> ()
+  | _ -> Alcotest.fail "expected Pong after junk barrage");
+  (* Version negotiation: a Hello from another protocol version is
+     refused with a typed error, not a decode failure, and the
+     connection survives. *)
+  let hello_v9 = encode_request_payload ~id:7777 (Wire.Hello { version = 9; epoch = 0 }) in
+  Client.send_raw_frame c hello_v9;
+  (match Client.recv c with
+  | { Wire.id = 7777; msg = Wire.Error_reply { code = `Version; _ } } -> ()
+  | _ -> Alcotest.fail "expected a `Version error for a mismatched Hello");
+  (* A current-version Hello gets epoch and role back. *)
+  (match Client.call c (Wire.Hello { version = Wire.version; epoch = 0 }) with
+  | Wire.Hello_reply { version; epoch = 0; role = Wire.Primary } ->
+    Alcotest.(check int) "hello echoes our version" Wire.version version
+  | _ -> Alcotest.fail "expected Hello_reply");
+  (* An oversized frame closes that connection but not the server. *)
+  let big = Client.connect ~port () in
+  Client.send_raw_frame big (String.make 10_000 'z');
+  (match Client.recv big with
+  | { msg = Wire.Error_reply { code = `Protocol; _ }; _ } -> ()
+  | _ -> Alcotest.fail "expected protocol error for oversized frame"
+  | exception Failure _ -> ());
+  (match Client.recv big with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "expected the oversized connection to be closed");
+  Client.close big;
+  (match Client.call c Wire.Ping with
+  | Wire.Pong -> ()
+  | _ -> Alcotest.fail "expected Pong after oversized frame");
+  (* Shutdown over the wire this time. *)
+  (match Client.call c Wire.Shutdown with
+  | Wire.Ok_reply _ -> ()
+  | _ -> Alcotest.fail "expected Ok_reply for Shutdown");
+  let _, status = Unix.waitpid [] pid in
+  Alcotest.(check bool) "server exited cleanly" true (status = Unix.WEXITED 0);
+  Client.close c
 
 (* --------------------------------------------------------------- *)
 (* Bqueue: the server's bounded MPMC queue                           *)
@@ -744,7 +751,8 @@ let prop_bqueue_no_loss_no_dup =
       let pop_count = Atomic.make 0 in
       let consumers =
         Array.init 2 (fun _ ->
-            Domain.spawn (fun () ->
+            Thread.create
+              (fun () ->
                 let rec go () =
                   match Bqueue.pop q with
                   | Some v ->
@@ -752,18 +760,21 @@ let prop_bqueue_no_loss_no_dup =
                     go ()
                   | None -> ()
                 in
-                go ()))
+                go ())
+              ())
       in
       let producers =
         Array.init nprod (fun p ->
-            Domain.spawn (fun () ->
+            Thread.create
+              (fun () ->
                 for i = 0 to per_prod - 1 do
                   Bqueue.push q ((p * per_prod) + i)
-                done))
+                done)
+              ())
       in
-      Array.iter Domain.join producers;
+      Array.iter Thread.join producers;
       Bqueue.close q;
-      Array.iter Domain.join consumers;
+      Array.iter Thread.join consumers;
       (* Multiset equality with what was pushed: 0 .. total-1, each
          exactly once. *)
       if Atomic.get pop_count <> total then
@@ -777,92 +788,63 @@ let prop_bqueue_no_loss_no_dup =
 
 let test_bqueue_sheds_at_capacity () =
   let q = Bqueue.create 2 in
+  (match Bqueue.try_pop q with None -> () | Some _ -> Alcotest.fail "empty: try_pop is None");
   Alcotest.(check bool) "push 1" true (Bqueue.try_push q 1);
   Alcotest.(check bool) "push 2" true (Bqueue.try_push q 2);
   Alcotest.(check bool) "full: shed" false (Bqueue.try_push q 3);
   Alcotest.(check int) "length" 2 (Bqueue.length q);
-  (match Bqueue.pop q with Some 1 -> () | _ -> Alcotest.fail "expected FIFO head 1");
+  (match Bqueue.try_pop q with Some 1 -> () | _ -> Alcotest.fail "expected FIFO head 1");
   Alcotest.(check bool) "room again" true (Bqueue.try_push q 3);
   Bqueue.close q;
-  (match Bqueue.pop q with Some 2 -> () | _ -> Alcotest.fail "drain 2");
+  Alcotest.(check bool) "closed: shed" false (Bqueue.try_push q 4);
+  (match Bqueue.try_pop q with Some 2 -> () | _ -> Alcotest.fail "drain 2 without blocking");
   (match Bqueue.pop q with Some 3 -> () | _ -> Alcotest.fail "drain 3");
+  (match Bqueue.try_pop q with
+  | None -> ()
+  | Some _ -> Alcotest.fail "closed+empty must try_pop None");
   match Bqueue.pop q with
   | None -> ()
   | Some _ -> Alcotest.fail "closed+empty must pop None"
 
-(* Fork a server on an ephemeral port; returns its pid and port.  The
-   child exits 0 iff [Server.run] returns [Ok]. *)
-let fork_server ?snapshot_path ?launch ?(deadline_s = Server.default_config.deadline_s) idx =
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close r;
-    let status =
-      try
-        match
-          Server.run
-            ~on_ready:(fun port ->
-              let line = string_of_int port ^ "\n" in
-              ignore (Unix.write_substring w line 0 (String.length line));
-              Unix.close w)
-            ?launch
-            { Server.default_config with port = 0; snapshot_path; deadline_s }
-            idx
-        with
-        | Ok () -> 0
-        | Error _ -> 1
-      with _ -> 1
-    in
-    Unix._exit status
-  | pid ->
-    Unix.close w;
-    let port = read_port_line r in
-    Unix.close r;
-    (pid, port)
-
-(* Run [f pid port] against a forked server.  [f] ends by shutting the
-   server down; if it raises first, the server is killed so a failed
-   check never leaves it running. *)
-let with_server ?snapshot_path ?launch ?deadline_s idx f =
-  let pid, port = fork_server ?snapshot_path ?launch ?deadline_s idx in
-  match f pid port with
-  | () -> ()
-  | exception e ->
-    (try
-       Unix.kill pid Sys.sigkill;
-       ignore (Unix.waitpid [] pid)
-     with Unix.Unix_error _ -> ());
-    raise e
-
-let shutdown_server pid c =
-  (match Client.call c Wire.Shutdown with
-  | Wire.Ok_reply _ -> ()
-  | _ -> Alcotest.fail "expected Ok_reply for Shutdown");
-  let _, status = Unix.waitpid [] pid in
-  Client.close c;
-  Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
-
-(* Deadline expiry on the write queue: a write that outlasts the
-   deadline goes first (grafting a 60,000-node subgraph), and the write
-   pipelined behind it has waited longer than the deadline by the time
-   the mutator dequeues it, so it must be answered `Deadline (never
-   silently dropped or applied) and counted in [deadline_expired].  If
-   scheduling is so slow that the plug itself expires, the victim — sent
-   in the same burst — has aged just as much, so the assertion holds on
-   either path.  The mutator answers writes in queue order. *)
+(* Deadline expiry on the job list: a write that outlasts the deadline
+   goes first (grafting a 60,000-node subgraph), and the write sent
+   behind it in the same [write] call is decoded in the same frame
+   batch, so it has waited longer than the deadline by the time the
+   loop reaches it: it must be answered `Deadline (never silently
+   dropped or applied) and counted in [deadline_expired].  If
+   scheduling is so slow that the plug itself expires, the victim has
+   aged just as much, so the assertion holds on either path.  Writes
+   are answered in queue order. *)
 let test_deadline_expiry () =
   let g, idx = build_smoke_dataset () in
-  with_server ~deadline_s:0.02 idx @@ fun pid port ->
+  with_server ~config:{ Server.default_config with deadline_s = 0.02 } idx @@ fun pid port ->
   let c = Client.connect ~port () in
   let h =
     Dkindex_datagen.Random_graph.graph ~seed:12 ~nodes:60_000 ~n_labels:5 ~extra_edges:24_000 ()
   in
   let plug = Wire.Add_subgraph { graph = Dkindex_graph.Serial.to_string h; reqs = [] } in
   let rec absent v = if Data_graph.has_edge g 1 v then absent (v + 1) else v in
-  let plug_id = Client.send c plug in
-  let victim_id = Client.send c (Wire.Add_edge { u = 1; v = absent 2 }) in
-  let r1 = Client.recv c in
-  let r2 = Client.recv c in
+  let victim = Wire.Add_edge { u = 1; v = absent 2 } in
+  let plug_id = 1 and victim_id = 2 in
+  let burst =
+    Bytes.of_string
+      (Wire.frame_of_payload (encode_request_payload ~id:plug_id plug)
+      ^ Wire.frame_of_payload (encode_request_payload ~id:victim_id victim))
+  in
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
+  ignore (Unix.write fd burst 0 (Bytes.length burst));
+  let recv () =
+    match Wire.read_frame ~read:(Unix.read fd) () with
+    | `Frame payload -> (
+      match Wire.decode_response payload with
+      | Ok d -> d
+      | Error msg -> Alcotest.fail ("undecodable reply: " ^ msg))
+    | `Eof | `Oversized _ -> Alcotest.fail "expected a reply frame"
+  in
+  let r1 = recv () in
+  let r2 = recv () in
   Alcotest.(check (list int)) "writes answered in queue order" [ plug_id; victim_id ]
     [ r1.Wire.id; r2.Wire.id ];
   let deadline_hits = ref 0 in
@@ -911,7 +893,7 @@ let check_batch idx paths (results : Wire.query_result array) =
    reply carries its request's frame id. *)
 let test_pipelined_ordering () =
   let _g, idx = build_smoke_dataset () in
-  with_server ~deadline_s:0.0 idx @@ fun pid port ->
+  with_server ~config:{ Server.default_config with deadline_s = 0.0 } idx @@ fun pid port ->
   let c = Client.connect ~port () in
   (* Phase 1: a pipeline of 8 queries is answered in send order,
      every answer bit-for-bit against the local oracle. *)
@@ -1013,15 +995,22 @@ let test_launch_stages () =
   if sum_s > uptime then Alcotest.failf "stages sum to %.4f s, uptime is %.3f s" sum_s uptime;
   shutdown_server pid c
 
-(* The spare is built lazily: a server that has only been read holds
-   no spare, the first write copies the serving index into one, and the
-   writes after that catch it up by replay.  A write that fails inside
-   the mutator drops the suspect spare, so the next write copies again.
-   The [spare_copies] stat counts the copies, and every answer must
-   equal a local Dk_update oracle that saw only the valid writes. *)
-let test_spare_rebuild () =
+(* The server keeps one copy of the index, so a write that fails must
+   fail before it changes anything.  One rejected write of each kind —
+   an out-of-range edge addition and removal, the removal of a missing
+   edge, an unparsable subgraph, and a subgraph whose root label is not
+   unique in it (refused by [Dk_update.add_subgraph] after the graft) —
+   each between valid writes.  After each, the served answers equal a
+   local Dk_update oracle that saw only the valid writes, and the
+   [Snapshot] file holds exactly the oracle's [Index_serial] text. *)
+let test_failed_writes_untouched () =
   let g, idx = build_smoke_dataset () in
-  with_server idx @@ fun pid port ->
+  let dir = Filename.temp_file "dkserve_failed" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "served.index" in
+  with_server ~config:{ Server.default_config with snapshot_path = Some path } idx
+  @@ fun pid port ->
   let c = Client.connect ~port () in
   let n = Data_graph.n_nodes g in
   let rng = Prng.create ~seed:31 in
@@ -1059,48 +1048,82 @@ let test_spare_rebuild () =
           want.Query_eval.nodes (Array.to_list got.Wire.nodes);
         Alcotest.(check int) (what ^ " index_visits") want.cost.Dkindex_pathexpr.Cost.index_visits
           got.index_visits)
-      paths
+      paths;
+    write Wire.Snapshot;
+    let served = In_channel.with_open_bin path In_channel.input_all in
+    if not (String.equal served (Index_serial.to_string idx)) then
+      Alcotest.failf "%s: the snapshot differs from the oracle's Index_serial text" what
   in
-  let check_copies what want =
-    match Client.call c Wire.Stats with
-    | Wire.Stats_reply kvs ->
-      Alcotest.(check string) (what ^ ": spare_copies") (string_of_int want)
-        (Option.value (List.assoc_opt "spare_copies" kvs) ~default:"missing")
-    | _ -> Alcotest.fail "expected Stats_reply"
+  let reject what req =
+    (match Client.call c req with
+    | Wire.Error_reply { code = `App; _ } -> ()
+    | _ -> Alcotest.failf "%s: expected an `App error" what);
+    check_all ("after " ^ what)
+  in
+  let root_label_twice =
+    let pool = Label.Pool.create () in
+    let r = Label.Pool.intern pool "l0" in
+    Data_graph.make ~pool ~labels:[| r; r |] ~edges:[ (0, 1) ] ()
   in
   check_all "read-only";
-  check_copies "after launch and reads" 0;
-  add_some 1;
-  check_copies "after the first write" 1;
   add_some 3;
-  check_all "after the first writes";
-  check_copies "writes catch up by replay" 1;
-  (match Client.call c (Wire.Add_edge { u = n + 7; v = 0 }) with
-  | Wire.Error_reply { code = `App; _ } -> ()
-  | _ -> Alcotest.fail "expected `App error for an out-of-range node");
-  check_all "after the failed write";
-  (* The first valid write rebuilds the spare by copy; the rest catch
-     up by lag replay on alternating copies. *)
-  add_some 1;
-  check_copies "after the failed write and a valid one" 2;
-  add_some 5;
+  reject "an out-of-range Add_edge" (Wire.Add_edge { u = n + 7; v = 0 });
+  add_some 2;
+  reject "an out-of-range Remove_edge" (Wire.Remove_edge { u = 0; v = n + 7 });
   (match !added with
   | (u, v) :: rest ->
     write (Wire.Remove_edge { u; v });
     Dk_update.remove_edge idx u v;
     added := rest
   | [] -> ());
+  (* A missing edge into a node whose class has k > 0: removing it
+     would lower that k if the update ran before the edge check. *)
+  let missing =
+    let rec find v =
+      let nd = Index_graph.node idx (Index_graph.cls idx v) in
+      if nd.Index_graph.k > 0 && not (Data_graph.has_edge g 0 v) then (0, v) else find (v + 1)
+    in
+    find 1
+  in
+  reject "a Remove_edge of a missing edge"
+    (Wire.Remove_edge { u = fst missing; v = snd missing });
   add_some 2;
-  check_all "after the rebuild";
-  check_copies "after the rebuild" 2;
+  reject "an unparsable Add_subgraph" (Wire.Add_subgraph { graph = "not a graph"; reqs = [] });
+  add_some 2;
+  reject "an Add_subgraph whose root label is not unique"
+    (Wire.Add_subgraph { graph = Dkindex_graph.Serial.to_string root_label_twice; reqs = [] });
+  add_some 2;
+  check_all "after the last valid writes";
+  shutdown_server pid c;
+  Sys.remove path;
+  Unix.rmdir dir
+
+(* The served index is never flattened after a write, yet its reads
+   see every adjacency in fold order ([Index_graph.keep_sorted]): after
+   the pinned update stream, every query of the pinned workload equals
+   a flattened local copy's answer bit for bit, visit counts included —
+   the dkindex-loadgen --check contract, at XMark scale 10. *)
+let test_reads_in_fold_order () =
+  let ds = Dkindex_server.Dataset.make ~scale:10 () in
+  with_server ds.index @@ fun pid port ->
+  let c = Client.connect ~port () in
+  List.iter
+    (fun (u, v) ->
+      if not (Data_graph.has_edge ds.graph u v) then begin
+        (match Client.call c (Wire.Add_edge { u; v }) with
+        | Wire.Ok_reply _ -> ()
+        | _ -> Alcotest.fail "expected Ok_reply");
+        Dk_update.add_edge ds.index u v
+      end)
+    ds.update_edges;
+  Index_graph.prepare_serving ds.index;
+  List.iter (check_against_local ds.index c) ds.queries;
   shutdown_server pid c
 
-(* Each failed write drops the spare, so the next write publishes a
-   fresh physical copy and the reader that meets it makes a new
-   validation cache.  The reader holds two caches; the one it drops must
-   leave the Stats aggregate (or every copy would keep a retired index
-   alive) while its counters move into retired totals, so the exported
-   hits and misses never go backwards. *)
+(* Failed and valid writes alternate with cached reads.  The server
+   keeps one index and so at most one validation cache, and the
+   exported hits and misses never go backwards (a cache dropped with a
+   replaced index moves its counters into retired totals). *)
 let test_vcache_retirement () =
   let g, idx = build_smoke_dataset () in
   with_server idx @@ fun pid port ->
@@ -1131,17 +1154,14 @@ let test_vcache_retirement () =
     (match Client.call c (Wire.Add_edge { u; v }) with
     | Wire.Ok_reply _ -> ()
     | _ -> Alcotest.fail "expected Ok_reply");
-    (* A regex read compiles its automaton through the cache.  The
-       varying count gives the copies unequal probe totals, so a
-       dropped cache's counters would be missed if they vanished. *)
+    (* A regex read compiles its automaton through the cache. *)
     for _ = 0 to round mod 3 do
       ignore (expect_result (Client.call c (Wire.Query { flags = { no_cache = false }; expr })))
     done;
     match Client.call c Wire.Stats with
     | Wire.Stats_reply kvs ->
-      (* One reader, the event loop, holds at most one cache per copy. *)
       let instances = stat kvs "vcache_instances" in
-      if instances > 2 then Alcotest.failf "round %d: %d validation caches" round instances;
+      if instances > 1 then Alcotest.failf "round %d: %d validation caches" round instances;
       let probes = stat kvs "vcache_hits" + stat kvs "vcache_misses" in
       if probes < !last_probes then
         Alcotest.failf "round %d: vcache hits + misses fell from %d to %d" round !last_probes
@@ -1161,7 +1181,7 @@ let test_snapshot_durable () =
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let path = Filename.concat dir "served.index" in
-  with_server ~snapshot_path:path idx @@ fun pid port ->
+  with_server ~config:{ Server.default_config with snapshot_path = Some path } idx @@ fun pid port ->
   let c = Client.connect ~port () in
   let check_file what =
     Alcotest.(check (list string)) (what ^ ": only the snapshot in its directory")
@@ -1181,13 +1201,14 @@ let test_snapshot_durable () =
   Sys.remove path;
   Unix.rmdir dir
 
-(* Snapshot churn: reader domains hammer queries while the main
-   thread streams edge updates through the write path.  Every answer
-   — nodes and validation costs — must equal the oracle state after
-   some prefix of the update stream: the atomic snapshot swap means a
-   reader sees a fully-applied prefix, never a half-applied update
-   (no torn reads).  Runs last among the forking tests: the parent
-   spawns domains, and Unix.fork is off the table after that. *)
+(* A history check on an in-process server: [Server.run] on a
+   systhread, one client streaming edge additions while two reader
+   threads query.  Each answer — nodes and validation costs — must
+   equal the oracle after some prefix of the stream that includes every
+   write acknowledged before the read was sent and none not yet sent
+   when its answer arrived: a read sees whole writes, in order, never a
+   half-applied one.  The server spawns no domain, so after it shuts
+   down this process can still fork. *)
 let test_snapshot_churn () =
   let g, idx = build_smoke_dataset () in
   (* A fixed stream of valid edge additions. *)
@@ -1200,111 +1221,108 @@ let test_snapshot_churn () =
       updates := !updates @ [ (u, v) ]
   done;
   let updates = !updates in
-  (* Oracle signatures for every prefix of the stream: queries against
-     the live server must match one of these bit-for-bit. *)
-  let signature idx labels =
-    let r = Query_eval.eval_path_strings idx labels in
-    Printf.sprintf "%s|%d|%d|%d|%d"
-      (String.concat "," (List.map string_of_int r.Query_eval.nodes))
-      r.cost.Dkindex_pathexpr.Cost.index_visits r.cost.data_visits r.n_candidates r.n_certain
+  (* Oracle signatures: for each query, the prefix lengths whose state
+     answers with each signature. *)
+  let signature nodes iv dv nc ns =
+    Printf.sprintf "%s|%d|%d|%d|%d" (String.concat "," (List.map string_of_int nodes)) iv dv nc ns
   in
   let allowed = List.map (fun q -> (q, Hashtbl.create 32)) smoke_queries in
-  let record () =
-    List.iter (fun (q, tbl) -> Hashtbl.replace tbl (signature idx q) ()) allowed
+  let record prefix =
+    Index_graph.prepare_serving idx;
+    List.iter
+      (fun (q, tbl) ->
+        let r = Query_eval.eval_path_strings idx q in
+        Hashtbl.add tbl
+          (signature r.Query_eval.nodes r.cost.Dkindex_pathexpr.Cost.index_visits
+             r.cost.data_visits r.n_candidates r.n_certain)
+          prefix)
+      allowed
   in
-  record ();
-  List.iter
-    (fun (u, v) ->
+  record 0;
+  List.iteri
+    (fun i (u, v) ->
       Dk_update.add_edge idx u v;
-      record ())
+      record (i + 1))
     updates;
   let _, fresh_idx = build_smoke_dataset () in
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close r;
-    let status =
-      try
-        match
-          Server.run
-            ~on_ready:(fun port ->
-              let line = string_of_int port ^ "\n" in
-              ignore (Unix.write_substring w line 0 (String.length line));
-              Unix.close w)
+  let port = Atomic.make 0 in
+  let outcome = ref (Error "server never returned") in
+  let server =
+    Thread.create
+      (fun () ->
+        outcome :=
+          Server.run ~handle_signals:false
+            ~on_ready:(Atomic.set port)
             { Server.default_config with port = 0; deadline_s = 0.0 }
-            fresh_idx
-        with
-        | Ok () -> 0
-        | Error _ -> 1
-      with _ -> 1
-    in
-    Unix._exit status
-  | pid ->
-    Unix.close w;
-    let port = read_port_line r in
-    Unix.close r;
-    let stop = Atomic.make false in
-    let readers =
-      List.init 2 (fun d ->
-          Domain.spawn (fun () ->
-              let c = Client.connect ~port () in
-              Fun.protect
-                ~finally:(fun () -> Client.close c)
-                (fun () ->
-                  let served = ref 0 and torn = ref [] in
-                  let i = ref d in
-                  while not (Atomic.get stop) do
-                    let q, tbl = List.nth allowed (!i mod List.length allowed) in
-                    (match
-                       Client.call c (Wire.Query_path { flags = { no_cache = true }; labels = q })
-                     with
-                    | Wire.Result r ->
-                      let got =
-                        Printf.sprintf "%s|%d|%d|%d|%d"
-                          (String.concat ","
-                             (List.map string_of_int (Array.to_list r.Wire.nodes)))
-                          r.Wire.index_visits r.Wire.data_visits r.Wire.n_candidates
-                          r.Wire.n_certain
-                      in
-                      if not (Hashtbl.mem tbl got) then
-                        torn := (String.concat "." q, got) :: !torn
-                    | _ -> torn := (String.concat "." q, "non-Result reply") :: !torn);
-                    incr served;
-                    incr i
-                  done;
-                  (!served, !torn))))
-    in
-    let cw = Client.connect ~port () in
-    List.iter
-      (fun (u, v) ->
-        (match Client.call cw (Wire.Add_edge { u; v }) with
-        | Wire.Ok_reply _ -> ()
-        | _ -> Alcotest.fail "expected Ok_reply for the churn update");
-        (* Let readers land between swaps so many prefixes get
-           observed. *)
-        Unix.sleepf 0.005)
-      updates;
-    Unix.sleepf 0.02;
-    Atomic.set stop true;
-    let tallies = List.map Domain.join readers in
-    let total = List.fold_left (fun a (s, _) -> a + s) 0 tallies in
-    let torn = List.concat_map snd tallies in
-    (match torn with
-    | [] -> ()
-    | (q, got) :: _ ->
-      Alcotest.fail
-        (Printf.sprintf "torn read: %d answer(s) match no prefix state; first: query %s got %s"
-           (List.length torn) q got));
-    Alcotest.(check bool) "readers made progress during churn" true (total > 20);
-    (* Converged: the post-stream server answers equal the full-prefix
-       oracle exactly. *)
-    List.iter (check_against_local idx cw) smoke_queries;
-    (match Client.call cw Wire.Shutdown with
-    | Wire.Ok_reply _ -> ()
-    | _ -> Alcotest.fail "expected Ok_reply for Shutdown");
-    let _, status = Unix.waitpid [] pid in
-    Client.close cw;
-    Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0)
+            fresh_idx)
+      ()
+  in
+  while Atomic.get port = 0 do
+    Thread.delay 0.001
+  done;
+  let port = Atomic.get port in
+  let sent = Atomic.make 0 and acked = Atomic.make 0 and stop = Atomic.make false in
+  let tallies = Array.make 2 (0, []) in
+  let reader d =
+    let c = Client.connect ~port () in
+    let served = ref 0 and bad = ref [] and i = ref d in
+    while not (Atomic.get stop) do
+      let q, tbl = List.nth allowed (!i mod List.length allowed) in
+      let lo = Atomic.get acked in
+      let reply = Client.call c (Wire.Query_path { flags = { no_cache = true }; labels = q }) in
+      let hi = Atomic.get sent in
+      (match reply with
+      | Wire.Result r ->
+        let got =
+          signature (Array.to_list r.Wire.nodes) r.Wire.index_visits r.Wire.data_visits
+            r.Wire.n_candidates r.Wire.n_certain
+        in
+        if not (List.exists (fun p -> lo <= p && p <= hi) (Hashtbl.find_all tbl got)) then
+          bad := Printf.sprintf "query %s after %d..%d writes got %s" (String.concat "." q) lo hi got
+                 :: !bad
+      | _ -> bad := "non-Result reply" :: !bad);
+      incr served;
+      incr i
+    done;
+    Client.close c;
+    tallies.(d) <- (!served, !bad)
+  in
+  let readers = List.init 2 (Thread.create reader) in
+  let cw = Client.connect ~port () in
+  List.iter
+    (fun (u, v) ->
+      Atomic.incr sent;
+      (match Client.call cw (Wire.Add_edge { u; v }) with
+      | Wire.Ok_reply _ -> ()
+      | _ -> Alcotest.fail "expected Ok_reply for the churn update");
+      Atomic.incr acked;
+      (* Let readers land between writes so many prefixes get
+         observed. *)
+      Thread.delay 0.005)
+    updates;
+  Thread.delay 0.02;
+  Atomic.set stop true;
+  List.iter Thread.join readers;
+  let total = Array.fold_left (fun a (s, _) -> a + s) 0 tallies in
+  (match List.concat_map snd (Array.to_list tallies) with
+  | [] -> ()
+  | first :: _ as bad ->
+    Alcotest.failf "%d answer(s) match no allowed prefix; first: %s" (List.length bad) first);
+  Alcotest.(check bool) "readers made progress during churn" true (total > 20);
+  (* Converged: the post-stream server answers equal the full-prefix
+     oracle exactly. *)
+  List.iter (check_against_local idx cw) smoke_queries;
+  (match Client.call cw Wire.Shutdown with
+  | Wire.Ok_reply _ -> ()
+  | _ -> Alcotest.fail "expected Ok_reply for Shutdown");
+  Client.close cw;
+  Thread.join server;
+  (match !outcome with Ok () -> () | Error e -> Alcotest.failf "server: %s" e);
+  match Unix.fork () with
+  | 0 -> Unix._exit 0
+  | child ->
+    let _, status = Unix.waitpid [] child in
+    Alcotest.(check bool) "fork after an in-process server" true (status = Unix.WEXITED 0)
 
 let () =
   Alcotest.run "server"
@@ -1330,8 +1348,6 @@ let () =
           to_alcotest prop_wal_fuzz;
         ] );
       ("index_serial", [ to_alcotest prop_serial_roundtrip_after_churn ]);
-      (* Forking tests must run before anything that spawns a domain:
-         OCaml 5's Unix.fork refuses once other domains exist. *)
       ( "smoke",
         [
           Alcotest.test_case "mixed traffic, SIGTERM drain, snapshot" `Quick test_smoke;
@@ -1342,15 +1358,15 @@ let () =
             `Quick test_pipelined_ordering;
           Alcotest.test_case "a batch and a Ping behind it: replies in send order" `Quick
             test_batch_in_send_order;
-          Alcotest.test_case "failed write: spare rebuilt by copy, answers exact" `Quick
-            test_spare_rebuild;
+          Alcotest.test_case "rejected writes leave the one index untouched" `Quick
+            test_failed_writes_untouched;
           Alcotest.test_case "launch stages timed, within the uptime" `Quick test_launch_stages;
+          Alcotest.test_case "reads after writes equal a flattened oracle, visits included" `Quick
+            test_reads_in_fold_order;
           Alcotest.test_case "failed writes: dropped validation caches retire" `Quick
             test_vcache_retirement;
           Alcotest.test_case "snapshot durable and loadable when acknowledged" `Quick
             test_snapshot_durable;
-          (* Last forking test: it spawns reader domains in the
-             parent, after which Unix.fork is no longer available. *)
           Alcotest.test_case "no torn reads under snapshot churn" `Quick test_snapshot_churn;
         ] );
       ( "queue",
