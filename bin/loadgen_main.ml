@@ -274,9 +274,8 @@ let print_stats_summary kvs =
   match get "scrub_passes" with
   | Some _ ->
     Printf.printf
-      "integrity: scrub_passes %s  corruptions_found %s  divergences %s  resyncs %s\n"
+      "integrity: scrub_passes %s  corruptions_found %s  divergences %s\n"
       (getd "scrub_passes") (getd "scrub_corruptions_found") (getd "replica_divergences")
-      (getd "integrity_resyncs")
   | None -> ()
 
 let throughput ~host ~port ~conns ~requests ~no_cache ~pipeline (ds : Dataset.t) =

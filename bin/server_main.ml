@@ -144,9 +144,9 @@ let scrub_interval_arg =
     & info [ "scrub-interval" ] ~docv:"SECONDS"
         ~doc:
           "Background integrity scrub: every interval, re-read and verify all at-rest state \
-           in --data-dir (checkpoints against their CRC header lines, sealed WAL segments, \
-           containers), quarantining corrupt files after re-checkpointing from the live \
-           index (<= 0 disables; needs --data-dir)")
+           in --data-dir (checkpoints against their CRC header lines, sealed WAL segments), \
+           quarantining corrupt files after re-checkpointing from the live index (<= 0 \
+           disables; needs --data-dir)")
 
 let scrub_rate_arg =
   Arg.(

@@ -27,9 +27,6 @@ type t = {
   forwards : (int, int list) Hashtbl.t;  (* dead id -> ids that replaced it *)
   mutable generation : int;
       (* bumped on every mutation; validation caches snapshot it *)
-  mutable tracer : (int -> unit) option;
-      (* structural-change observer: called with every index node id
-         whose summary-relevant state changes (see [set_tracer]) *)
   mutable stamp_arr : int array;  (* scratch for [attach_edges] dedup *)
   mutable stamp : int;
   mutable scratch : int array;
@@ -55,8 +52,6 @@ let max_id t = t.next_id
 let n_edges t = Adjacency.n_edges t.adj
 let generation t = t.generation
 let touch t = t.generation <- t.generation + 1
-let set_tracer t f = t.tracer <- f
-let trace t id = match t.tracer with Some f -> f id | None -> ()
 
 let extent_mem nd u =
   Int_arr.mem_range nd.extent ~lo:0 ~hi:(Array.length nd.extent) u
@@ -228,7 +223,6 @@ let partition_nodes ~fname g ~cls ~n_classes ~k_of_class ~req_of_class ~edges =
       live_count = Array.make n_labels 0;
       forwards = Hashtbl.create 64;
       generation = 0;
-      tracer = None;
       stamp_arr = [||];
       stamp = 0;
       scratch = [||];
@@ -378,7 +372,6 @@ let split t id groups =
       (fun g -> if Array.length g = 0 then invalid_arg "Index_graph.split: empty group")
       groups;
     touch t;
-    trace t id;
     Adjacency.detach_all t.adj id;
     kill t id;
     let fresh =
@@ -406,23 +399,18 @@ let add_index_edge t a b =
   ignore (node t a);
   ignore (node t b);
   touch t;
-  trace t a;
-  trace t b;
   Adjacency.add t.adj a b
 
 let remove_index_edge t a b =
   ignore (node t a);
   ignore (node t b);
   touch t;
-  trace t a;
-  trace t b;
   ignore (Adjacency.remove t.adj a b)
 
 let set_k t id k =
   let nd = node t id in
   if nd.k <> k then begin
     touch t;
-    trace t id;
     nd.k <- k
   end
 
@@ -430,7 +418,6 @@ let set_req t id req =
   let nd = node t id in
   if nd.req <> req then begin
     touch t;
-    trace t id;
     nd.req <- req
   end
 

@@ -189,17 +189,6 @@ val touch : t -> unit
     edge insertion that maps to an already-present index edge but
     still changes validation answers). *)
 
-val set_tracer : t -> (int -> unit) option -> unit
-(** Install (or clear) a structural-change observer.  The callback
-    receives the id of every index node whose summary-relevant state
-    changes: the retired id on {!split}, both endpoints of
-    {!add_index_edge} / {!remove_index_edge}, and the target of
-    {!set_k} / {!set_req}.  Ids may be dead by the time the observer
-    acts on them — {!resolve} follows the forwarding history.  Purely
-    in-memory rebuilds (CSR flattening, bucket compaction) are not
-    structural changes and are not reported.  Used by the integrity
-    digest tree to mark dirty ranges incrementally. *)
-
 (** {1 Serving} *)
 
 val prepare_serving : t -> unit
@@ -258,8 +247,7 @@ val copy : t -> t
       pool and values copied), so a copy of a container-mapped index
       lives entirely in freshly allocated memory, and mutating either
       side never affects the other.
-    - A fresh {!generation} (0), no tracer ({!set_tracer}) and no
-      {!split} forwarding history.
+    - A fresh {!generation} (0) and no {!split} forwarding history.
 
     Reads [t] only (no CSR flattening): safe while other domains
     query [t]. *)

@@ -49,7 +49,6 @@ type source = {
 }
 
 let source idx = { idx; mu = Mutex.create (); gen = -1; cached = None; recomputes = 0 }
-let source_index s = s.idx
 
 let get s =
   Mutex.lock s.mu;

@@ -34,7 +34,6 @@ type source
 val source : Index_graph.t -> source
 (** Lazy: no sweep happens until the first {!get}. *)
 
-val source_index : source -> Index_graph.t
 val get : source -> t
 val recomputes : source -> int
 (** Number of sweeps performed so far; tests assert the gating. *)

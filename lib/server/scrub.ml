@@ -1,8 +1,6 @@
-open Dkindex_graph
-
 type corrupt = {
   file : string;
-  what : [ `Checkpoint of int | `Wal of int | `Container ];
+  what : [ `Checkpoint of int | `Wal of int ];
   reason : string;
 }
 
@@ -70,16 +68,6 @@ let verify_wal s =
              off torn)
   end
 
-let verify_container path =
-  match Container.probe path with
-  | None -> None
-  | Some kind -> (
-    match Container.Reader.with_file ~verify:true ~kind path (fun _ -> ()) with
-    | () -> None
-    | exception Container.Error e ->
-      Some (Format.asprintf "container: %a" Container.pp_error e)
-    | exception e -> Some ("container: " ^ Printexc.to_string e))
-
 (* ------------------------------------------------------------------ *)
 (* The pass                                                           *)
 
@@ -119,14 +107,7 @@ let scan ?(max_bytes_per_s = 0) ~dir () =
               | Some reason -> note name (`Wal seq) reason
               | None -> ())
             | exception e -> note name (`Wal seq) (Printexc.to_string e))
-          | None ->
-            if Container.probe path <> None then begin
-              incr scanned;
-              (match verify_container path with
-              | Some reason -> note name `Container reason
-              | None -> ());
-              pay th (try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0)
-            end))
+          | None -> ()))
     names;
   { files_scanned = !scanned; bytes_read = th.bytes; corrupt = List.rev !corrupt }
 

@@ -1,11 +1,12 @@
 (** Background verification of at-rest server state.
 
-    A scrub pass walks a data directory — checkpoint generations, WAL
-    segments, and any containers — reads every file back at a bounded
-    I/O rate, and re-checks the integrity machinery that normally only
-    runs at recovery time: each checkpoint through {!Checkpoint.body}
-    (the CRC in its header line; a pre-header generation by the legacy
-    rule there), WAL record CRCs, container section CRCs.  Silent
+    A scrub pass walks a data directory — checkpoint generations and
+    WAL segments, the only files the server writes there — reads every
+    file back at a bounded I/O rate, and re-checks the integrity
+    machinery that normally only runs at recovery time: each
+    checkpoint through {!Checkpoint.body} (the CRC in its header line;
+    a pre-header generation by the legacy rule there) and WAL record
+    CRCs.  Silent
     corruption is found while the good copies still exist, not at the
     next crash.
 
@@ -25,7 +26,7 @@
 
 type corrupt = {
   file : string;  (** basename within the scanned directory *)
-  what : [ `Checkpoint of int | `Wal of int | `Container ];
+  what : [ `Checkpoint of int | `Wal of int ];
   reason : string;
 }
 

@@ -70,8 +70,8 @@ type pending = { conn : conn; id : int; req : Wire.request; arrival : float }
    writes, replication-stream events, and integrity-thread jobs ([Run],
    see [on_loop]); the event loop drains it after each frame batch and
    applies them in FIFO order, so replica reads observe mutations in
-   primary order and a digest refresh always sees exactly the applied
-   state together with its marks. *)
+   primary order and a digest always describes exactly the applied
+   state. *)
 type job = Write of pending | Repl of Replication.event | Run of (unit -> unit)
 
 (* The serving index and the reader state built over it: the
@@ -159,7 +159,8 @@ type state = {
   replica : Replication.replica option;
   mutable repl_apply_errors : int;
   (* integrity: digests, scrubbing, anti-entropy *)
-  integrity : Integrity.t;
+  mutable digest_memo : (int * Integrity.digests) option;
+      (* the serving index's digests and the [gen] they were computed at *)
   mutable digest_pos : int * int;
       (* write-stream position (primary WAL coordinates) the applied
          state corresponds to; (-1, 0) when it cannot be stamped.  Two
@@ -192,7 +193,6 @@ let set_index state idx =
       let h, m = Validation_cache.stats c and rh, rm, re = state.vcache_retired in
       state.vcache_retired <- (rh + h, rm + m, re + Validation_cache.evictions c)
     end;
-    Integrity.attach state.integrity idx;
     state.reader <- reader_of idx
   end
 
@@ -204,8 +204,17 @@ let set_index state idx =
    which replaces the reader state. *)
 let apply_mutation state m =
   set_index state (Checkpoint.apply_mutation (serving_idx state) m);
-  state.gen <- state.gen + 1;
-  Integrity.note_mutation state.integrity m
+  state.gen <- state.gen + 1
+
+(* The serving index's digests, computed from scratch at most once per
+   write generation. *)
+let digests state =
+  match state.digest_memo with
+  | Some (gen, d) when gen = state.gen -> d
+  | _ ->
+    let d = Integrity.compute_full (serving_idx state) in
+    state.digest_memo <- Some (state.gen, d);
+    d
 
 (* ------------------------------------------------------------------ *)
 (* Response writing.  Replies are encoded into the connection's [wbuf]
@@ -271,7 +280,6 @@ let vcache_kvs state =
    Stats request on an unchanged index returns the memoized record
    instead of sweeping every live index node. *)
 let stats_kvs state =
-  let idx = serving_idx state in
   let st = Index_stats.get (Lazy.force state.reader.stats_src) in
   let b v = if v then "true" else "false" in
   [
@@ -280,7 +288,7 @@ let stats_kvs state =
     ("n_data_nodes", string_of_int st.n_data_nodes);
     ("compression", Printf.sprintf "%.3f" st.compression);
     ("largest_extent", string_of_int st.largest_extent);
-    ("generation", string_of_int (Index_graph.generation idx));
+    ("generation", string_of_int state.gen);
     ("served", string_of_int (state.served));
     ("served_inline", string_of_int (state.served_inline));
     ("shed", string_of_int (state.shed));
@@ -307,7 +315,6 @@ let stats_kvs state =
     ("scrub_passes", string_of_int (Atomic.get state.scrub_passes));
     ("scrub_corruptions_found", string_of_int (Atomic.get state.scrub_corruptions));
     ("replica_divergences", string_of_int (Atomic.get state.replica_divergences));
-    ("integrity_resyncs", string_of_int (Atomic.get state.replica_divergences));
     ("anti_entropy_rounds", string_of_int (Atomic.get state.anti_entropy_rounds));
   ]
   @ List.mapi
@@ -445,12 +452,11 @@ let do_promote state : Wire.response =
       | _ -> ());
       state.fenced <- false;
       state.is_primary <- true;
-      Wire.Ok_reply { generation = Index_graph.generation (serving_idx state); epoch = e }
+      Wire.Ok_reply { generation = state.gen; epoch = e }
 
 let apply_write state (p : pending) : Wire.response =
   let ok () =
-    Wire.Ok_reply
-      { generation = Index_graph.generation (serving_idx state); epoch = Atomic.get state.epoch }
+    Wire.Ok_reply { generation = state.gen; epoch = Atomic.get state.epoch }
   in
   let app msg : Wire.response = Error_reply { code = `App; message = msg } in
   try
@@ -500,7 +506,7 @@ let apply_write state (p : pending) : Wire.response =
            describe exactly the applied state and the stamped position
            is exact.  Served even on a stale replica — anti-entropy must
            see divergence precisely when the replica is unhealthy. *)
-        let d = Integrity.refresh state.integrity (serving_idx state) in
+        let d = digests state in
         let seq, offset = state.digest_pos in
         Wire.Digest_reply
           {
@@ -543,7 +549,6 @@ let apply_repl state scratch (ev : Replication.event) =
       let t0 = Unix.gettimeofday () in
       match Result.map Index_serial.of_string (Checkpoint.body checkpoint) with
       | Ok idx' ->
-        Integrity.invalidate state.integrity;
         set_index state idx';
         state.gen <- state.gen + 1;
         state.digest_pos <- (seq, 0);
@@ -692,10 +697,7 @@ let anti_entropy_round state r suspicion =
     | Wire.Digest_reply { generation = _; seq = pseq; offset = poff; n_nodes; root } -> (
       (* The digest of the applied state, stamped with the write-
          stream position it reflects. *)
-      match
-        on_loop state (fun () ->
-            (Integrity.refresh state.integrity (serving_idx state), state.digest_pos))
-      with
+      match on_loop state (fun () -> (digests state, state.digest_pos)) with
       | None -> ()
       | Some (mine, (seq, off)) ->
         if pseq < 0 || seq < 0 || pseq <> seq || poff <> off then ()
@@ -880,7 +882,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
       mk_hub;
       replica;
       repl_apply_errors = 0;
-      integrity = Integrity.create ();
+      digest_memo = None;
       digest_pos =
         (match (durability, replica) with
         | Some d, None -> Checkpoint.wal_position d
@@ -898,7 +900,6 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
       plan_fallbacks = 0;
     }
   in
-  Integrity.attach state.integrity index;
   Evloop.add ev pipe_r Evloop.rd;
   if Sys.os_type = "Unix" then ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   if handle_signals then

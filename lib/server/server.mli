@@ -91,8 +91,8 @@ type config = {
   scrub_interval_s : float;
       (** background at-rest scrub cadence: every interval, the
           integrity thread re-reads the data directory (checkpoint
-          files against their CRC header lines, sealed WAL segments,
-          containers) with {!Scrub},
+          files against their CRC header lines, sealed WAL segments)
+          with {!Scrub},
           quarantines anything corrupt after re-checkpointing from the
           live index, and counts findings in
           [scrub_passes]/[scrub_corruptions_found].  Needs
@@ -108,7 +108,7 @@ type config = {
           positions neither counts nor resets; a match resets) is a
           divergence, healed by a snapshot resync
           ({!Replication.force_resync}) — counted in
-          [replica_divergences] and [integrity_resyncs].  Only
+          [replica_divergences].  Only
           meaningful with [replica_of]; <= 0 disables *)
 }
 

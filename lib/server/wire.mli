@@ -106,9 +106,11 @@ type response =
   | Result of query_result
   | Batch_result of query_result array
   | Ok_reply of { generation : int; epoch : int }
-      (** [epoch] is the acking server's primary epoch; a client that
-          has observed a higher epoch must treat the ack as coming
-          from a deposed primary and reject it. *)
+      (** [generation] is the write generation after the write, as
+          {!query_result} reports it.  [epoch] is the acking server's
+          primary epoch; a client that has observed a higher epoch
+          must treat the ack as coming from a deposed primary and
+          reject it. *)
   | Stats_reply of (string * string) list
   | Error_reply of { code : error_code; message : string }
   | Overloaded

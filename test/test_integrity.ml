@@ -1,10 +1,10 @@
-(* Integrity tests: the incremental digest tree (qcheck-proven equal to
-   a full recompute through update churn), content-canonical roots that
-   a one-edge divergence changes, the at-rest scrubber with quarantine,
-   the digest wire exchange, and end-to-end anti-entropy: a replica that
-   silently dropped a replicated record detects the divergence against
-   the primary's root and heals by a snapshot resync, and one whose
-   checkpoint rotted on disk re-checkpoints and stays converged.
+(* Integrity tests: content-canonical roots that a one-edge divergence
+   changes, the at-rest scrubber with quarantine, the digest wire
+   exchange (the served root equals a local recompute after every write
+   kind), and end-to-end anti-entropy: a replica that silently dropped
+   a replicated record detects the divergence against the primary's
+   root and heals by a snapshot resync, and one whose checkpoint rotted
+   on disk re-checkpoints and stays converged.
 
    As in test_chaos, every server runs in a forked child process, and
    the parent drives plain blocking clients. *)
@@ -23,7 +23,6 @@ module Scrub = Dkindex_server.Scrub
 module Integrity = Dkindex_server.Integrity
 module Prng = Dkindex_datagen.Prng
 
-let to_alcotest = QCheck_alcotest.to_alcotest
 let now () = Unix.gettimeofday ()
 
 (* ----------------------------------------------------------------- *)
@@ -88,52 +87,7 @@ let fresh_edges ~seed ~count =
   List.init count (fun _ -> pick ())
 
 (* ----------------------------------------------------------------- *)
-(* 1. The tracker is exact: refresh through churn equals compute_full *)
-
-(* Mirror the server's discipline: apply, note, attach the (possibly
-   brand-new) index, and only then refresh. *)
-let churn_step rng idx t =
-  let g = Index_graph.data !idx in
-  let n = Data_graph.n_nodes g in
-  let m =
-    match Prng.int rng 10 with
-    | 0 | 1 | 2 | 3 | 4 ->
-      let u = Prng.int rng n and v = Prng.int rng n in
-      Wal.Add_edge { u; v }
-    | 5 | 6 | 7 ->
-      let u = Prng.int rng n and v = Prng.int rng n in
-      Wal.Remove_edge { u; v }
-    | 8 -> Wal.Promote [ ("l1", 4) ]
-    | _ -> Wal.Demote [ ("l2", 1) ]
-  in
-  match Checkpoint.apply_mutation !idx m with
-  | idx' ->
-    Integrity.note_mutation t m;
-    Integrity.attach t idx';
-    idx := idx'
-  | exception _ -> () (* invalid mutation (duplicate edge, self-loop): skipped *)
-
-let incremental_matches_full =
-  QCheck.Test.make ~count:25 ~name:"integrity: refresh equals compute_full through churn"
-    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
-    (fun seed ->
-      let rng = Prng.create ~seed in
-      let idx = ref (build_base ()) in
-      let t = Integrity.create () in
-      Integrity.attach t !idx;
-      let check_now what =
-        let inc = Integrity.refresh t !idx in
-        let full = Integrity.compute_full !idx in
-        if inc <> full then
-          QCheck.Test.fail_reportf "%s: incremental root %x <> full root %x" what
-            inc.Integrity.root full.Integrity.root
-      in
-      for i = 1 to 30 do
-        churn_step rng idx t;
-        if Prng.int rng 3 = 0 then check_now (Printf.sprintf "after step %d" i)
-      done;
-      check_now "final";
-      true)
+(* 1. Roots are content-canonical *)
 
 let test_content_canonical () =
   let a = Integrity.compute_full (build_base ()) in
@@ -369,6 +323,16 @@ let wait_digests_equal ?(timeout_s = 60.0) ~what cp cr =
 (* ----------------------------------------------------------------- *)
 (* 3. Digest_request over the wire *)
 
+let wire_of_mutation : Wal.mutation -> Wire.request = function
+  | Wal.Add_edge { u; v } -> Wire.Add_edge { u; v }
+  | Wal.Remove_edge { u; v } -> Wire.Remove_edge { u; v }
+  | Wal.Add_subgraph { graph; reqs } -> Wire.Add_subgraph { graph; reqs }
+  | Wal.Promote pairs -> Wire.Promote pairs
+  | Wal.Demote reqs -> Wire.Demote reqs
+
+(* After every write kind, the served root is [compute_full] of a local
+   copy that applied the same writes, and two digests with no write
+   between them are equal. *)
 let test_digest_request () =
   let dir = temp_dir () in
   let pids = ref [] in
@@ -380,16 +344,44 @@ let test_digest_request () =
   let ppid, pport = fork_server ~dir () in
   pids := [ ppid ];
   let c = Client.connect ~port:pport ~timeout_s:10.0 () in
-  let ((s1, _, n1, r1) as d1) = digest_of c in
+  let local = ref (build_base ()) in
+  let check_served what =
+    let ((_, _, n, root) as d) = digest_of c in
+    let want = Integrity.compute_full !local in
+    Alcotest.(check int) (what ^ ": n_nodes") want.Integrity.n_nodes n;
+    Alcotest.(check int) (what ^ ": root") want.Integrity.root root;
+    Alcotest.(check bool) (what ^ ": digests are deterministic") true (d = digest_of c);
+    d
+  in
+  let s1, _, n1, r1 = check_served "base" in
   Alcotest.(check bool) "a durable primary has a stable position" true (s1 >= 0);
-  Alcotest.(check bool) "digests are deterministic" true (d1 = digest_of c);
+  let write m =
+    (match Client.call c (wire_of_mutation m) with
+    | Wire.Ok_reply _ -> ()
+    | _ -> Alcotest.fail "write refused");
+    local := Checkpoint.apply_mutation !local m
+  in
   let u, v = List.hd (fresh_edges ~seed:41 ~count:1) in
-  add_edges c [ (u, v) ];
-  let s2, o2, n2, r2 = digest_of c in
+  write (Wal.Add_edge { u; v });
+  let s2, o2, n2, r2 = check_served "Add_edge" in
   Alcotest.(check bool) "a write moves the root" true (r2 <> r1);
   Alcotest.(check int) "node count is unchanged by an edge" n1 n2;
   Alcotest.(check bool) "the position advanced" true
     (s2 > s1 || (s2 = s1 && o2 > 0));
+  let sub =
+    Dkindex_graph.Serial.to_string
+      (Dkindex_datagen.Random_graph.graph ~seed:43 ~nodes:40 ~n_labels:3 ~extra_edges:10 ())
+  in
+  List.iter
+    (fun (what, m) ->
+      write m;
+      ignore (check_served what))
+    [
+      ("Remove_edge", Wal.Remove_edge { u; v });
+      ("Promote", Wal.Promote [ ("l1", 4) ]);
+      ("Demote", Wal.Demote [ ("l2", 1) ]);
+      ("Add_subgraph", Wal.Add_subgraph { graph = sub; reqs = [ ("l0", 1) ] });
+    ];
   Client.close c
 
 (* The range-repair op codes (request 0x14, response 0x93) are
@@ -448,14 +440,19 @@ let test_anti_entropy_resyncs_drop () =
   let cr = Client.connect ~port:rport ~timeout_s:10.0 () in
   (* writes only start once the replica is streaming, so the dropped
      record is a streamed one *)
-  ignore (wait_for ~what:"replica subscribed" cr replica_caught_up);
+  let installed =
+    istat (wait_for ~what:"replica subscribed" cr replica_caught_up)
+      "replication_snapshots_installed"
+  in
   let edges = fresh_edges ~seed:51 ~count:8 in
   add_edges cp edges;
   let kvs =
     wait_for ~what:"divergence detected" cr (fun kvs -> istat kvs "replica_divergences" >= 1)
   in
   Alcotest.(check bool) "anti-entropy rounds ran" true (istat kvs "anti_entropy_rounds" >= 1);
-  ignore (wait_for ~what:"resync" cr (fun kvs -> istat kvs "integrity_resyncs" >= 1));
+  ignore
+    (wait_for ~what:"resync" cr (fun kvs ->
+         istat kvs "replication_snapshots_installed" > installed));
   wait_digests_equal ~what:"post-resync convergence" cp cr;
   (* the dropped write is now served by the replica like any other *)
   List.iter
@@ -545,7 +542,6 @@ let () =
     [
       ( "digest",
         [
-          to_alcotest incremental_matches_full;
           Alcotest.test_case "digests are content-canonical" `Quick test_content_canonical;
         ] );
       ( "scrub",

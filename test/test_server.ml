@@ -1120,6 +1120,42 @@ let test_reads_in_fold_order () =
   List.iter (check_against_local ds.index c) ds.queries;
   shutdown_server pid c
 
+(* One generation clock on the wire: every write's ack carries a higher
+   generation than the last, a Demote that returns a new index object
+   included, and the read sent right after it (and Stats) report the
+   same one. *)
+let test_one_generation_clock () =
+  let g, idx = build_smoke_dataset () in
+  with_server idx @@ fun pid port ->
+  let c = Client.connect ~port () in
+  let rec absent u v = if v = u || Data_graph.has_edge g u v then absent u (v + 1) else v in
+  let last = ref (-1) in
+  List.iter
+    (fun (what, req) ->
+      let acked =
+        match Client.call c req with
+        | Wire.Ok_reply { generation; _ } -> generation
+        | _ -> Alcotest.failf "%s: expected Ok_reply" what
+      in
+      if acked <= !last then Alcotest.failf "%s: ack generation %d after %d" what acked !last;
+      last := acked;
+      let read =
+        expect_result
+          (Client.call c (Wire.Query_path { flags = { no_cache = true }; labels = [ "l0" ] }))
+      in
+      Alcotest.(check int) (what ^ ": the next read's generation") acked read.Wire.generation)
+    [
+      ("Add_edge", Wire.Add_edge { u = 1; v = absent 1 0 });
+      ("Demote", Wire.Demote [ ("l1", 1) ]);
+      ("Add_edge", Wire.Add_edge { u = 3; v = absent 3 0 });
+    ];
+  (match Client.call c Wire.Stats with
+  | Wire.Stats_reply kvs ->
+    Alcotest.(check (option string)) "Stats generation" (Some (string_of_int !last))
+      (List.assoc_opt "generation" kvs)
+  | _ -> Alcotest.fail "expected Stats_reply");
+  shutdown_server pid c
+
 (* Failed and valid writes alternate with cached reads.  The server
    keeps one index and so at most one validation cache, and the
    exported hits and misses never go backwards (a cache dropped with a
@@ -1363,6 +1399,8 @@ let () =
           Alcotest.test_case "launch stages timed, within the uptime" `Quick test_launch_stages;
           Alcotest.test_case "reads after writes equal a flattened oracle, visits included" `Quick
             test_reads_in_fold_order;
+          Alcotest.test_case "acks, reads and Stats share one write generation" `Quick
+            test_one_generation_clock;
           Alcotest.test_case "failed writes: dropped validation caches retire" `Quick
             test_vcache_retirement;
           Alcotest.test_case "snapshot durable and loadable when acknowledged" `Quick
