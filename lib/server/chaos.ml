@@ -266,9 +266,7 @@ let stop t =
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let run t =
-  let loop =
-    match Evloop.create () with Ok l -> l | Error m -> failwith ("chaos: " ^ m)
-  in
+  let loop = Evloop.create () in
   let conns : (Unix.file_descr, pconn) Hashtbl.t = Hashtbl.create 16 in
   let live : pconn list ref = ref [] in
   let prng = Prng.create ~seed:t.seed in

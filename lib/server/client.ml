@@ -12,10 +12,7 @@ let error_to_string = function
    the circuit opens and calls fail fast (no dial, no timeout wait)
    for [cooldown_s]; the first call after the cooldown is a half-open
    probe — success closes the circuit, failure reopens it immediately.
-   [threshold = 0] disables.  One breaker guards one endpoint: the
-   single client [t] carries its own, and the cluster keeps one per
-   member {e outside} the member connection, so breaker state survives
-   the member being dropped and redialed. *)
+   [threshold = 0] disables. *)
 type breaker_state = Br_closed | Br_open of float (* fail fast until *) | Br_half_open
 
 type breaker = {
@@ -75,9 +72,7 @@ type t = {
   (* Version/epoch negotiation: every new connection starts with a
      Hello carrying the highest epoch this client has observed. *)
   mutable hello_epoch : int;  (* what we will claim on the next dial *)
-  mutable helloed_epoch : int;  (* what the current connection's server has seen *)
   mutable server_epoch : int;  (* epoch the server last reported *)
-  mutable server_role : Wire.role option;
 }
 
 (* Internal failure classification; converted to [Error] at the
@@ -151,9 +146,8 @@ let recv_on fd deadline =
    [`Version] refusal is a protocol failure (redialing cannot help);
    anything connection-shaped heals like a failed dial. *)
 let hello_on t fd =
-  let sent = t.hello_epoch in
   let id =
-    try send_on t fd (Wire.Hello { version = Wire.version; epoch = sent })
+    try send_on t fd (Wire.Hello { version = Wire.version; epoch = t.hello_epoch })
     with Unix.Unix_error (e, _, _) -> raise (Conn_failure (Unix.error_message e))
   in
   let deadline = deadline_of t in
@@ -162,11 +156,9 @@ let hello_on t fd =
     if d.Wire.id = id then d.Wire.msg else wait ()
   in
   match wait () with
-  | Wire.Hello_reply { version = _; epoch; role } ->
+  | Wire.Hello_reply { version = _; epoch; role = _ } ->
     if epoch > t.hello_epoch then t.hello_epoch <- epoch;
-    t.helloed_epoch <- max sent epoch;
-    t.server_epoch <- epoch;
-    t.server_role <- Some role
+    t.server_epoch <- epoch
   | Wire.Error_reply { code = `Version; message } -> raise (Proto_failure message)
   | _ -> raise (Proto_failure "unexpected reply to hello")
 
@@ -199,15 +191,7 @@ let ensure t =
     in
     go 1
 
-let set_epoch t e =
-  if e > t.hello_epoch then t.hello_epoch <- e;
-  (* The current connection's server has only seen [helloed_epoch];
-     drop it so the next use re-hellos with the newer epoch (this is
-     what fences a deposed primary before we write to it). *)
-  if t.fd <> None && t.helloed_epoch < t.hello_epoch then drop t
-
 let server_epoch t = t.server_epoch
-let server_role t = t.server_role
 
 let connect ?(host = "127.0.0.1") ?(attempts = 1) ?(retries = 0) ?(timeout_s = 0.0)
     ?(backoff_base_s = 0.05) ?(backoff_max_s = 2.0) ?(seed = 0) ?(epoch = 0)
@@ -227,9 +211,7 @@ let connect ?(host = "127.0.0.1") ?(attempts = 1) ?(retries = 0) ?(timeout_s = 0
       fd = None;
       next_id = 1;
       hello_epoch = max 0 epoch;
-      helloed_epoch = -1;
       server_epoch = 0;
-      server_role = None;
     }
   in
   (try ignore (ensure t) with
@@ -302,191 +284,3 @@ let recv t =
   | d -> d
   | exception Conn_failure msg -> failwith ("Client.recv: " ^ msg)
   | exception Proto_failure msg -> failwith ("Client.recv: " ^ msg)
-
-(* ------------------------------------------------------------------ *)
-(* Partition-tolerant cluster client. *)
-
-type cluster = {
-  cendpoints : (string * int) array;
-  cmembers : t option array;
-  cbreakers : breaker array;
-      (* per-endpoint, deliberately outside the member connection so
-         breaker state survives drop_member + redial *)
-  mutable crr : int;  (* round-robin read cursor *)
-  mutable cprimary : int option;
-  mutable cepoch : int;  (* highest epoch observed anywhere *)
-  cattempts : int;
-  cretries : int;
-  ctimeout_s : float;
-  cseed : int;
-}
-
-let cluster_epoch cl = cl.cepoch
-let cluster_primary cl = Option.map (fun i -> cl.cendpoints.(i)) cl.cprimary
-
-(* Raise the cluster epoch and make sure every live member re-hellos
-   with it before its next request. *)
-let bump_epoch cl e =
-  if e > cl.cepoch then begin
-    cl.cepoch <- e;
-    Array.iter (function Some c -> set_epoch c e | None -> ()) cl.cmembers
-  end
-
-let drop_member cl i =
-  (match cl.cmembers.(i) with Some c -> close c | None -> ());
-  cl.cmembers.(i) <- None;
-  if cl.cprimary = Some i then cl.cprimary <- None
-
-(* Connect (or return) member [i]; [None] if it is unreachable right
-   now.  A fresh connection's Hello teaches us the member's epoch and
-   role — a primary at the newest epoch is adopted as write target. *)
-let member cl i =
-  match cl.cmembers.(i) with
-  | Some _ as s -> s
-  | None -> (
-    let host, port = cl.cendpoints.(i) in
-    match
-      connect ~host ~attempts:1 ~retries:0 ~timeout_s:cl.ctimeout_s ~seed:(cl.cseed + (31 * i))
-        ~epoch:cl.cepoch ~port ()
-    with
-    | c ->
-      cl.cmembers.(i) <- Some c;
-      bump_epoch cl (server_epoch c);
-      if server_role c = Some Wire.Primary && server_epoch c >= cl.cepoch then cl.cprimary <- Some i;
-      Some c
-    | exception Error _ -> None)
-
-let cluster_connect ?(attempts = 1) ?(retries = 0) ?(timeout_s = 0.0) ?(seed = 0)
-    ?(breaker_threshold = 0) ?(breaker_cooldown_s = 1.0) ~endpoints () =
-  if endpoints = [] then invalid_arg "Client.cluster_connect: no endpoints";
-  let cl =
-    {
-      cendpoints = Array.of_list endpoints;
-      cmembers = Array.make (List.length endpoints) None;
-      cbreakers =
-        Array.init (List.length endpoints) (fun _ ->
-            breaker_make ~threshold:breaker_threshold ~cooldown_s:breaker_cooldown_s);
-      crr = 0;
-      cprimary = None;
-      cepoch = 0;
-      cattempts = max 1 attempts;
-      cretries = max 0 retries;
-      ctimeout_s = timeout_s;
-      cseed = seed;
-    }
-  in
-  (* Eager sweep: learn epochs and find the primary; unreachable
-     members stay lazily retried. *)
-  Array.iteri (fun i _ -> ignore (member cl i)) cl.cendpoints;
-  cl
-
-let cluster_close cl =
-  Array.iteri (fun i _ -> drop_member cl i) cl.cmembers;
-  cl.cprimary <- None
-
-(* Reads: round-robin over members, failing over to the next on a
-   connection failure or a [`Stale] refusal.  A member whose breaker
-   is open is skipped without dialing (the open circuit IS the memory
-   that it was failing); success and failure feed the breaker, so a
-   dead member costs one connect timeout per cooldown window instead
-   of one per read. *)
-let cluster_read cl req =
-  let n = Array.length cl.cendpoints in
-  let budget = n * (cl.cretries + 1) in
-  let rec go tries i last =
-    if tries >= budget then raise (Error last)
-    else begin
-      let next = (i + 1) mod n in
-      match breaker_admit cl.cbreakers.(i) with
-      | exception Error e -> go (tries + 1) next e
-      | () -> (
-        match member cl i with
-        | None ->
-          breaker_failure cl.cbreakers.(i);
-          go (tries + 1) next (Retryable "no cluster member reachable")
-        | Some c -> (
-          set_epoch c cl.cepoch;
-          match call c req with
-          | Wire.Error_reply { code = `Stale; message } ->
-            (* A live server refusing on staleness is healthy: answer
-               the breaker's probe, fail over for the data. *)
-            breaker_success cl.cbreakers.(i);
-            go (tries + 1) next (Retryable ("stale replica: " ^ message))
-          | resp ->
-            breaker_success cl.cbreakers.(i);
-            cl.crr <- next;
-            resp
-          | exception Error ((Retryable _ | Fatal _) as e) ->
-            breaker_failure cl.cbreakers.(i);
-            drop_member cl i;
-            go (tries + 1) next e))
-    end
-  in
-  go 0 cl.crr (Retryable "no cluster member reachable")
-
-(* Writes: go to the known primary, discovering it when unknown by
-   sweeping members — [Not_primary] hints redirect, [Fenced] raises
-   the epoch and keeps looking.  An [Ok_reply] from an older epoch is
-   a deposed primary's ack racing its own fencing: refused.  Note a
-   write that dies mid-flight may still have been applied on a member
-   we then abandon — same caveat as single-connection retries. *)
-let cluster_write cl req =
-  let n = Array.length cl.cendpoints in
-  let index_of host port =
-    let found = ref None in
-    Array.iteri (fun i (h, p) -> if !found = None && h = host && p = port then found := Some i) cl.cendpoints;
-    !found
-  in
-  let budget = (n + 1) * (cl.cretries + 1) in
-  let rec go tries i last =
-    if tries >= budget then raise (Error last)
-    else begin
-      let next = (i + 1) mod n in
-      match breaker_admit cl.cbreakers.(i) with
-      | exception Error e -> go (tries + 1) next e
-      | () -> (
-        match member cl i with
-        | None ->
-          breaker_failure cl.cbreakers.(i);
-          go (tries + 1) next (Retryable "no primary reachable")
-        | Some c -> (
-          set_epoch c cl.cepoch;
-          match call c req with
-          | Wire.Ok_reply { epoch; _ } when epoch < cl.cepoch ->
-            breaker_success cl.cbreakers.(i);
-            drop_member cl i;
-            go (tries + 1) next (Retryable "stale ack from deposed primary")
-          | Wire.Ok_reply { epoch; _ } as resp ->
-            breaker_success cl.cbreakers.(i);
-            bump_epoch cl epoch;
-            cl.cprimary <- Some i;
-            resp
-          | Wire.Fenced { epoch } ->
-            (* [epoch] is the highest the fenced primary has observed,
-               i.e. the current leader's lineage. *)
-            breaker_success cl.cbreakers.(i);
-            bump_epoch cl epoch;
-            if cl.cprimary = Some i then cl.cprimary <- None;
-            go (tries + 1) next (Retryable "primary fenced")
-          | Wire.Not_primary { host; port } -> (
-            breaker_success cl.cbreakers.(i);
-            if cl.cprimary = Some i then cl.cprimary <- None;
-            match index_of host port with
-            | Some j when j <> i -> go (tries + 1) j (Retryable "redirected")
-            | _ -> go (tries + 1) next (Retryable "not primary"))
-          | resp ->
-            (* Shutting_down, Read_only, app errors ... the caller's
-               problem, not a routing problem. *)
-            breaker_success cl.cbreakers.(i);
-            resp
-          | exception Error ((Retryable _ | Fatal _) as e) ->
-            breaker_failure cl.cbreakers.(i);
-            drop_member cl i;
-            go (tries + 1) next e))
-    end
-  in
-  let start = match cl.cprimary with Some i -> i | None -> cl.crr in
-  go 0 start (Retryable "no primary reachable")
-
-let cluster_call cl req = if idempotent req then cluster_read cl req else cluster_write cl req
-

@@ -63,17 +63,8 @@ val connect :
 
 val close : t -> unit
 
-val set_epoch : t -> int -> unit
-(** Raise the epoch this client claims in its Hello.  If the current
-    connection was helloed with a lower epoch it is dropped, so the
-    next request re-hellos — informing (and thereby fencing) a server
-    that has not yet seen the newer epoch. *)
-
 val server_epoch : t -> int
 (** Epoch the server reported in the last Hello exchange. *)
-
-val server_role : t -> Wire.role option
-(** Role from the last Hello exchange ([None] before any). *)
 
 val call : t -> Wire.request -> Wire.response
 (** Send, then receive until the matching id comes back (responses to
@@ -110,50 +101,3 @@ val recv : t -> Wire.response Wire.decoded
 val send_raw_frame : t -> string -> unit
 (** Frame an arbitrary payload and write it verbatim — for protocol
     fuzzing; a normal client never needs this. *)
-
-(** {1 Cluster client}
-
-    A partition-tolerant client over a replica set.  Reads round-robin
-    across every reachable member, failing over on connection errors
-    and [`Stale] refusals; writes go to the current primary, with
-    rediscovery driven by {!Wire.Not_primary} redirects, {!Wire.Fenced}
-    refusals, and the role reported in each member's Hello.  The
-    cluster tracks the highest epoch observed anywhere and makes every
-    member re-hello with it before further use, so a deposed primary
-    is fenced before it can acknowledge a write into a stale lineage;
-    an [Ok_reply] carrying an older epoch is likewise refused.  Not
-    domain-safe — one cluster per driver. *)
-
-type cluster
-
-val cluster_connect :
-  ?attempts:int ->
-  ?retries:int ->
-  ?timeout_s:float ->
-  ?seed:int ->
-  ?breaker_threshold:int ->
-  ?breaker_cooldown_s:float ->
-  endpoints:(string * int) list ->
-  unit ->
-  cluster
-(** Eagerly sweeps [endpoints] (learning epochs and the primary);
-    unreachable members are retried lazily on use.  [retries] scales
-    the failover budget: each operation tries every member up to
-    [retries + 1] times before giving up.  [breaker_threshold]
-    (default 0 = disabled) arms a per-endpoint circuit breaker kept
-    {e outside} the member connection (state survives drops and
-    redials): a member whose circuit is open is skipped without
-    dialing, so a dead member costs one connect timeout per
-    [breaker_cooldown_s] window instead of one per operation. *)
-
-val cluster_call : cluster -> Wire.request -> Wire.response
-(** Route per the policy above.  @raise Error when every member has
-    been tried and none could serve the request. *)
-
-val cluster_close : cluster -> unit
-val cluster_epoch : cluster -> int
-(** Highest primary epoch observed across the cluster. *)
-
-val cluster_primary : cluster -> (string * int) option
-(** Current believed primary endpoint, if any. *)
-

@@ -1,10 +1,4 @@
 external dk_poll : int array -> int array -> int array -> int -> int -> int = "dk_poll"
-external dk_epoll_create : unit -> int = "dk_epoll_create"
-external dk_epoll_ctl : int -> int -> int -> int -> int = "dk_epoll_ctl"
-external dk_epoll_wait : int -> int array -> int array -> int -> int = "dk_epoll_wait"
-
-external dk_writev : Unix.file_descr -> Bytes.t -> int -> int -> string -> int -> int -> int
-  = "dk_writev_bytecode" "dk_writev"
 
 (* On Unix a file_descr is the raw int. *)
 external fd_int : Unix.file_descr -> int = "%identity"
@@ -14,10 +8,7 @@ let rd = 1
 let wr = 2
 let err = 4
 
-type backend = Epoll of int | Poll
-
 type t = {
-  backend : backend;
   interest : (int, int) Hashtbl.t;  (* fd -> interest mask *)
   (* poll scratch, rebuilt from [interest] when dirty *)
   mutable dirty : bool;
@@ -25,58 +16,20 @@ type t = {
   mutable pevents : int array;
   mutable prevents : int array;
   mutable pn : int;
-  (* epoll result scratch *)
-  out_fds : int array;
-  out_events : int array;
 }
 
-let max_batch = 512
-
-let create ?(backend = `Auto) () =
-  let mk b =
-    {
-      backend = b;
-      interest = Hashtbl.create 64;
-      dirty = true;
-      pfds = [||];
-      pevents = [||];
-      prevents = [||];
-      pn = 0;
-      out_fds = Array.make max_batch 0;
-      out_events = Array.make max_batch 0;
-    }
-  in
-  match backend with
-  | `Poll -> Ok (mk Poll)
-  | `Epoll | `Auto -> (
-    match dk_epoll_create () with
-    | ep when ep >= 0 -> Ok (mk (Epoll ep))
-    | _ -> if backend = `Auto then Ok (mk Poll) else Error "epoll unavailable on this system")
-
-let backend_name t = match t.backend with Epoll _ -> "epoll" | Poll -> "poll"
+let create () =
+  { interest = Hashtbl.create 64; dirty = true; pfds = [||]; pevents = [||]; prevents = [||]; pn = 0 }
 
 let add t fd interest =
-  let fd = fd_int fd in
-  let known = Hashtbl.mem t.interest fd in
-  Hashtbl.replace t.interest fd interest;
-  t.dirty <- true;
-  match t.backend with
-  | Poll -> ()
-  | Epoll ep ->
-    let op = if known then 1 else 0 in
-    if dk_epoll_ctl ep op fd interest <> 0 then
-      (* ADD on a re-registered fd (or MOD on a forgotten one) — retry
-         with the other op before giving up. *)
-      ignore (dk_epoll_ctl ep (1 - op) fd interest)
+  Hashtbl.replace t.interest (fd_int fd) interest;
+  t.dirty <- true
 
 let remove t fd =
   let fd = fd_int fd in
   if Hashtbl.mem t.interest fd then begin
     Hashtbl.remove t.interest fd;
-    t.dirty <- true;
-    match t.backend with
-    | Poll -> ()
-    | Epoll ep -> ignore (dk_epoll_ctl ep 2 fd 0)
+    t.dirty <- true
   end
 
 let rebuild t =
@@ -98,31 +51,14 @@ let rebuild t =
   t.dirty <- false
 
 let wait t ~timeout_ms f =
-  match t.backend with
-  | Epoll ep ->
-    let rc = dk_epoll_wait ep t.out_fds t.out_events timeout_ms in
-    if rc <= 0 then 0
-    else begin
-      for i = 0 to rc - 1 do
-        f (int_fd t.out_fds.(i)) t.out_events.(i)
-      done;
-      rc
-    end
-  | Poll ->
-    if t.dirty then rebuild t;
-    let rc = dk_poll t.pfds t.pevents t.prevents t.pn timeout_ms in
-    if rc <= 0 then 0
-    else begin
-      for i = 0 to t.pn - 1 do
-        let r = t.prevents.(i) in
-        if r <> 0 then f (int_fd t.pfds.(i)) r
-      done;
-      rc
-    end
-
-let writev fd head hoff hlen tail toff tlen =
-  match dk_writev fd head hoff hlen tail toff tlen with
-  | -1 -> raise (Unix.Unix_error (Unix.EAGAIN, "writev", ""))
-  | -2 -> raise (Unix.Unix_error (Unix.EINTR, "writev", ""))
-  | -3 -> raise (Unix.Unix_error (Unix.EPIPE, "writev", ""))
-  | n -> n
+  if t.dirty then rebuild t;
+  let rc = dk_poll t.pfds t.pevents t.prevents t.pn timeout_ms in
+  if rc <= 0 then 0
+  else begin
+    for i = 0 to t.pn - 1 do
+      let fd = t.pfds.(i) and r = t.prevents.(i) in
+      (* An earlier callback may have removed [fd]. *)
+      if r <> 0 && Hashtbl.mem t.interest fd then f (int_fd fd) r
+    done;
+    rc
+  end

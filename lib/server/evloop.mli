@@ -1,12 +1,12 @@
 (** Readiness event loop for dkserve.
 
-    A thin level-triggered abstraction over [poll(2)], upgraded to
-    [epoll(7)] on Linux (chosen at {!create} time, with a clean
-    fallback where epoll is unavailable).  Replaces the fixed-tick
-    [Unix.select] loop: {!wait} parks in the kernel until a registered
-    descriptor is ready or the caller's timeout expires, so an idle
-    server costs nothing and a busy one wakes exactly when bytes
-    arrive.
+    A thin level-triggered wrapper over [poll(2)]: {!wait} parks in
+    the kernel until a registered descriptor is ready or the caller's
+    timeout expires, so an idle server costs nothing and a busy one
+    wakes exactly when bytes arrive.  poll is the one backend: it is
+    portable, and its cost per {!wait} grows with the registered set,
+    which for dkserve is its open connections (no dkbench workload
+    holds more than two).
 
     Not thread-safe: one loop belongs to one thread.  Other threads
     wake it by writing to a registered self-pipe.  {!wait} releases
@@ -24,13 +24,7 @@ val wr : int
 val err : int
 (** Readiness bit only: error/invalid descriptor. *)
 
-val create : ?backend:[ `Auto | `Poll | `Epoll ] -> unit -> (t, string) result
-(** [`Auto] (default) picks epoll when the OS offers it, else poll.
-    [`Epoll] errors where unsupported (tests use it to pin a
-    backend). *)
-
-val backend_name : t -> string
-(** ["epoll"] or ["poll"]. *)
+val create : unit -> t
 
 val add : t -> Unix.file_descr -> int -> unit
 (** [add t fd interest] registers [fd] with an {!rd}/{!wr} mask.
@@ -45,13 +39,5 @@ val wait : t -> timeout_ms:int -> (Unix.file_descr -> int -> unit) -> int
     invoke the callback per ready descriptor with its readiness mask
     and return the ready count (0 on timeout or EINTR).  The callback
     may add/remove descriptors, including the one it was called
-    for. *)
-
-val writev :
-  Unix.file_descr -> Bytes.t -> int -> int -> string -> int -> int -> int
-(** [writev fd head hoff hlen tail toff tlen]: gathered write of a
-    bytes slice followed by a string slice, for frame-header + large
-    payload sends without concatenation.  Returns bytes written
-    (possibly short).
-    @raise Unix.Unix_error [EAGAIN]/[EINTR] as [Unix.write] would;
-    any other failure surfaces as [EPIPE] (the connection is dead). *)
+    for; a descriptor removed by an earlier callback of the same
+    [wait] is not reported. *)

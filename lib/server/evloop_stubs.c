@@ -1,17 +1,12 @@
-/* Readiness and gathered-write primitives for the dkserve event loop.
+/* poll(2) primitive for the dkserve event loop.
  *
- * poll(2) is the portable backend; epoll(7) is used on Linux when
- * available (dk_epoll_create reports -1 elsewhere and the OCaml side
- * falls back).  Blocking waits release the OCaml runtime lock, so the
- * interest set is copied into C arrays before the wait and results
- * are copied back after — OCaml arrays may move during a GC that
- * other domains trigger while this one is parked in the kernel.
+ * The blocking wait releases the OCaml runtime lock, so the interest
+ * set is copied into a C array before the wait and results are copied
+ * back after: OCaml arrays may move during a GC that another thread
+ * triggers while this one is parked in the kernel.
  *
- * Error conventions (kept as plain return codes so the OCaml side can
- * translate without depending on unixsupport internals):
- *   waits:   >= 0 ready count, -1 EINTR (treat as zero ready)
- *   writev:  >= 0 bytes written, -1 EAGAIN/EWOULDBLOCK, -2 EINTR,
- *            -3 any other error (connection is considered dead)
+ * Returns the ready count (>= 0), or -1 on EINTR (treat as zero
+ * ready).
  */
 
 #include <caml/mlvalues.h>
@@ -23,13 +18,6 @@
 #include <errno.h>
 #include <poll.h>
 #include <stdlib.h>
-#include <string.h>
-#include <sys/uio.h>
-#include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #define DK_RD 1
 #define DK_WR 2
@@ -79,114 +67,4 @@ CAMLprim value dk_poll(value v_fds, value v_events, value v_revents, value v_nfd
   }
   if (pfds != stack_pfds) free(pfds);
   CAMLreturn(Val_int(rc));
-}
-
-CAMLprim value dk_epoll_create(value v_unit)
-{
-#ifdef __linux__
-  int fd = epoll_create1(0);
-  (void)v_unit;
-  return Val_int(fd >= 0 ? fd : -1);
-#else
-  (void)v_unit;
-  return Val_int(-1);
-#endif
-}
-
-CAMLprim value dk_epoll_ctl(value v_epfd, value v_op, value v_fd, value v_interest)
-{
-#ifdef __linux__
-  struct epoll_event ev;
-  int op;
-  int interest = Int_val(v_interest);
-  memset(&ev, 0, sizeof ev);
-  ev.events = 0;
-  if (interest & DK_RD) ev.events |= EPOLLIN;
-  if (interest & DK_WR) ev.events |= EPOLLOUT;
-  ev.data.fd = Int_val(v_fd);
-  switch (Int_val(v_op)) {
-  case 0: op = EPOLL_CTL_ADD; break;
-  case 1: op = EPOLL_CTL_MOD; break;
-  default: op = EPOLL_CTL_DEL; break;
-  }
-  if (epoll_ctl(Int_val(v_epfd), op, Int_val(v_fd), &ev) < 0) return Val_int(-1);
-  return Val_int(0);
-#else
-  (void)v_epfd; (void)v_op; (void)v_fd; (void)v_interest;
-  return Val_int(-1);
-#endif
-}
-
-CAMLprim value dk_epoll_wait(value v_epfd, value v_out_fds, value v_out_events,
-                             value v_timeout_ms)
-{
-#ifdef __linux__
-  CAMLparam4(v_epfd, v_out_fds, v_out_events, v_timeout_ms);
-  int cap = Wosize_val(v_out_fds);
-  struct epoll_event stack_evs[DK_STACK_FDS];
-  struct epoll_event *evs = stack_evs;
-  int i, rc;
-
-  if (cap > DK_STACK_FDS) {
-    evs = malloc(sizeof(struct epoll_event) * cap);
-    if (evs == NULL) caml_failwith("Evloop.epoll_wait: out of memory");
-  }
-
-  caml_release_runtime_system();
-  rc = epoll_wait(Int_val(v_epfd), evs, cap, Int_val(v_timeout_ms));
-  caml_acquire_runtime_system();
-
-  if (rc < 0) {
-    int e = errno;
-    if (evs != stack_evs) free(evs);
-    if (e == EINTR) CAMLreturn(Val_int(-1));
-    caml_failwith("Evloop.epoll_wait failed");
-  }
-  for (i = 0; i < rc; i++) {
-    int out = 0;
-    if (evs[i].events & (EPOLLIN | EPOLLHUP)) out |= DK_RD;
-    if (evs[i].events & EPOLLOUT) out |= DK_WR;
-    if (evs[i].events & EPOLLERR) out |= DK_ERR;
-    Store_field(v_out_fds, i, Val_int(evs[i].data.fd));
-    Store_field(v_out_events, i, Val_int(out));
-  }
-  if (evs != stack_evs) free(evs);
-  CAMLreturn(Val_int(rc));
-#else
-  (void)v_epfd; (void)v_out_fds; (void)v_out_events; (void)v_timeout_ms;
-  return Val_int(0);
-#endif
-}
-
-/* Gathered write of (head bytes slice, tail string slice) to a
- * non-blocking fd.  The runtime lock is held — the fd never blocks —
- * so the OCaml heap pointers stay valid across the call. */
-CAMLprim value dk_writev(value v_fd, value v_head, value v_hoff, value v_hlen,
-                         value v_tail, value v_toff, value v_tlen)
-{
-  struct iovec iov[2];
-  int n = 0;
-  ssize_t rc;
-  if (Int_val(v_hlen) > 0) {
-    iov[n].iov_base = Bytes_val(v_head) + Int_val(v_hoff);
-    iov[n].iov_len = Int_val(v_hlen);
-    n++;
-  }
-  if (Int_val(v_tlen) > 0) {
-    iov[n].iov_base = (char *)String_val(v_tail) + Int_val(v_toff);
-    iov[n].iov_len = Int_val(v_tlen);
-    n++;
-  }
-  if (n == 0) return Val_int(0);
-  rc = writev(Int_val(v_fd), iov, n);
-  if (rc >= 0) return Val_int((int)rc);
-  if (errno == EAGAIN || errno == EWOULDBLOCK) return Val_int(-1);
-  if (errno == EINTR) return Val_int(-2);
-  return Val_int(-3);
-}
-
-CAMLprim value dk_writev_bytecode(value *argv, int argn)
-{
-  (void)argn;
-  return dk_writev(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6]);
 }

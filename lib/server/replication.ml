@@ -11,12 +11,13 @@
 
    The replica side is a tailer loop in its own thread: connect,
    Hello, subscribe from the last applied position (or -1 for a
-   snapshot bootstrap), reassemble WAL records from the chunk stream,
-   and hand them to the server's event loop as [event]s.  The loop owns
-   liveness: any byte from the primary refreshes [last_contact]; when
-   the failover timeout elapses with no contact, an [Ev_promote] event
-   is pushed (if auto-promotion is enabled) and the loop performs
-   the epoch bump. *)
+   snapshot bootstrap), read frames up to [Wire.max_replication_frame]
+   (one snapshot frame is a whole checkpoint), reassemble WAL records
+   from the chunk stream, and hand them to the server's event loop as
+   [event]s.  The loop owns liveness: any byte from the primary
+   refreshes [last_contact]; when the failover timeout elapses with no
+   contact, an [Ev_promote] event is pushed (if auto-promotion is
+   enabled) and the loop performs the epoch bump. *)
 
 let now () = Unix.gettimeofday ()
 
@@ -82,34 +83,10 @@ let create_hub ?(faults_for = fun _ -> None) ?(heartbeat_s = 0.25) ~epoch dur =
     hstop = Atomic.make false;
   }
 
-(* Gathered write of a frame header plus a large blob (WAL chunk,
-   snapshot): the blob goes out from its own string via writev, never
-   copied through the frame buffer.  Injected faults need byte-level
-   control of each write, so a faulted subscriber keeps the
-   single-buffer path. *)
-let writev_all fd head hlen tail =
-  let t = String.length tail in
-  let w = ref 0 in
-  while !w < hlen + t do
-    let hoff = min !w hlen in
-    let toff = max 0 (!w - hlen) in
-    match Evloop.writev fd head hoff (hlen - hoff) tail toff (t - toff) with
-    | n -> w := !w + n
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-      ignore (Unix.select [] [ fd ] [] 1.0)
-  done
-
 let send_frame sub resp =
   let buf = Obuf.create 512 in
-  match (Wire.encode_response_gather buf ~id:0 resp, sub.sfaults) with
-  | None, _ -> Faults.write_all sub.sfaults sub.sfd (Obuf.base buf) 0 (Obuf.length buf)
-  | Some tail, Some _ ->
-    (* The gathered header already accounts for the tail's length;
-       appending the tail reconstitutes the exact single-buffer frame. *)
-    Obuf.add_string buf tail;
-    Faults.write_all sub.sfaults sub.sfd (Obuf.base buf) 0 (Obuf.length buf)
-  | Some tail, None -> writev_all sub.sfd (Obuf.base buf) (Obuf.length buf) tail
+  Wire.encode_response buf ~id:0 resp;
+  Faults.write_all sub.sfaults sub.sfd (Obuf.base buf) 0 (Obuf.length buf)
 
 (* Stream one subscriber.  Returns when the hub stops or the socket
    (or an injected fault) kills the connection. *)
@@ -379,15 +356,16 @@ let note_installed r ~epoch ~seq ~ms =
   Atomic.set r.applied_seq seq;
   Atomic.set r.applied_off 0
 
-(* Reads on a replica are refused once it has heard nothing from its
-   primary for longer than the staleness bound.  A replica that never
-   synced at all is stale by definition. *)
+(* Reads on a replica are refused until this process has installed a
+   snapshot (before that it serves a placeholder or an index recovered
+   from its own directory, neither checked against the primary), and
+   once it has heard nothing from its primary for longer than the
+   staleness bound. *)
 let stale r =
   (not (Atomic.get r.promoted))
-  && r.rcfg.staleness_bound_s > 0.0
-  &&
-  let lc = Atomic.get r.last_contact in
-  lc = 0.0 || now () -. lc > r.rcfg.staleness_bound_s
+  && (Atomic.get r.snapshots_installed = 0
+     || r.rcfg.staleness_bound_s > 0.0
+        && now () -. Atomic.get r.last_contact > r.rcfg.staleness_bound_s)
 
 (* The quantity the staleness bound is keyed on, exported so reads can
    be stamped with the data age they were answered at.  [None] before
@@ -428,7 +406,7 @@ let watchdog_read r fd b off len =
   go ()
 
 let read_response r fd =
-  match Wire.read_frame ~read:(watchdog_read r fd) () with
+  match Wire.read_frame ~max_frame:Wire.max_replication_frame ~read:(watchdog_read r fd) () with
   | `Eof -> raise (Disconnected "eof")
   | `Oversized n -> raise (Disconnected (Printf.sprintf "oversized frame (%d bytes)" n))
   | exception Failure msg -> raise (Disconnected msg)

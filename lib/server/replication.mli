@@ -51,8 +51,11 @@ val attach : hub -> fd:Unix.file_descr -> replica_id:int -> seq:int -> offset:in
 (** Take ownership of [fd] (a connection the server has detached after
     a [Rep_subscribe]) and stream the WAL to it from [(seq, offset)],
     bootstrapping with a snapshot when the position is unknown
-    ([seq = -1]), implausible, or pruned.  The sender dies silently
-    when the socket does; a reconnecting replica re-subscribes. *)
+    ([seq = -1]), implausible, or pruned.  Each frame is encoded whole
+    and written with {!Faults.write_all} (through the subscriber's
+    injected faults, if any), so a replica that stops reading for 30 s
+    is dropped.  The sender dies silently when the socket does; a
+    reconnecting replica re-subscribes. *)
 
 val hub_stats : hub -> (string * string) list
 (** [replicas_connected] plus, per live replica,
@@ -74,7 +77,8 @@ type rconfig = {
   failover_timeout_s : float;  (** no contact for this long = primary presumed dead; <= 0 disables *)
   staleness_bound_s : float;
       (** reads are refused ([`Stale]) once the primary has been
-          silent this long; <= 0 disables *)
+          silent this long; <= 0 disables.  Reads are refused before
+          the first snapshot install whatever this is. *)
 }
 
 val default_rconfig : host:string -> port:int -> replica_id:int -> rconfig
@@ -128,7 +132,8 @@ val note_installed : replica -> epoch:int -> seq:int -> ms:float -> unit
     [ms] (check, decode, install, write); applied position [(seq, 0)]. *)
 
 val stale : replica -> bool
-(** True when reads must be refused ([`Stale]): never synced, or the
+(** True when reads must be refused ([`Stale]): this process has not
+    yet installed a snapshot (whatever the staleness bound), or the
     primary has been silent past the staleness bound.  Always false
     once promoted. *)
 

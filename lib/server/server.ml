@@ -136,7 +136,6 @@ type state = {
       (* hits, misses and evictions of the caches dropped with a
          replaced index, so the exported counters never decrease *)
   wake : unit -> unit;  (* nudges the event loop (self-pipe) *)
-  evloop_backend : string;
   durability : Checkpoint.t option;
   jobs : job Bqueue.t;
   mutable in_flight : int;  (* admitted writes not yet answered *)
@@ -297,7 +296,6 @@ let stats_kvs state =
     ("write_queue_depth", string_of_int (Bqueue.length state.jobs));
     ("queue_capacity", string_of_int state.cfg.queue_depth);
     ("in_flight", string_of_int state.in_flight);
-    ("evloop_backend", state.evloop_backend);
     ("role", if state.is_primary then "primary" else "replica");
     ("epoch", string_of_int (Atomic.get state.epoch));
     ("max_seen_epoch", string_of_int (Atomic.get state.max_seen));
@@ -328,9 +326,9 @@ let stats_kvs state =
 (* How stale is the data a read is answered from?  0 on a primary (and
    on a promoted replica); on a replica, the milliseconds since the
    primary was last heard from — the same clock the staleness-bound
-   refusal runs against.  A replica that never synced answers no reads
-   (they are refused [`Stale]), so the [None] arm is unreachable on
-   the read path; u32-max keeps it honest anyway. *)
+   refusal runs against.  A replica that has installed no snapshot
+   answers no reads (they are refused [`Stale]), so the [None] arm is
+   unreachable on the read path; u32-max keeps it honest anyway. *)
 let read_age_ms state =
   match state.replica with
   | None -> 0
@@ -840,11 +838,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
   let max_seen = Atomic.make epoch0 in
   let mk_hub d = Replication.create_hub ?faults_for:hub_faults ?heartbeat_s:hub_heartbeat_s ~epoch d in
   let replica = Option.map (fun rc -> Replication.create_replica rc ~epoch ~max_seen) replica_of in
-  let ev =
-    match Evloop.create () with
-    | Ok ev -> ev
-    | Error msg -> failwith ("Server: event loop: " ^ msg)
-  in
+  let ev = Evloop.create () in
   (* Self-pipe: lets the server's threads (queued jobs) and signal
      handlers wake a loop that is parked in the kernel with no tick. *)
   let pipe_r, pipe_w = Unix.pipe () in
@@ -861,7 +855,6 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
       gen = 0;
       vcache_retired = (0, 0, 0);
       wake;
-      evloop_backend = Evloop.backend_name ev;
       durability;
       jobs = Bqueue.create cfg.queue_depth;
       in_flight = 0;

@@ -1,7 +1,7 @@
 (** dkserve: the D(k)-index query/update server.
 
     Threading model ("one loop, one index copy"):
-    - the thread that calls {!run} runs an {!Evloop} (poll/epoll
+    - the thread that calls {!run} runs an {!Evloop} (a poll(2)
       readiness loop, not a fixed select tick): it accepts,
       accumulates bytes, decodes frames in place from the connection
       buffer, and answers {e every} read (ping, query, query-path,

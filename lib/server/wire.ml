@@ -2,6 +2,7 @@ open Dkindex_pathexpr
 
 let version = 3
 let max_frame_default = 16 * 1024 * 1024
+let max_replication_frame = 1024 * 1024 * 1024
 
 type query_flags = { no_cache : bool }
 type role = Primary | Replica
@@ -609,42 +610,6 @@ let decode_response_at big ~pos ~len =
   | exception Bad msg -> Error msg
 
 let decode_response payload = decode_response_at payload ~pos:0 ~len:(String.length payload)
-
-(* ------------------------------------------------------------------ *)
-(* Gathered encoding: for replication frames carrying a large blob
-   (a WAL chunk or a whole serialized index), encode everything but
-   the blob into [buf] — length prefix patched to account for the
-   tail — and hand the blob back to be written from its own string
-   (e.g. with {!Evloop.writev}), instead of copying megabytes through
-   the frame buffer. *)
-
-let gather_threshold = 4096
-
-let encode_response_gather buf ~id resp =
-  let header tail k =
-    let start = Obuf.length buf in
-    add_u32 buf 0;
-    add_u8 buf version;
-    add_u8 buf (response_kind resp);
-    add_u32 buf id;
-    k ();
-    add_u32 buf (String.length tail);
-    Obuf.patch_u32 buf start (Obuf.length buf - start - 4 + String.length tail);
-    Some tail
-  in
-  match resp with
-  | Rep_records { epoch; seq; offset; data } when String.length data >= gather_threshold ->
-    header data (fun () ->
-        add_u32 buf epoch;
-        add_seq buf seq;
-        add_u48 buf offset)
-  | Rep_snapshot { epoch; seq; checkpoint } when String.length checkpoint >= gather_threshold ->
-    header checkpoint (fun () ->
-        add_u32 buf epoch;
-        add_seq buf seq)
-  | _ ->
-    encode_response buf ~id resp;
-    None
 
 (* ------------------------------------------------------------------ *)
 (* Blocking frame reader *)

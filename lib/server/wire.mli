@@ -20,7 +20,13 @@ open Dkindex_pathexpr
 
 val version : int
 val max_frame_default : int
-(** 16 MiB. *)
+(** 16 MiB: the bound on requests, and on the responses a client
+    reads. *)
+
+val max_replication_frame : int
+(** 1 GiB: the bound on the frames a replica reads from its primary's
+    replication stream.  One {!Rep_snapshot} carries a whole checkpoint
+    file, which passes 16 MiB at about XMark scale 6,900. *)
 
 (** {1 Messages} *)
 
@@ -173,14 +179,6 @@ val encode_request : Obuf.t -> id:int -> request -> unit
     and several frames can be batched and flushed with one write. *)
 
 val encode_response : Obuf.t -> id:int -> response -> unit
-
-val encode_response_gather : Obuf.t -> id:int -> response -> string option
-(** Like {!encode_response}, but a response carrying a large blob
-    (replication WAL chunks, snapshot bootstraps) has everything {e
-    except} the blob encoded into the buffer — length prefix already
-    accounting for it — and the blob returned as [Some tail] to be
-    written right after the buffer (a gathered/writev-style send),
-    instead of being copied through the frame buffer. *)
 
 type 'a decoded = { id : int; msg : 'a }
 

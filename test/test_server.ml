@@ -12,7 +12,10 @@
      snapshot.
    - History: an in-process server on a systhread, whose every read
      sees a prefix of the acknowledged writes; the process forks
-     after it. *)
+     after it.
+   - Evloop: readiness, a zero timeout, removal from inside a
+     callback, and a descriptor set larger than the poll stub's stack
+     array. *)
 
 open Dkindex_core
 module Data_graph = Dkindex_graph.Data_graph
@@ -733,6 +736,97 @@ let test_smoke_protocol_errors () =
   Client.close c
 
 (* --------------------------------------------------------------- *)
+(* Evloop: the server's poll(2) readiness loop                       *)
+
+module Evloop = Dkindex_server.Evloop
+
+let with_pipes n f =
+  let pipes = List.init n (fun _ -> Unix.pipe ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (r, w) ->
+          Unix.close r;
+          Unix.close w)
+        pipes)
+    (fun () -> f pipes)
+
+let poke w = ignore (Unix.write_substring w "x" 0 1)
+
+(* Every (fd, mask) one [wait] reports, in report order. *)
+let wait_all ev ~timeout_ms =
+  let seen = ref [] in
+  let n = Evloop.wait ev ~timeout_ms (fun fd mask -> seen := (fd, mask) :: !seen) in
+  (n, List.rev !seen)
+
+let test_evloop_readable () =
+  with_pipes 2 @@ function
+  | [ (r1, w1); (r2, _) ] ->
+    let ev = Evloop.create () in
+    Evloop.add ev r1 Evloop.rd;
+    Evloop.add ev r2 Evloop.rd;
+    poke w1;
+    let n, seen = wait_all ev ~timeout_ms:1000 in
+    Alcotest.(check int) "one ready" 1 n;
+    (match seen with
+    | [ (fd, mask) ] ->
+      Alcotest.(check bool) "the written pipe" true (fd = r1);
+      Alcotest.(check bool) "reported readable" true (mask land Evloop.rd <> 0)
+    | _ -> Alcotest.fail "expected exactly one callback")
+  | _ -> assert false
+
+let test_evloop_timeout_zero () =
+  with_pipes 1 @@ function
+  | [ (r, _) ] ->
+    let ev = Evloop.create () in
+    Evloop.add ev r Evloop.rd;
+    let n, seen = wait_all ev ~timeout_ms:0 in
+    Alcotest.(check int) "nothing ready" 0 n;
+    Alcotest.(check int) "no callback" 0 (List.length seen)
+  | _ -> assert false
+
+(* Both pipes are ready; whichever callback runs first removes both
+   fds, so the other must not be reported, and neither is on the next
+   wait. *)
+let test_evloop_remove_in_callback () =
+  with_pipes 2 @@ function
+  | [ (r1, w1); (r2, w2) ] ->
+    let ev = Evloop.create () in
+    Evloop.add ev r1 Evloop.rd;
+    Evloop.add ev r2 Evloop.rd;
+    poke w1;
+    poke w2;
+    let calls = ref 0 in
+    ignore
+      (Evloop.wait ev ~timeout_ms:1000 (fun _ _ ->
+           incr calls;
+           Evloop.remove ev r1;
+           Evloop.remove ev r2));
+    Alcotest.(check int) "a removed fd is not reported" 1 !calls;
+    let n, _ = wait_all ev ~timeout_ms:0 in
+    Alcotest.(check int) "no fd left registered" 0 n
+  | _ -> assert false
+
+(* Both ends of 150 pipes are registered, 300 descriptors: more than
+   the stub's on-stack poll array holds, so this runs its heap
+   branch. *)
+let test_evloop_many_fds () =
+  with_pipes 150 @@ fun pipes ->
+  let ev = Evloop.create () in
+  List.iter
+    (fun (r, w) ->
+      Evloop.add ev r Evloop.rd;
+      Evloop.add ev w Evloop.rd;
+      poke w)
+    pipes;
+  let n, seen = wait_all ev ~timeout_ms:1000 in
+  Alcotest.(check int) "every pipe ready" 150 n;
+  let reported = List.map fst seen in
+  List.iter
+    (fun (r, _) -> Alcotest.(check bool) "read end reported" true (List.mem r reported))
+    pipes
+
+(* --------------------------------------------------------------- *)
 (* Bqueue: the server's bounded MPMC queue                           *)
 
 module Bqueue = Dkindex_server.Bqueue
@@ -1412,5 +1506,14 @@ let () =
           to_alcotest prop_bqueue_no_loss_no_dup;
           Alcotest.test_case "try_push sheds at capacity; close drains" `Quick
             test_bqueue_sheds_at_capacity;
+        ] );
+      ( "evloop",
+        [
+          Alcotest.test_case "a written pipe is reported readable" `Quick test_evloop_readable;
+          Alcotest.test_case "timeout 0 with nothing ready returns 0" `Quick
+            test_evloop_timeout_zero;
+          Alcotest.test_case "a callback removes its own fd and another" `Quick
+            test_evloop_remove_in_callback;
+          Alcotest.test_case "300 descriptors, all reported ready" `Quick test_evloop_many_fds;
         ] );
     ]
