@@ -236,6 +236,8 @@ let print_stats_summary kvs =
   Printf.printf "server: launch ms  datagen %s  index_build %s  recover %s  checkpoint %s  prepare %s\n"
     (getd "launch_datagen_ms") (getd "launch_index_build_ms") (getd "launch_recover_ms")
     (getd "launch_checkpoint_ms") (getd "launch_prepare_ms");
+  Printf.printf "server: launch gc  minor %s  major %s  alloc_words %s\n"
+    (getd "launch_minor_gcs") (getd "launch_major_gcs") (getd "launch_alloc_words");
   (match (get "role", get "epoch") with
   | Some role, Some epoch ->
     Printf.printf "server: role %s  epoch %s  fenced %s\n" role epoch (getd "fenced")

@@ -2,7 +2,12 @@
 
     All generators in this library take explicit seeds so that every
     dataset, workload and experiment is reproducible bit-for-bit,
-    independent of the stdlib [Random] state. *)
+    independent of the stdlib [Random] state.
+
+    The state is an unboxed 64-bit word, so {!int}, {!range},
+    {!bool}, {!choose} and {!shuffle} allocate nothing per draw
+    ({!float} returns its result boxed, like any OCaml function that
+    returns a float; {!next_int64} boxes its result). *)
 
 type t
 

@@ -58,19 +58,9 @@ let unshift off n =
   done;
   Int_vec.set off 0 0
 
-(* A children CSR for [n] ids from an edge producer: counting-sort by
-   source, sort each run, then compact duplicates in place, offsets
-   included. *)
-let csr_of_edges n iter =
-  let off = Int_vec.zeros (n + 1) in
-  iter (fun u _ -> Int_vec.set off (u + 1) (Int_vec.get off (u + 1) + 1));
-  prefix_sum off n;
-  let arr = Int_vec.create (Int_vec.get off n) in
-  iter (fun u v ->
-      let i = Int_vec.get off u in
-      Int_vec.set arr i v;
-      Int_vec.set off u (i + 1));
-  unshift off n;
+(* Sort each run of a filled CSR, then compact duplicates in place,
+   offsets included. *)
+let sort_dedup_runs n off arr =
   (* [off.(u)] is overwritten with the compacted start only after both
      of run [u]'s bounds have been read; the write cursor never passes
      the read cursor, so copying in place is safe. *)
@@ -78,15 +68,58 @@ let csr_of_edges n iter =
   for u = 0 to n - 1 do
     let lo = Int_vec.get off u and hi = Int_vec.get off (u + 1) in
     Int_vec.set off u !w;
-    Int_vec.sort_range arr ~lo ~hi;
-    let len = Int_vec.dedup_range arr ~lo ~hi in
-    for i = 0 to len - 1 do
-      Int_vec.set arr (!w + i) (Int_vec.get arr (lo + i))
+    (* Runs that arrive strictly increasing (tree edges appended in
+       document order) skip the sort and dedup calls. *)
+    let i = ref (lo + 1) in
+    while !i < hi && Int_vec.unsafe_get arr (!i - 1) < Int_vec.unsafe_get arr !i do
+      incr i
     done;
+    let len =
+      if !i >= hi then hi - lo
+      else begin
+        Int_vec.sort_range arr ~lo ~hi;
+        Int_vec.dedup_range arr ~lo ~hi
+      end
+    in
+    if !w < lo then
+      for i = 0 to len - 1 do
+        Int_vec.set arr (!w + i) (Int_vec.get arr (lo + i))
+      done;
     w := !w + len
   done;
   Int_vec.set off n !w;
   (off, if !w = Int_vec.length arr then arr else Int_vec.sub arr ~pos:0 ~len:!w)
+
+(* A children CSR for [n] ids from edge segments: counting-sort by
+   source, then sort and deduplicate each run.  The loops read the
+   arrays directly, so an edge costs no call in either pass; the range
+   check rides on the counting pass. *)
+let csr_of_edges ~what n segments =
+  let off = Int_vec.zeros (n + 1) in
+  List.iter
+    (fun (src, dst, len) ->
+      if len < 0 || len > Array.length src || len > Array.length dst then
+        invalid_arg (what ^ ": segment shorter than its length");
+      for i = 0 to len - 1 do
+        let u = Array.unsafe_get src i and v = Array.unsafe_get dst i in
+        if u < 0 || u >= n || v < 0 || v >= n then
+          invalid_arg (Printf.sprintf "%s: edge (%d, %d) out of range" what u v);
+        Int_vec.unsafe_set off (u + 1) (Int_vec.unsafe_get off (u + 1) + 1)
+      done)
+    segments;
+  prefix_sum off n;
+  let arr = Int_vec.create (Int_vec.get off n) in
+  List.iter
+    (fun (src, dst, len) ->
+      for i = 0 to len - 1 do
+        let u = Array.unsafe_get src i in
+        let j = Int_vec.unsafe_get off u in
+        Int_vec.unsafe_set arr j (Array.unsafe_get dst i);
+        Int_vec.unsafe_set off u (j + 1)
+      done)
+    segments;
+  unshift off n;
+  sort_dedup_runs n off arr
 
 (* The reverse of a sorted, deduplicated CSR.  Scanning sources in
    increasing order appends each parent in increasing order, so runs
@@ -131,7 +164,8 @@ let of_children n (off, arr) =
   if Int_vec.length off <> n + 1 then invalid_arg "Adjacency.of_children: offset length";
   make n (off, arr) (reverse_csr n off arr)
 
-let of_edges n iter = of_children n (csr_of_edges n iter)
+let of_edges ?(what = "Adjacency.of_edges") n segments =
+  of_children n (csr_of_edges ~what n segments)
 
 let of_csr ~children:(coff, carr) ~parents:(poff, parr) =
   let n = Int_vec.length coff - 1 in
@@ -347,12 +381,24 @@ let mem t u v = (not (tombstoned t u v)) && (in_csr t u v || in_extra t u v)
    on the heap side and the mapping is no longer read. *)
 let fold t =
   let n = t.n in
-  let coff, carr =
-    csr_of_edges n (fun f ->
-        for u = 0 to n - 1 do
-          iter_children t u (f u)
-        done)
+  (* Live edges are distinct, so each node's run is its children
+     written in place and sorted: the overflow additions may be out of
+     order, nothing needs deduplicating. *)
+  let coff = Int_vec.create (n + 1) in
+  Int_vec.set coff 0 0;
+  for u = 0 to n - 1 do
+    Int_vec.set coff (u + 1) (Int_vec.get coff u + degree t t.out u)
+  done;
+  let carr = Int_vec.create (Int_vec.get coff n) in
+  let w = ref 0 in
+  let put v =
+    Int_vec.set carr !w v;
+    incr w
   in
+  for u = 0 to n - 1 do
+    iter_children t u put;
+    Int_vec.sort_range carr ~lo:(Int_vec.get coff u) ~hi:!w
+  done;
   let poff, parr = reverse_csr n coff carr in
   t.out.off <- coff;
   t.out.arr <- carr;

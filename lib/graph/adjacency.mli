@@ -22,7 +22,8 @@
     never written, and the first fold moves the adjacency to fresh
     heap-side vectors.
 
-    Ids are not range-checked: callers pass ids in [\[0, n)].  Ids
+    Ids are not range-checked, except by {!of_edges}: callers pass ids
+    in [\[0, n)].  Ids
     must stay below [2{^31}] (tombstones pack an edge into one int).
     Reads never mutate, so any number of domains may read an
     adjacency nobody is mutating. *)
@@ -31,10 +32,15 @@ type t
 
 (** {1 Construction} *)
 
-val of_edges : int -> ((int -> int -> unit) -> unit) -> t
-(** [of_edges n iter] over ids [\[0, n)]: [iter f] must call [f u v]
-    for every edge, the same multiset on every call (it runs twice).
-    Duplicate edges are kept once; self-loops are allowed. *)
+val of_edges : ?what:string -> int -> (int array * int array * int) list -> t
+(** [of_edges n segments] over ids [\[0, n)]: each segment
+    [(src, dst, len)] holds the edges [src.(i) -> dst.(i)] for
+    [i < len], and the segments are read in place, twice, by plain
+    loops (no call per edge).  Duplicate edges are kept once;
+    self-loops are allowed.
+    @raise Invalid_argument ["<what>: edge (u, v) out of range"]
+    (default [what]: ["Adjacency.of_edges"]) on an endpoint outside
+    [\[0, n)], or if a segment's arrays are shorter than [len]. *)
 
 val of_children : int -> Int_vec.t * Int_vec.t -> t
 (** [of_children n (off, arr)] adopts a child CSR over [n] ids whose

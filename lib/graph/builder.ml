@@ -118,12 +118,9 @@ let build b =
       done;
       pos := !pos + len)
     (Seq.segments b.labels);
-  let edges = List.combine (Seq.segments b.src) (Seq.segments b.dst) in
+  (* [src] and [dst] grow in step, so their segments pair up. *)
+  let edges =
+    List.map2 (fun (src, len) (dst, _) -> (src, dst, len)) (Seq.segments b.src) (Seq.segments b.dst)
+  in
   Data_graph.of_edges ~values:(Payloads.freeze b.values) ~pool:(Label.Pool.copy b.pool)
-    ~label_codes (fun f ->
-      List.iter
-        (fun ((src, len), (dst, _)) ->
-          for i = 0 to len - 1 do
-            f (Array.unsafe_get src i) (Array.unsafe_get dst i)
-          done)
-        edges)
+    ~label_codes edges

@@ -35,7 +35,15 @@ let iter_nodes g f =
     f u
   done
 
-let iter_edges g f = iter_nodes g (fun u -> iter_children g u (fun v -> f u v))
+(* One closure for the whole walk, not one per source node: the source
+   rides in a ref. *)
+let iter_edges g f =
+  let src = ref 0 in
+  let visit v = f !src v in
+  for u = 0 to n_nodes g - 1 do
+    src := u;
+    iter_children g u visit
+  done
 
 let fold_nodes g ~init ~f =
   let acc = ref init in
@@ -76,27 +84,30 @@ let assemble ~fname ~values ~pool ~label_codes adj =
     invalid_arg (fname ^ ": value node out of range");
   { pool; labels = label_codes; adj; values; by_label = None }
 
+(* The CSR constructor range-checks each endpoint in its counting pass,
+   under this module's name. *)
+let of_segments ~fname ~values ~pool ~label_codes segments =
+  let n = Int_vec.length label_codes in
+  if n = 0 then invalid_arg (fname ^ ": no nodes");
+  assemble ~fname ~values ~pool ~label_codes (Adjacency.of_edges ~what:"Data_graph" n segments)
+
+let of_edges ?(values = Payloads.empty) ~pool ~label_codes segments =
+  of_segments ~fname:"Data_graph.of_edges" ~values ~pool ~label_codes segments
+
 let make_of_payloads ~values ~pool ~labels ~edges =
-  let n = Array.length labels in
-  if n = 0 then invalid_arg "Data_graph.make: no nodes";
-  List.iter (fun (u, v) -> check_range n u v) edges;
-  assemble ~fname:"Data_graph.make" ~values ~pool
-    ~label_codes:(Int_vec.init n (fun u -> Label.to_int labels.(u)))
-    (Adjacency.of_edges n (fun f -> List.iter (fun (u, v) -> f u v) edges))
+  let m = List.length edges in
+  let src = Array.make m 0 and dst = Array.make m 0 in
+  List.iteri
+    (fun i (u, v) ->
+      src.(i) <- u;
+      dst.(i) <- v)
+    edges;
+  of_segments ~fname:"Data_graph.make" ~values ~pool
+    ~label_codes:(Int_vec.init (Array.length labels) (fun u -> Label.to_int labels.(u)))
+    [ (src, dst, m) ]
 
 let make ?(values = []) ~pool ~labels ~edges () =
   make_of_payloads ~values:(Payloads.of_list values) ~pool ~labels ~edges
-
-(* The range check rides on the producer, so each endpoint is checked
-   as the CSR pass reads it rather than in a pass of its own. *)
-let of_edges ?(values = Payloads.empty) ~pool ~label_codes iter =
-  let n = Int_vec.length label_codes in
-  if n = 0 then invalid_arg "Data_graph.of_edges: no nodes";
-  assemble ~fname:"Data_graph.of_edges" ~values ~pool ~label_codes
-    (Adjacency.of_edges n (fun f ->
-         iter (fun u v ->
-             if u < 0 || u >= n || v < 0 || v >= n then check_range n u v;
-             f u v)))
 
 (* The vectors are adopted, not copied: for a mapped file this is what
    makes open O(1).  Both directions must already be sorted,

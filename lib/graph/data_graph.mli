@@ -144,13 +144,14 @@ val of_edges :
   ?values:Payloads.t ->
   pool:Label.Pool.t ->
   label_codes:Int_vec.t ->
-  ((int -> int -> unit) -> unit) ->
+  (int array * int array * int) list ->
   t
-(** {!make} with the labels as codes of [pool] and the edges given by
-    a producer: [iter f] must call [f u v] for every edge, the same
-    multiset on every call (it runs twice, and each endpoint is
-    range-checked as it is read).  The same deduplication and payload
-    semantics, without an edge list.  [label_codes] and [values] are
+(** {!make} with the labels as codes of [pool] and the edges as
+    segments of two parallel arrays: [(src, dst, len)] holds the edges
+    [src.(i) -> dst.(i)] for [i < len].  The arrays are read in place
+    by {!Adjacency.of_edges}, which checks each endpoint's range as it
+    counts it; the graph keeps none of them.  The same deduplication
+    and payload semantics as {!make}.  [label_codes] and [values] are
     adopted.
     @raise Invalid_argument on out-of-range endpoints or if
     [label_codes] is empty. *)

@@ -188,15 +188,15 @@ let of_substring s ~pos ~len =
   done;
   let m = parse_count "edges" "missing edges" in
   check_fits m 4 "edges";
-  let src = Int_vec.create m and dst = Int_vec.create m in
+  let src = Array.make m 0 and dst = Array.make m 0 in
   for i = 0 to m - 1 do
     next_line "truncated edges";
     let sp = index_in s ' ' !ls !le in
     if sp = !le then fail "Serial.of_string: bad edge line";
     match (int_of_sub s !ls sp, int_of_sub s (sp + 1) !le) with
     | Some u, Some v ->
-      Int_vec.unsafe_set src i u;
-      Int_vec.unsafe_set dst i v
+      Array.unsafe_set src i u;
+      Array.unsafe_set dst i v
     | _ -> fail "Serial.of_string: bad edge"
   done;
   if n = 0 then fail "Serial.of_string: empty graph";
@@ -214,10 +214,7 @@ let of_substring s ~pos ~len =
       | None -> fail "Serial.of_string: bad value line"
     done
   end;
-  Data_graph.of_edges ~values:(Payloads.freeze values) ~pool ~label_codes (fun f ->
-      for i = 0 to m - 1 do
-        f (Int_vec.unsafe_get src i) (Int_vec.unsafe_get dst i)
-      done)
+  Data_graph.of_edges ~values:(Payloads.freeze values) ~pool ~label_codes [ (src, dst, m) ]
 
 let of_string s = of_substring s ~pos:0 ~len:(String.length s)
 

@@ -13,11 +13,16 @@ let build_partition ?mode g ~label_reqs =
   let labels = Kbisim.class_labels g p0 in
   let req0 = Array.map (fun l -> label_reqs.(Label.to_int l)) labels in
   let kmax = Array.fold_left max 0 req0 in
-  let p = ref p0 and class_req = ref req0 in
+  let p = ref p0 and class_req = ref req0 and spare = ref None in
   for k = 1 to kmax do
     let cr = !class_req in
-    let p', _changed = Kbisim.refine ?mode g !p ~eligible:(fun c -> cr.(c) >= k) in
+    let p', _changed =
+      Kbisim.refine ?mode ?into:!spare g !p ~eligible:(fun c -> cr.(c) >= k)
+    in
     class_req := Array.map (fun old_class -> cr.(old_class)) p'.Kbisim.parent_class;
+    (* Nothing else holds the previous round's classes: the next round
+       writes over them. *)
+    spare := Some !p.Kbisim.cls;
     p := p'
   done;
   (!p, !class_req)

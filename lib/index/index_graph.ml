@@ -313,10 +313,7 @@ let project_edges_in_ram g ~cls ~n_classes =
           push a b
         end)
   end;
-  Adjacency.of_edges n_classes (fun f ->
-      for i = 0 to !m - 1 do
-        f !srcs.(i) !dsts.(i)
-      done)
+  Adjacency.of_edges n_classes [ (!srcs, !dsts, !m) ]
 
 let of_partition ?(mode = `Auto) g ~cls ~n_classes ~k_of_class ~req_of_class =
   let project =
@@ -434,10 +431,7 @@ let prepare_serving t =
         t.dead_in_bucket.(code) <- 0
       end)
     t.dead_in_bucket;
-  Data_graph.flatten t.data;
-  (* Force the data graph's lazy label table so concurrent readers
-     never race to build it. *)
-  ignore (Data_graph.nodes_with_label t.data (Data_graph.label t.data (Data_graph.root t.data)))
+  Data_graph.flatten t.data
 
 let as_data_graph t =
   let map = Array.make t.n_alive 0 in

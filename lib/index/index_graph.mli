@@ -192,12 +192,14 @@ val touch : t -> unit
 (** {1 Serving} *)
 
 val prepare_serving : t -> unit
-(** Flatten index and data adjacency into pure CSR form, compact
-    every label bucket, and force lazily-built tables.  After this,
-    all query-side reads are mutation-free until the next update, so
-    several domains may read concurrently.  dkserve runs it once, at
-    launch; later writes leave the overflow layers to fold themselves,
-    amortized. *)
+(** Flatten index and data adjacency into pure CSR form and compact
+    every label bucket; on a freshly built index, which has no pending
+    updates and no dead classes, it does nothing.  dkserve runs it once,
+    at launch; later writes leave the overflow layers to fold
+    themselves, amortized.  The data graph's label table
+    ({!Dkindex_graph.Data_graph.nodes_with_label}, read only by the raw
+    regex plan) is left to its first use: one event loop answers every
+    read, so no two readers race to build it. *)
 
 val keep_sorted : t -> unit
 (** {!Dkindex_graph.Adjacency.keep_sorted} on the index edges and the

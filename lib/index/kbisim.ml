@@ -164,10 +164,13 @@ let intern_assign it p ~eligible ~vstamp ~ticket ~off ~arr u sg c =
 
 (* One fused pass computing each node's signature and assigning its
    class. *)
-let refine_in_ram g p ~eligible ~off ~arr =
+let refine_in_ram ?into g p ~eligible ~off ~arr =
   let n = Data_graph.n_nodes g in
   let nc = p.n_classes in
-  let cls = Array.make n 0 in
+  (* Every slot is written below, so a reused buffer needs no clearing. *)
+  let cls =
+    match into with Some a when Array.length a = n && a != p.cls -> a | _ -> Array.make n 0
+  in
   let seen = Array.make nc (-1) in
   let vstamp = Array.make nc 0 in
   let ticket = ref 0 in
@@ -303,14 +306,14 @@ let resolve_mode mode g : [ `In_ram | `External ] =
   | (`In_ram | `External) as m -> m
   | `Auto -> if Data_graph.n_edges g >= auto_threshold then `External else `In_ram
 
-let refine_dispatch ~mode g p ~eligible ~off ~arr =
+let refine_dispatch ?into ~mode g p ~eligible ~off ~arr =
   match resolve_mode mode g with
-  | `In_ram -> refine_in_ram g p ~eligible ~off ~arr
+  | `In_ram -> refine_in_ram ?into g p ~eligible ~off ~arr
   | `External -> refine_external g p ~eligible ~off ~arr
 
-let refine ?(mode = `Auto) g p ~eligible =
+let refine ?(mode = `Auto) ?into g p ~eligible =
   let off, arr = Data_graph.csr_parents g in
-  refine_dispatch ~mode g p ~eligible ~off ~arr
+  refine_dispatch ?into ~mode g p ~eligible ~off ~arr
 
 let refine_by_children ?(mode = `Auto) g p =
   let off, arr = Data_graph.csr_children g in

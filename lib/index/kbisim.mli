@@ -37,6 +37,7 @@ type mode = [ `Auto | `In_ram | `External ]
 
 val refine :
   ?mode:mode ->
+  ?into:int array ->
   Data_graph.t ->
   partition ->
   eligible:(int -> bool) ->
@@ -44,6 +45,12 @@ val refine :
 (** One refinement round splitting only classes for which [eligible]
     holds; returns the new partition and whether anything split.
     [parent_class] of the result maps into the argument partition.
+
+    [into] is a buffer the in-RAM pass may write the result's [cls]
+    into instead of allocating one: it is used, and overwritten, when
+    it holds one slot per data node and is not the argument's [cls].
+    A caller running rounds passes the [cls] of the partition two
+    rounds back, so the rounds alternate between two arrays.
 
     Keys are hashed into 64-bit order-insensitive signatures (no
     per-node lists or sorting; O(degree) per node with every signature

@@ -343,7 +343,7 @@ let writer_loop t () =
   in
   go ()
 
-let start ?wal_faults ?checkpoint_faults ?recovery cfg index =
+let start ?wal_faults ?checkpoint_faults ?(replica = false) ?recovery cfg index =
   (try Unix.mkdir cfg.dir 0o755 with Unix.Unix_error ((EEXIST | EISDIR), _, _) -> ());
   sweep_tmp cfg.dir;
   let existing =
@@ -375,8 +375,14 @@ let start ?wal_faults ?checkpoint_faults ?recovery cfg index =
   in
   (* The recovered (or initial) state becomes durable before the
      server accepts traffic; this is also what licenses pruning the
-     generation we just recovered from. *)
-  write_file t seq (frame (encode t index));
+     generation we just recovered from.  A replica that recovered
+     nothing holds a placeholder until its first snapshot install,
+     which is then its first checkpoint: nothing the primary sent is
+     in the placeholder, so it is not written. *)
+  let placeholder =
+    replica && match recovery with Some { index = Some _; _ } -> false | _ -> true
+  in
+  if not placeholder then write_file t seq (frame (encode t index));
   t.writer := Some (Thread.create (writer_loop t) ());
   t
 

@@ -91,11 +91,16 @@ val apply_mutation : Index_graph.t -> Wal.mutation -> Index_graph.t
 type t
 
 val start :
-  ?wal_faults:Faults.t -> ?checkpoint_faults:Faults.t -> ?recovery:recovery ->
+  ?wal_faults:Faults.t -> ?checkpoint_faults:Faults.t -> ?replica:bool -> ?recovery:recovery ->
   config -> Index_graph.t -> t
 (** Write a fresh synchronous checkpoint of [index] at the next
     generation (encoded once, CRC'd and written in place), open its
     WAL, and spawn the background checkpoint writer.  [recovery] is carried into {!stats}.
+    With [~replica:true] and no recovered index, [index] is a
+    placeholder the replica serves (refusing reads) until its first
+    snapshot install: no checkpoint is written for it, and the first
+    install is the replica's first checkpoint.  A replica that
+    promotes first checkpoints before it takes a write.
     @raise Unix.Unix_error if the initial checkpoint cannot be
     written (a server that cannot persist at startup must not
     pretend it can). *)

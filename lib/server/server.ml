@@ -114,9 +114,25 @@ type stage = Datagen | Index_build | Recover | Checkpoint | Prepare
 let stage_names = [| "datagen"; "index_build"; "recover"; "checkpoint"; "prepare" |]
 let stage_slot = function Datagen -> 0 | Index_build -> 1 | Recover -> 2 | Checkpoint -> 3 | Prepare -> 4
 
-type launch = { launched_at : float; stage_ms : float array }
+(* [gc_at_ready]: minor and major collections and words allocated by
+   the process when [run] is about to report ready. *)
+type launch = {
+  launched_at : float;
+  stage_ms : float array;
+  mutable gc_at_ready : int * int * float;
+}
 
-let launch () = { launched_at = Unix.gettimeofday (); stage_ms = Array.make 5 0.0 }
+let launch () =
+  { launched_at = Unix.gettimeofday (); stage_ms = Array.make 5 0.0; gc_at_ready = (0, 0, 0.0) }
+
+(* [Gc.quick_stat]'s [minor_words] moves only at collections; the
+   [Gc.minor_words] primitive reads the allocation pointer. *)
+let note_ready launch =
+  let s = Gc.quick_stat () in
+  launch.gc_at_ready <-
+    ( s.Gc.minor_collections,
+      s.Gc.major_collections,
+      Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words )
 
 let stage launch st f =
   let t0 = Unix.gettimeofday () and i = stage_slot st in
@@ -318,6 +334,12 @@ let stats_kvs state =
   @ List.mapi
       (fun i name -> ("launch_" ^ name ^ "_ms", Printf.sprintf "%.3f" state.launch.stage_ms.(i)))
       (Array.to_list stage_names)
+  @ (let minor, major, words = state.launch.gc_at_ready in
+     [
+       ("launch_minor_gcs", string_of_int minor);
+       ("launch_major_gcs", string_of_int major);
+       ("launch_alloc_words", Printf.sprintf "%.0f" words);
+     ])
   @ vcache_kvs state
   @ (match state.durability with Some d -> Checkpoint.stats d | None -> [])
   @ (match state.hub with Some h -> Replication.hub_stats h | None -> [])
@@ -929,6 +951,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
           Bqueue.push state.jobs (Repl ev);
           wake ()))
     replica;
+  note_ready launch;
   on_ready port;
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
   let close_conn conn =

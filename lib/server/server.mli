@@ -127,7 +127,13 @@ type launch
     [launch_index_build_ms], [launch_recover_ms],
     [launch_checkpoint_ms] (the initial checkpoint) and
     [launch_prepare_ms] ([Index_graph.prepare_serving], timed by
-    {!run}); a stage the launch skipped reads 0. *)
+    {!run}); a stage the launch skipped reads 0.  Beside them, [Stats]
+    reports what the process had collected and allocated when {!run}
+    became ready, just before [on_ready]: [launch_minor_gcs] and
+    [launch_major_gcs] (collections, from [Gc.quick_stat]) and
+    [launch_alloc_words] (words allocated: [Gc.minor_words] plus
+    direct major allocations).  They count from process start, so
+    for dkindex-server they cover the whole launch. *)
 
 val launch : unit -> launch
 (** Start a launch's clock.  Passed to {!run}, it is also where

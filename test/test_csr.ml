@@ -178,12 +178,9 @@ let adjacency_churn ?(sort_at = -1) ~seed () =
   let edges = Hashtbl.fold (fun e () acc -> e :: acc) m.Model.edges [] in
   (* Every edge twice: construction must deduplicate. *)
   let a =
-    Adjacency.of_edges !n (fun f ->
-        List.iter
-          (fun (u, v) ->
-            f u v;
-            f u v)
-          edges)
+    let src = Array.of_list (List.map fst edges) and dst = Array.of_list (List.map snd edges) in
+    let m = Array.length src in
+    Adjacency.of_edges !n [ (src, dst, m); (src, dst, m) ]
   in
   check_adj a m !n;
   let folds = ref 0 and lifted = ref 0 and grown_edges = ref 0 in
@@ -264,8 +261,79 @@ let adjacency_churn ?(sort_at = -1) ~seed () =
     check_int "copy churned" 1 (Adjacency.n_edges c);
     check_adj a m !n
 
+(* [Adjacency.of_edges] against a reference: per node, the sorted,
+   deduplicated children and parents of the edge multiset.  Edges are
+   drawn from a printed seed with replacement, so duplicates and
+   self-loops occur, in draw order (not sorted), over ids of which many
+   stay isolated; they are split across one to three segments whose
+   arrays run past their live length holding out-of-range garbage,
+   which the constructor must not read. *)
+let prop_of_edges_reference =
+  QCheck.Test.make ~count:300 ~name:"Adjacency.of_edges = sorted, deduplicated reference"
+    (QCheck.make
+       ~print:(fun (seed, n, m) -> Printf.sprintf "seed=%d n=%d m=%d" seed n m)
+       QCheck.Gen.(triple (int_bound 1_000_000) (int_range 1 40) (int_bound 150)))
+    (fun (seed, n, m) ->
+      let rng = Prng.create ~seed in
+      (* A narrow draw range leaves the ids above it isolated. *)
+      let hi = 1 + Prng.int rng n in
+      let edges =
+        Array.init m (fun i ->
+            if i mod 17 = 5 then
+              let u = Prng.int rng hi in
+              (u, u)
+            else (Prng.int rng hi, Prng.int rng hi))
+      in
+      let edges = if m > 3 then Array.append edges (Array.sub edges 0 3) else edges in
+      let total = Array.length edges in
+      let cut () = Prng.int rng (total + 1) in
+      let cuts = List.sort_uniq compare [ 0; cut (); cut (); total ] in
+      let rec segments = function
+        | a :: (b :: _ as rest) ->
+          let pad = Prng.int rng 3 in
+          let seg f =
+            Array.init (b - a + pad) (fun i -> if i < b - a then f edges.(a + i) else n + 7)
+          in
+          (seg fst, seg snd, b - a) :: segments rest
+        | _ -> []
+      in
+      let a = Adjacency.of_edges n (segments cuts) in
+      let distinct = List.sort_uniq compare (Array.to_list edges) in
+      let want ~fwd u =
+        List.filter_map
+          (fun (x, y) ->
+            let from, into = if fwd then (x, y) else (y, x) in
+            if from = u then Some into else None)
+          distinct
+      in
+      if Adjacency.n_edges a <> List.length distinct then
+        QCheck.Test.fail_reportf "n_edges %d, reference %d" (Adjacency.n_edges a)
+          (List.length distinct);
+      for u = 0 to n - 1 do
+        if Adjacency.children a u <> want ~fwd:true u then
+          QCheck.Test.fail_reportf "children of %d differ" u;
+        if Adjacency.parents a u <> want ~fwd:false u then
+          QCheck.Test.fail_reportf "parents of %d differ" u;
+        let coff, carr = Adjacency.csr_children a in
+        let lo = Int_vec.get coff u in
+        let run = List.init (Int_vec.get coff (u + 1) - lo) (fun i -> Int_vec.get carr (lo + i)) in
+        if run <> want ~fwd:true u then QCheck.Test.fail_reportf "CSR run of %d differs" u
+      done;
+      true)
+
 let graph_cases =
   [
+    QCheck_alcotest.to_alcotest prop_of_edges_reference;
+    test "Adjacency.of_edges range-checks every endpoint" (fun () ->
+        Alcotest.check_raises "source"
+          (Invalid_argument "Adjacency.of_edges: edge (3, 1) out of range") (fun () ->
+            ignore (Adjacency.of_edges 3 [ ([| 0; 3 |], [| 1; 1 |], 2) ]));
+        Alcotest.check_raises "target"
+          (Invalid_argument "Adjacency.of_edges: edge (0, -1) out of range") (fun () ->
+            ignore (Adjacency.of_edges 3 [ ([| 0 |], [| -1 |], 1) ]));
+        Alcotest.check_raises "short segment"
+          (Invalid_argument "Adjacency.of_edges: segment shorter than its length") (fun () ->
+            ignore (Adjacency.of_edges 3 [ ([| 0 |], [| 1 |], 2) ])));
     test "the adjacency store matches the edge-set model through churn" (fun () ->
         List.iter (fun seed -> adjacency_churn ~seed ()) [ 71; 72; 73; 74 ]);
     test "in sorted mode every read comes out in fold order through churn" (fun () ->

@@ -222,7 +222,7 @@ let fork_server ?(sync = Wal.Always) ?(checkpoint_records = 1000) ?replica_of
         let recovery = Checkpoint.recover ~dir () in
         let index = match recovery.Checkpoint.index with Some i -> i | None -> base in
         let cfg = { (Checkpoint.default_config ~dir) with sync; checkpoint_records } in
-        let d = Checkpoint.start ~recovery cfg index in
+        let d = Checkpoint.start ~replica:(Option.is_some replica_of) ~recovery cfg index in
         match
           Server.run ~handle_signals:false ~durability:d ?replica_of ?hub_heartbeat_s
             ~repl_drop_nth

@@ -325,6 +325,27 @@ let plan_tests =
 
 let executor_tests =
   [
+    test "the first raw plan after prepare_serving answers like eval_nfa" (fun () ->
+        (* [prepare_serving] leaves the data graph's label table to its
+           first use, which is the raw plan's start set here. *)
+        let idx = Dkindex_server.Dataset.index ~seed:1 ~scale:10 in
+        Index_graph.prepare_serving idx;
+        let g = Index_graph.data idx in
+        let pl = Planner.create g in
+        Planner.register pl ~name:"dk" idx;
+        List.iter
+          (fun q ->
+            let expr = Path_parser.parse q in
+            let raw = List.find (fun p -> p.Plan.access = Plan.Raw) (Planner.plans pl expr) in
+            let got = (Planner.execute pl raw expr).Query_eval.nodes in
+            let want =
+              Matcher.eval_nfa g
+                (Dkindex_pathexpr.Nfa.compile (Data_graph.pool g) expr)
+                ~cost:(Cost.create ())
+            in
+            check_bool (q ^ ": some answers") true (want <> []);
+            check_int_list q want got)
+          [ "open_auction.bidder.personref"; "person"; "item.name"; "category.name" ]);
     test "all access paths agree on XMark fixtures" (fun () ->
         let g = Dkindex_datagen.Xmark.graph ~seed:21 ~scale:10 () in
         let queries = Query_gen.generate ~seed:42 ~count:20 g in

@@ -175,7 +175,7 @@ let fork_server ?(sync = Wal.Always) ?(checkpoint_records = 1000) ?replica_of ?(
         let recovery = Checkpoint.recover ~dir () in
         let index = match recovery.Checkpoint.index with Some i -> i | None -> base in
         let cfg = { (Checkpoint.default_config ~dir) with sync; checkpoint_records } in
-        let d = Checkpoint.start ~recovery cfg index in
+        let d = Checkpoint.start ~replica:(Option.is_some replica_of) ~recovery cfg index in
         match
           Server.run ~handle_signals:false ~durability:d ?replica_of ?hub_faults
             ?hub_heartbeat_s
@@ -652,6 +652,56 @@ let test_unbootstrapped_replica_refuses_reads () =
   kill_quiet ppid;
   pids := []
 
+(* A fresh replica's placeholder index is not a checkpoint.  Launched
+   against a port nothing listens on, the replica serves (Stats
+   answers) and its directory holds no checkpoint file.  Relaunched
+   over the same directory against a live primary, its first install
+   is its only checkpoint, and it serves the primary's answers. *)
+let checkpoint_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> String.starts_with ~prefix:"checkpoint-" f)
+  |> List.sort compare
+
+let test_fresh_replica_writes_no_placeholder () =
+  let dir_p = temp_dir () and dir_r = temp_dir () in
+  let pids = ref [] in
+  Fun.protect ~finally:(fun () ->
+      List.iter kill_quiet !pids;
+      rm_rf dir_p;
+      rm_rf dir_r)
+  @@ fun () ->
+  let dead_port =
+    let s = Unix.socket PF_INET SOCK_STREAM 0 in
+    Unix.bind s (ADDR_INET (Unix.inet_addr_loopback, 0));
+    let p = match Unix.getsockname s with ADDR_INET (_, p) -> p | _ -> assert false in
+    Unix.close s;
+    p
+  in
+  let rpid, rport = fork_server ~dir:dir_r ~empty:true ~replica_of:(rconfig ~port:dead_port ()) () in
+  pids := [ rpid ];
+  let cr = Client.connect ~port:rport () in
+  Alcotest.(check string) "nothing installed" "0"
+    (stat (stats cr) "replication_snapshots_installed");
+  Alcotest.(check (list string)) "no checkpoint before the first install" []
+    (checkpoint_files dir_r);
+  shutdown cr rpid;
+  pids := [];
+  let ppid, pport = fork_server ~dir:dir_p () in
+  pids := [ ppid ];
+  let rpid, rport = fork_server ~dir:dir_r ~empty:true ~replica_of:(rconfig ~port:pport ()) () in
+  pids := [ ppid; rpid ];
+  let cr = Client.connect ~port:rport () in
+  ignore
+    (wait_for ~what:"the first install" cr (fun kvs ->
+         stat kvs "replication_snapshots_installed" = "1" && replica_caught_up kvs));
+  Alcotest.(check int) "the install is the only checkpoint" 1
+    (List.length (checkpoint_files dir_r));
+  check_serves_oracle ~what:"after the first install" cr (build_base ());
+  shutdown cr rpid;
+  pids := [ ppid ];
+  kill_quiet ppid;
+  pids := []
+
 (* ----------------------------------------------------------------- *)
 (* Torn replication streams: reconnect and converge *)
 
@@ -755,6 +805,8 @@ let () =
             test_bootstrap_large_checkpoint;
           Alcotest.test_case "a replica that installed nothing refuses reads" `Quick
             test_unbootstrapped_replica_refuses_reads;
+          Alcotest.test_case "a fresh replica checkpoints no placeholder" `Quick
+            test_fresh_replica_writes_no_placeholder;
           Alcotest.test_case "torn streams reconnect and still converge" `Quick
             test_torn_stream_reconnects;
           Alcotest.test_case "auto-promotion after heartbeat silence" `Quick

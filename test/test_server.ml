@@ -1087,7 +1087,43 @@ let test_launch_stages () =
   let sum_s = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 stages /. 1000.0 in
   let uptime = get "uptime_s" in
   if sum_s > uptime then Alcotest.failf "stages sum to %.4f s, uptime is %.3f s" sum_s uptime;
+  (* What the process had collected and allocated at ready: whole
+     numbers, and the launch above allocated. *)
+  let gc key =
+    match Option.bind (List.assoc_opt key kvs) int_of_string_opt with
+    | Some v when v >= 0 -> v
+    | _ -> Alcotest.failf "%s missing or not a non-negative integer" key
+  in
+  ignore (gc "launch_minor_gcs" + gc "launch_major_gcs");
+  Alcotest.(check bool) "launch_alloc_words counts the launch" true (gc "launch_alloc_words" > 0);
   shutdown_server pid c
+
+(* The launch path (datagen, D(k) build, prepare) at the pinned scale
+   400, measured in words: minor allocations from [Gc.minor_words],
+   direct major allocations (large arrays) as major minus promoted
+   words.  The runtime folds direct allocations into its counters one
+   collection late, so each reading runs two minor collections first:
+   without them, allocations made before the test leaked into the
+   window (27k words after the other smoke tests).  The budgets sit about 20% above the measured values
+   (OCaml 5.1.1); the boxed PRNG state, the per-node closures of
+   [Data_graph.iter_edges], the launch-time label table and one fresh
+   class array per refinement round each took the launch past them. *)
+let test_launch_allocation () =
+  let reading () =
+    Gc.minor ();
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    (Gc.minor_words (), s.Gc.major_words -. s.Gc.promoted_words)
+  in
+  let minor0, direct0 = reading () in
+  let g = Dkindex_datagen.Xmark.graph ~seed:1 ~scale:400 () in
+  let idx = Dkindex_server.Dataset.build g in
+  Index_graph.prepare_serving idx;
+  let minor1, direct1 = reading () in
+  let minor = minor1 -. minor0 and direct = direct1 -. direct0 in
+  Printf.printf "launch at scale 400: %.0f minor words, %.0f direct major words\n%!" minor direct;
+  if minor > 372_000. then Alcotest.failf "%.0f minor words (budget 372,000)" minor;
+  if direct > 350_000. then Alcotest.failf "%.0f direct major words (budget 350,000)" direct
 
 (* The server keeps one copy of the index, so a write that fails must
    fail before it changes anything.  One rejected write of each kind —
@@ -1491,6 +1527,8 @@ let () =
           Alcotest.test_case "rejected writes leave the one index untouched" `Quick
             test_failed_writes_untouched;
           Alcotest.test_case "launch stages timed, within the uptime" `Quick test_launch_stages;
+          Alcotest.test_case "a scale-400 launch allocates within its budget" `Quick
+            test_launch_allocation;
           Alcotest.test_case "reads after writes equal a flattened oracle, visits included" `Quick
             test_reads_in_fold_order;
           Alcotest.test_case "acks, reads and Stats share one write generation" `Quick
