@@ -41,9 +41,11 @@ dkbench-ab:
 serve:
 	dune exec dkindex-server -- --xmark 40 --port 7411 --snapshot auction.index
 
-# Drive a running server: throughput + latency percentiles.
+# Drive a running server: every answer bit for bit against the
+# in-process index, through a stream of edge additions.  Throughput
+# and latency, with their spread, are dkbench's.
 loadgen:
-	dune exec dkindex-loadgen -- --port 7411 --xmark 40 -c 4 -n 2000
+	dune exec dkindex-loadgen -- --port 7411 --xmark 40 -c 4 --check
 
 examples:
 	dune exec examples/quickstart.exe

@@ -259,7 +259,7 @@ let load_index path =
     failwith (path ^ " is a graph container, not an index; pass it to --input")
   | None -> Index_serial.load path
 
-(* --plan: route the query through the cost-based planner over the one
+(* --plan: route the query through the planner over the one
    index --index built or --load-index loaded, and the raw graph. *)
 let planned_query idx name expr_str plan_sel explain show check =
   let module Plan = Dkindex_planner.Plan in
@@ -367,7 +367,7 @@ let query_cmd =
       & opt (some string) None
       & info [ "plan" ] ~docv:"PLAN"
           ~doc:
-            "Route the query through the cost-based planner over the index \
+            "Route the query through the planner over the index \
              (from --index or --load-index) and the raw graph. 'auto' scans \
              the index, falling back to the raw graph; 'raw' forces the \
              raw-graph walk, and the index's name (its --index KIND, or \

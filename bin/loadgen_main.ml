@@ -1,8 +1,10 @@
 (* dkindex-loadgen: drive a dkindex-server with N concurrent
    connections.
 
-   Throughput mode (default) reports wall-clock request rate and
-   latency percentiles over the pinned query workload.
+   With no mode flag it prints the server's Stats summary: launch stage
+   times and collections, load shedding, replication and integrity
+   counters.  Throughput and latency are dkbench's (bench/suite), which
+   reports their spread.
 
    Check mode (--check) is the end-to-end correctness harness: it
    rebuilds the server's dataset locally (same --xmark/--seed recipe),
@@ -32,7 +34,7 @@ let conns_arg =
 let requests_arg =
   Arg.(
     value & opt int 2000
-    & info [ "n"; "requests" ] ~docv:"N" ~doc:"Total requests (throughput mode)")
+    & info [ "n"; "requests" ] ~docv:"N" ~doc:"Total requests (nemesis mode)")
 
 let xmark_arg =
   Arg.(
@@ -64,9 +66,6 @@ let retries_arg =
         ~doc:
           "Self-healing reads: reconnect (exponential backoff) and transparently re-issue \
            idempotent queries up to N times, e.g. across a server restart.")
-
-let no_cache_arg =
-  Arg.(value & flag & info [ "no-cache" ] ~doc:"Send queries with the no_cache flag")
 
 let pipeline_arg =
   Arg.(
@@ -138,10 +137,6 @@ let integrity_timeout_arg =
     & info [ "integrity-timeout" ] ~docv:"SECONDS"
         ~doc:"How long --integrity-check polls before declaring divergence")
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0 else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-
 (* Self-healing knobs, set from --retries: every connection the
    loadgen opens reconnects with backoff and retries idempotent reads
    this many times. *)
@@ -152,74 +147,62 @@ let connect ~host ~port ?(seed = 0) () =
     ~timeout_s:(if !retries > 0 then 30.0 else 0.0)
     ~seed ()
 
-(* Fan [f i] over [count] tasks on [conns] driver domains (task i on
-   domain i mod conns), each with its own connection. *)
+(* [f c] over connection [c], closed however [f] returns. *)
+let with_client c f = Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+
+(* [drive c d] on each of [conns] driver domains [d], each with its own
+   connection [c]. *)
+let on_domains ~host ~port ~conns drive =
+  List.init conns (fun d ->
+      Domain.spawn (fun () -> with_client (connect ~host ~port ~seed:d ()) (fun c -> drive c d)))
+  |> List.iter Domain.join
+
+(* Fan [f c i] over [count] tasks, task i on domain i mod conns. *)
 let fan_out ~host ~port ~conns ~count f =
-  let doms =
-    List.init conns (fun d ->
-        Domain.spawn (fun () ->
-            let c = connect ~host ~port ~seed:d () in
-            Fun.protect
-              ~finally:(fun () -> Client.close c)
-              (fun () ->
-                let i = ref d in
-                while !i < count do
-                  f c !i;
-                  i := !i + conns
-                done)))
-  in
-  List.iter Domain.join doms
+  on_domains ~host ~port ~conns (fun c d ->
+      let i = ref d in
+      while !i < count do
+        f c !i;
+        i := !i + conns
+      done)
 
 (* Pipelined fan-out: like [fan_out], but each connection keeps up to
    [depth] requests in flight, sending the next as soon as a slot
    frees.  Replies are matched to their request by frame id, so
    server-side reordering cannot misattribute an answer.  [on_reply i
-   t0 msg] runs on the driver domain that sent request [i] at [t0]. *)
+   msg] runs on the driver domain that sent request [i]. *)
 let fan_out_pipelined ~host ~port ~conns ~depth ~count ~mk ~on_reply =
-  let depth = max 1 depth in
-  let doms =
-    List.init conns (fun d ->
-        Domain.spawn (fun () ->
-            let c = connect ~host ~port ~seed:d () in
-            Fun.protect
-              ~finally:(fun () -> Client.close c)
-              (fun () ->
-                let inflight = Hashtbl.create (2 * depth) in
-                let next = ref d in
-                let drain_one () =
-                  let r = Client.recv c in
-                  match Hashtbl.find_opt inflight r.Wire.id with
-                  | None -> failwith "pipelined reply with unknown frame id"
-                  | Some (i, t0) ->
-                    Hashtbl.remove inflight r.Wire.id;
-                    on_reply i t0 r.Wire.msg
-                in
-                while !next < count do
-                  if Hashtbl.length inflight >= depth then drain_one ()
-                  else begin
-                    let i = !next in
-                    let id = Client.send c (mk i) in
-                    Hashtbl.replace inflight id (i, Unix.gettimeofday ());
-                    next := !next + conns
-                  end
-                done;
-                while Hashtbl.length inflight > 0 do
-                  drain_one ()
-                done)))
-  in
-  List.iter Domain.join doms
+  on_domains ~host ~port ~conns (fun c d ->
+      let inflight = Hashtbl.create (2 * depth) in
+      let next = ref d in
+      let drain_one () =
+        let r = Client.recv c in
+        match Hashtbl.find_opt inflight r.Wire.id with
+        | None -> failwith "pipelined reply with unknown frame id"
+        | Some i ->
+          Hashtbl.remove inflight r.Wire.id;
+          on_reply i r.Wire.msg
+      in
+      while !next < count do
+        if Hashtbl.length inflight >= depth then drain_one ()
+        else begin
+          let i = !next in
+          let id = Client.send c (mk i) in
+          Hashtbl.replace inflight id i;
+          next := !next + conns
+        end
+      done;
+      while Hashtbl.length inflight > 0 do
+        drain_one ()
+      done)
 
-let query_of_labels ~no_cache labels =
-  Wire.Query_path { flags = { no_cache }; labels }
+let query_of_labels labels = Wire.Query_path { flags = { no_cache = true }; labels }
 
 let server_stats ~host ~port () =
-  let c = connect ~host ~port () in
-  Fun.protect
-    ~finally:(fun () -> Client.close c)
-    (fun () ->
-      match Client.call c Wire.Stats with
-      | Wire.Stats_reply kvs -> kvs
-      | _ -> failwith "stats: unexpected response kind")
+  with_client (connect ~host ~port ()) @@ fun c ->
+  match Client.call c Wire.Stats with
+  | Wire.Stats_reply kvs -> kvs
+  | _ -> failwith "stats: unexpected response kind"
 
 (* The post-run health summary: load shedding, write-queue pressure, and —
    when the server is part of a replica set — how far behind each
@@ -280,41 +263,6 @@ let print_stats_summary kvs =
       (getd "scrub_passes") (getd "scrub_corruptions_found") (getd "replica_divergences")
   | None -> ()
 
-let throughput ~host ~port ~conns ~requests ~no_cache ~pipeline (ds : Dataset.t) =
-  let queries = Array.of_list ds.queries in
-  let nq = Array.length queries in
-  let lat = Array.make requests 0.0 in
-  let check_reply i = function
-    | Wire.Result _ | Wire.Overloaded -> ()
-    | Wire.Error_reply { message; _ } ->
-      failwith (Printf.sprintf "request %d: server error: %s" i message)
-    | _ -> failwith (Printf.sprintf "request %d: unexpected response kind" i)
-  in
-  let t0 = Unix.gettimeofday () in
-  if pipeline > 1 then
-    fan_out_pipelined ~host ~port ~conns ~depth:pipeline ~count:requests
-      ~mk:(fun i -> query_of_labels ~no_cache queries.(i mod nq))
-      ~on_reply:(fun i t0 msg ->
-        check_reply i msg;
-        lat.(i) <- (Unix.gettimeofday () -. t0) *. 1e6)
-  else
-    fan_out ~host ~port ~conns ~count:requests (fun c i ->
-        let q = query_of_labels ~no_cache queries.(i mod nq) in
-        let s = Unix.gettimeofday () in
-        check_reply i (Client.call c q);
-        lat.(i) <- (Unix.gettimeofday () -. s) *. 1e6);
-  let wall = Unix.gettimeofday () -. t0 in
-  Array.sort compare lat;
-  Printf.printf "%d requests over %d connections (pipeline %d) in %.3f s: %.0f req/s\n" requests
-    conns (max 1 pipeline) wall
-    (float_of_int requests /. wall);
-  Printf.printf "latency us: p50 %.0f  p95 %.0f  p99 %.0f  max %.0f\n" (percentile lat 0.50)
-    (percentile lat 0.95) (percentile lat 0.99)
-    lat.(Array.length lat - 1);
-  match server_stats ~host ~port () with
-  | kvs -> print_stats_summary kvs
-  | exception _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Check mode *)
 
@@ -348,12 +296,12 @@ let query_phase ~host ~port ~conns ~phase ~pipeline (ds : Dataset.t) =
   let got = Array.make nq None in
   (if pipeline > 1 then
      fan_out_pipelined ~host ~port ~conns ~depth:pipeline ~count:nq
-       ~mk:(fun i -> query_of_labels ~no_cache:true queries.(i))
-       ~on_reply:(fun i _t0 msg ->
+       ~mk:(fun i -> query_of_labels queries.(i))
+       ~on_reply:(fun i msg ->
          got.(i) <- Some (expect_result (Printf.sprintf "%s query %d" phase i) msg))
    else
      fan_out ~host ~port ~conns ~count:nq (fun c i ->
-         let r = Client.call c (query_of_labels ~no_cache:true queries.(i)) in
+         let r = Client.call c (query_of_labels queries.(i)) in
          got.(i) <- Some (expect_result (Printf.sprintf "%s query %d" phase i) r)));
   let want =
     Query_eval.eval_batch ~strategy:`Forward ~cache:false ds.index
@@ -375,10 +323,7 @@ let check ~host ~port ~conns ~updates ~pipeline (ds : Dataset.t) =
   let n1 = query_phase ~host ~port ~conns ~phase:"phase-1" ~pipeline ds in
   Printf.printf "phase 1: %d queries over %d connections match bit-for-bit\n%!" n1 conns;
   let edges = check_edges ~updates ds in
-  let c = connect ~host ~port () in
-  Fun.protect
-    ~finally:(fun () -> Client.close c)
-    (fun () ->
+  with_client (connect ~host ~port ()) (fun c ->
       List.iter
         (fun (u, v) ->
           (match Client.call c (Wire.Add_edge { u; v }) with
@@ -409,14 +354,12 @@ let check_recovered ~host ~port ~conns ~updates ~pipeline (ds : Dataset.t) =
 
 (* Failover helper: flip a replica into a primary. *)
 let promote ~host ~port () =
-  let c = connect ~host ~port () in
-  Fun.protect
-    ~finally:(fun () -> Client.close c)
-    (fun () ->
-      match Client.call c Wire.Promote_primary with
-      | Wire.Ok_reply { epoch; _ } -> Printf.printf "promoted: %s:%d now primary, epoch %d\n%!" host port epoch
-      | Wire.Error_reply { message; _ } -> failwith ("promote: " ^ message)
-      | _ -> failwith "promote: unexpected response kind")
+  with_client (connect ~host ~port ()) @@ fun c ->
+  match Client.call c Wire.Promote_primary with
+  | Wire.Ok_reply { epoch; _ } ->
+    Printf.printf "promoted: %s:%d now primary, epoch %d\n%!" host port epoch
+  | Wire.Error_reply { message; _ } -> failwith ("promote: " ^ message)
+  | _ -> failwith "promote: unexpected response kind"
 
 (* Wait until every replica connected to HOST:PORT (a primary) reports
    zero bytes behind — run after a write workload to bound how much an
@@ -490,14 +433,11 @@ let parse_endpoints spec =
            | Some p -> (h, p)))
 
 let digest_of ~host ~port =
-  let c = connect ~host ~port () in
-  Fun.protect
-    ~finally:(fun () -> Client.close c)
-    (fun () ->
-      match Client.call c Wire.Digest_request with
-      | Wire.Digest_reply { seq; offset; root; n_nodes; _ } -> (seq, offset, root, n_nodes)
-      | Wire.Error_reply { message; _ } -> failwith ("digest: " ^ message)
-      | _ -> failwith "digest: unexpected response kind")
+  with_client (connect ~host ~port ()) @@ fun c ->
+  match Client.call c Wire.Digest_request with
+  | Wire.Digest_reply { seq; offset; root; n_nodes; _ } -> (seq, offset, root, n_nodes)
+  | Wire.Error_reply { message; _ } -> failwith ("digest: " ^ message)
+  | _ -> failwith "digest: unexpected response kind"
 
 let integrity_check ~endpoints ~timeout_s () =
   (match endpoints with
@@ -549,69 +489,66 @@ let integrity_check ~endpoints ~timeout_s () =
    from the pinned update pool, the rest probe recently written edges.
    Everything is recorded; failures are outcomes, never fatal. *)
 let nemesis_driver ~rec_ ~pport ~conns ~requests ~pool d =
-  let c =
-    Client.connect ~host:"127.0.0.1" ~port:pport ~attempts:3 ~retries:2 ~timeout_s:5.0
-      ~backoff_base_s:0.02 ~backoff_max_s:0.25 ~seed:d ~breaker_threshold:5
-      ~breaker_cooldown_s:0.5 ()
+  with_client
+    (Client.connect ~host:"127.0.0.1" ~port:pport ~attempts:3 ~retries:2 ~timeout_s:5.0
+       ~backoff_base_s:0.02 ~backoff_max_s:0.25 ~seed:d ~breaker_threshold:5
+       ~breaker_cooldown_s:0.5 ())
+  @@ fun c ->
+  let npool = Array.length pool in
+  let seq = ref 0 in
+  let record op outcome invoked_at =
+    History.record rec_
+      {
+        conn = d;
+        seq = !seq;
+        op;
+        invoked_at;
+        completed_at = Unix.gettimeofday ();
+        outcome;
+      };
+    incr seq
   in
-  Fun.protect
-    ~finally:(fun () -> Client.close c)
-    (fun () ->
-      let npool = Array.length pool in
-      let seq = ref 0 in
-      let record op outcome invoked_at =
-        History.record rec_
-          {
-            conn = d;
-            seq = !seq;
-            op;
-            invoked_at;
-            completed_at = Unix.gettimeofday ();
-            outcome;
-          };
-        incr seq
-      in
-      let i = ref d in
-      while !i < requests do
-        let widx = !i / 4 in
-        let u, v = pool.(widx mod npool) in
-        let t0 = Unix.gettimeofday () in
-        (if !i mod 4 = 0 then
-           let outcome =
-             match Client.call c (Wire.Add_edge { u; v }) with
-             | Wire.Ok_reply { epoch; _ } -> History.Acked { epoch }
-             | Wire.Error_reply { message; _ } -> History.Refused message
-             | Wire.Overloaded -> History.Refused "overloaded"
-             | Wire.Read_only -> History.Refused "read-only"
-             | Wire.Not_primary _ -> History.Refused "not primary"
-             | Wire.Fenced _ -> History.Refused "fenced"
-             | _ -> History.Refused "unexpected response kind"
-             | exception Client.Error e ->
-               History.Ambiguous (Client.error_to_string e)
-           in
-           record (History.Add_edge { u; v }) outcome t0
-         else
-           let outcome =
-             match Client.call c (Wire.Has_edge { u; v }) with
-             | Wire.Edge_reply { present; generation; age_ms } ->
-               History.Read_ok
-                 {
-                   present;
-                   generation;
-                   age_ms;
-                   endpoint = 0;
-                   epoch = Client.server_epoch c;
-                 }
-             | Wire.Error_reply { message; _ } -> History.Refused message
-             | Wire.Overloaded -> History.Refused "overloaded"
-             | _ -> History.Refused "unexpected response kind"
-             | exception Client.Error e ->
-               History.Ambiguous (Client.error_to_string e)
-           in
-           record (History.Probe { u; v }) outcome t0);
-        i := !i + conns
-      done;
-      Client.circuit_open_count c)
+  let i = ref d in
+  while !i < requests do
+    let widx = !i / 4 in
+    let u, v = pool.(widx mod npool) in
+    let t0 = Unix.gettimeofday () in
+    (if !i mod 4 = 0 then
+       let outcome =
+         match Client.call c (Wire.Add_edge { u; v }) with
+         | Wire.Ok_reply { epoch; _ } -> History.Acked { epoch }
+         | Wire.Error_reply { message; _ } -> History.Refused message
+         | Wire.Overloaded -> History.Refused "overloaded"
+         | Wire.Read_only -> History.Refused "read-only"
+         | Wire.Not_primary _ -> History.Refused "not primary"
+         | Wire.Fenced _ -> History.Refused "fenced"
+         | _ -> History.Refused "unexpected response kind"
+         | exception Client.Error e ->
+           History.Ambiguous (Client.error_to_string e)
+       in
+       record (History.Add_edge { u; v }) outcome t0
+     else
+       let outcome =
+         match Client.call c (Wire.Has_edge { u; v }) with
+         | Wire.Edge_reply { present; generation; age_ms } ->
+           History.Read_ok
+             {
+               present;
+               generation;
+               age_ms;
+               endpoint = 0;
+               epoch = Client.server_epoch c;
+             }
+         | Wire.Error_reply { message; _ } -> History.Refused message
+         | Wire.Overloaded -> History.Refused "overloaded"
+         | _ -> History.Refused "unexpected response kind"
+         | exception Client.Error e ->
+           History.Ambiguous (Client.error_to_string e)
+       in
+       record (History.Probe { u; v }) outcome t0);
+    i := !i + conns
+  done;
+  Client.circuit_open_count c
 
 (* The final converged state: probe every edge the history ever tried
    to write, directly against the server (the chaos proxy is out of
@@ -624,18 +561,15 @@ let final_sweep ~host ~port entries =
       | History.Add_edge { u; v } -> Hashtbl.replace edges (u, v) ()
       | History.Probe _ -> ())
     entries;
-  let c = Client.connect ~host ~port ~attempts:5 ~retries:3 ~timeout_s:10.0 () in
-  Fun.protect
-    ~finally:(fun () -> Client.close c)
-    (fun () ->
-      Hashtbl.fold
-        (fun (u, v) () acc ->
-          match Client.call c (Wire.Has_edge { u; v }) with
-          | Wire.Edge_reply { present; _ } -> (u, v, present) :: acc
-          | Wire.Error_reply { message; _ } ->
-            failwith (Printf.sprintf "final sweep: probe (%d,%d) refused: %s" u v message)
-          | _ -> failwith (Printf.sprintf "final sweep: probe (%d,%d): unexpected response kind" u v))
-        edges [])
+  with_client (Client.connect ~host ~port ~attempts:5 ~retries:3 ~timeout_s:10.0 ()) @@ fun c ->
+  Hashtbl.fold
+    (fun (u, v) () acc ->
+      match Client.call c (Wire.Has_edge { u; v }) with
+      | Wire.Edge_reply { present; _ } -> (u, v, present) :: acc
+      | Wire.Error_reply { message; _ } ->
+        failwith (Printf.sprintf "final sweep: probe (%d,%d) refused: %s" u v message)
+      | _ -> failwith (Printf.sprintf "final sweep: probe (%d,%d): unexpected response kind" u v))
+    edges []
 
 let nemesis ~host ~port ~conns ~requests ~xmark ~seed ~spec_str ~history_path
     ~staleness_check () =
@@ -692,8 +626,8 @@ let nemesis ~host ~port ~conns ~requests ~xmark ~seed ~spec_str ~history_path
   | exception _ -> ());
   if not report.History.ok then exit 4
 
-let main host port conns requests xmark seed updates do_check recovered n_retries no_cache
-    do_promote wait_repl pipeline nemesis_spec history_path staleness_check integrity_spec
+let main host port conns requests xmark seed updates do_check recovered n_retries do_promote
+    wait_repl pipeline nemesis_spec history_path staleness_check integrity_spec
     integrity_timeout =
   let pipeline = max 1 pipeline in
   retries := max 0 n_retries;
@@ -722,9 +656,7 @@ let main host port conns requests xmark seed updates do_check recovered n_retrie
       wait_replication ~host ~port ~timeout_s ();
       run_integrity_check ()
     | None, Some _ -> run_integrity_check ()
-    | None, None ->
-      let ds = Dataset.make ~seed ~scale:xmark () in
-      throughput ~host ~port ~conns ~requests ~no_cache ~pipeline ds
+    | None, None -> print_stats_summary (server_stats ~host ~port ())
 
 let cmd =
   let doc = "load-generate against dkindex-server; --check verifies bit-for-bit answers" in
@@ -732,7 +664,7 @@ let cmd =
     (Cmd.info "dkindex-loadgen" ~doc)
     Term.(
       const main $ host_arg $ port_arg $ conns_arg $ requests_arg $ xmark_arg $ seed_arg
-      $ updates_arg $ check_arg $ recovered_arg $ retries_arg $ no_cache_arg $ promote_arg
+      $ updates_arg $ check_arg $ recovered_arg $ retries_arg $ promote_arg
       $ wait_replication_arg $ pipeline_arg $ nemesis_arg $ history_arg
       $ staleness_check_arg $ integrity_check_arg $ integrity_timeout_arg)
 

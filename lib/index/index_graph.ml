@@ -236,11 +236,6 @@ let partition_nodes ~fname g ~cls ~n_classes ~k_of_class ~req_of_class ~edges =
     labels;
   t
 
-(* Same cutover point as [Kbisim.auto_threshold]: past ~16M data
-   edges the in-RAM dedup structures dominate the heap, and the
-   external sorter's sequential passes win anyway. *)
-let external_edge_threshold = 1 lsl 24
-
 (* Out-of-core edge projection: stream every projected (class, class)
    pair through the external sorter, then consume the globally sorted
    merge, skipping duplicates.  The merge order (src ascending, dst
@@ -317,12 +312,9 @@ let project_edges_in_ram g ~cls ~n_classes =
 
 let of_partition ?(mode = `Auto) g ~cls ~n_classes ~k_of_class ~req_of_class =
   let project =
-    match mode with
+    match Kbisim.resolve_mode mode g with
     | `External -> project_edges_external
     | `In_ram -> project_edges_in_ram
-    | `Auto ->
-      if Data_graph.n_edges g >= external_edge_threshold then project_edges_external
-      else project_edges_in_ram
   in
   partition_nodes ~fname:"Index_graph.of_partition" g ~cls ~n_classes ~k_of_class
     ~req_of_class ~edges:(fun () -> project g ~cls ~n_classes)

@@ -61,9 +61,9 @@ val of_partition :
     pairs in a hash table / byte matrix, [`External] streams every
     projected pair through {!Dkindex_graph.Ext_sort} so the working
     set is bounded by the sorter budget rather than the number of
-    distinct index edges.  [`Auto] (the default) picks [`External] at
-    the same edge-count threshold as {!Kbisim.refine}.  Both paths
-    produce bit-identical CSRs. *)
+    distinct index edges.  [`Auto] (the default) decides as
+    {!Kbisim.resolve_mode} does for refinement.  Both paths produce
+    bit-identical CSRs. *)
 
 val of_partition_with_edges :
   Data_graph.t ->

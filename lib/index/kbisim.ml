@@ -296,9 +296,10 @@ let refine_external ?tmp_dir ?mem_budget g p ~eligible ~off ~arr =
 
 type mode = [ `Auto | `In_ram | `External ]
 
-(* Auto cutover: below this many edges the in-RAM hash-interning path
-   wins easily; above it, key records no longer fit comfortably in RAM
-   and the sort/scan pass takes over. *)
+(* Auto cutover, for refinement and for Index_graph's edge projection:
+   below this many edges the in-RAM hash-interning and dedup paths win
+   easily; above it, their structures no longer fit comfortably in RAM
+   and the sort/scan passes take over. *)
 let auto_threshold = 1 lsl 24
 
 let resolve_mode mode g : [ `In_ram | `External ] =

@@ -35,6 +35,11 @@ type mode = [ `Auto | `In_ram | `External ]
     global first-occurrence order, so results — ids included — are
     bit-for-bit identical whichever runs. *)
 
+val resolve_mode : mode -> Data_graph.t -> [ `In_ram | `External ]
+(** The path [mode] takes on this graph: [`Auto] goes [`External] at
+    ≥ 2{^24} edges.  {!Index_graph.of_partition} makes its edge
+    projection's choice here too. *)
+
 val refine :
   ?mode:mode ->
   ?into:int array ->

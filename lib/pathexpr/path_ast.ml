@@ -75,79 +75,3 @@ let pp ppf t = pp_prec 0 ppf t
 let to_string t = Format.asprintf "%a" pp t
 
 let equal = ( = )
-
-(* ------------------------------------------------------------------ *)
-(* Wire form: a prefix encoding used by the dkserve protocol.  One tag
-   byte per constructor; [Label] carries a 16-bit big-endian length and
-   the raw bytes.  The decoder is total on arbitrary byte strings: any
-   malformed, truncated, oversized or over-deep input yields [Error],
-   never an exception or unbounded work. *)
-
-let encode buf t =
-  let add_u16 n =
-    Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-    Buffer.add_char buf (Char.chr (n land 0xff))
-  in
-  let rec go = function
-    | Any -> Buffer.add_char buf '\000'
-    | Label l ->
-      if String.length l > 0xffff then invalid_arg "Path_ast.encode: label too long";
-      Buffer.add_char buf '\001';
-      add_u16 (String.length l);
-      Buffer.add_string buf l
-    | Seq (a, b) ->
-      Buffer.add_char buf '\002';
-      go a;
-      go b
-    | Alt (a, b) ->
-      Buffer.add_char buf '\003';
-      go a;
-      go b
-    | Opt a ->
-      Buffer.add_char buf '\004';
-      go a
-    | Star a ->
-      Buffer.add_char buf '\005';
-      go a
-  in
-  go t
-
-let max_decode_nodes = 65_536
-let max_decode_depth = 4_096
-
-exception Bad of string
-
-let decode s ~pos =
-  let len = String.length s in
-  let budget = ref max_decode_nodes in
-  let rec go pos depth =
-    if depth > max_decode_depth then raise (Bad "expression too deep");
-    decr budget;
-    if !budget < 0 then raise (Bad "expression too large");
-    if pos < 0 || pos >= len then raise (Bad "truncated expression");
-    match s.[pos] with
-    | '\000' -> (Any, pos + 1)
-    | '\001' ->
-      if pos + 3 > len then raise (Bad "truncated label");
-      let n = (Char.code s.[pos + 1] lsl 8) lor Char.code s.[pos + 2] in
-      if pos + 3 + n > len then raise (Bad "truncated label");
-      (Label (String.sub s (pos + 3) n), pos + 3 + n)
-    | '\002' ->
-      let a, p = go (pos + 1) (depth + 1) in
-      let b, p = go p (depth + 1) in
-      (Seq (a, b), p)
-    | '\003' ->
-      let a, p = go (pos + 1) (depth + 1) in
-      let b, p = go p (depth + 1) in
-      (Alt (a, b), p)
-    | '\004' ->
-      let a, p = go (pos + 1) (depth + 1) in
-      (Opt a, p)
-    | '\005' ->
-      let a, p = go (pos + 1) (depth + 1) in
-      (Star a, p)
-    | c -> raise (Bad (Printf.sprintf "bad expression tag 0x%02x" (Char.code c)))
-  in
-  match go pos 0 with
-  | t, p -> Ok (t, p)
-  | exception Bad msg -> Error msg

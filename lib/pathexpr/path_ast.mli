@@ -38,19 +38,3 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 val equal : t -> t -> bool
-
-(** {1 Wire form}
-
-    Compact prefix encoding used by the dkserve protocol: one tag byte
-    per constructor, labels length-prefixed (16-bit big-endian). *)
-
-val encode : Buffer.t -> t -> unit
-(** Append the wire form of an expression.
-    @raise Invalid_argument on a label longer than 65535 bytes. *)
-
-val decode : string -> pos:int -> (t * int, string) result
-(** [decode s ~pos] reads one expression starting at [pos] and returns
-    it with the position one past its encoding.  Total on arbitrary
-    bytes: malformed, truncated or oversized input (more than 65536
-    nodes, deeper than 4096) yields [Error] — never an exception,
-    a crash, or unbounded work. *)

@@ -3,9 +3,12 @@
     A plan is one way to answer a parsed path expression: scan the
     planner's one registered index (validating under-refined extents),
     or evaluate directly on the data graph.  The planner ({!Planner})
-    prices both from the {!Stats_catalog}; the raw-graph plan is always
-    present, always executable and always last, closing the fallback
-    chain. *)
+    prices both from the {!Stats_catalog}, but the prices order
+    nothing: the scan comes first whenever an index is registered, and
+    the raw-graph plan is always present, always executable and always
+    last, closing the fallback chain.  The estimates are reported
+    (EXPLAIN, [Planned_result]) and measured against actual visits;
+    they never pick a plan. *)
 
 type access =
   | Scan of string  (** the registered index, validating as needed *)

@@ -1,5 +1,5 @@
-(** Cost-based choice between scanning the served index and walking
-    the raw data graph.
+(** The two access paths of a query — scanning the served index and
+    walking the raw data graph — priced, and run in a fixed order.
 
     A planner holds at most one index graph over one data graph (any
     summary speaking {!Index_graph}; dkserve registers its D(k)).  For
@@ -9,16 +9,21 @@
     ({!eval_planned}): the scan first, and the raw plan, always last
     and always executable, if the scan raises.
 
+    {b The estimates choose nothing.}  The plans are not sorted by
+    cost: with an index registered, {!plans} is always [[scan; raw]],
+    the scan always runs, and the raw walk runs only after the scan
+    raises.  The estimates feed EXPLAIN ({!explain}), the plan line of
+    a served [Planned_result], and dkbench's
+    [planner.est_over_actual_visits], nothing else.  Every plan's
+    executor is exact (the index scan validates under-refined extents
+    through {!Query_eval}, the raw path is exact by construction), so
+    answers never depend on them.  Comparing summaries against each
+    other is an experiment, not a runtime choice: see
+    [bench/experiments.ml].
+
     The catalog refreshes lazily off {!Index_graph.generation}, so a
     planner owned by a serving loop stays correct across updates
-    without ever recomputing statistics for an unchanged index.
-
-    {b Estimates never affect answers.}  Every plan's executor is exact
-    (the index scan validates under-refined extents through
-    {!Query_eval}, the raw path is exact by construction), so a wrong
-    estimate can cost time, never correctness.  Comparing summaries
-    against each other is an experiment, not a runtime choice: see
-    [bench/experiments.ml]. *)
+    without ever recomputing statistics for an unchanged index. *)
 
 open Dkindex_graph
 open Dkindex_core
@@ -60,6 +65,8 @@ val plans : t -> Path_ast.t -> Plan.t list
     the data graph never saw.  The last plan is always {!Plan.Raw}. *)
 
 val choose : t -> Path_ast.t -> Plan.t
+(** The first of {!plans}: the scan whenever an index is registered
+    and the query's labels exist. *)
 
 val choose_path : t -> Label.t array -> Plan.t
 (** [choose] for a pre-interned label path: catalog refresh check plus

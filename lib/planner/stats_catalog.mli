@@ -1,4 +1,4 @@
-(** Per-index statistics catalog for the cost-based planner.
+(** Per-index statistics catalog behind the planner's estimates.
 
     One catalog is bound to one {!Index_graph.t} and derives, in a
     single sweep over the live index nodes, everything the cost model

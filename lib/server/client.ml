@@ -222,8 +222,8 @@ let connect ?(host = "127.0.0.1") ?(attempts = 1) ?(retries = 0) ?(timeout_s = 0
 let close = drop
 
 let idempotent = function
-  | Wire.Ping | Wire.Query _ | Wire.Query_path _ | Wire.Batch_query _ | Wire.Stats
-  | Wire.Query_planned _ | Wire.Explain _ | Wire.Has_edge _ -> true
+  | Wire.Ping | Wire.Query_path _ | Wire.Stats | Wire.Query_planned _ | Wire.Explain _
+  | Wire.Has_edge _ -> true
   | _ -> false
 
 let call_once t req =

@@ -7,9 +7,9 @@
     connect) it redials with exponential backoff and full jitter, up
     to [attempts] tries per operation.
 
-    Retry semantics follow idempotence.  Reads (Ping, Query,
-    Query_path, Batch_query, Stats) are retried transparently up to
-    [retries] times across reconnects.  Writes are {e never} retried
+    Retry semantics follow idempotence.  Reads (Ping, Query_path,
+    Stats, Query_planned, Explain, Has_edge) are retried transparently
+    up to [retries] times across reconnects.  Writes are {e never} retried
     automatically — a write that dies mid-flight may or may not have
     been applied and acknowledged, so the failure surfaces as a typed
     {!error} and the caller decides (e.g. re-issue an idempotent

@@ -38,18 +38,11 @@ let add_u32 t n =
   Bytes.unsafe_set t.buf (t.len + 3) (Char.unsafe_chr (n land 0xff));
   t.len <- t.len + 4
 
-let add_substring t s off len =
+let add_string t s =
+  let len = String.length s in
   reserve t len;
-  Bytes.blit_string s off t.buf t.len len;
+  Bytes.blit_string s 0 t.buf t.len len;
   t.len <- t.len + len
-
-let add_string t s = add_substring t s 0 (String.length s)
-
-let add_buffer t b =
-  let n = Buffer.length b in
-  reserve t n;
-  Buffer.blit b 0 t.buf t.len n;
-  t.len <- t.len + n
 
 let patch_u32 t off v =
   if off < 0 || off + 4 > t.len then invalid_arg "Obuf.patch_u32";

@@ -26,8 +26,6 @@ val add_u8 : t -> int -> unit
 val add_u16 : t -> int -> unit
 val add_u32 : t -> int -> unit
 val add_string : t -> string -> unit
-val add_substring : t -> string -> int -> int -> unit
-val add_buffer : t -> Buffer.t -> unit
 
 val patch_u32 : t -> int -> int -> unit
 (** [patch_u32 t off v] overwrites the 4 bytes at [off] with [v]

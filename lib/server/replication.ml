@@ -283,7 +283,7 @@ let default_rconfig ~host ~port ~replica_id =
 
 type event =
   | Ev_snapshot of { checkpoint : string; epoch : int; seq : int }
-  | Ev_mutations of { muts : Wal.mutation list; epoch : int; seq : int; base : int; offset : int }
+  | Ev_mutations of { records : (Wal.mutation * int) list; epoch : int; seq : int; offset : int }
   | Ev_promote
 
 type replica = {
@@ -503,10 +503,9 @@ let session r push fd =
         push
           (Ev_mutations
              {
-               muts = rp.Wal.mutations;
+               records = List.map2 (fun m e -> (m, !base + e)) rp.Wal.mutations rp.Wal.ends;
                epoch;
                seq;
-               base = !base;
                offset = !base + rp.Wal.valid_bytes;
              });
         pending := String.sub !pending rp.Wal.valid_bytes (String.length !pending - rp.Wal.valid_bytes);

@@ -89,12 +89,11 @@ type event =
   | Ev_snapshot of { checkpoint : string; epoch : int; seq : int }
       (** check ({!Checkpoint.body}) and install this checkpoint file;
           the stream continues from [(seq, 0)] *)
-  | Ev_mutations of { muts : Wal.mutation list; epoch : int; seq : int; base : int; offset : int }
-      (** complete WAL records decoded from bytes [[base, offset)] of
-          generation [seq]; after a reconnect the same bytes can be
-          delivered twice — the applier skips records at or below its
-          applied position (the WAL encoding is canonical, so record
-          boundaries re-derive exactly) *)
+  | Ev_mutations of { records : (Wal.mutation * int) list; epoch : int; seq : int; offset : int }
+      (** complete WAL records of generation [seq], each with the
+          offset just past it, the last ending at [offset]; after a
+          reconnect the same bytes can be delivered twice — the
+          applier skips records at or below its applied position *)
   | Ev_promote  (** the failover watchdog fired (auto-promotion) *)
 
 type replica

@@ -55,13 +55,8 @@ let verify_wal s =
     let torn = r.Wal.torn_bytes in
     if torn < 8 then None
     else
-      let len =
-        (Char.code s.[off] lsl 24)
-        lor (Char.code s.[off + 1] lsl 16)
-        lor (Char.code s.[off + 2] lsl 8)
-        lor Char.code s.[off + 3]
-      in
-      if len < 0 || 8 + len > torn then None
+      let len = Codec.u32_at s off in
+      if 8 + len > torn then None
       else
         Some
           (Printf.sprintf "complete record at offset %d fails crc/decode (%d torn bytes)"

@@ -366,8 +366,6 @@ let handle_read state req : Wire.response =
   match req with
   | Wire.Ping -> Wire.Pong
   | Wire.Stats -> Wire.Stats_reply (stats_kvs state)
-  | Wire.Query { flags; expr } ->
-    Wire.Result (wire_result (Query_eval.eval_expr ?cache:(cache flags) idx expr))
   | Wire.Query_path { flags; labels } ->
     Wire.Result (wire_result (eval_labels ?cache:(cache flags) idx labels))
   | Wire.Has_edge { u; v } ->
@@ -382,10 +380,6 @@ let handle_read state req : Wire.response =
         generation = state.gen;
         age_ms = read_age_ms state;
       }
-  | Wire.Batch_query { flags; paths } ->
-    let cache = cache flags in
-    Wire.Batch_result
-      (Array.of_list (List.map (fun p -> wire_result (eval_labels ?cache idx p)) paths))
   | Wire.Query_planned { flags; expr } ->
     let pl = Lazy.force (if flags.Wire.no_cache then planner_nc else planner) in
     let fb0 = Planner.fallbacks pl in
@@ -415,17 +409,6 @@ let stale_read state req =
 
 (* ------------------------------------------------------------------ *)
 (* Writes: applied in FIFO order to the serving index, on the loop. *)
-
-(* The loggable mutations.  Everything the WAL replays goes through
-   {!Checkpoint.apply_mutation}, the same code path recovery uses, so
-   live application and replay cannot diverge. *)
-let mutation_of_req : Wire.request -> Wal.mutation option = function
-  | Wire.Add_edge { u; v } -> Some (Wal.Add_edge { u; v })
-  | Wire.Remove_edge { u; v } -> Some (Wal.Remove_edge { u; v })
-  | Wire.Add_subgraph { graph; reqs } -> Some (Wal.Add_subgraph { graph; reqs })
-  | Wire.Promote pairs -> Some (Wal.Promote pairs)
-  | Wire.Demote reqs -> Some (Wal.Demote reqs)
-  | _ -> None
 
 (* The [--snapshot] file, durable before it is acknowledged: temp
    file, fsync, rename, fsync of the directory. *)
@@ -480,7 +463,9 @@ let apply_write state (p : pending) : Wire.response =
   in
   let app msg : Wire.response = Error_reply { code = `App; message = msg } in
   try
-    match mutation_of_req p.req with
+    (* A loggable mutation goes through {!Checkpoint.apply_mutation},
+       the code path recovery replays, so the two cannot diverge. *)
+    match Wire.mutation p.req with
     | Some m -> (
       if not state.is_primary then not_primary_reply state
       else if state.fenced then Wire.Fenced { epoch = Atomic.get state.max_seen }
@@ -551,11 +536,11 @@ let apply_write state (p : pending) : Wire.response =
    [Checkpoint.apply_mutation] path as client writes and WAL replay,
    and are logged to the replica's own WAL so a promoted replica is a
    fully durable primary.  After a reconnect the stream can replay
-   bytes already applied; the WAL encoding is canonical, so each
-   record's byte extent re-derives exactly and anything at or below
-   the applied position is skipped. *)
+   bytes already applied; each record comes with its end offset in the
+   primary's WAL, and anything at or below the applied position is
+   skipped. *)
 
-let apply_repl state scratch (ev : Replication.event) =
+let apply_repl state (ev : Replication.event) =
   match ev with
   | Replication.Ev_promote -> (
     match state.replica with
@@ -582,41 +567,36 @@ let apply_repl state scratch (ev : Replication.event) =
         state.repl_apply_errors <- state.repl_apply_errors + 1;
         Replication.force_resync r)
     | _ -> ())
-  | Replication.Ev_mutations { muts; epoch = _; seq; base; offset } -> (
+  | Replication.Ev_mutations { records; epoch = _; seq; offset } -> (
     match state.replica with
     | Some r when not (Replication.is_promoted r) ->
       let aseq, aoff = Replication.applied_position r in
       if seq < aseq || (seq = aseq && offset <= aoff) then ()
       else begin
         let applied = ref 0 in
-        let pos = ref base in
         List.iter
-          (fun m ->
-            Buffer.clear scratch;
-            Wal.encode_mutation scratch m;
-            let rec_end = !pos + Buffer.length scratch in
-            (if seq > aseq || rec_end > aoff then begin
-               state.repl_records_seen <- state.repl_records_seen + 1;
-               if state.repl_drop_nth > 0 && state.repl_records_seen = state.repl_drop_nth then
-                 (* Divergence injection (tests): the record is skipped
-                    but the applied position still advances past it, so
-                    replication itself never notices. *)
-                 ()
-               else
-                 (* The primary applied it successfully, so failing here
-                    means divergence: count it and keep going. *)
-                 match apply_mutation state m with
-                 | exception _ -> state.repl_apply_errors <- state.repl_apply_errors + 1
-                 | () -> (
-                   incr applied;
-                   match state.durability with
-                   | Some d when not (Checkpoint.read_only d) -> (
-                     try Checkpoint.log_mutation d m
-                     with e -> Checkpoint.note_wal_failure d (Printexc.to_string e))
-                   | _ -> ())
-             end);
-            pos := rec_end)
-          muts;
+          (fun (m, rec_end) ->
+            if seq > aseq || rec_end > aoff then begin
+              state.repl_records_seen <- state.repl_records_seen + 1;
+              if state.repl_drop_nth > 0 && state.repl_records_seen = state.repl_drop_nth then
+                (* Divergence injection (tests): the record is skipped
+                   but the applied position still advances past it, so
+                   replication itself never notices. *)
+                ()
+              else
+                (* The primary applied it successfully, so failing here
+                   means divergence: count it and keep going. *)
+                match apply_mutation state m with
+                | exception _ -> state.repl_apply_errors <- state.repl_apply_errors + 1
+                | () -> (
+                  incr applied;
+                  match state.durability with
+                  | Some d when not (Checkpoint.read_only d) -> (
+                    try Checkpoint.log_mutation d m
+                    with e -> Checkpoint.note_wal_failure d (Printexc.to_string e))
+                  | _ -> ())
+            end)
+          records;
         (* The position is stamped in the primary's WAL coordinates —
            the same clock the primary stamps its own digests with. *)
         state.digest_pos <- (seq, offset);
@@ -639,11 +619,11 @@ let deadline_reply state =
 (* Run the jobs queued when the drain starts, in FIFO order: a thread
    pushing more wakes the loop again, so reads get their turn between
    drains. *)
-let drain_jobs state scratch =
+let drain_jobs state =
   for _ = 1 to Bqueue.length state.jobs do
     match Bqueue.try_pop state.jobs with
     | None -> ()
-    | Some (Repl ev) -> apply_repl state scratch ev
+    | Some (Repl ev) -> apply_repl state ev
     | Some (Run f) -> f ()
     | Some (Write p) ->
       if not p.conn.closed then begin
@@ -763,12 +743,6 @@ let integrity_loop state () =
    reads answered in place, writes queued on the job list and applied
    after the frame batch. *)
 
-let be32 b off =
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
-
 (* A peer (client or replica) presenting a higher epoch is proof that
    a newer primary was elected: remember it, and if we believed we
    were primary, fence ourselves. *)
@@ -827,8 +801,8 @@ let dispatch state conn ~id (req : Wire.request) =
           flush_responses conn;
           conn.detached <- true;
           Replication.attach hub ~fd:conn.fd ~replica_id ~seq ~offset)
-    | Wire.Ping | Wire.Query _ | Wire.Query_path _ | Wire.Batch_query _ | Wire.Stats
-    | Wire.Query_planned _ | Wire.Explain _ | Wire.Has_edge _ ->
+    | Wire.Ping | Wire.Query_path _ | Wire.Stats | Wire.Query_planned _ | Wire.Explain _
+    | Wire.Has_edge _ ->
       let resp =
         if stale_read state req then
           Wire.Error_reply { code = `Stale; message = "replica outside staleness bound" }
@@ -1003,7 +977,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
     let rec go off =
       if conn.closed || conn.detached || conn.rlen - off < 4 then off
       else begin
-        let len = be32 conn.rbuf off in
+        let len = Codec.u32_at (Bytes.unsafe_to_string conn.rbuf) off in
         if len > cfg.max_frame then begin
           buffer_response conn ~id:0
             (Wire.Error_reply
@@ -1041,7 +1015,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
       flush_responses conn
     end
   in
-  let chunk = Bytes.create 65536 and scratch = Buffer.create 256 in
+  let chunk = Bytes.create 65536 in
   let service_read conn =
     match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
@@ -1139,7 +1113,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
              match Hashtbl.find_opt conns fd with
              | Some conn -> service_read conn
              | None -> ()));
-    drain_jobs state scratch;
+    drain_jobs state;
     sweep_idle ()
   done;
   Evloop.remove ev listen_fd;
@@ -1149,7 +1123,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
      tailer and the integrity thread, which may wait on one, can be
      joined after. *)
   Bqueue.close state.jobs;
-  drain_jobs state scratch;
+  drain_jobs state;
   Option.iter Replication.stop_replica state.replica;
   Option.iter Thread.join integrity_thread;
   Option.iter Replication.stop_hub (state.hub);

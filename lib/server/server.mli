@@ -4,9 +4,9 @@
     - the thread that calls {!run} runs an {!Evloop} (a poll(2)
       readiness loop, not a fixed select tick): it accepts,
       accumulates bytes, decodes frames in place from the connection
-      buffer, and answers {e every} read (ping, query, query-path,
-      batch query, planned query, explain, has-edge, stats) itself
-      against the one serving index, with one
+      buffer, and answers {e every} read (ping, query-path, planned
+      query, explain, has-edge, stats) itself against the one serving
+      index, with one
       {!Dkindex_core.Validation_cache};
     - writes go into a bounded job list, each with its arrival time,
       and the loop applies them in FIFO order, in place

@@ -36,8 +36,16 @@ val sync_policy_of_string : string -> (sync_policy, string) result
 
 val sync_policy_to_string : sync_policy -> string
 
-val encode_mutation : Buffer.t -> mutation -> unit
+val encode_mutation : Obuf.t -> mutation -> unit
 (** Append one full record (length + CRC + payload) to [buf]. *)
+
+val encode_body : Obuf.t -> mutation -> unit
+(** The bytes after the kind byte (0x01 [Add_edge] … 0x05 [Demote]):
+    also the body of the {!Wire} request that carries the mutation. *)
+
+val decode_body : int -> Codec.cursor -> mutation
+(** [decode_body kind c] reads the body of a [kind] mutation.
+    @raise Codec.Bad on an unknown kind or malformed bytes. *)
 
 (** {1 Writer} *)
 
@@ -64,6 +72,7 @@ val close : t -> unit
 
 type replay = {
   mutations : mutation list;  (** the longest valid record prefix, in order *)
+  ends : int list;  (** each of those records' end offset in the file *)
   valid_bytes : int;  (** byte length of that prefix *)
   torn_bytes : int;  (** bytes discarded after it (0 = clean file) *)
 }

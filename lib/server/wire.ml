@@ -9,9 +9,7 @@ type role = Primary | Replica
 
 type request =
   | Ping
-  | Query of { flags : query_flags; expr : Path_ast.t }
   | Query_path of { flags : query_flags; labels : string list }
-  | Batch_query of { flags : query_flags; paths : string list list }
   | Add_edge of { u : int; v : int }
   | Remove_edge of { u : int; v : int }
   | Add_subgraph of { graph : string; reqs : (string * int) list }
@@ -43,7 +41,6 @@ type error_code = [ `Protocol | `App | `Deadline | `Shutting_down | `Version | `
 type response =
   | Pong
   | Result of query_result
-  | Batch_result of query_result array
   | Ok_reply of { generation : int; epoch : int }
   | Stats_reply of (string * string) list
   | Error_reply of { code : error_code; message : string }
@@ -66,132 +63,70 @@ type response =
       root : int;
     }
 
-(* ------------------------------------------------------------------ *)
-(* Primitive encoders, over {!Obuf} so frames can be written (and
-   their length slots patched) in place — no [Buffer.to_bytes] copy
-   per frame. *)
-
 let add_u8 = Obuf.add_u8
 let add_u16 = Obuf.add_u16
 let add_u32 = Obuf.add_u32
 
-(* WAL byte offsets can exceed 32 bits; 48 is plenty and keeps frames
-   compact.  Generation numbers use u32 with 0xffffffff as a -1
-   sentinel (subscribe-from-scratch). *)
-let add_u48 buf n =
-  add_u16 buf (n lsr 32);
-  add_u32 buf n
-
-let add_seq buf n =
-  if n < 0 then add_u32 buf 0xffffffff else add_u32 buf n
-
-let add_str16 buf s =
-  if String.length s > 0xffff then invalid_arg "Wire: string too long";
-  add_u16 buf (String.length s);
-  Obuf.add_string buf s
-
-let add_str32 buf s =
-  add_u32 buf (String.length s);
-  Obuf.add_string buf s
-
-let add_pairs16 buf pairs =
-  if List.length pairs > 0xffff then invalid_arg "Wire: too many pairs";
-  add_u16 buf (List.length pairs);
-  List.iter
-    (fun (l, k) ->
-      add_str16 buf l;
-      add_u32 buf k)
-    pairs
-
-let add_labels16 buf labels =
-  if List.length labels > 0xffff then invalid_arg "Wire: too many labels";
-  add_u16 buf (List.length labels);
-  List.iter (add_str16 buf) labels
+open Codec
 
 let flags_byte { no_cache } = if no_cache then 1 else 0
 let flags_of_byte b = { no_cache = b land 1 <> 0 }
 
 (* ------------------------------------------------------------------ *)
-(* Primitive decoders: a cursor over a slice [lo, hi) of an immutable
-   string, so a frame payload can be decoded in place from a
-   connection's read buffer without being copied out first.  Every
-   bound checks against [hi], never [String.length c.s].  [Bad] is
-   caught at the public entry points, which return [result]. *)
+(* Path expressions: a prefix encoding, one tag byte per constructor;
+   a label is a str16.  Decoding is budgeted in nodes and in depth, so
+   a hostile expression costs bounded work and stack. *)
 
-exception Bad of string
+let rec add_expr buf = function
+  | Path_ast.Any -> add_u8 buf 0
+  | Label l ->
+    add_u8 buf 1;
+    add_str16 buf l
+  | Seq (a, b) ->
+    add_u8 buf 2;
+    add_expr buf a;
+    add_expr buf b
+  | Alt (a, b) ->
+    add_u8 buf 3;
+    add_expr buf a;
+    add_expr buf b
+  | Opt a ->
+    add_u8 buf 4;
+    add_expr buf a
+  | Star a ->
+    add_u8 buf 5;
+    add_expr buf a
 
-type cursor = { s : string; mutable pos : int; hi : int }
+let max_expr_nodes = 65_536
+let max_expr_depth = 4_096
 
-let need c n = if c.pos + n > c.hi then raise (Bad "truncated")
-
-let u8 c =
-  need c 1;
-  let v = Char.code c.s.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let u16 c =
-  let hi = u8 c in
-  let lo = u8 c in
-  (hi lsl 8) lor lo
-
-let u32 c =
-  let a = u16 c in
-  let b = u16 c in
-  (a lsl 16) lor b
-
-let u48 c =
-  let a = u16 c in
-  let b = u32 c in
-  (a lsl 32) lor b
-
-let seq32 c =
-  let n = u32 c in
-  if n = 0xffffffff then -1 else n
-
-let str16 c =
-  let n = u16 c in
-  need c n;
-  let s = String.sub c.s c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let str32 c =
-  let n = u32 c in
-  need c n;
-  let s = String.sub c.s c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-(* Guard list/array reads: a declared count beyond what the remaining
-   bytes could possibly hold is malformed, not a 4 GiB allocation. *)
-let check_count c count ~min_item_bytes =
-  if count < 0 || count * min_item_bytes > c.hi - c.pos then
-    raise (Bad "count exceeds frame")
-
-let pairs16 c =
-  let n = u16 c in
-  check_count c n ~min_item_bytes:6;
-  List.init n (fun _ ->
-      let l = str16 c in
-      let k = u32 c in
-      (l, k))
-
-let labels16 c =
-  let n = u16 c in
-  check_count c n ~min_item_bytes:2;
-  List.init n (fun _ -> str16 c)
-
-let expect_end c what =
-  if c.pos <> c.hi then raise (Bad (what ^ ": trailing bytes"))
+let expr c =
+  let budget = ref max_expr_nodes in
+  let rec go depth =
+    if depth > max_expr_depth then raise (Bad "expression too deep");
+    decr budget;
+    if !budget < 0 then raise (Bad "expression too large");
+    match u8 c with
+    | 0 -> Path_ast.Any
+    | 1 -> Label (str16 c)
+    | 2 ->
+      let a = go (depth + 1) in
+      Seq (a, go (depth + 1))
+    | 3 ->
+      let a = go (depth + 1) in
+      Alt (a, go (depth + 1))
+    | 4 -> Opt (go (depth + 1))
+    | 5 -> Star (go (depth + 1))
+    | t -> raise (Bad (Printf.sprintf "bad expression tag 0x%02x" t))
+  in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Frames *)
 
 let frame_of_payload payload =
   let buf = Obuf.create (String.length payload + 4) in
-  add_u32 buf (String.length payload);
-  Obuf.add_string buf payload;
+  add_str32 buf payload;
   Obuf.contents buf
 
 (* Reserve the length slot, write the payload, patch the length in
@@ -209,9 +144,7 @@ let with_frame buf f =
 
 let request_kind = function
   | Ping -> 0x01
-  | Query _ -> 0x02
   | Query_path _ -> 0x03
-  | Batch_query _ -> 0x04
   | Add_edge _ -> 0x05
   | Remove_edge _ -> 0x06
   | Add_subgraph _ -> 0x07
@@ -227,6 +160,25 @@ let request_kind = function
   | Explain _ -> 0x11
   | Has_edge _ -> 0x12
   | Digest_request -> 0x13
+
+(* The five mutation requests carry a {!Wal.mutation}'s body, and
+   their kinds are the WAL kinds shifted by this much. *)
+let mutation_kind_base = 0x04
+
+let mutation = function
+  | Add_edge { u; v } -> Some (Wal.Add_edge { u; v })
+  | Remove_edge { u; v } -> Some (Wal.Remove_edge { u; v })
+  | Add_subgraph { graph; reqs } -> Some (Wal.Add_subgraph { graph; reqs })
+  | Promote pairs -> Some (Wal.Promote pairs)
+  | Demote pairs -> Some (Wal.Demote pairs)
+  | _ -> None
+
+let of_mutation = function
+  | Wal.Add_edge { u; v } -> Add_edge { u; v }
+  | Wal.Remove_edge { u; v } -> Remove_edge { u; v }
+  | Wal.Add_subgraph { graph; reqs } -> Add_subgraph { graph; reqs }
+  | Wal.Promote pairs -> Promote pairs
+  | Wal.Demote pairs -> Demote pairs
 
 (* Hello carries its sender's protocol version in the header version
    byte itself, so a server can answer a mismatched peer with a typed
@@ -246,37 +198,18 @@ let encode_request buf ~id req =
         add_u32 buf epoch;
         add_seq buf seq;
         add_u48 buf offset
-      | Query { flags; expr } ->
-        add_u8 buf (flags_byte flags);
-        (* Path_ast's codec speaks [Buffer]; ASTs are tiny and Query
-           encoding is client-side, so the bounce costs nothing the
-           server ever sees. *)
-        let b = Buffer.create 64 in
-        Path_ast.encode b expr;
-        Obuf.add_buffer buf b
       | Query_path { flags; labels } ->
         add_u8 buf (flags_byte flags);
-        add_labels16 buf labels
+        add_list16 buf add_str16 labels
       | Query_planned { flags; expr } ->
         add_u8 buf (flags_byte flags);
-        let b = Buffer.create 64 in
-        Path_ast.encode b expr;
-        Obuf.add_buffer buf b
-      | Explain { expr } ->
-        let b = Buffer.create 64 in
-        Path_ast.encode b expr;
-        Obuf.add_buffer buf b
-      | Batch_query { flags; paths } ->
-        add_u8 buf (flags_byte flags);
-        add_u32 buf (List.length paths);
-        List.iter (add_labels16 buf) paths
-      | Add_edge { u; v } | Remove_edge { u; v } | Has_edge { u; v } ->
+        add_expr buf expr
+      | Explain { expr } -> add_expr buf expr
+      | Has_edge { u; v } ->
         add_u32 buf u;
         add_u32 buf v
-      | Add_subgraph { graph; reqs } ->
-        add_str32 buf graph;
-        add_pairs16 buf reqs
-      | Promote pairs | Demote pairs -> add_pairs16 buf pairs)
+      | Add_edge _ | Remove_edge _ | Add_subgraph _ | Promote _ | Demote _ ->
+        Option.iter (Wal.encode_body buf) (mutation req))
 
 type 'a decoded = { id : int; msg : 'a }
 
@@ -295,7 +228,7 @@ let check_version v kind =
     raise (Bad (Printf.sprintf "unsupported version %d for kind 0x%02x" v kind))
 
 let decode_request_at big ~pos ~len =
-  let c = { s = big; pos; hi = pos + len } in
+  let c = cursor big ~pos ~len in
   match
     let v, kind, id = decode_header c in
     if kind <> 0x0d then check_version v kind;
@@ -305,43 +238,14 @@ let decode_request_at big ~pos ~len =
         let epoch = u32 c in
         (* A future version may append fields: tolerate trailing bytes
            so the server still sees a Hello it can refuse politely. *)
-        if v = version then expect_end c "hello" else c.pos <- c.hi;
+        if v <> version then skip_rest c;
         Hello { version = v; epoch }
       | 0x01 -> Ping
-      | 0x02 ->
-        let flags = flags_of_byte (u8 c) in
-        let expr =
-          (* Path_ast bounds against the whole backing string; an AST
-             that overruns its own frame leaves [c.pos > c.hi] and is
-             rejected by [expect_end] below. *)
-          match Path_ast.decode big ~pos:c.pos with
-          | Ok (expr, pos) ->
-            c.pos <- pos;
-            expr
-          | Error msg -> raise (Bad msg)
-        in
-        Query { flags; expr }
       | 0x03 ->
         let flags = flags_of_byte (u8 c) in
-        Query_path { flags; labels = labels16 c }
-      | 0x04 ->
-        let flags = flags_of_byte (u8 c) in
-        let n = u32 c in
-        check_count c n ~min_item_bytes:2;
-        Batch_query { flags; paths = List.init n (fun _ -> labels16 c) }
-      | 0x05 ->
-        let u = u32 c in
-        let v = u32 c in
-        Add_edge { u; v }
-      | 0x06 ->
-        let u = u32 c in
-        let v = u32 c in
-        Remove_edge { u; v }
-      | 0x07 ->
-        let graph = str32 c in
-        Add_subgraph { graph; reqs = pairs16 c }
-      | 0x08 -> Promote (pairs16 c)
-      | 0x09 -> Demote (pairs16 c)
+        Query_path { flags; labels = list16 c ~min_item_bytes:2 str16 }
+      | k when k > mutation_kind_base && k <= mutation_kind_base + 0x05 ->
+        of_mutation (Wal.decode_body (k - mutation_kind_base) c)
       | 0x0a -> Stats
       | 0x0b -> Snapshot
       | 0x0c -> Shutdown
@@ -354,23 +258,8 @@ let decode_request_at big ~pos ~len =
       | 0x0f -> Promote_primary
       | 0x10 ->
         let flags = flags_of_byte (u8 c) in
-        let expr =
-          match Path_ast.decode big ~pos:c.pos with
-          | Ok (expr, pos) ->
-            c.pos <- pos;
-            expr
-          | Error msg -> raise (Bad msg)
-        in
-        Query_planned { flags; expr }
-      | 0x11 ->
-        let expr =
-          match Path_ast.decode big ~pos:c.pos with
-          | Ok (expr, pos) ->
-            c.pos <- pos;
-            expr
-          | Error msg -> raise (Bad msg)
-        in
-        Explain { expr }
+        Query_planned { flags; expr = expr c }
+      | 0x11 -> Explain { expr = expr c }
       | 0x12 ->
         let u = u32 c in
         let v = u32 c in
@@ -438,7 +327,6 @@ let role_of_byte = function
 let response_kind = function
   | Pong -> 0x81
   | Result _ -> 0x82
-  | Batch_result _ -> 0x83
   | Ok_reply _ -> 0x84
   | Stats_reply _ -> 0x85
   | Error_reply _ -> 0x86
@@ -465,9 +353,6 @@ let encode_response buf ~id resp =
       match resp with
       | Pong | Overloaded | Read_only -> ()
       | Result r -> encode_result buf r
-      | Batch_result rs ->
-        add_u32 buf (Array.length rs);
-        Array.iter (encode_result buf) rs
       | Ok_reply { generation; epoch } ->
         add_u32 buf generation;
         add_u32 buf epoch
@@ -494,10 +379,7 @@ let encode_response buf ~id resp =
       | Planned_result { plan; result } ->
         add_str16 buf plan;
         encode_result buf result
-      | Explain_reply lines ->
-        if List.length lines > 0xffff then invalid_arg "Wire: too many explain lines";
-        add_u16 buf (List.length lines);
-        List.iter (add_str16 buf) lines
+      | Explain_reply lines -> add_list16 buf add_str16 lines
       | Edge_reply { present; generation; age_ms } ->
         add_u8 buf (if present then 1 else 0);
         add_u32 buf generation;
@@ -509,10 +391,8 @@ let encode_response buf ~id resp =
         add_u32 buf n_nodes;
         add_u48 buf root
       | Stats_reply kvs ->
-        if List.length kvs > 0xffff then invalid_arg "Wire: too many stats";
-        add_u16 buf (List.length kvs);
-        List.iter
-          (fun (k, v) ->
+        add_list16 buf
+          (fun buf (k, v) ->
             add_str16 buf k;
             add_str16 buf v)
           kvs
@@ -521,7 +401,7 @@ let encode_response buf ~id resp =
         add_str16 buf message)
 
 let decode_response_at big ~pos ~len =
-  let c = { s = big; pos; hi = pos + len } in
+  let c = cursor big ~pos ~len in
   match
     let v, kind, id = decode_header c in
     if kind <> 0x89 then check_version v kind;
@@ -529,10 +409,6 @@ let decode_response_at big ~pos ~len =
       match kind with
       | 0x81 -> Pong
       | 0x82 -> Result (decode_result c)
-      | 0x83 ->
-        let n = u32 c in
-        check_count c n ~min_item_bytes:28;
-        Batch_result (Array.init n (fun _ -> decode_result c))
       | 0x84 ->
         let generation = u32 c in
         let epoch = u32 c in
@@ -540,7 +416,7 @@ let decode_response_at big ~pos ~len =
       | 0x89 ->
         let epoch = u32 c in
         let role = role_of_byte (u8 c) in
-        if v = version then expect_end c "hello_reply" else c.pos <- c.hi;
+        if v <> version then skip_rest c;
         Hello_reply { version = v; epoch; role }
       | 0x8a ->
         let epoch = u32 c in
@@ -566,10 +442,7 @@ let decode_response_at big ~pos ~len =
       | 0x8f ->
         let plan = str16 c in
         Planned_result { plan; result = decode_result c }
-      | 0x90 ->
-        let n = u16 c in
-        check_count c n ~min_item_bytes:2;
-        Explain_reply (List.init n (fun _ -> str16 c))
+      | 0x90 -> Explain_reply (list16 c ~min_item_bytes:2 str16)
       | 0x91 ->
         let present =
           match u8 c with
@@ -588,10 +461,8 @@ let decode_response_at big ~pos ~len =
         let root = u48 c in
         Digest_reply { generation; seq; offset; n_nodes; root }
       | 0x85 ->
-        let n = u16 c in
-        check_count c n ~min_item_bytes:4;
         Stats_reply
-          (List.init n (fun _ ->
+          (list16 c ~min_item_bytes:4 (fun c ->
                let k = str16 c in
                let v = str16 c in
                (k, v)))
@@ -630,12 +501,7 @@ let read_frame ?(max_frame = max_frame_default) ~read () =
   match read_exact read hdr 0 4 with
   | 0 -> `Eof
   | 4 ->
-    let len =
-      (Char.code (Bytes.get hdr 0) lsl 24)
-      lor (Char.code (Bytes.get hdr 1) lsl 16)
-      lor (Char.code (Bytes.get hdr 2) lsl 8)
-      lor Char.code (Bytes.get hdr 3)
-    in
+    let len = u32_at (Bytes.unsafe_to_string hdr) 0 in
     if len > max_frame then `Oversized len
     else begin
       let body = Bytes.create len in

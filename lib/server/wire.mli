@@ -12,6 +12,17 @@
     fails to parse is answered with {!Error_reply} [`Protocol] and the
     connection stays usable.
 
+    Bodies are written in {!Codec}'s big-endian primitives.  The five
+    mutation requests (kinds 0x05–0x09) carry exactly the body of the
+    {!Wal} record of the same mutation (WAL kinds 0x01–0x05), through
+    {!Wal.encode_body} and {!Wal.decode_body}.  A path expression
+    ([Query_planned], [Explain]) is a prefix encoding, one tag byte
+    per constructor — 0 [Any], 1 [Label] (then a u16-length string),
+    2 [Seq], 3 [Alt], 4 [Opt], 5 [Star] — decoded within a budget of
+    65,536 nodes and a depth of 4,096.  Kinds 0x02 (an unplanned
+    expression query), 0x04 (a batch of label paths), 0x14 and the
+    replies 0x83 and 0x93 are retired and decode to [Error].
+
     All decoders are total on arbitrary bytes: malformed input yields
     [Error _], never an exception, a crash, or unbounded work.  Every
     value round-trips: [decode (encode x) = x]. *)
@@ -38,9 +49,8 @@ type role = Primary | Replica
 
 type request =
   | Ping
-  | Query of { flags : query_flags; expr : Path_ast.t }
   | Query_path of { flags : query_flags; labels : string list }
-  | Batch_query of { flags : query_flags; paths : string list list }
+      (** A label path, answered through the served index. *)
   | Add_edge of { u : int; v : int }
   | Remove_edge of { u : int; v : int }
   | Add_subgraph of { graph : string; reqs : (string * int) list }
@@ -69,10 +79,10 @@ type request =
       (** Operator-triggered failover: the replica bumps its epoch,
           persists it, stops following, and starts serving writes. *)
   | Query_planned of { flags : query_flags; expr : Path_ast.t }
-      (** Like {!Query}, but the server routes through its cost-based
-          planner (index scan vs raw-graph fallback, priced from the
-          live statistics catalog) and reports the chosen plan in the
-          {!Planned_result} reply. *)
+      (** Any path expression, answered through the server's planner:
+          the scan of the served index, or the raw-graph walk should
+          the scan raise.  The {!Planned_result} reply names the plan
+          that answered. *)
   | Explain of { expr : Path_ast.t }
       (** Ask for the plan list the planner would consider for
           this query, without executing anything. *)
@@ -110,7 +120,6 @@ type error_code = [ `Protocol | `App | `Deadline | `Shutting_down | `Version | `
 type response =
   | Pong
   | Result of query_result
-  | Batch_result of query_result array
   | Ok_reply of { generation : int; epoch : int }
       (** [generation] is the write generation after the write, as
           {!query_result} reports it.  [epoch] is the acking server's
@@ -170,6 +179,12 @@ type response =
           compares.  A replica that disagrees on [n_nodes] or [root] at
           an equal position heals by a snapshot resync, so no per-range
           detail travels. *)
+
+val mutation : request -> Wal.mutation option
+(** The mutation a write request carries: [Some] for the five kinds
+    the WAL logs ([Add_edge], [Remove_edge], [Add_subgraph], [Promote],
+    [Demote]), whose request body is the WAL record's body
+    ({!Wal.encode_body}). *)
 
 (** {1 Codecs} *)
 

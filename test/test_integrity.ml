@@ -391,14 +391,21 @@ let test_retired_op_codes () =
   let payload kind body =
     Printf.sprintf "%c%c\000\000\000\001%s" (Char.chr Wire.version) (Char.chr kind) body
   in
-  let req = payload 0x14 "\000\001\000\000\000\000" in
-  (match Wire.decode_request_at req ~pos:0 ~len:(String.length req) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "request kind 0x14 decoded");
-  let resp = payload 0x93 "\000\000\000\000\000\000" in
-  match Wire.decode_response_at resp ~pos:0 ~len:(String.length resp) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "response kind 0x93 decoded"
+  let refused what decode kind body =
+    let p = payload kind body in
+    match decode p ~pos:0 ~len:(String.length p) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s kind 0x%02x decoded" what kind
+  in
+  (* 0x02 Query (no_cache, then the expression Label "a"), 0x04
+     Batch_query (no_cache, one path of one label "a") and 0x14, a
+     range-repair request. *)
+  refused "request" Wire.decode_request_at 0x02 "\000\001\000\001a";
+  refused "request" Wire.decode_request_at 0x04 "\000\000\000\000\001\000\001\000\001a";
+  refused "request" Wire.decode_request_at 0x14 "\000\001\000\000\000\000";
+  (* 0x83 Batch_result (zero results) and 0x93, a range-repair reply. *)
+  refused "response" Wire.decode_response_at 0x83 "\000\000\000\000";
+  refused "response" Wire.decode_response_at 0x93 "\000\000\000\000\000\000"
 
 (* ----------------------------------------------------------------- *)
 (* 4. Anti-entropy end-to-end: a replica that silently dropped one
@@ -552,7 +559,8 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "Digest_request round-trip" `Quick test_digest_request;
-          Alcotest.test_case "retired op codes 0x14 and 0x93 decode to Error" `Quick
+          Alcotest.test_case
+            "retired op codes 0x14 and 0x93 decode to Error, as do 0x02, 0x04 and 0x83" `Quick
             test_retired_op_codes;
         ] );
       ( "anti-entropy",

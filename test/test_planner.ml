@@ -1,4 +1,4 @@
-(* Cost-based query planner: statistics catalog correctness and
+(* Query planner: statistics catalog correctness and
    laziness, the two plans of a one-index planner, executor
    equivalence (every plan over every summary answers bit for bit like
    direct evaluation), and robustness under update churn. *)

@@ -71,12 +71,7 @@ let request_gen : Wire.request QCheck.Gen.t =
   oneof
     [
       return Wire.Ping;
-      map2 (fun flags expr -> Wire.Query { flags; expr }) flags_gen expr_gen;
       map2 (fun flags labels -> Wire.Query_path { flags; labels }) flags_gen labels_gen;
-      map2
-        (fun flags paths -> Wire.Batch_query { flags; paths })
-        flags_gen
-        (list_size (int_bound 5) labels_gen);
       map2 (fun u v -> Wire.Add_edge { u; v }) (int_bound 100000) (int_bound 100000);
       map2 (fun u v -> Wire.Remove_edge { u; v }) (int_bound 100000) (int_bound 100000);
       map2
@@ -126,7 +121,6 @@ let response_gen : Wire.response QCheck.Gen.t =
     [
       return Wire.Pong;
       map (fun r -> Wire.Result r) result_gen;
-      map (fun rs -> Wire.Batch_result (Array.of_list rs)) (list_size (int_bound 4) result_gen);
       map2
         (fun generation epoch -> Wire.Ok_reply { generation; epoch })
         (int_bound 1_000_000) (int_bound 1_000_000);
@@ -201,14 +195,14 @@ let prop_response_roundtrip =
       | Ok { id; msg } -> id = 123456 && msg = resp
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
 
+(* An expression travels as an [Explain] body: the payload is the
+   6-byte header, then the expression and nothing else. *)
 let prop_expr_roundtrip =
   QCheck.Test.make ~count:500 ~name:"wire: path expression round-trip"
     (QCheck.make ~print:Path_ast.to_string expr_gen) (fun expr ->
-      let buf = Buffer.create 32 in
-      Path_ast.encode buf expr;
-      let s = Buffer.contents buf in
-      match Path_ast.decode s ~pos:0 with
-      | Ok (expr', pos) -> Path_ast.equal expr expr' && pos = String.length s
+      match Wire.decode_request (encode_request_payload ~id:1 (Wire.Explain { expr })) with
+      | Ok { msg = Wire.Explain { expr = expr' }; _ } -> Path_ast.equal expr expr'
+      | Ok _ -> QCheck.Test.fail_reportf "decoded to another request"
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e)
 
 (* --------------------------------------------------------------- *)
@@ -226,9 +220,8 @@ let prop_fuzz_random_bytes =
       no_exn (fun () -> Wire.decode_request s)
       && no_exn (fun () -> Wire.decode_response s)
       && no_exn (fun () ->
-             match Path_ast.decode s ~pos:0 with
-             | Ok _ -> Ok ()
-             | Error e -> Error e))
+             (* the bytes as an Explain request's expression *)
+             Wire.decode_request (Printf.sprintf "%c\x11\000\000\000\001%s" (Char.chr Wire.version) s)))
 
 let prop_fuzz_truncated =
   QCheck.Test.make ~count:500 ~name:"wire: strict prefixes are rejected, not crashed"
@@ -354,16 +347,16 @@ let mutation_gen : Wal.mutation QCheck.Gen.t =
     ]
 
 let encode_stream muts =
-  let buf = Buffer.create 256 in
+  let buf = Obuf.create 256 in
   (* [ends.(i)] is the byte offset one past record i. *)
   let ends =
     List.map
       (fun m ->
         Wal.encode_mutation buf m;
-        Buffer.length buf)
+        Obuf.length buf)
       muts
   in
-  (Buffer.contents buf, ends)
+  (Obuf.contents buf, ends)
 
 (* The records wholly contained in the first [cut] bytes. *)
 let expect_prefix muts ends cut =
@@ -376,9 +369,10 @@ let stream_arb =
 
 let prop_wal_roundtrip =
   QCheck.Test.make ~count:300 ~name:"wal: encode/replay round-trip" stream_arb (fun muts ->
-      let s, _ = encode_stream muts in
+      let s, ends = encode_stream muts in
       let r = Wal.replay_string s in
       r.Wal.mutations = muts
+      && r.ends = ends
       && r.valid_bytes = String.length s
       && r.torn_bytes = 0)
 
@@ -426,11 +420,30 @@ let prop_wal_fuzz =
       | r ->
         (* Whatever replay accepted must re-encode to exactly the
            bytes it consumed: the valid prefix is canonical. *)
-        let buf = Buffer.create 64 in
+        let buf = Obuf.create 64 in
         List.iter (Wal.encode_mutation buf) r.Wal.mutations;
         r.valid_bytes + r.torn_bytes = String.length s
-        && Buffer.contents buf = String.sub s 0 r.valid_bytes
+        && Obuf.contents buf = String.sub s 0 r.valid_bytes
       | exception e -> QCheck.Test.fail_reportf "replay raised %s" (Printexc.to_string e))
+
+(* A mutation's WAL payload after its kind byte is byte for byte its
+   wire request's body after the 6-byte header. *)
+let wire_request_of_mutation : Wal.mutation -> Wire.request = function
+  | Wal.Add_edge { u; v } -> Wire.Add_edge { u; v }
+  | Wal.Remove_edge { u; v } -> Wire.Remove_edge { u; v }
+  | Wal.Add_subgraph { graph; reqs } -> Wire.Add_subgraph { graph; reqs }
+  | Wal.Promote p -> Wire.Promote p
+  | Wal.Demote p -> Wire.Demote p
+
+let prop_wal_body_is_wire_body =
+  QCheck.Test.make ~count:500 ~name:"wal: a record's body is its wire request's body"
+    (QCheck.make mutation_gen) (fun m ->
+      let s, _ = encode_stream [ m ] in
+      let wal_body = String.sub s 9 (String.length s - 9) in
+      let req = wire_request_of_mutation m in
+      let payload = encode_request_payload ~id:1 req in
+      let wire_body = String.sub payload 6 (String.length payload - 6) in
+      wal_body = wire_body && Wire.mutation req = Some m)
 
 (* --------------------------------------------------------------- *)
 (* Index_serial round-trip fidelity under churn                      *)
@@ -508,7 +521,7 @@ let read_port_line fd =
   int_of_string (go ())
 
 let expect_result = function
-  | Wire.Result r -> r
+  | Wire.Result r | Wire.Planned_result { result = r; _ } -> r
   | Wire.Error_reply { message; _ } -> Alcotest.fail ("server error: " ^ message)
   | _ -> Alcotest.fail "expected Result"
 
@@ -596,7 +609,9 @@ let test_smoke () =
   List.iter (check_against_local idx c2) smoke_queries;
   (* A general path expression through the same socket. *)
   let expr = Path_ast.(Seq (Label "l1", Star (Label "l2"))) in
-  let got = expect_result (Client.call c2 (Wire.Query { flags = { no_cache = true }; expr })) in
+  let got =
+    expect_result (Client.call c2 (Wire.Query_planned { flags = { no_cache = true }; expr }))
+  in
   let want = Query_eval.eval_expr idx expr in
   Alcotest.(check (list int)) "expr nodes" want.Query_eval.nodes (Array.to_list got.Wire.nodes);
   (* The planned read path: same answers, plan reported; EXPLAIN is
@@ -622,8 +637,9 @@ let test_smoke () =
   | _ -> Alcotest.fail "expected Explain_reply");
   (match Client.call c1 Wire.Stats with
   | Wire.Stats_reply kvs ->
+    (* the expression read above, then one per smoke query *)
     Alcotest.(check string) "planned_queries counted"
-      (string_of_int (List.length smoke_queries))
+      (string_of_int (1 + List.length smoke_queries))
       (Option.value (List.assoc_opt "planned_queries" kvs) ~default:"missing");
     Alcotest.(check string) "explain counted" "1"
       (Option.value (List.assoc_opt "explain_queries" kvs) ~default:"missing");
@@ -959,32 +975,48 @@ let test_deadline_expiry () =
   | _ -> Alcotest.fail "expected Stats_reply");
   shutdown_server pid c
 
-(* A batch answer equals local evaluation of each path bit for bit:
-   nodes, both visit counts, candidates and certain answers. *)
-let check_batch idx paths (results : Wire.query_result array) =
-  Alcotest.(check int) "batch result count" (List.length paths) (Array.length results);
+(* A pipelined read's answer equals local evaluation of its path bit
+   for bit: nodes, both visit counts, candidates and certain answers. *)
+let check_answer idx i labels (got : Wire.query_result) =
+  let want = Query_eval.eval_path_strings idx labels in
+  let field what a b =
+    if a <> b then
+      Alcotest.failf "read %d %s: %s expected %d, got %d" i (String.concat "." labels) what a b
+  in
+  if want.Query_eval.nodes <> Array.to_list got.Wire.nodes then
+    Alcotest.failf "read %d %s: nodes differ" i (String.concat "." labels);
+  field "index_visits" want.cost.Dkindex_pathexpr.Cost.index_visits got.index_visits;
+  field "data_visits" want.cost.data_visits got.data_visits;
+  field "n_candidates" want.n_candidates got.n_candidates;
+  field "n_certain" want.n_certain got.n_certain
+
+(* Send every path as a [Query_path] frame, then a Ping, before reading
+   any reply; the replies must come back in send order, the reads equal
+   to local evaluation and the Pong last. *)
+let check_pipelined_then_ping idx c paths =
+  let ids =
+    List.map
+      (fun labels -> Client.send c (Wire.Query_path { flags = { no_cache = true }; labels }))
+      paths
+  in
+  let ping_id = Client.send c Wire.Ping in
   List.iteri
-    (fun i labels ->
-      let want = Query_eval.eval_path_strings idx labels in
-      let got = results.(i) in
-      let field what a b =
-        if a <> b then
-          Alcotest.failf "batch[%d] %s: %s expected %d, got %d" i (String.concat "." labels) what a
-            b
-      in
-      if want.Query_eval.nodes <> Array.to_list got.Wire.nodes then
-        Alcotest.failf "batch[%d] %s: nodes differ" i (String.concat "." labels);
-      field "index_visits" want.cost.Dkindex_pathexpr.Cost.index_visits got.index_visits;
-      field "data_visits" want.cost.data_visits got.data_visits;
-      field "n_candidates" want.n_candidates got.n_candidates;
-      field "n_certain" want.n_certain got.n_certain)
-    paths
+    (fun i (labels, id) ->
+      let d = Client.recv c in
+      if d.Wire.id <> id then Alcotest.failf "reply %d: id %d, expected %d" i d.Wire.id id;
+      match d.Wire.msg with
+      | Wire.Result r -> check_answer idx i labels r
+      | _ -> Alcotest.failf "reply %d: expected Result" i)
+    (List.combine paths ids);
+  let d = Client.recv c in
+  Alcotest.(check int) "the Ping's reply comes last" ping_id d.Wire.id;
+  match d.Wire.msg with Wire.Pong -> () | _ -> Alcotest.fail "expected Pong last"
 
 (* Pipelining over a real socket: one connection, many requests in
    flight.  Codifies the response-ordering contract that
-   dkindex-loadgen --pipeline relies on: every read, batch queries
-   included, is answered on the event loop in send order, and every
-   reply carries its request's frame id. *)
+   dkindex-loadgen --pipeline relies on: every read is answered on the
+   event loop in send order, and every reply carries its request's
+   frame id. *)
 let test_pipelined_ordering () =
   let _g, idx = build_smoke_dataset () in
   with_server ~config:{ Server.default_config with deadline_s = 0.0 } idx @@ fun pid port ->
@@ -1009,48 +1041,21 @@ let test_pipelined_ordering () =
           want.Query_eval.nodes (Array.to_list r.Wire.nodes)
       | _ -> Alcotest.fail "expected Result")
     qs rs;
-  (* Phase 2: a Batch_query with a query pipelined behind it — the
-     replies come back in send order, both bit-for-bit. *)
-  let batch_paths = List.init 64 (fun i -> List.nth smoke_queries (i mod 4)) in
-  let bid = Client.send c (Wire.Batch_query { flags = { no_cache = true }; paths = batch_paths }) in
-  let qid =
-    Client.send c (Wire.Query_path { flags = { no_cache = true }; labels = [ "l0" ] })
-  in
-  let d1 = Client.recv c in
-  let d2 = Client.recv c in
-  Alcotest.(check (list int)) "batch and query in send order" [ bid; qid ]
-    [ d1.Wire.id; d2.Wire.id ];
-  (match d1.Wire.msg with
-  | Wire.Batch_result results -> check_batch idx batch_paths results
-  | _ -> Alcotest.fail "expected Batch_result for the batch id");
-  (match d2.Wire.msg with
-  | Wire.Result r ->
-    let want = Query_eval.eval_path_strings idx [ "l0" ] in
-    Alcotest.(check (list int)) "query behind the batch: nodes" want.Query_eval.nodes
-      (Array.to_list r.Wire.nodes)
-  | _ -> Alcotest.fail "expected Result for the query id");
+  (* Phase 2: 64 reads and a Ping behind them, all sent before any
+     reply is read, come back in send order, bit-for-bit. *)
+  check_pipelined_then_ping idx c (List.init 64 (fun i -> List.nth smoke_queries (i mod 4)));
   shutdown_server pid c
 
 (* Every read is answered on the event loop, so a Ping pipelined
-   behind a batch of 8,000 paths comes back after the batch, and the
-   batch equals local evaluation bit for bit. *)
+   behind a batch of 8,000 reads comes back after all of them, and
+   each read equals local evaluation bit for bit. *)
 let test_batch_in_send_order () =
   let _g, idx = build_smoke_dataset () in
   with_server idx @@ fun pid port ->
   let c = Client.connect ~port () in
   let labels = [| "l0"; "l1"; "l2"; "l3"; "l4" |] in
   let path i = List.init (1 + (i mod 4)) (fun j -> labels.(((i / 4) + (j * (i + 1))) mod 5)) in
-  let paths = List.init 8000 path in
-  let batch_id = Client.send c (Wire.Batch_query { flags = { no_cache = true }; paths }) in
-  let ping_id = Client.send c Wire.Ping in
-  let r1 = Client.recv c in
-  let r2 = Client.recv c in
-  Alcotest.(check (list int)) "batch, then Ping: send order" [ batch_id; ping_id ]
-    [ r1.Wire.id; r2.Wire.id ];
-  (match r1.Wire.msg with
-  | Wire.Batch_result results -> check_batch idx paths results
-  | _ -> Alcotest.fail "expected Batch_result first");
-  (match r2.Wire.msg with Wire.Pong -> () | _ -> Alcotest.fail "expected Pong second");
+  check_pipelined_then_ping idx c (List.init 8000 path);
   shutdown_server pid c
 
 (* A launch's stages are timed once each and reported in [Stats]; a
@@ -1322,7 +1327,8 @@ let test_vcache_retirement () =
     | _ -> Alcotest.fail "expected Ok_reply");
     (* A regex read compiles its automaton through the cache. *)
     for _ = 0 to round mod 3 do
-      ignore (expect_result (Client.call c (Wire.Query { flags = { no_cache = false }; expr })))
+      ignore
+        (expect_result (Client.call c (Wire.Query_planned { flags = { no_cache = false }; expr })))
     done;
     match Client.call c Wire.Stats with
     | Wire.Stats_reply kvs ->
@@ -1512,6 +1518,7 @@ let () =
           to_alcotest prop_wal_truncation;
           to_alcotest prop_wal_bitflip;
           to_alcotest prop_wal_fuzz;
+          to_alcotest prop_wal_body_is_wire_body;
         ] );
       ("index_serial", [ to_alcotest prop_serial_roundtrip_after_churn ]);
       ( "smoke",
