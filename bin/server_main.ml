@@ -29,7 +29,8 @@ let load_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "load" ] ~docv:"FILE" ~doc:"Serve a saved index snapshot instead of --xmark")
+    & info [ "load" ] ~docv:"FILE"
+        ~doc:"Serve a saved index (a --snapshot file or a text export) instead of --xmark")
 
 let workers_arg =
   Arg.(
@@ -57,7 +58,9 @@ let snapshot_arg =
     value
     & opt (some string) None
     & info [ "snapshot" ] ~docv:"FILE"
-        ~doc:"Snapshot target (Snapshot requests and the final drain write here)")
+        ~doc:
+          "Snapshot target, written as the compact index body (Snapshot requests and the \
+           final drain write here)")
 
 let data_dir_arg =
   Arg.(

@@ -120,6 +120,12 @@ let of_csr ?(values = Payloads.empty) ~pool ~label_codes ~children ~parents () =
   if Adjacency.n adj <> n then invalid_arg "Data_graph.of_csr: offset length mismatch";
   assemble ~fname:"Data_graph.of_csr" ~values ~pool ~label_codes adj
 
+let of_children ?(values = Payloads.empty) ~pool ~label_codes children =
+  let n = Int_vec.length label_codes in
+  if n = 0 then invalid_arg "Data_graph.of_children: no nodes";
+  assemble ~fname:"Data_graph.of_children" ~values ~pool ~label_codes
+    (Adjacency.of_children n children)
+
 let flatten g = Adjacency.flatten g.adj
 let keep_sorted g = Adjacency.keep_sorted g.adj
 let csr_children g = Adjacency.csr_children g.adj

@@ -173,6 +173,20 @@ val of_csr :
     edge counts) is validated here.
     @raise Invalid_argument on shape mismatch or zero nodes. *)
 
+val of_children :
+  ?values:Payloads.t ->
+  pool:Label.Pool.t ->
+  label_codes:Int_vec.t ->
+  Int_vec.t * Int_vec.t ->
+  t
+(** [of_children ~pool ~label_codes (off, arr)] adopts a child CSR
+    whose runs are sorted strictly increasing, with every id below the
+    node count, and derives the parents by counting sort
+    ({!Adjacency.of_children}): the compact index body's decoder,
+    which checks those properties as it reads the runs.
+    @raise Invalid_argument if [off] does not have one more entry
+    than [label_codes], or on zero nodes. *)
+
 val add_edge : t -> int -> int -> unit
 (** [add_edge g u v] inserts the edge [u -> v].  No-op if the edge is
     already present. *)

@@ -20,6 +20,14 @@ let find p u =
   in
   go 0 (length p)
 
+let of_arrays nodes texts =
+  let n = Array.length nodes in
+  if Array.length texts <> n then invalid_arg "Payloads.of_arrays: lengths differ";
+  for i = 1 to n - 1 do
+    if nodes.(i) <= nodes.(i - 1) then invalid_arg "Payloads.of_arrays: nodes not increasing"
+  done;
+  { nodes; texts }
+
 let iter p f =
   for i = 0 to length p - 1 do
     f (Array.unsafe_get p.nodes i) (Array.unsafe_get p.texts i)

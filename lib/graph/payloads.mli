@@ -35,6 +35,12 @@ val iter : t -> (int -> string -> unit) -> unit
 val of_list : (int * string) list -> t
 (** The first entry for a node wins. *)
 
+val of_arrays : int array -> string array -> t
+(** Adopt node ids, strictly increasing, and their payloads, as they
+    are: the arrays must not be written afterwards.
+    @raise Invalid_argument if the lengths differ or the ids do not
+    increase strictly. *)
+
 (** {1 Accumulation} *)
 
 type acc

@@ -184,7 +184,9 @@ let attach_edges t nd =
    the index edges from [edges], which runs once the partition is
    validated.  Shared by [of_partition] (which projects the data
    edges) and [of_partition_with_edges] (which adopts a precomputed
-   CSR, e.g. from an index container). *)
+   CSR, e.g. from an index container).  [cls] is adopted as the
+   index's own map: every caller hands over an array that nothing else
+   reads afterwards. *)
 let partition_nodes ~fname g ~cls ~n_classes ~k_of_class ~req_of_class ~edges =
   let n = Data_graph.n_nodes g in
   if Array.length cls <> n then invalid_arg (fname ^ ": cls size mismatch");
@@ -213,7 +215,7 @@ let partition_nodes ~fname g ~cls ~n_classes ~k_of_class ~req_of_class ~edges =
   let t =
     {
       data = g;
-      cls = Array.copy cls;
+      cls;
       nodes = Array.make (max 16 n_classes) None;
       next_id = 0;
       n_alive = 0;

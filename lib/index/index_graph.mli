@@ -53,8 +53,10 @@ val of_partition :
   t
 (** Build an index graph from a partition of the data nodes given as a
     [cls] map (data node -> class id in [0 .. n_classes-1]).  Index
-    node ids coincide with class ids.  @raise Invalid_argument if a
-    class is empty or mixes labels.
+    node ids coincide with class ids.  [cls] is adopted, not copied:
+    it becomes the index's own class map, which updates write, so the
+    caller must not read or write it afterwards.
+    @raise Invalid_argument if a class is empty or mixes labels.
 
     [mode] selects how the data edges are projected and deduplicated
     into the index CSR: [`In_ram] keeps the distinct (class, class)

@@ -161,6 +161,215 @@ let of_string s =
     ~k_of_class:(fun c -> ks.(c))
     ~req_of_class:(fun c -> reqs.(c))
 
+(* ------------------------------------------------------------------ *)
+(* The compact body: the same content as the text document, as varints
+   (index_serial.mli has the layout). *)
+
+let compact_magic = "dkindex-compact 1\n"
+
+(* k and req with infinity as 0 and every finite value one up; a
+   negative k, like the text format's -1, reads back as infinity. *)
+let enc_k k = if k < 0 || k >= Index_graph.k_infinite then 0 else k + 1
+let dec_k k = if k = 0 then Index_graph.k_infinite else k - 1
+
+(* The body's writer: [b] is sized for the whole body before anything
+   is written ([encode_compact]'s [bound]), so a write makes no room
+   check, and it lives in this module so that the one-byte case
+   inlines into the loops.  Seven bits a byte, low group first; the
+   high bit marks a byte that is not the last: what
+   [Cursor.varint] reads. *)
+type writer = { b : Bytes.t; mutable pos : int }
+
+let rec put_long w n =
+  if n < 0x80 then begin
+    Bytes.set w.b w.pos (Char.unsafe_chr n);
+    w.pos <- w.pos + 1
+  end
+  else begin
+    Bytes.set w.b w.pos (Char.unsafe_chr (n land 0x7f lor 0x80));
+    w.pos <- w.pos + 1;
+    put_long w (n lsr 7)
+  end
+
+let put w n =
+  if n < 0x80 && n >= 0 then begin
+    Bytes.set w.b w.pos (Char.unsafe_chr n);
+    w.pos <- w.pos + 1
+  end
+  else if n < 0 then invalid_arg "Index_serial: negative varint"
+  else put_long w n
+
+let put_string w s =
+  let len = String.length s in
+  put w len;
+  Bytes.blit_string s 0 w.b w.pos len;
+  w.pos <- w.pos + len
+
+let rec varint_bytes n = if n < 0x80 then 1 else 1 + varint_bytes (n lsr 7)
+
+let encode_compact t =
+  let data = Index_graph.data t in
+  let cls, order, _ = Index_graph.dense_classes t in
+  let n = Data_graph.n_nodes data and m = Data_graph.n_edges data in
+  let pool = Data_graph.pool data and nc = Array.length order in
+  let values = Data_graph.payloads data and codes = Data_graph.label_codes data in
+  let n_labels = Label.Pool.count pool and nv = Payloads.length values in
+  (* Room for the whole body: any node id, gap or degree is below [n],
+     a label code below [n_labels], a class below [nc]. *)
+  let id = varint_bytes n in
+  let strings = ref 0 in
+  let count s = strings := !strings + varint_bytes (String.length s) + String.length s in
+  Label.Pool.fold (fun _ name () -> count name) pool ();
+  Payloads.iter values (fun _ p -> count p);
+  let bound =
+    front_room + String.length compact_magic + 45 + !strings
+    + (n * (varint_bytes n_labels + varint_bytes nc))
+    + ((n + m + nv) * id) + (nc * 18)
+  in
+  let w = { b = Bytes.create bound; pos = front_room } in
+  Bytes.blit_string compact_magic 0 w.b w.pos (String.length compact_magic);
+  w.pos <- w.pos + String.length compact_magic;
+  List.iter (put w) [ n; m; nc; n_labels; nv ];
+  Label.Pool.fold (fun _ name () -> put_string w name) pool ();
+  for u = 0 to n - 1 do
+    put w (Int_vec.unsafe_get codes u)
+  done;
+  (* Serial's canonical order: each node's CSR run, read in place while
+     the graph is flat; with pending updates, the run with its overflow
+     additions merged in and its tombstones skipped, gathered into
+     [run] first because the degree goes in front.  A run is its
+     degree, its first id, then each gap to the next id less one. *)
+  (match Data_graph.overflow data with
+  | 0, 0 ->
+    let off, arr = Data_graph.csr_children data in
+    for u = 0 to n - 1 do
+      let lo = Int_vec.unsafe_get off u and hi = Int_vec.unsafe_get off (u + 1) in
+      put w (hi - lo);
+      let prev = ref (-1) in
+      for i = lo to hi - 1 do
+        let v = Int_vec.unsafe_get arr i in
+        put w (v - !prev - 1);
+        prev := v
+      done
+    done
+  | _ ->
+    let run = ref (Array.make 64 0) and len = ref 0 in
+    let push v =
+      if !len = Array.length !run then begin
+        let a = Array.make (2 * !len) 0 in
+        Array.blit !run 0 a 0 !len;
+        run := a
+      end;
+      Array.unsafe_set !run !len v;
+      incr len
+    in
+    for u = 0 to n - 1 do
+      len := 0;
+      Data_graph.iter_children_sorted data u push;
+      put w !len;
+      let prev = ref (-1) in
+      for i = 0 to !len - 1 do
+        let v = Array.unsafe_get !run i in
+        put w (v - !prev - 1);
+        prev := v
+      done
+    done);
+  let prev = ref (-1) in
+  Payloads.iter values (fun u p ->
+      put w (u - !prev - 1);
+      prev := u;
+      put_string w p);
+  Array.iter (put w) cls;
+  Array.iter
+    (fun id ->
+      let nd = Index_graph.node t id in
+      put w (enc_k nd.Index_graph.k);
+      put w (enc_k nd.Index_graph.req))
+    order;
+  { bytes = w.b; off = front_room; len = w.pos - front_room }
+
+(* A body [decode] found the magic at the start of. *)
+let of_compact s =
+  let fail fmt = Printf.ksprintf failwith ("Index_serial.of_compact: " ^^ fmt) in
+  let ml = String.length compact_magic in
+  let c = Cursor.make s ~pos:ml ~len:(String.length s - ml) in
+  try
+    let n = Cursor.varint c in
+    let m = Cursor.varint c in
+    let nc = Cursor.varint c in
+    let n_labels = Cursor.varint c in
+    let nv = Cursor.varint c in
+    (* Every node takes at least three bytes (label code, degree,
+       class), every edge one, every label one, every payload two and
+       every class two: declared counts that what is left cannot hold
+       are refused before anything is allocated for them. *)
+    List.iter
+      (fun (count, bytes) -> Cursor.check_count c count ~min_item_bytes:bytes)
+      [ (n, 3); (m, 1); (nc, 2); (n_labels, 1); (nv, 2) ];
+    Cursor.check_count c ((3 * n) + m + (2 * nc) + n_labels + (2 * nv)) ~min_item_bytes:1;
+    if n = 0 then fail "no nodes";
+    if nc = 0 then fail "no classes";
+    let pool = Label.Pool.create () in
+    for code = 0 to n_labels - 1 do
+      let name = Cursor.sub c (Cursor.varint c) in
+      if Label.to_int (Label.Pool.intern pool name) <> code then fail "label %S repeated" name
+    done;
+    let codes = Int_vec.create n in
+    for u = 0 to n - 1 do
+      let code = Cursor.varint c in
+      if code >= n_labels then fail "label code %d of node %d out of range" code u;
+      Int_vec.unsafe_set codes u code
+    done;
+    let off = Int_vec.create (n + 1) and arr = Int_vec.create m in
+    let k = ref 0 in
+    Int_vec.unsafe_set off 0 0;
+    for u = 0 to n - 1 do
+      let d = Cursor.varint c in
+      if d > m - !k then fail "node %d: more edges than declared" u;
+      let prev = ref (-1) in
+      for _ = 1 to d do
+        let gap = Cursor.varint c in
+        if gap >= n - !prev - 1 then fail "node %d: child out of range" u;
+        prev := !prev + gap + 1;
+        Int_vec.unsafe_set arr !k !prev;
+        incr k
+      done;
+      Int_vec.unsafe_set off (u + 1) !k
+    done;
+    if !k <> m then fail "declared %d edges, runs hold %d" m !k;
+    let vnodes = Array.make nv 0 and texts = Array.make nv "" in
+    let prev = ref (-1) in
+    for i = 0 to nv - 1 do
+      let gap = Cursor.varint c in
+      if gap >= n - !prev - 1 then fail "payload node out of range";
+      prev := !prev + gap + 1;
+      vnodes.(i) <- !prev;
+      texts.(i) <- Cursor.sub c (Cursor.varint c)
+    done;
+    let cls = Array.make n 0 in
+    for u = 0 to n - 1 do
+      let cl = Cursor.varint c in
+      if cl >= nc then fail "class %d of node %d out of range" cl u;
+      Array.unsafe_set cls u cl
+    done;
+    let ks = Array.make nc 0 and reqs = Array.make nc 0 in
+    for cl = 0 to nc - 1 do
+      ks.(cl) <- dec_k (Cursor.varint c);
+      reqs.(cl) <- dec_k (Cursor.varint c)
+    done;
+    Cursor.expect_end c "body";
+    let data =
+      Data_graph.of_children ~values:(Payloads.of_arrays vnodes texts) ~pool ~label_codes:codes
+        (off, arr)
+    in
+    Index_graph.of_partition data ~cls ~n_classes:nc
+      ~k_of_class:(fun cl -> ks.(cl))
+      ~req_of_class:(fun cl -> reqs.(cl))
+  with Cursor.Bad msg | Invalid_argument msg -> fail "%s" msg
+
+let decode s =
+  if String.starts_with ~prefix:compact_magic s then of_compact s else of_string s
+
 (* Write-to-temp + rename: a crash mid-save leaves the previous
    snapshot intact, never a torn file under the final name. *)
 let save path t =
@@ -181,7 +390,7 @@ let load path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+    (fun () -> decode (really_input_string ic (in_channel_length ic)))
 
 (* ------------------------------------------------------------------ *)
 (* Container persistence: the binary counterpart of the text format

@@ -49,13 +49,13 @@ let checkpoint_file ~dir ~seq = Filename.concat dir (cp_name seq)
 
 (* ------------------------------------------------------------------ *)
 (* The checkpoint file: a fixed-width header line with the CRC-32 and
-   length of the Index_serial document after it (checkpoint.mli). *)
+   length of the index body after it (checkpoint.mli). *)
 
 let magic = "dkindex-checkpoint 1 "
 let header_bytes = String.length magic + 8 + 1 + 12 + 1
 let header ~crc ~len = Printf.sprintf "%s%08x %012d\n" magic crc len
 
-(* Put the header in front of an encoded document, in its gap. *)
+(* Put the header in front of an encoded body, in its gap. *)
 let frame { Index_serial.bytes; off; len } =
   let h = header ~crc:(Crc32.update 0 bytes off len) ~len in
   let off = off - header_bytes in
@@ -225,7 +225,7 @@ let recover ?read_faults ~dir () =
       match
         let file = Faults.read_all read_faults (checkpoint_file ~dir ~seq) in
         match body ~generation:(dir, seq) file with
-        | Ok s -> Index_serial.of_string s
+        | Ok s -> Index_serial.decode s
         | Error reason -> failwith reason
       with
       | idx -> Some (Some idx, seq, skipped)
@@ -297,7 +297,7 @@ type t = {
      beyond the complete records of the generation it names. *)
   seq_a : int Atomic.t;
   mutable last_rotate : float;
-  (* background writer: (generation, encoded document) to frame and
+  (* background writer: (generation, encoded body) to frame and
      write; unbounded, so the loop never waits on checkpoint I/O *)
   jobs : (int * Index_serial.slice) Bqueue.t;
   writer : Thread.t option ref;
@@ -317,10 +317,10 @@ let note_wal_failure t msg =
   t.wal_error <- msg;
   Atomic.set t.read_only_flag true
 
-(* The snapshot text, timed for [stats]. *)
+(* The compact body, timed for [stats]. *)
 let encode t index =
   let t0 = Unix.gettimeofday () in
-  let s = Index_serial.encode index in
+  let s = Index_serial.encode_compact index in
   Atomic.set t.checkpoint_last_encode_us
     (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
   s

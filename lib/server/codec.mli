@@ -1,13 +1,15 @@
-(** The big-endian primitives that the wire protocol ({!Wire}) and the
-    write-ahead log ({!Wal}) are both written in.
+(** The big-endian writers that the wire protocol ({!Wire}) and the
+    write-ahead log ({!Wal}) are both written in, and the readers of
+    the shapes only they use.
 
-    Writers append to an {!Obuf}.  Readers take from a {!cursor}, a
-    bounded view of a slice of an immutable string, so a frame or a
-    record decodes in place.  Every read checks against the slice's
-    end, never the string's, and a declared count that the remaining
+    Writers append to an {!Obuf}.  Readers take from a
+    {!Dkindex_graph.Cursor.t}, the one bounded cursor of every binary
+    format: a frame or a record decodes in place, every read checks
+    against the slice's end, and a declared count that the remaining
     bytes could not hold is refused before anything is allocated.  A
-    reader that runs short or meets a malformed value raises {!Bad};
-    {!Wire} and {!Wal} catch it and return [Error] or truncate. *)
+    reader that runs short or meets a malformed value raises
+    {!Dkindex_graph.Cursor.Bad}; {!Wire} and {!Wal} catch it and return
+    [Error] or truncate. *)
 
 (** {1 Writers} *)
 
@@ -30,36 +32,8 @@ val add_pairs16 : Obuf.t -> (string * int) list -> unit
 
 (** {1 Readers} *)
 
-exception Bad of string
+val seq32 : Dkindex_graph.Cursor.t -> int
+(** Inverse of {!add_seq}. *)
 
-type cursor
-
-val cursor : string -> pos:int -> len:int -> cursor
-(** A reader over bytes [pos, pos + len) of the string. *)
-
-val u32_at : string -> int -> int
-(** The u32 at an offset the caller has bounds-checked: a frame's or a
-    record's length prefix. *)
-
-val u8 : cursor -> int
-val u16 : cursor -> int
-val u32 : cursor -> int
-val u48 : cursor -> int
-val seq32 : cursor -> int
-val str16 : cursor -> string
-val str32 : cursor -> string
-
-val list16 : cursor -> min_item_bytes:int -> (cursor -> 'a) -> 'a list
-(** Inverse of {!add_list16}; [min_item_bytes] is the fewest bytes an
-    item can take, for the count guard. *)
-
-val pairs16 : cursor -> (string * int) list
-
-val check_count : cursor -> int -> min_item_bytes:int -> unit
-(** The count guard, for arrays with a u32 count. *)
-
-val expect_end : cursor -> string -> unit
-(** Raise {!Bad} unless the whole slice was read. *)
-
-val skip_rest : cursor -> unit
-(** Consume the rest of the slice (fields a newer peer appended). *)
+val pairs16 : Dkindex_graph.Cursor.t -> (string * int) list
+(** Inverse of {!add_pairs16}. *)

@@ -115,7 +115,7 @@ let read faults fd b off len =
       t.rbytes <- t.rbytes + n;
       n)
 
-let read_all faults path =
+let read_all ?(on_chunk = ignore) faults path =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
@@ -127,6 +127,7 @@ let read_all faults path =
         | 0 -> Buffer.contents buf
         | n ->
           Buffer.add_subbytes buf chunk 0 n;
+          on_chunk n;
           go ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
       in

@@ -67,10 +67,13 @@ val read : t option -> Unix.file_descr -> bytes -> int -> int -> int
 (** [read faults fd b off len] has [Unix.read] semantics, filtered
     through the fault spec.  [None] is a plain [Unix.read]. *)
 
-val read_all : t option -> string -> string
+val read_all : ?on_chunk:(int -> unit) -> t option -> string -> string
 (** Read a whole file through {!read} (EINTR is retried, short reads
     are looped) — the faultable replacement for
-    [In_channel.with_open_bin .. input_all]. *)
+    [In_channel.with_open_bin .. input_all], and the one whole-file
+    read of recovery, bootstrap and the scrubber.  [on_chunk n] runs
+    after each read that returned [n > 0] bytes, at most 64 KiB: the
+    scrubber's rate limit. *)
 
 val fsync : t option -> Unix.file_descr -> unit
 (** [Unix.fsync], except a tripped [Enospc_after_bytes] raises. *)

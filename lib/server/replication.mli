@@ -17,7 +17,8 @@
     primary lineage (tracked as the [synced_epoch]); a replica whose
     position belongs to another lineage — or that asks for a
     generation the primary has pruned — is bootstrapped with a full
-    {!Index_serial} snapshot. *)
+    snapshot: the primary's newest checkpoint file, its compact index
+    body behind the CRC line. *)
 
 (** {1 Epoch persistence} *)
 

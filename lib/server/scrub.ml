@@ -1,3 +1,5 @@
+module Cursor = Dkindex_graph.Cursor
+
 type corrupt = {
   file : string;
   what : [ `Checkpoint of int | `Wal of int ];
@@ -14,7 +16,7 @@ type throttle = { cap : int; t0 : float; mutable bytes : int }
 let throttle cap = { cap; t0 = Unix.gettimeofday (); bytes = 0 }
 
 (* Keep the cumulative rate under [cap] by sleeping after each chunk:
-   instantaneous bursts are one chunk (256 KiB) long at most. *)
+   instantaneous bursts are one chunk (64 KiB) long at most. *)
 let pay th n =
   th.bytes <- th.bytes + n;
   if th.cap > 0 then begin
@@ -22,24 +24,6 @@ let pay th n =
     let elapsed = Unix.gettimeofday () -. th.t0 in
     if elapsed < min_elapsed then Unix.sleepf (min_elapsed -. elapsed)
   end
-
-let read_file th path =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let buf = Buffer.create 65536 in
-      let chunk = Bytes.create (256 * 1024) in
-      let rec go () =
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> Buffer.contents buf
-        | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          pay th n;
-          go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      in
-      go ())
 
 (* ------------------------------------------------------------------ *)
 (* Per-kind verification                                              *)
@@ -55,7 +39,7 @@ let verify_wal s =
     let torn = r.Wal.torn_bytes in
     if torn < 8 then None
     else
-      let len = Codec.u32_at s off in
+      let len = Cursor.u32_at s off in
       if 8 + len > torn then None
       else
         Some
@@ -68,8 +52,9 @@ let verify_wal s =
 
 let quarantine_dir dir = Filename.concat dir "quarantine"
 
-let scan ?(max_bytes_per_s = 0) ~dir () =
+let scan ?faults ?(max_bytes_per_s = 0) ~dir () =
   let th = throttle max_bytes_per_s in
+  let read_file path = Faults.read_all ~on_chunk:(pay th) faults path in
   let scanned = ref 0 and corrupt = ref [] in
   let note file what reason = corrupt := { file; what; reason } :: !corrupt in
   let names =
@@ -86,7 +71,7 @@ let scan ?(max_bytes_per_s = 0) ~dir () =
         match Checkpoint.seq_of name ~prefix:"checkpoint-" ~suffix:".index" with
         | Some seq -> (
           incr scanned;
-          match read_file th path with
+          match read_file path with
           | s -> (
             match Checkpoint.body ~generation:(dir, seq) s with
             | Error reason -> note name (`Checkpoint seq) reason
@@ -96,7 +81,7 @@ let scan ?(max_bytes_per_s = 0) ~dir () =
           match Checkpoint.seq_of name ~prefix:"wal-" ~suffix:".log" with
           | Some seq -> (
             incr scanned;
-            match read_file th path with
+            match read_file path with
             | s -> (
               match verify_wal s with
               | Some reason -> note name (`Wal seq) reason

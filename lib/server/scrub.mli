@@ -36,8 +36,10 @@ type report = {
   corrupt : corrupt list;  (** in directory-listing order *)
 }
 
-val scan : ?max_bytes_per_s:int -> dir:string -> unit -> report
-(** One pass over [dir].  [max_bytes_per_s] (default unlimited)
+val scan : ?faults:Faults.t -> ?max_bytes_per_s:int -> dir:string -> unit -> report
+(** One pass over [dir].  Every file is read through
+    {!Faults.read_all} with [faults] (the server's read faults), like
+    recovery's reads.  [max_bytes_per_s] (default unlimited)
     bounds the read rate — the scrubber shares a disk with the WAL.
     Files in [quarantine/], [.tmp] leftovers, and unrecognized names
     are skipped.  Never raises on file content; I/O errors on a file

@@ -184,6 +184,7 @@ type state = {
   repl_drop_nth : int;
       (* test hook: silently skip the nth fresh replicated record
          (divergence injection); 0 = never *)
+  read_faults : Faults.t option;  (* test hook: filters the scrubber's reads *)
   scrub_passes : int Atomic.t;
   scrub_corruptions : int Atomic.t;
   replica_divergences : int Atomic.t;  (* each one healed by one resync *)
@@ -410,10 +411,10 @@ let stale_read state req =
 (* ------------------------------------------------------------------ *)
 (* Writes: applied in FIFO order to the serving index, on the loop. *)
 
-(* The [--snapshot] file, durable before it is acknowledged: temp
-   file, fsync, rename, fsync of the directory. *)
+(* The [--snapshot] file, the compact body, durable before it is
+   acknowledged: temp file, fsync, rename, fsync of the directory. *)
 let save_snapshot path idx =
-  let { Index_serial.bytes; off; len } = Index_serial.encode idx in
+  let { Index_serial.bytes; off; len } = Index_serial.encode_compact idx in
   Checkpoint.write_atomic (Filename.dirname path) (Filename.basename path) bytes off len
 
 let not_primary_reply state : Wire.response =
@@ -552,7 +553,7 @@ let apply_repl state (ev : Replication.event) =
       (* Check and decode once into the serving index, then keep the
          checked file itself as the next checkpoint. *)
       let t0 = Unix.gettimeofday () in
-      match Result.map Index_serial.of_string (Checkpoint.body checkpoint) with
+      match Result.map Index_serial.decode (Checkpoint.body checkpoint) with
       | Ok idx' ->
         set_index state idx';
         state.gen <- state.gen + 1;
@@ -658,7 +659,9 @@ let on_loop state f =
 
 let scrub_pass state d =
   let dir = Checkpoint.dir d in
-  let report = Scrub.scan ~max_bytes_per_s:state.cfg.scrub_max_bytes_per_s ~dir () in
+  let report =
+    Scrub.scan ?faults:state.read_faults ~max_bytes_per_s:state.cfg.scrub_max_bytes_per_s ~dir ()
+  in
   Atomic.incr state.scrub_passes;
   if report.Scrub.corrupt <> [] then begin
     ignore (Atomic.fetch_and_add state.scrub_corruptions (List.length report.Scrub.corrupt));
@@ -823,7 +826,8 @@ let dispatch state conn ~id (req : Wire.request) =
   end
 
 let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?replica_of
-    ?hub_faults ?hub_heartbeat_s ?(repl_drop_nth = 0) ?(launch = launch ()) cfg index =
+    ?hub_faults ?hub_heartbeat_s ?(repl_drop_nth = 0) ?read_faults ?(launch = launch ()) cfg
+    index =
   stage launch Prepare (fun () -> Index_graph.prepare_serving index);
   let epoch0 =
     match durability with
@@ -878,6 +882,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
         | _ -> (-1, 0));
       repl_records_seen = 0;
       repl_drop_nth;
+      read_faults;
       scrub_passes = Atomic.make 0;
       scrub_corruptions = Atomic.make 0;
       replica_divergences = Atomic.make 0;
@@ -977,7 +982,7 @@ let run ?(on_ready = fun (_ : int) -> ()) ?(handle_signals = true) ?durability ?
     let rec go off =
       if conn.closed || conn.detached || conn.rlen - off < 4 then off
       else begin
-        let len = Codec.u32_at (Bytes.unsafe_to_string conn.rbuf) off in
+        let len = Cursor.u32_at (Bytes.unsafe_to_string conn.rbuf) off in
         if len > cfg.max_frame then begin
           buffer_response conn ~id:0
             (Wire.Error_reply

@@ -77,7 +77,9 @@ type config = {
   deadline_s : float;  (** how long a write may wait in the job list; <= 0 disables *)
   idle_timeout_s : float;  (** idle-connection close; <= 0 disables *)
   max_frame : int;
-  snapshot_path : string option;  (** for {!Wire.Snapshot} and the final drain *)
+  snapshot_path : string option;
+      (** for {!Wire.Snapshot} and the final drain: the compact index
+          body, which {!Dkindex_core.Index_serial.load} reads *)
   max_conns : int;
       (** admission control: once this many connections are live, new
           accepts are answered with one {!Wire.Overloaded} frame and
@@ -150,6 +152,7 @@ val run :
   ?hub_faults:(int -> Faults.t option) ->
   ?hub_heartbeat_s:float ->
   ?repl_drop_nth:int ->
+  ?read_faults:Faults.t ->
   ?launch:launch ->
   config ->
   Index_graph.t ->
@@ -170,7 +173,10 @@ val run :
     overrides the replication heartbeat interval.  [repl_drop_nth]
     (tests only) makes a replica silently skip the nth fresh record of
     its replication stream — divergence the stream itself cannot see,
-    which is exactly what anti-entropy exists to catch.  [launch]
+    which is exactly what anti-entropy exists to catch.
+    [read_faults] (tests) filters the scrubber's file reads through
+    {!Faults.read_all}, so an injected read fault reaches a scrub pass
+    as a disk fault would.  [launch]
     carries the stage times of the work done before [run] (default: a
     clock started by [run]).  Returns [Error _]
     if the final snapshot or checkpoint could not be written —

@@ -1,3 +1,5 @@
+module Cursor = Dkindex_graph.Cursor
+
 type mutation =
   | Add_edge of { u : int; v : int }
   | Remove_edge of { u : int; v : int }
@@ -51,19 +53,19 @@ let encode_body buf = function
 let decode_body kind c =
   match kind with
   | 0x01 ->
-    let u = Codec.u32 c in
-    let v = Codec.u32 c in
+    let u = Cursor.u32 c in
+    let v = Cursor.u32 c in
     Add_edge { u; v }
   | 0x02 ->
-    let u = Codec.u32 c in
-    let v = Codec.u32 c in
+    let u = Cursor.u32 c in
+    let v = Cursor.u32 c in
     Remove_edge { u; v }
   | 0x03 ->
-    let graph = Codec.str32 c in
+    let graph = Cursor.str32 c in
     Add_subgraph { graph; reqs = Codec.pairs16 c }
   | 0x04 -> Promote (Codec.pairs16 c)
   | 0x05 -> Demote (Codec.pairs16 c)
-  | k -> raise (Codec.Bad (Printf.sprintf "unknown mutation kind 0x%02x" k))
+  | k -> raise (Cursor.Bad (Printf.sprintf "unknown mutation kind 0x%02x" k))
 
 (* Reserve the length and CRC slots, write the payload, patch both. *)
 let encode_mutation buf m =
@@ -131,21 +133,21 @@ let record_at s pos =
   let len = String.length s in
   if pos + 8 > len then None
   else
-    let plen = Codec.u32_at s pos in
+    let plen = Cursor.u32_at s pos in
     if
       plen = 0 || plen > max_payload
       || pos + 8 + plen > len
-      || Dkindex_graph.Crc32.string s (pos + 8) plen <> Codec.u32_at s (pos + 4)
+      || Dkindex_graph.Crc32.string s (pos + 8) plen <> Cursor.u32_at s (pos + 4)
     then None
     else
-      let c = Codec.cursor s ~pos:(pos + 8) ~len:plen in
+      let c = Cursor.make s ~pos:(pos + 8) ~len:plen in
       match
-        let m = decode_body (Codec.u8 c) c in
-        Codec.expect_end c "record";
+        let m = decode_body (Cursor.u8 c) c in
+        Cursor.expect_end c "record";
         m
       with
       | m -> Some (m, pos + 8 + plen)
-      | exception Codec.Bad _ -> None
+      | exception Cursor.Bad _ -> None
 
 let replay_string s =
   let rec go pos muts ends =

@@ -43,9 +43,9 @@ val encode_body : Obuf.t -> mutation -> unit
 (** The bytes after the kind byte (0x01 [Add_edge] … 0x05 [Demote]):
     also the body of the {!Wire} request that carries the mutation. *)
 
-val decode_body : int -> Codec.cursor -> mutation
+val decode_body : int -> Dkindex_graph.Cursor.t -> mutation
 (** [decode_body kind c] reads the body of a [kind] mutation.
-    @raise Codec.Bad on an unknown kind or malformed bytes. *)
+    @raise Dkindex_graph.Cursor.Bad on an unknown kind or malformed bytes. *)
 
 (** {1 Writer} *)
 

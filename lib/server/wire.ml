@@ -1,6 +1,6 @@
 open Dkindex_pathexpr
 
-let version = 3
+let version = 4
 let max_frame_default = 16 * 1024 * 1024
 let max_replication_frame = 1024 * 1024 * 1024
 
@@ -68,6 +68,7 @@ let add_u16 = Obuf.add_u16
 let add_u32 = Obuf.add_u32
 
 open Codec
+open Dkindex_graph.Cursor
 
 let flags_byte { no_cache } = if no_cache then 1 else 0
 let flags_of_byte b = { no_cache = b land 1 <> 0 }
@@ -228,7 +229,7 @@ let check_version v kind =
     raise (Bad (Printf.sprintf "unsupported version %d for kind 0x%02x" v kind))
 
 let decode_request_at big ~pos ~len =
-  let c = cursor big ~pos ~len in
+  let c = make big ~pos ~len in
   match
     let v, kind, id = decode_header c in
     if kind <> 0x0d then check_version v kind;
@@ -401,7 +402,7 @@ let encode_response buf ~id resp =
         add_str16 buf message)
 
 let decode_response_at big ~pos ~len =
-  let c = cursor big ~pos ~len in
+  let c = make big ~pos ~len in
   match
     let v, kind, id = decode_header c in
     if kind <> 0x89 then check_version v kind;

@@ -2,7 +2,7 @@
 
     {v
     frame   := u32_be payload_length, payload
-    payload := u8 version (= 3), u8 kind, u32_be request id, body
+    payload := u8 version (= 4), u8 kind, u32_be request id, body
     v}
 
     The payload length is bounded ({!max_frame_default}, configurable
@@ -37,7 +37,7 @@ val max_frame_default : int
 val max_replication_frame : int
 (** 1 GiB: the bound on the frames a replica reads from its primary's
     replication stream.  One {!Rep_snapshot} carries a whole checkpoint
-    file, which passes 16 MiB at about XMark scale 6,900. *)
+    file, which passes 16 MiB at about XMark scale 20,000. *)
 
 (** {1 Messages} *)
 
@@ -141,8 +141,8 @@ type response =
           semantics. *)
   | Rep_snapshot of { epoch : int; seq : int; checkpoint : string }
       (** Snapshot bootstrap: the bytes of a checkpoint file, its CRC
-          header line and the full {!Dkindex_index.Index_serial}
-          document (see {!Checkpoint.body}); the stream continues from
+          header line and the index body, compact since version 4
+          (see {!Checkpoint.body}); the stream continues from
           generation [seq], offset 0. *)
   | Rep_heartbeat of { epoch : int; seq : int; offset : int }
       (** Primary liveness + current WAL position (lag measurement,

@@ -191,6 +191,28 @@ let test_scrub_pass () =
   Alcotest.(check int) "quarantining a missing file is a no-op" 0
     (List.length (Scrub.quarantine ~dir [ "checkpoint-000009999.index" ]))
 
+(* The scrubber reads through Faults.read_all: a bit flipped on the
+   way in is reported against the file it was read from, though the
+   file itself is intact, and interrupted or short reads are absorbed. *)
+let test_scrub_read_faults () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir)
+  @@ fun () ->
+  populate_data_dir ~dir;
+  let scan spec = Scrub.scan ~faults:(Faults.create spec) ~dir () in
+  (* the first file in name order is the oldest checkpoint; byte 100
+     is past its 43-byte header line *)
+  let first = List.hd (Checkpoint.checkpoint_seqs dir) in
+  let flipped = scan (Faults.Flip_bit_after_bytes 100) in
+  Alcotest.(check bool) "the read flip is reported against its file" true
+    (List.map (fun c -> c.Scrub.what) flipped.Scrub.corrupt = [ `Checkpoint first ]);
+  List.iter
+    (fun spec ->
+      Alcotest.(check int) "absorbed" 0 (List.length (scan spec).Scrub.corrupt))
+    [ Faults.Eintr_reads 3; Faults.Short_read 7 ];
+  Alcotest.(check int) "the files themselves are intact" 0
+    (List.length (Scrub.scan ~dir ()).Scrub.corrupt)
+
 (* ----------------------------------------------------------------- *)
 (* Forked servers (the test_chaos pattern, plus integrity knobs) *)
 
@@ -210,8 +232,8 @@ let read_port_line fd =
   int_of_string (go ())
 
 let fork_server ?(sync = Wal.Always) ?(checkpoint_records = 1000) ?replica_of
-    ?(empty = false) ?hub_heartbeat_s ?(repl_drop_nth = 0) ?(config_f = fun c -> c) ~dir ()
-    =
+    ?(empty = false) ?hub_heartbeat_s ?(repl_drop_nth = 0) ?read_faults
+    ?(config_f = fun c -> c) ~dir () =
   let r, w = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
@@ -225,7 +247,7 @@ let fork_server ?(sync = Wal.Always) ?(checkpoint_records = 1000) ?replica_of
         let d = Checkpoint.start ~replica:(Option.is_some replica_of) ~recovery cfg index in
         match
           Server.run ~handle_signals:false ~durability:d ?replica_of ?hub_heartbeat_s
-            ~repl_drop_nth
+            ~repl_drop_nth ?read_faults
             ~on_ready:(fun port ->
               let line = string_of_int port ^ "\n" in
               ignore (Unix.write_substring w line 0 (String.length line));
@@ -542,6 +564,32 @@ let test_scrub_finds_bitrot_e2e () =
   Client.close cp;
   Client.close cr
 
+(* A server's scrub passes read through the read faults it was given:
+   a bit flipped on the way in is counted as a corruption found. *)
+let test_server_scrub_read_fault () =
+  let dir = temp_dir () in
+  let pids = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter kill_quiet !pids;
+      rm_rf dir)
+  @@ fun () ->
+  let pid, port =
+    fork_server ~dir
+      ~read_faults:(Faults.create (Faults.Flip_bit_after_bytes 100))
+      ~config_f:(fun c -> { c with Server.scrub_interval_s = 0.2 })
+      ()
+  in
+  pids := [ pid ];
+  let c = Client.connect ~port ~timeout_s:10.0 () in
+  let kvs =
+    wait_for ~what:"a scrub pass reports the read fault" c (fun kvs ->
+        istat kvs "scrub_corruptions_found" >= 1)
+  in
+  Alcotest.(check int) "one corruption, from the one flip" 1
+    (istat kvs "scrub_corruptions_found");
+  Client.close c
+
 (* ----------------------------------------------------------------- *)
 
 let () =
@@ -555,6 +603,9 @@ let () =
         [
           Alcotest.test_case "flips found, torn tails tolerated, quarantine" `Quick
             test_scrub_pass;
+          Alcotest.test_case "read faults reach the scrubber" `Quick test_scrub_read_faults;
+          Alcotest.test_case "a served scrub pass reports an injected read fault" `Quick
+            test_server_scrub_read_fault;
         ] );
       ( "wire",
         [

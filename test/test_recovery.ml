@@ -374,7 +374,7 @@ let test_crash_during_checkpoint () =
     (* The initial checkpoint file is the fixed-width header line and
        the snapshot; the crash must land inside the *second* file. *)
     let header_bytes = String.length (Printf.sprintf "dkindex-checkpoint 1 %08x %012d\n" 0 0) in
-    let cp_bytes = String.length (Index_serial.to_string idx) in
+    let cp_bytes = (Index_serial.encode_compact idx).Index_serial.len in
     let faults = Faults.create (Faults.Crash_after_bytes (header_bytes + cp_bytes + 7)) in
     let cfg = { (Checkpoint.default_config ~dir) with checkpoint_records = 1000 } in
     let d = Checkpoint.start ~checkpoint_faults:faults cfg idx in
@@ -485,11 +485,11 @@ let test_corrupt_checkpoint_fallback () =
     (r3.Checkpoint.index = None);
   Alcotest.(check int) "both skipped" 2 r3.Checkpoint.fallback_checkpoints
 
-(* A corrupted newest checkpoint that still parses, and no sidecar in
-   the directory: one digit of the partition changed so that the
-   document decodes to an index answering differently.  Only the
-   checkpoint's own CRC can catch it; recovery must refuse it, fall
-   back one generation and replay to the oracle's state. *)
+(* A corrupted newest checkpoint that still decodes, and no sidecar in
+   the directory: one byte of the partition changed so that the body
+   decodes to an index answering differently.  Only the checkpoint's
+   own CRC can catch it; recovery must refuse it, fall back one
+   generation and replay to the oracle's state. *)
 let test_parseable_flip_falls_back () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -524,30 +524,28 @@ let test_parseable_flip_falls_back () =
     in
     go from
   in
-  let doc = find "dkindex-index" 0 in
-  let answers f = eval_all (Index_serial.of_string (String.sub f doc (String.length f - doc))) in
-  (* The first single-digit change in the class lines that still
-     decodes and changes an answer or its cost. *)
+  let doc = find Index_serial.compact_magic 0 in
+  let answers f = eval_all (Index_serial.decode (String.sub f doc (String.length f - doc))) in
+  (* The first one-byte change from the end of the body backwards (the
+     class ids, then the per-class k and req) that still decodes and
+     changes an answer or its cost. *)
   let rec flip i =
-    if i >= String.length file then Alcotest.fail "no parseable flip changes an answer"
+    if i <= doc then Alcotest.fail "no decodable flip changes an answer"
     else
-      let c = file.[i] in
       let tried =
-        if c < '0' || c > '9' then None
-        else
-          List.find_map
-            (fun d ->
-              let b = Bytes.of_string file in
-              Bytes.set b i d;
-              let f = Bytes.to_string b in
-              match answers f with
-              | got when got <> want -> Some f
-              | _ | (exception _) -> None)
-            (List.filter (( <> ) c) [ '0'; '1'; '2'; '3'; '4'; '5'; '6'; '7'; '8'; '9' ])
+        List.find_map
+          (fun x ->
+            let b = Bytes.of_string file in
+            Bytes.set b i (Char.chr (Char.code file.[i] lxor x));
+            let f = Bytes.to_string b in
+            match answers f with
+            | got when got <> want -> Some f
+            | _ | (exception _) -> None)
+          [ 1; 2; 4; 8 ]
       in
-      match tried with Some f -> f | None -> flip (i + 1)
+      match tried with Some f -> f | None -> flip (i - 1)
   in
-  let flipped = flip (find "\ncls\n" doc + 5) in
+  let flipped = flip (String.length file - 1) in
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc flipped);
   Sys.readdir dir
   |> Array.iter (fun n -> if Filename.check_suffix n ".crc" then Sys.remove (Filename.concat dir n));

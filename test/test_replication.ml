@@ -568,9 +568,23 @@ let test_bootstrap_checks_and_keeps_file () =
   shutdown cp ppid;
   pids := []
 
-(* One Rep_snapshot frame carries the whole checkpoint, which at XMark
-   scale 7500 is larger than the 16 MiB bound on requests: the replica
-   must still install it and agree with its primary's digest. *)
+(* An index whose checkpoint passes 16 MiB on its payloads: 300 items
+   of 60 KiB each under one element.  Compact checkpoints are about a
+   third of the text's bytes, so an XMark index would need scale 20,000
+   or so to get there. *)
+let payload_heavy () =
+  let b = Dkindex_graph.Builder.create () in
+  let doc = Dkindex_graph.Builder.add_child b ~parent:(Dkindex_graph.Builder.root b) "doc" in
+  for i = 0 to 299 do
+    let item = Dkindex_graph.Builder.add_child b ~parent:doc "item" in
+    let text = String.make (60 * 1024) (Char.chr (97 + (i mod 26))) in
+    ignore (Dkindex_graph.Builder.add_value ~text b ~parent:item)
+  done;
+  Dk_index.build (Dkindex_graph.Builder.build b) ~reqs:[ ("item", 1) ]
+
+(* One Rep_snapshot frame carries the whole checkpoint, here larger
+   than the 16 MiB bound on requests: the replica must still install
+   it and agree with its primary's digest. *)
 let test_bootstrap_large_checkpoint () =
   let dir_p = temp_dir () and dir_r = temp_dir () in
   let pids = ref [] in
@@ -579,8 +593,7 @@ let test_bootstrap_large_checkpoint () =
       rm_rf dir_p;
       rm_rf dir_r)
   @@ fun () ->
-  let base () = Dkindex_server.Dataset.index ~seed:1 ~scale:7500 in
-  let ppid, pport = fork_server ~dir:dir_p ~base ~hub_heartbeat_s:0.05 () in
+  let ppid, pport = fork_server ~dir:dir_p ~base:payload_heavy ~hub_heartbeat_s:0.05 () in
   pids := [ ppid ];
   let newest_size dir =
     let seq = List.fold_left max 0 (Checkpoint.checkpoint_seqs dir) in
