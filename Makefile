@@ -55,15 +55,15 @@ examples:
 	dune exec examples/branching_queries.exe
 	dune exec examples/self_tuning.exe
 
-# Source line totals (.ml, .mli, both) per tree, _build excluded: the
-# one number subtraction changes quote before and after.
+# Source line totals (.ml, .mli, both) per tree, _build excluded, then
+# lib+bin: the one number subtraction changes quote before and after.
 LOC_TREES = lib bin bench test
 loc:
 	@printf '%-8s %7s %7s %7s\n' tree .ml .mli total
-	@for d in $(LOC_TREES); do \
+	@for d in $(LOC_TREES) "lib bin"; do \
 	  ml=$$(find $$d -name _build -prune -o -name '*.ml' -exec cat {} + | wc -l); \
 	  mli=$$(find $$d -name _build -prune -o -name '*.mli' -exec cat {} + | wc -l); \
-	  printf '%-8s %7d %7d %7d\n' $$d $$ml $$mli $$((ml + mli)); \
+	  printf '%-8s %7d %7d %7d\n' "$$(echo $$d | tr ' ' +)" $$ml $$mli $$((ml + mli)); \
 	done
 
 clean:

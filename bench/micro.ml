@@ -48,7 +48,6 @@ let tests () =
   in
   let pl = Planner.create g in
   Planner.register pl ~name:"dk" dk;
-  Planner.observe_workload pl queries;
   let doc = Index_serial.to_string dk in
   let query_expr =
     Dkindex_pathexpr.Path_ast.seq_of_labels

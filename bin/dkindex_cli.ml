@@ -15,6 +15,7 @@ open Dkindex_baselines
 module Xml_sax = Dkindex_xml.Xml_sax
 module Xml_to_graph = Dkindex_xml.Xml_to_graph
 module Xml_writer = Dkindex_xml.Xml_writer
+module Stats_catalog = Dkindex_planner.Stats_catalog
 
 (* ------------------------------------------------------------------ *)
 (* Shared argument handling                                            *)
@@ -187,7 +188,7 @@ let build g kind k workload_size seed save out_of_core max_heap_mb =
     else Index_serial.save path idx;
     Printf.printf "saved to %s\n" path
   | None -> ());
-  Format.printf "%a@?" Index_stats.pp (Index_stats.compute idx);
+  Format.printf "%a@?" Stats_catalog.pp (Stats_catalog.create idx);
   let heap_bytes = Gc.((quick_stat ()).top_heap_words) * (Sys.word_size / 8) in
   Printf.printf "peak OCaml heap: %.1f MiB\n" (float_of_int heap_bytes /. 1048576.0);
   match max_heap_mb with
@@ -268,12 +269,13 @@ let planned_query idx name expr_str plan_sel explain show check =
     failwith "--plan covers path expressions; tree patterns pick their index with --index";
   let expr = Dkindex_pathexpr.Path_parser.parse expr_str in
   let pl = Planner.create (Index_graph.data idx) in
-  Planner.register pl ~name ~cache:(Validation_cache.create idx) idx;
+  Planner.register pl ~name idx;
+  let cache = Validation_cache.create idx in
   if explain then List.iter print_endline (Planner.explain pl expr);
   let plans = Planner.plans pl expr in
   let plan, result =
     match plan_sel with
-    | "auto" -> Planner.eval_planned pl expr
+    | "auto" -> Planner.eval_planned ~cache pl expr
     | sel -> (
       let wanted (p : Plan.t) =
         match p.Plan.access with
@@ -281,7 +283,7 @@ let planned_query idx name expr_str plan_sel explain show check =
         | Plan.Raw -> String.equal sel "raw"
       in
       match List.find_opt wanted plans with
-      | Some p -> (p, Planner.execute pl p expr)
+      | Some p -> (p, Planner.execute ~cache pl p expr)
       | None -> failwith (Printf.sprintf "no plan for --plan %s (auto | %s | raw)" sel name))
   in
   Printf.printf "plan: %s\n" (Plan.describe plan);
@@ -292,7 +294,7 @@ let planned_query idx name expr_str plan_sel explain show check =
        against direct evaluation). *)
     let mismatches =
       List.filter
-        (fun p -> (Planner.execute pl p expr).Query_eval.nodes <> result.Query_eval.nodes)
+        (fun p -> (Planner.execute ~cache pl p expr).Query_eval.nodes <> result.Query_eval.nodes)
         plans
     in
     if mismatches <> [] then begin

@@ -12,7 +12,10 @@
    Dk_update), and a second query phase — requiring every server
    response to be bit-for-bit identical to the in-process
    Query_eval.eval_batch answer, validation costs included (queries go
-   out with no_cache so cache warm-up cannot perturb costs). *)
+   out with no_cache so cache warm-up cannot perturb costs).  Each
+   path is also sent as an uncached planned read, checked the same way
+   against an in-process planner, and as a cached one, whose nodes must
+   match (a warm cache moves its visit counts). *)
 
 open Cmdliner
 open Dkindex_graph
@@ -22,6 +25,8 @@ module Wire = Dkindex_server.Wire
 module Dataset = Dkindex_server.Dataset
 module Chaos = Dkindex_server.Chaos
 module History = Dkindex_server.History
+module Path_ast = Dkindex_pathexpr.Path_ast
+module Planner = Dkindex_planner.Planner
 
 let host_arg =
   Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc:"Server address")
@@ -267,7 +272,7 @@ let print_stats_summary kvs =
 (* Check mode *)
 
 let expect_result what = function
-  | Wire.Result r -> r
+  | Wire.Result r | Wire.Planned_result { result = r; _ } -> r
   | Wire.Error_reply { message; _ } -> failwith (what ^ ": server error: " ^ message)
   | Wire.Overloaded -> failwith (what ^ ": shed under a check workload")
   | _ -> failwith (what ^ ": unexpected response kind")
@@ -290,29 +295,49 @@ let intern_queries (ds : Dataset.t) =
     (fun labels -> Array.of_list (List.map (Label.Pool.intern pool) labels))
     ds.queries
 
+(* Request [i] of a query phase: path [i mod nq], as a path read, then
+   as an uncached and as a cached planned read. *)
+let phase_request queries i =
+  let nq = Array.length queries in
+  let labels = queries.(i mod nq) in
+  match i / nq with
+  | 0 -> query_of_labels labels
+  | kind ->
+    Wire.Query_planned { flags = { no_cache = kind = 1 }; expr = Path_ast.seq_of_labels labels }
+
 let query_phase ~host ~port ~conns ~phase ~pipeline (ds : Dataset.t) =
   let queries = Array.of_list ds.queries in
   let nq = Array.length queries in
-  let got = Array.make nq None in
+  let got = Array.make (3 * nq) None in
+  let what i =
+    Printf.sprintf "%s %s %d" phase [| "query"; "planned"; "cached planned" |].(i / nq) (i mod nq)
+  in
   (if pipeline > 1 then
-     fan_out_pipelined ~host ~port ~conns ~depth:pipeline ~count:nq
-       ~mk:(fun i -> query_of_labels queries.(i))
-       ~on_reply:(fun i msg ->
-         got.(i) <- Some (expect_result (Printf.sprintf "%s query %d" phase i) msg))
+     fan_out_pipelined ~host ~port ~conns ~depth:pipeline ~count:(3 * nq)
+       ~mk:(phase_request queries)
+       ~on_reply:(fun i msg -> got.(i) <- Some (expect_result (what i) msg))
    else
-     fan_out ~host ~port ~conns ~count:nq (fun c i ->
-         let r = Client.call c (query_of_labels queries.(i)) in
-         got.(i) <- Some (expect_result (Printf.sprintf "%s query %d" phase i) r)));
+     fan_out ~host ~port ~conns ~count:(3 * nq) (fun c i ->
+         got.(i) <- Some (expect_result (what i) (Client.call c (phase_request queries i)))));
   let want =
     Query_eval.eval_batch ~strategy:`Forward ~cache:false ds.index
       (intern_queries ds)
   in
+  let planner = Planner.create (Index_graph.data ds.index) in
+  Planner.register planner ~name:"index" ds.index;
   Array.iteri
-    (fun i w ->
-      match got.(i) with
-      | None -> failwith (Printf.sprintf "%s query %d: no response" phase i)
-      | Some g -> compare_result ~what:(Printf.sprintf "%s query %d" phase i) g w)
-    want;
+    (fun i reply ->
+      let r = match reply with Some r -> r | None -> failwith (what i ^ ": no response") in
+      let planned () =
+        snd (Planner.eval_planned planner (Path_ast.seq_of_labels queries.(i mod nq)))
+      in
+      match i / nq with
+      | 0 -> compare_result ~what:(what i) r want.(i)
+      | 1 -> compare_result ~what:(what i) r (planned ())
+      | _ ->
+        if Array.to_list r.nodes <> (planned ()).nodes then
+          failwith (what i ^ ": nodes differ from the uncached answer"))
+    got;
   nq
 
 let check_edges ~updates (ds : Dataset.t) =
@@ -321,7 +346,8 @@ let check_edges ~updates (ds : Dataset.t) =
 
 let check ~host ~port ~conns ~updates ~pipeline (ds : Dataset.t) =
   let n1 = query_phase ~host ~port ~conns ~phase:"phase-1" ~pipeline ds in
-  Printf.printf "phase 1: %d queries over %d connections match bit-for-bit\n%!" n1 conns;
+  Printf.printf "phase 1: %d queries, planned and cached, over %d connections match bit-for-bit\n%!"
+    n1 conns;
   let edges = check_edges ~updates ds in
   with_client (connect ~host ~port ()) (fun c ->
       List.iter
@@ -336,7 +362,7 @@ let check ~host ~port ~conns ~updates ~pipeline (ds : Dataset.t) =
   Index_graph.prepare_serving ds.index;
   Printf.printf "phase 2: %d edge additions applied on both sides\n%!" (List.length edges);
   let n3 = query_phase ~host ~port ~conns ~phase:"phase-3" ~pipeline ds in
-  Printf.printf "phase 3: %d post-update queries match bit-for-bit\n%!" n3;
+  Printf.printf "phase 3: %d post-update queries, planned and cached, match bit-for-bit\n%!" n3;
   Printf.printf "check OK\n%!"
 
 (* Recovery check: a previous --check run pushed the updates and got

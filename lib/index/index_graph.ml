@@ -470,22 +470,19 @@ let compact t =
    in id order, each live index node takes the next dense id the first
    time a member of its extent is seen.  Every live node has a
    non-empty extent, so exactly [n_alive] ids are handed out. *)
-let dense_classes t =
-  let n = Data_graph.n_nodes t.data in
+let dense_order t =
   let of_id = Array.make t.next_id (-1) in
   let order = Array.make t.n_alive 0 in
-  let cls = Array.make n 0 in
   let count = ref 0 in
-  for u = 0 to n - 1 do
+  for u = 0 to Data_graph.n_nodes t.data - 1 do
     let id = t.cls.(u) in
     if of_id.(id) < 0 then begin
       of_id.(id) <- !count;
       order.(!count) <- id;
       incr count
-    end;
-    cls.(u) <- of_id.(id)
+    end
   done;
-  (cls, order, of_id)
+  (order, of_id)
 
 (* Runs re-sorted: the dense remap does not preserve id order.  Read
    only, like [copy]. *)
@@ -509,7 +506,8 @@ let dense_children t ~order ~of_id =
 (* Read-only on [t] (no CSR flattening), so it is safe on an index
    that other domains are reading. *)
 let copy t =
-  let cls, order, of_id = dense_classes t in
+  let order, of_id = dense_order t in
+  let cls = Array.init (Data_graph.n_nodes t.data) (fun u -> of_id.(t.cls.(u))) in
   (* What the text format's -1 encoding reads back as. *)
   let norm k = if k < 0 || k >= k_infinite then k_infinite else k in
   of_partition_with_edges (Data_graph.copy t.data) ~cls ~n_classes:(Array.length order)

@@ -222,19 +222,19 @@ val compact : t -> t
     graph (many splits leave retired slots behind).  Forwarding history
     is dropped. *)
 
-val dense_classes : t -> int array * int array * int array
-(** [(cls, order, of_id)]: the canonical dense renumbering of the live
+val dense_order : t -> int array * int array
+(** [(order, of_id)]: the canonical dense renumbering of the live
     index nodes, in first-touch order over data nodes (scanning data
     node ids ascending, an index node takes the next dense id when the
-    first member of its extent is seen).  [cls.(u)] is data node [u]'s
-    dense class, [order.(c)] the live id of dense class [c], and
-    [of_id.(id)] the dense class of live id [id] ([-1] for dead ids;
-    length {!max_id}).  The numbering {!Index_serial} writes and
-    {!copy} produces. *)
+    first member of its extent is seen).  [order.(c)] is the live id of
+    dense class [c], and [of_id.(id)] the dense class of live id [id]
+    ([-1] for dead ids; length {!max_id}), so data node [u]'s dense
+    class is [of_id.(cls t u)].  The numbering {!Index_serial} writes
+    and {!copy} produces. *)
 
 val dense_children : t -> order:int array -> of_id:int array -> Int_vec.t * Int_vec.t
 (** [dense_children t ~order ~of_id], with [order] and [of_id] from
-    {!dense_classes}: the live child CSR [(off, arr)] in the dense
+    {!dense_order}: the live child CSR [(off, arr)] in the dense
     numbering, each run sorted increasing.  What {!copy} builds from
     and {!Index_serial} saves.  Reads [t] only. *)
 
@@ -243,7 +243,7 @@ val copy : t -> t
     then [Index_serial.of_string]) produces, built from the live
     structures in O(data nodes + data edges + index edges) with no
     text in between.
-    - The same dense first-touch numbering as {!dense_classes}, the
+    - The same dense first-touch numbering as {!dense_order}, the
       same [k]/[req] per class, the same index edges (and therefore
       the same [Index_serial.to_string] text and
       {!partition_signature}).

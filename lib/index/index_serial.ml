@@ -13,18 +13,21 @@ let header_room = 128 + front_room
 
 let encode t =
   let data = Index_graph.data t in
-  let cls, order, _ = Index_graph.dense_classes t in
+  let n = Data_graph.n_nodes data in
+  let order, of_id = Index_graph.dense_order t in
   let count = Array.length order in
   let enc k = if k >= Index_graph.k_infinite then -1 else k in
   let cls_line = String.length (string_of_int count) + 1 in
   let out =
     Text_buf.create ~gap:header_room
-      (Serial.size_hint data + (Array.length cls * cls_line) + (count * 8) + 32)
+      (Serial.size_hint data + (n * cls_line) + (count * 8) + 32)
   in
   Serial.encode out data;
   let graph_len = Text_buf.length out in
   Text_buf.add_string out "cls\n";
-  Array.iter (Text_buf.add_int_line out) cls;
+  for u = 0 to n - 1 do
+    Text_buf.add_int_line out of_id.(Index_graph.cls t u)
+  done;
   Text_buf.add_string out "classes ";
   Text_buf.add_int out count;
   Text_buf.add_char out '\n';
@@ -209,7 +212,7 @@ let rec varint_bytes n = if n < 0x80 then 1 else 1 + varint_bytes (n lsr 7)
 
 let encode_compact t =
   let data = Index_graph.data t in
-  let cls, order, _ = Index_graph.dense_classes t in
+  let order, of_id = Index_graph.dense_order t in
   let n = Data_graph.n_nodes data and m = Data_graph.n_edges data in
   let pool = Data_graph.pool data and nc = Array.length order in
   let values = Data_graph.payloads data and codes = Data_graph.label_codes data in
@@ -279,7 +282,9 @@ let encode_compact t =
       put w (u - !prev - 1);
       prev := u;
       put_string w p);
-  Array.iter (put w) cls;
+  for u = 0 to n - 1 do
+    put w of_id.(Index_graph.cls t u)
+  done;
   Array.iter
     (fun id ->
       let nd = Index_graph.node t id in
@@ -404,7 +409,7 @@ let container_sections = Container.graph_n_sections + 6
 
 let save_container path t =
   let data = Index_graph.data t in
-  let cls, order, of_id = Index_graph.dense_classes t in
+  let order, of_id = Index_graph.dense_order t in
   let nc = Array.length order in
   let enc k = if k >= Index_graph.k_infinite then -1 else k in
   let ks = Int_vec.init nc (fun c -> enc (Index_graph.node t order.(c)).Index_graph.k) in
@@ -415,7 +420,8 @@ let save_container path t =
   let w = Container.Writer.create path ~kind:Container.Index ~n_sections:container_sections in
   (try
      Container.write_graph_sections w data;
-     Container.Writer.int_section w "cls" (Int_vec.of_array cls);
+     Container.Writer.int_section w "cls"
+       (Int_vec.init (Data_graph.n_nodes data) (fun u -> of_id.(Index_graph.cls t u)));
      Container.Writer.int_section w "clsk" ks;
      Container.Writer.int_section w "clsrq" rqs;
      Container.Writer.int_section w "ioff" ioff;

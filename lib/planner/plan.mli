@@ -18,7 +18,7 @@ type t = {
   access : access;
   est_index_visits : float;  (** traversal cost over the index graph *)
   est_candidates : float;  (** data nodes expected to need validation *)
-  est_data_visits : float;  (** validation cost after the cache discount *)
+  est_data_visits : float;  (** validation cost: candidates times query length *)
   est_total : float;  (** index plus data visits *)
   certain : bool;  (** no validation expected (soundness covers the query) *)
 }

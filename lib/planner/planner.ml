@@ -2,22 +2,11 @@ open Dkindex_graph
 open Dkindex_core
 open Dkindex_pathexpr
 
-type entry = {
-  name : string;
-  idx : Index_graph.t;
-  cat : Stats_catalog.t;
-  cache : Validation_cache.t option;
-  mutable gen : int;
-      (* graph generation the catalog was last swept at — a local
-         mirror of [Stats_catalog.generation] so the per-query
-         freshness check reads one field *)
-}
+type entry = { name : string; idx : Index_graph.t; cat : Stats_catalog.t }
 
 type t = {
   dg : Data_graph.t;
   mutable entry : entry option;  (* the one registered index *)
-  mutable freq : int array;  (* label code -> observed last-label count *)
-  mutable observed : int;
   mutable fallbacks : int;
   plan_cache : (Label.t array, Plan.t list) Hashtbl.t;
       (* memoized plans per label path, valid for one generation
@@ -33,8 +22,6 @@ let create dg =
   {
     dg;
     entry = None;
-    freq = [||];
-    observed = 0;
     fallbacks = 0;
     plan_cache = Hashtbl.create 64;
     cache_stamp = min_int;
@@ -42,70 +29,34 @@ let create dg =
     last_plans = [];
   }
 
-let register t ~name ?cache idx =
+let register t ~name idx =
   if Option.is_some t.entry then invalid_arg "Planner.register: the planner already holds an index";
   if name = "raw" then invalid_arg "Planner.register: \"raw\" is reserved";
   if not (Index_graph.data idx == t.dg) then
     invalid_arg "Planner.register: index summarizes a different data graph";
-  t.entry <- Some { name; idx; cat = Stats_catalog.create idx; cache; gen = -1 };
+  t.entry <- Some { name; idx; cat = Stats_catalog.create idx };
   Hashtbl.reset t.plan_cache;
   t.cache_stamp <- min_int;
   t.last_path <- [||]
 
 let index t = Option.map (fun e -> e.idx) t.entry
+let fallbacks t = t.fallbacks
 
 (* Refresh the catalog and return the index generation as the plan
-   memo's stamp (0 with no index).  Pulling validation-cache counters
-   only when a sweep actually happens is deliberate: plans are memoized
-   against the stamp (see [plans_of_path]), so a fresher hit rate could
-   not influence anything until the next sweep anyway. *)
+   memo's stamp (0 with no index). *)
 let refresh_stamp t =
   match t.entry with
   | None -> 0
   | Some e ->
-    let g = Index_graph.generation e.idx in
-    if g <> e.gen then begin
-      (match e.cache with
-      | Some c ->
-        let hits, misses = Validation_cache.stats c in
-        Stats_catalog.observe_cache e.cat ~hits ~misses
-      | None -> ());
+    Stats_catalog.refresh e.cat;
+    Stats_catalog.generation e.cat
+
+let catalog t =
+  Option.map
+    (fun e ->
       Stats_catalog.refresh e.cat;
-      e.gen <- g
-    end;
-    g
-
-(* ------------------------------------------------------------------ *)
-(* Workload observation: per-label frequency of query endpoints, the
-   signal for how likely a validation memo is already warm. *)
-
-let bump_freq t code =
-  if code >= Array.length t.freq then begin
-    let fresh = Array.make (max 16 ((code + 1) * 2)) 0 in
-    Array.blit t.freq 0 fresh 0 (Array.length t.freq);
-    t.freq <- fresh
-  end;
-  t.freq.(code) <- t.freq.(code) + 1;
-  t.observed <- t.observed + 1
-
-let observe_path t path =
-  let m = Array.length path in
-  if m > 0 then bump_freq t (Label.to_int path.(m - 1))
-
-let observe_workload t queries = List.iter (observe_path t) queries
-let observed_queries t = t.observed
-let fallbacks t = t.fallbacks
-
-(* Share of the observed workload ending at this label — 1.0 before
-   any observation (assume the global cache hit rate applies). *)
-let repeat_share t code =
-  if t.observed = 0 then 1.0
-  else if code < Array.length t.freq then
-    float_of_int t.freq.(code) /. float_of_int t.observed
-  else 0.0
-
-let discount t cat code =
-  Float.min 0.95 (Stats_catalog.cache_hit_rate cat *. repeat_share t code)
+      e.cat)
+    t.entry
 
 (* ------------------------------------------------------------------ *)
 (* Cost model.  All formulas are documented in DESIGN.md §14; they
@@ -133,7 +84,7 @@ let frontier_walk pops fanouts =
   done;
   (!visits, !f)
 
-let scan_estimates t e (path : Label.t array) =
+let scan_plan e (path : Label.t array) =
   let cat = e.cat in
   let m = Array.length path in
   let pops = Array.map (fun l -> Stats_catalog.label_inodes cat l) path in
@@ -158,19 +109,14 @@ let scan_estimates t e (path : Label.t array) =
      the label the traversal is expected to match. *)
   let uncovered = Stats_catalog.uncovered_extent cat last (m - 1) in
   let cand = float_of_int uncovered *. matched_share in
-  let disc = discount t cat (Label.to_int last) in
-  let dv = cand *. float_of_int m *. (1.0 -. disc) in
-  (iv, cand, dv, uncovered = 0)
-
-let scan_plan t e path =
-  let iv, cand, dv, certain = scan_estimates t e path in
+  let dv = cand *. float_of_int m in
   {
     Plan.access = Plan.Scan e.name;
     est_index_visits = iv;
     est_candidates = cand;
     est_data_visits = dv;
     est_total = iv +. dv;
-    certain;
+    certain = uncovered = 0;
   }
 
 let raw_path_plan e path =
@@ -208,12 +154,7 @@ let expr_scan_plan t e expr =
     List.fold_left (fun acc l -> acc + Stats_catalog.uncovered_extent cat l horizon) 0 mentioned
   in
   let cand = 0.5 *. float_of_int uncovered in
-  let disc =
-    match mentioned with
-    | [] -> 0.0
-    | l :: _ -> discount t cat (Label.to_int l)
-  in
-  let dv = cand *. float_of_int min_len *. (1.0 -. disc) in
+  let dv = cand *. float_of_int min_len in
   {
     Plan.access = Plan.Scan e.name;
     est_index_visits = iv;
@@ -261,7 +202,7 @@ let empty_query_plan =
 
 let compute_plans_of_path t path =
   match t.entry with
-  | Some e when Array.length path > 0 -> [ scan_plan t e path; raw_path_plan e path ]
+  | Some e when Array.length path > 0 -> [ scan_plan e path; raw_path_plan e path ]
   | Some _ | None -> [ empty_query_plan ]
 
 (* ------------------------------------------------------------------ *)
@@ -269,16 +210,6 @@ let compute_plans_of_path t path =
 
 let empty_result () =
   { Query_eval.nodes = []; cost = Cost.create (); n_candidates = 0; n_certain = 0 }
-
-let exec_scan e expr =
-  match e.cache with
-  | Some cache -> Query_eval.eval_expr ~cache e.idx expr
-  | None -> Query_eval.eval_expr e.idx expr
-
-let exec_scan_path e path =
-  match e.cache with
-  | Some cache -> Query_eval.eval_path ~strategy:`Auto ~cache e.idx path
-  | None -> Query_eval.eval_path ~strategy:`Auto e.idx path
 
 let exec_raw_path t path =
   let cost = Cost.create () in
@@ -296,7 +227,7 @@ let entry_named t name =
   | Some e when String.equal e.name name -> e
   | Some _ | None -> invalid_arg ("Planner.execute: unregistered index " ^ name)
 
-let execute t plan expr =
+let execute ?cache t plan expr =
   let scan =
     match plan.Plan.access with
     | Plan.Raw -> None
@@ -306,16 +237,19 @@ let execute t plan expr =
   | Some labels -> (
     match intern_path t labels with
     | Some p when Array.length p > 0 -> (
-      match scan with Some e -> exec_scan_path e p | None -> exec_raw_path t p)
+      match scan with
+      | Some e -> Query_eval.eval_path ~strategy:`Auto ?cache e.idx p
+      | None -> exec_raw_path t p)
     | Some _ | None -> empty_result ()  (* empty, or a label the graph never saw *))
-  | None -> ( match scan with Some e -> exec_scan e expr | None -> exec_raw_expr t expr)
+  | None -> (
+    match scan with
+    | Some e -> Query_eval.eval_expr ?cache e.idx expr
+    | None -> exec_raw_expr t expr)
 
 (* Plans are memoized per path against the index generation (computed
    by [refresh_stamp], which the callers below have just run), so the
    steady-state planned query pays a one-entry MRU check or a hashtable
-   probe, not a re-pricing.  Cost estimates can go stale against a
-   drifting cache hit rate between index mutations, which cannot change
-   the plans' order — the raw plan is always last. *)
+   probe, not a re-pricing. *)
 let path_equal a b =
   Array.length a = Array.length b
   &&
@@ -377,16 +311,12 @@ let explain t expr =
 
 (* The fallback chain: try plans in order; the raw plan closes the
    chain and cannot fail. *)
-let eval_planned t expr =
-  (match Path_ast.as_label_seq expr with
-  | Some labels -> (
-    match intern_path t labels with Some p -> observe_path t p | None -> ())
-  | None -> ());
+let eval_planned ?cache t expr =
   let rec go = function
     | [] -> assert false  (* plans always end with Raw *)
-    | [ last ] -> (last, execute t last expr)
+    | [ last ] -> (last, execute ?cache t last expr)
     | p :: rest -> (
-      match execute t p expr with
+      match execute ?cache t p expr with
       | r -> (p, r)
       | exception _ ->
         t.fallbacks <- t.fallbacks + 1;

@@ -23,7 +23,10 @@
 
     The catalog refreshes lazily off {!Index_graph.generation}, so a
     planner owned by a serving loop stays correct across updates
-    without ever recomputing statistics for an unchanged index. *)
+    without ever recomputing statistics for an unchanged index.  No
+    estimate depends on a validation cache: the cache is an argument
+    of execution ({!execute}, {!eval_planned}), so one planner serves
+    cached and uncached reads alike. *)
 
 open Dkindex_graph
 open Dkindex_core
@@ -35,23 +38,18 @@ val create : Data_graph.t -> t
 (** A planner over the data graph with no index yet: only the raw
     access path is available until {!register} is called. *)
 
-val register : t -> name:string -> ?cache:Validation_cache.t -> Index_graph.t -> unit
-(** Set the planner's one index, named [name] in plans.  [cache] is
-    used by the scan executor and its hit/miss counters feed the
-    catalog's validation discount.  @raise Invalid_argument if the
-    planner already holds an index, the name is ["raw"], or the index
-    summarizes a different data graph. *)
+val register : t -> name:string -> Index_graph.t -> unit
+(** Set the planner's one index, named [name] in plans, and sweep its
+    {!Stats_catalog}.  @raise Invalid_argument if the planner already
+    holds an index, the name is ["raw"], or the index summarizes a
+    different data graph. *)
 
 val index : t -> Index_graph.t option
 (** The registered index, if any. *)
 
-val observe_workload : t -> Label.t array list -> unit
-(** Feed an observed (e.g. mined) workload: per-label query frequencies
-    sharpen the validation-cache discount.  {!eval_planned} also
-    observes each label-path query it serves, so the discount adapts
-    online. *)
-
-val observed_queries : t -> int
+val catalog : t -> Stats_catalog.t option
+(** The registered index's catalog, refreshed to the index's current
+    generation. *)
 
 val fallbacks : t -> int
 (** Cumulative number of times {!eval_planned} had to skip a failing
@@ -79,10 +77,11 @@ val explain : t -> Path_ast.t -> string list
 
 (** {1 Execution} *)
 
-val execute : t -> Plan.t -> Path_ast.t -> Query_eval.result
-(** Run one specific plan.  @raise Invalid_argument if the plan scans
-    an index the planner does not hold. *)
+val execute : ?cache:Validation_cache.t -> t -> Plan.t -> Path_ast.t -> Query_eval.result
+(** Run one specific plan; an index scan validates through [cache]
+    when one is given.  @raise Invalid_argument if the plan scans an
+    index the planner does not hold. *)
 
-val eval_planned : t -> Path_ast.t -> Plan.t * Query_eval.result
+val eval_planned : ?cache:Validation_cache.t -> t -> Path_ast.t -> Plan.t * Query_eval.result
 (** Plan, then execute down the fallback chain; returns the plan that
     actually produced the answer. *)

@@ -12,6 +12,7 @@ type row = {
   mutable extent : int;
   mutable max_extent : int;
   mutable out_edges : int;  (* index out-edges of this label's nodes *)
+  mutable first : int;  (* rank of the label's first node in the sweep *)
   covd : int array;
 }
 
@@ -24,9 +25,11 @@ type t = {
   mutable n_iedges : int;
   mutable n_data_nodes : int;
   mutable n_data_edges : int;
-  mutable k_hist : int array;  (* capped k -> live node count *)
-  mutable cache_hits : int;
-  mutable cache_misses : int;
+  mutable largest_extent : int;
+  mutable singletons : int;
+  mutable k_low : int array;  (* k <= k_cap -> live node count *)
+  mutable k_high : (int, int) Hashtbl.t;  (* finite k > k_cap -> count *)
+  mutable k_inf : int;  (* live nodes with k >= k_infinite *)
 }
 
 let cap_k k = if k >= k_cap then k_cap else k
@@ -41,23 +44,34 @@ let sweep t =
           extent = 0;
           max_extent = 0;
           out_edges = 0;
+          first = 0;
           covd = Array.make (k_cap + 1) 0;
         })
   in
-  let k_hist = Array.make (k_cap + 1) 0 in
-  let data_nodes = ref 0 in
+  let k_low = Array.make (k_cap + 1) 0 and k_high = Hashtbl.create 1 in
+  let k_inf = ref 0 in
+  let data_nodes = ref 0 and largest = ref 0 and singletons = ref 0 and labels_seen = ref 0 in
   Index_graph.iter_alive t.idx (fun nd ->
       let r = rows.(Label.to_int nd.Index_graph.label) in
       let size = nd.Index_graph.extent_size in
-      let kc = cap_k nd.Index_graph.k in
+      let k = nd.Index_graph.k in
+      if r.inodes = 0 then begin
+        r.first <- !labels_seen;
+        incr labels_seen
+      end;
       r.inodes <- r.inodes + 1;
       r.extent <- r.extent + size;
       r.out_edges <- r.out_edges + Index_graph.out_degree t.idx nd.Index_graph.id;
       if size > r.max_extent then r.max_extent <- size;
       (* bucket counts first; suffix-summed below *)
+      let kc = cap_k k in
       r.covd.(kc) <- r.covd.(kc) + size;
-      k_hist.(kc) <- k_hist.(kc) + 1;
-      data_nodes := !data_nodes + size);
+      if k >= Index_graph.k_infinite then incr k_inf
+      else if k <= k_cap then k_low.(k) <- k_low.(k) + 1
+      else Hashtbl.replace k_high k (1 + Option.value (Hashtbl.find_opt k_high k) ~default:0);
+      data_nodes := !data_nodes + size;
+      if size > !largest then largest := size;
+      if size = 1 then incr singletons);
   Array.iter
     (fun r ->
       for j = k_cap - 1 downto 0 do
@@ -65,11 +79,15 @@ let sweep t =
       done)
     rows;
   t.rows <- rows;
-  t.k_hist <- k_hist;
+  t.k_low <- k_low;
+  t.k_high <- k_high;
+  t.k_inf <- !k_inf;
   t.n_inodes <- Index_graph.n_nodes t.idx;
   t.n_iedges <- Index_graph.n_edges t.idx;
   t.n_data_nodes <- !data_nodes;
   t.n_data_edges <- Data_graph.n_edges (Index_graph.data t.idx);
+  t.largest_extent <- !largest;
+  t.singletons <- !singletons;
   t.gen <- Index_graph.generation t.idx;
   t.refreshes <- t.refreshes + 1
 
@@ -84,9 +102,11 @@ let create idx =
       n_iedges = 0;
       n_data_nodes = 0;
       n_data_edges = 0;
-      k_hist = [||];
-      cache_hits = 0;
-      cache_misses = 0;
+      largest_extent = 0;
+      singletons = 0;
+      k_low = [||];
+      k_high = Hashtbl.create 1;
+      k_inf = 0;
     }
   in
   sweep t;
@@ -99,6 +119,11 @@ let n_inodes t = t.n_inodes
 let n_iedges t = t.n_iedges
 let n_data_nodes t = t.n_data_nodes
 let n_data_edges t = t.n_data_edges
+let largest_extent t = t.largest_extent
+let singleton_extents t = t.singletons
+
+let compression t =
+  if t.n_inodes = 0 then 0.0 else float_of_int t.n_data_nodes /. float_of_int t.n_inodes
 
 let index_fanout t =
   if t.n_inodes = 0 then 0.0 else float_of_int t.n_iedges /. float_of_int t.n_inodes
@@ -108,11 +133,11 @@ let data_fanout t =
   else float_of_int t.n_data_edges /. float_of_int t.n_data_nodes
 
 let k_histogram t =
-  let acc = ref [] in
-  for j = k_cap downto 0 do
-    if t.k_hist.(j) > 0 then acc := (j, t.k_hist.(j)) :: !acc
+  let acc = ref (List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.k_high [])) in
+  for k = k_cap downto 0 do
+    if t.k_low.(k) > 0 then acc := (k, t.k_low.(k)) :: !acc
   done;
-  !acc
+  if t.k_inf > 0 then (-1, t.k_inf) :: !acc else !acc
 
 (* The pool can grow (a mutation grafting a subgraph interns fresh
    labels) without bumping our recorded generation snapshot's row
@@ -140,10 +165,34 @@ let covered_extent t l m =
 
 let uncovered_extent t l m = label_extent t l - covered_extent t l m
 
-let observe_cache t ~hits ~misses =
-  t.cache_hits <- hits;
-  t.cache_misses <- misses
+(* Descending by index nodes.  Equal counts keep the order the report
+   has always printed: that of a string-keyed [Hashtbl] filled in
+   first-appearance order, so one is filled that way here. *)
+let label_rows t =
+  let pool = Data_graph.pool (Index_graph.data t.idx) in
+  let seen = ref [] in
+  Array.iteri (fun code r -> if r.inodes > 0 then seen := (r.first, code) :: !seen) t.rows;
+  let by_name = Hashtbl.create 32 in
+  List.iter
+    (fun (_, code) ->
+      let r = t.rows.(code) in
+      Hashtbl.replace by_name (Label.Pool.name pool (Label.of_int code)) (r.inodes, r.extent))
+    (List.sort compare !seen);
+  Hashtbl.fold (fun name (n, d) acc -> (name, n, d) :: acc) by_name []
+  |> List.sort (fun (_, a, _) (_, b, _) -> compare b a)
 
-let cache_hit_rate t =
-  let total = t.cache_hits + t.cache_misses in
-  if total = 0 then 0.0 else float_of_int t.cache_hits /. float_of_int total
+let pp ppf t =
+  Format.fprintf ppf "index nodes   %d@." t.n_inodes;
+  Format.fprintf ppf "index edges   %d@." t.n_iedges;
+  Format.fprintf ppf "data nodes    %d (%.1fx compression)@." t.n_data_nodes (compression t);
+  Format.fprintf ppf "extents       largest %d, singletons %d@." t.largest_extent t.singletons;
+  Format.fprintf ppf "similarity histogram:@.";
+  List.iter
+    (fun (k, n) ->
+      if k < 0 then Format.fprintf ppf "  k=inf  %d nodes@." n
+      else Format.fprintf ppf "  k=%-4d %d nodes@." k n)
+    (k_histogram t);
+  Format.fprintf ppf "busiest labels (index nodes / data nodes):@.";
+  List.iteri
+    (fun i (name, n, d) -> if i < 12 then Format.fprintf ppf "  %-28s %6d / %d@." name n d)
+    (label_rows t)

@@ -1,24 +1,24 @@
-(** Per-index statistics catalog behind the planner's estimates.
+(** Per-index statistics catalog: the one sweep behind the planner's
+    estimates, the server's [Stats] index keys and the [dkindex build]
+    report.
 
     One catalog is bound to one {!Index_graph.t} and derives, in a
     single sweep over the live index nodes, everything the cost model
     prices: per-label index-node counts and extent populations (label
     selectivity), the per-label local-similarity coverage profile
     (how much of a label's data sits under nodes refined to at least
-    [k] — the "under-refined D(k) class" signal), index fanout, and
-    the global k histogram.
+    [k] — the "under-refined D(k) class" signal) and index fanout;
+    and what the reports print: totals, extent sizes and the exact k
+    histogram.
 
     Refresh is {e generation-gated}: {!refresh} compares the index's
     {!Index_graph.generation} counter against the one recorded at the
     last sweep and does nothing when they match, so consulting the
     catalog on every query never recomputes statistics and the stats
     can never be stale after an update (the next refresh sees the
-    bumped counter).  All consultation functions are O(1) array reads
-    and allocation-free; only {!refresh} after a mutation allocates.
-
-    The catalog also records externally-observed {!Validation_cache}
-    traffic ({!observe_cache}), from which the cost model discounts
-    validation work for warm workloads. *)
+    bumped counter).  All planner consultation functions are O(1)
+    array reads and allocation-free; only {!refresh} after a mutation
+    allocates. *)
 
 open Dkindex_graph
 open Dkindex_core
@@ -37,8 +37,9 @@ val refresh : t -> unit
 (** Re-sweep if (and only if) the index generation moved. *)
 
 val refreshes : t -> int
-(** Number of sweeps performed so far (1 after {!create}); tests use
-    this to assert the generation gating. *)
+(** Number of sweeps performed so far (1 after {!create}); tests and
+    the server's [catalog_sweeps] stat use this to show the generation
+    gating. *)
 
 val generation : t -> int
 (** Index generation at the last sweep. *)
@@ -47,8 +48,17 @@ val generation : t -> int
 
 val n_inodes : t -> int
 val n_iedges : t -> int
+
 val n_data_nodes : t -> int
+(** Data nodes in the extents of the live index nodes. *)
+
 val n_data_edges : t -> int
+
+val compression : t -> float
+(** Data nodes per index node (0 on an empty index). *)
+
+val largest_extent : t -> int
+val singleton_extents : t -> int
 
 val index_fanout : t -> float
 (** Mean out-degree of live index nodes (0 on an empty index). *)
@@ -56,8 +66,8 @@ val index_fanout : t -> float
 val data_fanout : t -> float
 
 val k_histogram : t -> (int * int) list
-(** Capped local similarity ([k_cap] stands for anything at or above
-    it, including infinite) -> live index node count, ascending. *)
+(** Local similarity (-1 for infinite) -> live index node count,
+    ascending. *)
 
 (** {1 Per-label statistics}
 
@@ -87,11 +97,12 @@ val uncovered_extent : t -> Label.t -> int -> int
     validation if every node of the label matched a query of [m + 1]
     labels. *)
 
-(** {1 Validation-cache observation} *)
+(** {1 Report} *)
 
-val observe_cache : t -> hits:int -> misses:int -> unit
-(** Record cumulative hit/miss counters from a {!Validation_cache}
-    serving this index (latest observation wins). *)
+val label_rows : t -> (string * int * int) list
+(** Label, index nodes, data nodes for every label with a live index
+    node, descending by index nodes. *)
 
-val cache_hit_rate : t -> float
-(** Hits over total observed probes; 0 before any observation. *)
+val pp : Format.formatter -> t -> unit
+(** The multi-line report [dkindex build] prints ({!label_rows}
+    capped at 12). *)

@@ -3,6 +3,7 @@ open Dkindex_core
 module Cost = Dkindex_pathexpr.Cost
 module Plan = Dkindex_planner.Plan
 module Planner = Dkindex_planner.Planner
+module Stats_catalog = Dkindex_planner.Stats_catalog
 
 type config = {
   host : string;
@@ -75,17 +76,14 @@ type pending = { conn : conn; id : int; req : Wire.request; arrival : float }
 type job = Write of pending | Repl of Replication.event | Run of (unit -> unit)
 
 (* The serving index and the reader state built over it: the
-   validation cache, the planners of planned reads (one through the
-   cache, one without it, so Query_planned honors [no_cache]) and the
-   generation-gated Index_stats source.  Writes mutate [idx] in place;
-   a mutation that returns a new index object (a subgraph graft, a
+   validation cache and the planner, whose generation-gated catalog is
+   also what [Stats] reports.  Writes mutate [idx] in place; a
+   mutation that returns a new index object (a subgraph graft, a
    demotion rebuild) or a snapshot install replaces the whole record. *)
 type reader = {
   idx : Index_graph.t;
   cache : Validation_cache.t Lazy.t;
   planner : Planner.t Lazy.t;
-  planner_nc : Planner.t Lazy.t;
-  stats_src : Index_stats.source Lazy.t;
 }
 
 let reader_of idx =
@@ -93,20 +91,13 @@ let reader_of idx =
      visit counts do not depend on when the overflow layers were last
      folded, nor on the order concurrent writes arrived in. *)
   Index_graph.keep_sorted idx;
-  let cache = lazy (Validation_cache.create idx) in
-  let planner cache =
+  let planner =
     lazy
       (let pl = Planner.create (Index_graph.data idx) in
-       Planner.register pl ~name:"index" ?cache:(Option.map Lazy.force cache) idx;
+       Planner.register pl ~name:"index" idx;
        pl)
   in
-  {
-    idx;
-    cache;
-    planner = planner (Some cache);
-    planner_nc = planner None;
-    stats_src = lazy (Index_stats.source idx);
-  }
+  { idx; cache = lazy (Validation_cache.create idx); planner }
 
 (* Launch stages in [Stats] order; [run] times [Prepare] itself. *)
 type stage = Datagen | Index_build | Recover | Checkpoint | Prepare
@@ -292,18 +283,19 @@ let vcache_kvs state =
     ("vcache_evictions", string_of_int (re + e));
   ]
 
-(* Index statistics are generation-gated ({!Index_stats.source}): a
-   Stats request on an unchanged index returns the memoized record
-   instead of sweeping every live index node. *)
+(* Index statistics come from the planner's catalog, generation-gated:
+   a Stats request on an unchanged index reads the last sweep instead
+   of sweeping every live index node. *)
 let stats_kvs state =
-  let st = Index_stats.get (Lazy.force state.reader.stats_src) in
+  let cat = Option.get (Planner.catalog (Lazy.force state.reader.planner)) in
   let b v = if v then "true" else "false" in
   [
-    ("n_index_nodes", string_of_int st.Index_stats.n_nodes);
-    ("n_index_edges", string_of_int st.n_edges);
-    ("n_data_nodes", string_of_int st.n_data_nodes);
-    ("compression", Printf.sprintf "%.3f" st.compression);
-    ("largest_extent", string_of_int st.largest_extent);
+    ("n_index_nodes", string_of_int (Stats_catalog.n_inodes cat));
+    ("n_index_edges", string_of_int (Stats_catalog.n_iedges cat));
+    ("n_data_nodes", string_of_int (Stats_catalog.n_data_nodes cat));
+    ("compression", Printf.sprintf "%.3f" (Stats_catalog.compression cat));
+    ("largest_extent", string_of_int (Stats_catalog.largest_extent cat));
+    ("catalog_sweeps", string_of_int (Stats_catalog.refreshes cat));
     ("generation", string_of_int state.gen);
     ("served", string_of_int (state.served));
     ("served_inline", string_of_int (state.served_inline));
@@ -361,7 +353,7 @@ let read_age_ms state =
     | None -> 0xffffffff)
 
 let handle_read state req : Wire.response =
-  let { idx; cache; planner; planner_nc; _ } = state.reader in
+  let { idx; cache; planner } = state.reader in
   let cache flags = if flags.Wire.no_cache then None else Some (Lazy.force cache) in
   let wire_result r = wire_result ~gen:state.gen ~age_ms:(read_age_ms state) r in
   match req with
@@ -382,9 +374,9 @@ let handle_read state req : Wire.response =
         age_ms = read_age_ms state;
       }
   | Wire.Query_planned { flags; expr } ->
-    let pl = Lazy.force (if flags.Wire.no_cache then planner_nc else planner) in
+    let pl = Lazy.force planner in
     let fb0 = Planner.fallbacks pl in
-    let plan, r = Planner.eval_planned pl expr in
+    let plan, r = Planner.eval_planned ?cache:(cache flags) pl expr in
     state.planned <- state.planned + 1;
     (match plan.Plan.access with
     | Plan.Raw -> state.planned_raw_scans <- state.planned_raw_scans + 1

@@ -6,8 +6,10 @@
       accumulates bytes, decodes frames in place from the connection
       buffer, and answers {e every} read (ping, query-path, planned
       query, explain, has-edge, stats) itself against the one serving
-      index, with one
-      {!Dkindex_core.Validation_cache};
+      index, with one {!Dkindex_core.Validation_cache} and one
+      planner, whose statistics catalog also supplies [Stats]' index
+      keys (a planned read with [no_cache] just runs without the
+      cache);
     - writes go into a bounded job list, each with its arrival time,
       and the loop applies them in FIFO order, in place
       ({!Dkindex_core.Dk_update} and friends), after it has decoded

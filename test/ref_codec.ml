@@ -65,7 +65,8 @@ let serial_to_string g =
 
 let index_to_string t =
   let data = Index_graph.data t in
-  let cls, order, _ = Index_graph.dense_classes t in
+  let order, of_id = Index_graph.dense_order t in
+  let cls = Array.init (Data_graph.n_nodes data) (fun u -> of_id.(Index_graph.cls t u)) in
   let enc k = if k >= Index_graph.k_infinite then -1 else k in
   let body = Buffer.create 1024 in
   serial_write body data;

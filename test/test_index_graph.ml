@@ -3,6 +3,7 @@ open Dkindex_baselines
 open Testlib
 module Data_graph = Dkindex_graph.Data_graph
 module Label = Dkindex_graph.Label
+module Stats_catalog = Dkindex_planner.Stats_catalog
 
 (* ROOT -> a1, a2 -> b each; a1, a2 same label. *)
 let diamond () =
@@ -225,27 +226,30 @@ let stats_tests =
   [
     test "stats of the label-split diamond" (fun () ->
         let g, _, _, _ = diamond () in
-        let s = Index_stats.compute (Label_split.build g) in
-        check_int "nodes" 3 s.Index_stats.n_nodes;
-        check_int "data nodes" 4 s.Index_stats.n_data_nodes;
-        check_int "largest extent" 2 s.Index_stats.largest_extent;
-        check_int "singletons" 2 s.Index_stats.singleton_extents;
-        check_bool "compression" true (abs_float (s.Index_stats.compression -. (4.0 /. 3.0)) < 1e-9);
-        (match s.Index_stats.k_histogram with
+        let s = Stats_catalog.create (Label_split.build g) in
+        check_int "nodes" 3 (Stats_catalog.n_inodes s);
+        check_int "data nodes" 4 (Stats_catalog.n_data_nodes s);
+        check_int "largest extent" 2 (Stats_catalog.largest_extent s);
+        check_int "singletons" 2 (Stats_catalog.singleton_extents s);
+        check_bool "compression" true
+          (abs_float (Stats_catalog.compression s -. (4.0 /. 3.0)) < 1e-9);
+        (match Stats_catalog.k_histogram s with
         | [ (0, 3) ] -> ()
         | _ -> Alcotest.fail "histogram");
         match
-          List.find_opt (fun (name, _, _) -> String.equal name "a") s.Index_stats.label_rows
+          List.find_opt (fun (name, _, _) -> String.equal name "a") (Stats_catalog.label_rows s)
         with
         | Some (_, 1, 2) -> ()
         | Some _ | None -> Alcotest.fail "label rows");
     test "infinite similarity lands in the -1 bucket" (fun () ->
         let g, _, _, _ = diamond () in
-        let s = Index_stats.compute (One_index.build g) in
-        check_bool "has -1" true (List.mem_assoc (-1) s.Index_stats.k_histogram));
+        let s = Stats_catalog.create (One_index.build g) in
+        check_bool "has -1" true (List.mem_assoc (-1) (Stats_catalog.k_histogram s)));
     test "pp renders" (fun () ->
         let g, _, _, _ = diamond () in
-        let text = Format.asprintf "%a" Index_stats.pp (Index_stats.compute (Label_split.build g)) in
+        let text =
+          Format.asprintf "%a" Stats_catalog.pp (Stats_catalog.create (Label_split.build g))
+        in
         check_bool "mentions compression" true
           (let needle = "compression" in
            let rec find i =

@@ -33,19 +33,17 @@ let kinds g ~queries =
     ("fb", fun () -> Fb_index.build g);
   ]
 
-(* A planner holding only [idx], with its workload observed. *)
-let single ?(with_cache = true) ?(queries = []) g name idx =
+(* A planner holding only [idx]. *)
+let single g name idx =
   let pl = Planner.create g in
-  if with_cache then Planner.register pl ~name ~cache:(Validation_cache.create idx) idx
-  else Planner.register pl ~name idx;
-  Planner.observe_workload pl queries;
+  Planner.register pl ~name idx;
   pl
 
 (* A planner holding only a D(k) mined from a [Query_gen] workload. *)
-let dk_planner ?with_cache ?(seed = 42) ?(workload = 20) g =
+let dk_planner ?(seed = 42) ?(workload = 20) g =
   let queries = Query_gen.generate ~seed ~count:workload g in
   let dk = Dk_index.build g ~reqs:(Miner.mine g queries) in
-  (single ?with_cache ~queries g "dk" dk, queries)
+  (single g "dk" dk, queries)
 
 let oracle g path =
   let cost = Cost.create () in
@@ -57,39 +55,103 @@ let expr_of_path g path =
 
 let access_names plans = List.map (fun p -> Plan.access_name p.Plan.access) plans
 
-(* Execute every plan for [expr], requiring the node lists to equal
-   [want]; a planner holding an index must offer exactly [scan; raw]. *)
-let check_plans_answer pl expr want =
+(* Execute every plan for [expr] (scans through [cache] when given),
+   requiring the node lists to equal [want]; a planner holding an
+   index must offer exactly [scan; raw]. *)
+let check_plans_answer ?cache pl expr want =
   let plans = Planner.plans pl expr in
   (match Planner.index pl with
   | Some _ -> check_int "plans are [scan; raw]" 2 (List.length plans)
   | None -> ());
   List.iter
     (fun p ->
-      let r = Planner.execute pl p expr in
+      let r = Planner.execute ?cache pl p expr in
       if r.Query_eval.nodes <> want then
         Alcotest.failf "%s: plan %s disagrees with raw (%d vs %d nodes)"
           (Path_ast.to_string expr) (Plan.describe p) (List.length r.Query_eval.nodes)
           (List.length want))
     plans
 
-let check_all_plans_agree pl g path =
-  if Array.length path > 0 then check_plans_answer pl (expr_of_path g path) (oracle g path)
+let check_all_plans_agree ?cache pl g path =
+  if Array.length path > 0 then check_plans_answer ?cache pl (expr_of_path g path) (oracle g path)
 
 (* For each summary, a planner holding only it answers every workload
-   path and each regex like the raw graph, through every plan. *)
+   path and each regex like the raw graph, through every plan, its
+   scans validating through one cache. *)
 let check_kinds_agree g ~queries regexes =
   List.iter
     (fun (name, build) ->
-      let pl = single ~queries g name (build ()) in
-      List.iter (check_all_plans_agree pl g) queries;
+      let idx = build () in
+      let cache = Validation_cache.create idx in
+      let pl = single g name idx in
+      List.iter (check_all_plans_agree ~cache pl g) queries;
       List.iter
         (fun s ->
           let expr = Path_parser.parse s in
           let nfa = Dkindex_pathexpr.Nfa.compile (Data_graph.pool g) expr in
-          check_plans_answer pl expr (Matcher.eval_nfa g nfa ~cost:(Cost.create ())))
+          check_plans_answer ~cache pl expr (Matcher.eval_nfa g nfa ~cost:(Cost.create ())))
         regexes)
     (kinds g ~queries)
+
+(* Everything the catalog reports, recounted from [iter_alive] with no
+   catalog code, compared field by field.  The label rows are recounted
+   the way the report always built them (a string-keyed table filled
+   in sweep order, then a stable sort), ties in that table's order. *)
+let check_against_recount cat idx =
+  let pool = Data_graph.pool (Index_graph.data idx) in
+  let n_labels = Label.Pool.count pool in
+  let inodes = Array.make n_labels 0 and extent = Array.make n_labels 0 in
+  let max_extent = Array.make n_labels 0 in
+  let ks = Hashtbl.create 8 and by_name = Hashtbl.create 32 in
+  let alive = ref 0 and data = ref 0 and largest = ref 0 and singletons = ref 0 in
+  Index_graph.iter_alive idx (fun nd ->
+      let l = Label.to_int nd.Index_graph.label and size = nd.Index_graph.extent_size in
+      let k = if nd.Index_graph.k >= Index_graph.k_infinite then -1 else nd.Index_graph.k in
+      Hashtbl.replace ks k (1 + Option.value (Hashtbl.find_opt ks k) ~default:0);
+      incr alive;
+      data := !data + size;
+      largest := max !largest size;
+      if size = 1 then incr singletons;
+      inodes.(l) <- inodes.(l) + 1;
+      extent.(l) <- extent.(l) + size;
+      max_extent.(l) <- max max_extent.(l) size;
+      Hashtbl.replace by_name (Label.Pool.name pool nd.Index_graph.label) (inodes.(l), extent.(l)));
+  check_int "generation" (Index_graph.generation idx) (Stats_catalog.generation cat);
+  check_int "n_inodes" !alive (Stats_catalog.n_inodes cat);
+  check_int "n_inodes = Index_graph" (Index_graph.n_nodes idx) (Stats_catalog.n_inodes cat);
+  check_int "n_iedges" (Index_graph.n_edges idx) (Stats_catalog.n_iedges cat);
+  check_int "n_data_nodes" !data (Stats_catalog.n_data_nodes cat);
+  check_int "n_data_edges"
+    (Data_graph.n_edges (Index_graph.data idx))
+    (Stats_catalog.n_data_edges cat);
+  check_int "largest_extent" !largest (Stats_catalog.largest_extent cat);
+  check_int "singletons" !singletons (Stats_catalog.singleton_extents cat);
+  Alcotest.(check (list (pair int int)))
+    "exact k histogram"
+    (List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) ks []))
+    (Stats_catalog.k_histogram cat);
+  for code = 0 to n_labels - 1 do
+    let l = Label.of_int code in
+    check_int "label_inodes" inodes.(code) (Stats_catalog.label_inodes cat l);
+    check_int "label_extent" extent.(code) (Stats_catalog.label_extent cat l);
+    check_int "label_max_extent" max_extent.(code) (Stats_catalog.label_max_extent cat l);
+    for m = 0 to Stats_catalog.k_cap + 1 do
+      let m' = min m Stats_catalog.k_cap in
+      let covered = ref 0 in
+      Index_graph.iter_alive idx (fun nd ->
+          if Label.equal nd.Index_graph.label l && min nd.Index_graph.k Stats_catalog.k_cap >= m'
+          then covered := !covered + nd.Index_graph.extent_size);
+      check_int (Printf.sprintf "covered_extent m=%d" m) !covered
+        (Stats_catalog.covered_extent cat l m);
+      check_int (Printf.sprintf "uncovered_extent m=%d" m) (extent.(code) - !covered)
+        (Stats_catalog.uncovered_extent cat l m)
+    done
+  done;
+  Alcotest.(check (list (triple string int int)))
+    "label rows, in report order"
+    (Hashtbl.fold (fun name (n, d) acc -> (name, n, d) :: acc) by_name []
+    |> List.stable_sort (fun (_, a, _) (_, b, _) -> compare b a))
+    (Stats_catalog.label_rows cat)
 
 (* ------------------------------------------------------------------ *)
 (* Statistics catalog                                                  *)
@@ -100,32 +162,19 @@ let catalog_tests =
         let g = Dkindex_datagen.Xmark.graph ~seed:9 ~scale:10 () in
         let idx = A_k_index.build g ~k:2 in
         let cat = Stats_catalog.create idx in
-        check_int "n_inodes" (Index_graph.n_nodes idx) (Stats_catalog.n_inodes cat);
-        check_int "n_iedges" (Index_graph.n_edges idx) (Stats_catalog.n_iedges cat);
+        (* extents partition the data nodes *)
         check_int "n_data_nodes" (Data_graph.n_nodes g) (Stats_catalog.n_data_nodes cat);
-        check_int "n_data_edges" (Data_graph.n_edges g) (Stats_catalog.n_data_edges cat);
-        (* recount one label's rows by hand *)
-        let pool = Data_graph.pool g in
-        for code = 0 to Label.Pool.count pool - 1 do
-          let l = Label.of_int code in
-          let inodes = ref 0 and extent = ref 0 and mx = ref 0 and cov1 = ref 0 in
-          Index_graph.iter_alive idx (fun nd ->
-              if Label.equal nd.Index_graph.label l then begin
-                incr inodes;
-                extent := !extent + nd.Index_graph.extent_size;
-                if nd.Index_graph.extent_size > !mx then mx := nd.Index_graph.extent_size;
-                if nd.Index_graph.k >= 1 then cov1 := !cov1 + nd.Index_graph.extent_size
-              end);
-          check_int "label_inodes" !inodes (Stats_catalog.label_inodes cat l);
-          check_int "label_extent" !extent (Stats_catalog.label_extent cat l);
-          check_int "label_max_extent" !mx (Stats_catalog.label_max_extent cat l);
-          check_int "covered_extent m=1" !cov1 (Stats_catalog.covered_extent cat l 1);
-          check_int "covered + uncovered = extent" !extent
-            (Stats_catalog.covered_extent cat l 1 + Stats_catalog.uncovered_extent cat l 1)
-        done;
-        (* k histogram covers every live node *)
-        let total = List.fold_left (fun acc (_, n) -> acc + n) 0 (Stats_catalog.k_histogram cat) in
-        check_int "k_histogram total" (Index_graph.n_nodes idx) total);
+        check_against_recount cat idx;
+        let one = One_index.build g in
+        check_against_recount (Stats_catalog.create one) one;
+        (* similarities past [k_cap] keep their own histogram rows *)
+        let deep = A_k_index.build g ~k:40 in
+        let deep_cat = Stats_catalog.create deep in
+        check_against_recount deep_cat deep;
+        check_bool "a k above k_cap" true
+          (List.exists
+             (fun (k, _) -> k > Stats_catalog.k_cap)
+             (Stats_catalog.k_histogram deep_cat)));
     test "covered_extent is monotone in m and saturates at k_cap" (fun () ->
         let g = random_graph ~seed:31 ~nodes:120 in
         let idx = A_k_index.build g ~k:3 in
@@ -160,39 +209,91 @@ let catalog_tests =
         check_int "resweep after mutation" 2 (Stats_catalog.refreshes cat);
         check_int "generation tracked" (Index_graph.generation idx)
           (Stats_catalog.generation cat));
-    test "cache hit rate feeds from observe_cache" (fun () ->
-        let g = random_graph ~seed:5 ~nodes:40 in
-        let idx = One_index.build g in
-        let cat = Stats_catalog.create idx in
-        Alcotest.(check (float 1e-9)) "no observations" 0.0 (Stats_catalog.cache_hit_rate cat);
-        Stats_catalog.observe_cache cat ~hits:3 ~misses:1;
-        Alcotest.(check (float 1e-9)) "3/4" 0.75 (Stats_catalog.cache_hit_rate cat));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Index_stats.source (satellite: lazy recompute off the generation
-   counter)                                                            *)
+(* One catalog per served index: swept once per index generation,
+   whoever asks (plans, executions, the report), and equal to a direct
+   recount through every kind of mutation.                             *)
 
-let index_stats_tests =
+let catalog_generation_tests =
   [
-    test "Index_stats.source recomputes only when the index moves" (fun () ->
+    test "one catalog per planner, swept once per generation" (fun () ->
         let g = random_graph ~seed:51 ~nodes:100 in
         let queries = Query_gen.generate ~seed:51 ~count:10 g in
         let idx = Dk_index.build g ~reqs:(Miner.mine g queries) in
-        let src = Index_stats.source idx in
-        check_int "lazy before first get" 0 (Index_stats.recomputes src);
-        let s1 = Index_stats.get src in
-        let s2 = Index_stats.get src in
-        check_int "one compute" 1 (Index_stats.recomputes src);
-        assert (s1 == s2);
-        check_int "matches direct compute" (Index_stats.compute idx).Index_stats.n_nodes
-          s1.Index_stats.n_nodes;
+        let pl = single g "dk" idx in
+        let cache = Validation_cache.create idx in
+        let expr = Path_parser.parse "l0.l1" in
+        let cat = Option.get (Planner.catalog pl) in
+        (* a report, a cached and an uncached read of one generation *)
+        let read () =
+          ignore (Planner.catalog pl);
+          ignore (Planner.eval_planned ~cache pl expr);
+          ignore (Planner.eval_planned pl expr)
+        in
+        read ();
+        check_bool "the planner's one catalog" true (Option.get (Planner.catalog pl) == cat);
+        check_int "one sweep" 1 (Stats_catalog.refreshes cat);
+        check_against_recount cat idx;
         let u = 0 and v = Data_graph.n_nodes g - 1 in
-        if not (Data_graph.has_edge g u v) then Dk_update.add_edge idx u v;
-        let s3 = Index_stats.get src in
-        check_int "recompute after mutation" 2 (Index_stats.recomputes src);
-        check_int "fresh stats" (Index_stats.compute idx).Index_stats.n_nodes
-          s3.Index_stats.n_nodes);
+        if not (Data_graph.has_edge g u v) then begin
+          Dk_update.add_edge idx u v;
+          read ();
+          check_int "one resweep after the mutation" 2 (Stats_catalog.refreshes cat);
+          check_against_recount cat idx
+        end);
+    to_alcotest
+      (QCheck.Test.make ~count:20 ~name:"the catalog equals a direct recount through churn"
+         (QCheck.make
+            ~print:(fun (seed, nodes) -> Printf.sprintf "seed=%d nodes=%d" seed nodes)
+            QCheck.Gen.(pair (int_bound 10_000) (int_range 10 60)))
+         (fun (seed, nodes) ->
+           let g = random_graph ~seed ~nodes in
+           let queries = Query_gen.generate ~seed ~count:8 g in
+           let reqs = Miner.mine g queries in
+           let rng = Prng.create ~seed in
+           let label () = Printf.sprintf "l%d" (Prng.int rng 5) in
+           (* As the server does: a mutation that returns a new index
+              object gets a new planner, an in-place one refreshes. *)
+           let idx = ref (Dk_index.build g ~reqs) in
+           let pl = ref (single g "dk" !idx) in
+           let added = ref [] in
+           for step = 1 to 16 do
+             let cur = !idx in
+             let dg = Index_graph.data cur in
+             let n = Data_graph.n_nodes dg in
+             let next =
+               match (Prng.int rng 6, !added) with
+               | 0, (u, v) :: rest ->
+                 Dk_update.remove_edge cur u v;
+                 added := rest;
+                 cur
+               | 1, _ ->
+                 let h = random_graph ~seed:(seed + step) ~nodes:(5 + Prng.int rng 10) in
+                 added := [];
+                 snd (Dk_update.add_subgraph cur h ~reqs)
+               | 2, _ ->
+                 Dk_tune.promote_labels cur [ (label (), 1 + Prng.int rng 3) ];
+                 cur
+               | 3, _ ->
+                 added := [];
+                 Dk_tune.demote cur ~reqs:[ (label (), Prng.int rng 2) ]
+               | _ ->
+                 let u = Prng.int rng n and v = 1 + Prng.int rng (n - 1) in
+                 if not (Data_graph.has_edge dg u v) then begin
+                   Dk_update.add_edge cur u v;
+                   added := (u, v) :: !added
+                 end;
+                 cur
+             in
+             if next != cur then begin
+               idx := next;
+               pl := single (Index_graph.data next) "dk" next
+             end;
+             check_against_recount (Option.get (Planner.catalog !pl)) !idx
+           done;
+           true));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -219,7 +320,7 @@ let plan_tests =
            a memoized list of plan records: no per-extent or per-node
            work. *)
         let g = Dkindex_datagen.Xmark.graph ~scale:8 () in
-        let pl, _ = dk_planner ~with_cache:false g in
+        let pl, _ = dk_planner g in
         let path =
           Array.map
             (fun l -> Option.get (Label.Pool.find_opt (Data_graph.pool g) l))
@@ -359,27 +460,22 @@ let executor_tests =
     test "eval_planned returns the chosen plan's exact result" (fun () ->
         let g = Dkindex_datagen.Xmark.graph ~seed:23 ~scale:8 () in
         let pl, queries = dk_planner g in
+        let cache = Validation_cache.create (Option.get (Planner.index pl)) in
         List.iter
           (fun path ->
             if Array.length path > 0 then begin
               let expr = expr_of_path g path in
-              let plan, r = Planner.eval_planned pl expr in
+              let plan, r = Planner.eval_planned ~cache pl expr in
               assert (Plan.describe plan = Plan.describe (Planner.choose pl expr));
-              check_int_list "nodes = oracle" (oracle g path) r.Query_eval.nodes
+              check_int_list "nodes = oracle" (oracle g path) r.Query_eval.nodes;
+              (* the cache moves visit counts, never the plan or the answer *)
+              let plan', r' = Planner.eval_planned pl expr in
+              Alcotest.(check string)
+                "uncached plan line" (Plan.describe plan) (Plan.describe plan');
+              check_int_list "uncached nodes" r.Query_eval.nodes r'.Query_eval.nodes
             end)
           queries;
         check_int "no fallbacks" 0 (Planner.fallbacks pl));
-    test "eval_planned observes the workload" (fun () ->
-        let g = random_graph ~seed:24 ~nodes:60 in
-        let pl = single g "1-index" (One_index.build g) in
-        let before = Planner.observed_queries pl in
-        let pool = Data_graph.pool g in
-        let path =
-          [| Option.get (Label.Pool.find_opt pool "l0"); Option.get (Label.Pool.find_opt pool "l1") |]
-        in
-        let _, r = Planner.eval_planned pl (expr_of_path g path) in
-        check_int "observed" (before + 1) (Planner.observed_queries pl);
-        check_int_list "nodes = oracle" (oracle g path) r.Query_eval.nodes);
     test "general expressions route through scans and raw identically" (fun () ->
         let g = Dkindex_datagen.Xmark.graph ~seed:25 ~scale:8 () in
         let pl, _ = dk_planner g in
@@ -434,11 +530,12 @@ let prop_plans_agree_through_churn =
     (fun (seed, nodes) ->
       let g = random_graph ~seed ~nodes in
       let pl, queries = dk_planner g ~seed in
-      List.iter (check_all_plans_agree pl g) queries;
       let dk = Option.get (Planner.index pl) in
+      let cache = Validation_cache.create dk in
+      List.iter (check_all_plans_agree ~cache pl g) queries;
       churn g dk ~seed:(seed * 7) ~rounds:12;
       Index_graph.check_invariants dk;
-      List.iter (check_all_plans_agree pl g) queries;
+      List.iter (check_all_plans_agree ~cache pl g) queries;
       true)
 
 let prop_plan_results_reproducible =
@@ -450,7 +547,7 @@ let prop_plan_results_reproducible =
     (fun (seed, nodes) ->
       let g = random_graph ~seed ~nodes in
       (* no cache: costs must also be bit-for-bit reproducible *)
-      let pl, queries = dk_planner g ~with_cache:false ~seed in
+      let pl, queries = dk_planner g ~seed in
       let dk = Option.get (Planner.index pl) in
       List.iter
         (fun path ->
@@ -483,7 +580,7 @@ let () =
   Alcotest.run "planner"
     [
       ("catalog", catalog_tests);
-      ("index_stats_source", index_stats_tests);
+      ("catalog_generation", catalog_generation_tests);
       ("plans", plan_tests);
       ("executors", executor_tests);
       ("properties", props);

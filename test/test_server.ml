@@ -21,6 +21,7 @@ open Dkindex_core
 module Data_graph = Dkindex_graph.Data_graph
 module Label = Dkindex_graph.Label
 module Path_ast = Dkindex_pathexpr.Path_ast
+module Path_parser = Dkindex_pathexpr.Path_parser
 module Wire = Dkindex_server.Wire
 module Obuf = Dkindex_server.Obuf
 module Server = Dkindex_server.Server
@@ -1292,6 +1293,59 @@ let test_one_generation_clock () =
   | _ -> Alcotest.fail "expected Stats_reply");
   shutdown_server pid c
 
+(* One planner serves planned reads with and without the validation
+   cache: the same expression answers with the same nodes and the same
+   plan line either way.  The planner's catalog is also what Stats
+   reports, so a write followed by a Stats request, a cached and an
+   uncached planned read sweeps the index once. *)
+let test_one_planner () =
+  let g, idx = build_smoke_dataset () in
+  with_server idx @@ fun pid port ->
+  let c = Client.connect ~port () in
+  let planned ~no_cache expr =
+    match Client.call c (Wire.Query_planned { flags = { no_cache }; expr }) with
+    | Wire.Planned_result { plan; result } -> (plan, Array.to_list result.Wire.nodes)
+    | _ -> Alcotest.fail "expected Planned_result"
+  in
+  let sweeps () =
+    match Client.call c Wire.Stats with
+    | Wire.Stats_reply kvs -> int_of_string (Option.get (List.assoc_opt "catalog_sweeps" kvs))
+    | _ -> Alcotest.fail "expected Stats_reply"
+  in
+  let exprs = List.map Path_parser.parse [ "l0.l1"; "l1.(l2|l3)*"; "l4.l0.l1"; "l2" ] in
+  let check_both () =
+    List.iter
+      (fun expr ->
+        let what = Path_ast.to_string expr in
+        (* cached twice, so the second read runs on a warm cache *)
+        ignore (planned ~no_cache:false expr);
+        let plan_c, nodes_c = planned ~no_cache:false expr in
+        let plan_u, nodes_u = planned ~no_cache:true expr in
+        Alcotest.(check string) (what ^ ": plan line") plan_u plan_c;
+        Alcotest.(check (list int)) (what ^ ": nodes") nodes_u nodes_c;
+        Alcotest.(check (list int)) (what ^ ": nodes = local")
+          (Query_eval.eval_expr idx expr).Query_eval.nodes nodes_u)
+      exprs
+  in
+  check_both ();
+  let before = sweeps () in
+  let rec absent u v = if v = u || Data_graph.has_edge g u v then absent u (v + 1) else v in
+  let u = 2 in
+  let v = absent u 0 in
+  (match Client.call c (Wire.Add_edge { u; v }) with
+  | Wire.Ok_reply _ -> ()
+  | _ -> Alcotest.fail "expected Ok_reply");
+  Dk_update.add_edge idx u v;
+  Index_graph.prepare_serving idx;
+  let expr = List.hd exprs in
+  let after_stats = sweeps () in
+  ignore (planned ~no_cache:false expr);
+  ignore (planned ~no_cache:true expr);
+  Alcotest.(check int) "the write's one sweep" (before + 1) after_stats;
+  Alcotest.(check int) "no sweep for the planned reads" after_stats (sweeps ());
+  check_both ();
+  shutdown_server pid c
+
 (* Failed and valid writes alternate with cached reads.  The server
    keeps one index and so at most one validation cache, and the
    exported hits and misses never go backwards (a cache dropped with a
@@ -1541,6 +1595,8 @@ let () =
             test_reads_in_fold_order;
           Alcotest.test_case "acks, reads and Stats share one write generation" `Quick
             test_one_generation_clock;
+          Alcotest.test_case "cached and uncached planned reads share one planner" `Quick
+            test_one_planner;
           Alcotest.test_case "failed writes: dropped validation caches retire" `Quick
             test_vcache_retirement;
           Alcotest.test_case "snapshot durable and loadable when acknowledged" `Quick
